@@ -107,42 +107,71 @@ pub fn nearest_sorted_block(book: &[f32], keys: &[i32], values: &[f32], out: &mu
         let mut thr = [0i32; THRESH_BOOK - 1];
         let thr = &mut thr[..book.len() - 1];
         build_thresholds(book, keys, thr);
-        let mut kv = [0i32; SWEEP];
-        let mut ins = [0u32; SWEEP];
-        for (chunk, dst) in values.chunks(SWEEP).zip(out.chunks_mut(SWEEP)) {
-            let n = chunk.len();
-            for (d, &v) in kv[..n].iter_mut().zip(chunk) {
-                *d = total_key(v);
-            }
-            ins[..n].fill(0);
-            for &t in thr.iter() {
-                for (i, &c) in ins[..n].iter_mut().zip(&kv[..n]) {
-                    *i += u32::from(t < c);
-                }
-            }
-            for (d, &i) in dst.iter_mut().zip(&ins[..n]) {
-                *d = i as u16;
-            }
-        }
+        nearest_thresholded_block(thr, values, out);
         return;
     }
     let mut kv = [0i32; SWEEP];
     let mut ins = [0u32; SWEEP];
     for (chunk, dst) in values.chunks(SWEEP).zip(out.chunks_mut(SWEEP)) {
         let n = chunk.len();
-        for (d, &v) in kv[..n].iter_mut().zip(chunk) {
-            *d = total_key(v);
-        }
-        ins[..n].fill(0);
-        for &k in keys {
-            for (i, &c) in ins[..n].iter_mut().zip(&kv[..n]) {
-                *i += u32::from(k < c);
-            }
-        }
+        count_below(keys, chunk, &mut kv[..n], &mut ins[..n]);
         for (((d, &i), &c), &v) in dst.iter_mut().zip(&ins[..n]).zip(&kv[..n]).zip(chunk) {
             *d = resolve(book, keys, i as usize, c, v) as u16;
         }
     }
+}
+
+/// One sweep of the block searches: fills `kv` with the total-order
+/// keys of `chunk` and `ins` with, per probe, how many of `bounds` lie
+/// below its key — bound-outermost, so every pass vectorizes over the
+/// whole chunk.
+#[inline]
+fn count_below(bounds: &[i32], chunk: &[f32], kv: &mut [i32], ins: &mut [u32]) {
+    for (d, &v) in kv.iter_mut().zip(chunk) {
+        *d = total_key(v);
+    }
+    ins.fill(0);
+    for &b in bounds {
+        for (i, &c) in ins.iter_mut().zip(&*kv) {
+            *i += u32::from(b < c);
+        }
+    }
+}
+
+/// The counting half of [`nearest_sorted_block`] for callers that keep
+/// a book's boundaries ([`tabulate_thresholds`]) instead of rebuilding
+/// them per call: encodes every probe in `values` into
+/// `out[..values.len()]` as the number of `thr` entries below its
+/// total-order key.
+///
+/// # Panics
+///
+/// Panics when `out` is shorter than `values`.
+pub fn nearest_thresholded_block(thr: &[i32], values: &[f32], out: &mut [u16]) {
+    let out = &mut out[..values.len()];
+    let mut kv = [0i32; SWEEP];
+    let mut ins = [0u32; SWEEP];
+    for (chunk, dst) in values.chunks(SWEEP).zip(out.chunks_mut(SWEEP)) {
+        let n = chunk.len();
+        count_below(thr, chunk, &mut kv[..n], &mut ins[..n]);
+        for (d, &i) in dst.iter_mut().zip(&ins[..n]) {
+            *d = i as u16;
+        }
+    }
+}
+
+/// The boundaries [`nearest_thresholded_block`] counts against, for a
+/// `total_cmp`-sorted `book` with its `keys`: `book.len() - 1` keys in
+/// ascending order. `None` for an empty book and for one past the
+/// tabulation cap (256 entries), whose boundaries would cost more to
+/// find than any caller has shown they save.
+pub fn tabulate_thresholds(book: &[f32], keys: &[i32]) -> Option<Vec<i32>> {
+    if !(1..=THRESH_BOOK).contains(&book.len()) {
+        return None;
+    }
+    let mut thr = vec![0i32; book.len() - 1];
+    build_thresholds(book, keys, &mut thr);
+    Some(thr)
 }
 
 /// Tabulates the exact code boundaries of the nearest map in key
@@ -339,6 +368,20 @@ mod tests {
                         got,
                         nearest_sorted(book, &keys, p),
                         "small chunk: book={book:?} probe={p}"
+                    );
+                }
+            }
+            // A kept tabulation must agree at every batch size, the
+            // small ones the per-call path never tabulates for included.
+            let thr = tabulate_thresholds(book, &keys).expect("book within the cap");
+            assert_eq!(thr.len(), book.len() - 1);
+            for chunk in probes.chunks(3).chain([&probes[..]]) {
+                nearest_thresholded_block(&thr, chunk, &mut block);
+                for (&p, &got) in chunk.iter().zip(&block) {
+                    assert_eq!(
+                        got,
+                        nearest_sorted(book, &keys, p),
+                        "kept thresholds: book={book:?} probe={p}"
                     );
                 }
             }

@@ -48,6 +48,7 @@
 use crate::error::{ArtifactError, Result, ServeError};
 use crate::kernels::BatchRunner;
 use crate::pod::{self, AlignedBytes};
+use rapidnn_core::nearest::{load_keys, tabulate_thresholds};
 use rapidnn_core::{ActivationTable, ReinterpretedNetwork, Stage, StageKind};
 use rapidnn_nn::Activation;
 use std::path::Path;
@@ -485,6 +486,10 @@ pub struct CompiledModel {
     pub(crate) output_features: usize,
     /// Virtual input-layer codebook (sorted values) in the float pool.
     pub(crate) virtual_encoder: Span,
+    /// `virtual_encoder`'s search tables, built once by
+    /// [`CompiledModel::assemble`] so no batch pays for them. Never
+    /// serialized: a pure function of the pool and the span.
+    pub(crate) input_enc: InputEncoder,
     pub(crate) ops: Vec<Op>,
     /// All f32 data: codebooks, product tables, LUTs, biases.
     pub(crate) floats: FloatPool,
@@ -501,7 +506,60 @@ pub struct CompiledModel {
     pub(crate) quant: Option<crate::quant::QuantState>,
 }
 
+/// What [`BatchRunner`] needs to encode input rows through a model's
+/// virtual input codebook, tabulated once per model instead of once per
+/// batch (the boundary search alone cost a quarter of a one-row call).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum InputEncoder {
+    /// The codebook's code boundaries in key space (see
+    /// [`tabulate_thresholds`]): encoding is a count against them.
+    Thresholds(Vec<i32>),
+    /// Total-order keys of a codebook too large to tabulate: encoding
+    /// sweeps them and resolves each probe against the book.
+    Keys(Vec<i32>),
+}
+
+impl InputEncoder {
+    /// Tabulates `book`'s span of `floats`. A span outside the pool —
+    /// possible only on a model no validator has seen yet, which will
+    /// be rejected before it encodes anything — tabulates as empty.
+    fn new(floats: &[f32], book: Span) -> InputEncoder {
+        let end = book.start.saturating_add(book.len);
+        let book = floats.get(book.start..end).unwrap_or(&[]);
+        let mut keys = Vec::new();
+        load_keys(&mut keys, book);
+        match tabulate_thresholds(book, &keys) {
+            Some(thr) => InputEncoder::Thresholds(thr),
+            None => InputEncoder::Keys(keys),
+        }
+    }
+}
+
 impl CompiledModel {
+    /// The one place a model is put together: an unverified, f32-only
+    /// model over the given program and pools, with the input encoder
+    /// tabulated.
+    pub(crate) fn assemble(
+        input_features: usize,
+        output_features: usize,
+        virtual_encoder: Span,
+        ops: Vec<Op>,
+        floats: FloatPool,
+        codes: CodePool,
+    ) -> CompiledModel {
+        CompiledModel {
+            input_features,
+            output_features,
+            virtual_encoder,
+            input_enc: InputEncoder::new(floats.as_slice(), virtual_encoder),
+            ops,
+            floats,
+            codes,
+            verified: false,
+            quant: None,
+        }
+    }
+
     /// Flattens a reinterpreted network into a compiled model.
     ///
     /// # Errors
@@ -517,16 +575,14 @@ impl CompiledModel {
         for stage in network.stages() {
             fl.flatten_stage(stage)?;
         }
-        let model = CompiledModel {
-            input_features: network.input_features(),
-            output_features: network.output_features(),
+        let model = CompiledModel::assemble(
+            network.input_features(),
+            network.output_features(),
             virtual_encoder,
-            ops: fl.ops,
-            floats: FloatPool::Owned(fl.floats),
-            codes: CodePool::Wide(fl.codes),
-            verified: false,
-            quant: None,
-        };
+            fl.ops,
+            FloatPool::Owned(fl.floats),
+            CodePool::Wide(fl.codes),
+        );
         model.validate()?;
         Ok(model)
     }
@@ -595,11 +651,11 @@ impl CompiledModel {
     /// panic containment.
     #[cfg(test)]
     pub(crate) fn broken_for_tests() -> CompiledModel {
-        CompiledModel {
-            input_features: 1,
-            output_features: 1,
-            virtual_encoder: Span { start: 0, len: 2 },
-            ops: vec![Op::MaxPool(Geom {
+        CompiledModel::assemble(
+            1,
+            1,
+            Span { start: 0, len: 2 },
+            vec![Op::MaxPool(Geom {
                 in_channels: 1,
                 in_height: 2,
                 in_width: 2,
@@ -610,11 +666,9 @@ impl CompiledModel {
                 out_height: 1,
                 out_width: 1,
             })],
-            floats: FloatPool::Owned(vec![0.0, 1.0]),
-            codes: CodePool::Wide(vec![]),
-            verified: false,
-            quant: None,
-        }
+            FloatPool::Owned(vec![0.0, 1.0]),
+            CodePool::Wide(vec![]),
+        )
     }
 
     /// Hand-built `layers`-deep dense chain (4 features wide throughout)
@@ -648,16 +702,14 @@ impl CompiledModel {
                 encoder: (l + 1 < layers.max(1)).then_some(book),
             })
             .collect();
-        CompiledModel {
-            input_features: 4,
-            output_features: 4,
-            virtual_encoder: book,
+        CompiledModel::assemble(
+            4,
+            4,
+            book,
             ops,
-            floats: FloatPool::Owned(floats),
-            codes: CodePool::Wide(vec![0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0]),
-            verified: false,
-            quant: None,
-        }
+            FloatPool::Owned(floats),
+            CodePool::Wide(vec![0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0]),
+        )
     }
 
     /// [`deep_for_tests`](Self::deep_for_tests) with a deliberately
@@ -994,16 +1046,14 @@ impl CompiledModel {
             )));
         }
 
-        Ok(CompiledModel {
+        Ok(CompiledModel::assemble(
             input_features,
             output_features,
             virtual_encoder,
             ops,
-            floats: FloatPool::Owned(floats),
-            codes: CodePool::Wide(codes),
-            verified: false,
-            quant: None,
-        })
+            FloatPool::Owned(floats),
+            CodePool::Wide(codes),
+        ))
     }
 
     /// Decodes a v2 artifact: copies the whole image into one aligned
@@ -1157,16 +1207,14 @@ impl CompiledModel {
             total: ncodes,
         };
 
-        Ok(CompiledModel {
+        Ok(CompiledModel::assemble(
             input_features,
             output_features,
             virtual_encoder,
             ops,
             floats,
             codes,
-            verified: false,
-            quant: None,
-        })
+        ))
     }
 
     /// Decodes an artifact and requires a clean static-analysis report
@@ -1428,16 +1476,14 @@ impl CompiledModel {
                 },
             })
             .collect();
-        let model = CompiledModel {
-            input_features: program.input_features,
-            output_features: program.output_features,
-            virtual_encoder: span(program.virtual_encoder),
+        let model = CompiledModel::assemble(
+            program.input_features,
+            program.output_features,
+            span(program.virtual_encoder),
             ops,
-            floats: FloatPool::Owned(program.floats.to_vec()),
-            codes: CodePool::Wide(program.codes.to_vec()),
-            verified: false,
-            quant: None,
-        };
+            FloatPool::Owned(program.floats.to_vec()),
+            CodePool::Wide(program.codes.to_vec()),
+        );
         model.validate()?;
         Ok(model)
     }
@@ -2487,16 +2533,14 @@ mod tests {
             },
         ];
         for op in ops {
-            let model = CompiledModel {
-                input_features: 4,
-                output_features: 9,
-                virtual_encoder: Span { start: 0, len: 2 },
-                ops: vec![op],
-                floats: FloatPool::Owned(vec![0.0, 1.0]),
-                codes: CodePool::Wide(vec![]),
-                verified: false,
-                quant: None,
-            };
+            let model = CompiledModel::assemble(
+                4,
+                9,
+                Span { start: 0, len: 2 },
+                vec![op],
+                FloatPool::Owned(vec![0.0, 1.0]),
+                CodePool::Wide(vec![]),
+            );
             // Must be rejected at decode time; without the pad check this
             // artifact passed validation and `infer` panicked out of
             // bounds inside `pool`.
@@ -2509,15 +2553,15 @@ mod tests {
 
     #[test]
     fn oversized_codebooks_are_rejected() {
-        let book = |len: usize| CompiledModel {
-            input_features: 1,
-            output_features: 1,
-            virtual_encoder: Span { start: 0, len },
-            ops: vec![],
-            floats: FloatPool::Owned(vec![0.0; len]),
-            codes: CodePool::Wide(vec![]),
-            verified: false,
-            quant: None,
+        let book = |len: usize| {
+            CompiledModel::assemble(
+                1,
+                1,
+                Span { start: 0, len },
+                vec![],
+                FloatPool::Owned(vec![0.0; len]),
+                CodePool::Wide(vec![]),
+            )
         };
         // One past the cap: `nearest` would wrap this book's top index to
         // code 0 through the u16 cast.
@@ -2615,16 +2659,14 @@ mod tests {
     /// 8-aligned in any 8-aligned buffer.
     #[test]
     fn v2_float_section_is_aligned() {
-        let model = CompiledModel {
-            input_features: 1,
-            output_features: 1,
-            virtual_encoder: Span { start: 0, len: 3 },
-            ops: vec![],
-            floats: FloatPool::Owned(vec![0.0, 1.0, 2.0]),
-            codes: CodePool::Wide(vec![]),
-            verified: false,
-            quant: None,
-        };
+        let model = CompiledModel::assemble(
+            1,
+            1,
+            Span { start: 0, len: 3 },
+            vec![],
+            FloatPool::Owned(vec![0.0, 1.0, 2.0]),
+            CodePool::Wide(vec![]),
+        );
         let bytes = model.to_bytes();
         let float_off = u64::from_le_bytes(
             bytes[OUTER_HEADER_LEN + 48..OUTER_HEADER_LEN + 56]

@@ -41,13 +41,16 @@
 //! order the per-sample path uses. Batching only reorders work *across*
 //! samples.
 
-use crate::artifact::{ActRef, CompiledModel, Geom, Op, Span, TableRef};
+use crate::artifact::{ActRef, CompiledModel, Geom, InputEncoder, Op, Span, TableRef};
 use crate::error::{ArtifactError, Result, ServeError};
+use crate::lanes::Acc;
 use crate::quant::{QuantFinish, QuantKind, QuantOp};
 // The branch-free nearest-representative search originated here and now
 // lives in `rapidnn_core::nearest`, shared with the composer's encode
 // paths so both sides pay the same cost per encode.
-use rapidnn_core::nearest::{load_keys, nearest_index, nearest_sorted, nearest_sorted_block};
+use rapidnn_core::nearest::{
+    load_keys, nearest_index, nearest_sorted, nearest_sorted_block, nearest_thresholded_block,
+};
 
 /// Domain of the data currently flowing between ops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,6 +108,13 @@ const OBLOCK: usize = 2;
 // The u64 lane folding in `dense_block_gather` spells out eight lanes.
 const _: () = assert!(LANES == 8, "lane folding assumes eight lanes");
 
+/// Rows per tile of the integer Madd kernel ([`madd_tile`]): with
+/// [`OBLOCK`] outputs that is eight vector accumulators, which with the
+/// two weight vectors and a row vector still fits the sixteen SSE
+/// registers. Divides [`LANES`], so a padded batch is whole tiles.
+const TILE_ROWS: usize = 4;
+const _: () = assert!(LANES.is_multiple_of(TILE_ROWS));
+
 /// Reusable scratch arena executing a compiled model's op program over
 /// whole batches.
 ///
@@ -140,8 +150,8 @@ pub struct BatchRunner {
     /// Interleaved *decoded* tile for the factored dense fast path (see
     /// [`interleave_decode`]).
     tile_f: Vec<f32>,
-    /// Row-major *quantized* input row for the integer Madd fast path
-    /// (see [`quantize_row`]).
+    /// Row-major *quantized* input rows of one [`TILE_ROWS`]-row tile
+    /// for the integer Madd kernel (see [`quantize_rows`]).
     tile_q: Vec<i16>,
     /// Recovered per-weight-code factors of the current product table
     /// (see [`factor_table`]).
@@ -286,11 +296,16 @@ impl BatchRunner {
         padded: usize,
     ) -> FlowState {
         let features = model.input_features;
-        let pool_f = model.float_pool();
-        let book = model.virtual_encoder.slice(pool_f);
-        load_keys(&mut self.keys, book);
         refill(&mut self.codes, padded * features);
-        nearest_sorted_block(book, &self.keys, inputs, &mut self.codes);
+        match &model.input_enc {
+            InputEncoder::Thresholds(thr) => {
+                nearest_thresholded_block(thr, inputs, &mut self.codes);
+            }
+            InputEncoder::Keys(keys) => {
+                let book = model.virtual_encoder.slice(model.float_pool());
+                nearest_sorted_block(book, keys, inputs, &mut self.codes);
+            }
+        }
         FlowState {
             domain: Domain::Codes,
             width: features,
@@ -420,77 +435,17 @@ impl BatchRunner {
                         .and_then(|qs| qs.ops.get(oi))
                         .and_then(Option::as_ref);
                     if let Some(q) = quant_op {
-                        debug_assert_eq!(q.nin, nin);
-                        match &q.finish {
-                            QuantFinish::Dequant { inv } => {
-                                let inv = *inv;
-                                refill(floats_next, padded * nout);
-                                quant_dense_exec(
-                                    q,
-                                    codes,
-                                    floats_next,
-                                    padded,
-                                    tile,
-                                    tile_q,
-                                    move |a| a as f32 * inv,
-                                );
-                                std::mem::swap(floats, floats_next);
-                                domain = Domain::Floats;
-                            }
-                            QuantFinish::DequantRelu { inv } => {
-                                let inv = *inv;
-                                refill(floats_next, padded * nout);
-                                quant_dense_exec(
-                                    q,
-                                    codes,
-                                    floats_next,
-                                    padded,
-                                    tile,
-                                    tile_q,
-                                    move |a| (a as f32 * inv).max(0.0),
-                                );
-                                std::mem::swap(floats, floats_next);
-                                domain = Domain::Floats;
-                            }
-                            QuantFinish::Lut {
-                                lo_q,
-                                shift,
-                                codes: lut_codes,
-                                vals,
-                                encoded,
-                            } => {
-                                let (lo_q, shift) = (*lo_q, *shift);
-                                if *encoded {
-                                    let last = lut_codes.len().saturating_sub(1);
-                                    refill(codes_next, padded * nout);
-                                    quant_dense_exec(
-                                        q,
-                                        codes,
-                                        codes_next,
-                                        padded,
-                                        tile,
-                                        tile_q,
-                                        |a| lut_codes[lut_bucket(a, lo_q, shift, last)],
-                                    );
-                                    std::mem::swap(codes, codes_next);
-                                    domain = Domain::Codes;
-                                } else {
-                                    let last = vals.len().saturating_sub(1);
-                                    refill(floats_next, padded * nout);
-                                    quant_dense_exec(
-                                        q,
-                                        codes,
-                                        floats_next,
-                                        padded,
-                                        tile,
-                                        tile_q,
-                                        |a| vals[lut_bucket(a, lo_q, shift, last)],
-                                    );
-                                    std::mem::swap(floats, floats_next);
-                                    domain = Domain::Floats;
-                                }
-                            }
-                        }
+                        debug_assert_eq!((q.nin, q.nout), (nin, nout));
+                        domain = quant_dense(
+                            q,
+                            codes,
+                            codes_next,
+                            floats,
+                            floats_next,
+                            padded,
+                            tile,
+                            tile_q,
+                        );
                         cur_book = *encoder;
                         width = nout;
                         continue;
@@ -793,7 +748,8 @@ struct Plan {
     /// Longest weight-code span of any neuron op (the packed-pool
     /// decode tile's high-water mark).
     max_wcodes: usize,
-    /// Widest quantized-input row of any integer Madd op.
+    /// Largest quantized-input tile ([`TILE_ROWS`] rows) of any integer
+    /// Madd op.
     max_tile_q: usize,
 }
 
@@ -811,7 +767,7 @@ fn plan(model: &CompiledModel) -> Plan {
     let mut p = Plan {
         max_width: width,
         skip_depth: 0,
-        max_book: model.virtual_encoder.len,
+        max_book: 0,
         max_act: 0,
         max_wcount: 0,
         max_dense: 0,
@@ -847,7 +803,7 @@ fn plan(model: &CompiledModel) -> Plan {
                 width = *outputs;
                 if let Some(q) = quant_op {
                     if matches!(q.kind, QuantKind::Madd { .. }) {
-                        p.max_tile_q = p.max_tile_q.max(q.nin);
+                        p.max_tile_q = p.max_tile_q.max(q.nin.saturating_mul(TILE_ROWS));
                     }
                 } else {
                     p.max_book = p.max_book.max(span_len(encoder));
@@ -1140,14 +1096,77 @@ fn dense_row(
     }
 }
 
-/// Runs one analyzer-licensed dense op over the whole padded batch on
-/// the integer path: quantized interleave, `i32` block accumulation,
-/// branch-free per-lane `finish` (dequantize or finish-LUT bucket).
+/// Runs one analyzer-licensed dense op over the padded batch and leaves
+/// its result as the current flow: picks the finish the plan baked
+/// (dequantize, dequantize + ReLU, or finish-LUT bucket to codes or
+/// floats), runs [`quant_dense_exec`] into the matching scratch buffer
+/// and swaps it in. Returns the domain the flow is now in.
+#[allow(clippy::too_many_arguments)]
+fn quant_dense(
+    q: &QuantOp,
+    codes: &mut Vec<u16>,
+    codes_next: &mut Vec<u16>,
+    floats: &mut Vec<f32>,
+    floats_next: &mut Vec<f32>,
+    padded: usize,
+    tile: &mut Vec<u16>,
+    tile_q: &mut Vec<i16>,
+) -> Domain {
+    let len = padded * q.nout;
+    if let QuantFinish::Lut {
+        lo_q,
+        shift,
+        codes: lut_codes,
+        encoded: true,
+        ..
+    } = &q.finish
+    {
+        let (lo_q, shift) = (*lo_q, *shift);
+        let last = lut_codes.len().saturating_sub(1);
+        refill(codes_next, len);
+        quant_dense_exec(q, codes, codes_next, padded, tile, tile_q, |a| {
+            lut_codes[lut_bucket(a, lo_q, shift, last)]
+        });
+        std::mem::swap(codes, codes_next);
+        return Domain::Codes;
+    }
+    refill(floats_next, len);
+    match &q.finish {
+        QuantFinish::Dequant { inv } => {
+            let inv = *inv;
+            quant_dense_exec(q, codes, floats_next, padded, tile, tile_q, move |a| {
+                a as f32 * inv
+            });
+        }
+        QuantFinish::DequantRelu { inv } => {
+            let inv = *inv;
+            quant_dense_exec(q, codes, floats_next, padded, tile, tile_q, move |a| {
+                (a as f32 * inv).max(0.0)
+            });
+        }
+        QuantFinish::Lut {
+            lo_q, shift, vals, ..
+        } => {
+            let (lo_q, shift) = (*lo_q, *shift);
+            let last = vals.len().saturating_sub(1);
+            quant_dense_exec(q, codes, floats_next, padded, tile, tile_q, |a| {
+                vals[lut_bucket(a, lo_q, shift, last)]
+            });
+        }
+    }
+    std::mem::swap(floats, floats_next);
+    Domain::Floats
+}
+
+/// The integer dense op proper: accumulates every (row, output) in
+/// `i32` and writes `finish(acc)` — branch-free dequantize or
+/// finish-LUT bucket — into `dst`.
 ///
-/// `i32` addition is associative and exact, so the block and row
-/// variants produce identical accumulators and the batch path stays
-/// bit-for-bit identical to per-sample execution — the property the
-/// f32 kernels only get by fixing the summation order.
+/// `i32` addition is associative and exact inside the plan's `2^30`
+/// budget, so tiles, single rows and any lane grouping produce the same
+/// accumulator, and the batch path stays bit-for-bit identical to
+/// per-sample execution — the property the f32 kernels only get by
+/// fixing the summation order.
 fn quant_dense_exec<T: Copy + Default>(
     q: &QuantOp,
     codes: &[u16],
@@ -1161,18 +1180,19 @@ fn quant_dense_exec<T: Copy + Default>(
     let mut r0 = 0usize;
     match &q.kind {
         QuantKind::Madd { weights, xq } => {
-            // Every row — block or tail, any batch size — takes this
-            // exact path, so bit-identity across batch sizes is
-            // structural rather than argued.
-            for r in 0..padded {
-                quantize_row(&codes[r * nin..(r + 1) * nin], xq, tile_q);
-                madd_row(
-                    weights,
-                    &q.bias_q,
-                    tile_q,
-                    &mut dst[r * nout..(r + 1) * nout],
-                    finish,
-                );
+            // One kernel at two heights: whole tiles of `TILE_ROWS`,
+            // then the same code one row at a time for what is left
+            // (only batches below `LANES` leave any).
+            while r0 + TILE_ROWS <= padded {
+                quantize_rows(&codes[r0 * nin..(r0 + TILE_ROWS) * nin], xq, tile_q);
+                let dst = &mut dst[r0 * nout..(r0 + TILE_ROWS) * nout];
+                madd_tile::<TILE_ROWS, _>(weights, &q.bias_q, tile_q, dst, nout, finish);
+                r0 += TILE_ROWS;
+            }
+            for r in r0..padded {
+                quantize_rows(&codes[r * nin..(r + 1) * nin], xq, tile_q);
+                let dst = &mut dst[r * nout..(r + 1) * nout];
+                madd_tile::<1, _>(weights, &q.bias_q, tile_q, dst, nout, finish);
             }
         }
         QuantKind::Gather { rows, table_q } => {
@@ -1214,62 +1234,91 @@ fn lut_bucket(acc: i32, lo_q: i32, shift: u32, last: usize) -> usize {
     (((i64::from(acc) - i64::from(lo_q)).max(0) >> shift) as usize).min(last)
 }
 
-/// Maps one row of input codes through the quantized input codebook
-/// into the row-major `i16` tile the integer Madd kernel streams. No
-/// transpose: the dot-product kernel reads the row contiguously.
-fn quantize_row(xrow: &[u16], xq: &[i16], tile_q: &mut Vec<i16>) {
+/// Maps the input codes of one tile (`R × nin`, row-major) through the
+/// quantized input codebook into the `i16` tile the integer Madd kernel
+/// streams. No transpose: each dot product reads its row contiguously.
+fn quantize_rows(xrows: &[u16], xq: &[i16], tile_q: &mut Vec<i16>) {
     tile_q.clear();
     let last = xq.len() - 1;
-    tile_q.extend(xrow.iter().map(|&x| xq[(x as usize).min(last)]));
+    tile_q.extend(xrows.iter().map(|&x| xq[(x as usize).min(last)]));
 }
 
-/// Eight-element `i16 × i16 → i32` dot step — the exact shape x86's
-/// `pmaddwd` (and the equivalent widening-multiply pairs elsewhere)
-/// accepts, which the autovectorizer reliably matches.
-#[inline]
-fn dot8(w: &[i16], x: &[i16]) -> i32 {
-    let mut acc = 0i32;
-    for k in 0..8 {
-        acc += i32::from(w[k]) * i32::from(x[k]);
+/// Integer Madd over a register-blocked tile of `R` staged rows (`xs`,
+/// `R × nin`): output neurons go two at a time, and for each pair one
+/// sweep over `nin` in 8-lane steps keeps `R × 2` vector accumulators
+/// live, so a weight vector is loaded once per `R` rows and the lanes
+/// are folded once per (row, output). Weights stay in their row-major
+/// `nout × nin` layout; an odd last output takes the same sweep alone.
+fn madd_tile<const R: usize, T: Copy>(
+    weights: &[i16],
+    bias_q: &[i32],
+    xs: &[i16],
+    dst: &mut [T],
+    nout: usize,
+    finish: impl Fn(i32) -> T,
+) {
+    let nin = xs.len() / R;
+    let xs: [&[i16]; R] = std::array::from_fn(|r| &xs[r * nin..(r + 1) * nin]);
+    let mut o = 0usize;
+    while o + OBLOCK <= nout {
+        madd_outputs::<R, OBLOCK, _>(weights, bias_q, &xs, dst, nout, o, &finish);
+        o += OBLOCK;
     }
-    acc
+    if o < nout {
+        madd_outputs::<R, 1, _>(weights, bias_q, &xs, dst, nout, o, &finish);
+    }
 }
 
-/// Integer Madd over one row: each output is a plain contiguous
-/// `i16` dot product, split into two independent accumulator chains so
-/// the vector multiply-adds pipeline instead of serialising on one
-/// accumulator's latency.
+/// Outputs `o..o + O` of [`madd_tile`] for all `R` rows.
 ///
 /// A single product cannot overflow `i32`, and the quant plan proved
 /// the sum of absolute products — over the *full* input code domain,
 /// rounding slack included — stays within the `2^30` accumulator
-/// budget, so every partial chain is exact in any association and all
-/// groupings produce the same bits (a wrong license would trip the
-/// debug overflow check).
-fn madd_row<T: Copy>(
+/// budget, so every lane and partial sum is exact in any association
+/// and all groupings produce the same bits. The lanes wrap silently
+/// where a wrong license would overflow, so debug builds recompute
+/// each sum in `i64` and compare.
+#[inline(always)]
+fn madd_outputs<const R: usize, const O: usize, T: Copy>(
     weights: &[i16],
     bias_q: &[i32],
-    xrow: &[i16],
+    xs: &[&[i16]; R],
     dst: &mut [T],
-    finish: impl Fn(i32) -> T,
+    nout: usize,
+    o: usize,
+    finish: &impl Fn(i32) -> T,
 ) {
-    let nin = xrow.len();
-    for (o, d) in dst.iter_mut().enumerate() {
-        let w = &weights[o * nin..(o + 1) * nin];
-        let mut a0 = 0i32;
-        let mut a1 = 0i32;
-        let mut i = 0usize;
-        while i + 16 <= nin {
-            a0 += dot8(&w[i..i + 8], &xrow[i..i + 8]);
-            a1 += dot8(&w[i + 8..i + 16], &xrow[i + 8..i + 16]);
-            i += 16;
+    let nin = xs[0].len();
+    let ws: [&[i16]; O] = std::array::from_fn(|j| &weights[(o + j) * nin..(o + j + 1) * nin]);
+    let wv: [&[[i16; 8]]; O] = std::array::from_fn(|j| ws[j].as_chunks().0);
+    let xv: [&[[i16; 8]]; R] = std::array::from_fn(|r| xs[r].as_chunks().0);
+    let steps = nin / 8;
+    let mut acc = [[Acc::zero(); O]; R];
+    for k in 0..steps {
+        for r in 0..R {
+            for j in 0..O {
+                acc[r][j].madd(&wv[j][k], &xv[r][k]);
+            }
         }
-        let mut acc = bias_q[o] + a0 + a1;
-        while i < nin {
-            acc += i32::from(w[i]) * i32::from(xrow[i]);
-            i += 1;
+    }
+    for r in 0..R {
+        for j in 0..O {
+            let mut sum = bias_q[o + j] + acc[r][j].sum();
+            for i in steps * 8..nin {
+                sum += i32::from(ws[j][i]) * i32::from(xs[r][i]);
+            }
+            debug_assert_eq!(
+                i64::from(sum),
+                ws[j]
+                    .iter()
+                    .zip(xs[r])
+                    .fold(i64::from(bias_q[o + j]), |s, (&w, &x)| {
+                        s + i64::from(w) * i64::from(x)
+                    }),
+                "i32 tile sum differs from the exact i64 sum: the op's license does not hold"
+            );
+            dst[r * nout + o + j] = finish(sum);
         }
-        *d = finish(acc);
     }
 }
 
@@ -1713,6 +1762,113 @@ fn decoded_neuron() -> ServeError {
 mod tests {
     use super::*;
     use crate::artifact::nearest;
+    use rapidnn_prop::{check, usize_in, SeededRng};
+
+    /// The integer Madd op — tiles, single rows, 8-lane body, scalar
+    /// tails, odd last output, every finish — equals a plain `i64` dot
+    /// product put through the same finish, at every row count around
+    /// the tile and block sizes and every `nin`/`nout` remainder.
+    #[test]
+    fn madd_tile_matches_i64_reference_dot() {
+        const BOOK: usize = 8;
+        const LUT: usize = 64;
+        let draw = |rng: &mut SeededRng, mag: usize| rng.index(2 * mag + 1) as i32 - mag as i32;
+        check(4, |rng| {
+            let mut kind = usize_in(rng, 0, 4);
+            let (mut codes_next, mut floats, mut floats_next) =
+                (Vec::new(), Vec::new(), Vec::new());
+            let (mut tile, mut tile_q) = (Vec::new(), Vec::new());
+            for nin in [1usize, 7, 8, 9, 24, 100, 784] {
+                // Largest operands that keep every |sum| inside 2^30.
+                let mag = (((1u64 << 29) / nin as u64).isqrt() as usize).min(i16::MAX as usize);
+                for nout in [1usize, 2, 3, 10, 32] {
+                    let xq: Vec<i16> = (0..BOOK).map(|_| draw(rng, mag) as i16).collect();
+                    let weights: Vec<i16> =
+                        (0..nout * nin).map(|_| draw(rng, mag) as i16).collect();
+                    let bias_q: Vec<i32> = (0..nout).map(|_| draw(rng, 1 << 20)).collect();
+                    for rows in 1..=19usize {
+                        let inv = 1.0 / 4096.0;
+                        let (lo_q, shift) = (-(1 << 29), 24);
+                        kind = (kind + 1) % 4;
+                        let finish = match kind {
+                            0 => QuantFinish::Dequant { inv },
+                            1 => QuantFinish::DequantRelu { inv },
+                            _ => QuantFinish::Lut {
+                                lo_q,
+                                shift,
+                                codes: (0..LUT).map(|i| (i * 7 % BOOK) as u16).collect(),
+                                vals: (0..LUT).map(|i| i as f32 * 0.37 - 9.0).collect(),
+                                encoded: kind == 2,
+                            },
+                        };
+                        let q = QuantOp {
+                            nin,
+                            nout,
+                            kind: QuantKind::Madd {
+                                weights: weights.clone(),
+                                xq: xq.clone(),
+                            },
+                            bias_q: bias_q.clone(),
+                            finish,
+                        };
+                        let input: Vec<u16> =
+                            (0..rows * nin).map(|_| rng.index(BOOK) as u16).collect();
+                        let mut codes = input.clone();
+                        let domain = quant_dense(
+                            &q,
+                            &mut codes,
+                            &mut codes_next,
+                            &mut floats,
+                            &mut floats_next,
+                            rows,
+                            &mut tile,
+                            &mut tile_q,
+                        );
+                        assert_eq!(domain == Domain::Codes, kind == 2);
+                        for r in 0..rows {
+                            for o in 0..nout {
+                                let w = &weights[o * nin..(o + 1) * nin];
+                                let x = &input[r * nin..(r + 1) * nin];
+                                let dot =
+                                    w.iter().zip(x).fold(i64::from(bias_q[o]), |s, (&w, &x)| {
+                                        s + i64::from(w) * i64::from(xq[x as usize])
+                                    });
+                                let acc = i32::try_from(dot).expect("inside the budget");
+                                let at = r * nout + o;
+                                let ctx = format!("rows={rows} nin={nin} nout={nout} r={r} o={o}");
+                                match &q.finish {
+                                    QuantFinish::Dequant { inv } => {
+                                        assert_eq!(
+                                            floats[at].to_bits(),
+                                            (acc as f32 * inv).to_bits()
+                                        );
+                                    }
+                                    QuantFinish::DequantRelu { inv } => {
+                                        let want = (acc as f32 * inv).max(0.0);
+                                        assert_eq!(floats[at].to_bits(), want.to_bits(), "{ctx}");
+                                    }
+                                    QuantFinish::Lut {
+                                        codes: c, vals: v, ..
+                                    } => {
+                                        let b = lut_bucket(acc, lo_q, shift, LUT - 1);
+                                        if kind == 2 {
+                                            assert_eq!(codes[at], c[b], "{ctx}");
+                                        } else {
+                                            assert_eq!(
+                                                floats[at].to_bits(),
+                                                v[b].to_bits(),
+                                                "{ctx}"
+                                            );
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        });
+    }
 
     /// The branch-free search must agree with the reference binary
     /// search on every probe, including exact hits, ties, boundary

@@ -61,8 +61,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-// `deny` rather than `forbid`: the `pod` module opts back in for the
-// two checked reinterpretation casts behind the v2 zero-copy loader;
+// `deny` rather than `forbid`: two modules opt back in — `pod` for the
+// two checked reinterpretation casts behind the v2 zero-copy loader,
+// `lanes` for the SSE2 multiply-add step of the integer tile kernel;
 // everything else in the crate stays safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,6 +72,7 @@ pub mod artifact;
 pub mod engine;
 mod error;
 pub mod kernels;
+mod lanes;
 pub mod lint;
 pub mod metrics;
 pub mod pipeline;

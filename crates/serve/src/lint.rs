@@ -48,11 +48,11 @@ mod tests {
         // The PR-1 panic class: a pool geometry that declares padding.
         // Pool kernels index without padding, so before the validation
         // fix `infer` panicked out of bounds inside `pool`.
-        CompiledModel {
-            input_features: 4,
-            output_features: 9,
-            virtual_encoder: Span { start: 0, len: 2 },
-            ops: vec![Op::MaxPool(Geom {
+        CompiledModel::assemble(
+            4,
+            9,
+            Span { start: 0, len: 2 },
+            vec![Op::MaxPool(Geom {
                 in_channels: 1,
                 in_height: 2,
                 in_width: 2,
@@ -63,11 +63,9 @@ mod tests {
                 out_height: 3,
                 out_width: 3,
             })],
-            floats: FloatPool::Owned(vec![0.0, 1.0]),
-            codes: CodePool::Wide(vec![]),
-            verified: false,
-            quant: None,
-        }
+            FloatPool::Owned(vec![0.0, 1.0]),
+            CodePool::Wide(vec![]),
+        )
     }
 
     #[test]
@@ -86,16 +84,14 @@ mod tests {
         // The other PR-1 panic class: a codebook past the u16 index
         // range, whose top entries `nearest` would silently wrap.
         let len = (1 << 16) + 1;
-        let model = CompiledModel {
-            input_features: 1,
-            output_features: 1,
-            virtual_encoder: Span { start: 0, len },
-            ops: vec![],
-            floats: FloatPool::Owned(vec![0.0; len]),
-            codes: CodePool::Wide(vec![]),
-            verified: false,
-            quant: None,
-        };
+        let model = CompiledModel::assemble(
+            1,
+            1,
+            Span { start: 0, len },
+            vec![],
+            FloatPool::Owned(vec![0.0; len]),
+            CodePool::Wide(vec![]),
+        );
         let report = lint_bytes(&model.to_bytes());
         let d = report
             .find(DiagCode::OversizedCodebook)

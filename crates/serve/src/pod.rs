@@ -18,8 +18,8 @@
 //! back to an owned decode otherwise, so big-endian targets stay
 //! correct (just not zero-copy).
 //!
-//! This is the only module in the crate allowed to use `unsafe`; the
-//! crate root is `#![deny(unsafe_code)]`.
+//! With `lanes`, one of the two modules in the crate allowed to use
+//! `unsafe`; the crate root is `#![deny(unsafe_code)]`.
 #![allow(unsafe_code)]
 
 /// An immutable byte buffer whose storage is 8-aligned.

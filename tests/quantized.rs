@@ -60,18 +60,28 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 #[test]
 fn integer_path_stays_within_licensed_error_bound() {
     let mut any_licensed = false;
-    for seed in 0..6u64 {
+    for seed in 0..7u64 {
         let mut rng = SeededRng::new(900 + seed);
-        let features = usize_in(&mut rng, 4, 10);
+        let mut features = usize_in(&mut rng, 4, 10);
         let classes = usize_in(&mut rng, 2, 4);
         let depth = usize_in(&mut rng, 1, 3);
-        let hidden: Vec<usize> = (0..depth).map(|_| usize_in(&mut rng, 4, 12)).collect();
+        let mut hidden: Vec<usize> = (0..depth).map(|_| usize_in(&mut rng, 4, 12)).collect();
+        if seed == 6 {
+            // Every remainder of the integer tile kernel in the first
+            // dense op: 8-lane steps plus a scalar tail (19 = 2·8 + 3)
+            // and an odd last output.
+            (features, hidden[0]) = (19, 11);
+        }
         let model = compiled_mlp(&mut rng, features, &hidden, classes, 8);
 
         let mut quantized = model.clone();
         quantized.quantize().expect("quantize");
         let plan = quantized.quant_plan().expect("plan").clone();
         any_licensed |= plan.licensed() > 0;
+        if seed == 6 {
+            assert_eq!(quantized.dense_shapes()[0], (19, 11));
+            assert_eq!(quantized.kernel_path(), "int16", "tile-remainder case");
+        }
 
         let inputs: Vec<f32> = (0..64 * features).map(|_| rng.uniform(-3.0, 3.0)).collect();
         let mut qout = Vec::new();
@@ -101,10 +111,21 @@ fn integer_path_stays_within_licensed_error_bound() {
             }
         }
 
-        // Batch sizes 1..=64 all reproduce the same bits: scalar rows,
-        // partial blocks and whole blocks agree on the integer path.
+        // Per-sample `infer` reproduces the 64-row batch, and so does
+        // every batch size around the tile (4 rows) and block (8 rows)
+        // boundaries: single rows, partial and whole tiles, padded
+        // blocks all agree on the integer path.
+        let per_sample: Vec<f32> = inputs
+            .chunks(features)
+            .flat_map(|row| quantized.infer(row).expect("infer"))
+            .collect();
+        assert_eq!(
+            bits(&qout),
+            bits(&per_sample),
+            "seed {seed}: per-sample infer differs from the 64-row batch"
+        );
         let mut runner = BatchRunner::new();
-        for bs in [1usize, 3, 8, 17, 64] {
+        for bs in (1..=17usize).chain([64]) {
             let mut got = Vec::new();
             let mut out = Vec::new();
             for chunk in inputs.chunks(bs * features) {
@@ -276,9 +297,26 @@ fn quantized_arena_does_not_scale_with_code_sections() {
         deep.to_bytes().len() > shallow.to_bytes().len(),
         "deep artifact should carry more code sections"
     );
+    let mut runner = BatchRunner::for_model(&deep, 64);
+    let reserved = runner.scratch_bytes();
     assert_eq!(
-        BatchRunner::for_model(&deep, 64).scratch_bytes(),
+        reserved,
         BatchRunner::for_model(&shallow, 64).scratch_bytes(),
         "arena must not grow with code-section size on the integer path"
     );
+
+    // The reservation covers everything the op loop stages (the Madd
+    // kernel's four-row input tile included): serving allocates nothing
+    // on the first 64-row call and nothing by the hundredth.
+    let mut rng = SeededRng::new(67);
+    let inputs: Vec<f32> = (0..64 * 10).map(|_| rng.uniform(-3.0, 3.0)).collect();
+    let mut out = Vec::new();
+    for call in 1..=100 {
+        runner.run(&deep, &inputs, &mut out).expect("run");
+        assert_eq!(
+            runner.scratch_bytes(),
+            reserved,
+            "arena grew during 64-row call {call}"
+        );
+    }
 }
