@@ -712,6 +712,53 @@ impl CompiledModel {
         )
     }
 
+    /// [`deep_for_tests`](Self::deep_for_tests) quantized into a mixed
+    /// plan: op `refused` multiplies through a table too wide for `i16`
+    /// and stays on the f32 path, op `gathered` through one that does
+    /// not factor and lowers to an integer Gather; every other op
+    /// licenses as an integer Madd.
+    #[cfg(test)]
+    pub(crate) fn deep_mixed_for_tests(
+        layers: usize,
+        refused: usize,
+        gathered: usize,
+    ) -> CompiledModel {
+        let mut model = Self::deep_for_tests(layers);
+        let FloatPool::Owned(floats) = &mut model.floats else {
+            unreachable!("deep_for_tests owns its pool");
+        };
+        let mut add_table = |weights: [f32; 2], nudge: f32| {
+            let offset = floats.len();
+            for w in weights {
+                floats.extend([-1.0f32, -0.25, 0.5, 1.0].iter().map(|x| w * x));
+            }
+            floats[offset] += nudge;
+            offset
+        };
+        let (wide, unfactored) = (
+            add_table([1.0e6, -1.0e6], 0.0),
+            add_table([0.5, -1.0], 0.001),
+        );
+        for (oi, offset) in [(refused, wide), (gathered, unfactored)] {
+            let Op::Dense { table, .. } = &mut model.ops[oi] else {
+                unreachable!("deep_for_tests is all dense");
+            };
+            table.offset = offset;
+        }
+        model.quantize().expect("the mixed model verifies");
+        for oi in 0..layers {
+            use crate::kernels::Domain;
+            let want = match oi {
+                oi if oi == refused => None,
+                oi if oi == gathered => Some(Domain::Codes),
+                _ => Some(Domain::Quants),
+            };
+            let reads = model.quant_op(oi).map(crate::quant::QuantOp::reads);
+            assert_eq!(reads, want, "op {oi}: {:?}", model.quant_plan());
+        }
+        model
+    }
+
     /// [`deep_for_tests`](Self::deep_for_tests) with a deliberately
     /// inconsistent pool op appended: the healthy dense prefix executes
     /// fine, then the tail op panics out of bounds — for proving that a
@@ -1596,6 +1643,24 @@ impl CompiledModel {
     /// lint tooling can explain artifacts it refuses to serve.
     pub fn quant_plan_preview(&self) -> rapidnn_analyze::QuantPlan {
         rapidnn_analyze::quantize_plan(&self.to_program())
+    }
+
+    /// The flow domain each op reads under `plan`, in op order:
+    /// `"codes"`, `"f32"`, or `"i16"` — the operands of an integer Madd
+    /// op, which whatever produces its input writes in place of codes,
+    /// so consecutive `"i16"` ops never leave the quantized domain.
+    /// Like [`Self::quant_plan_preview`] it needs no materialized plan.
+    pub fn read_domains(&self, plan: &rapidnn_analyze::QuantPlan) -> Vec<&'static str> {
+        use rapidnn_analyze::{OpQuant, QuantMode};
+        let (states, _) = crate::kernels::flow_states_with(self, |oi| {
+            matches!(
+                (self.ops.get(oi), plan.ops.get(oi)),
+                (Some(Op::Dense { .. }), Some(OpQuant::Licensed(lic)))
+                    if matches!(lic.mode, QuantMode::Madd { .. })
+            )
+        });
+        let reads = &states[..self.ops.len()];
+        reads.iter().map(|st| st.domain.name()).collect()
     }
 
     /// Which kernels serve this model: `"f32"` (no quantization, or

@@ -858,7 +858,7 @@ fn stage_loop(
                             let data: Arc<[f32]> = Arc::from(&values[..rows * exit.width]);
                             answer_ok(metrics, &jobs, &data, exit.width);
                         }
-                        FlowData::Codes(_) => answer_err(
+                        FlowData::Codes(_) | FlowData::Quants(_) => answer_err(
                             metrics,
                             &jobs,
                             &ServeError::Artifact(ArtifactError::Malformed(

@@ -2,18 +2,20 @@
 //!
 //! [`BatchRunner`] executes a [`CompiledModel`]'s op program *batch-major*:
 //! each op runs once per batch over all rows, instead of once per sample.
-//! All intermediate state lives in a reusable scratch arena — a ping-pong
-//! pair of `codes` buffers, a ping-pong pair of `floats` buffers (each
-//! sized `batch × width` for the widest flow the program reaches) and a
-//! stack of residual-skip buffers. Buffers are cleared, never dropped,
-//! between batches, so once their capacity has grown to the model's
-//! high-water mark the steady-state op loop performs **zero heap
-//! allocations** per sample.
+//! All intermediate state lives in a reusable scratch arena — one
+//! ping-pong pair of buffers per flow domain (`codes`, `quants`,
+//! `floats`), each sized `batch × width` for the widest flow the program
+//! reaches *in that domain*, and a stack of residual-skip buffers.
+//! Buffers are cleared, never dropped, between batches, so once their
+//! capacity has grown to the model's high-water mark the steady-state op
+//! loop performs **zero heap allocations** per sample.
 //!
 //! # Memory layout
 //!
 //! The flow between ops is one flat row-major buffer, `rows × width`, in
-//! either the encoded (`u16` codes) or decoded (`f32`) domain. Dense and
+//! one of three domains: encoded (`u16` codes), quantized (`i16`, the
+//! operand an integer Madd op multiplies — see [`Domain::Quants`]) or
+//! decoded (`f32`). Dense and
 //! Conv process the batch in [`LANES`]-row blocks: the accumulators of a
 //! block live in a fixed-size local array (registers, not memory) and
 //! the weight/tap loop runs innermost, so
@@ -44,29 +46,51 @@
 use crate::artifact::{ActRef, CompiledModel, Geom, InputEncoder, Op, Span, TableRef};
 use crate::error::{ArtifactError, Result, ServeError};
 use crate::lanes::Acc;
-use crate::quant::{QuantFinish, QuantKind, QuantOp};
+use crate::quant::{level_of, LutOut, QuantFinish, QuantKind, QuantOp};
 // The branch-free nearest-representative search originated here and now
 // lives in `rapidnn_core::nearest`, shared with the composer's encode
 // paths so both sides pay the same cost per encode.
 use rapidnn_core::nearest::{
     load_keys, nearest_index, nearest_sorted, nearest_sorted_block, nearest_thresholded_block,
+    nearest_thresholded_levels,
 };
 
 /// Domain of the data currently flowing between ops.
+///
+/// Which encoded domain a boundary is in is the *consumer's* choice,
+/// fixed when the model is loaded: the flow into an analyzer-licensed
+/// integer Madd op ([`CompiledModel::madd_levels`]) is `Quants`, the
+/// flow into every other op that reads encoded values is `Codes`, and
+/// whatever produces that flow — the input encoder, a finish LUT, an
+/// f32 re-encode, a pool — writes it in that domain directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Domain {
     /// Encoded `u16` cluster codes.
     Codes,
+    /// The next op's quantized input operand per value: `xq[code]`, the
+    /// `i16` its Madd kernel multiplies.
+    Quants,
     /// Decoded `f32` values.
     Floats,
 }
 
+impl Domain {
+    /// Name used by the plan preview (`lint_artifact quant`).
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Domain::Codes => "codes",
+            Domain::Quants => "i16",
+            Domain::Floats => "f32",
+        }
+    }
+}
+
 /// Where the flow stands between two ops: which domain it is in, how
-/// wide a row is, and (in the encoded domain) which codebook the codes
-/// index into. A pipeline stage boundary is exactly one of these — the
-/// shard planner derives the entry state of every legal cut point
-/// statically, and [`BatchRunner::exec_ops`] resumes execution from it
-/// bit-identically to an uncut run.
+/// wide a row is, and (in the encoded and quantized domains) which
+/// codebook the values were encoded through. A pipeline stage boundary
+/// is exactly one of these — the shard planner derives the entry state
+/// of every legal cut point statically, and [`BatchRunner::exec_ops`]
+/// resumes execution from it bit-identically to an uncut run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FlowState {
     /// Current flow domain.
@@ -88,6 +112,8 @@ pub(crate) struct FlowState {
 pub(crate) enum FlowData {
     /// Encoded flow (`padded × width` codes, row-major).
     Codes(Vec<u16>),
+    /// Quantized flow (`padded × width` Madd operands, row-major).
+    Quants(Vec<i16>),
     /// Decoded flow (`padded × width` floats, row-major).
     Floats(Vec<f32>),
 }
@@ -126,14 +152,8 @@ const _: () = assert!(LANES.is_multiple_of(TILE_ROWS));
 /// [`BatchRunner::run`] per batch.
 #[derive(Debug, Default)]
 pub struct BatchRunner {
-    /// Current encoded flow (`rows × width`, row-major).
-    codes: Vec<u16>,
-    /// Encoded scratch the next op writes into (then swapped in).
-    codes_next: Vec<u16>,
-    /// Current decoded flow (`rows × width`, row-major).
-    floats: Vec<f32>,
-    /// Decoded scratch the next op writes into (then swapped in).
-    floats_next: Vec<f32>,
+    /// The flow between ops, one buffer pair per domain.
+    flow: Flow,
     /// Arena of residual-skip snapshots, indexed by nesting depth.
     /// Entries are reused across batches; only `0..depth` are live.
     skips: Vec<Vec<f32>>,
@@ -150,9 +170,6 @@ pub struct BatchRunner {
     /// Interleaved *decoded* tile for the factored dense fast path (see
     /// [`interleave_decode`]).
     tile_f: Vec<f32>,
-    /// Row-major *quantized* input rows of one [`TILE_ROWS`]-row tile
-    /// for the integer Madd kernel (see [`quantize_rows`]).
-    tile_q: Vec<i16>,
     /// Recovered per-weight-code factors of the current product table
     /// (see [`factor_table`]).
     wvals: Vec<f32>,
@@ -166,6 +183,33 @@ pub struct BatchRunner {
     /// the unpack cost amortized across the whole batch. Wide pools
     /// borrow their codes directly and leave this untouched.
     wcodes: Vec<u16>,
+}
+
+/// The arena's flow buffers: per [`Domain`], the current flow
+/// (`rows × width`, row-major) and the scratch the next op writes into,
+/// which [`Flow::advance`] then swaps in.
+#[derive(Debug, Default)]
+struct Flow {
+    codes: Vec<u16>,
+    codes_next: Vec<u16>,
+    /// An integer Madd op reads its rows from here in place.
+    quants: Vec<i16>,
+    quants_next: Vec<i16>,
+    floats: Vec<f32>,
+    floats_next: Vec<f32>,
+}
+
+impl Flow {
+    /// Makes the scratch buffer an op just filled the current flow of
+    /// `domain`, which it returns.
+    fn advance(&mut self, domain: Domain) -> Domain {
+        match domain {
+            Domain::Codes => std::mem::swap(&mut self.codes, &mut self.codes_next),
+            Domain::Quants => std::mem::swap(&mut self.quants, &mut self.quants_next),
+            Domain::Floats => std::mem::swap(&mut self.floats, &mut self.floats_next),
+        }
+        domain
+    }
 }
 
 impl BatchRunner {
@@ -187,25 +231,24 @@ impl BatchRunner {
     /// for batches of `max_rows` samples.
     pub fn reserve(&mut self, model: &CompiledModel, max_rows: usize) {
         let plan = plan(model);
-        let (max_width, skip_depth) = (plan.max_width, plan.skip_depth);
         self.keys.reserve(plan.max_book);
         self.act_keys.reserve(plan.max_act);
-        self.tile.reserve(max_width.saturating_mul(LANES));
-        self.tile_f.reserve(max_width.saturating_mul(LANES));
-        self.tile_q.reserve(plan.max_tile_q);
+        self.tile.reserve(plan.max_tile.saturating_mul(LANES));
+        self.tile_f.reserve(plan.max_tile_f.saturating_mul(LANES));
         self.wvals.reserve(plan.max_wcount);
         self.wdec.reserve(plan.max_dense);
         self.wcodes.reserve(plan.max_wcodes);
-        let cap = max_rows.saturating_mul(max_width);
-        self.codes.reserve(cap);
-        self.codes_next.reserve(cap);
-        self.floats.reserve(cap);
-        self.floats_next.reserve(cap);
-        while self.skips.len() < skip_depth {
-            self.skips.push(Vec::with_capacity(cap));
-        }
+        let rows = |width: usize| max_rows.saturating_mul(width);
+        self.flow.codes.reserve(rows(plan.max_codes));
+        self.flow.codes_next.reserve(rows(plan.max_codes));
+        self.flow.quants.reserve(rows(plan.max_quants));
+        self.flow.quants_next.reserve(rows(plan.max_quants));
+        self.flow.floats.reserve(rows(plan.max_floats));
+        self.flow.floats_next.reserve(rows(plan.max_floats));
+        self.skips
+            .resize_with(self.skips.len().max(plan.skip_depth), Vec::new);
         for skip in &mut self.skips {
-            skip.reserve(cap.saturating_sub(skip.capacity()));
+            skip.reserve(rows(plan.max_skip));
         }
     }
 
@@ -219,10 +262,12 @@ impl BatchRunner {
     /// code-section size.
     pub fn scratch_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.codes.capacity() * size_of::<u16>()
-            + self.codes_next.capacity() * size_of::<u16>()
-            + self.floats.capacity() * size_of::<f32>()
-            + self.floats_next.capacity() * size_of::<f32>()
+        self.flow.codes.capacity() * size_of::<u16>()
+            + self.flow.codes_next.capacity() * size_of::<u16>()
+            + self.flow.quants.capacity() * size_of::<i16>()
+            + self.flow.quants_next.capacity() * size_of::<i16>()
+            + self.flow.floats.capacity() * size_of::<f32>()
+            + self.flow.floats_next.capacity() * size_of::<f32>()
             + self
                 .skips
                 .iter()
@@ -232,7 +277,6 @@ impl BatchRunner {
             + self.act_keys.capacity() * size_of::<i32>()
             + self.tile.capacity() * size_of::<u16>()
             + self.tile_f.capacity() * size_of::<f32>()
-            + self.tile_q.capacity() * size_of::<i16>()
             + self.wvals.capacity() * size_of::<f32>()
             + self.wdec.capacity() * size_of::<f32>()
             + self.wcodes.capacity() * size_of::<u16>()
@@ -275,20 +319,23 @@ impl BatchRunner {
         let exit = self.exec_ops(model, 0..model.ops.len(), entry, padded)?;
         match exit.domain {
             Domain::Floats => {
-                out.extend_from_slice(&self.floats[..rows * exit.width]);
+                out.extend_from_slice(&self.flow.floats[..rows * exit.width]);
                 Ok(rows)
             }
-            Domain::Codes => Err(ServeError::Artifact(ArtifactError::Malformed(
+            Domain::Codes | Domain::Quants => Err(ServeError::Artifact(ArtifactError::Malformed(
                 "program ended in encoded domain".into(),
             ))),
         }
     }
 
     /// Encodes a `padded`-row batch through the model's virtual input
-    /// codebook into the arena's `codes` buffer and returns the flow
+    /// codebook into the arena buffer the first op reads — `quants` when
+    /// it is an integer Madd op, whose level of each code the encoder
+    /// then writes directly, `codes` otherwise — and returns the flow
     /// state the op program starts from. `inputs` may hold fewer than
-    /// `padded` rows; pad rows keep code 0 — valid for every non-empty
-    /// codebook — and their results are computed but never copied out.
+    /// `padded` rows; pad rows keep zeros — code 0 is valid for every
+    /// non-empty codebook and a zero operand for every Madd — and their
+    /// results are computed but never copied out.
     pub(crate) fn encode_batch(
         &mut self,
         model: &CompiledModel,
@@ -296,18 +343,35 @@ impl BatchRunner {
         padded: usize,
     ) -> FlowState {
         let features = model.input_features;
-        refill(&mut self.codes, padded * features);
-        match &model.input_enc {
-            InputEncoder::Thresholds(thr) => {
-                nearest_thresholded_block(thr, inputs, &mut self.codes);
+        let book = || model.virtual_encoder.slice(model.float_pool());
+        let domain = match model.madd_levels(0) {
+            None => {
+                let codes = &mut self.flow.codes;
+                refill(codes, padded * features);
+                match &model.input_enc {
+                    InputEncoder::Thresholds(thr) => nearest_thresholded_block(thr, inputs, codes),
+                    InputEncoder::Keys(keys) => {
+                        nearest_sorted_block(book(), keys, inputs, codes, |i| i as u16);
+                    }
+                }
+                Domain::Codes
             }
-            InputEncoder::Keys(keys) => {
-                let book = model.virtual_encoder.slice(model.float_pool());
-                nearest_sorted_block(book, keys, inputs, &mut self.codes);
+            Some(xq) => {
+                let quants = &mut self.flow.quants;
+                refill(quants, padded * features);
+                match &model.input_enc {
+                    InputEncoder::Thresholds(thr) => {
+                        nearest_thresholded_levels(thr, xq, inputs, quants);
+                    }
+                    InputEncoder::Keys(keys) => {
+                        nearest_sorted_block(book(), keys, inputs, quants, |i| xq[i]);
+                    }
+                }
+                Domain::Quants
             }
-        }
+        };
         FlowState {
-            domain: Domain::Codes,
+            domain,
             width: features,
             book: Some(model.virtual_encoder),
         }
@@ -319,8 +383,9 @@ impl BatchRunner {
     /// in).
     pub(crate) fn take_flow(&mut self, domain: Domain) -> FlowData {
         match domain {
-            Domain::Codes => FlowData::Codes(std::mem::take(&mut self.codes)),
-            Domain::Floats => FlowData::Floats(std::mem::take(&mut self.floats)),
+            Domain::Codes => FlowData::Codes(std::mem::take(&mut self.flow.codes)),
+            Domain::Quants => FlowData::Quants(std::mem::take(&mut self.flow.quants)),
+            Domain::Floats => FlowData::Floats(std::mem::take(&mut self.flow.floats)),
         }
     }
 
@@ -348,8 +413,9 @@ impl BatchRunner {
         padded: usize,
     ) -> Result<(FlowState, FlowData)> {
         match (entry.domain, data) {
-            (Domain::Codes, FlowData::Codes(v)) => self.codes = v,
-            (Domain::Floats, FlowData::Floats(v)) => self.floats = v,
+            (Domain::Codes, FlowData::Codes(v)) => self.flow.codes = v,
+            (Domain::Quants, FlowData::Quants(v)) => self.flow.quants = v,
+            (Domain::Floats, FlowData::Floats(v)) => self.flow.floats = v,
             _ => {
                 return Err(ServeError::Artifact(ArtifactError::Malformed(
                     "stage handoff domain mismatch".into(),
@@ -376,16 +442,12 @@ impl BatchRunner {
         padded: usize,
     ) -> Result<FlowState> {
         let BatchRunner {
-            codes,
-            codes_next,
-            floats,
-            floats_next,
+            flow,
             skips,
             keys,
             act_keys,
             tile,
             tile_f,
-            tile_q,
             wvals,
             wdec,
             wcodes: wcodes_scratch,
@@ -401,13 +463,17 @@ impl BatchRunner {
 
         let mut domain = entry.domain;
         let mut width = entry.width;
-        // The codebook the current codes index into, tracked so dense
-        // ops can try the factored multiply path (see [`factor_table`]).
-        // `None` whenever the flow is decoded or the book is unknown.
+        // The codebook the current flow was encoded through, tracked so
+        // dense ops can try the factored multiply path (see
+        // [`factor_table`]). `None` whenever the flow is decoded or the
+        // book is unknown.
         let mut cur_book: Option<Span> = entry.book;
 
         for oi in range {
             let op = &model.ops[oi];
+            // An op that hands encoded values to an integer Madd op
+            // writes that op's operand for each code, not the code.
+            let levels = model.madd_levels(oi + 1);
             match op {
                 Op::Dense {
                     inputs: nin,
@@ -418,9 +484,6 @@ impl BatchRunner {
                     act,
                     encoder,
                 } => {
-                    if domain != Domain::Codes {
-                        return Err(decoded_neuron());
-                    }
                     let (nin, nout) = (*nin, *outputs);
                     // Analyzer-licensed ops run the integer path on
                     // tiles materialized once at load time, streamed
@@ -429,27 +492,21 @@ impl BatchRunner {
                     // no per-op weight tile is decoded into the arena,
                     // and the activation + re-encode are baked into
                     // the finish LUT, so the op is one pass.
-                    let quant_op = model
-                        .quant
-                        .as_ref()
-                        .and_then(|qs| qs.ops.get(oi))
-                        .and_then(Option::as_ref);
-                    if let Some(q) = quant_op {
+                    if let Some(q) = model.quant_op(oi) {
                         debug_assert_eq!((q.nin, q.nout), (nin, nout));
-                        domain = quant_dense(
-                            q,
-                            codes,
-                            codes_next,
-                            floats,
-                            floats_next,
-                            padded,
-                            tile,
-                            tile_q,
-                        );
+                        if domain != q.reads() {
+                            return Err(wrong_domain(domain));
+                        }
+                        domain = quant_dense(q, flow, padded, tile);
                         cur_book = *encoder;
                         width = nout;
                         continue;
                     }
+                    if domain != Domain::Codes {
+                        return Err(wrong_domain(domain));
+                    }
+                    let codes = &flow.codes;
+                    let floats_next = &mut flow.floats_next;
                     let wcodes = model.codes_for(*weight_codes, wcodes_scratch);
                     let b = bias.slice(pool_f);
                     refill(floats_next, padded * nout);
@@ -507,17 +564,7 @@ impl BatchRunner {
                             &mut floats_next[r * nout..(r + 1) * nout],
                         );
                     }
-                    domain = finish_neuron(
-                        pool_f,
-                        act,
-                        encoder,
-                        floats,
-                        floats_next,
-                        codes,
-                        codes_next,
-                        keys,
-                        act_keys,
-                    );
+                    domain = finish_neuron(pool_f, act, encoder, levels, flow, keys, act_keys);
                     cur_book = *encoder;
                     width = nout;
                 }
@@ -532,8 +579,10 @@ impl BatchRunner {
                     encoder,
                 } => {
                     if domain != Domain::Codes {
-                        return Err(decoded_neuron());
+                        return Err(wrong_domain(domain));
                     }
+                    let codes = &flow.codes;
+                    let floats_next = &mut flow.floats_next;
                     let wcodes = model.codes_for(*weight_codes, wcodes_scratch);
                     let b = bias.slice(pool_f);
                     let in_vol = g.in_volume();
@@ -571,85 +620,74 @@ impl BatchRunner {
                             &mut floats_next[r * nout..(r + 1) * nout],
                         );
                     }
-                    domain = finish_neuron(
-                        pool_f,
-                        act,
-                        encoder,
-                        floats,
-                        floats_next,
-                        codes,
-                        codes_next,
-                        keys,
-                        act_keys,
-                    );
+                    domain = finish_neuron(pool_f, act, encoder, levels, flow, keys, act_keys);
                     cur_book = *encoder;
                     width = nout;
                 }
                 Op::MaxPool(g) => {
-                    let in_vol = g.in_volume();
-                    let out_w = g.in_channels * g.out_pixels();
-                    match domain {
-                        Domain::Codes => {
-                            refill(codes_next, padded * out_w);
-                            for r in 0..padded {
-                                pool_into(
-                                    g,
-                                    &codes[r * in_vol..(r + 1) * in_vol],
-                                    &mut codes_next[r * out_w..(r + 1) * out_w],
-                                    |a, b| if a >= b { a } else { b },
-                                );
-                            }
-                            std::mem::swap(codes, codes_next);
+                    let (same, max) = (|c: u16| c, |a: u16, b: u16| a.max(b));
+                    domain = match (domain, levels) {
+                        (Domain::Floats, _) => {
+                            let (src, dst) = (&flow.floats, &mut flow.floats_next);
+                            pool_rows(g, src, dst, padded, |v| v, f32::max, |v| v);
+                            Domain::Floats
                         }
-                        Domain::Floats => {
-                            refill(floats_next, padded * out_w);
-                            for r in 0..padded {
-                                pool_into(
-                                    g,
-                                    &floats[r * in_vol..(r + 1) * in_vol],
-                                    &mut floats_next[r * out_w..(r + 1) * out_w],
-                                    f32::max,
-                                );
-                            }
-                            std::mem::swap(floats, floats_next);
+                        (Domain::Codes, None) => {
+                            let (src, dst) = (&flow.codes, &mut flow.codes_next);
+                            pool_rows(g, src, dst, padded, same, max, same);
+                            Domain::Codes
                         }
-                    }
-                    width = out_w;
+                        (Domain::Codes, Some(xq)) => {
+                            let (src, dst) = (&flow.codes, &mut flow.quants_next);
+                            pool_rows(g, src, dst, padded, same, max, |c| level_of(xq, c));
+                            Domain::Quants
+                        }
+                        (Domain::Quants, _) => return Err(wrong_domain(domain)),
+                    };
+                    flow.advance(domain);
+                    width = g.in_channels * g.out_pixels();
                 }
                 Op::AvgPool { geom: g, codebook } => {
-                    let in_vol = g.in_volume();
-                    let out_w = g.in_channels * g.out_pixels();
                     let window = (g.kernel_h * g.kernel_w) as f32;
-                    match domain {
-                        Domain::Codes => {
+                    let sum = |a: f32, b: f32| a + b;
+                    domain = match (domain, levels) {
+                        (Domain::Floats, _) => {
+                            let (src, dst) = (&flow.floats, &mut flow.floats_next);
+                            pool_rows(g, src, dst, padded, |v| v, sum, |s| s / window);
+                            Domain::Floats
+                        }
+                        // Fused decode + average + re-encode: codebook
+                        // values are gathered straight out of the window
+                        // (the sum order of decoding the sample first).
+                        (Domain::Codes, levels) => {
                             let book = codebook.slice(pool_f);
                             load_keys(keys, book);
-                            refill(codes_next, padded * out_w);
-                            avg_pool_batch(
-                                g, book, keys, window, codes, codes_next, padded, verified,
-                            );
-                            std::mem::swap(codes, codes_next);
                             cur_book = Some(*codebook);
-                        }
-                        Domain::Floats => {
-                            refill(floats_next, padded * out_w);
-                            for r in 0..padded {
-                                let dst = &mut floats_next[r * out_w..(r + 1) * out_w];
-                                pool_into(g, &floats[r * in_vol..(r + 1) * in_vol], dst, |a, b| {
-                                    a + b
-                                });
-                                for v in dst.iter_mut() {
-                                    *v /= window;
+                            let encode = |s: f32| nearest_sorted(book, keys, s / window);
+                            let src = &flow.codes;
+                            match levels {
+                                None => {
+                                    let dst = &mut flow.codes_next;
+                                    decoded_pool_rows(g, book, verified, src, dst, padded, encode);
+                                    Domain::Codes
+                                }
+                                Some(xq) => {
+                                    let dst = &mut flow.quants_next;
+                                    decoded_pool_rows(g, book, verified, src, dst, padded, |s| {
+                                        level_of(xq, encode(s))
+                                    });
+                                    Domain::Quants
                                 }
                             }
-                            std::mem::swap(floats, floats_next);
                         }
-                    }
-                    width = out_w;
+                        (Domain::Quants, _) => return Err(wrong_domain(domain)),
+                    };
+                    flow.advance(domain);
+                    width = g.in_channels * g.out_pixels();
                 }
                 Op::ResidualBegin { skip_codebook } => {
                     if domain != Domain::Codes {
-                        return Err(decoded_neuron());
+                        return Err(wrong_domain(domain));
                     }
                     let book = skip_codebook.slice(pool_f);
                     if skips.len() == skip_depth {
@@ -659,7 +697,7 @@ impl BatchRunner {
                     buf.clear();
                     // Same clamp specialization as the gather kernels:
                     // identity on verified models, defensive otherwise.
-                    let src = &codes[..padded * width];
+                    let src = &flow.codes[..padded * width];
                     let last = book.len().saturating_sub(1);
                     if verified {
                         buf.extend(src.iter().map(|&c| book[c as usize]));
@@ -669,6 +707,13 @@ impl BatchRunner {
                         buf.extend(src.iter().map(|&c| book[(c as usize).min(last)]));
                     }
                     skip_depth += 1;
+                    // The codes pass through to the region's first op;
+                    // an integer Madd op there reads them as operands.
+                    if let Some(xq) = levels {
+                        flow.quants.clear();
+                        flow.quants.extend(src.iter().map(|&c| level_of(xq, c)));
+                        domain = Domain::Quants;
+                    }
                 }
                 Op::ResidualEnd { encoder } => {
                     if domain != Domain::Floats {
@@ -684,28 +729,31 @@ impl BatchRunner {
                     skip_depth -= 1;
                     let skip = &skips[skip_depth];
                     let n = padded * width;
-                    match encoder {
+                    let joined = &flow.floats;
+                    domain = match encoder {
                         Some(enc) => {
                             let book = enc.slice(pool_f);
                             load_keys(keys, book);
-                            refill(codes_next, n);
-                            for i in 0..n {
-                                codes_next[i] = nearest_sorted(book, keys, floats[i] + skip[i]);
-                            }
-                            std::mem::swap(codes, codes_next);
-                            domain = Domain::Codes;
                             cur_book = Some(*enc);
+                            emit_encoded(
+                                levels,
+                                &mut flow.codes_next,
+                                &mut flow.quants_next,
+                                n,
+                                |i| nearest_sorted(book, keys, joined[i] + skip[i]),
+                            )
                         }
                         None => {
-                            refill(floats_next, n);
+                            let dst = &mut flow.floats_next;
+                            refill(dst, n);
                             for i in 0..n {
-                                floats_next[i] = floats[i] + skip[i];
+                                dst[i] = joined[i] + skip[i];
                             }
-                            std::mem::swap(floats, floats_next);
-                            domain = Domain::Floats;
                             cur_book = None;
+                            Domain::Floats
                         }
-                    }
+                    };
+                    flow.advance(domain);
                 }
             }
         }
@@ -733,10 +781,21 @@ pub(crate) fn pad_rows(rows: usize) -> usize {
 
 /// Scratch-arena high-water marks for one model (see [`plan`]).
 struct Plan {
-    /// Widest flow the op program reaches.
-    max_width: usize,
-    /// Deepest residual nesting.
+    /// Widest flow the op program reaches in each domain — a model
+    /// whose whole program runs in one encoded domain reserves nothing
+    /// for the other. `max_floats` also covers the raw accumulators an
+    /// f32 neuron op stages before it re-encodes.
+    max_codes: usize,
+    max_quants: usize,
+    max_floats: usize,
+    /// Deepest residual nesting, and the widest flow snapshotted.
     skip_depth: usize,
+    max_skip: usize,
+    /// Widest input any op interleaves into a [`LANES`]-row code tile
+    /// (f32 gathers, convolutions, integer Gather ops), and into a
+    /// decoded tile (the f32 factored path).
+    max_tile: usize,
+    max_tile_f: usize,
     /// Largest codebook encoded through.
     max_book: usize,
     /// Largest activation lookup table applied.
@@ -748,33 +807,34 @@ struct Plan {
     /// Longest weight-code span of any neuron op (the packed-pool
     /// decode tile's high-water mark).
     max_wcodes: usize,
-    /// Largest quantized-input tile ([`TILE_ROWS`] rows) of any integer
-    /// Madd op.
-    max_tile_q: usize,
 }
 
-/// Walks the op program like `validate` does, collecting the scratch
-/// arena's high-water marks.
+/// Collects the scratch arena's high-water marks from the static flow
+/// walk ([`flow_states`]) and the op program.
 ///
 /// Quantized models reserve less: an analyzer-licensed dense op runs
-/// entirely on tiles materialized at load time, so it contributes no
-/// weight-decode, factored-matrix, activation-key or encode-book
-/// capacity — only its interleave tile. In particular `max_wcodes`
-/// (the packed-pool decode tile) skips licensed ops, so a fully
-/// licensed model's arena no longer grows with its code-section size.
+/// entirely on tiles materialized at load time and writes its finish
+/// straight into the next op's flow buffer, so it contributes no
+/// weight-decode, factored-matrix, activation-key, encode-book or
+/// accumulator capacity — an integer Madd op nothing at all, reading
+/// its rows from the flow in place. In particular `max_wcodes` (the
+/// packed-pool decode tile) skips licensed ops, so a fully licensed
+/// model's arena no longer grows with its code-section size.
 fn plan(model: &CompiledModel) -> Plan {
-    let mut width = model.input_features;
     let mut p = Plan {
-        max_width: width,
+        max_codes: 0,
+        max_quants: 0,
+        max_floats: 0,
         skip_depth: 0,
+        max_skip: 0,
+        max_tile: 0,
+        max_tile_f: 0,
         max_book: 0,
         max_act: 0,
         max_wcount: 0,
         max_dense: 0,
         max_wcodes: 0,
-        max_tile_q: 0,
     };
-    let mut depth = 0usize;
     fn span_len(enc: &Option<Span>) -> usize {
         enc.as_ref().map_or(0, |e| e.len)
     }
@@ -784,12 +844,20 @@ fn plan(model: &CompiledModel) -> Plan {
             _ => 0,
         }
     }
+    let (states, depths) = flow_states(model);
+    for st in &states {
+        let max = match st.domain {
+            Domain::Codes => &mut p.max_codes,
+            Domain::Quants => &mut p.max_quants,
+            Domain::Floats => &mut p.max_floats,
+        };
+        *max = (*max).max(st.width);
+    }
+    p.skip_depth = depths.iter().copied().max().unwrap_or(0);
     for (oi, op) in model.ops.iter().enumerate() {
-        let quant_op = model
-            .quant
-            .as_ref()
-            .and_then(|qs| qs.ops.get(oi))
-            .and_then(Option::as_ref);
+        // `states[oi]` is what the op reads, `states[oi + 1]` what it
+        // leaves.
+        let (reads, nout) = (states[oi].width, states[oi + 1].width);
         match op {
             Op::Dense {
                 inputs,
@@ -799,50 +867,132 @@ fn plan(model: &CompiledModel) -> Plan {
                 act,
                 table,
                 ..
-            } => {
-                width = *outputs;
-                if let Some(q) = quant_op {
-                    if matches!(q.kind, QuantKind::Madd { .. }) {
-                        p.max_tile_q = p.max_tile_q.max(q.nin.saturating_mul(TILE_ROWS));
+            } => match model.quant_op(oi) {
+                Some(q) => {
+                    if q.reads() == Domain::Codes {
+                        p.max_tile = p.max_tile.max(reads);
                     }
-                } else {
+                }
+                None => {
+                    p.max_floats = p.max_floats.max(nout);
+                    p.max_tile = p.max_tile.max(reads);
+                    p.max_tile_f = p.max_tile_f.max(reads);
                     p.max_book = p.max_book.max(span_len(encoder));
                     p.max_act = p.max_act.max(act_len(act));
                     p.max_wcount = p.max_wcount.max(table.weight_count);
                     p.max_dense = p.max_dense.max(inputs.saturating_mul(*outputs));
                     p.max_wcodes = p.max_wcodes.max(weight_codes.len);
                 }
-            }
+            },
             Op::Conv {
-                geom,
-                out_channels,
                 weight_codes,
                 encoder,
                 act,
                 ..
             } => {
-                width = out_channels * geom.out_pixels();
+                p.max_floats = p.max_floats.max(nout);
+                p.max_tile = p.max_tile.max(reads);
                 p.max_book = p.max_book.max(span_len(encoder));
                 p.max_act = p.max_act.max(act_len(act));
                 p.max_wcodes = p.max_wcodes.max(weight_codes.len);
             }
-            Op::MaxPool(g) => width = g.in_channels * g.out_pixels(),
+            Op::MaxPool(_) => {}
+            Op::AvgPool { codebook, .. } => p.max_book = p.max_book.max(codebook.len),
+            Op::ResidualBegin { .. } => p.max_skip = p.max_skip.max(reads),
+            Op::ResidualEnd { encoder } => p.max_book = p.max_book.max(span_len(encoder)),
+        }
+    }
+    p
+}
+
+/// Walks the op program computing the flow state *before* each op (and
+/// after the last) plus the residual nesting depth at each point.
+/// `states[i]` / `depths[i]` describe the boundary before op `i`;
+/// index `ops.len()` is the program's exit state.
+///
+/// The transitions mirror [`BatchRunner::exec_ops`] — the pipeline's
+/// property suite keeps them honest by executing every legal split.
+pub(crate) fn flow_states(model: &CompiledModel) -> (Vec<FlowState>, Vec<usize>) {
+    flow_states_with(model, |oi| model.madd_levels(oi).is_some())
+}
+
+/// [`flow_states`] under any assignment of integer Madd ops: encoded
+/// flow into an op `reads_quants` names is in [`Domain::Quants`]. The
+/// plan preview asks for a plan it has not materialized.
+pub(crate) fn flow_states_with(
+    model: &CompiledModel,
+    reads_quants: impl Fn(usize) -> bool,
+) -> (Vec<FlowState>, Vec<usize>) {
+    let n = model.ops.len();
+    let encoded = |oi: usize| {
+        if reads_quants(oi) {
+            Domain::Quants
+        } else {
+            Domain::Codes
+        }
+    };
+    let finished = |oi: usize, encoder: &Option<Span>| match encoder {
+        Some(_) => encoded(oi + 1),
+        None => Domain::Floats,
+    };
+    let mut states = Vec::with_capacity(n + 1);
+    let mut depths = Vec::with_capacity(n + 1);
+    let mut st = FlowState {
+        domain: encoded(0),
+        width: model.input_features,
+        book: Some(model.virtual_encoder),
+    };
+    let mut depth = 0usize;
+    states.push(st);
+    depths.push(depth);
+    for (oi, op) in model.ops.iter().enumerate() {
+        match op {
+            Op::Dense {
+                outputs, encoder, ..
+            } => {
+                st.width = *outputs;
+                st.domain = finished(oi, encoder);
+                st.book = *encoder;
+            }
+            Op::Conv {
+                geom,
+                out_channels,
+                encoder,
+                ..
+            } => {
+                st.width = out_channels * geom.out_pixels();
+                st.domain = finished(oi, encoder);
+                st.book = *encoder;
+            }
+            Op::MaxPool(g) => {
+                st.width = g.in_channels * g.out_pixels();
+                if st.domain != Domain::Floats {
+                    st.domain = encoded(oi + 1);
+                }
+            }
             Op::AvgPool { geom: g, codebook } => {
-                width = g.in_channels * g.out_pixels();
-                p.max_book = p.max_book.max(codebook.len);
+                st.width = g.in_channels * g.out_pixels();
+                if st.domain != Domain::Floats {
+                    st.domain = encoded(oi + 1);
+                    st.book = Some(*codebook);
+                }
             }
             Op::ResidualBegin { .. } => {
                 depth += 1;
-                p.skip_depth = p.skip_depth.max(depth);
+                if st.domain != Domain::Floats {
+                    st.domain = encoded(oi + 1);
+                }
             }
             Op::ResidualEnd { encoder } => {
                 depth = depth.saturating_sub(1);
-                p.max_book = p.max_book.max(span_len(encoder));
+                st.domain = finished(oi, encoder);
+                st.book = *encoder;
             }
         }
-        p.max_width = p.max_width.max(width);
+        states.push(st);
+        depths.push(depth);
     }
-    p
+    (states, depths)
 }
 
 /// Dense over one [`LANES`]-row block: for each output neuron, [`LANES`]
@@ -1097,70 +1247,63 @@ fn dense_row(
 }
 
 /// Runs one analyzer-licensed dense op over the padded batch and leaves
-/// its result as the current flow: picks the finish the plan baked
-/// (dequantize, dequantize + ReLU, or finish-LUT bucket to codes or
-/// floats), runs [`quant_dense_exec`] into the matching scratch buffer
-/// and swaps it in. Returns the domain the flow is now in.
-#[allow(clippy::too_many_arguments)]
-fn quant_dense(
-    q: &QuantOp,
-    codes: &mut Vec<u16>,
-    codes_next: &mut Vec<u16>,
-    floats: &mut Vec<f32>,
-    floats_next: &mut Vec<f32>,
-    padded: usize,
-    tile: &mut Vec<u16>,
-    tile_q: &mut Vec<i16>,
-) -> Domain {
-    let len = padded * q.nout;
-    if let QuantFinish::Lut {
-        lo_q,
-        shift,
-        codes: lut_codes,
-        encoded: true,
-        ..
-    } = &q.finish
-    {
-        let (lo_q, shift) = (*lo_q, *shift);
-        let last = lut_codes.len().saturating_sub(1);
-        refill(codes_next, len);
-        quant_dense_exec(q, codes, codes_next, padded, tile, tile_q, |a| {
-            lut_codes[lut_bucket(a, lo_q, shift, last)]
-        });
-        std::mem::swap(codes, codes_next);
-        return Domain::Codes;
-    }
-    refill(floats_next, len);
-    match &q.finish {
+/// its result as the current flow: runs [`quant_dense_exec`] with the
+/// finish the plan baked — dequantize, dequantize + ReLU, or a finish
+/// LUT whose entries are already what the next op reads — into the
+/// scratch buffer of that domain and swaps it in. Returns the domain
+/// the flow is now in.
+fn quant_dense(q: &QuantOp, flow: &mut Flow, padded: usize, tile: &mut Vec<u16>) -> Domain {
+    let (codes, quants) = (&flow.codes, &flow.quants);
+    let domain = match &q.finish {
         QuantFinish::Dequant { inv } => {
-            let inv = *inv;
-            quant_dense_exec(q, codes, floats_next, padded, tile, tile_q, move |a| {
-                a as f32 * inv
-            });
+            let (dst, inv) = (&mut flow.floats_next, *inv);
+            quant_dense_exec(q, codes, quants, dst, padded, tile, move |a| a as f32 * inv);
+            Domain::Floats
         }
         QuantFinish::DequantRelu { inv } => {
-            let inv = *inv;
-            quant_dense_exec(q, codes, floats_next, padded, tile, tile_q, move |a| {
+            let (dst, inv) = (&mut flow.floats_next, *inv);
+            quant_dense_exec(q, codes, quants, dst, padded, tile, move |a| {
                 (a as f32 * inv).max(0.0)
             });
+            Domain::Floats
         }
-        QuantFinish::Lut {
-            lo_q, shift, vals, ..
-        } => {
+        QuantFinish::Lut { lo_q, shift, out } => {
+            fn lookup<T: Copy>(
+                table: &[T],
+                lo_q: i32,
+                shift: u32,
+            ) -> impl Fn(i32) -> T + Copy + '_ {
+                let last = table.len().saturating_sub(1);
+                move |a| table[lut_bucket(a, lo_q, shift, last)]
+            }
             let (lo_q, shift) = (*lo_q, *shift);
-            let last = vals.len().saturating_sub(1);
-            quant_dense_exec(q, codes, floats_next, padded, tile, tile_q, |a| {
-                vals[lut_bucket(a, lo_q, shift, last)]
-            });
+            match out {
+                LutOut::Codes(table) => {
+                    let (dst, finish) = (&mut flow.codes_next, lookup(table, lo_q, shift));
+                    quant_dense_exec(q, codes, quants, dst, padded, tile, finish);
+                    Domain::Codes
+                }
+                LutOut::Quants(table) => {
+                    let (dst, finish) = (&mut flow.quants_next, lookup(table, lo_q, shift));
+                    quant_dense_exec(q, codes, quants, dst, padded, tile, finish);
+                    Domain::Quants
+                }
+                LutOut::Floats(table) => {
+                    let (dst, finish) = (&mut flow.floats_next, lookup(table, lo_q, shift));
+                    quant_dense_exec(q, codes, quants, dst, padded, tile, finish);
+                    Domain::Floats
+                }
+            }
         }
-    }
-    std::mem::swap(floats, floats_next);
-    Domain::Floats
+    };
+    flow.advance(domain)
 }
 
 /// The integer dense op proper: accumulates every (row, output) in
 /// `i32` and writes `finish(acc)` — branch-free dequantize or
-/// finish-LUT bucket — into `dst`.
+/// finish-LUT bucket — into `dst`, resized to the batch. A Madd op
+/// reads its operand rows from `quants` in place, a Gather op its codes
+/// from `codes`.
 ///
 /// `i32` addition is associative and exact inside the plan's `2^30`
 /// budget, so tiles, single rows and any lane grouping produce the same
@@ -1170,29 +1313,30 @@ fn quant_dense(
 fn quant_dense_exec<T: Copy + Default>(
     q: &QuantOp,
     codes: &[u16],
-    dst: &mut [T],
+    quants: &[i16],
+    dst: &mut Vec<T>,
     padded: usize,
     tile: &mut Vec<u16>,
-    tile_q: &mut Vec<i16>,
     finish: impl Fn(i32) -> T + Copy,
 ) {
     let (nin, nout) = (q.nin, q.nout);
+    refill(dst, padded * nout);
     let mut r0 = 0usize;
     match &q.kind {
-        QuantKind::Madd { weights, xq } => {
+        QuantKind::Madd { weights, .. } => {
             // One kernel at two heights: whole tiles of `TILE_ROWS`,
             // then the same code one row at a time for what is left
             // (only batches below `LANES` leave any).
             while r0 + TILE_ROWS <= padded {
-                quantize_rows(&codes[r0 * nin..(r0 + TILE_ROWS) * nin], xq, tile_q);
+                let xs = &quants[r0 * nin..(r0 + TILE_ROWS) * nin];
                 let dst = &mut dst[r0 * nout..(r0 + TILE_ROWS) * nout];
-                madd_tile::<TILE_ROWS, _>(weights, &q.bias_q, tile_q, dst, nout, finish);
+                madd_tile::<TILE_ROWS, _>(weights, &q.bias_q, xs, dst, nout, finish);
                 r0 += TILE_ROWS;
             }
             for r in r0..padded {
-                quantize_rows(&codes[r * nin..(r + 1) * nin], xq, tile_q);
+                let xs = &quants[r * nin..(r + 1) * nin];
                 let dst = &mut dst[r * nout..(r + 1) * nout];
-                madd_tile::<1, _>(weights, &q.bias_q, tile_q, dst, nout, finish);
+                madd_tile::<1, _>(weights, &q.bias_q, xs, dst, nout, finish);
             }
         }
         QuantKind::Gather { rows, table_q } => {
@@ -1234,17 +1378,8 @@ fn lut_bucket(acc: i32, lo_q: i32, shift: u32, last: usize) -> usize {
     (((i64::from(acc) - i64::from(lo_q)).max(0) >> shift) as usize).min(last)
 }
 
-/// Maps the input codes of one tile (`R × nin`, row-major) through the
-/// quantized input codebook into the `i16` tile the integer Madd kernel
-/// streams. No transpose: each dot product reads its row contiguously.
-fn quantize_rows(xrows: &[u16], xq: &[i16], tile_q: &mut Vec<i16>) {
-    tile_q.clear();
-    let last = xq.len() - 1;
-    tile_q.extend(xrows.iter().map(|&x| xq[(x as usize).min(last)]));
-}
-
-/// Integer Madd over a register-blocked tile of `R` staged rows (`xs`,
-/// `R × nin`): output neurons go two at a time, and for each pair one
+/// Integer Madd over a register-blocked tile of `R` operand rows (`xs`,
+/// `R × nin`, read where they lie in the flow): output neurons go two at a time, and for each pair one
 /// sweep over `nin` in 8-lane steps keeps `R × 2` vector accumulators
 /// live, so a weight vector is loaded once per `R` rows and the lanes
 /// are folded once per (row, output). Weights stay in their row-major
@@ -1568,7 +1703,7 @@ fn conv_row(
 /// Applies the activation to the raw accumulators in `floats_next` and
 /// routes the batch into the next flow domain, mirroring the per-sample
 /// finish-neuron step: activate every value, then encode through the
-/// stage encoder if one is present.
+/// stage encoder if one is present ([`emit_encoded`]).
 ///
 /// A `Lookup` activation is a nearest-input search over a sorted LUT —
 /// the same shape as an encode step — so its total-order keys are
@@ -1576,15 +1711,12 @@ fn conv_row(
 /// [`nearest_index`] instead of `ActRef::apply`'s binary search. The
 /// LUT's inputs are strictly increasing (built sorted and deduplicated),
 /// so both searches pick the same index bit-for-bit.
-#[allow(clippy::too_many_arguments)]
 fn finish_neuron(
     pool_f: &[f32],
     act: &ActRef,
     encoder: &Option<Span>,
-    floats: &mut Vec<f32>,
-    floats_next: &mut Vec<f32>,
-    codes: &mut Vec<u16>,
-    codes_next: &mut Vec<u16>,
+    levels: Option<&[i16]>,
+    flow: &mut Flow,
     keys: &mut Vec<i32>,
     act_keys: &mut Vec<i32>,
 ) -> Domain {
@@ -1601,39 +1733,73 @@ fn finish_neuron(
         Some((xs, ys)) => ys[nearest_index(xs, act_keys, y)],
         None => act.apply(pool_f, y),
     };
-    match encoder {
+    let domain = match encoder {
         Some(enc) => {
             let book = enc.slice(pool_f);
             load_keys(keys, book);
-            refill(codes_next, floats_next.len());
-            for (dst, &y) in codes_next.iter_mut().zip(floats_next.iter()) {
-                *dst = nearest_sorted(book, keys, apply(y));
-            }
-            std::mem::swap(codes, codes_next);
-            Domain::Codes
+            let raw = &flow.floats_next;
+            emit_encoded(
+                levels,
+                &mut flow.codes_next,
+                &mut flow.quants_next,
+                raw.len(),
+                |i| nearest_sorted(book, keys, apply(raw[i])),
+            )
         }
         None => {
-            for y in floats_next.iter_mut() {
+            for y in flow.floats_next.iter_mut() {
                 *y = apply(*y);
             }
-            std::mem::swap(floats, floats_next);
             Domain::Floats
+        }
+    };
+    flow.advance(domain)
+}
+
+/// Fills the scratch buffer the next op reads with `n` freshly encoded
+/// values and returns its domain: the codes themselves, or — handed the
+/// `levels` of an integer Madd op — that op's operand for each code.
+fn emit_encoded(
+    levels: Option<&[i16]>,
+    codes_next: &mut Vec<u16>,
+    quants_next: &mut Vec<i16>,
+    n: usize,
+    code_at: impl Fn(usize) -> u16,
+) -> Domain {
+    match levels {
+        None => {
+            codes_next.clear();
+            codes_next.extend((0..n).map(code_at));
+            Domain::Codes
+        }
+        Some(xq) => {
+            quants_next.clear();
+            quants_next.extend((0..n).map(|i| level_of(xq, code_at(i))));
+            Domain::Quants
         }
     }
 }
 
 /// Windowed reduction of one sample in the same iteration order as the
 /// per-sample pool (channel, output row, output column, kernel row,
-/// kernel column): the accumulator starts at the window's first element
-/// and `combine` folds the rest in visit order.
-fn pool_into<T: Copy>(g: &Geom, src: &[T], dst: &mut [T], combine: impl Fn(T, T) -> T) {
+/// kernel column): every element goes through `load`, the accumulator
+/// starts at the window's first element, `combine` folds the rest in
+/// visit order and `finish` maps the result to what is stored.
+fn pool_into<S: Copy, A, T>(
+    g: &Geom,
+    src: &[S],
+    dst: &mut [T],
+    load: impl Fn(S) -> A,
+    combine: impl Fn(A, A) -> A,
+    finish: impl Fn(A) -> T,
+) {
     let (c, h, w) = (g.in_channels, g.in_height, g.in_width);
     let mut i = 0usize;
     for ch in 0..c {
         let base = ch * h * w;
         for oy in 0..g.out_height {
             for ox in 0..g.out_width {
-                let mut acc = src[base + oy * g.stride * w + ox * g.stride];
+                let mut acc = load(src[base + oy * g.stride * w + ox * g.stride]);
                 for kh in 0..g.kernel_h {
                     for kw in 0..g.kernel_w {
                         if kh == 0 && kw == 0 {
@@ -1641,107 +1807,70 @@ fn pool_into<T: Copy>(g: &Geom, src: &[T], dst: &mut [T], combine: impl Fn(T, T)
                         }
                         acc = combine(
                             acc,
-                            src[base + (oy * g.stride + kh) * w + ox * g.stride + kw],
+                            load(src[base + (oy * g.stride + kh) * w + ox * g.stride + kw]),
                         );
                     }
                 }
-                dst[i] = acc;
+                dst[i] = finish(acc);
                 i += 1;
             }
         }
     }
 }
 
-/// Batched [`avg_pool_codes`] with the clamp chosen once per op —
-/// identity for statically verified models, mask for power-of-two
-/// codebooks, `min` otherwise — mirroring the dense path's
-/// verified-identity specialization (the clamp is an identity on all
-/// real data, so every variant is bit-identical).
-#[allow(clippy::too_many_arguments)]
-fn avg_pool_batch(
+/// [`pool_into`] over every row of the padded batch, into `dst` resized
+/// to fit.
+fn pool_rows<S: Copy, A, T: Copy + Default>(
+    g: &Geom,
+    src: &[S],
+    dst: &mut Vec<T>,
+    padded: usize,
+    load: impl Fn(S) -> A + Copy,
+    combine: impl Fn(A, A) -> A + Copy,
+    finish: impl Fn(A) -> T + Copy,
+) {
+    let (in_vol, out_w) = (g.in_volume(), g.in_channels * g.out_pixels());
+    refill(dst, padded * out_w);
+    for r in 0..padded {
+        let (src, dst) = (
+            &src[r * in_vol..(r + 1) * in_vol],
+            &mut dst[r * out_w..(r + 1) * out_w],
+        );
+        pool_into(g, src, dst, load, combine, finish);
+    }
+}
+
+/// [`pool_rows`] summing the `book` values of encoded rows, with the
+/// decode's clamp chosen once per op — identity for statically verified
+/// models, mask for power-of-two codebooks, `min` otherwise — mirroring
+/// the dense path's verified-identity specialization (the clamp is an
+/// identity on all real data, so every variant is bit-identical).
+fn decoded_pool_rows<T: Copy + Default>(
     g: &Geom,
     book: &[f32],
-    keys: &[i32],
-    window: f32,
-    codes: &[u16],
-    codes_next: &mut [u16],
-    padded: usize,
     verified: bool,
+    codes: &[u16],
+    dst: &mut Vec<T>,
+    padded: usize,
+    finish: impl Fn(f32) -> T + Copy,
 ) {
-    #[allow(clippy::too_many_arguments)]
-    fn go(
-        g: &Geom,
-        book: &[f32],
-        keys: &[i32],
-        window: f32,
-        codes: &[u16],
-        codes_next: &mut [u16],
-        padded: usize,
-        clamp: impl Fn(usize) -> usize + Copy,
-    ) {
-        let in_vol = g.in_volume();
-        let out_w = g.in_channels * g.out_pixels();
-        for r in 0..padded {
-            avg_pool_codes(
-                g,
-                book,
-                keys,
-                window,
-                &codes[r * in_vol..(r + 1) * in_vol],
-                &mut codes_next[r * out_w..(r + 1) * out_w],
-                clamp,
-            );
-        }
-    }
+    let sum = |a: f32, b: f32| a + b;
     let last = book.len().saturating_sub(1);
     if verified {
-        go(g, book, keys, window, codes, codes_next, padded, |x| x);
+        pool_rows(g, codes, dst, padded, |c| book[c as usize], sum, finish);
     } else if book.len().is_power_of_two() {
-        go(g, book, keys, window, codes, codes_next, padded, |x| {
-            x & last
-        });
+        pool_rows(
+            g,
+            codes,
+            dst,
+            padded,
+            |c| book[c as usize & last],
+            sum,
+            finish,
+        );
     } else {
-        go(g, book, keys, window, codes, codes_next, padded, |x| {
-            x.min(last)
-        });
-    }
-}
-
-/// Fused decode + average-pool + re-encode of one encoded sample:
-/// gathers codebook values straight out of the window (identical sum
-/// order to decoding the whole sample first), divides by the window
-/// size, and encodes each pooled value back through the codebook.
-/// Generic over the in-bounds clamp like [`dense_block_gather`].
-fn avg_pool_codes(
-    g: &Geom,
-    book: &[f32],
-    keys: &[i32],
-    window: f32,
-    src: &[u16],
-    dst: &mut [u16],
-    clamp: impl Fn(usize) -> usize,
-) {
-    let (c, h, w) = (g.in_channels, g.in_height, g.in_width);
-    let mut i = 0usize;
-    for ch in 0..c {
-        let base = ch * h * w;
-        for oy in 0..g.out_height {
-            for ox in 0..g.out_width {
-                let mut acc = book[clamp(src[base + oy * g.stride * w + ox * g.stride] as usize)];
-                for kh in 0..g.kernel_h {
-                    for kw in 0..g.kernel_w {
-                        if kh == 0 && kw == 0 {
-                            continue;
-                        }
-                        acc += book[clamp(
-                            src[base + (oy * g.stride + kh) * w + ox * g.stride + kw] as usize,
-                        )];
-                    }
-                }
-                dst[i] = nearest_sorted(book, keys, acc / window);
-                i += 1;
-            }
-        }
+        let load = |c: u16| book[(c as usize).min(last)];
+        pool_rows(g, codes, dst, padded, load, sum, finish);
     }
 }
 
@@ -1752,10 +1881,14 @@ fn refill<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
     buf.resize(len, T::default());
 }
 
-fn decoded_neuron() -> ServeError {
-    ServeError::Artifact(ArtifactError::Malformed(
-        "neuron op received decoded values".into(),
-    ))
+/// The error of an op handed a flow it does not read: decoded values —
+/// a malformed program — or the encoded domain of another kernel, which
+/// only a disagreement between a producer and [`flow_states`] yields.
+fn wrong_domain(got: Domain) -> ServeError {
+    ServeError::Artifact(ArtifactError::Malformed(match got {
+        Domain::Floats => "neuron op received decoded values".into(),
+        Domain::Codes | Domain::Quants => format!("op does not read {} flow", got.name()),
+    }))
 }
 
 #[cfg(test)]
@@ -1765,19 +1898,20 @@ mod tests {
     use rapidnn_prop::{check, usize_in, SeededRng};
 
     /// The integer Madd op — tiles, single rows, 8-lane body, scalar
-    /// tails, odd last output, every finish — equals a plain `i64` dot
-    /// product put through the same finish, at every row count around
-    /// the tile and block sizes and every `nin`/`nout` remainder.
+    /// tails, odd last output, every finish — reading operand rows in
+    /// place equals the two-step reference: each code through `xq`,
+    /// then a plain `i64` dot product put through the same finish, at
+    /// every row count around the tile and block sizes and every
+    /// `nin`/`nout` remainder.
     #[test]
     fn madd_tile_matches_i64_reference_dot() {
         const BOOK: usize = 8;
         const LUT: usize = 64;
+        const KINDS: usize = 5;
         let draw = |rng: &mut SeededRng, mag: usize| rng.index(2 * mag + 1) as i32 - mag as i32;
         check(4, |rng| {
-            let mut kind = usize_in(rng, 0, 4);
-            let (mut codes_next, mut floats, mut floats_next) =
-                (Vec::new(), Vec::new(), Vec::new());
-            let (mut tile, mut tile_q) = (Vec::new(), Vec::new());
+            let mut kind = usize_in(rng, 0, KINDS);
+            let (mut flow, mut tile) = (Flow::default(), Vec::new());
             for nin in [1usize, 7, 8, 9, 24, 100, 784] {
                 // Largest operands that keep every |sum| inside 2^30.
                 let mag = (((1u64 << 29) / nin as u64).isqrt() as usize).min(i16::MAX as usize);
@@ -1789,17 +1923,20 @@ mod tests {
                     for rows in 1..=19usize {
                         let inv = 1.0 / 4096.0;
                         let (lo_q, shift) = (-(1 << 29), 24);
-                        kind = (kind + 1) % 4;
+                        kind = (kind + 1) % KINDS;
+                        let lut = |out| QuantFinish::Lut { lo_q, shift, out };
                         let finish = match kind {
                             0 => QuantFinish::Dequant { inv },
                             1 => QuantFinish::DequantRelu { inv },
-                            _ => QuantFinish::Lut {
-                                lo_q,
-                                shift,
-                                codes: (0..LUT).map(|i| (i * 7 % BOOK) as u16).collect(),
-                                vals: (0..LUT).map(|i| i as f32 * 0.37 - 9.0).collect(),
-                                encoded: kind == 2,
-                            },
+                            2 => lut(LutOut::Codes(
+                                (0..LUT).map(|i| (i * 7 % BOOK) as u16).collect(),
+                            )),
+                            3 => lut(LutOut::Quants(
+                                (0..LUT).map(|i| (i * 523 % 4001) as i16 - 2000).collect(),
+                            )),
+                            _ => lut(LutOut::Floats(
+                                (0..LUT).map(|i| i as f32 * 0.37 - 9.0).collect(),
+                            )),
                         };
                         let q = QuantOp {
                             nin,
@@ -1813,18 +1950,9 @@ mod tests {
                         };
                         let input: Vec<u16> =
                             (0..rows * nin).map(|_| rng.index(BOOK) as u16).collect();
-                        let mut codes = input.clone();
-                        let domain = quant_dense(
-                            &q,
-                            &mut codes,
-                            &mut codes_next,
-                            &mut floats,
-                            &mut floats_next,
-                            rows,
-                            &mut tile,
-                            &mut tile_q,
-                        );
-                        assert_eq!(domain == Domain::Codes, kind == 2);
+                        flow.quants.clear();
+                        flow.quants.extend(input.iter().map(|&c| level_of(&xq, c)));
+                        let domain = quant_dense(&q, &mut flow, rows, &mut tile);
                         for r in 0..rows {
                             for o in 0..nout {
                                 let w = &weights[o * nin..(o + 1) * nin];
@@ -1836,31 +1964,27 @@ mod tests {
                                 let acc = i32::try_from(dot).expect("inside the budget");
                                 let at = r * nout + o;
                                 let ctx = format!("rows={rows} nin={nin} nout={nout} r={r} o={o}");
+                                let bucket = lut_bucket(acc, lo_q, shift, LUT - 1);
+                                let float = |want: f32| {
+                                    assert_eq!(domain, Domain::Floats, "{ctx}");
+                                    assert_eq!(flow.floats[at].to_bits(), want.to_bits(), "{ctx}");
+                                };
                                 match &q.finish {
-                                    QuantFinish::Dequant { inv } => {
-                                        assert_eq!(
-                                            floats[at].to_bits(),
-                                            (acc as f32 * inv).to_bits()
-                                        );
-                                    }
+                                    QuantFinish::Dequant { inv } => float(acc as f32 * inv),
                                     QuantFinish::DequantRelu { inv } => {
-                                        let want = (acc as f32 * inv).max(0.0);
-                                        assert_eq!(floats[at].to_bits(), want.to_bits(), "{ctx}");
+                                        float((acc as f32 * inv).max(0.0));
                                     }
-                                    QuantFinish::Lut {
-                                        codes: c, vals: v, ..
-                                    } => {
-                                        let b = lut_bucket(acc, lo_q, shift, LUT - 1);
-                                        if kind == 2 {
-                                            assert_eq!(codes[at], c[b], "{ctx}");
-                                        } else {
-                                            assert_eq!(
-                                                floats[at].to_bits(),
-                                                v[b].to_bits(),
-                                                "{ctx}"
-                                            );
+                                    QuantFinish::Lut { out, .. } => match out {
+                                        LutOut::Codes(t) => {
+                                            assert_eq!(domain, Domain::Codes, "{ctx}");
+                                            assert_eq!(flow.codes[at], t[bucket], "{ctx}");
                                         }
-                                    }
+                                        LutOut::Quants(t) => {
+                                            assert_eq!(domain, Domain::Quants, "{ctx}");
+                                            assert_eq!(flow.quants[at], t[bucket], "{ctx}");
+                                        }
+                                        LutOut::Floats(t) => float(t[bucket]),
+                                    },
                                 }
                             }
                         }

@@ -16,10 +16,10 @@
 //! self-describing: one row-major buffer in a known domain. That rules
 //! out cutting inside a residual region — the skip snapshot lives in
 //! the runner executing the region — so cuts are restricted to op
-//! indices at residual nesting depth zero. The flow walk here mirrors
-//! `BatchRunner::exec_ops`'s domain/width/codebook transitions exactly;
-//! a property test pins the two against each other by running every
-//! legal split.
+//! indices at residual nesting depth zero. The static flow walk
+//! (`kernels::flow_states`) mirrors `BatchRunner::exec_ops`'s
+//! domain/width/codebook transitions exactly; a property test here pins
+//! the two against each other by running every legal split.
 //!
 //! # Determinism
 //!
@@ -31,8 +31,8 @@
 //! independently. There is no cross-stage arithmetic to merge — the
 //! in-order channel discipline is the whole contract.
 
-use crate::artifact::{CompiledModel, Op};
-use crate::kernels::{Domain, FlowState};
+use crate::artifact::CompiledModel;
+use crate::kernels::{flow_states, FlowState};
 use std::ops::Range;
 
 /// How a model is sharded: `ranges[s]` is stage `s`'s contiguous op
@@ -66,80 +66,6 @@ pub struct StageStats {
 pub struct PipelineStats {
     /// One entry per stage, in flow order.
     pub stages: Vec<StageStats>,
-}
-
-/// Walks the op program computing the flow state *before* each op (and
-/// after the last) plus the residual nesting depth at each point.
-/// `states[i]` / `depths[i]` describe the boundary before op `i`;
-/// index `ops.len()` is the program's exit state.
-///
-/// The transitions mirror `BatchRunner::exec_ops` — the property suite
-/// keeps them honest by executing every legal split.
-pub(crate) fn flow_states(model: &CompiledModel) -> (Vec<FlowState>, Vec<usize>) {
-    let n = model.ops.len();
-    let mut states = Vec::with_capacity(n + 1);
-    let mut depths = Vec::with_capacity(n + 1);
-    let mut st = FlowState {
-        domain: Domain::Codes,
-        width: model.input_features,
-        book: Some(model.virtual_encoder),
-    };
-    let mut depth = 0usize;
-    states.push(st);
-    depths.push(depth);
-    for op in &model.ops {
-        match op {
-            Op::Dense {
-                outputs, encoder, ..
-            } => {
-                st.width = *outputs;
-                st.domain = if encoder.is_some() {
-                    Domain::Codes
-                } else {
-                    Domain::Floats
-                };
-                st.book = *encoder;
-            }
-            Op::Conv {
-                geom,
-                out_channels,
-                encoder,
-                ..
-            } => {
-                st.width = out_channels * geom.out_pixels();
-                st.domain = if encoder.is_some() {
-                    Domain::Codes
-                } else {
-                    Domain::Floats
-                };
-                st.book = *encoder;
-            }
-            Op::MaxPool(g) => {
-                st.width = g.in_channels * g.out_pixels();
-            }
-            Op::AvgPool { geom: g, codebook } => {
-                st.width = g.in_channels * g.out_pixels();
-                if st.domain == Domain::Codes {
-                    st.book = Some(*codebook);
-                }
-            }
-            Op::ResidualBegin { .. } => {
-                depth += 1;
-            }
-            Op::ResidualEnd { encoder } => {
-                depth = depth.saturating_sub(1);
-                st.domain = if encoder.is_some() {
-                    Domain::Codes
-                } else {
-                    Domain::Floats
-                };
-                st.book = *encoder;
-            }
-        }
-        states.push(st);
-        depths.push(depth);
-    }
-    (states, depths)
 }
 
 /// Op indices where the program may be cut: strictly interior
@@ -243,7 +169,8 @@ pub(crate) fn plan_stages(model: &CompiledModel, stages: usize) -> Option<StageP
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{pad_rows, BatchRunner, FlowData};
+    use crate::artifact::Op;
+    use crate::kernels::{pad_rows, BatchRunner, Domain, FlowData};
 
     /// Executes `model` as the staged pipeline described by `bounds`
     /// (op-index boundaries including both ends), one fresh runner per
@@ -274,7 +201,7 @@ mod tests {
         }
         match data {
             FlowData::Floats(v) => v[..rows * entry.width].to_vec(),
-            FlowData::Codes(_) => panic!("program ended in encoded domain"),
+            FlowData::Codes(_) | FlowData::Quants(_) => panic!("program ended in encoded domain"),
         }
     }
 
@@ -285,31 +212,47 @@ mod tests {
     /// The determinism contract, exhaustively: every legal 2-stage and
     /// 3-stage split of a deep model reproduces the uncut run bit for
     /// bit, and the static flow walk agrees with every dynamic stage
-    /// boundary along the way.
+    /// boundary along the way — on the f32 path, on the integer path
+    /// (where every boundary hands off `FlowData::Quants`), and on a
+    /// mixed plan whose f32 and integer Gather ops are handed codes.
     #[test]
     fn every_legal_split_reproduces_run_bit_for_bit() {
-        let model = CompiledModel::deep_for_tests(6);
-        let rows = 5;
-        let inputs: Vec<f32> = (0..rows * model.input_features())
-            .map(|i| (i as f32 * 0.7).sin() * 2.0)
-            .collect();
-        let mut reference = Vec::new();
-        BatchRunner::new()
-            .run(&model, &inputs, &mut reference)
-            .unwrap();
+        use Domain::{Codes, Floats, Quants};
+        let mut quantized = CompiledModel::deep_for_tests(6);
+        quantized.quantize().expect("the deep model verifies");
+        for (model, domains) in [
+            (CompiledModel::deep_for_tests(6), [Codes; 6]),
+            (quantized, [Quants; 6]),
+            (
+                CompiledModel::deep_mixed_for_tests(6, 2, 4),
+                [Quants, Quants, Codes, Quants, Codes, Quants],
+            ),
+        ] {
+            let rows = 5;
+            let inputs: Vec<f32> = (0..rows * model.input_features())
+                .map(|i| (i as f32 * 0.7).sin() * 2.0)
+                .collect();
+            let mut reference = Vec::new();
+            BatchRunner::new()
+                .run(&model, &inputs, &mut reference)
+                .unwrap();
 
-        let (states, _) = flow_states(&model);
-        let cuts = cut_points(&model);
-        let n = model.ops.len();
-        assert!(!cuts.is_empty());
-        for &c in &cuts {
-            let out = run_split(&model, &[0, c, n], &states, &inputs, rows);
-            assert_eq!(bits(&out), bits(&reference), "2-stage split at {c}");
-        }
-        for (i, &a) in cuts.iter().enumerate() {
-            for &b in &cuts[i + 1..] {
-                let out = run_split(&model, &[0, a, b, n], &states, &inputs, rows);
-                assert_eq!(bits(&out), bits(&reference), "3-stage split at {a},{b}");
+            let (states, _) = flow_states(&model);
+            let n = model.ops.len();
+            let walked: Vec<Domain> = states.iter().map(|st| st.domain).collect();
+            assert_eq!(walked[..n], domains, "domain each op reads");
+            assert_eq!(walked[n], Floats);
+            let cuts = cut_points(&model);
+            assert!(!cuts.is_empty());
+            for &c in &cuts {
+                let out = run_split(&model, &[0, c, n], &states, &inputs, rows);
+                assert_eq!(bits(&out), bits(&reference), "2-stage split at {c}");
+            }
+            for (i, &a) in cuts.iter().enumerate() {
+                for &b in &cuts[i + 1..] {
+                    let out = run_split(&model, &[0, a, b, n], &states, &inputs, rows);
+                    assert_eq!(bits(&out), bits(&reference), "3-stage split at {a},{b}");
+                }
             }
         }
     }

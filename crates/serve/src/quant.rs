@@ -10,6 +10,12 @@
 //! center — so the integer path's only deviations from f32 are the
 //! rounding terms the plan's error bound already accounts for.
 //!
+//! An integer Madd op multiplies `xq[code]`, never the code, so whatever
+//! produces its input writes that operand directly ([`Domain::Quants`]):
+//! a finish LUT feeding one is composed here, once, into
+//! `xq_next[lut_codes[bucket]]`, and every other producer is handed the
+//! op's `xq` ([`CompiledModel::madd_levels`]) when it runs.
+//!
 //! Weight codes are consumed here exactly once, streamed straight out
 //! of the artifact's (possibly bit-packed) code pool via
 //! `CodePool::map_range`; at run time the integer path never touches
@@ -17,6 +23,7 @@
 //! tile for a licensed op.
 
 use crate::artifact::{nearest, ActRef, CompiledModel, Op};
+use crate::kernels::Domain;
 use rapidnn_analyze::{FinishPlan, OpQuant, QuantMode, QuantPlan};
 
 /// Everything the integer batch path needs, op-aligned with the model.
@@ -48,7 +55,8 @@ pub(crate) struct QuantOp {
 pub(crate) enum QuantKind {
     /// Factored multiply-accumulate: `weights` is the expanded
     /// `nout × nin` quantized weight matrix, `xq` the quantized input
-    /// codebook (indexed by input code).
+    /// codebook (indexed by input code) — the levels this op's
+    /// producer writes into the flow in place of codes.
     Madd {
         /// `nout × nin` weights at `2^w_frac`.
         weights: Vec<i16>,
@@ -86,13 +94,54 @@ pub(crate) enum QuantFinish {
         lo_q: i32,
         /// Accumulator-to-bucket right shift.
         shift: u32,
-        /// Finished output codes (`encoded == true`).
-        codes: Vec<u16>,
-        /// Finished output floats (`encoded == false`).
-        vals: Vec<f32>,
-        /// Whether the op re-encodes (next op consumes codes).
-        encoded: bool,
+        /// One finished output per bucket.
+        out: LutOut,
     },
+}
+
+/// The entries of a finish LUT, in the domain the next op reads.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum LutOut {
+    /// The op re-encodes: output codes.
+    Codes(Vec<u16>),
+    /// The op re-encodes into an integer Madd op: that op's operand
+    /// `xq[code]` of each output code, composed at load.
+    Quants(Vec<i16>),
+    /// The op does not re-encode: finished floats.
+    Floats(Vec<f32>),
+}
+
+impl QuantOp {
+    /// The flow domain the op's kernel reads.
+    pub(crate) fn reads(&self) -> Domain {
+        match self.kind {
+            QuantKind::Madd { .. } => Domain::Quants,
+            QuantKind::Gather { .. } => Domain::Codes,
+        }
+    }
+}
+
+/// An integer Madd op's operand for `code`: `xq[code]`, clamped like
+/// every gather of an unproven index (an identity on real data).
+pub(crate) fn level_of(xq: &[i16], code: u16) -> i16 {
+    xq[usize::from(code).min(xq.len() - 1)]
+}
+
+impl CompiledModel {
+    /// The integer kernel of op `oi`, if the analyzer licensed one.
+    pub(crate) fn quant_op(&self, oi: usize) -> Option<&QuantOp> {
+        self.quant.as_ref()?.ops.get(oi)?.as_ref()
+    }
+
+    /// The per-code operands of op `oi` when it is an integer Madd op —
+    /// what the producer of its input writes in place of codes — and
+    /// `None` for every other op (and past the program's end).
+    pub(crate) fn madd_levels(&self, oi: usize) -> Option<&[i16]> {
+        match &self.quant_op(oi)?.kind {
+            QuantKind::Madd { xq, .. } => Some(xq),
+            QuantKind::Gather { .. } => None,
+        }
+    }
 }
 
 impl QuantState {
@@ -104,7 +153,7 @@ impl QuantState {
     /// once at load time, never in the batch loop.
     pub(crate) fn materialize(model: &CompiledModel, plan: QuantPlan) -> QuantState {
         let pool_f = model.float_pool();
-        let mut ops = Vec::with_capacity(model.ops.len());
+        let mut ops: Vec<Option<QuantOp>> = Vec::with_capacity(model.ops.len());
         for (op, verdict) in model.ops.iter().zip(&plan.ops) {
             let OpQuant::Licensed(lic) = verdict else {
                 ops.push(None);
@@ -187,9 +236,10 @@ impl QuantState {
                     QuantFinish::Lut {
                         lo_q: i32::try_from(lo_q).unwrap_or(i32::MIN),
                         shift,
-                        codes,
-                        vals,
-                        encoded: enc.is_some(),
+                        out: match enc {
+                            Some(_) => LutOut::Codes(codes),
+                            None => LutOut::Floats(vals),
+                        },
                     }
                 }
             };
@@ -200,6 +250,22 @@ impl QuantState {
                 bias_q,
                 finish,
             }));
+        }
+        // A finish LUT that feeds an integer Madd op emits that op's
+        // operands: compose the two tables once, here.
+        for oi in 1..ops.len() {
+            let (producers, consumers) = ops.split_at_mut(oi);
+            let (Some(producer), Some(consumer)) = (&mut producers[oi - 1], &consumers[0]) else {
+                continue;
+            };
+            let (QuantFinish::Lut { out, .. }, QuantKind::Madd { xq, .. }) =
+                (&mut producer.finish, &consumer.kind)
+            else {
+                continue;
+            };
+            if let LutOut::Codes(codes) = out {
+                *out = LutOut::Quants(codes.iter().map(|&c| level_of(xq, c)).collect());
+            }
         }
         QuantState { plan, ops }
     }

@@ -1,8 +1,8 @@
 //! Batched-kernel properties: for every op-program topology the
 //! compiler can emit (dense, conv + pools, residual), `infer_batch` must
 //! be bit-for-bit identical to per-sample `infer`, a reused
-//! [`BatchRunner`] must be stateless across batch sizes and models, the
-//! engine's straggler wait must exit early when a batch fills and flush
+//! [`BatchRunner`] must be stateless across batch sizes and models and
+//! allocate nothing past its reservation, the engine's straggler wait must exit early when a batch fills and flush
 //! partial batches at the deadline, and a saved artifact must serve
 //! identically after a round trip through a real file.
 
@@ -71,6 +71,35 @@ fn reused_runner_is_stateless_across_sizes_and_models() {
                 .flatten()
                 .collect();
             assert_eq!(out, expected, "reused runner diverged on round {round}");
+        }
+    }
+}
+
+#[test]
+fn reservation_covers_every_topology_on_both_kernel_paths() {
+    // `for_model` sizes each flow buffer by the widest flow in its own
+    // domain; whatever the op loop then touches — conv accumulators,
+    // pool outputs, residual snapshots, `i16` operands written by pools
+    // and joins — must already be reserved, at full and partial batches.
+    for model in compiled_topologies() {
+        let mut quantized = model.clone();
+        quantized.quantize().unwrap();
+        for model in [model, quantized] {
+            let mut runner = BatchRunner::for_model(&model, 16);
+            let reserved = runner.scratch_bytes();
+            let mut rng = SeededRng::new(11);
+            let mut out = Vec::new();
+            for rows in [16, 1, 5, 16] {
+                let flat = vec_f32(&mut rng, rows * model.input_features(), -2.0, 2.0);
+                runner.run(&model, &flat, &mut out).unwrap();
+                assert_eq!(
+                    runner.scratch_bytes(),
+                    reserved,
+                    "{} path, {} ops: a {rows}-row run grew the arena",
+                    model.kernel_path(),
+                    model.dense_shapes().len()
+                );
+            }
         }
     }
 }

@@ -10,7 +10,10 @@
 //!   path, giving the other verbs (and CI) a real file to chew on.
 //! * `cargo run --release --example lint_artifact -- quant model.rnna`
 //!   — preview the integer-lowering plan: which table ops the analyzer
-//!   licenses for the i16/i32 kernel path and why the rest fall back.
+//!   licenses for the i16/i32 kernel path and why the rest fall back,
+//!   with the flow domain each op reads (`codes`, `f32`, or `i16` — an
+//!   integer Madd op's operands, written by whatever produces its
+//!   input, so a run of `i16` ops never leaves the quantized domain).
 //!   Exit codes are stable for CI gating: `0` every table op licensed,
 //!   `1` the artifact cannot be loaded or analyzed, `2` a mix of
 //!   licensed and fallback ops, `3` nothing licensed.
@@ -137,14 +140,15 @@ fn quant_file(path: &str) -> ExitCode {
         }
     };
     let plan = model.quant_plan_preview();
-    for (i, op) in plan.ops.iter().enumerate() {
+    let reads = model.read_domains(&plan);
+    for (i, (op, read)) in plan.ops.iter().zip(reads).enumerate() {
         match op {
-            OpQuant::NotApplicable => println!("op {i}: no tables (either path)"),
+            OpQuant::NotApplicable => println!("op {i}: reads {read}, no tables (either path)"),
             OpQuant::Licensed(l) => println!(
-                "op {i}: licensed ({:?}, acc_frac {}, |error| <= {:.3e})",
+                "op {i}: reads {read}, licensed ({:?}, acc_frac {}, |error| <= {:.3e})",
                 l.mode, l.acc_frac, l.error
             ),
-            OpQuant::Fallback(reason) => println!("op {i}: f32 fallback — {reason}"),
+            OpQuant::Fallback(reason) => println!("op {i}: reads {read}, f32 fallback — {reason}"),
         }
     }
     println!(

@@ -19,8 +19,16 @@
 //!   residual paths, hoisted conv padding lookup) never change bits;
 //! * licensed ops stop charging the batch arena for weight tiles, so
 //!   a quantized runner's scratch no longer scales with the model's
-//!   code-section size.
+//!   code-section size;
+//! * what flows into an integer Madd op is its `i16` operand, written
+//!   by whatever produces it, and that changes no bit: a hand-built
+//!   chain equals the two-step reference (`codes → xq[code]`, then the
+//!   dot product) written out below, on a fully licensed plan and on a
+//!   mixed one whose f32 and integer Gather ops are still handed codes.
 
+use rapidnn::analyze::{
+    Act, FinishPlan, Geom, Op, OpQuant, Program, QuantMode, QuantPlan, Span, TableRef,
+};
 use rapidnn::composer::{ReinterpretOptions, ReinterpretedNetwork};
 use rapidnn::data::{benchmark_dataset, SyntheticSpec};
 use rapidnn::nn::topology::{self, Benchmark};
@@ -28,6 +36,7 @@ use rapidnn::nn::{Trainer, TrainerConfig};
 use rapidnn::serve::{BatchRunner, CompiledModel};
 use rapidnn::tensor::SeededRng;
 use rapidnn_prop::usize_in;
+use std::borrow::Cow;
 
 /// Composes a random MLP into a compiled artifact.
 fn compiled_mlp(
@@ -304,10 +313,16 @@ fn quantized_arena_does_not_scale_with_code_sections() {
         BatchRunner::for_model(&shallow, 64).scratch_bytes(),
         "arena must not grow with code-section size on the integer path"
     );
+    // Each flow buffer is sized by the widest flow in its own domain:
+    // the whole program runs on `i16` operands 32 wide (the 10 inputs
+    // are narrower) and decodes 3 logits, so that pair of `i16` buffers
+    // and that pair of `f32` buffers are all there is — no `codes`
+    // buffer, no staging tile, nothing at input width in `f32`.
+    assert_eq!(reserved, 2 * (64 * 32 * 2) + 2 * (64 * 3 * 4));
 
-    // The reservation covers everything the op loop stages (the Madd
-    // kernel's four-row input tile included): serving allocates nothing
-    // on the first 64-row call and nothing by the hundredth.
+    // The reservation covers everything the op loop touches: serving
+    // allocates nothing on the first 64-row call and nothing by the
+    // hundredth.
     let mut rng = SeededRng::new(67);
     let inputs: Vec<f32> = (0..64 * 10).map(|_| rng.uniform(-3.0, 3.0)).collect();
     let mut out = Vec::new();
@@ -318,5 +333,374 @@ fn quantized_arena_does_not_scale_with_code_sections() {
             reserved,
             "arena grew during 64-row call {call}"
         );
+    }
+}
+
+/// Quantization grid helpers, as `serve::quant` rounds: to nearest,
+/// saturated to the word.
+fn q16(v: f32, frac: u32) -> i64 {
+    (f64::from(v) * f64::from((1u64 << frac) as f32))
+        .round()
+        .clamp(f64::from(i16::MIN), f64::from(i16::MAX)) as i64
+}
+
+fn q32(v: f32, frac: u32) -> i64 {
+    (f64::from(v) * f64::from((1u64 << frac) as f32))
+        .round()
+        .clamp(f64::from(i32::MIN), f64::from(i32::MAX)) as i64
+}
+
+/// Nearest entry of a sorted book, ties to the smaller one.
+fn nearest_code(book: &[f32], v: f32) -> u16 {
+    let at = match book.binary_search_by(|b| b.total_cmp(&v)) {
+        Ok(i) => i,
+        Err(0) => 0,
+        Err(i) if i >= book.len() => book.len() - 1,
+        Err(i) if (v - book[i - 1]).abs() <= (book[i] - v).abs() => i - 1,
+        Err(i) => i,
+    };
+    at as u16
+}
+
+/// The input codebook every op of a [`chain`] encodes through.
+const CHAIN_BOOK: [f32; 8] = [-1.5, -0.75, -0.25, 0.0, 0.25, 0.6, 1.0, 1.75];
+
+/// One op of a hand-built chain.
+#[derive(Clone, Copy)]
+enum Step {
+    Dense(Link),
+    /// One-value windows: the pools and the residual region change no
+    /// value, only who produces the next dense op's input.
+    MaxPool,
+    AvgPool,
+    ResidualBegin,
+    ResidualEnd,
+}
+
+/// A dense op: ReLU and a re-encode after it, unless it `decodes`.
+#[derive(Clone, Copy)]
+struct Link {
+    outputs: usize,
+    /// Weight representatives the product table is built from.
+    weights: [f32; 4],
+    /// Added to one product so the table no longer factors.
+    nudge: f32,
+    /// Identity activation and no re-encode: the output op, or the
+    /// branch of a residual region.
+    decodes: bool,
+}
+
+/// Hand-builds a chain over [`CHAIN_BOOK`].
+fn chain(rng: &mut SeededRng, features: usize, steps: &[Step]) -> Program<'static> {
+    let book = Span {
+        start: 0,
+        len: CHAIN_BOOK.len(),
+    };
+    let (mut floats, mut codes) = (CHAIN_BOOK.to_vec(), Vec::new());
+    let mut width = features;
+    let mut ops = Vec::new();
+    for step in steps {
+        let unit_window = Geom {
+            in_channels: width,
+            in_height: 1,
+            in_width: 1,
+            kernel_h: 1,
+            kernel_w: 1,
+            stride: 1,
+            pad: 0,
+            out_height: 1,
+            out_width: 1,
+        };
+        let link = match step {
+            Step::Dense(link) => link,
+            Step::MaxPool => {
+                ops.push(Op::MaxPool(unit_window));
+                continue;
+            }
+            Step::AvgPool => {
+                ops.push(Op::AvgPool {
+                    geom: unit_window,
+                    codebook: book,
+                });
+                continue;
+            }
+            Step::ResidualBegin => {
+                ops.push(Op::ResidualBegin {
+                    skip_codebook: book,
+                });
+                continue;
+            }
+            Step::ResidualEnd => {
+                ops.push(Op::ResidualEnd {
+                    encoder: Some(book),
+                });
+                continue;
+            }
+        };
+        let table = TableRef {
+            offset: floats.len(),
+            weight_count: link.weights.len(),
+            input_count: CHAIN_BOOK.len(),
+        };
+        for w in link.weights {
+            floats.extend(CHAIN_BOOK.iter().map(|x| w * x));
+        }
+        floats[table.offset + 1] += link.nudge;
+        let bias = Span {
+            start: floats.len(),
+            len: link.outputs,
+        };
+        floats.extend((0..link.outputs).map(|_| rng.uniform(-0.5, 0.5)));
+        let weight_codes = Span {
+            start: codes.len(),
+            len: width * link.outputs,
+        };
+        codes.extend((0..weight_codes.len).map(|_| usize_in(rng, 0, link.weights.len()) as u16));
+        ops.push(Op::Dense {
+            inputs: width,
+            outputs: link.outputs,
+            weight_codes,
+            bias,
+            table,
+            act: if link.decodes {
+                Act::Identity
+            } else {
+                Act::Relu
+            },
+            encoder: (!link.decodes).then_some(book),
+        });
+        width = link.outputs;
+    }
+    Program {
+        input_features: features,
+        output_features: width,
+        virtual_encoder: book,
+        ops,
+        floats: Cow::Owned(floats),
+        codes: Cow::Owned(codes),
+        packed: vec![],
+    }
+}
+
+/// The two-step reference for one row of a [`chain`] under `plan`: codes
+/// flow between ops, and an integer Madd op first maps its input codes
+/// through its quantized codebook (`codes → xq[code]`), then takes the
+/// dot product — in `i64`, against weights, biases and finish tables
+/// re-derived here from the plan's formats. Integer Gather ops sum
+/// quantized table entries; refused ops run the f32 table gather.
+fn chain_reference(program: &Program<'_>, plan: &QuantPlan, row: &[f32]) -> Vec<f32> {
+    let floats = &program.floats;
+    let slice = |s: Span| &floats[s.start..s.start + s.len];
+    let relu = |act: &Act, y: f32| {
+        if matches!(act, Act::Relu) {
+            y.max(0.0)
+        } else {
+            y
+        }
+    };
+    let encode = |book: Span, values: &[f32]| -> Vec<u16> {
+        values
+            .iter()
+            .map(|&v| nearest_code(slice(book), v))
+            .collect()
+    };
+    let mut codes = encode(program.virtual_encoder, row);
+    // Decoded flow (a residual branch's output) and the skip snapshot.
+    let (mut decoded, mut skip) = (Vec::new(), Vec::new());
+    for (op, verdict) in program.ops.iter().zip(&plan.ops) {
+        let (inputs, outputs, weight_codes, bias, table, act, encoder) = match op {
+            Op::Dense {
+                inputs,
+                outputs,
+                weight_codes,
+                bias,
+                table,
+                act,
+                encoder,
+            } => (inputs, outputs, weight_codes, bias, table, act, encoder),
+            Op::MaxPool(_) => continue,
+            Op::AvgPool { codebook, .. } => {
+                let pooled: Vec<f32> = codes
+                    .iter()
+                    .map(|&c| slice(*codebook)[usize::from(c)] / 1.0)
+                    .collect();
+                codes = encode(*codebook, &pooled);
+                continue;
+            }
+            Op::ResidualBegin { skip_codebook } => {
+                skip = codes
+                    .iter()
+                    .map(|&c| slice(*skip_codebook)[usize::from(c)])
+                    .collect();
+                continue;
+            }
+            Op::ResidualEnd { encoder } => {
+                let joined: Vec<f32> = decoded.iter().zip(&skip).map(|(y, s)| y + s).collect();
+                codes = encode(encoder.expect("chains re-encode the join"), &joined);
+                continue;
+            }
+            Op::Conv { .. } => panic!("chains have no convolutions"),
+        };
+        let wcodes = &program.codes[weight_codes.start..weight_codes.start + weight_codes.len];
+        let wrow = |o: usize| &wcodes[o * inputs..(o + 1) * inputs];
+        let entry = |w: u16, x: u16| {
+            floats[table.offset + usize::from(w) * table.input_count + usize::from(x)]
+        };
+        let finished: Vec<f32> = match verdict {
+            OpQuant::Licensed(lic) => {
+                let bias_q = |o: usize| q32(slice(*bias)[o], lic.acc_frac);
+                let accs: Vec<i64> = match lic.mode {
+                    QuantMode::Madd { w_frac, x_frac } => {
+                        let xq: Vec<i64> = slice(lic.input_book)
+                            .iter()
+                            .map(|&b| q16(b, x_frac))
+                            .collect();
+                        let xs: Vec<i64> = codes.iter().map(|&c| xq[usize::from(c)]).collect();
+                        (0..*outputs)
+                            .map(|o| {
+                                wrow(o).iter().zip(&xs).fold(bias_q(o), |acc, (&w, &x)| {
+                                    acc + q16(lic.wvals[usize::from(w)], w_frac) * x
+                                })
+                            })
+                            .collect()
+                    }
+                    QuantMode::Gather => (0..*outputs)
+                        .map(|o| {
+                            wrow(o).iter().zip(&codes).fold(bias_q(o), |acc, (&w, &x)| {
+                                acc + q16(entry(w, x), lic.acc_frac)
+                            })
+                        })
+                        .collect(),
+                };
+                let scale = (1u64 << lic.acc_frac) as f32;
+                accs.into_iter()
+                    .map(|acc| match lic.finish {
+                        FinishPlan::Direct => relu(act, acc as f32 * (1.0 / scale)),
+                        FinishPlan::Lut { lo_q, shift, len } => {
+                            let bucket = ((acc - lo_q).max(0) >> shift).min(len as i64 - 1);
+                            let step = 1i64 << shift;
+                            let center = lo_q + bucket * step + step / 2;
+                            relu(act, (center as f64 / f64::from(scale)) as f32)
+                        }
+                    })
+                    .collect()
+            }
+            _ => (0..*outputs)
+                .map(|o| {
+                    let sum = wrow(o)
+                        .iter()
+                        .zip(&codes)
+                        .fold(slice(*bias)[o], |acc, (&w, &x)| acc + entry(w, x));
+                    relu(act, sum)
+                })
+                .collect(),
+        };
+        match encoder {
+            Some(enc) => codes = encode(*enc, &finished),
+            None => decoded = finished,
+        }
+    }
+    decoded
+}
+
+/// What flows into an integer Madd op is `xq[code]`, written by its
+/// producer, and no bit changes: hand-built chains equal the two-step
+/// reference at every batch size. The first chain licenses throughout
+/// (input encoder and composed finish LUTs) and never leaves the
+/// quantized domain; in the second the middle op is refused and one op
+/// lowers to an integer Gather, both still handed codes, and an f32
+/// re-encode feeds a Madd op; in the third the producers are a max
+/// pool, an average pool, a residual entry and a residual join.
+#[test]
+fn quantized_flow_matches_the_two_step_reference() {
+    use Step::{AvgPool, Dense, MaxPool, ResidualBegin, ResidualEnd};
+    let plain = [-0.75f32, -0.25, 0.5, 1.0];
+    let link = |outputs| Link {
+        outputs,
+        weights: plain,
+        nudge: 0.0,
+        decodes: false,
+    };
+    let out = |outputs| Link {
+        decodes: true,
+        ..link(outputs)
+    };
+    // 19 = 2·8 + 3 inputs and 11 outputs: every remainder of the tile
+    // kernel in one op.
+    let licensed = [link(11), link(16), link(9), out(3)].map(Dense);
+    let wide = Link {
+        weights: plain.map(|w| w * 1.0e6),
+        ..link(16)
+    };
+    let unfactored = Link {
+        nudge: 0.001,
+        ..link(9)
+    };
+    let mixed = [link(11), wide, unfactored, link(12), out(3)].map(Dense);
+    let passed_through = [
+        Dense(link(11)),
+        MaxPool,
+        Dense(link(16)),
+        AvgPool,
+        Dense(link(9)),
+        ResidualBegin,
+        Dense(out(9)),
+        ResidualEnd,
+        Dense(out(3)),
+    ];
+    let cases: [(&[Step], &[&str]); 3] = [
+        (&licensed, &["i16", "i16", "i16", "i16"]),
+        (&mixed, &["i16", "codes", "codes", "i16", "i16"]),
+        (
+            &passed_through,
+            &[
+                "i16", "codes", "i16", "codes", "i16", "codes", "i16", "f32", "i16",
+            ],
+        ),
+    ];
+    for (case, (steps, reads)) in cases.into_iter().enumerate() {
+        let mut rng = SeededRng::new(1400 + case as u64);
+        let program = chain(&mut rng, 19, steps);
+        let mut model = CompiledModel::from_program(&program).expect("chain compiles");
+        model.quantize().expect("chain quantizes");
+        let plan = model.quant_plan().expect("plan").clone();
+        assert_eq!(model.read_domains(&plan), reads, "case {case}");
+        for (verdict, read) in plan.ops.iter().zip(reads) {
+            let madd = matches!(verdict, OpQuant::Licensed(lic)
+                if matches!(lic.mode, QuantMode::Madd { .. }));
+            assert_eq!(
+                madd,
+                *read == "i16",
+                "case {case}: {verdict:?} reads {read}"
+            );
+        }
+        if case == 1 {
+            assert_eq!(plan.fallbacks(), 1, "{:?}", plan.ops);
+            assert!(
+                matches!(&plan.ops[1], OpQuant::Fallback(_)),
+                "{:?}",
+                plan.ops[1]
+            );
+            assert!(matches!(&plan.ops[2], OpQuant::Licensed(l) if l.mode == QuantMode::Gather));
+        }
+
+        let inputs: Vec<f32> = (0..64 * 19).map(|_| rng.uniform(-2.0, 2.0)).collect();
+        let want: Vec<f32> = inputs
+            .chunks(19)
+            .flat_map(|row| chain_reference(&program, &plan, row))
+            .collect();
+        let mut runner = BatchRunner::new();
+        for bs in (1..=17usize).chain([64]) {
+            let (mut got, mut out) = (Vec::new(), Vec::new());
+            for chunk in inputs.chunks(bs * 19) {
+                runner.run(&model, chunk, &mut out).expect("chunk");
+                got.extend_from_slice(&out);
+            }
+            assert_eq!(
+                bits(&want),
+                bits(&got),
+                "case {case}, batch size {bs}: fused flow differs from the two-step reference"
+            );
+        }
     }
 }
