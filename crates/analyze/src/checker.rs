@@ -11,9 +11,9 @@
 //!   interval of the representatives that range decodes to.
 //!
 //! The walk proves the structural invariants the serving runtime's
-//! `validate` relies on (span bounds, code domains, geometry, width
-//! chaining — every check there has a mirror here, as an `error`), and
-//! layers value-level findings on top: non-finite reachable entries
+//! kernels index by (span bounds, code domains, geometry, width
+//! chaining — each an `error`; the runtime has no validator of its
+//! own), and layers value-level findings on top: non-finite reachable entries
 //! (`error`), hardware bit-width exceedances against
 //! [`DatapathModel`] (`warning`), and liveness — dead codebook
 //! entries, unused product-table rows, dead columns and LUT rows
@@ -215,9 +215,8 @@ impl<'p> Checker<'p> {
     }
 
     // ------------------------------------------------------------------
-    // Structural primitives (each mirrors a `validate` check in
-    // rapidnn-serve; an `error` here must imply rejection there would
-    // not have been *weaker* — see the subsumption test in that crate).
+    // Structural primitives: what the rapidnn-serve kernels rely on to
+    // index their pools without a fault.
     // ------------------------------------------------------------------
 
     fn floats_span(&mut self, op: Option<usize>, s: Span, what: &str) -> Result<&'p [f32], Halt> {
@@ -304,9 +303,8 @@ impl<'p> Checker<'p> {
         })
     }
 
-    /// Mirror of `validate_geom`: dimensions non-zero and capped,
-    /// output dims recomputed from input/kernel/stride/pad, volumes
-    /// capped.
+    /// Dimensions non-zero and capped, output dims recomputed from
+    /// input/kernel/stride/pad, volumes capped.
     fn check_geom(&mut self, op: usize, g: &Geom, label: &str) -> Result<(), Halt> {
         let dims = [
             g.in_channels,
@@ -744,12 +742,12 @@ impl<'p> Checker<'p> {
         }
     }
 
-    /// Mirror of the serving `validate`'s packed-form checks: when the
-    /// code pool arrived bit-packed (format v2), an op's weight-code
+    /// Packed-form checks: when the code pool arrived bit-packed
+    /// (decoded from an artifact), an op's weight-code
     /// span must coincide with exactly one section, and the section's
     /// bit width must match the width implied by the rows of the
     /// product table(s) it feeds. No-op for wide pools.
-    fn check_packed_op(
+    fn check_packed_span(
         &mut self,
         op: usize,
         span: Span,
@@ -918,7 +916,7 @@ impl<'p> Checker<'p> {
                             ),
                         ));
                     }
-                    self.check_packed_op(i, *weight_codes, table.weight_count, "dense")?;
+                    self.check_packed_span(i, *weight_codes, table.weight_count, "dense")?;
                     let wcodes = self.codes_span(Some(i), *weight_codes, "dense: weight codes")?;
                     let mut used = vec![false; table.weight_count];
                     for &c in wcodes {
@@ -1042,7 +1040,7 @@ impl<'p> Checker<'p> {
                         ));
                     }
                     let max_rows = tables.iter().map(|t| t.weight_count).max().unwrap_or(0);
-                    self.check_packed_op(i, *weight_codes, max_rows, "conv")?;
+                    self.check_packed_span(i, *weight_codes, max_rows, "conv")?;
                     let wcodes = self.codes_span(Some(i), *weight_codes, "conv: weight codes")?;
                     // Padded windows read the zero column of every row.
                     let extra_col = (geom.pad > 0).then_some(*zero_code as usize);

@@ -23,8 +23,8 @@ pub enum Severity {
     /// Suspicious but not unsound for the software pipeline
     /// (hardware-width exceedances, unsorted codebooks).
     Warning,
-    /// The artifact is malformed or inference could fault; strict
-    /// loading refuses the model.
+    /// The artifact is malformed or inference could fault; every
+    /// `CompiledModel` constructor refuses the program.
     Error,
 }
 
@@ -308,8 +308,8 @@ impl Report {
         &self.diagnostics
     }
 
-    /// Whether any finding is an error (strict loading refuses the
-    /// artifact exactly when this is true).
+    /// Whether any finding is an error (loading refuses the artifact
+    /// exactly when this is true).
     pub fn has_errors(&self) -> bool {
         self.count(Severity::Error) > 0
     }

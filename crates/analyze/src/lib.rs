@@ -28,8 +28,9 @@
 //!
 //! Findings are collected into a [`Report`] of rustc-style
 //! [`Diagnostic`]s. The serving crate (`rapidnn-serve`) lowers its
-//! `CompiledModel` into the [`Program`] IR for strict loading, and
-//! [`Program::from_reinterpreted`] lowers the composer's stage graph so
+//! `CompiledModel` into the [`Program`] IR — every constructor there is
+//! gated on a clean report — and [`Program::from_reinterpreted`] lowers
+//! the composer's stage graph, both as the one compile path and so
 //! pipelines can be linted before compilation
 //! (`PipelineReport::analyze()` in the `rapidnn` facade).
 //!

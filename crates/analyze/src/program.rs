@@ -7,8 +7,8 @@
 //! lowers its compiled artifacts into a `Program`, and
 //! [`Program::from_reinterpreted`] lowers the composer's stage graph
 //! directly. Keeping the IR here (rather than depending on the serving
-//! crate) is what lets `rapidnn-serve` depend on the analyzer for
-//! strict loading without a crate cycle.
+//! crate) is what lets `rapidnn-serve` depend on the analyzer as its
+//! construction gate without a crate cycle.
 
 use rapidnn_core::{ActivationTable, ReinterpretedNetwork, Stage, StageKind};
 use rapidnn_nn::Activation;
@@ -186,16 +186,16 @@ pub struct Program<'a> {
     /// All encoded weights.
     pub codes: Cow<'a, [u16]>,
     /// Bit-packed section layout of the code pool, in ascending
-    /// `code_start` order. Empty for wide (v1 / in-memory) pools, in
-    /// which case the packed-form lints are skipped.
+    /// `code_start` order. Empty for wide (in-memory) pools, in which
+    /// case the packed-form lints are skipped.
     pub packed: Vec<PackedSection>,
 }
 
 impl Program<'_> {
-    /// Lowers a composed network's stage graph into the flat IR so the
-    /// checker can analyze pipelines before they are ever compiled into
-    /// a serving artifact. Mirrors the serving crate's flattener (the
-    /// round-trip equivalence is pinned by a test over there).
+    /// Lowers a composed network's stage graph into the flat IR — the
+    /// one lowering: the checker analyzes pipelines through it before
+    /// they are compiled, and `CompiledModel::from_reinterpreted` in
+    /// the serving crate compiles through it.
     pub fn from_reinterpreted(network: &ReinterpretedNetwork) -> Program<'static> {
         let mut b = Builder::default();
         let virtual_encoder = b.push_floats(network.virtual_encoder().target().values());

@@ -370,7 +370,7 @@ impl<'p> QuantWalk<'p, '_> {
     /// Dense licensing. On any failure the op falls back and upstream
     /// deviation propagates as well as the structure allows (infinity
     /// when it cannot be bounded — such models are also rejected by
-    /// strict loading).
+    /// loading).
     #[allow(clippy::too_many_arguments)]
     fn dense(
         &mut self,
@@ -396,8 +396,8 @@ impl<'p> QuantWalk<'p, '_> {
             OpQuant::Fallback(reason)
         };
 
-        // --- Structural gate (mirrors what validate/verify prove, but
-        // must never panic on unvalidated programs).
+        // --- Structural gate (mirrors what the checker proves, but
+        // must never panic on programs it has not seen).
         let Some(book_span) = book_span else {
             return fallback(self, FallbackReason::NotEncoded);
         };

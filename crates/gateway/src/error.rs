@@ -28,13 +28,13 @@ pub enum GatewayError {
     /// carries the full diagnostics (422).
     Rejected(Box<Report>),
     /// The artifact is well-framed but stamped with a format version
-    /// this build does not read — "from the future", not corrupt
-    /// bytes, so operators know to upgrade the gateway rather than
-    /// rebuild the artifact (422).
+    /// this build does not read — a version skew, not corrupt bytes,
+    /// so operators know to upgrade the gateway or re-export the
+    /// artifact rather than hunt for corruption (422).
     UnsupportedArtifactVersion {
         /// Version stamped in the uploaded artifact.
         found: u32,
-        /// Newest version this gateway reads.
+        /// The version this gateway reads.
         supported: u32,
     },
     /// A replacement artifact changed the model's I/O shape (422).
@@ -85,21 +85,21 @@ impl GatewayError {
         }
     }
 
-    /// Folds any strict-load failure over `bytes` into a diagnostic
-    /// report, reusing the lint path so byte-level corruption and
-    /// analyzer rejections render uniformly.
-    pub(crate) fn from_artifact_failure(bytes: &[u8], e: ServeError) -> GatewayError {
+    /// Folds any load failure into a diagnostic report, reusing the
+    /// lint fold so byte-level corruption and analyzer rejections
+    /// render uniformly.
+    pub(crate) fn from_artifact_failure(e: ServeError) -> GatewayError {
         match e {
             ServeError::Rejected(report) => GatewayError::Rejected(report),
-            // A version from the future is an operator problem (upgrade
-            // the gateway), not an artifact problem — keep it out of
-            // the corrupt-bytes lint fold so the 422 reason stays
+            // A version skew is an operator problem (upgrade the
+            // gateway, or re-export the artifact), not corrupt bytes —
+            // keep it out of the lint fold so the 422 reason stays
             // honest and actionable.
             ServeError::Artifact(ArtifactError::UnsupportedVersion { found, supported }) => {
                 GatewayError::UnsupportedArtifactVersion { found, supported }
             }
-            ServeError::Artifact(_) => {
-                GatewayError::Rejected(Box::new(rapidnn_serve::lint_bytes(bytes)))
+            ServeError::Artifact(e) => {
+                GatewayError::Rejected(Box::new(rapidnn_serve::decode_failure_report(&e)))
             }
             other => GatewayError::Internal(other.to_string()),
         }
@@ -130,7 +130,7 @@ impl fmt::Display for GatewayError {
             }
             GatewayError::UnsupportedArtifactVersion { found, supported } => write!(
                 f,
-                "artifact format version {found} is newer than this gateway reads (up to {supported}); upgrade the gateway or re-export the artifact"
+                "artifact format version {found} is not the version this gateway reads ({supported}); upgrade the gateway or re-export the artifact"
             ),
             GatewayError::WidthMismatch {
                 name,

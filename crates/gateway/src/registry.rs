@@ -13,7 +13,7 @@
 //! * **Verified hot-swap** — [`Registry::put_artifact`] accepts raw
 //!   artifact bytes for an existing model and replaces the serving
 //!   engine *safely*: the bytes must pass
-//!   [`CompiledModel::from_bytes_strict`] (decode + `rapidnn-analyze`
+//!   [`CompiledModel::from_bytes`] (decode + `rapidnn-analyze`
 //!   static verification), the new engine is warmed with synthetic
 //!   inferences, and only then does traffic cut over atomically; the
 //!   old engine drains with a deadline. Verification or warmup failure
@@ -201,19 +201,11 @@ impl Registry {
     /// model (the in-process path; the HTTP path is
     /// [`put_artifact`](Self::put_artifact)).
     ///
-    /// The model is statically verified first unless it already is.
-    ///
     /// # Errors
     ///
-    /// [`GatewayError::InvalidName`], [`GatewayError::AlreadyExists`],
-    /// or [`GatewayError::Rejected`] when the analyzer finds errors.
-    pub fn register(&self, name: &str, mut model: CompiledModel) -> Result<(), GatewayError> {
+    /// [`GatewayError::InvalidName`] or [`GatewayError::AlreadyExists`].
+    pub fn register(&self, name: &str, model: CompiledModel) -> Result<(), GatewayError> {
         validate_name(name)?;
-        if !model.is_verified() {
-            model
-                .verify()
-                .map_err(|e| GatewayError::from_serve(name, e))?;
-        }
         let entry = Arc::new(ModelEntry {
             name: name.to_string(),
             slot: RwLock::new(Arc::new(Engine::start(model, self.config.engine.clone()))),
@@ -235,7 +227,7 @@ impl Registry {
     /// Registers (name unknown) or hot-swaps (name known) a model from
     /// raw artifact bytes — the `PUT /models/{name}` path.
     ///
-    /// Swap sequence: strict decode + static verification → fresh
+    /// Swap sequence: decode + static verification → fresh
     /// engine → synthetic warmup → atomic cutover → drain the old
     /// engine with a deadline. Any failure before cutover is a full
     /// rollback: the previous engine keeps serving untouched.
@@ -279,10 +271,8 @@ impl Registry {
         validate_name(name)?;
         // Verification first — both paths need it, and a rejected
         // artifact must not disturb anything.
-        let mut model = match CompiledModel::from_bytes_strict(bytes) {
-            Ok(model) => model,
-            Err(e) => return Err(GatewayError::from_artifact_failure(bytes, e)),
-        };
+        let mut model =
+            CompiledModel::from_bytes(bytes).map_err(GatewayError::from_artifact_failure)?;
         // Optimize before quantize: the integer lowering plan is built
         // for (and licensed against) the compacted tables it will serve.
         let optimized = if optimize {

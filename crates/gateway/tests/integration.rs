@@ -245,23 +245,28 @@ fn rejected_artifacts_leave_the_old_model_serving() {
         rejected.body_text()
     );
 
-    // An artifact stamped with a future format version: a *distinct*
-    // 422 telling the operator to upgrade the gateway, not the generic
+    // An artifact stamped with a format version this build does not
+    // read — the retired v1 or one from the future: a *distinct* 422
+    // telling the operator about the skew, not the generic
     // corrupt-bytes lint report.
-    let mut future = model.to_bytes();
-    future[4..8].copy_from_slice(&(rapidnn_serve::FORMAT_VERSION + 1).to_le_bytes());
-    let versioned = request(addr, "PUT", "/models/m", None, &future).unwrap();
-    assert_eq!(versioned.status, 422, "{}", versioned.body_text());
-    assert!(
-        versioned.body_text().contains("newer than this gateway"),
-        "{}",
-        versioned.body_text()
-    );
-    assert!(
-        !versioned.body_text().contains("RNA0001"),
-        "future version misreported as corruption: {}",
-        versioned.body_text()
-    );
+    for version in [1, rapidnn_serve::FORMAT_VERSION + 1] {
+        let mut skewed = model.to_bytes();
+        skewed[4..8].copy_from_slice(&version.to_le_bytes());
+        let versioned = request(addr, "PUT", "/models/m", None, &skewed).unwrap();
+        assert_eq!(versioned.status, 422, "{}", versioned.body_text());
+        assert!(
+            versioned
+                .body_text()
+                .contains(&format!("format version {version} is not the version")),
+            "{}",
+            versioned.body_text()
+        );
+        assert!(
+            !versioned.body_text().contains("RNA0001"),
+            "version skew misreported as corruption: {}",
+            versioned.body_text()
+        );
+    }
 
     // A clean artifact with the wrong shape: contract violation, 422.
     let wide = request(addr, "PUT", "/models/m", None, &wider_model(32).to_bytes()).unwrap();
@@ -272,7 +277,7 @@ fn rejected_artifacts_leave_the_old_model_serving() {
         wide.body_text()
     );
 
-    // Through all three failures the original model kept serving,
+    // Through every failure the original model kept serving,
     // bit-for-bit, at generation 0.
     let mut rng = SeededRng::new(3);
     let input = vec_f32(&mut rng, FEATURES, -2.0, 2.0);

@@ -87,14 +87,14 @@ impl PipelineReport {
     ///
     /// `CompiledModel::to_bytes` serializes in format v2 — weight codes
     /// bit-packed at their cluster width, float pool laid out for
-    /// zero-copy loading; `to_bytes_v1` remains for the legacy wide
-    /// format, and loading accepts both.
+    /// zero-copy loading.
     ///
     /// # Errors
     ///
-    /// Propagates [`rapidnn_serve::ArtifactError`] when the model uses a
-    /// construct the artifact format cannot express.
-    pub fn compile(&self) -> Result<rapidnn_serve::CompiledModel, rapidnn_serve::ArtifactError> {
+    /// [`rapidnn_serve::ServeError::Rejected`] carrying the report when
+    /// the lowered program fails static analysis — a compiled model is
+    /// verified by construction.
+    pub fn compile(&self) -> Result<rapidnn_serve::CompiledModel, rapidnn_serve::ServeError> {
         rapidnn_serve::CompiledModel::from_reinterpreted(&self.compose.reinterpreted)
     }
 
@@ -102,8 +102,8 @@ impl PipelineReport {
     /// before any artifact is compiled: the stages are lowered into the
     /// analyzer's IR ([`rapidnn_analyze::Program::from_reinterpreted`])
     /// and checked for index soundness, datapath feasibility,
-    /// finiteness, and liveness. A clean pipeline here compiles to an
-    /// artifact that strict loading accepts.
+    /// finiteness, and liveness. [`Self::compile`] refuses a pipeline
+    /// with errors here.
     pub fn analyze(&self) -> rapidnn_analyze::Report {
         let program = rapidnn_analyze::Program::from_reinterpreted(&self.compose.reinterpreted);
         rapidnn_analyze::analyze(&program)

@@ -9,33 +9,36 @@
 //!
 //! # Wire format
 //!
-//! Both versions share the outer framing — `RNNA` magic, `u32` version,
-//! `u64` payload length, payload, FNV-1a 64 checksum of the payload —
-//! and the op-table encoding. They differ in how the pools travel:
+//! The outer framing is `RNNA` magic, `u32` version, `u64` payload
+//! length, payload, FNV-1a 64 checksum of the payload. The payload
+//! (format v2, see `DESIGN.md` §12) front-loads a fixed header of nine
+//! `u64`s (widths, pool lengths, op/section counts, and the byte
+//! offsets of the float section, packed region, and tail directory),
+//! then the ops, zero padding to the next 8-byte boundary, the raw LE
+//! `f32` float section, per-op code sections bit-packed at
+//! `ceil(log2(codebook_len))` bits each, and finally a tail directory
+//! locating every section. Because the payload begins 8 bytes into a
+//! 16-byte outer header, an 8-aligned payload offset is 8-aligned in
+//! the whole buffer, and the loader can borrow the float section (and
+//! read codes through a bounded bit cursor) directly out of one
+//! aligned copy of the artifact — validate-then-borrow instead of
+//! parse-then-copy.
 //!
-//! * **v1** stores every float as 4 LE bytes and every code as a wide
-//!   2-byte `u16`, inline, length-prefixed.
-//! * **v2** (current; see `DESIGN.md` §12) front-loads a fixed header of
-//!   nine `u64`s (widths, pool lengths, op/section counts, and the byte
-//!   offsets of the float section, packed region, and tail directory),
-//!   then the ops, zero padding to the next 8-byte boundary, the raw LE
-//!   `f32` float section, per-op code sections bit-packed at
-//!   `ceil(log2(codebook_len))` bits each, and finally a tail directory
-//!   locating every section. Because the payload begins 8 bytes into a
-//!   16-byte outer header, an 8-aligned payload offset is 8-aligned in
-//!   the whole buffer, and the loader can borrow the float section (and
-//!   read codes through a bounded bit cursor) directly out of one
-//!   aligned copy of the artifact — validate-then-borrow instead of
-//!   parse-then-copy.
+//! # Verified by construction
 //!
-//! [`CompiledModel::from_bytes`] accepts both versions;
-//! [`CompiledModel::to_bytes`] emits v2 ([`CompiledModel::to_bytes_v1`]
-//! keeps the legacy writer for compatibility tooling and benchmarks).
-//!
-//! Loading performs *full static validation* (span bounds, code-domain
-//! chaining, flow-kind state machine, width tracking), so
-//! [`CompiledModel::infer`] never panics on any artifact that decoded
-//! successfully — corrupt bytes surface as typed [`ArtifactError`]s.
+//! Every public way to obtain a [`CompiledModel`] —
+//! [`from_reinterpreted`](CompiledModel::from_reinterpreted),
+//! [`from_program`](CompiledModel::from_program),
+//! [`from_bytes`](CompiledModel::from_bytes) /
+//! [`load`](CompiledModel::load) and
+//! [`optimize`](CompiledModel::optimize) — lowers to a
+//! [`rapidnn_analyze::Program`] and runs the static analyzer over it,
+//! returning either a model or [`ServeError::Rejected`] with the full
+//! report. The analyzer proves every span, weight code, code domain and
+//! geometry in bounds, so [`CompiledModel::infer`] never panics on a
+//! model that exists, and the kernels index with plain bounds-checked
+//! slices — no per-gather clamp. Corrupt bytes surface earlier, as
+//! typed [`ArtifactError`]s.
 //!
 //! Inference over the flattened program is bit-for-bit identical to
 //! [`ReinterpretedNetwork::infer_sample`]: the nearest-representative
@@ -49,20 +52,16 @@ use crate::error::{ArtifactError, Result, ServeError};
 use crate::kernels::BatchRunner;
 use crate::pod::{self, AlignedBytes};
 use rapidnn_core::nearest::{load_keys, tabulate_thresholds};
-use rapidnn_core::{ActivationTable, ReinterpretedNetwork, Stage, StageKind};
-use rapidnn_nn::Activation;
+use rapidnn_core::ReinterpretedNetwork;
 use std::path::Path;
 use std::sync::Arc;
 
 /// File magic: `RNNA` ("RapidNN Artifact").
 pub const MAGIC: [u8; 4] = *b"RNNA";
-/// Current artifact format version (bit-packed code sections with a
-/// tail directory and a zero-copy float section).
+/// The artifact format version (bit-packed code sections with a tail
+/// directory and a zero-copy float section) — the only one read or
+/// written.
 pub const FORMAT_VERSION: u32 = 2;
-/// The legacy wide-code format, still accepted by
-/// [`CompiledModel::from_bytes`] and written by
-/// [`CompiledModel::to_bytes_v1`].
-const FORMAT_VERSION_V1: u32 = 1;
 /// Byte length of the outer framing before the payload (magic, version,
 /// payload length). The payload therefore starts 8-aligned inside the
 /// buffer, which the v2 zero-copy float view relies on.
@@ -74,9 +73,6 @@ const V2_DIR_ENTRY_LEN: usize = 32;
 /// Upper bound on any single dimension/extent, keeping index arithmetic
 /// far away from overflow on 32-bit-and-up targets.
 const MAX_EXTENT: u64 = 1 << 31;
-/// Most values a codebook may hold: codes are `u16`, so a larger book
-/// would make `nearest` silently wrap indices.
-const MAX_CODEBOOK_LEN: usize = 1 << 16;
 
 /// A `(start, len)` view into one of the model's pools.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,20 +170,6 @@ pub(crate) struct Geom {
 }
 
 impl Geom {
-    fn from_geometry(g: &rapidnn_tensor::Conv2dGeometry) -> Self {
-        Geom {
-            in_channels: g.in_channels,
-            in_height: g.in_height,
-            in_width: g.in_width,
-            kernel_h: g.kernel_h,
-            kernel_w: g.kernel_w,
-            stride: g.stride,
-            pad: g.pad,
-            out_height: g.out_height,
-            out_width: g.out_width,
-        }
-    }
-
     pub(crate) fn in_volume(&self) -> usize {
         self.in_channels * self.in_height * self.in_width
     }
@@ -242,8 +224,8 @@ pub(crate) enum Op {
 
 /// Number of bits v2 packs each code of a section with `rows`
 /// addressable codebook entries into: enough to represent `rows - 1`,
-/// minimum 1. `rows` is capped at [`MAX_CODEBOOK_LEN`], so the result
-/// never exceeds 16.
+/// minimum 1, maximum 16 — the analyzer caps codebooks at `2^16`
+/// values (RNA0004).
 pub(crate) fn bits_for(rows: usize) -> u32 {
     let top = rows.max(2) - 1;
     // Codes are u16, so 16 bits always suffice even for a (degenerate)
@@ -258,9 +240,9 @@ fn bits_needed(values: &[u16]) -> u32 {
 
 /// The model's float pool: every codebook, product table, LUT, and bias.
 ///
-/// `Owned` is the classic materialized pool (compiler output and v1
-/// artifacts); `View` borrows the raw LE float section of a v2 artifact
-/// buffer without copying. Construction of a `View` goes through the
+/// `Owned` is the materialized pool (compiler and optimizer output);
+/// `View` borrows the raw LE float section of an artifact buffer
+/// without copying. Construction of a `View` goes through the
 /// single [`pod::f32s`] gate, so on targets where the reinterpretation
 /// would be wrong (big-endian) the loader falls back to `Owned`.
 #[derive(Debug, Clone)]
@@ -316,8 +298,8 @@ pub(crate) struct PackedSection {
     /// Bits per code, `1..=16`.
     pub(crate) width_bits: u32,
     /// Whether the unused high bits of the section's final byte are
-    /// zero. Recorded at decode time; `validate` and the analyzer
-    /// reject sections with trailing garbage bits.
+    /// zero. Recorded at decode time; the analyzer rejects sections
+    /// with trailing garbage bits.
     pub(crate) padding_clear: bool,
 }
 
@@ -495,14 +477,9 @@ pub struct CompiledModel {
     pub(crate) floats: FloatPool,
     /// All encoded weights.
     pub(crate) codes: CodePool,
-    /// Set by [`CompiledModel::verify`] when the static analyzer proved
-    /// the program error-free; lets [`BatchRunner`] drop its defensive
-    /// per-gather index clamps. Never serialized — a loaded artifact
-    /// must re-earn it.
-    pub(crate) verified: bool,
     /// Materialized integer-kernel state, populated by
     /// [`CompiledModel::quantize`] for analyzer-licensed ops. Never
-    /// serialized — like `verified`, a loaded artifact re-earns it.
+    /// serialized — a loaded artifact re-earns it.
     pub(crate) quant: Option<crate::quant::QuantState>,
 }
 
@@ -521,8 +498,9 @@ pub(crate) enum InputEncoder {
 
 impl InputEncoder {
     /// Tabulates `book`'s span of `floats`. A span outside the pool —
-    /// possible only on a model no validator has seen yet, which will
-    /// be rejected before it encodes anything — tabulates as empty.
+    /// possible only on a freshly decoded model the analyzer has not
+    /// seen yet, which it will reject before it encodes anything —
+    /// tabulates as empty.
     fn new(floats: &[f32], book: Span) -> InputEncoder {
         let end = book.start.saturating_add(book.len);
         let book = floats.get(book.start..end).unwrap_or(&[]);
@@ -536,9 +514,10 @@ impl InputEncoder {
 }
 
 impl CompiledModel {
-    /// The one place a model is put together: an unverified, f32-only
-    /// model over the given program and pools, with the input encoder
-    /// tabulated.
+    /// The one place a model is put together: an f32-only model over
+    /// the given program and pools, with the input encoder tabulated.
+    /// Runs no analysis — every public constructor gates what it
+    /// assembles; only unit tests hand this broken programs.
     pub(crate) fn assemble(
         input_features: usize,
         output_features: usize,
@@ -555,36 +534,20 @@ impl CompiledModel {
             ops,
             floats,
             codes,
-            verified: false,
             quant: None,
         }
     }
 
-    /// Flattens a reinterpreted network into a compiled model.
+    /// Flattens a reinterpreted network into a compiled model: the
+    /// analyzer's lowering ([`rapidnn_analyze::Program::from_reinterpreted`])
+    /// through [`Self::from_program`].
     ///
     /// # Errors
     ///
-    /// Returns [`ArtifactError::Unsupported`] when the network uses a
-    /// construct the artifact format cannot express (e.g. an exact
-    /// activation other than ReLU/identity), and
-    /// [`ArtifactError::Malformed`] if the flattened program fails its own
-    /// validation (which would indicate a bug, not bad input).
-    pub fn from_reinterpreted(network: &ReinterpretedNetwork) -> Result<Self, ArtifactError> {
-        let mut fl = Flattener::default();
-        let virtual_encoder = fl.push_floats(network.virtual_encoder().target().values());
-        for stage in network.stages() {
-            fl.flatten_stage(stage)?;
-        }
-        let model = CompiledModel::assemble(
-            network.input_features(),
-            network.output_features(),
-            virtual_encoder,
-            fl.ops,
-            FloatPool::Owned(fl.floats),
-            CodePool::Wide(fl.codes),
-        );
-        model.validate()?;
-        Ok(model)
+    /// [`ServeError::Rejected`] carrying the report when the lowered
+    /// program fails static analysis.
+    pub fn from_reinterpreted(network: &ReinterpretedNetwork) -> Result<Self> {
+        Self::from_program(&rapidnn_analyze::Program::from_reinterpreted(network))
     }
 
     /// Input feature width.
@@ -601,8 +564,8 @@ impl CompiledModel {
 
     /// The codes of `span`, borrowing the wide pool directly or bit-
     /// decoding the packed sections into `scratch` (cleared first). The
-    /// span must be in bounds — `validate` establishes that before any
-    /// caller reads through this.
+    /// span must be in bounds — the analyzer establishes that before
+    /// any model exists to read through this.
     pub(crate) fn codes_for<'a>(&'a self, span: Span, scratch: &'a mut Vec<u16>) -> &'a [u16] {
         match &self.codes {
             CodePool::Wide(v) => span.slice(v),
@@ -614,41 +577,9 @@ impl CompiledModel {
         }
     }
 
-    /// For packed pools, checks that a neuron op's weight-code span is
-    /// exactly one packed section and that the section's bit width is
-    /// the canonical `ceil(log2(rows))` for the op's product table(s).
-    /// No-op for wide pools and empty spans. Mirrored by the analyzer
-    /// as `PackedWidthMismatch` (RNA0013).
-    fn check_packed_op(&self, i: usize, span: Span, rows: usize) -> Result<(), ArtifactError> {
-        let sections = self.codes.sections();
-        if sections.is_empty() || span.len == 0 {
-            return Ok(());
-        }
-        let matched = sections
-            .binary_search_by_key(&span.start, |s| s.start)
-            .ok()
-            .map(|idx| sections[idx])
-            .filter(|s| s.len == span.len);
-        let Some(section) = matched else {
-            return Err(malformed(format!(
-                "op {i}: weight-code span {}+{} does not match a packed section",
-                span.start, span.len
-            )));
-        };
-        let expected = bits_for(rows);
-        if section.width_bits != expected {
-            return Err(malformed(format!(
-                "op {i}: packed section at code {} holds {} bits per code, \
-                 {}-row table expects {expected}",
-                span.start, section.width_bits, rows
-            )));
-        }
-        Ok(())
-    }
-
-    /// A deliberately inconsistent model (built without `validate`) whose
-    /// `infer` panics out of bounds — for exercising the engine's worker
-    /// panic containment.
+    /// A deliberately inconsistent model (assembled past the analyzer)
+    /// whose `infer` panics out of bounds — for exercising the engine's
+    /// worker panic containment.
     #[cfg(test)]
     pub(crate) fn broken_for_tests() -> CompiledModel {
         CompiledModel::assemble(
@@ -745,7 +676,7 @@ impl CompiledModel {
             };
             table.offset = offset;
         }
-        model.quantize().expect("the mixed model verifies");
+        model.quantize().expect("quantize is infallible");
         for oi in 0..layers {
             use crate::kernels::Domain;
             let want = match oi {
@@ -814,7 +745,7 @@ impl CompiledModel {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidInput`] when `sample` has the wrong
-    /// width. Never panics on a validated model.
+    /// width. Never panics: the analyzer proved every index in bounds.
     pub fn infer(&self, sample: &[f32]) -> Result<Vec<f32>> {
         if sample.len() != self.input_features {
             return Err(ServeError::InvalidInput(format!(
@@ -917,31 +848,7 @@ impl CompiledModel {
         }
         debug_assert_eq!(payload.len(), payload_len);
 
-        frame(FORMAT_VERSION, payload)
-    }
-
-    /// Serializes the model in the legacy v1 format (wide `u16` codes,
-    /// length-prefixed inline pools). Kept so compatibility tests and
-    /// benchmarks can produce v1 artifacts; [`Self::from_bytes`] accepts
-    /// both versions.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        write_u64(&mut payload, self.input_features as u64);
-        write_u64(&mut payload, self.output_features as u64);
-        write_u64(&mut payload, self.floats.len() as u64);
-        for &f in self.float_pool() {
-            payload.extend_from_slice(&f.to_le_bytes());
-        }
-        write_u64(&mut payload, self.codes.len() as u64);
-        for c in self.codes.to_wide() {
-            payload.extend_from_slice(&c.to_le_bytes());
-        }
-        write_span(&mut payload, self.virtual_encoder);
-        write_u64(&mut payload, self.ops.len() as u64);
-        for op in &self.ops {
-            write_op(&mut payload, op);
-        }
-        frame(FORMAT_VERSION_V1, payload)
+        frame(payload)
     }
 
     /// Plans the v2 code sections as `(start, len, width_bits)` triples
@@ -954,7 +861,7 @@ impl CompiledModel {
     /// only hand-built or malformed models have — become filler
     /// sections, and every width is widened if needed to hold the
     /// largest value actually present, so serialization round-trips the
-    /// pool bit-for-bit even for models `validate` will reject.
+    /// pool bit-for-bit even for the broken models unit tests assemble.
     fn plan_sections(&self, codes: &[u16]) -> Vec<(usize, usize, u32)> {
         let total = codes.len();
         let mut claims: Vec<(Span, u32)> = Vec::new();
@@ -1005,23 +912,25 @@ impl CompiledModel {
         sections
     }
 
-    /// Decodes and fully validates an artifact.
+    /// Decodes an artifact and runs the static analyzer over it — the
+    /// only way bytes become a model.
     ///
     /// # Errors
     ///
-    /// Any corruption surfaces as a typed [`ArtifactError`] — bad magic,
-    /// unknown version, truncation, checksum mismatch, or structural
-    /// inconsistency. This function never panics.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
+    /// Byte-level corruption surfaces as [`ServeError::Artifact`] with a
+    /// typed [`ArtifactError`] — bad magic, unknown version, truncation,
+    /// checksum mismatch, broken framing; a decodable program with
+    /// analysis errors surfaces as [`ServeError::Rejected`] carrying
+    /// the full diagnostic report. This function never panics.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let model = Self::decode(bytes)?;
-        model.validate()?;
+        gate(&model.to_program())?;
         Ok(model)
     }
 
     /// Decodes the byte framing (magic, version, checksum, payload) into
-    /// a structurally unvalidated model. Callers must `validate()` (the
-    /// classic path) or run the static analyzer (`lint_bytes`) before
-    /// inference.
+    /// a model no analyzer has seen. Callers run the analyzer over it
+    /// ([`Self::from_bytes`], `lint_bytes`) before anything infers.
     pub(crate) fn decode(bytes: &[u8]) -> Result<Self, ArtifactError> {
         let mut r = Reader::new(bytes);
         let magic = r.take(4)?;
@@ -1029,7 +938,7 @@ impl CompiledModel {
             return Err(ArtifactError::BadMagic);
         }
         let version = r.u32()?;
-        if version != FORMAT_VERSION_V1 && version != FORMAT_VERSION {
+        if version != FORMAT_VERSION {
             return Err(ArtifactError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -1051,62 +960,13 @@ impl CompiledModel {
                 actual,
             });
         }
-
-        if version == FORMAT_VERSION_V1 {
-            Self::decode_v1(payload)
-        } else {
-            Self::decode_v2(bytes, payload_len)
-        }
+        Self::decode_v2(bytes, payload_len)
     }
 
-    /// Decodes a v1 payload: length-prefixed inline pools, parse-then-
-    /// copy.
-    fn decode_v1(payload: &[u8]) -> Result<Self, ArtifactError> {
-        let mut p = Reader::new(payload);
-        let input_features = p.extent()?;
-        let output_features = p.extent()?;
-        let nfloats = p.extent()?;
-        // Bound the allocation by the bytes actually present.
-        p.ensure(nfloats.checked_mul(4).ok_or_else(too_large)?)?;
-        let mut floats = Vec::with_capacity(nfloats);
-        for _ in 0..nfloats {
-            floats.push(p.f32()?);
-        }
-        let ncodes = p.extent()?;
-        p.ensure(ncodes.checked_mul(2).ok_or_else(too_large)?)?;
-        let mut codes = Vec::with_capacity(ncodes);
-        for _ in 0..ncodes {
-            codes.push(p.u16()?);
-        }
-        let virtual_encoder = read_span(&mut p)?;
-        let nops = p.extent()?;
-        // Each op costs at least its 1-byte tag.
-        p.ensure(nops)?;
-        let mut ops = Vec::with_capacity(nops);
-        for _ in 0..nops {
-            ops.push(read_op(&mut p)?);
-        }
-        if p.remaining() != 0 {
-            return Err(ArtifactError::Malformed(format!(
-                "{} trailing bytes in payload",
-                p.remaining()
-            )));
-        }
-
-        Ok(CompiledModel::assemble(
-            input_features,
-            output_features,
-            virtual_encoder,
-            ops,
-            FloatPool::Owned(floats),
-            CodePool::Wide(codes),
-        ))
-    }
-
-    /// Decodes a v2 artifact: copies the whole image into one aligned
-    /// buffer (the only copy), parses the fixed header and ops, checks
-    /// the section directory's framing invariants, and builds borrowed
-    /// pool views over the buffer — validate-then-borrow.
+    /// Decodes a checksummed payload: copies the whole image into one
+    /// aligned buffer (the only copy), parses the fixed header and ops,
+    /// checks the section directory's framing invariants, and builds
+    /// borrowed pool views over the buffer — validate-then-borrow.
     fn decode_v2(bytes: &[u8], payload_len: usize) -> Result<Self, ArtifactError> {
         let invalid = |msg: String| ArtifactError::PackedLayout(msg);
         let buf = Arc::new(AlignedBytes::copy_from(bytes));
@@ -1203,9 +1063,8 @@ impl CompiledModel {
                 )));
             }
             // Unused high bits of the final byte must be zero; recorded
-            // here, enforced by `validate` and the analyzer so the
-            // mutation invariant ("flagged or infers without panic")
-            // has no third outcome.
+            // here, enforced by the analyzer so the mutation invariant
+            // ("flagged or infers without panic") has no third outcome.
             let tail_bits = (len * width_bits as usize) % 8;
             let padding_clear =
                 tail_bits == 0 || payload[byte_off + byte_len - 1] >> tail_bits == 0;
@@ -1264,34 +1123,15 @@ impl CompiledModel {
         ))
     }
 
-    /// Decodes an artifact and requires a clean static-analysis report
-    /// instead of (in addition to) classic validation.
-    ///
-    /// The analyzer subsumes every [`validate`](Self::from_bytes) check
-    /// and adds finiteness and datapath analysis on top, so a model
-    /// loaded this way is [`verified`](Self::is_verified): the batch
-    /// kernels skip their defensive per-gather index clamps.
+    /// [`Self::from_bytes`] under its old name: the analyzer used to be
+    /// the opt-in "strict" load and is now the only one. Remains
+    /// because the frozen benchmark harness (`bench/`) calls it.
     ///
     /// # Errors
     ///
-    /// Byte-level corruption surfaces as [`ServeError::Artifact`]; a
-    /// structurally decodable model with analysis errors surfaces as
-    /// [`ServeError::Rejected`] carrying the full diagnostic report.
+    /// As [`Self::from_bytes`].
     pub fn from_bytes_strict(bytes: &[u8]) -> Result<Self> {
-        let mut model = Self::decode(bytes)?;
-        model.verify()?;
-        Ok(model)
-    }
-
-    /// Reads an artifact from `path` via [`Self::from_bytes_strict`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors, [`ArtifactError`]s, and
-    /// [`ServeError::Rejected`].
-    pub fn load_strict(path: impl AsRef<Path>) -> Result<Self> {
-        let bytes = std::fs::read(path)?;
-        Self::from_bytes_strict(&bytes)
+        Self::from_bytes(bytes)
     }
 
     /// Writes the serialized artifact to `path`.
@@ -1304,14 +1144,15 @@ impl CompiledModel {
         Ok(())
     }
 
-    /// Reads and validates an artifact from `path`.
+    /// Reads an artifact from `path` via [`Self::from_bytes`].
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors and [`ArtifactError`]s.
+    /// Propagates filesystem errors and everything
+    /// [`Self::from_bytes`] returns.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
         let bytes = std::fs::read(path)?;
-        Ok(Self::from_bytes(&bytes)?)
+        Self::from_bytes(&bytes)
     }
 
     // ------------------------------------------------------------------
@@ -1429,17 +1270,23 @@ impl CompiledModel {
     }
 
     /// Builds a model from the analyzer's program IR — the inverse of
-    /// the lowering behind [`Self::analyze`], used to realize optimized
-    /// programs (and, in tests and benches, hand-built ones) as
-    /// servable artifacts. Pools are materialized owned/wide; writing
-    /// the model back out re-packs v2 code sections at the width the
-    /// (possibly compacted) tables now imply.
+    /// the lowering behind [`Self::analyze`] — after the analyzer has
+    /// passed it. Pools are materialized owned/wide; writing the model
+    /// back out re-packs v2 code sections at the width the (possibly
+    /// compacted) tables now imply.
     ///
     /// # Errors
     ///
-    /// [`ArtifactError::Malformed`] when the program fails the same
-    /// structural validation every decoded artifact passes.
-    pub fn from_program(program: &rapidnn_analyze::Program<'_>) -> Result<Self, ArtifactError> {
+    /// [`ServeError::Rejected`] carrying the report when the program
+    /// fails static analysis.
+    pub fn from_program(program: &rapidnn_analyze::Program<'_>) -> Result<Self> {
+        gate(program)?;
+        Ok(Self::realize(program))
+    }
+
+    /// The un-gated conversion behind [`Self::from_program`], for
+    /// callers holding a program the analyzer has already passed.
+    fn realize(program: &rapidnn_analyze::Program<'_>) -> Self {
         use rapidnn_analyze as a;
 
         let span = |s: a::Span| Span {
@@ -1523,16 +1370,14 @@ impl CompiledModel {
                 },
             })
             .collect();
-        let model = CompiledModel::assemble(
+        CompiledModel::assemble(
             program.input_features,
             program.output_features,
             span(program.virtual_encoder),
             ops,
             FloatPool::Owned(program.floats.to_vec()),
             CodePool::Wide(program.codes.to_vec()),
-        );
-        model.validate()?;
-        Ok(model)
+        )
     }
 
     /// Runs the certified optimizer ([`rapidnn_analyze::optimize`])
@@ -1540,9 +1385,9 @@ impl CompiledModel {
     /// before returning it: the rewrite's certificate is re-proven by
     /// [`rapidnn_analyze::validate_certificate`] against both programs,
     /// so a rewrite that cannot be re-proven is never handed back. The
-    /// returned model is verified (the validator re-ran the analyzer
-    /// over it) and carries no quantization state — callers opt back in
-    /// with [`Self::quantize`], exactly as after a strict load.
+    /// validator's pass over the output program is the returned model's
+    /// construction gate. It carries no quantization state — callers
+    /// opt back in with [`Self::quantize`], exactly as after a load.
     ///
     /// Inference is bit-identical to the source model on both the f32
     /// and the int16 path; what changes is the footprint: dead
@@ -1553,9 +1398,7 @@ impl CompiledModel {
     /// # Errors
     ///
     /// [`ServeError::Rejected`] carrying the diagnostic report when the
-    /// input fails analysis, when the optimized program is structurally
-    /// unrealizable, or when the certificate does not validate
-    /// (RNA0015/RNA0016/RNA0017).
+    /// certificate does not validate (RNA0015/RNA0016/RNA0017).
     pub fn optimize(&self) -> Result<(CompiledModel, rapidnn_analyze::Certificate)> {
         let input = self.to_program();
         let optimized = rapidnn_analyze::optimize(&input).map_err(ServeError::Rejected)?;
@@ -1567,68 +1410,38 @@ impl CompiledModel {
         if check.has_errors() {
             return Err(ServeError::Rejected(Box::new(check)));
         }
-        let mut model = Self::from_program(&optimized.program)?;
-        // The validator just re-ran the analyzer over the optimized
-        // program with no errors: the model has earned `verified` the
-        // same way `verify()` grants it.
-        model.verified = true;
-        Ok((model, optimized.certificate))
+        // The validator just ran the analyzer over the optimized program
+        // with no errors; gating it again would only repeat that pass.
+        Ok((Self::realize(&optimized.program), optimized.certificate))
     }
 
     /// Runs the static analyzer over the compiled program and returns
-    /// the full diagnostic report (errors, warnings, and notes) without
-    /// changing the model's verified status.
+    /// the full diagnostic report. Construction already refused every
+    /// `error`, so what comes back are the warnings and notes.
     pub fn analyze(&self) -> rapidnn_analyze::Report {
         rapidnn_analyze::analyze(&self.to_program())
     }
 
-    /// Runs the static analyzer and, if it proves the program free of
-    /// errors, marks the model verified so the batch kernels can skip
-    /// their defensive per-gather index clamps.
-    ///
-    /// Warnings and notes do not block verification; they are returned
-    /// in the report for the caller to surface.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Rejected`] carrying the report when it contains at
-    /// least one `error` diagnostic.
-    pub fn verify(&mut self) -> Result<rapidnn_analyze::Report> {
-        let report = self.analyze();
-        if report.has_errors() {
-            return Err(ServeError::Rejected(Box::new(report)));
-        }
-        self.verified = true;
-        Ok(report)
-    }
-
-    /// Whether [`Self::verify`] has proven this model error-free.
-    pub fn is_verified(&self) -> bool {
-        self.verified
-    }
-
-    /// Verifies the model (as [`Self::verify`]) and then materializes
-    /// integer kernels for every op the analyzer licenses
+    /// Materializes integer kernels for every op the analyzer licenses
     /// ([`rapidnn_analyze::quantize_plan`]): `i16` weight/table tiles,
     /// quantized biases and precomputed finish LUTs, with v2 bit-packed
     /// code sections consumed directly — exactly once, here — so the
     /// integer batch path never decodes weight tiles again.
     ///
-    /// Quantization is opt-in: plain loading, [`Self::verify`] and
-    /// [`Self::from_bytes_strict`] never enable it, so the f32 path
-    /// stays bit-identical unless a caller asks for integers. Ops the
-    /// plan refuses stay on the f32 path; [`Self::kernel_path`] reports
-    /// the resulting mix.
+    /// Quantization is opt-in: no constructor enables it, so the f32
+    /// path stays bit-identical unless a caller asks for integers. Ops
+    /// the plan refuses stay on the f32 path; [`Self::kernel_path`]
+    /// reports the resulting mix.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Rejected`] carrying the report when static
-    /// analysis finds errors (the model is left unchanged).
-    pub fn quantize(&mut self) -> Result<rapidnn_analyze::Report> {
-        let report = self.verify()?;
+    /// None: the analysis that could refuse a model ran when it was
+    /// constructed. The `Result` remains because the frozen benchmark
+    /// harness (`bench/`) `.expect`s it.
+    pub fn quantize(&mut self) -> Result<()> {
         let plan = rapidnn_analyze::quantize_plan(&self.to_program());
         self.quant = Some(crate::quant::QuantState::materialize(self, plan));
-        Ok(report)
+        Ok(())
     }
 
     /// The quantization plan materialized by [`Self::quantize`], or
@@ -1639,8 +1452,7 @@ impl CompiledModel {
 
     /// Derives the quantization plan without changing the model: which
     /// ops the analyzer would license for the integer path and why the
-    /// rest fall back. Works on unverified (even invalid) models, so
-    /// lint tooling can explain artifacts it refuses to serve.
+    /// rest fall back.
     pub fn quant_plan_preview(&self) -> rapidnn_analyze::QuantPlan {
         rapidnn_analyze::quantize_plan(&self.to_program())
     }
@@ -1702,325 +1514,21 @@ impl CompiledModel {
             })
             .collect()
     }
+}
 
-    // ------------------------------------------------------------------
-    // Validation
-    // ------------------------------------------------------------------
-
-    /// Statically checks the whole program so that `infer` can index the
-    /// pools without bounds failures: span ranges, weight codes vs table
-    /// rows, the Codes/Floats flow state machine, code-domain chaining
-    /// (every code producible upstream is in range downstream), and width
-    /// tracking through every op.
-    fn validate(&self) -> Result<(), ArtifactError> {
-        let check_floats = |s: Span| -> Result<(), ArtifactError> {
-            let end = s.start.checked_add(s.len).ok_or_else(too_large)?;
-            if end > self.floats.len() {
-                return Err(malformed(format!(
-                    "float span {}+{} exceeds pool of {}",
-                    s.start,
-                    s.len,
-                    self.floats.len()
-                )));
-            }
-            Ok(())
-        };
-        let check_codebook = |s: Span| -> Result<(), ArtifactError> {
-            check_floats(s)?;
-            if s.len == 0 {
-                return Err(malformed("empty codebook"));
-            }
-            if s.len > MAX_CODEBOOK_LEN {
-                return Err(malformed(format!(
-                    "codebook holds {} values, u16 codes address at most {MAX_CODEBOOK_LEN}",
-                    s.len
-                )));
-            }
-            Ok(())
-        };
-        let check_act = |act: &ActRef| -> Result<(), ArtifactError> {
-            if let ActRef::Lookup { inputs, outputs } = act {
-                check_floats(*inputs)?;
-                check_floats(*outputs)?;
-                if inputs.len == 0 || inputs.len != outputs.len {
-                    return Err(malformed("activation lookup spans empty or misaligned"));
-                }
-            }
-            Ok(())
-        };
-        let check_table = |t: &TableRef, domain: usize| -> Result<(), ArtifactError> {
-            if t.weight_count == 0 || t.input_count == 0 {
-                return Err(malformed("empty product table"));
-            }
-            let len = t
-                .weight_count
-                .checked_mul(t.input_count)
-                .ok_or_else(too_large)?;
-            check_floats(Span {
-                start: t.offset,
-                len,
-            })?;
-            if t.input_count < domain {
-                return Err(malformed(format!(
-                    "product table addresses {} input codes, upstream domain is {domain}",
-                    t.input_count
-                )));
-            }
-            Ok(())
-        };
-        let check_weight_codes = |s: Span, expected: usize| -> Result<(), ArtifactError> {
-            let end = s.start.checked_add(s.len).ok_or_else(too_large)?;
-            if end > self.codes.len() {
-                return Err(malformed(format!(
-                    "code span {}+{} exceeds pool of {}",
-                    s.start,
-                    s.len,
-                    self.codes.len()
-                )));
-            }
-            if s.len != expected {
-                return Err(malformed(format!(
-                    "weight-code span holds {} codes, expected {expected}",
-                    s.len
-                )));
-            }
-            Ok(())
-        };
-
-        if self.input_features == 0 {
-            return Err(malformed("zero input features"));
-        }
-        check_codebook(self.virtual_encoder)?;
-        // Packed pools: every section must have clean trailing padding;
-        // per-op width checks happen in the op walk below. The analyzer
-        // mirrors both (RNA0013/RNA0014), preserving the invariant that
-        // it rejects everything `validate` rejects.
-        for (i, s) in self.codes.sections().iter().enumerate() {
-            if !s.padding_clear {
-                return Err(malformed(format!(
-                    "packed section {i} has non-zero trailing pad bits"
-                )));
-            }
-        }
-        // Scratch for bit-decoding packed weight-code spans; borrows the
-        // wide pool directly when the codes are not packed.
-        let mut scratch: Vec<u16> = Vec::new();
-
-        // Flow state machine: (width, Some(domain) while encoded).
-        let mut width = self.input_features;
-        let mut domain: Option<usize> = Some(self.virtual_encoder.len);
-        // Widths captured by open ResidualBegins.
-        let mut residual_widths: Vec<usize> = Vec::new();
-
-        for (i, op) in self.ops.iter().enumerate() {
-            let at = |msg: String| malformed(format!("op {i}: {msg}"));
-            match op {
-                Op::Dense {
-                    inputs,
-                    outputs,
-                    weight_codes,
-                    bias,
-                    table,
-                    act,
-                    encoder,
-                } => {
-                    let d = domain.ok_or_else(|| at("dense op on decoded values".into()))?;
-                    if *inputs != width {
-                        return Err(at(format!(
-                            "dense expects {inputs} inputs, flow width is {width}"
-                        )));
-                    }
-                    if *outputs == 0 {
-                        return Err(at("dense has zero outputs".into()));
-                    }
-                    check_table(table, d)?;
-                    let expected = inputs.checked_mul(*outputs).ok_or_else(too_large)?;
-                    check_weight_codes(*weight_codes, expected)?;
-                    self.check_packed_op(i, *weight_codes, table.weight_count)?;
-                    if let Some(&bad) = self
-                        .codes_for(*weight_codes, &mut scratch)
-                        .iter()
-                        .find(|&&c| c as usize >= table.weight_count)
-                    {
-                        return Err(at(format!(
-                            "weight code {bad} out of range for {}-row table",
-                            table.weight_count
-                        )));
-                    }
-                    if bias.len != *outputs {
-                        return Err(at(format!(
-                            "bias holds {} values, expected {outputs}",
-                            bias.len
-                        )));
-                    }
-                    check_floats(*bias)?;
-                    check_act(act)?;
-                    if let Some(enc) = encoder {
-                        check_codebook(*enc)?;
-                        domain = Some(enc.len);
-                    } else {
-                        domain = None;
-                    }
-                    width = *outputs;
-                }
-                Op::Conv {
-                    geom,
-                    out_channels,
-                    weight_codes,
-                    bias,
-                    tables,
-                    zero_code,
-                    act,
-                    encoder,
-                } => {
-                    let d = domain.ok_or_else(|| at("conv op on decoded values".into()))?;
-                    validate_geom(geom).map_err(&at)?;
-                    if geom.in_volume() != width {
-                        return Err(at(format!(
-                            "conv expects {} inputs, flow width is {width}",
-                            geom.in_volume()
-                        )));
-                    }
-                    if *out_channels == 0 || tables.len() != *out_channels {
-                        return Err(at(format!(
-                            "{} tables for {out_channels} output channels",
-                            tables.len()
-                        )));
-                    }
-                    if *zero_code as usize >= d {
-                        return Err(at(format!(
-                            "zero code {zero_code} out of range for domain {d}"
-                        )));
-                    }
-                    let patch_len = geom.patch_len();
-                    let expected = out_channels.checked_mul(patch_len).ok_or_else(too_large)?;
-                    check_weight_codes(*weight_codes, expected)?;
-                    let max_rows = tables.iter().map(|t| t.weight_count).max().unwrap_or(0);
-                    self.check_packed_op(i, *weight_codes, max_rows)?;
-                    let wcodes = self.codes_for(*weight_codes, &mut scratch);
-                    for (oc, table) in tables.iter().enumerate() {
-                        check_table(table, d)?;
-                        let row = &wcodes[oc * patch_len..(oc + 1) * patch_len];
-                        if let Some(&bad) = row.iter().find(|&&c| c as usize >= table.weight_count)
-                        {
-                            return Err(at(format!(
-                                "channel {oc} weight code {bad} out of range for {}-row table",
-                                table.weight_count
-                            )));
-                        }
-                    }
-                    if bias.len != *out_channels {
-                        return Err(at(format!(
-                            "bias holds {} values, expected {out_channels}",
-                            bias.len
-                        )));
-                    }
-                    check_floats(*bias)?;
-                    check_act(act)?;
-                    width = out_channels
-                        .checked_mul(geom.out_pixels())
-                        .ok_or_else(too_large)?;
-                    if width == 0 {
-                        return Err(at("conv produces zero outputs".into()));
-                    }
-                    if let Some(enc) = encoder {
-                        check_codebook(*enc)?;
-                        domain = Some(enc.len);
-                    } else {
-                        domain = None;
-                    }
-                }
-                Op::MaxPool(geom) => {
-                    validate_geom(geom).map_err(&at)?;
-                    if geom.pad != 0 {
-                        return Err(at("pool has non-zero padding".into()));
-                    }
-                    if geom.in_volume() != width {
-                        return Err(at(format!(
-                            "pool expects {} inputs, flow width is {width}",
-                            geom.in_volume()
-                        )));
-                    }
-                    width = geom
-                        .in_channels
-                        .checked_mul(geom.out_pixels())
-                        .ok_or_else(too_large)?;
-                }
-                Op::AvgPool { geom, codebook } => {
-                    validate_geom(geom).map_err(&at)?;
-                    if geom.pad != 0 {
-                        return Err(at("pool has non-zero padding".into()));
-                    }
-                    if geom.in_volume() != width {
-                        return Err(at(format!(
-                            "pool expects {} inputs, flow width is {width}",
-                            geom.in_volume()
-                        )));
-                    }
-                    check_codebook(*codebook)?;
-                    if let Some(d) = domain {
-                        if codebook.len < d {
-                            return Err(at(format!(
-                                "avg-pool codebook holds {} values, domain is {d}",
-                                codebook.len
-                            )));
-                        }
-                        domain = Some(codebook.len);
-                    }
-                    width = geom
-                        .in_channels
-                        .checked_mul(geom.out_pixels())
-                        .ok_or_else(too_large)?;
-                }
-                Op::ResidualBegin { skip_codebook } => {
-                    let d = domain.ok_or_else(|| at("residual begin on decoded values".into()))?;
-                    check_codebook(*skip_codebook)?;
-                    if skip_codebook.len < d {
-                        return Err(at(format!(
-                            "skip codebook holds {} values, domain is {d}",
-                            skip_codebook.len
-                        )));
-                    }
-                    residual_widths.push(width);
-                }
-                Op::ResidualEnd { encoder } => {
-                    if domain.is_some() {
-                        return Err(at("residual join on encoded values".into()));
-                    }
-                    let skip_width = residual_widths
-                        .pop()
-                        .ok_or_else(|| at("residual join without matching begin".into()))?;
-                    if skip_width != width {
-                        return Err(at(format!(
-                            "branch width {width} differs from skip width {skip_width}"
-                        )));
-                    }
-                    if let Some(enc) = encoder {
-                        check_codebook(*enc)?;
-                        domain = Some(enc.len);
-                    }
-                }
-            }
-        }
-        if !residual_widths.is_empty() {
-            return Err(malformed("unclosed residual begin"));
-        }
-        if domain.is_some() {
-            return Err(malformed("program ends in encoded domain"));
-        }
-        if width != self.output_features {
-            return Err(malformed(format!(
-                "program produces {width} outputs, header says {}",
-                self.output_features
-            )));
-        }
-        Ok(())
+/// The construction gate: runs the static analyzer over `program` and
+/// refuses it on any `error` diagnostic.
+fn gate(program: &rapidnn_analyze::Program<'_>) -> Result<()> {
+    let report = rapidnn_analyze::analyze(program);
+    if report.has_errors() {
+        return Err(ServeError::Rejected(Box::new(report)));
     }
+    Ok(())
 }
 
 /// Nearest-representative search over a sorted codebook, replicating
 /// `Codebook::encode` exactly (ties resolve to the smaller value).
-/// `validate` caps codebooks at [`MAX_CODEBOOK_LEN`] values, so the
+/// The analyzer caps codebooks at `2^16` values (RNA0004), so the
 /// returned index always fits a `u16` without wrapping.
 ///
 /// The hot paths use the branch-free equivalent in `kernels`; this
@@ -2051,58 +1559,6 @@ pub(crate) fn nearest(values: &[f32], value: f32) -> u16 {
     idx as u16
 }
 
-/// Checks a decoded geometry against the same invariants
-/// `Conv2dGeometry::new` establishes, including recomputing the output
-/// dimensions, plus an extent cap so index arithmetic cannot overflow.
-/// Pools read `data[ch*h*w + (oy*stride+kh)*w + ox*stride+kw]` without
-/// padding, so the kernel sweep must stay in bounds with `pad = 0`;
-/// convolutions handle padding explicitly at runtime.
-fn validate_geom(g: &Geom) -> Result<(), String> {
-    let dims = [
-        g.in_channels,
-        g.in_height,
-        g.in_width,
-        g.kernel_h,
-        g.kernel_w,
-        g.stride,
-    ];
-    if dims.contains(&0) {
-        return Err("geometry has a zero dimension".into());
-    }
-    let all = [
-        g.in_channels,
-        g.in_height,
-        g.in_width,
-        g.kernel_h,
-        g.kernel_w,
-        g.stride,
-        g.pad,
-        g.out_height,
-        g.out_width,
-    ];
-    if all.iter().any(|&d| d as u64 > MAX_EXTENT) {
-        return Err("geometry dimension too large".into());
-    }
-    let padded_h = g.in_height + 2 * g.pad;
-    let padded_w = g.in_width + 2 * g.pad;
-    if padded_h < g.kernel_h || padded_w < g.kernel_w {
-        return Err("kernel larger than padded input".into());
-    }
-    if g.out_height != (padded_h - g.kernel_h) / g.stride + 1
-        || g.out_width != (padded_w - g.kernel_w) / g.stride + 1
-    {
-        return Err("output dimensions inconsistent with geometry".into());
-    }
-    // Volumes must fit comfortably.
-    let volume = g.in_channels as u64 * g.in_height as u64 * g.in_width as u64;
-    let out_volume = g.in_channels as u64 * g.out_height as u64 * g.out_width as u64;
-    let patch = g.in_channels as u64 * g.kernel_h as u64 * g.kernel_w as u64;
-    if volume > MAX_EXTENT || out_volume > MAX_EXTENT || patch > MAX_EXTENT {
-        return Err("geometry volume too large".into());
-    }
-    Ok(())
-}
-
 fn malformed(msg: impl Into<String>) -> ArtifactError {
     ArtifactError::Malformed(msg.into())
 }
@@ -2111,12 +1567,12 @@ fn too_large() -> ArtifactError {
     ArtifactError::Malformed("size overflow".into())
 }
 
-/// Wraps a payload in the outer framing shared by every format version:
-/// magic, version, payload length, payload, FNV-1a 64 checksum.
-fn frame(version: u32, payload: Vec<u8>) -> Vec<u8> {
+/// Wraps a payload in the outer framing: magic, version, payload
+/// length, payload, FNV-1a 64 checksum.
+fn frame(payload: Vec<u8>) -> Vec<u8> {
     let mut out = Vec::with_capacity(OUTER_HEADER_LEN + payload.len() + 8);
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     write_u64(&mut out, payload.len() as u64);
     out.extend_from_slice(&payload);
     write_u64(&mut out, fnv1a64(&payload));
@@ -2310,10 +1766,6 @@ impl<'a> Reader<'a> {
         ]))
     }
 
-    fn f32(&mut self) -> Result<f32, ArtifactError> {
-        Ok(f32::from_le_bytes(self.u32()?.to_le_bytes()))
-    }
-
     fn usize(&mut self) -> Result<usize, ArtifactError> {
         usize::try_from(self.u64()?).map_err(|_| too_large())
     }
@@ -2426,131 +1878,6 @@ fn read_op(r: &mut Reader<'_>) -> Result<Op, ArtifactError> {
     }
 }
 
-// ----------------------------------------------------------------------
-// Flattening
-// ----------------------------------------------------------------------
-
-#[derive(Default)]
-struct Flattener {
-    floats: Vec<f32>,
-    codes: Vec<u16>,
-    ops: Vec<Op>,
-}
-
-impl Flattener {
-    fn push_floats(&mut self, values: &[f32]) -> Span {
-        let start = self.floats.len();
-        self.floats.extend_from_slice(values);
-        Span {
-            start,
-            len: values.len(),
-        }
-    }
-
-    fn push_codes(&mut self, values: &[u16]) -> Span {
-        let start = self.codes.len();
-        self.codes.extend_from_slice(values);
-        Span {
-            start,
-            len: values.len(),
-        }
-    }
-
-    fn push_table(&mut self, table: &rapidnn_core::ProductTable) -> TableRef {
-        let span = self.push_floats(table.products());
-        TableRef {
-            offset: span.start,
-            weight_count: table.weight_count(),
-            input_count: table.input_count(),
-        }
-    }
-
-    fn flatten_act(&mut self, act: &ActivationTable) -> Result<ActRef, ArtifactError> {
-        if act.is_exact() {
-            return match act.activation() {
-                Activation::Relu => Ok(ActRef::Relu),
-                Activation::Identity => Ok(ActRef::Identity),
-                other => Err(ArtifactError::Unsupported(format!(
-                    "exact activation {other:?} has no compiled form"
-                ))),
-            };
-        }
-        Ok(ActRef::Lookup {
-            inputs: self.push_floats(act.inputs()),
-            outputs: self.push_floats(act.outputs()),
-        })
-    }
-
-    fn flatten_stage(&mut self, stage: &Stage) -> Result<(), ArtifactError> {
-        match stage {
-            Stage::Neuron(s) => {
-                let weight_codes = self.push_codes(s.weight_codes());
-                let bias = self.push_floats(s.bias());
-                let act = self.flatten_act(s.activation())?;
-                let encoder = s.encoder().map(|e| self.push_floats(e.target().values()));
-                match *s.kind() {
-                    StageKind::Dense { inputs, outputs } => {
-                        let table = self.push_table(&s.product_tables()[0]);
-                        self.ops.push(Op::Dense {
-                            inputs,
-                            outputs,
-                            weight_codes,
-                            bias,
-                            table,
-                            act,
-                            encoder,
-                        });
-                    }
-                    StageKind::Conv {
-                        geometry,
-                        out_channels,
-                    } => {
-                        let tables = s
-                            .product_tables()
-                            .iter()
-                            .map(|t| self.push_table(t))
-                            .collect();
-                        self.ops.push(Op::Conv {
-                            geom: Geom::from_geometry(&geometry),
-                            out_channels,
-                            weight_codes,
-                            bias,
-                            tables,
-                            zero_code: s.zero_code(),
-                            act,
-                            encoder,
-                        });
-                    }
-                }
-            }
-            Stage::MaxPool(g) => self.ops.push(Op::MaxPool(Geom::from_geometry(g))),
-            Stage::AvgPool { geometry, codebook } => {
-                let codebook = self.push_floats(codebook.values());
-                self.ops.push(Op::AvgPool {
-                    geom: Geom::from_geometry(geometry),
-                    codebook,
-                });
-            }
-            Stage::Residual {
-                branch,
-                input_codebook,
-                join_encoder,
-            } => {
-                let skip_codebook = self.push_floats(input_codebook.values());
-                self.ops.push(Op::ResidualBegin { skip_codebook });
-                for inner in branch {
-                    self.flatten_stage(inner)?;
-                }
-                let encoder = join_encoder
-                    .as_ref()
-                    .map(|e| self.push_floats(e.target().values()));
-                self.ops.push(Op::ResidualEnd { encoder });
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2576,73 +1903,6 @@ mod tests {
     }
 
     #[test]
-    fn padded_pools_fail_validation_instead_of_panicking_in_infer() {
-        // 2x2 input, 2x2 kernel, stride 1, pad 1 → 3x3 output: a geometry
-        // convolutions accept, but pools index without padding.
-        let geom = Geom {
-            in_channels: 1,
-            in_height: 2,
-            in_width: 2,
-            kernel_h: 2,
-            kernel_w: 2,
-            stride: 1,
-            pad: 1,
-            out_height: 3,
-            out_width: 3,
-        };
-        let ops = [
-            Op::MaxPool(geom),
-            Op::AvgPool {
-                geom,
-                codebook: Span { start: 0, len: 2 },
-            },
-        ];
-        for op in ops {
-            let model = CompiledModel::assemble(
-                4,
-                9,
-                Span { start: 0, len: 2 },
-                vec![op],
-                FloatPool::Owned(vec![0.0, 1.0]),
-                CodePool::Wide(vec![]),
-            );
-            // Must be rejected at decode time; without the pad check this
-            // artifact passed validation and `infer` panicked out of
-            // bounds inside `pool`.
-            assert!(matches!(
-                CompiledModel::from_bytes(&model.to_bytes()),
-                Err(ArtifactError::Malformed(msg)) if msg.contains("padding")
-            ));
-        }
-    }
-
-    #[test]
-    fn oversized_codebooks_are_rejected() {
-        let book = |len: usize| {
-            CompiledModel::assemble(
-                1,
-                1,
-                Span { start: 0, len },
-                vec![],
-                FloatPool::Owned(vec![0.0; len]),
-                CodePool::Wide(vec![]),
-            )
-        };
-        // One past the cap: `nearest` would wrap this book's top index to
-        // code 0 through the u16 cast.
-        assert!(matches!(
-            CompiledModel::from_bytes(&book(MAX_CODEBOOK_LEN + 1).to_bytes()),
-            Err(ArtifactError::Malformed(msg)) if msg.contains("u16")
-        ));
-        // Exactly at the cap the length check passes (this program is
-        // still malformed, but for ending in the encoded domain).
-        assert!(matches!(
-            book(MAX_CODEBOOK_LEN).validate(),
-            Err(ArtifactError::Malformed(msg)) if !msg.contains("u16")
-        ));
-    }
-
-    #[test]
     fn reader_reports_truncation() {
         let mut r = Reader::new(&[1, 2, 3]);
         assert!(matches!(
@@ -2655,26 +1915,26 @@ mod tests {
     }
 
     #[test]
-    fn from_bytes_rejects_garbage() {
+    fn decode_rejects_garbage() {
         assert!(matches!(
-            CompiledModel::from_bytes(b"nope"),
+            CompiledModel::decode(b"nope"),
             Err(ArtifactError::BadMagic | ArtifactError::Truncated { .. })
         ));
         assert!(matches!(
-            CompiledModel::from_bytes(b"XXXXXXXXXXXXXXXXXXXX"),
+            CompiledModel::decode(b"XXXXXXXXXXXXXXXXXXXX"),
             Err(ArtifactError::BadMagic)
         ));
     }
 
     #[test]
-    fn from_bytes_rejects_future_version() {
+    fn decode_rejects_future_version() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
         bytes.extend_from_slice(&99u32.to_le_bytes());
         bytes.extend_from_slice(&0u64.to_le_bytes());
         bytes.extend_from_slice(&fnv1a64(&[]).to_le_bytes());
         assert!(matches!(
-            CompiledModel::from_bytes(&bytes),
+            CompiledModel::decode(&bytes),
             Err(ArtifactError::UnsupportedVersion {
                 found: 99,
                 supported: FORMAT_VERSION
@@ -2691,8 +1951,8 @@ mod tests {
         assert_eq!(bits_for(8), 3);
         assert_eq!(bits_for(9), 4);
         assert_eq!(bits_for(256), 8);
-        assert_eq!(bits_for(MAX_CODEBOOK_LEN), 16);
-        assert_eq!(bits_for(MAX_CODEBOOK_LEN + 7), 16);
+        assert_eq!(bits_for(1 << 16), 16);
+        assert_eq!(bits_for((1 << 16) + 7), 16);
     }
 
     #[test]

@@ -292,25 +292,6 @@ impl Engine {
         }
     }
 
-    /// Runs the static analyzer over the model and starts the worker
-    /// pool only if it is proven free of `error` diagnostics; the
-    /// workers then serve on the verified kernel paths (no defensive
-    /// per-gather index clamps).
-    ///
-    /// An already-[`verified`](CompiledModel::is_verified) model skips
-    /// the re-analysis.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Rejected`] with the diagnostic report when the
-    /// analyzer finds errors.
-    pub fn start_verified(mut model: CompiledModel, config: EngineConfig) -> Result<Engine> {
-        if !model.is_verified() {
-            model.verify()?;
-        }
-        Ok(Engine::start(model, config))
-    }
-
     /// The model being served.
     pub fn model(&self) -> &CompiledModel {
         &self.model

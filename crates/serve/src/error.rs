@@ -1,6 +1,6 @@
 use std::fmt;
 
-/// Errors raised while decoding or validating a compiled-model artifact.
+/// Errors raised while decoding a compiled-model artifact.
 ///
 /// Every variant is a *typed* failure: corrupt bytes (truncation, bit
 /// flips, bad headers, inconsistent structure) must surface here and never
@@ -10,14 +10,13 @@ use std::fmt;
 pub enum ArtifactError {
     /// The buffer does not start with the `RNNA` magic.
     BadMagic,
-    /// The format version is newer than this build understands. Carries
-    /// both sides so operators can tell "artifact from the future" apart
-    /// from corrupt bytes.
+    /// The format version is not the one this build reads. Carries
+    /// both sides so operators can tell a version skew apart from
+    /// corrupt bytes.
     UnsupportedVersion {
         /// Version stamped in the artifact header.
         found: u32,
-        /// Newest version this build reads (it reads every version from
-        /// 1 through this one).
+        /// The version this build reads.
         supported: u32,
     },
     /// The buffer ended before a field could be read.
@@ -34,8 +33,9 @@ pub enum ArtifactError {
         /// Checksum recomputed over the payload.
         actual: u64,
     },
-    /// The bytes decoded but describe an inconsistent model (bad spans,
-    /// out-of-range codes, width mismatches, unbalanced residuals, ...).
+    /// The bytes are inconsistent below the level the analyzer sees
+    /// (bad tags, size overflow, trailing bytes), or a kernel was handed
+    /// a flow it does not read.
     Malformed(String),
     /// A format v2 packed-code layout is inconsistent: section directory
     /// offsets out of bounds or out of order, sections not tiling the
@@ -43,9 +43,6 @@ pub enum ArtifactError {
     /// padding. Kept distinct from [`ArtifactError::Malformed`] so the
     /// analyzer can map it to its own diagnostic code.
     PackedLayout(String),
-    /// The in-memory model uses a construct the artifact format cannot
-    /// express (raised at compile time, not load time).
-    Unsupported(String),
 }
 
 impl fmt::Display for ArtifactError {
@@ -55,7 +52,7 @@ impl fmt::Display for ArtifactError {
             ArtifactError::UnsupportedVersion { found, supported } => {
                 write!(
                     f,
-                    "unsupported artifact version {found} (this build reads versions 1..={supported})"
+                    "unsupported artifact version {found} (this build reads version {supported})"
                 )
             }
             ArtifactError::Truncated { needed, available } => write!(
@@ -70,7 +67,6 @@ impl fmt::Display for ArtifactError {
             ArtifactError::PackedLayout(msg) => {
                 write!(f, "invalid packed-code layout: {msg}")
             }
-            ArtifactError::Unsupported(msg) => write!(f, "unsupported model: {msg}"),
         }
     }
 }
@@ -92,10 +88,9 @@ pub enum ServeError {
     /// Inference panicked inside a worker thread. The request fails but
     /// the worker survives and keeps serving.
     WorkerPanic(String),
-    /// The static analyzer found `error`-severity diagnostics during a
-    /// strict load ([`crate::CompiledModel::from_bytes_strict`]) or an
-    /// explicit [`crate::CompiledModel::verify`]. The boxed report holds
-    /// every finding, not just the first.
+    /// The static analyzer found `error`-severity diagnostics in the
+    /// program a [`crate::CompiledModel`] constructor was handed. The
+    /// boxed report holds every finding, not just the first.
     Rejected(Box<rapidnn_analyze::Report>),
     /// Filesystem I/O while saving or loading an artifact.
     Io(std::io::Error),

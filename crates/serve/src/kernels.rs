@@ -27,9 +27,10 @@
 //! * one weight-code row and one product table stay hot while the block
 //!   streams through them, and a block's codes (`LANES` consecutive
 //!   rows) stay L1-resident across all output neurons;
-//! * the gather index is clamped with `min`, a no-op for valid codes
-//!   that the optimiser can prove in-bounds, keeping panic branches out
-//!   of the hot loop.
+//! * the gather indexes its table row with the code as it is: a model
+//!   only exists once the analyzer has proven every code in range, and
+//!   the slice bounds check turns an analyzer hole into a panic the
+//!   engine's workers contain (`ServeError::WorkerPanic`), never UB.
 //!
 //! Pools, residual joins and encode steps are element-wise or
 //! window-local and run as plain batched loops.
@@ -124,7 +125,7 @@ pub(crate) enum FlowData {
 const LANES: usize = 8;
 
 /// Output neurons processed per pass over a dense block: one code load
-/// and clamp feeds this many accumulator blocks. `OBLOCK * LANES`
+/// feeds this many accumulator blocks. `OBLOCK * LANES`
 /// accumulators fill the SSE register file exactly.
 ///
 /// 8 lanes by 2 outputs measured fastest: fewer lanes starve the
@@ -179,7 +180,7 @@ pub struct BatchRunner {
     /// Decoded weight-code tile for models whose code pool is
     /// bit-packed (format v2): each neuron op's span is unpacked here
     /// once per batch, so the gather loops read the same wide codes
-    /// they read for v1 models — bit-for-bit identical results, with
+    /// they read for wide pools — bit-for-bit identical results, with
     /// the unpack cost amortized across the whole batch. Wide pools
     /// borrow their codes directly and leave this untouched.
     wcodes: Vec<u16>,
@@ -289,13 +290,13 @@ impl BatchRunner {
     /// Outputs are bit-for-bit identical to calling
     /// [`CompiledModel::infer`] per row. The runner fully re-initialises
     /// its scratch state on entry, so a runner whose previous `run`
-    /// panicked (possible only on a model that bypassed validation) is
-    /// safe to reuse.
+    /// panicked (possible only on a model that bypassed the analyzer)
+    /// is safe to reuse.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidInput`] when `inputs` is not a whole
-    /// number of feature rows. Never panics on a validated model.
+    /// number of feature rows.
     pub fn run(
         &mut self,
         model: &CompiledModel,
@@ -453,10 +454,6 @@ impl BatchRunner {
             wcodes: wcodes_scratch,
         } = self;
         let pool_f: &[f32] = model.float_pool();
-        // Statically verified models (see `CompiledModel::verify`) have
-        // proven every gather index in bounds, so the block kernels run
-        // with an identity clamp instead of the defensive `min`/mask.
-        let verified = model.verified;
         // Residual nesting is stage-local: the planner only cuts at
         // depth 0, so every range starts and ends outside all regions.
         let mut skip_depth = 0usize;
@@ -549,7 +546,6 @@ impl BatchRunner {
                                 nin,
                                 nout,
                                 tile,
-                                verified,
                             );
                             r0 += LANES;
                         }
@@ -603,7 +599,6 @@ impl BatchRunner {
                             in_vol,
                             nout,
                             tile,
-                            verified,
                         );
                         r0 += LANES;
                     }
@@ -664,16 +659,17 @@ impl BatchRunner {
                             load_keys(keys, book);
                             cur_book = Some(*codebook);
                             let encode = |s: f32| nearest_sorted(book, keys, s / window);
+                            let decode = |c: u16| book[c as usize];
                             let src = &flow.codes;
                             match levels {
                                 None => {
                                     let dst = &mut flow.codes_next;
-                                    decoded_pool_rows(g, book, verified, src, dst, padded, encode);
+                                    pool_rows(g, src, dst, padded, decode, sum, encode);
                                     Domain::Codes
                                 }
                                 Some(xq) => {
                                     let dst = &mut flow.quants_next;
-                                    decoded_pool_rows(g, book, verified, src, dst, padded, |s| {
+                                    pool_rows(g, src, dst, padded, decode, sum, |s| {
                                         level_of(xq, encode(s))
                                     });
                                     Domain::Quants
@@ -695,17 +691,8 @@ impl BatchRunner {
                     }
                     let buf = &mut skips[skip_depth];
                     buf.clear();
-                    // Same clamp specialization as the gather kernels:
-                    // identity on verified models, defensive otherwise.
                     let src = &flow.codes[..padded * width];
-                    let last = book.len().saturating_sub(1);
-                    if verified {
-                        buf.extend(src.iter().map(|&c| book[c as usize]));
-                    } else if book.len().is_power_of_two() {
-                        buf.extend(src.iter().map(|&c| book[c as usize & last]));
-                    } else {
-                        buf.extend(src.iter().map(|&c| book[(c as usize).min(last)]));
-                    }
+                    buf.extend(src.iter().map(|&c| book[c as usize]));
                     skip_depth += 1;
                     // The codes pass through to the region's first op;
                     // an integer Madd op there reads them as operands.
@@ -1013,35 +1000,12 @@ fn dense_block(
     nin: usize,
     nout: usize,
     tile: &mut Vec<u16>,
-    verified: bool,
 ) {
-    // Unreachable on a validated model (empty product tables are
-    // rejected); guarantees `last` below cannot wrap, which lets the
-    // optimiser drop the bounds check on the clamped gather.
-    if table.input_count == 0 {
-        return;
-    }
-    let last = table.input_count - 1;
     interleave(xblock, nin, tile);
-    // Valid codes never exceed `last`, so clamping with `min` and
-    // masking are both identities on real data; for power-of-two
-    // tables the mask variant saves a compare per gather. A statically
-    // verified model has *proven* every code in bounds, so it skips the
-    // clamp entirely — same indices, one less op per gather.
-    if verified {
-        dense_block_gather(pool_f, table, wcodes, bias, dst, nout, tile, |x| x);
-    } else if table.input_count.is_power_of_two() {
-        dense_block_gather(pool_f, table, wcodes, bias, dst, nout, tile, |x| x & last);
-    } else {
-        dense_block_gather(pool_f, table, wcodes, bias, dst, nout, tile, |x| {
-            x.min(last)
-        });
-    }
+    dense_block_gather(pool_f, table, wcodes, bias, dst, nout, tile);
 }
 
-/// Gather loop of [`dense_block`] over the already-interleaved `tile`,
-/// generic over the in-bounds clamp.
-#[allow(clippy::too_many_arguments)]
+/// Gather loop of [`dense_block`] over the already-interleaved `tile`.
 #[inline]
 fn dense_block_gather(
     pool_f: &[f32],
@@ -1051,14 +1015,13 @@ fn dense_block_gather(
     dst: &mut [f32],
     nout: usize,
     tile: &[u16],
-    clamp: impl Fn(usize) -> usize,
 ) {
     let nin = tile.len() / LANES;
     // Output neurons go in groups of OBLOCK sharing one pass over the
-    // block's codes: each lane's load and clamp feeds OBLOCK
-    // accumulator blocks, dividing the per-product bookkeeping. Each
-    // accumulator still sums its weights in ascending order, so
-    // per-output results are unchanged.
+    // block's codes: each lane's load feeds OBLOCK accumulator blocks,
+    // dividing the per-product bookkeeping. Each accumulator still sums
+    // its weights in ascending order, so per-output results are
+    // unchanged.
     let mut o = 0usize;
     while o + OBLOCK <= nout {
         let w0 = &wcodes[o * nin..(o + 1) * nin];
@@ -1081,7 +1044,7 @@ fn dense_block_gather(
                 | u64::from(xs[7]) << 48;
             for l in 0..LANES {
                 let word = if l < 4 { lo } else { hi };
-                let x = clamp((word >> (16 * (l & 3))) as u16 as usize);
+                let x = (word >> (16 * (l & 3))) as u16 as usize;
                 acc0[l] += ta[x];
                 acc1[l] += tb[x];
             }
@@ -1098,7 +1061,7 @@ fn dense_block_gather(
         for (xs, &w) in tile.chunks_exact(LANES).zip(wrow) {
             let trow = table.row(pool_f, w);
             for (l, a) in acc.iter_mut().enumerate() {
-                *a += trow[clamp(xs[l] as usize)];
+                *a += trow[xs[l] as usize];
             }
         }
         for (l, &a) in acc.iter().enumerate() {
@@ -1549,54 +1512,27 @@ fn conv_block(
     in_vol: usize,
     nout: usize,
     tile: &mut Vec<u16>,
-    verified: bool,
 ) {
     interleave(xblock, in_vol, tile);
     let patch_len = g.patch_len();
     for oc in 0..out_channels {
-        let table = &tables[oc];
-        // See dense_block: the guard proves the clamp stays in bounds.
-        if table.input_count == 0 {
-            continue;
-        }
-        let last = table.input_count - 1;
         let wrow = &wcodes[oc * patch_len..(oc + 1) * patch_len];
-        // Per-channel clamp choice (each channel's table has its own
-        // `last`); see dense_block for the verified-identity rationale.
-        if verified {
-            conv_channel_block(
-                pool_f,
-                g,
-                table,
-                wrow,
-                bias[oc],
-                zero_code,
-                tile,
-                dst,
-                nout,
-                oc,
-                |x| x,
-            );
-        } else {
-            conv_channel_block(
-                pool_f,
-                g,
-                table,
-                wrow,
-                bias[oc],
-                zero_code,
-                tile,
-                dst,
-                nout,
-                oc,
-                |x| x.min(last),
-            );
-        }
+        conv_channel_block(
+            pool_f,
+            g,
+            &tables[oc],
+            wrow,
+            bias[oc],
+            zero_code,
+            tile,
+            dst,
+            nout,
+            oc,
+        );
     }
 }
 
-/// Tap loop of [`conv_block`] for one output channel, generic over the
-/// in-bounds clamp.
+/// Tap loop of [`conv_block`] for one output channel.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn conv_channel_block(
@@ -1610,14 +1546,9 @@ fn conv_channel_block(
     dst: &mut [f32],
     nout: usize,
     oc: usize,
-    clamp: impl Fn(usize) -> usize,
 ) {
     let pixels = g.out_pixels();
     let (c, h, w) = (g.in_channels, g.in_height, g.in_width);
-    // The padding code is constant for the whole channel, so its clamp
-    // is hoisted out of the tap loops; each padding tap is then a
-    // single indexed load off its table row.
-    let zero_i = clamp(zero_code as usize);
     for oy in 0..g.out_height {
         for ox in 0..g.out_width {
             let mut acc = [bias; LANES];
@@ -1635,11 +1566,10 @@ fn conv_channel_block(
                                 .try_into()
                                 .expect("lane group");
                             for (l, a) in acc.iter_mut().enumerate() {
-                                let x = xs[l] as usize;
-                                *a += trow[clamp(x)];
+                                *a += trow[xs[l] as usize];
                             }
                         } else {
-                            let pad_v = trow[zero_i];
+                            let pad_v = trow[zero_code as usize];
                             for a in acc.iter_mut() {
                                 *a += pad_v;
                             }
@@ -1837,40 +1767,6 @@ fn pool_rows<S: Copy, A, T: Copy + Default>(
             &mut dst[r * out_w..(r + 1) * out_w],
         );
         pool_into(g, src, dst, load, combine, finish);
-    }
-}
-
-/// [`pool_rows`] summing the `book` values of encoded rows, with the
-/// decode's clamp chosen once per op — identity for statically verified
-/// models, mask for power-of-two codebooks, `min` otherwise — mirroring
-/// the dense path's verified-identity specialization (the clamp is an
-/// identity on all real data, so every variant is bit-identical).
-fn decoded_pool_rows<T: Copy + Default>(
-    g: &Geom,
-    book: &[f32],
-    verified: bool,
-    codes: &[u16],
-    dst: &mut Vec<T>,
-    padded: usize,
-    finish: impl Fn(f32) -> T + Copy,
-) {
-    let sum = |a: f32, b: f32| a + b;
-    let last = book.len().saturating_sub(1);
-    if verified {
-        pool_rows(g, codes, dst, padded, |c| book[c as usize], sum, finish);
-    } else if book.len().is_power_of_two() {
-        pool_rows(
-            g,
-            codes,
-            dst,
-            padded,
-            |c| book[c as usize & last],
-            sum,
-            finish,
-        );
-    } else {
-        let load = |c: u16| book[(c as usize).min(last)];
-        pool_rows(g, codes, dst, padded, load, sum, finish);
     }
 }
 

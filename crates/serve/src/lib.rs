@@ -21,9 +21,9 @@
 //!   kernel call.
 //! * [`lint`] — [`lint_bytes`] runs the `rapidnn-analyze` static
 //!   verifier over raw artifact bytes and returns its diagnostic
-//!   report; [`CompiledModel::from_bytes_strict`] makes a clean report
-//!   a load-time requirement, and verified models let the kernels drop
-//!   their defensive per-gather index clamps.
+//!   report; every [`CompiledModel`] constructor makes a clean report
+//!   a requirement, which is why the kernels carry no per-gather index
+//!   clamps.
 //! * [`pipeline`] — stage planning for sharded serving:
 //!   [`EngineConfig::stages`] splits the op program into balanced
 //!   contiguous ranges (cost-weighted by the analyzer's per-op
@@ -83,6 +83,6 @@ pub use artifact::{CompiledModel, FORMAT_VERSION, MAGIC};
 pub use engine::{DrainReport, Engine, EngineConfig, Ticket};
 pub use error::{ArtifactError, Result, ServeError};
 pub use kernels::BatchRunner;
-pub use lint::lint_bytes;
+pub use lint::{decode_failure_report, lint_bytes};
 pub use metrics::{Metrics, ServerStats, BATCH_BUCKETS, LATENCY_OVERFLOW_NS};
 pub use pipeline::{PipelineStats, StageStats};

@@ -1,7 +1,7 @@
 //! Artifact linting: run the static analyzer over raw artifact bytes.
 //!
 //! [`lint_bytes`] is the diagnostic front door: unlike
-//! [`CompiledModel::from_bytes_strict`] it never returns an error —
+//! [`CompiledModel::from_bytes`] it never returns an error —
 //! byte-level corruption is folded into the report as an `RNA0001`
 //! (decode-failed) diagnostic, so callers always get one uniform
 //! [`Report`] to render. The `lint_artifact` example wraps this in a
@@ -12,30 +12,36 @@ use crate::error::ArtifactError;
 use rapidnn_analyze::{DiagCode, Diagnostic, Report};
 
 /// Statically analyzes a serialized artifact, folding decode failures
-/// into the report instead of returning them as `Err`.
+/// into the report ([`decode_failure_report`]) instead of returning
+/// them as `Err`.
 ///
-/// The report has no errors **iff** [`CompiledModel::from_bytes_strict`]
+/// The report has no errors **iff** [`CompiledModel::from_bytes`]
 /// would accept the same bytes; on top of the accept/reject verdict it
-/// carries every warning and note the analyzer produced. Packed-layout
-/// framing failures (format v2 section directories) get their own
-/// `RNA0012` code; every other byte-level failure folds into `RNA0001`.
+/// carries every warning and note the analyzer produced.
 pub fn lint_bytes(bytes: &[u8]) -> Report {
     match CompiledModel::decode(bytes) {
         Ok(model) => model.analyze(),
-        Err(e) => {
-            let code = match e {
-                ArtifactError::PackedLayout(_) => DiagCode::PackedLayoutInvalid,
-                _ => DiagCode::DecodeFailed,
-            };
-            let mut report = Report::new();
-            report.push(Diagnostic::new(
-                code,
-                None,
-                format!("artifact failed to decode: {e}"),
-            ));
-            report
-        }
+        Err(e) => decode_failure_report(&e),
     }
+}
+
+/// The one-diagnostic report a byte-level decode failure renders as:
+/// packed-layout framing failures (section directories) get their own
+/// `RNA0012` code; every other failure folds into `RNA0001`. Shared by
+/// [`lint_bytes`] and by callers that already hold the
+/// [`ArtifactError`] of a refused load.
+pub fn decode_failure_report(e: &ArtifactError) -> Report {
+    let code = match e {
+        ArtifactError::PackedLayout(_) => DiagCode::PackedLayoutInvalid,
+        _ => DiagCode::DecodeFailed,
+    };
+    let mut report = Report::new();
+    report.push(Diagnostic::new(
+        code,
+        None,
+        format!("artifact failed to decode: {e}"),
+    ));
+    report
 }
 
 #[cfg(test)]
@@ -113,11 +119,11 @@ mod tests {
     }
 
     #[test]
-    fn strict_load_agrees_with_lint() {
+    fn load_agrees_with_lint() {
         let bytes = padded_pool_model().to_bytes();
         assert!(lint_bytes(&bytes).has_errors());
         assert!(matches!(
-            CompiledModel::from_bytes_strict(&bytes),
+            CompiledModel::from_bytes(&bytes),
             Err(crate::ServeError::Rejected(report)) if report.find(DiagCode::PaddedPool).is_some()
         ));
     }

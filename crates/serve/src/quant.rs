@@ -147,10 +147,9 @@ impl CompiledModel {
 impl QuantState {
     /// Builds the integer tiles for every licensed op of `plan`.
     ///
-    /// `model` must have passed [`CompiledModel::verify`] (the caller,
-    /// `CompiledModel::quantize`, guarantees it), so spans are in
-    /// bounds; weight codes are still clamped defensively — this runs
-    /// once at load time, never in the batch loop.
+    /// Every constructed model has passed the analyzer, so spans are
+    /// in bounds; weight codes are still clamped defensively — this
+    /// runs once at load time, never in the batch loop.
     pub(crate) fn materialize(model: &CompiledModel, plan: QuantPlan) -> QuantState {
         let pool_f = model.float_pool();
         let mut ops: Vec<Option<QuantOp>> = Vec::with_capacity(model.ops.len());

@@ -3,14 +3,14 @@
 //! The load-time contract under test: any byte buffer — truncated,
 //! bit-flipped, or adversarially structured with a valid checksum — either
 //! decodes to a model whose `infer` matches the source network bit for
-//! bit, or fails with a typed [`ArtifactError`]. It never panics.
+//! bit, or fails with a typed [`ServeError`]. It never panics.
 
 mod common;
 
 use common::{cnn_model, mlp_model, residual_model};
 use rapidnn_core::ReinterpretedNetwork;
 use rapidnn_prop::{check, usize_in, vec_f32};
-use rapidnn_serve::{ArtifactError, CompiledModel, FORMAT_VERSION, MAGIC};
+use rapidnn_serve::{ArtifactError, CompiledModel, ServeError, FORMAT_VERSION, MAGIC};
 use rapidnn_tensor::SeededRng;
 
 fn assert_bit_identical(
@@ -102,12 +102,12 @@ fn every_truncation_is_a_typed_error() {
     // Every strict prefix must fail without panicking.
     for len in 0..bytes.len() {
         match CompiledModel::from_bytes(&bytes[..len]) {
-            Err(
+            Err(ServeError::Artifact(
                 ArtifactError::Truncated { .. }
                 | ArtifactError::BadMagic
                 | ArtifactError::ChecksumMismatch { .. }
                 | ArtifactError::Malformed(_),
-            ) => {}
+            )) => {}
             Err(other) => panic!("unexpected error at prefix {len}: {other}"),
             Ok(_) => panic!("prefix {len} of {} decoded successfully", bytes.len()),
         }
@@ -155,18 +155,21 @@ fn adversarial_payloads_with_valid_checksums_never_panic() {
 fn bad_magic_and_future_version_are_typed() {
     assert!(matches!(
         CompiledModel::from_bytes(b"LAYRxxxxxxxxxxxxxxxxxxxx"),
-        Err(ArtifactError::BadMagic)
+        Err(ServeError::Artifact(ArtifactError::BadMagic))
     ));
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    bytes.extend_from_slice(&0u64.to_le_bytes());
-    bytes.extend_from_slice(&fnv(&[]).to_le_bytes());
-    assert!(matches!(
-        CompiledModel::from_bytes(&bytes),
-        Err(ArtifactError::UnsupportedVersion { found, supported })
-            if found == FORMAT_VERSION + 1 && supported == FORMAT_VERSION
-    ));
+    // The retired v1 is as unreadable as a version from the future.
+    for version in [1, FORMAT_VERSION + 1] {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&fnv(&[]).to_le_bytes());
+        assert!(matches!(
+            CompiledModel::from_bytes(&bytes),
+            Err(ServeError::Artifact(ArtifactError::UnsupportedVersion { found, supported }))
+                if found == version && supported == FORMAT_VERSION
+        ));
+    }
 }
 
 /// Local FNV-1a 64 copy so tests can frame adversarial payloads.

@@ -1,30 +1,18 @@
 //! Soundness of the static analyzer against artifact corruption.
 //!
 //! The load-time contract has exactly two legal outcomes for any byte
-//! string: either the linter flags it with an `error` diagnostic, or it
-//! loads and infers without panicking. The property test below throws
-//! hundreds of random single-field corruptions at serialized artifacts
-//! of every op-program topology and checks there is no third outcome —
-//! and, in the other direction, that everything classic validation
-//! rejects the analyzer also rejects (the analyzer subsumes `validate`).
+//! string: either the linter flags it with an `error` diagnostic and
+//! the loader refuses it, or it loads and infers without panicking. The
+//! property test below throws hundreds of random single-field
+//! corruptions at serialized artifacts of every op-program topology and
+//! checks there is no third outcome.
 
 mod common;
 
-use rapidnn_prop::{any_u64, check, usize_in, SeededRng};
-use rapidnn_serve::{lint_bytes, CompiledModel, Engine, EngineConfig, ServeError};
+use common::repair_checksum;
 
-/// FNV-1a 64 over the payload, mirroring the artifact trailer, so a
-/// corruption can be "repaired" to survive decoding and reach the
-/// analyzer instead of the checksum gate.
-fn repair_checksum(bytes: &mut [u8]) {
-    let end = bytes.len() - 8;
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &bytes[16..end] {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    bytes[end..].copy_from_slice(&hash.to_le_bytes());
-}
+use rapidnn_prop::{any_u64, check, usize_in, SeededRng};
+use rapidnn_serve::{lint_bytes, CompiledModel, ServeError};
 
 /// Applies one random single-field corruption. Three kinds: a byte or
 /// an aligned u64 field inside the payload with the checksum repaired
@@ -57,22 +45,20 @@ fn mutate(rng: &mut SeededRng, bytes: &mut [u8]) {
 #[test]
 fn corrupted_artifacts_are_flagged_or_harmless() {
     let mut rng = SeededRng::new(2024);
-    // Both wire formats of every topology: corruption of v2's packed
-    // section directory must obey the same two-outcome contract as
-    // v1's wide pools.
     let artifacts: Vec<Vec<u8>> = [
         common::mlp_model(&mut rng),
         common::cnn_model(&mut rng),
         common::residual_model(&mut rng),
     ]
     .iter()
-    .flat_map(|net| {
-        let model = CompiledModel::from_reinterpreted(net).expect("compile");
-        [model.to_bytes(), model.to_bytes_v1()]
+    .map(|net| {
+        CompiledModel::from_reinterpreted(net)
+            .expect("compile")
+            .to_bytes()
     })
     .collect();
 
-    // 3 topologies x 2 formats x 200 seeds = 1200 corrupted mutants.
+    // 3 topologies x 200 seeds = 600 corrupted mutants.
     check(200, |rng| {
         for clean in &artifacts {
             let mut bytes = clean.clone();
@@ -81,119 +67,50 @@ fn corrupted_artifacts_are_flagged_or_harmless() {
             let report = lint_bytes(&bytes);
             let loaded = CompiledModel::from_bytes(&bytes);
 
-            if let Err(e) = &loaded {
-                // Subsumption: whatever decode/validate rejects, the
-                // analyzer must reject too.
-                assert!(
-                    report.has_errors(),
-                    "validate rejected ({e}) but the lint report is error-free:\n{report}"
-                );
-            }
-            if !report.has_errors() {
-                // Analyzer-clean mutants must load and infer without
-                // panicking: no third outcome.
-                let model = loaded
-                    .unwrap_or_else(|e| panic!("lint report clean but load failed: {e}\n{report}"));
-                let sample = vec![0.25f32; model.input_features()];
-                let run = std::panic::catch_unwind(|| model.infer(&sample).map(|_| ()));
-                assert!(run.is_ok(), "analyzer-clean mutant panicked in infer");
+            // The linter and the loader are one gate: flagged iff
+            // refused.
+            assert_eq!(
+                report.has_errors(),
+                loaded.is_err(),
+                "lint and load disagree ({:?}):\n{report}",
+                loaded.as_ref().err()
+            );
+            let Ok(model) = loaded else { continue };
 
-                // The same two-outcome contract extends through the
-                // optimizer: an analyzer-clean mutant optimizes (its
-                // certificate re-proven inside `optimize`), and the
-                // result loads and infers mutant-identically without
-                // panicking — certificates over mutants never validate
-                // incorrectly, and there is still no third outcome.
-                let run = std::panic::catch_unwind(|| {
-                    let (opt, _cert) = model.optimize()?;
-                    let reloaded = CompiledModel::from_bytes_strict(&opt.to_bytes())?;
-                    let expect: Vec<u32> =
-                        model.infer(&sample)?.iter().map(|x| x.to_bits()).collect();
-                    let got: Vec<u32> = reloaded
-                        .infer(&sample)?
-                        .iter()
-                        .map(|x| x.to_bits())
-                        .collect();
-                    assert_eq!(expect, got, "optimized mutant diverged from its source");
-                    Ok::<(), ServeError>(())
-                });
-                assert!(
-                    run.expect("optimizing an analyzer-clean mutant panicked")
-                        .is_ok(),
-                    "analyzer-clean mutant failed to optimize + reload"
-                );
-            } else if let Ok(model) = loaded {
-                // Analyzer-rejected but decodable mutants must be
-                // refused by `optimize` with a typed report — never
-                // silently rewritten, never a panic.
-                let run = std::panic::catch_unwind(|| match model.optimize() {
-                    Err(ServeError::Rejected(r)) => assert!(r.has_errors()),
-                    Ok(_) => panic!("optimize accepted an analyzer-rejected mutant"),
-                    Err(e) => panic!("optimize failed untypedly: {e}"),
-                });
-                assert!(run.is_ok(), "optimize panicked on a flagged mutant");
-            }
+            // Accepted mutants must infer without panicking: no third
+            // outcome.
+            let sample = vec![0.25f32; model.input_features()];
+            let run = std::panic::catch_unwind(|| model.infer(&sample).map(|_| ()));
+            assert!(run.is_ok(), "analyzer-clean mutant panicked in infer");
+
+            // The same two-outcome contract extends through the
+            // optimizer: an accepted mutant optimizes (its certificate
+            // re-proven inside `optimize`), and the result reloads and
+            // infers mutant-identically without panicking —
+            // certificates over mutants never validate incorrectly.
+            let run = std::panic::catch_unwind(|| {
+                let (opt, _cert) = model.optimize()?;
+                let reloaded = CompiledModel::from_bytes(&opt.to_bytes())?;
+                let expect: Vec<u32> = model.infer(&sample)?.iter().map(|x| x.to_bits()).collect();
+                let got: Vec<u32> = reloaded
+                    .infer(&sample)?
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect();
+                assert_eq!(expect, got, "optimized mutant diverged from its source");
+                Ok::<(), ServeError>(())
+            });
+            assert!(
+                run.expect("optimizing an analyzer-clean mutant panicked")
+                    .is_ok(),
+                "analyzer-clean mutant failed to optimize + reload"
+            );
         }
     });
 }
 
 #[test]
-fn verified_inference_is_bit_identical() {
-    let mut rng = SeededRng::new(7);
-    for net in [
-        common::mlp_model(&mut rng),
-        common::cnn_model(&mut rng),
-        common::residual_model(&mut rng),
-    ] {
-        let model = CompiledModel::from_reinterpreted(&net).expect("compile");
-        let features = model.input_features();
-        // Enough rows to engage the LANES-block kernels, not just the
-        // serial tail, plus odd remainder rows.
-        let rows = 19;
-        let batch: Vec<f32> = (0..rows * features).map(|i| (i as f32).sin()).collect();
-        let baseline = model.infer_batch(&batch).expect("unverified inference");
-
-        let mut verified = model.clone();
-        assert!(!verified.is_verified());
-        let report = verified.verify().expect("verification");
-        assert!(!report.has_errors());
-        assert!(verified.is_verified());
-
-        let fast = verified.infer_batch(&batch).expect("verified inference");
-        assert_eq!(baseline.len(), fast.len());
-        for (b, f) in baseline.iter().zip(&fast) {
-            assert_eq!(b, f, "verified kernels diverged from clamped kernels");
-        }
-
-        // The flag is not serialized: a round-trip drops it.
-        let reloaded = CompiledModel::from_bytes(&verified.to_bytes()).expect("round-trip");
-        assert!(!reloaded.is_verified());
-    }
-}
-
-#[test]
-fn strict_load_accepts_real_artifacts_and_verifies_them() {
-    let mut rng = SeededRng::new(13);
-    let model = CompiledModel::from_reinterpreted(&common::mlp_model(&mut rng)).expect("compile");
-    let strict = CompiledModel::from_bytes_strict(&model.to_bytes()).expect("strict load");
-    assert!(strict.is_verified());
-}
-
-#[test]
-fn start_verified_serves_and_rejects() {
-    let mut rng = SeededRng::new(99);
-    let model = CompiledModel::from_reinterpreted(&common::mlp_model(&mut rng)).expect("compile");
-    let sample = vec![0.5f32; model.input_features()];
-    let expected = model.infer(&sample).expect("direct inference");
-
-    let engine = Engine::start_verified(model, EngineConfig::default()).expect("verified start");
-    assert!(engine.model().is_verified());
-    let ticket = engine.try_submit(sample).expect("submit");
-    assert_eq!(ticket.wait().expect("response"), expected);
-    engine.shutdown();
-
-    // A corrupted artifact that decodes but fails analysis is refused
-    // before any worker starts.
+fn an_output_width_lie_is_refused_at_load() {
     let mut rng = SeededRng::new(100);
     let model = CompiledModel::from_reinterpreted(&common::mlp_model(&mut rng)).expect("compile");
     let mut bytes = model.to_bytes();
@@ -201,7 +118,7 @@ fn start_verified_serves_and_rejects() {
     // analyzer errors with a shape mismatch.
     bytes[24..32].copy_from_slice(&9999u64.to_le_bytes());
     repair_checksum(&mut bytes);
-    match CompiledModel::from_bytes_strict(&bytes) {
+    match CompiledModel::from_bytes(&bytes) {
         Err(ServeError::Rejected(report)) => assert!(report.has_errors()),
         other => panic!("expected rejection, got {other:?}"),
     }

@@ -1,16 +1,16 @@
 //! Certified-optimizer property gate: `CompiledModel::optimize` must
 //! be a *footprint* change only. For every op-program topology the
-//! compiler emits (dense, conv + pools, residual), across artifact
-//! format round-trips (v1, v2), kernel paths (f32, analyzer-licensed
-//! int16), and engine stage counts, the optimized model answers every
-//! request bit-for-bit identically to its unoptimized source — while a
-//! model with injected dead rows provably shrinks and an invalid model
-//! is refused with a typed report, never silently rewritten.
+//! compiler emits (dense, conv + pools, residual), across the artifact
+//! round-trip, kernel paths (f32, analyzer-licensed int16), and engine
+//! stage counts, the optimized model answers every request bit-for-bit
+//! identically to its unoptimized source — while a model with injected
+//! dead rows provably shrinks and an invalid program never becomes a
+//! model to rewrite.
 
 mod common;
 
-use common::{cnn_model, mlp_model, residual_model};
-use rapidnn_analyze::Pass;
+use common::{cnn_model, mlp_model, repair_checksum, residual_model};
+use rapidnn_analyze::{DiagCode, Pass};
 use rapidnn_prop::{check, usize_in, vec_f32};
 use rapidnn_serve::{CompiledModel, Engine, EngineConfig, ServeError};
 use rapidnn_tensor::SeededRng;
@@ -39,23 +39,18 @@ fn optimized_pairs() -> Vec<(&'static str, CompiledModel, CompiledModel)> {
 }
 
 /// The bit-identity gate: optimized artifacts reproduce their source
-/// bit for bit across v1/v2 round-trips, f32/int16 kernel paths, and
-/// per-sample vs batch entry points.
+/// bit for bit across the artifact round-trip, f32/int16 kernel paths,
+/// and per-sample vs batch entry points.
 #[test]
 fn optimized_models_infer_bit_identically() {
     let pairs = optimized_pairs();
-    // (label suffix, v1 round-trip?, quantized?)
-    let variants = [
-        ("v1/f32", true, false),
-        ("v2/f32", false, false),
-        ("v2/int16", false, true),
-    ];
+    // (label suffix, quantized?)
+    let variants = [("f32", false), ("int16", true)];
     check(8, |rng| {
         for (name, base, opt) in &pairs {
-            for (suffix, v1, quantized) in variants {
+            for (suffix, quantized) in variants {
                 let realize = |m: &CompiledModel| {
-                    let bytes = if v1 { m.to_bytes_v1() } else { m.to_bytes() };
-                    let mut m = CompiledModel::from_bytes_strict(&bytes).unwrap();
+                    let mut m = CompiledModel::from_bytes(&m.to_bytes()).unwrap();
                     if quantized {
                         m.quantize().unwrap();
                     }
@@ -120,7 +115,7 @@ fn optimized_models_shard_bit_identically() {
 /// A model with injected dead rows provably shrinks: the optimizer
 /// removes exactly the injected rows, the v2 artifact gets strictly
 /// smaller (the packed code width narrows back down), and the shrunken
-/// model still loads strict, quantizes, and infers identically.
+/// model still loads, quantizes, and infers identically.
 #[test]
 fn injected_dead_rows_provably_shrink_v2() {
     let mut rng = SeededRng::new(515);
@@ -144,11 +139,11 @@ fn injected_dead_rows_provably_shrink_v2() {
         after.len()
     );
 
-    // The shrunken artifact still loads strict and quantizes; the f32
+    // The shrunken artifact still loads and quantizes; the f32
     // path reproduces the unpadded source bit for bit, and the int16
     // path reproduces the *quantized* source (integer kernels are a
     // separate path, so they get their own oracle).
-    let reloaded = CompiledModel::from_bytes_strict(&after).unwrap();
+    let reloaded = CompiledModel::from_bytes(&after).unwrap();
     let mut reloaded_q = reloaded.clone();
     reloaded_q.quantize().unwrap();
     let base = CompiledModel::from_reinterpreted(&net).unwrap();
@@ -168,8 +163,9 @@ fn injected_dead_rows_provably_shrink_v2() {
     }
 }
 
-/// An invalid model is refused with the typed report — optimize never
-/// rewrites a program the analyzer rejects.
+/// The construction gate: a program the analyzer rejects never becomes
+/// a model, whichever constructor it arrives through — so `optimize`
+/// has nothing invalid to rewrite.
 #[test]
 fn invalid_model_is_rejected_not_rewritten() {
     let mut rng = SeededRng::new(99);
@@ -181,10 +177,25 @@ fn invalid_model_is_rejected_not_rewritten() {
         rapidnn_analyze::Op::Dense { table, .. } => table.offset,
         _ => unreachable!("mlp starts with a dense op"),
     };
+    let mut bytes = CompiledModel::from_program(&program).unwrap().to_bytes();
     program.floats.to_mut()[offset] = f32::NAN;
-    let model = CompiledModel::from_program(&program).unwrap();
-    match model.optimize() {
-        Err(ServeError::Rejected(report)) => assert!(report.has_errors(), "{report}"),
-        other => panic!("expected a typed rejection, got {other:?}"),
+
+    // The same poison in the serialized float section (its payload
+    // offset is the header's seventh u64; the payload starts at 16).
+    let float_off = u64::from_le_bytes(bytes[16 + 48..16 + 56].try_into().unwrap()) as usize;
+    let at = 16 + float_off + offset * 4;
+    bytes[at..at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+    repair_checksum(&mut bytes);
+
+    for refused in [
+        CompiledModel::from_program(&program),
+        CompiledModel::from_bytes(&bytes),
+    ] {
+        match refused {
+            Err(ServeError::Rejected(report)) => {
+                assert!(report.find(DiagCode::NonFinite).is_some(), "{report}");
+            }
+            other => panic!("expected a typed rejection, got {other:?}"),
+        }
     }
 }

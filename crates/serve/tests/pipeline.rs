@@ -1,8 +1,8 @@
 //! Sharded-serving equivalence gate: a pipelined engine must be an
 //! *execution* change only. For every op-program topology the compiler
-//! emits (dense, conv + pools, residual), across artifact format
-//! round-trips (v1, v2) and kernel paths (f32, analyzer-licensed
-//! int16), an engine sharded into any stage count must answer every
+//! emits (dense, conv + pools, residual), in memory and reloaded from
+//! its artifact, on both kernel paths (f32, analyzer-licensed int16),
+//! an engine sharded into any stage count must answer every
 //! request bit-for-bit identically to per-sample `infer` — the same
 //! oracle the unsharded engine is held to — through both the
 //! single-request and pre-batched submission paths.
@@ -15,7 +15,7 @@ use rapidnn_serve::{CompiledModel, Engine, EngineConfig, Ticket};
 use rapidnn_tensor::SeededRng;
 use std::time::Duration;
 
-/// Every (topology × format round-trip × kernel path) variant under
+/// Every (topology × in-memory / reloaded × kernel path) variant under
 /// test, with a label for failure messages.
 fn model_variants() -> Vec<(String, CompiledModel)> {
     let mut rng = SeededRng::new(4242);
@@ -35,13 +35,12 @@ fn model_variants() -> Vec<(String, CompiledModel)> {
     ];
     let mut variants = Vec::new();
     for (name, compiled) in topologies {
-        let v1 = CompiledModel::from_bytes(&compiled.to_bytes_v1()).unwrap();
-        let v2 = CompiledModel::from_bytes(&compiled.to_bytes()).unwrap();
-        let mut int16 = v2.clone();
+        let reloaded = CompiledModel::from_bytes(&compiled.to_bytes()).unwrap();
+        let mut int16 = reloaded.clone();
         int16.quantize().unwrap();
-        variants.push((format!("{name}/v1/f32"), v1));
-        variants.push((format!("{name}/v2/f32"), v2));
-        variants.push((format!("{name}/v2/int16"), int16));
+        variants.push((format!("{name}/wide/f32"), compiled));
+        variants.push((format!("{name}/packed/f32"), reloaded));
+        variants.push((format!("{name}/packed/int16"), int16));
     }
     variants
 }

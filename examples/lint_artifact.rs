@@ -31,7 +31,7 @@
 //!   decoder) and lints the broken artifact.
 
 use rapidnn::analyze::OpQuant;
-use rapidnn::serve::{lint_bytes, CompiledModel};
+use rapidnn::serve::{lint_bytes, CompiledModel, ServeError};
 use rapidnn::tensor::SeededRng;
 use rapidnn::{Pipeline, PipelineConfig};
 use std::process::ExitCode;
@@ -119,25 +119,35 @@ fn export_file(path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Previews the integer-lowering plan for one artifact file. The exit
-/// code is stable for CI gating: `0` every table op licensed, `1`
-/// load/analyze error, `2` mixed, `3` nothing licensed.
-fn quant_file(path: &str) -> ExitCode {
+/// Reads and loads one artifact file for the `quant` and `optimize`
+/// verbs, printing why when it cannot: an I/O or decode error, or the
+/// analyzer's report for a file it rejects.
+fn load_file(path: &str) -> Option<(Vec<u8>, CompiledModel)> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) => {
             eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
+            return None;
         }
     };
-    // Non-strict decode: the preview explains artifacts the verifier
-    // would refuse to serve, so decoding is the only hard gate.
-    let model = match CompiledModel::from_bytes(&bytes) {
-        Ok(model) => model,
+    match CompiledModel::from_bytes(&bytes) {
+        Ok(model) => Some((bytes, model)),
         Err(e) => {
-            eprintln!("error: cannot decode {path}: {e}");
-            return ExitCode::FAILURE;
+            if let ServeError::Rejected(report) = &e {
+                eprintln!("{report}");
+            }
+            eprintln!("error: cannot load {path}: {e}");
+            None
         }
+    }
+}
+
+/// Previews the integer-lowering plan for one artifact file. The exit
+/// code is stable for CI gating: `0` every table op licensed, `1`
+/// load/analyze error, `2` mixed, `3` nothing licensed.
+fn quant_file(path: &str) -> ExitCode {
+    let Some((_, model)) = load_file(path) else {
+        return ExitCode::FAILURE;
     };
     let plan = model.quant_plan_preview();
     let reads = model.read_domains(&plan);
@@ -168,40 +178,19 @@ fn quant_file(path: &str) -> ExitCode {
 /// `0` certified success (output written), `1` load/analyze error,
 /// `2` the rewrite certificate failed validation.
 fn optimize_file(input: &str, output: &str) -> ExitCode {
-    use rapidnn::analyze::{DiagCode, Pass};
+    use rapidnn::analyze::Pass;
 
-    let bytes = match std::fs::read(input) {
-        Ok(bytes) => bytes,
-        Err(e) => {
-            eprintln!("error: cannot read {input}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let model = match CompiledModel::from_bytes(&bytes) {
-        Ok(model) => model,
-        Err(e) => {
-            eprintln!("error: cannot decode {input}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some((bytes, model)) = load_file(input) else {
+        return ExitCode::FAILURE;
     };
     let (optimized, cert) = match model.optimize() {
         Ok(pair) => pair,
-        Err(rapidnn::serve::ServeError::Rejected(report)) => {
+        // The loaded model already passed analysis, so a report here is
+        // the certificate validator's.
+        Err(ServeError::Rejected(report)) => {
             eprintln!("{report}");
-            let cert_failure = [
-                DiagCode::CertificateInvalid,
-                DiagCode::RewriteMismatch,
-                DiagCode::RewriteUnproven,
-            ]
-            .iter()
-            .any(|&c| report.find(c).is_some());
-            return if cert_failure {
-                eprintln!("error: rewrite certificate failed validation, nothing written");
-                ExitCode::from(2)
-            } else {
-                eprintln!("error: {input} fails analysis, nothing written");
-                ExitCode::FAILURE
-            };
+            eprintln!("error: rewrite certificate failed validation, nothing written");
+            return ExitCode::from(2);
         }
         Err(e) => {
             eprintln!("error: optimize failed: {e}");

@@ -12,11 +12,9 @@
 //!   -order escape hatch to hide behind);
 //! * models the analyzer refuses keep serving the f32 path
 //!   bit-identically — a fallback is invisible, not approximate;
-//! * wide (v1) and bit-packed (v2) artifacts agree bit-for-bit on the
-//!   integer path, since quantized tiles are streamed straight out of
-//!   the packed sections at load time;
-//! * the clamp specializations (verified-identity dense, pooling and
-//!   residual paths, hoisted conv padding lookup) never change bits;
+//! * wide (in-memory) and bit-packed (reloaded) models agree
+//!   bit-for-bit on the integer path, since quantized tiles are
+//!   streamed straight out of the packed sections at load time;
 //! * licensed ops stop charging the batch arena for weight tiles, so
 //!   a quantized runner's scratch no longer scales with the model's
 //!   code-section size;
@@ -30,9 +28,8 @@ use rapidnn::analyze::{
     Act, FinishPlan, Geom, Op, OpQuant, Program, QuantMode, QuantPlan, Span, TableRef,
 };
 use rapidnn::composer::{ReinterpretOptions, ReinterpretedNetwork};
-use rapidnn::data::{benchmark_dataset, SyntheticSpec};
-use rapidnn::nn::topology::{self, Benchmark};
-use rapidnn::nn::{Trainer, TrainerConfig};
+use rapidnn::data::SyntheticSpec;
+use rapidnn::nn::topology;
 use rapidnn::serve::{BatchRunner, CompiledModel};
 use rapidnn::tensor::SeededRng;
 use rapidnn_prop::usize_in;
@@ -191,78 +188,30 @@ fn refused_model_serves_f32_bit_identically() {
     assert_eq!(bits(&fout), bits(&qout));
 }
 
-/// Wide (v1) and bit-packed (v2) artifacts materialize identical
-/// integer tiles: the quantizer streams codes via `CodePool::map_range`
-/// in both layouts, so the integer path cannot tell them apart.
+/// The wide in-memory model and its bit-packed reload materialize
+/// identical integer tiles: the quantizer streams codes via
+/// `CodePool::map_range` in both layouts, so the integer path cannot
+/// tell them apart.
 #[test]
 fn packed_and_wide_artifacts_agree_on_the_integer_path() {
     let mut rng = SeededRng::new(77);
-    let model = compiled_mlp(&mut rng, 8, &[16, 12], 3, 8);
-    let mut v1 = CompiledModel::from_bytes(&model.to_bytes_v1()).expect("v1 load");
-    let mut v2 = CompiledModel::from_bytes(&model.to_bytes()).expect("v2 load");
-    v1.quantize().expect("v1 quantize");
-    v2.quantize().expect("v2 quantize");
-    assert_eq!(v1.licensed_ops(), v2.licensed_ops());
-    assert!(v1.licensed_ops() > 0, "expected licensed ops");
+    let mut wide = compiled_mlp(&mut rng, 8, &[16, 12], 3, 8);
+    let mut packed = CompiledModel::from_bytes(&wide.to_bytes()).expect("reload");
+    wide.quantize().expect("wide quantize");
+    packed.quantize().expect("packed quantize");
+    assert_eq!(wide.licensed_ops(), packed.licensed_ops());
+    assert!(wide.licensed_ops() > 0, "expected licensed ops");
 
     let inputs: Vec<f32> = (0..64 * 8).map(|_| rng.uniform(-3.0, 3.0)).collect();
     let mut out1 = Vec::new();
     let mut out2 = Vec::new();
-    BatchRunner::for_model(&v1, 64)
-        .run(&v1, &inputs, &mut out1)
-        .expect("v1 run");
-    BatchRunner::for_model(&v2, 64)
-        .run(&v2, &inputs, &mut out2)
-        .expect("v2 run");
-    assert_eq!(bits(&out1), bits(&out2), "v1 vs v2 integer outputs");
-}
-
-/// The clamp specializations — identity clamps on verified models
-/// through the dense, pooling and residual paths, plus the hoisted conv
-/// padding lookup — must not change a single bit. Exercised on a CNN
-/// (conv + pooling) and an MLP, verified vs unverified.
-#[test]
-fn clamp_specialization_is_bit_identical_across_verification() {
-    // CNN: convs with padding and pooling layers.
-    let mut rng = SeededRng::new(31);
-    let data = benchmark_dataset(Benchmark::Cifar10, 60, &mut rng).expect("data");
-    let (train, _) = data.split(0.8);
-    let mut net = Benchmark::Cifar10.build_reduced(16, &mut rng).expect("net");
-    let mut trainer = Trainer::new(TrainerConfig::default(), &mut rng);
-    trainer
-        .fit(&mut net, train.inputs(), train.labels(), 2)
-        .expect("fit");
-    let opts = ReinterpretOptions {
-        weight_clusters: 8,
-        input_clusters: 8,
-        ..ReinterpretOptions::default()
-    };
-    let network =
-        ReinterpretedNetwork::build(&mut net, train.inputs(), &opts, &mut rng).expect("build");
-    let cnn = CompiledModel::from_reinterpreted(&network).expect("compile");
-
-    let mut rng2 = SeededRng::new(32);
-    let mlp = compiled_mlp(&mut rng2, 9, &[10], 3, 8);
-
-    for model in [cnn, mlp] {
-        let mut verified = model.clone();
-        verified.verify().expect("verify");
-        let features = model.input_features();
-        let inputs: Vec<f32> = (0..24 * features).map(|_| rng.uniform(-2.0, 2.0)).collect();
-        let mut plain_out = Vec::new();
-        let mut verified_out = Vec::new();
-        BatchRunner::new()
-            .run(&model, &inputs, &mut plain_out)
-            .expect("unverified run");
-        BatchRunner::new()
-            .run(&verified, &inputs, &mut verified_out)
-            .expect("verified run");
-        assert_eq!(
-            bits(&plain_out),
-            bits(&verified_out),
-            "verification changed inference bits"
-        );
-    }
+    BatchRunner::for_model(&wide, 64)
+        .run(&wide, &inputs, &mut out1)
+        .expect("wide run");
+    BatchRunner::for_model(&packed, 64)
+        .run(&packed, &inputs, &mut out2)
+        .expect("packed run");
+    assert_eq!(bits(&out1), bits(&out2), "wide vs packed integer outputs");
 }
 
 /// Licensed ops contribute no weight-decode scratch: quantizing a model
