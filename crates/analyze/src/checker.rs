@@ -678,16 +678,14 @@ impl<'p> Checker<'p> {
         extra_col: Option<usize>,
         label: &str,
     ) -> Result<Vec<Option<Interval>>, Halt> {
-        // Bounds established by `check_table`.
-        let data =
-            &self.floats[table.offset..table.offset + table.weight_count * table.input_count];
         let mut rows: Vec<Option<Interval>> = vec![None; table.weight_count];
         let mut bad: Option<(usize, usize, f32)> = None;
         for (w, row_iv) in rows.iter_mut().enumerate() {
             if !used[w] {
                 continue;
             }
-            let row = &data[w * table.input_count..][..table.input_count];
+            // Bounds established by `check_table`.
+            let row = table.row(self.floats, w);
             let mut iv: Option<Interval> = None;
             for (c, &v) in row.iter().enumerate().take(domain) {
                 if !v.is_finite() {

@@ -272,7 +272,7 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
         ops: vec![OpRemap::default(); program.ops.len()],
         log: Vec::new(),
     };
-    let virtual_encoder = b.floats_span(slice(floats, program.virtual_encoder));
+    let virtual_encoder = b.floats_span(program.virtual_encoder.slice(floats));
     let mut ops = Vec::with_capacity(program.ops.len());
     let mut cur: Option<Keep> = Some(input_keep);
 
@@ -291,7 +291,8 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
                 let keep = cur.expect("dense consumes an encoded flow");
                 let (new_table, row_map) =
                     b.rebuild_table(floats, table, &facts.ops[i].used_rows[0], keep);
-                let wc: Vec<u16> = slice_codes(codes, *weight_codes)
+                let wc: Vec<u16> = weight_codes
+                    .slice(codes)
                     .iter()
                     .map(|&c| row_map[c as usize].expect("referenced rows are kept"))
                     .collect();
@@ -311,7 +312,7 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
                         i,
                         s.len - (ekeep.1 - ekeep.0 + 1),
                     );
-                    b.floats_span(&slice(floats, s)[ekeep.0..=ekeep.1])
+                    b.floats_span(&s.slice(floats)[ekeep.0..=ekeep.1])
                 });
                 remap.row_maps = vec![row_map];
                 remap.kept_cols = Some(keep);
@@ -319,7 +320,7 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
                     inputs: *inputs,
                     outputs: *outputs,
                     weight_codes: b.codes_span(&wc),
-                    bias: b.floats_span(slice(floats, *bias)),
+                    bias: b.floats_span(bias.slice(floats)),
                     table: new_table,
                     act: new_act,
                     encoder: new_encoder,
@@ -338,7 +339,7 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
             } => {
                 let keep = cur.expect("conv consumes an encoded flow");
                 let patch_len = geom.patch_len();
-                let wc_old = slice_codes(codes, *weight_codes);
+                let wc_old = weight_codes.slice(codes);
                 let mut wc = Vec::with_capacity(wc_old.len());
                 let mut new_tables = Vec::with_capacity(tables.len());
                 let mut row_maps = Vec::with_capacity(tables.len());
@@ -375,7 +376,7 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
                         i,
                         s.len - (ekeep.1 - ekeep.0 + 1),
                     );
-                    b.floats_span(&slice(floats, s)[ekeep.0..=ekeep.1])
+                    b.floats_span(&s.slice(floats)[ekeep.0..=ekeep.1])
                 });
                 remap.row_maps = row_maps;
                 remap.kept_cols = Some(keep);
@@ -383,7 +384,7 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
                     geom: *geom,
                     out_channels: *out_channels,
                     weight_codes: b.codes_span(&wc),
-                    bias: b.floats_span(slice(floats, *bias)),
+                    bias: b.floats_span(bias.slice(floats)),
                     tables: new_tables,
                     zero_code: new_zero,
                     act: new_act,
@@ -393,7 +394,7 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
             }
             Op::MaxPool(g) => ops.push(Op::MaxPool(*g)),
             Op::AvgPool { geom, codebook } => {
-                let book = slice(floats, *codebook);
+                let book = codebook.slice(floats);
                 let new_book = match cur {
                     Some(_) => {
                         let keep = op_keeps[i].expect("avgpool book planned");
@@ -423,7 +424,7 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
                     i,
                     skip_codebook.len - (keep.1 - keep.0 + 1),
                 );
-                let book = slice(floats, *skip_codebook);
+                let book = skip_codebook.slice(floats);
                 ops.push(Op::ResidualBegin {
                     skip_codebook: b.floats_span(&book[keep.0..=keep.1]),
                 });
@@ -438,7 +439,7 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
                         i,
                         s.len - (ekeep.1 - ekeep.0 + 1),
                     );
-                    b.floats_span(&slice(floats, s)[ekeep.0..=ekeep.1])
+                    b.floats_span(&s.slice(floats)[ekeep.0..=ekeep.1])
                 });
                 ops.push(Op::ResidualEnd {
                     encoder: new_encoder,
@@ -461,14 +462,6 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
         certificate: cert,
         report,
     })
-}
-
-fn slice(floats: &[f32], s: Span) -> &[f32] {
-    &floats[s.start..s.start + s.len]
-}
-
-fn slice_codes(codes: &[u16], s: Span) -> &[u16] {
-    &codes[s.start..s.start + s.len]
 }
 
 fn log_removed(log: &mut Vec<PassRecord>, pass: Pass, op: usize, removed: usize) {
@@ -536,8 +529,8 @@ impl Builder {
             if !used[w] {
                 continue;
             }
-            let row = &floats[table.offset + w * table.input_count..][..table.input_count];
-            self.floats.extend_from_slice(&row[keep.0..=keep.1]);
+            self.floats
+                .extend_from_slice(&table.row(floats, w)[keep.0..=keep.1]);
             *m = Some(next);
             next += 1;
         }
@@ -567,8 +560,8 @@ impl Builder {
                 let (lo, hi) = lut_reach.unwrap_or((0, inputs.len - 1));
                 remap.kept_lut_rows = Some((lo, hi));
                 Act::Lookup {
-                    inputs: self.floats_span(&slice(floats, *inputs)[lo..=hi]),
-                    outputs: self.floats_span(&slice(floats, *outputs)[lo..=hi]),
+                    inputs: self.floats_span(&inputs.slice(floats)[lo..=hi]),
+                    outputs: self.floats_span(&outputs.slice(floats)[lo..=hi]),
                 }
             }
         }
@@ -676,8 +669,8 @@ impl Validator {
                 "certificate compacts the virtual input encoder".to_string(),
             );
         } else if !bits_eq(
-            slice(&input.floats, input.virtual_encoder),
-            slice(&output.floats, output.virtual_encoder),
+            input.virtual_encoder.slice(&input.floats),
+            output.virtual_encoder.slice(&output.floats),
         ) {
             self.fail(
                 DiagCode::RewriteMismatch,
@@ -742,13 +735,13 @@ impl Validator {
                     };
                     if !self.check_codes(
                         i,
-                        slice_codes(&input.codes, *iwc),
-                        slice_codes(&output.codes, *owc),
+                        iwc.slice(&input.codes),
+                        owc.slice(&output.codes),
                         row_map,
                     ) {
                         return;
                     }
-                    if !bits_eq(slice(&input.floats, *ib), slice(&output.floats, *ob)) {
+                    if !bits_eq(ib.slice(&input.floats), ob.slice(&output.floats)) {
                         self.fail(
                             DiagCode::RewriteMismatch,
                             Some(i),
@@ -838,8 +831,8 @@ impl Validator {
                         return;
                     }
                     let patch_len = ig.patch_len();
-                    let iw = slice_codes(&input.codes, *iwc);
-                    let ow = slice_codes(&output.codes, *owc);
+                    let iw = iwc.slice(&input.codes);
+                    let ow = owc.slice(&output.codes);
                     for (t, (it, ot)) in its.iter().zip(ots).enumerate() {
                         let Some(row_map) = self.check_table_pair(
                             i,
@@ -861,7 +854,7 @@ impl Validator {
                             return;
                         }
                     }
-                    if !bits_eq(slice(&input.floats, *ib), slice(&output.floats, *ob)) {
+                    if !bits_eq(ib.slice(&input.floats), ob.slice(&output.floats)) {
                         self.fail(
                             DiagCode::RewriteMismatch,
                             Some(i),
@@ -912,7 +905,7 @@ impl Validator {
                         return;
                     }
                     if !encoded {
-                        if !bits_eq(slice(&input.floats, *ibk), slice(&output.floats, *obk)) {
+                        if !bits_eq(ibk.slice(&input.floats), obk.slice(&output.floats)) {
                             self.fail(
                                 DiagCode::RewriteMismatch,
                                 Some(i),
@@ -956,8 +949,8 @@ impl Validator {
                         );
                         return;
                     }
-                    let ib = slice(&input.floats, *ibk);
-                    let ob = slice(&output.floats, *obk);
+                    let ib = ibk.slice(&input.floats);
+                    let ob = obk.slice(&output.floats);
                     if ob.len() != bhi - blo + 1 || !bits_eq(&ib[blo..=bhi], ob) {
                         self.fail(
                             DiagCode::RewriteMismatch,
@@ -986,8 +979,8 @@ impl Validator {
                         );
                         return;
                     }
-                    let ib = slice(&input.floats, *ibk);
-                    let ob = slice(&output.floats, *obk);
+                    let ib = ibk.slice(&input.floats);
+                    let ob = obk.slice(&output.floats);
                     if ob.len() != khi - klo + 1 || !bits_eq(&ib[klo..=khi], ob) {
                         self.fail(
                             DiagCode::RewriteMismatch,
@@ -1123,8 +1116,8 @@ impl Validator {
         }
         for (w, m) in row_map.iter().enumerate() {
             let Some(n) = m else { continue };
-            let old = &input.floats[it.offset + w * it.input_count..][keep.0..=keep.1];
-            let new = &output.floats[ot.offset + *n as usize * cols..][..cols];
+            let old = &it.row(&input.floats, w)[keep.0..=keep.1];
+            let new = ot.row(&output.floats, *n as usize);
             if !bits_eq(old, new) {
                 self.fail(
                     DiagCode::RewriteMismatch,
@@ -1235,14 +1228,8 @@ impl Validator {
                 let len = hi - lo + 1;
                 if ox.len != len
                     || oy.len != len
-                    || !bits_eq(
-                        &slice(&input.floats, *ix)[lo..=hi],
-                        slice(&output.floats, *ox),
-                    )
-                    || !bits_eq(
-                        &slice(&input.floats, *iy)[lo..=hi],
-                        slice(&output.floats, *oy),
-                    )
+                    || !bits_eq(&ix.slice(&input.floats)[lo..=hi], ox.slice(&output.floats))
+                    || !bits_eq(&iy.slice(&input.floats)[lo..=hi], oy.slice(&output.floats))
                 {
                     self.fail(
                         DiagCode::RewriteMismatch,
@@ -1313,8 +1300,8 @@ impl Validator {
                 let len = ehi - elo + 1;
                 if os.len != len
                     || !bits_eq(
-                        &slice(&input.floats, is)[elo..=ehi],
-                        slice(&output.floats, os),
+                        &is.slice(&input.floats)[elo..=ehi],
+                        os.slice(&output.floats),
                     )
                 {
                     self.fail(

@@ -1,14 +1,13 @@
 //! The analyzer's neutral program representation.
 //!
-//! [`Program`] mirrors the flattened op layout of
-//! `rapidnn_serve::CompiledModel` — two contiguous pools plus a linear
-//! op list — but with public fields and borrowed pools, so both halves
-//! of the pipeline can be analyzed by one checker: the serving crate
-//! lowers its compiled artifacts into a `Program`, and
-//! [`Program::from_reinterpreted`] lowers the composer's stage graph
-//! directly. Keeping the IR here (rather than depending on the serving
-//! crate) is what lets `rapidnn-serve` depend on the analyzer as its
-//! construction gate without a crate cycle.
+//! [`Program`] is the one flattened op layout — two contiguous pools
+//! plus a linear op list — with public fields and borrowed pools.
+//! `rapidnn_serve::CompiledModel` holds these [`Op`]s directly and
+//! executes them, so analyzing a compiled model is a matter of lending
+//! its pools, and [`Program::from_reinterpreted`] lowers the composer's
+//! stage graph into the same form. Keeping the IR here (rather than in
+//! the serving crate) is what lets `rapidnn-serve` depend on the
+//! analyzer as its construction gate without a crate cycle.
 
 use rapidnn_core::{ActivationTable, ReinterpretedNetwork, Stage, StageKind};
 use rapidnn_nn::Activation;
@@ -23,6 +22,15 @@ pub struct Span {
     pub len: usize,
 }
 
+impl Span {
+    /// The span's elements of `pool`. Panics when the span is out of
+    /// bounds — callers index only what the checker (or their own
+    /// bounds check) has proven in range.
+    pub fn slice<'a, T>(&self, pool: &'a [T]) -> &'a [T] {
+        &pool[self.start..self.start + self.len]
+    }
+}
+
 /// A flattened `w x u` product table inside the float pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableRef {
@@ -32,6 +40,26 @@ pub struct TableRef {
     pub weight_count: usize,
     /// Number of input columns (`u`).
     pub input_count: usize,
+}
+
+impl TableRef {
+    /// The product of weight code `w` and input code `x`. Panics out of
+    /// bounds, like [`Span::slice`].
+    #[inline]
+    pub fn fetch(&self, floats: &[f32], w: usize, x: usize) -> f32 {
+        floats[self.offset + w * self.input_count + x]
+    }
+
+    /// The table row of weight code `w`: all `u` precomputed products
+    /// of that weight against the input codebook. The serving kernels
+    /// hoist this lookup out of their row loops, so the inner loop is a
+    /// pure `acc[r] += row[x[r]]` gather. Panics out of bounds, like
+    /// [`Span::slice`].
+    #[inline]
+    pub fn row<'a>(&self, floats: &'a [f32], w: usize) -> &'a [f32] {
+        let start = self.offset + w * self.input_count;
+        &floats[start..start + self.input_count]
+    }
 }
 
 /// Activation step of a neuron op.
@@ -91,6 +119,10 @@ impl Geom {
 }
 
 /// One step of the flattened inference program.
+///
+/// Residual stages are linearized: `ResidualBegin` snapshots the decoded
+/// skip values onto a runtime stack, the branch's ops follow inline, and
+/// `ResidualEnd` pops the snapshot and joins.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Fully connected stage.
@@ -346,5 +378,32 @@ fn geom_of(g: &rapidnn_tensor::Conv2dGeometry) -> Geom {
         pad: g.pad,
         out_height: g.out_height,
         out_width: g.out_width,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The pool accessors the checker, the optimizer, the quant planner
+    /// and the serving kernels all index through agree with manual
+    /// indexing on a 2×3 table sitting at an offset in its pool.
+    #[test]
+    fn accessors_agree_with_manual_indexing() {
+        let floats = [9.0f32, 10.0, 11.0, 12.0, 20.0, 21.0, 22.0, 9.0];
+        let table = TableRef {
+            offset: 1,
+            weight_count: 2,
+            input_count: 3,
+        };
+        for w in 0..2 {
+            assert_eq!(table.row(&floats, w), &floats[1 + 3 * w..4 + 3 * w]);
+            for x in 0..3 {
+                assert_eq!(table.fetch(&floats, w, x), floats[1 + 3 * w + x]);
+            }
+        }
+        let span = Span { start: 4, len: 3 };
+        assert_eq!(span.slice(&floats), &[20.0, 21.0, 22.0]);
+        assert_eq!(span.slice(&[0u16, 1, 2, 3, 4, 5, 6]), &[4, 5, 6]);
     }
 }

@@ -15,18 +15,16 @@
 //! # How a dense op gets licensed
 //!
 //! A dense op reads codes, gathers `table[w][x]`, accumulates, applies
-//! bias + activation, and (except at the output) re-encodes. Two
-//! integer lowerings exist:
-//!
-//! * **Madd** — when every referenced table row factors back into
-//!   `fl(w · book[x])` (the compiled form; verified bitwise the same
-//!   way the f32 kernels' [`factor_table`] fast path does), weights and
-//!   book values are quantized separately to `i16` at `2^w_frac` /
-//!   `2^x_frac` and the kernel runs a pure `i16×i16 → i32` multiply-
-//!   accumulate stream.
-//! * **Gather** — otherwise, table entries themselves are quantized to
-//!   `i16` at `2^acc_frac` and gathered by code pair, accumulating in
-//!   `i32`.
+//! bias + activation, and (except at the output) re-encodes. There is
+//! one integer lowering, a multiply-accumulate: when every referenced
+//! table row factors back into `fl(w · book[x])` (the only form the
+//! composer writes; verified bitwise the same way the f32 kernels'
+//! `factor_table` fast path does), weights and book values are
+//! quantized separately to `i16` at `2^w_frac` / `2^x_frac` and the
+//! kernel runs a pure `i16×i16 → i32` multiply-accumulate stream. A
+//! table that does not factor — possible only in a hand-built artifact
+//! — falls back ([`FallbackReason::NotFactored`]) and serves on the
+//! bit-exact f32 gather.
 //!
 //! Headroom is proven, not hoped for: with `mag = max_o (|bias_o| +
 //! Σ_i max_x |table[w(o,i)][x]|)` bounding every partial sum over the
@@ -67,22 +65,6 @@ const ACC_BUDGET: f64 = (1u64 << 30) as f64;
 /// Hard cap on materialized finish-LUT rows (u16-indexable).
 const MAX_LUT_LEN: usize = 1 << 16;
 
-/// How a licensed op multiplies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuantMode {
-    /// Factored multiply-accumulate: weights at `2^w_frac`, inputs at
-    /// `2^x_frac`, products accumulate at `2^(w_frac + x_frac)`.
-    Madd {
-        /// Fraction bits of the quantized weight factors.
-        w_frac: u32,
-        /// Fraction bits of the quantized input codebook.
-        x_frac: u32,
-    },
-    /// Direct product-table gather: entries quantized at the
-    /// accumulator scale.
-    Gather,
-}
-
 /// How a licensed op leaves the `i32` accumulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FinishPlan {
@@ -115,6 +97,9 @@ pub enum FallbackReason {
     Invalid,
     /// A value the lowering must quantize is NaN or infinite.
     NonFinite,
+    /// A referenced table row is not `fl(w · book[x])` for any `w`, so
+    /// there are no separate weight and input operands to multiply.
+    NotFactored,
     /// Weights, codebook or table entries too large for `i16` even at
     /// zero fraction bits.
     ValueRangeTooWide,
@@ -131,6 +116,7 @@ impl fmt::Display for FallbackReason {
             FallbackReason::NotEncoded => "op consumes decoded floats",
             FallbackReason::Invalid => "op is structurally invalid",
             FallbackReason::NonFinite => "quantization source values are not finite",
+            FallbackReason::NotFactored => "product table does not factor into w · x",
             FallbackReason::ValueRangeTooWide => "operand range exceeds i16 at any fraction",
             FallbackReason::AccumulatorRangeTooWide => "accumulator range exceeds the i32 budget",
         };
@@ -138,18 +124,22 @@ impl fmt::Display for FallbackReason {
     }
 }
 
-/// A fully licensed integer lowering of one dense op.
+/// A fully licensed integer lowering of one dense op: a factored
+/// multiply-accumulate whose products land on the `2^(w_frac + x_frac)`
+/// accumulator grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LicensedOp {
-    /// Multiply strategy and operand formats.
-    pub mode: QuantMode,
-    /// Fraction bits of the `i32` accumulator grid.
+    /// Fraction bits of the quantized weight factors.
+    pub w_frac: u32,
+    /// Fraction bits of the quantized input codebook.
+    pub x_frac: u32,
+    /// Fraction bits of the `i32` accumulator grid (`w_frac + x_frac`).
     pub acc_frac: u32,
     /// The input codebook the op's codes decode through (float-pool
     /// span), recorded so the runtime need not re-derive the book walk.
     pub input_book: Span,
-    /// Recovered per-weight-code factors for [`QuantMode::Madd`]
-    /// (empty for [`QuantMode::Gather`]).
+    /// Recovered per-weight-code factors (zero for a table row no
+    /// weight code references).
     pub wvals: Vec<f32>,
     /// Proven accumulator hull over the full input code domain.
     pub acc: Interval,
@@ -455,7 +445,6 @@ impl<'p> QuantWalk<'p, '_> {
         // --- Row scan: hull, magnitude, Lipschitz and factors.
         let mut rows: Vec<Option<RowInfo>> = vec![None; table.weight_count];
         let mut wvals = vec![0.0f32; table.weight_count];
-        let mut all_factored = true;
         let mut acc = Interval::zero();
         let mut mag_bound = 0.0f64;
         let count = inputs as f64;
@@ -472,12 +461,10 @@ impl<'p> QuantWalk<'p, '_> {
                         let Some(info) = self.row_info(table, c, book) else {
                             return fallback(self, FallbackReason::NonFinite);
                         };
-                        if all_factored {
-                            match factor_row(&table_row(pool_f, table, c)[..book.len()], book) {
-                                Some(v) => wvals[c] = v,
-                                None => all_factored = false,
-                            }
-                        }
+                        let Some(w) = factor_row(&table.row(pool_f, c)[..book.len()], book) else {
+                            return fallback(self, FallbackReason::NotFactored);
+                        };
+                        wvals[c] = w;
                         rows[c] = Some(info);
                         info
                     }
@@ -491,70 +478,37 @@ impl<'p> QuantWalk<'p, '_> {
             mag_bound = mag_bound.max(mag_o);
         }
 
-        // --- Choose a mode and fraction split with proven headroom.
+        // --- Choose a fraction split with proven headroom.
         let lut_frac = self.lut_frac;
-        let fits =
-            |f: u32, term_slack: f64| mag_bound * exp2(f) + count * term_slack + 1.0 <= ACC_BUDGET;
-        let (mode, acc_frac, eps_acc) = if all_factored {
-            let wmax = wvals
-                .iter()
-                .zip(&rows)
-                .filter(|(_, info)| info.is_some())
-                .map(|(v, _)| f64::from(*v).abs())
-                .fold(0.0, f64::max);
-            let xmax = book.iter().map(|v| f64::from(*v).abs()).fold(0.0, f64::max);
-            let (Some(mut wf), Some(mut xf)) = (frac_cap(wmax), frac_cap(xmax)) else {
-                return fallback(self, FallbackReason::ValueRangeTooWide);
-            };
-            if wf + xf < lut_frac {
-                return fallback(self, FallbackReason::ValueRangeTooWide);
-            }
-            // Per-term rounding slack: |wq·xq - w·x·2^F| stays within
-            // (Wmax·2^wf + Xmax·2^xf)/2 + 1/4 ≤ 2^15.
-            while !fits(wf + xf, 32768.0) {
-                if wf + xf <= lut_frac {
-                    return fallback(self, FallbackReason::AccumulatorRangeTooWide);
-                }
-                if wf >= xf {
-                    wf -= 1;
-                } else {
-                    xf -= 1;
-                }
-            }
-            let f = wf + xf;
-            let eps = count * (wmax * exp2_neg(xf + 1) + xmax * exp2_neg(wf + 1) + exp2_neg(f + 2))
-                + exp2_neg(f + 1)
-                + (count + 3.0) * mag_bound * exp2_neg(23);
-            (
-                QuantMode::Madd {
-                    w_frac: wf,
-                    x_frac: xf,
-                },
-                f,
-                eps,
-            )
-        } else {
-            let tmax = rows
-                .iter()
-                .flatten()
-                .map(|info| info.mag)
-                .fold(0.0, f64::max);
-            let Some(mut f) = frac_cap(tmax) else {
-                return fallback(self, FallbackReason::ValueRangeTooWide);
-            };
-            if f < lut_frac {
-                return fallback(self, FallbackReason::ValueRangeTooWide);
-            }
-            while !fits(f, 0.5) {
-                if f <= lut_frac {
-                    return fallback(self, FallbackReason::AccumulatorRangeTooWide);
-                }
-                f -= 1;
-            }
-            wvals.clear();
-            let eps = (count + 1.0) * exp2_neg(f + 1) + (count + 3.0) * mag_bound * exp2_neg(23);
-            (QuantMode::Gather, f, eps)
+        // A row no weight code references keeps its zero factor.
+        let wmax = wvals
+            .iter()
+            .map(|v| f64::from(*v).abs())
+            .fold(0.0, f64::max);
+        let xmax = book.iter().map(|v| f64::from(*v).abs()).fold(0.0, f64::max);
+        let (Some(mut w_frac), Some(mut x_frac)) = (frac_cap(wmax), frac_cap(xmax)) else {
+            return fallback(self, FallbackReason::ValueRangeTooWide);
         };
+        if w_frac + x_frac < lut_frac {
+            return fallback(self, FallbackReason::ValueRangeTooWide);
+        }
+        // Per-term rounding slack: |wq·xq - w·x·2^F| stays within
+        // (Wmax·2^wf + Xmax·2^xf)/2 + 1/4 ≤ 2^15.
+        while mag_bound * exp2(w_frac + x_frac) + count * 32768.0 + 1.0 > ACC_BUDGET {
+            if w_frac + x_frac <= lut_frac {
+                return fallback(self, FallbackReason::AccumulatorRangeTooWide);
+            }
+            if w_frac >= x_frac {
+                w_frac -= 1;
+            } else {
+                x_frac -= 1;
+            }
+        }
+        let acc_frac = w_frac + x_frac;
+        let eps_acc = count
+            * (wmax * exp2_neg(x_frac + 1) + xmax * exp2_neg(w_frac + 1) + exp2_neg(acc_frac + 2))
+            + exp2_neg(acc_frac + 1)
+            + (count + 3.0) * mag_bound * exp2_neg(23);
         let acc_error = eps_acc + flip_term(count, lip_max, self.err);
 
         // --- Finish: direct dequantization when nothing follows the
@@ -599,14 +553,11 @@ impl<'p> QuantWalk<'p, '_> {
         self.err = out_err;
 
         OpQuant::Licensed(Box::new(LicensedOp {
-            mode,
+            w_frac,
+            x_frac,
             acc_frac,
             input_book: book_span,
-            wvals: if matches!(mode, QuantMode::Madd { .. }) {
-                wvals
-            } else {
-                Vec::new()
-            },
+            wvals,
             acc,
             acc_error,
             finish,
@@ -618,7 +569,7 @@ impl<'p> QuantWalk<'p, '_> {
     /// input-book columns; `None` when an entry is not finite.
     fn row_info(&self, table: &TableRef, row: usize, book: &[f32]) -> Option<RowInfo> {
         let pool_f: &[f32] = &self.program.floats;
-        let row = &table_row(pool_f, table, row)[..book.len()];
+        let row = &table.row(pool_f, row)[..book.len()];
         let hull = Interval::of_slice(row)?;
         let mag = hull.magnitude();
         Some(RowInfo {
@@ -640,7 +591,7 @@ impl<'p> QuantWalk<'p, '_> {
             return f64::INFINITY;
         }
         (0..table.weight_count)
-            .map(|w| slice_lip(book, &table_row(pool_f, table, w)[..book.len()]))
+            .map(|w| slice_lip(book, &table.row(pool_f, w)[..book.len()]))
             .fold(0.0, f64::max)
     }
 
@@ -673,7 +624,7 @@ impl<'p> QuantWalk<'p, '_> {
             let c = c as usize;
             if !seen[c] {
                 seen[c] = true;
-                let row = &table_row(pool_f, table, c)[..book.len()];
+                let row = &table.row(pool_f, c)[..book.len()];
                 lip = lip.max(slice_lip(book, row));
                 mag = mag.max(Interval::of_slice(row)?.magnitude());
             }
@@ -705,13 +656,6 @@ impl<'p> QuantWalk<'p, '_> {
             }
         }
     }
-}
-
-/// One product-table row (callers have already bounds-checked the
-/// whole table against the float pool).
-fn table_row<'a>(pool_f: &'a [f32], table: &TableRef, row: usize) -> &'a [f32] {
-    let start = table.offset + row * table.input_count;
-    &pool_f[start..start + table.input_count]
 }
 
 /// `count · lip · err` with the `∞ · 0` corner pinned to zero: no
@@ -844,10 +788,7 @@ mod tests {
         let OpQuant::Licensed(op) = &plan.ops[0] else {
             panic!("expected license, got {:?}", plan.ops[0]);
         };
-        let QuantMode::Madd { w_frac, x_frac } = op.mode else {
-            panic!("expected madd, got {:?}", op.mode);
-        };
-        assert!(w_frac + x_frac == op.acc_frac);
+        assert_eq!(op.w_frac + op.x_frac, op.acc_frac);
         assert!(op.acc_frac >= 8, "acc_frac {} below Q8.8", op.acc_frac);
         assert_eq!(op.finish, FinishPlan::Direct);
         assert_eq!(op.wvals, vec![-0.5, 1.0]);
@@ -863,17 +804,26 @@ mod tests {
     }
 
     #[test]
-    fn unfactorable_table_licenses_as_gather() {
+    fn unfactorable_table_falls_back_as_not_factored() {
         // Corrupt one product so the row no longer factors.
         let mut program = tiny(&[-0.5, 1.0]);
-        let floats = program.floats.to_mut();
-        floats[4] += 0.001; // row 0, column 0
+        program.floats.to_mut()[4] += 0.001; // row 0, column 0
         let plan = quantize_plan(&program);
-        let OpQuant::Licensed(op) = &plan.ops[0] else {
-            panic!("expected license, got {:?}", plan.ops[0]);
+        assert_eq!(plan.ops[0], OpQuant::Fallback(FallbackReason::NotFactored));
+        assert_eq!(plan.output_error, 0.0);
+
+        // Downstream of a licensed op the f32 fallback still carries a
+        // finite bound (`fallback_acc_dev`) to the output.
+        let mut program = stacked();
+        let Op::Dense { table, .. } = &program.ops[1] else {
+            unreachable!("stacked is all dense");
         };
-        assert_eq!(op.mode, QuantMode::Gather);
-        assert!(op.wvals.is_empty());
+        let first_product = table.offset;
+        program.floats.to_mut()[first_product] += 0.001;
+        let plan = quantize_plan(&program);
+        assert!(plan.ops[0].is_licensed(), "{:?}", plan.ops[0]);
+        assert_eq!(plan.ops[1], OpQuant::Fallback(FallbackReason::NotFactored));
+        assert!(plan.output_error.is_finite() && plan.output_error > 0.0);
     }
 
     #[test]
@@ -931,10 +881,9 @@ mod tests {
         assert!(op.error >= 2.0 * 0.75, "error {}", op.error);
     }
 
-    #[test]
-    fn error_bound_composes_across_ops() {
-        // Two stacked dense layers: the second op's bound must include
-        // the first op's deviation amplified by the fan-in.
+    /// Two stacked factored dense layers, 2 → 2 → 1, the first
+    /// re-encoding through the input book.
+    fn stacked() -> Program<'static> {
         let book = [-1.0f32, 0.0, 0.5, 2.0];
         let mut floats = book.to_vec();
         let t1 = floats.len();
@@ -953,7 +902,7 @@ mod tests {
         }
         let b2 = floats.len();
         floats.push(0.0);
-        let program = Program {
+        Program {
             input_features: 2,
             output_features: 1,
             virtual_encoder: Span { start: 0, len: 4 },
@@ -988,8 +937,14 @@ mod tests {
             floats: Cow::Owned(floats),
             codes: Cow::Owned(vec![0, 1, 1, 0, 0, 1]),
             packed: vec![],
-        };
-        let plan = quantize_plan(&program);
+        }
+    }
+
+    #[test]
+    fn error_bound_composes_across_ops() {
+        // The second op's bound must include the first op's deviation
+        // amplified by the fan-in.
+        let plan = quantize_plan(&stacked());
         assert_eq!(plan.licensed(), 2, "{:?}", plan.ops);
         let (OpQuant::Licensed(op1), OpQuant::Licensed(op2)) = (&plan.ops[0], &plan.ops[1]) else {
             panic!("expected two licenses");

@@ -1,28 +1,13 @@
 //! Compiled-model artifacts.
 //!
-//! [`CompiledModel`] flattens a [`ReinterpretedNetwork`] — nested stages,
-//! per-stage codebooks, product tables, activation/encoder LUTs — into two
-//! contiguous pools (`floats`, `codes`) plus a linear op program. The flat
-//! layout is cache-friendly for serving and trivially serializable: the
-//! binary format is a hand-rolled, versioned, checksummed little-endian
-//! encoding with no dependencies beyond `std`.
-//!
-//! # Wire format
-//!
-//! The outer framing is `RNNA` magic, `u32` version, `u64` payload
-//! length, payload, FNV-1a 64 checksum of the payload. The payload
-//! (format v2, see `DESIGN.md` §12) front-loads a fixed header of nine
-//! `u64`s (widths, pool lengths, op/section counts, and the byte
-//! offsets of the float section, packed region, and tail directory),
-//! then the ops, zero padding to the next 8-byte boundary, the raw LE
-//! `f32` float section, per-op code sections bit-packed at
-//! `ceil(log2(codebook_len))` bits each, and finally a tail directory
-//! locating every section. Because the payload begins 8 bytes into a
-//! 16-byte outer header, an 8-aligned payload offset is 8-aligned in
-//! the whole buffer, and the loader can borrow the float section (and
-//! read codes through a bounded bit cursor) directly out of one
-//! aligned copy of the artifact — validate-then-borrow instead of
-//! parse-then-copy.
+//! [`CompiledModel`] holds a [`ReinterpretedNetwork`] — nested stages,
+//! per-stage codebooks, product tables, activation/encoder LUTs — as two
+//! contiguous pools (`floats`, `codes`) plus the analyzer's linear op
+//! program ([`rapidnn_analyze::Op`]), which the kernels execute as it
+//! is. The flat layout is cache-friendly for serving and trivially
+//! serializable; the binary format lives in the crate's `wire` module.
+//! This module is the in-memory model, its pools and the construction
+//! gate.
 //!
 //! # Verified by construction
 //!
@@ -38,7 +23,7 @@
 //! geometry in bounds, so [`CompiledModel::infer`] never panics on a
 //! model that exists, and the kernels index with plain bounds-checked
 //! slices — no per-gather clamp. Corrupt bytes surface earlier, as
-//! typed [`ArtifactError`]s.
+//! typed [`ArtifactError`](crate::ArtifactError)s.
 //!
 //! Inference over the flattened program is bit-for-bit identical to
 //! [`ReinterpretedNetwork::infer_sample`]: the nearest-representative
@@ -48,195 +33,20 @@
 //! wrappers over a [`BatchRunner`], the zero-allocation batch-major
 //! interpreter.
 
-use crate::error::{ArtifactError, Result, ServeError};
+use crate::error::{Result, ServeError};
 use crate::kernels::BatchRunner;
 use crate::pod::{self, AlignedBytes};
+use crate::wire::{self, packed_byte_len, read_bits};
+use rapidnn_analyze::{Act, Op, Program, Span};
+#[cfg(test)]
+use rapidnn_analyze::{Geom, TableRef};
 use rapidnn_core::nearest::{load_keys, tabulate_thresholds};
 use rapidnn_core::ReinterpretedNetwork;
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::Arc;
 
-/// File magic: `RNNA` ("RapidNN Artifact").
-pub const MAGIC: [u8; 4] = *b"RNNA";
-/// The artifact format version (bit-packed code sections with a tail
-/// directory and a zero-copy float section) — the only one read or
-/// written.
-pub const FORMAT_VERSION: u32 = 2;
-/// Byte length of the outer framing before the payload (magic, version,
-/// payload length). The payload therefore starts 8-aligned inside the
-/// buffer, which the v2 zero-copy float view relies on.
-const OUTER_HEADER_LEN: usize = 16;
-/// Byte length of the fixed v2 payload header (nine `u64` fields).
-const V2_HEADER_LEN: usize = 72;
-/// Byte length of one v2 tail-directory entry (four `u64` fields).
-const V2_DIR_ENTRY_LEN: usize = 32;
-/// Upper bound on any single dimension/extent, keeping index arithmetic
-/// far away from overflow on 32-bit-and-up targets.
-const MAX_EXTENT: u64 = 1 << 31;
-
-/// A `(start, len)` view into one of the model's pools.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Span {
-    pub(crate) start: usize,
-    pub(crate) len: usize,
-}
-
-impl Span {
-    pub(crate) fn slice<'a, T>(&self, pool: &'a [T]) -> &'a [T] {
-        &pool[self.start..self.start + self.len]
-    }
-}
-
-/// A flattened `w x u` product table inside the float pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct TableRef {
-    pub(crate) offset: usize,
-    pub(crate) weight_count: usize,
-    pub(crate) input_count: usize,
-}
-
-impl TableRef {
-    #[inline]
-    pub(crate) fn fetch(&self, floats: &[f32], w: u16, x: u16) -> f32 {
-        floats[self.offset + w as usize * self.input_count + x as usize]
-    }
-
-    /// The table row for weight code `w`: all `u` precomputed products
-    /// of that weight against the input codebook. The batch kernels
-    /// hoist this lookup out of their row loops, so the inner loop is a
-    /// pure `acc[r] += row[x[r]]` gather.
-    #[inline]
-    pub(crate) fn row<'a>(&self, floats: &'a [f32], w: u16) -> &'a [f32] {
-        let start = self.offset + w as usize * self.input_count;
-        &floats[start..start + self.input_count]
-    }
-}
-
-/// Activation step of a neuron op.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ActRef {
-    /// Exact pass-through (output stage logits).
-    Identity,
-    /// Exact comparator ReLU.
-    Relu,
-    /// Nearest-input lookup table (`inputs` sorted, aligned with
-    /// `outputs`), both spans into the float pool.
-    Lookup { inputs: Span, outputs: Span },
-}
-
-impl ActRef {
-    /// Mirrors `ActivationTable::lookup` exactly.
-    #[inline]
-    pub(crate) fn apply(&self, floats: &[f32], y: f32) -> f32 {
-        match self {
-            ActRef::Identity => y,
-            ActRef::Relu => y.max(0.0),
-            ActRef::Lookup { inputs, outputs } => {
-                let xs = inputs.slice(floats);
-                let idx = match xs.binary_search_by(|p| p.total_cmp(&y)) {
-                    Ok(i) => i,
-                    Err(ins) => {
-                        if ins == 0 {
-                            0
-                        } else if ins >= xs.len() {
-                            xs.len() - 1
-                        } else if (y - xs[ins - 1]).abs() <= (xs[ins] - y).abs() {
-                            ins - 1
-                        } else {
-                            ins
-                        }
-                    }
-                };
-                outputs.slice(floats)[idx]
-            }
-        }
-    }
-}
-
-/// Convolution / pooling window geometry, mirroring
-/// `rapidnn_tensor::Conv2dGeometry` field-for-field so artifacts do not
-/// depend on that type's layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Geom {
-    pub(crate) in_channels: usize,
-    pub(crate) in_height: usize,
-    pub(crate) in_width: usize,
-    pub(crate) kernel_h: usize,
-    pub(crate) kernel_w: usize,
-    pub(crate) stride: usize,
-    pub(crate) pad: usize,
-    pub(crate) out_height: usize,
-    pub(crate) out_width: usize,
-}
-
-impl Geom {
-    pub(crate) fn in_volume(&self) -> usize {
-        self.in_channels * self.in_height * self.in_width
-    }
-
-    pub(crate) fn out_pixels(&self) -> usize {
-        self.out_height * self.out_width
-    }
-
-    pub(crate) fn patch_len(&self) -> usize {
-        self.in_channels * self.kernel_h * self.kernel_w
-    }
-}
-
-/// One step of the flattened inference program.
-///
-/// Residual stages are linearized: `ResidualBegin` snapshots the decoded
-/// skip values onto a runtime stack, the branch's ops follow inline, and
-/// `ResidualEnd` pops the snapshot and joins.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Op {
-    Dense {
-        inputs: usize,
-        outputs: usize,
-        weight_codes: Span,
-        bias: Span,
-        table: TableRef,
-        act: ActRef,
-        encoder: Option<Span>,
-    },
-    Conv {
-        geom: Geom,
-        out_channels: usize,
-        weight_codes: Span,
-        bias: Span,
-        tables: Vec<TableRef>,
-        zero_code: u16,
-        act: ActRef,
-        encoder: Option<Span>,
-    },
-    MaxPool(Geom),
-    AvgPool {
-        geom: Geom,
-        codebook: Span,
-    },
-    ResidualBegin {
-        skip_codebook: Span,
-    },
-    ResidualEnd {
-        encoder: Option<Span>,
-    },
-}
-
-/// Number of bits v2 packs each code of a section with `rows`
-/// addressable codebook entries into: enough to represent `rows - 1`,
-/// minimum 1, maximum 16 — the analyzer caps codebooks at `2^16`
-/// values (RNA0004).
-pub(crate) fn bits_for(rows: usize) -> u32 {
-    let top = rows.max(2) - 1;
-    // Codes are u16, so 16 bits always suffice even for a (degenerate)
-    // table claiming more than 2^16 rows.
-    (usize::BITS - top.leading_zeros()).min(16)
-}
-
-/// Smallest width that can represent every code in `values` (minimum 1).
-fn bits_needed(values: &[u16]) -> u32 {
-    bits_for(values.iter().copied().max().unwrap_or(0) as usize + 1)
-}
+pub use crate::wire::{FORMAT_VERSION, MAGIC};
 
 /// The model's float pool: every codebook, product table, LUT, and bias.
 ///
@@ -285,34 +95,21 @@ impl PartialEq for FloatPool {
     }
 }
 
-/// One bit-packed code section of a v2 artifact: `len` codes starting
-/// at pool index `start`, packed LSB-first at `width_bits` bits each.
+/// One bit-packed code section of a v2 artifact as the pool reads it:
+/// the layout the analyzer lints (code range, LSB-first width, pad bits
+/// as recorded at decode time) plus where the bit stream sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PackedSection {
-    /// First code-pool index this section holds.
-    pub(crate) start: usize,
-    /// Number of codes in the section.
-    pub(crate) len: usize,
+    pub(crate) layout: rapidnn_analyze::PackedSection,
     /// Absolute byte offset of the section's bit stream in the buffer.
     pub(crate) byte_off: usize,
-    /// Bits per code, `1..=16`.
-    pub(crate) width_bits: u32,
-    /// Whether the unused high bits of the section's final byte are
-    /// zero. Recorded at decode time; the analyzer rejects sections
-    /// with trailing garbage bits.
-    pub(crate) padding_clear: bool,
 }
 
 impl PackedSection {
     /// Bytes the section's bit stream occupies.
     fn byte_len(&self) -> usize {
-        packed_byte_len(self.len, self.width_bits)
+        packed_byte_len(self.layout.code_len, self.layout.width_bits)
     }
-}
-
-/// Bytes needed to pack `len` codes at `width` bits each.
-fn packed_byte_len(len: usize, width: u32) -> usize {
-    (len * width as usize).div_ceil(8)
 }
 
 /// The model's code pool: every encoded weight.
@@ -343,16 +140,9 @@ impl CodePool {
         }
     }
 
-    /// Appends the codes of pool range `start..start + len` to `out`,
-    /// reading each packed section through a bounded bit cursor. The
-    /// range must be in bounds (callers bounds-check first).
-    fn decode_range_into(&self, start: usize, len: usize, out: &mut Vec<u16>) {
-        self.map_range(start, len, |c| out.push(c));
-    }
-
     /// Streams the codes of pool range `start..start + len` through `f`
-    /// in order, reading bit-packed sections directly — no intermediate
-    /// wide buffer. The quantized-table materializer consumes v2 code
+    /// in order, reading each bit-packed section through a bounded bit
+    /// cursor — no intermediate wide buffer. The quantized-table materializer consumes v2 code
     /// sections through this exactly once at load time, which is what
     /// lets the integer batch path skip per-op tile decodes entirely.
     /// The range must be in bounds (callers bounds-check first).
@@ -364,19 +154,21 @@ impl CodePool {
                 let end = start + len;
                 // Sections are sorted and tile the pool; find the first
                 // one overlapping the range, then walk forward.
-                let first = sections.partition_point(|s| s.start + s.len <= start);
+                let first =
+                    sections.partition_point(|s| s.layout.code_start + s.layout.code_len <= start);
                 for s in &sections[first..] {
-                    if s.start >= end {
+                    let (s_start, width) = (s.layout.code_start, s.layout.width_bits as usize);
+                    if s_start >= end {
                         break;
                     }
-                    let lo = start.max(s.start);
-                    let hi = end.min(s.start + s.len);
+                    let lo = start.max(s_start);
+                    let hi = end.min(s_start + s.layout.code_len);
                     let stream = &bytes[s.byte_off..s.byte_off + s.byte_len()];
-                    let mask = (1u32 << s.width_bits) - 1;
-                    let mut bit = (lo - s.start) * s.width_bits as usize;
+                    let mask = (1u32 << width) - 1;
+                    let mut bit = (lo - s_start) * width;
                     for _ in lo..hi {
                         f(read_bits(stream, bit, mask));
-                        bit += s.width_bits as usize;
+                        bit += width;
                     }
                 }
             }
@@ -390,7 +182,7 @@ impl CodePool {
             CodePool::Wide(v) => v.clone(),
             CodePool::Packed { total, .. } => {
                 let mut out = Vec::with_capacity(*total);
-                self.decode_range_into(0, *total, &mut out);
+                self.map_range(0, *total, |c| out.push(c));
                 out
             }
         }
@@ -411,52 +203,6 @@ impl PartialEq for CodePool {
             (CodePool::Wide(a), CodePool::Wide(b)) => a == b,
             (a, b) => a.len() == b.len() && a.to_wide() == b.to_wide(),
         }
-    }
-}
-
-/// Reads the `mask`-wide value at bit offset `bit` of an LSB-first
-/// stream. Out-of-stream bytes read as zero, so a read that would run
-/// past the final byte (possible only while probing, never for codes a
-/// validated section owns) stays in bounds.
-#[inline]
-fn read_bits(stream: &[u8], bit: usize, mask: u32) -> u16 {
-    let byte = bit / 8;
-    let shift = bit % 8;
-    let mut acc = 0u32;
-    for i in 0..3 {
-        if let Some(&b) = stream.get(byte + i) {
-            acc |= u32::from(b) << (8 * i);
-        }
-    }
-    ((acc >> shift) & mask) as u16
-}
-
-/// LSB-first bit packer for one v2 code section.
-#[derive(Default)]
-struct BitWriter {
-    out: Vec<u8>,
-    acc: u64,
-    nbits: u32,
-}
-
-impl BitWriter {
-    fn put(&mut self, v: u16, width: u32) {
-        self.acc |= u64::from(v) << self.nbits;
-        self.nbits += width;
-        while self.nbits >= 8 {
-            self.out.push(self.acc as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
-        }
-    }
-
-    /// Flushes the final partial byte (its unused high bits are zero)
-    /// and returns the section's byte stream.
-    fn finish(mut self) -> Vec<u8> {
-        if self.nbits > 0 {
-            self.out.push(self.acc as u8);
-        }
-        self.out
     }
 }
 
@@ -547,7 +293,7 @@ impl CompiledModel {
     /// [`ServeError::Rejected`] carrying the report when the lowered
     /// program fails static analysis.
     pub fn from_reinterpreted(network: &ReinterpretedNetwork) -> Result<Self> {
-        Self::from_program(&rapidnn_analyze::Program::from_reinterpreted(network))
+        Self::from_program(&Program::from_reinterpreted(network))
     }
 
     /// Input feature width.
@@ -571,7 +317,7 @@ impl CompiledModel {
             CodePool::Wide(v) => span.slice(v),
             packed => {
                 scratch.clear();
-                packed.decode_range_into(span.start, span.len, scratch);
+                packed.map_range(span.start, span.len, |c| scratch.push(c));
                 scratch
             }
         }
@@ -629,7 +375,7 @@ impl CompiledModel {
                 weight_codes,
                 bias,
                 table,
-                act: ActRef::Relu,
+                act: Act::Relu,
                 encoder: (l + 1 < layers.max(1)).then_some(book),
             })
             .collect();
@@ -644,10 +390,10 @@ impl CompiledModel {
     }
 
     /// [`deep_for_tests`](Self::deep_for_tests) quantized into a mixed
-    /// plan: op `refused` multiplies through a table too wide for `i16`
-    /// and stays on the f32 path, op `gathered` through one that does
-    /// not factor and lowers to an integer Gather; every other op
-    /// licenses as an integer Madd.
+    /// plan: op `refused` multiplies through a table too wide for `i16`,
+    /// op `gathered` through one that does not factor, and both stay on
+    /// the f32 gather reading codes; every other op licenses as an
+    /// integer multiply-accumulate reading `i16` operands.
     #[cfg(test)]
     pub(crate) fn deep_mixed_for_tests(
         layers: usize,
@@ -678,14 +424,9 @@ impl CompiledModel {
         }
         model.quantize().expect("quantize is infallible");
         for oi in 0..layers {
-            use crate::kernels::Domain;
-            let want = match oi {
-                oi if oi == refused => None,
-                oi if oi == gathered => Some(Domain::Codes),
-                _ => Some(Domain::Quants),
-            };
-            let reads = model.quant_op(oi).map(crate::quant::QuantOp::reads);
-            assert_eq!(reads, want, "op {oi}: {:?}", model.quant_plan());
+            let licensed = oi != refused && oi != gathered;
+            let plan = model.quant_plan();
+            assert_eq!(model.quant_op(oi).is_some(), licensed, "op {oi}: {plan:?}");
         }
         model
     }
@@ -782,134 +523,15 @@ impl CompiledModel {
     // Serialization
     // ------------------------------------------------------------------
 
-    /// Serializes the model in the current (v2) format: `RNNA` magic,
-    /// format version, payload length, payload, FNV-1a 64 checksum —
-    /// all little-endian. The payload carries the float pool as raw LE
-    /// `f32` bytes at an 8-aligned offset and the code pool as per-op
-    /// bit-packed sections located by a tail directory, so a loader can
-    /// borrow both without materializing them.
+    /// Serializes the model in the current (v2) format (the crate's
+    /// `wire` module): `RNNA` magic, format version, payload length,
+    /// payload, FNV-1a 64 checksum — all little-endian. The payload
+    /// carries the float pool as raw LE `f32` bytes at an 8-aligned
+    /// offset and the code pool as per-op bit-packed sections located
+    /// by a tail directory, so a loader can borrow both without
+    /// materializing them.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let floats = self.float_pool();
-        let codes = self.codes.to_wide();
-        let sections = self.plan_sections(&codes);
-
-        // Ops first (variable length), so the header can record where
-        // the aligned float section starts.
-        let mut ops_bytes = Vec::new();
-        write_span(&mut ops_bytes, self.virtual_encoder);
-        for op in &self.ops {
-            write_op(&mut ops_bytes, op);
-        }
-        let ops_end = V2_HEADER_LEN + ops_bytes.len();
-        let float_byte_off = ops_end.next_multiple_of(8);
-        let packed_byte_off = float_byte_off + floats.len() * 4;
-
-        let mut streams: Vec<Vec<u8>> = Vec::with_capacity(sections.len());
-        for &(start, len, width) in &sections {
-            let mut w = BitWriter::default();
-            for &c in &codes[start..start + len] {
-                w.put(c, width);
-            }
-            streams.push(w.finish());
-        }
-        let packed_len: usize = streams.iter().map(Vec::len).sum();
-        let dir_byte_off = packed_byte_off + packed_len;
-
-        let payload_len = dir_byte_off + sections.len() * V2_DIR_ENTRY_LEN;
-        let mut payload = Vec::with_capacity(payload_len);
-        for v in [
-            self.input_features as u64,
-            self.output_features as u64,
-            floats.len() as u64,
-            codes.len() as u64,
-            self.ops.len() as u64,
-            sections.len() as u64,
-            float_byte_off as u64,
-            packed_byte_off as u64,
-            dir_byte_off as u64,
-        ] {
-            write_u64(&mut payload, v);
-        }
-        payload.extend_from_slice(&ops_bytes);
-        payload.resize(float_byte_off, 0); // alignment padding, must be zero
-        for &f in floats {
-            payload.extend_from_slice(&f.to_le_bytes());
-        }
-        for stream in &streams {
-            payload.extend_from_slice(stream);
-        }
-        let mut byte_off = packed_byte_off;
-        for (&(start, len, width), stream) in sections.iter().zip(&streams) {
-            write_u64(&mut payload, start as u64);
-            write_u64(&mut payload, len as u64);
-            write_u64(&mut payload, byte_off as u64);
-            write_u64(&mut payload, u64::from(width));
-            byte_off += stream.len();
-        }
-        debug_assert_eq!(payload.len(), payload_len);
-
-        frame(payload)
-    }
-
-    /// Plans the v2 code sections as `(start, len, width_bits)` triples
-    /// tiling `0..codes.len()` in ascending order.
-    ///
-    /// Sections come from the ops' weight-code spans (the flattener
-    /// lays codes out in op order, so for compiler-built models they
-    /// tile the pool exactly); each op section is packed at
-    /// `ceil(log2(table rows))` bits. Code ranges no op claims — which
-    /// only hand-built or malformed models have — become filler
-    /// sections, and every width is widened if needed to hold the
-    /// largest value actually present, so serialization round-trips the
-    /// pool bit-for-bit even for the broken models unit tests assemble.
-    fn plan_sections(&self, codes: &[u16]) -> Vec<(usize, usize, u32)> {
-        let total = codes.len();
-        let mut claims: Vec<(Span, u32)> = Vec::new();
-        for op in &self.ops {
-            let claim = match op {
-                Op::Dense {
-                    weight_codes,
-                    table,
-                    ..
-                } => Some((*weight_codes, bits_for(table.weight_count))),
-                Op::Conv {
-                    weight_codes,
-                    tables,
-                    ..
-                } => {
-                    let rows = tables.iter().map(|t| t.weight_count).max().unwrap_or(0);
-                    Some((*weight_codes, bits_for(rows)))
-                }
-                _ => None,
-            };
-            if let Some((span, width)) = claim {
-                if span.len > 0 && span.start < total && span.start + span.len <= total {
-                    claims.push((span, width));
-                }
-            }
-        }
-        claims.sort_by_key(|(s, _)| s.start);
-
-        let mut sections = Vec::new();
-        let mut push = |start: usize, len: usize, width: u32| {
-            let width = width.max(bits_needed(&codes[start..start + len]));
-            sections.push((start, len, width));
-        };
-        let mut cursor = 0usize;
-        for (span, width) in claims {
-            if span.start < cursor {
-                continue; // overlap: the earlier section already covers it
-            }
-            if span.start > cursor {
-                push(cursor, span.start - cursor, 1);
-            }
-            push(span.start, span.len, width);
-            cursor = span.start + span.len;
-        }
-        if cursor < total {
-            push(cursor, total - cursor, 1);
-        }
-        sections
+        wire::encode(self)
     }
 
     /// Decodes an artifact and runs the static analyzer over it — the
@@ -918,209 +540,14 @@ impl CompiledModel {
     /// # Errors
     ///
     /// Byte-level corruption surfaces as [`ServeError::Artifact`] with a
-    /// typed [`ArtifactError`] — bad magic, unknown version, truncation,
+    /// typed [`ArtifactError`](crate::ArtifactError) — bad magic, unknown version, truncation,
     /// checksum mismatch, broken framing; a decodable program with
     /// analysis errors surfaces as [`ServeError::Rejected`] carrying
     /// the full diagnostic report. This function never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let model = Self::decode(bytes)?;
+        let model = wire::decode(bytes)?;
         gate(&model.to_program())?;
         Ok(model)
-    }
-
-    /// Decodes the byte framing (magic, version, checksum, payload) into
-    /// a model no analyzer has seen. Callers run the analyzer over it
-    /// ([`Self::from_bytes`], `lint_bytes`) before anything infers.
-    pub(crate) fn decode(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        let mut r = Reader::new(bytes);
-        let magic = r.take(4)?;
-        if magic != MAGIC {
-            return Err(ArtifactError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != FORMAT_VERSION {
-            return Err(ArtifactError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        let payload_len = r.usize()?;
-        let payload = r.take(payload_len)?;
-        let stored = r.u64()?;
-        if r.remaining() != 0 {
-            return Err(ArtifactError::Malformed(format!(
-                "{} trailing bytes after checksum",
-                r.remaining()
-            )));
-        }
-        let actual = fnv1a64(payload);
-        if stored != actual {
-            return Err(ArtifactError::ChecksumMismatch {
-                expected: stored,
-                actual,
-            });
-        }
-        Self::decode_v2(bytes, payload_len)
-    }
-
-    /// Decodes a checksummed payload: copies the whole image into one
-    /// aligned buffer (the only copy), parses the fixed header and ops,
-    /// checks the section directory's framing invariants, and builds
-    /// borrowed pool views over the buffer — validate-then-borrow.
-    fn decode_v2(bytes: &[u8], payload_len: usize) -> Result<Self, ArtifactError> {
-        let invalid = |msg: String| ArtifactError::PackedLayout(msg);
-        let buf = Arc::new(AlignedBytes::copy_from(bytes));
-        let payload = &buf.bytes()[OUTER_HEADER_LEN..OUTER_HEADER_LEN + payload_len];
-
-        let mut p = Reader::new(payload);
-        let input_features = p.extent()?;
-        let output_features = p.extent()?;
-        let nfloats = p.extent()?;
-        let ncodes = p.extent()?;
-        let nops = p.extent()?;
-        let nsections = p.extent()?;
-        let float_byte_off = p.usize()?;
-        let packed_byte_off = p.usize()?;
-        let dir_byte_off = p.usize()?;
-
-        let virtual_encoder = read_span(&mut p)?;
-        // Each op costs at least its 1-byte tag, and all ops must end
-        // before the float section.
-        p.ensure(nops)?;
-        let mut ops = Vec::with_capacity(nops);
-        for _ in 0..nops {
-            ops.push(read_op(&mut p)?);
-        }
-        let ops_end = p.pos();
-
-        // Framing invariants: the four regions (ops + padding, floats,
-        // packed streams, directory) must chain exactly through the
-        // recorded offsets and fill the payload.
-        if float_byte_off != ops_end.next_multiple_of(8) {
-            return Err(invalid(format!(
-                "float section at byte {float_byte_off}, ops end (8-aligned) at {}",
-                ops_end.next_multiple_of(8)
-            )));
-        }
-        let float_end = nfloats
-            .checked_mul(4)
-            .and_then(|n| float_byte_off.checked_add(n))
-            .ok_or_else(too_large)?;
-        if packed_byte_off != float_end {
-            return Err(invalid(format!(
-                "packed region at byte {packed_byte_off}, float section ends at {float_end}"
-            )));
-        }
-        let dir_len = nsections
-            .checked_mul(V2_DIR_ENTRY_LEN)
-            .ok_or_else(too_large)?;
-        if packed_byte_off > dir_byte_off || dir_byte_off.checked_add(dir_len) != Some(payload_len)
-        {
-            return Err(invalid(format!(
-                "directory of {nsections} sections at byte {dir_byte_off} does not \
-                 end the {payload_len}-byte payload"
-            )));
-        }
-        if payload[ops_end..float_byte_off].iter().any(|&b| b != 0) {
-            return Err(invalid("non-zero alignment padding after ops".into()));
-        }
-
-        // The tail directory: sections must tile 0..ncodes in order,
-        // with byte streams chaining exactly through the packed region.
-        let mut d = Reader::new(&payload[dir_byte_off..]);
-        let mut sections = Vec::with_capacity(nsections);
-        let mut code_cursor = 0usize;
-        let mut byte_cursor = packed_byte_off;
-        for i in 0..nsections {
-            let start = d.usize()?;
-            let len = d.extent()?;
-            let byte_off = d.usize()?;
-            let width_bits = u32::try_from(d.u64()?).map_err(|_| too_large())?;
-            if len == 0 {
-                return Err(invalid(format!("section {i} is empty")));
-            }
-            if !(1..=16).contains(&width_bits) {
-                return Err(invalid(format!(
-                    "section {i} packs {width_bits} bits per code, expected 1..=16"
-                )));
-            }
-            if start != code_cursor {
-                return Err(invalid(format!(
-                    "section {i} starts at code {start}, tiling cursor is {code_cursor}"
-                )));
-            }
-            if byte_off != byte_cursor {
-                return Err(invalid(format!(
-                    "section {i} stream at byte {byte_off}, chain cursor is {byte_cursor}"
-                )));
-            }
-            let byte_len = packed_byte_len(len, width_bits);
-            code_cursor = start.checked_add(len).ok_or_else(too_large)?;
-            byte_cursor = byte_cursor.checked_add(byte_len).ok_or_else(too_large)?;
-            if byte_cursor > dir_byte_off {
-                return Err(invalid(format!(
-                    "section {i} stream overruns the directory at byte {dir_byte_off}"
-                )));
-            }
-            // Unused high bits of the final byte must be zero; recorded
-            // here, enforced by the analyzer so the mutation invariant
-            // ("flagged or infers without panic") has no third outcome.
-            let tail_bits = (len * width_bits as usize) % 8;
-            let padding_clear =
-                tail_bits == 0 || payload[byte_off + byte_len - 1] >> tail_bits == 0;
-            sections.push(PackedSection {
-                start,
-                len,
-                // Absolute offset in the artifact buffer.
-                byte_off: OUTER_HEADER_LEN + byte_off,
-                width_bits,
-                padding_clear,
-            });
-        }
-        if code_cursor != ncodes {
-            return Err(invalid(format!(
-                "sections cover {code_cursor} codes, header says {ncodes}"
-            )));
-        }
-        if byte_cursor != dir_byte_off {
-            return Err(invalid(format!(
-                "packed streams end at byte {byte_cursor}, directory starts at {dir_byte_off}"
-            )));
-        }
-
-        let float_bytes =
-            &buf.bytes()[OUTER_HEADER_LEN + float_byte_off..OUTER_HEADER_LEN + packed_byte_off];
-        let floats = match pod::f32s(float_bytes) {
-            // Zero-copy on little-endian targets: the section *is* the
-            // decoded values.
-            Some(_) => FloatPool::View {
-                buf: Arc::clone(&buf),
-                byte_off: OUTER_HEADER_LEN + float_byte_off,
-                len: nfloats,
-            },
-            // Big-endian (or a format drift that broke alignment):
-            // decode each lane instead of borrowing.
-            None => FloatPool::Owned(
-                float_bytes
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte lane")))
-                    .collect(),
-            ),
-        };
-        let codes = CodePool::Packed {
-            buf,
-            sections,
-            total: ncodes,
-        };
-
-        Ok(CompiledModel::assemble(
-            input_features,
-            output_features,
-            virtual_encoder,
-            ops,
-            floats,
-            codes,
-        ))
     }
 
     /// [`Self::from_bytes`] under its old name: the analyzer used to be
@@ -1159,224 +586,47 @@ impl CompiledModel {
     // Static analysis
     // ------------------------------------------------------------------
 
-    /// Lowers the model into the analyzer's IR, borrowing both pools.
-    pub(crate) fn to_program(&self) -> rapidnn_analyze::Program<'_> {
-        use rapidnn_analyze as a;
-        use std::borrow::Cow;
-
-        let span = |s: Span| a::Span {
-            start: s.start,
-            len: s.len,
-        };
-        let table = |t: &TableRef| a::TableRef {
-            offset: t.offset,
-            weight_count: t.weight_count,
-            input_count: t.input_count,
-        };
-        let act = |x: &ActRef| match x {
-            ActRef::Identity => a::Act::Identity,
-            ActRef::Relu => a::Act::Relu,
-            ActRef::Lookup { inputs, outputs } => a::Act::Lookup {
-                inputs: span(*inputs),
-                outputs: span(*outputs),
-            },
-        };
-        let geom = |g: &Geom| a::Geom {
-            in_channels: g.in_channels,
-            in_height: g.in_height,
-            in_width: g.in_width,
-            kernel_h: g.kernel_h,
-            kernel_w: g.kernel_w,
-            stride: g.stride,
-            pad: g.pad,
-            out_height: g.out_height,
-            out_width: g.out_width,
-        };
-        let ops = self
-            .ops
-            .iter()
-            .map(|op| match op {
-                Op::Dense {
-                    inputs,
-                    outputs,
-                    weight_codes,
-                    bias,
-                    table: t,
-                    act: x,
-                    encoder,
-                } => a::Op::Dense {
-                    inputs: *inputs,
-                    outputs: *outputs,
-                    weight_codes: span(*weight_codes),
-                    bias: span(*bias),
-                    table: table(t),
-                    act: act(x),
-                    encoder: encoder.map(span),
-                },
-                Op::Conv {
-                    geom: g,
-                    out_channels,
-                    weight_codes,
-                    bias,
-                    tables,
-                    zero_code,
-                    act: x,
-                    encoder,
-                } => a::Op::Conv {
-                    geom: geom(g),
-                    out_channels: *out_channels,
-                    weight_codes: span(*weight_codes),
-                    bias: span(*bias),
-                    tables: tables.iter().map(table).collect(),
-                    zero_code: *zero_code,
-                    act: act(x),
-                    encoder: encoder.map(span),
-                },
-                Op::MaxPool(g) => a::Op::MaxPool(geom(g)),
-                Op::AvgPool { geom: g, codebook } => a::Op::AvgPool {
-                    geom: geom(g),
-                    codebook: span(*codebook),
-                },
-                Op::ResidualBegin { skip_codebook } => a::Op::ResidualBegin {
-                    skip_codebook: span(*skip_codebook),
-                },
-                Op::ResidualEnd { encoder } => a::Op::ResidualEnd {
-                    encoder: encoder.map(span),
-                },
-            })
-            .collect();
-        a::Program {
+    /// The model as the analyzer's [`Program`]: the ops as they are,
+    /// both pools lent (a packed code pool is unpacked for it).
+    pub(crate) fn to_program(&self) -> Program<'_> {
+        Program {
             input_features: self.input_features,
             output_features: self.output_features,
-            virtual_encoder: span(self.virtual_encoder),
-            ops,
+            virtual_encoder: self.virtual_encoder,
+            ops: self.ops.clone(),
             floats: Cow::Borrowed(self.float_pool()),
             codes: match &self.codes {
                 CodePool::Wide(v) => Cow::Borrowed(&v[..]),
                 packed => Cow::Owned(packed.to_wide()),
             },
-            packed: self
-                .codes
-                .sections()
-                .iter()
-                .map(|s| a::PackedSection {
-                    code_start: s.start,
-                    code_len: s.len,
-                    width_bits: s.width_bits,
-                    padding_clear: s.padding_clear,
-                })
-                .collect(),
+            packed: self.codes.sections().iter().map(|s| s.layout).collect(),
         }
     }
 
-    /// Builds a model from the analyzer's program IR — the inverse of
-    /// the lowering behind [`Self::analyze`] — after the analyzer has
-    /// passed it. Pools are materialized owned/wide; writing the model
-    /// back out re-packs v2 code sections at the width the (possibly
-    /// compacted) tables now imply.
+    /// Builds a model from the analyzer's program IR after the analyzer
+    /// has passed it. Pools are materialized owned/wide; writing the
+    /// model back out re-packs v2 code sections at the width the
+    /// (possibly compacted) tables now imply.
     ///
     /// # Errors
     ///
     /// [`ServeError::Rejected`] carrying the report when the program
     /// fails static analysis.
-    pub fn from_program(program: &rapidnn_analyze::Program<'_>) -> Result<Self> {
+    pub fn from_program(program: &Program<'_>) -> Result<Self> {
         gate(program)?;
-        Ok(Self::realize(program))
+        Ok(Self::owning(program.clone()))
     }
 
-    /// The un-gated conversion behind [`Self::from_program`], for
-    /// callers holding a program the analyzer has already passed.
-    fn realize(program: &rapidnn_analyze::Program<'_>) -> Self {
-        use rapidnn_analyze as a;
-
-        let span = |s: a::Span| Span {
-            start: s.start,
-            len: s.len,
-        };
-        let table = |t: &a::TableRef| TableRef {
-            offset: t.offset,
-            weight_count: t.weight_count,
-            input_count: t.input_count,
-        };
-        let act = |x: &a::Act| match x {
-            a::Act::Identity => ActRef::Identity,
-            a::Act::Relu => ActRef::Relu,
-            a::Act::Lookup { inputs, outputs } => ActRef::Lookup {
-                inputs: span(*inputs),
-                outputs: span(*outputs),
-            },
-        };
-        let geom = |g: &a::Geom| Geom {
-            in_channels: g.in_channels,
-            in_height: g.in_height,
-            in_width: g.in_width,
-            kernel_h: g.kernel_h,
-            kernel_w: g.kernel_w,
-            stride: g.stride,
-            pad: g.pad,
-            out_height: g.out_height,
-            out_width: g.out_width,
-        };
-        let ops = program
-            .ops
-            .iter()
-            .map(|op| match op {
-                a::Op::Dense {
-                    inputs,
-                    outputs,
-                    weight_codes,
-                    bias,
-                    table: t,
-                    act: x,
-                    encoder,
-                } => Op::Dense {
-                    inputs: *inputs,
-                    outputs: *outputs,
-                    weight_codes: span(*weight_codes),
-                    bias: span(*bias),
-                    table: table(t),
-                    act: act(x),
-                    encoder: encoder.map(span),
-                },
-                a::Op::Conv {
-                    geom: g,
-                    out_channels,
-                    weight_codes,
-                    bias,
-                    tables,
-                    zero_code,
-                    act: x,
-                    encoder,
-                } => Op::Conv {
-                    geom: geom(g),
-                    out_channels: *out_channels,
-                    weight_codes: span(*weight_codes),
-                    bias: span(*bias),
-                    tables: tables.iter().map(table).collect(),
-                    zero_code: *zero_code,
-                    act: act(x),
-                    encoder: encoder.map(span),
-                },
-                a::Op::MaxPool(g) => Op::MaxPool(geom(g)),
-                a::Op::AvgPool { geom: g, codebook } => Op::AvgPool {
-                    geom: geom(g),
-                    codebook: span(*codebook),
-                },
-                a::Op::ResidualBegin { skip_codebook } => Op::ResidualBegin {
-                    skip_codebook: span(*skip_codebook),
-                },
-                a::Op::ResidualEnd { encoder } => Op::ResidualEnd {
-                    encoder: encoder.map(span),
-                },
-            })
-            .collect();
+    /// A model over a program the analyzer has already passed: its ops
+    /// as they are, its pools owned and wide.
+    fn owning(program: Program<'_>) -> Self {
         CompiledModel::assemble(
             program.input_features,
             program.output_features,
-            span(program.virtual_encoder),
-            ops,
-            FloatPool::Owned(program.floats.to_vec()),
-            CodePool::Wide(program.codes.to_vec()),
+            program.virtual_encoder,
+            program.ops,
+            FloatPool::Owned(program.floats.into_owned()),
+            CodePool::Wide(program.codes.into_owned()),
         )
     }
 
@@ -1412,7 +662,7 @@ impl CompiledModel {
         }
         // The validator just ran the analyzer over the optimized program
         // with no errors; gating it again would only repeat that pass.
-        Ok((Self::realize(&optimized.program), optimized.certificate))
+        Ok((Self::owning(optimized.program), optimized.certificate))
     }
 
     /// Runs the static analyzer over the compiled program and returns
@@ -1458,17 +708,16 @@ impl CompiledModel {
     }
 
     /// The flow domain each op reads under `plan`, in op order:
-    /// `"codes"`, `"f32"`, or `"i16"` — the operands of an integer Madd
-    /// op, which whatever produces its input writes in place of codes,
+    /// `"codes"`, `"f32"`, or `"i16"` — the operands of a licensed
+    /// integer op, which whatever produces its input writes in place of codes,
     /// so consecutive `"i16"` ops never leave the quantized domain.
     /// Like [`Self::quant_plan_preview`] it needs no materialized plan.
     pub fn read_domains(&self, plan: &rapidnn_analyze::QuantPlan) -> Vec<&'static str> {
-        use rapidnn_analyze::{OpQuant, QuantMode};
+        use rapidnn_analyze::OpQuant;
         let (states, _) = crate::kernels::flow_states_with(self, |oi| {
             matches!(
                 (self.ops.get(oi), plan.ops.get(oi)),
-                (Some(Op::Dense { .. }), Some(OpQuant::Licensed(lic)))
-                    if matches!(lic.mode, QuantMode::Madd { .. })
+                (Some(Op::Dense { .. }), Some(OpQuant::Licensed(_)))
             )
         });
         let reads = &states[..self.ops.len()];
@@ -1518,7 +767,7 @@ impl CompiledModel {
 
 /// The construction gate: runs the static analyzer over `program` and
 /// refuses it on any `error` diagnostic.
-fn gate(program: &rapidnn_analyze::Program<'_>) -> Result<()> {
+fn gate(program: &Program<'_>) -> Result<()> {
     let report = rapidnn_analyze::analyze(program);
     if report.has_errors() {
         return Err(ServeError::Rejected(Box::new(report)));
@@ -1526,10 +775,9 @@ fn gate(program: &rapidnn_analyze::Program<'_>) -> Result<()> {
     Ok(())
 }
 
-/// Nearest-representative search over a sorted codebook, replicating
-/// `Codebook::encode` exactly (ties resolve to the smaller value).
-/// The analyzer caps codebooks at `2^16` values (RNA0004), so the
-/// returned index always fits a `u16` without wrapping.
+/// Nearest-representative search over sorted `values`, replicating
+/// `Codebook::encode` and `ActivationTable::lookup` exactly (ties
+/// resolve to the smaller value); returns the index.
 ///
 /// The hot paths use the branch-free equivalent in `kernels`; this
 /// binary-search form is the readable reference the unit tests check
@@ -1537,358 +785,36 @@ fn gate(program: &rapidnn_analyze::Program<'_>) -> Result<()> {
 /// bakes finish codes through it so integer finishes encode exactly
 /// like the scalar path would.
 #[inline]
-pub(crate) fn nearest(values: &[f32], value: f32) -> u16 {
-    let idx = match values.binary_search_by(|probe| probe.total_cmp(&value)) {
+pub(crate) fn nearest(values: &[f32], value: f32) -> usize {
+    match values.binary_search_by(|probe| probe.total_cmp(&value)) {
         Ok(i) => i,
-        Err(insertion) => {
-            if insertion == 0 {
-                0
-            } else if insertion >= values.len() {
-                values.len() - 1
+        Err(0) => 0,
+        Err(insertion) if insertion >= values.len() => values.len() - 1,
+        Err(hi) => {
+            let lo = hi - 1;
+            if (value - values[lo]).abs() <= (values[hi] - value).abs() {
+                lo
             } else {
-                let lo = insertion - 1;
-                let hi = insertion;
-                if (value - values[lo]).abs() <= (values[hi] - value).abs() {
-                    lo
-                } else {
-                    hi
-                }
+                hi
             }
         }
-    };
-    idx as u16
-}
-
-fn malformed(msg: impl Into<String>) -> ArtifactError {
-    ArtifactError::Malformed(msg.into())
-}
-
-fn too_large() -> ArtifactError {
-    ArtifactError::Malformed("size overflow".into())
-}
-
-/// Wraps a payload in the outer framing: magic, version, payload
-/// length, payload, FNV-1a 64 checksum.
-fn frame(payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(OUTER_HEADER_LEN + payload.len() + 8);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    write_u64(&mut out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-    write_u64(&mut out, fnv1a64(&payload));
-    out
-}
-
-/// FNV-1a 64-bit hash — cheap, dependency-free corruption detection.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-// ----------------------------------------------------------------------
-// Binary encoding helpers
-// ----------------------------------------------------------------------
-
-fn write_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn write_span(out: &mut Vec<u8>, s: Span) {
-    write_u64(out, s.start as u64);
-    write_u64(out, s.len as u64);
-}
-
-fn write_opt_span(out: &mut Vec<u8>, s: &Option<Span>) {
-    match s {
-        Some(s) => {
-            out.push(1);
-            write_span(out, *s);
-        }
-        None => out.push(0),
     }
 }
 
-fn write_table(out: &mut Vec<u8>, t: &TableRef) {
-    write_u64(out, t.offset as u64);
-    write_u64(out, t.weight_count as u64);
-    write_u64(out, t.input_count as u64);
-}
-
-fn write_act(out: &mut Vec<u8>, act: &ActRef) {
+/// The activation step of a neuron op on one pre-activation value,
+/// mirroring `ActivationTable::lookup` exactly.
+#[inline]
+pub(crate) fn apply_act(act: &Act, floats: &[f32], y: f32) -> f32 {
     match act {
-        ActRef::Identity => out.push(0),
-        ActRef::Relu => out.push(1),
-        ActRef::Lookup { inputs, outputs } => {
-            out.push(2);
-            write_span(out, *inputs);
-            write_span(out, *outputs);
-        }
-    }
-}
-
-fn write_geom(out: &mut Vec<u8>, g: &Geom) {
-    for v in [
-        g.in_channels,
-        g.in_height,
-        g.in_width,
-        g.kernel_h,
-        g.kernel_w,
-        g.stride,
-        g.pad,
-        g.out_height,
-        g.out_width,
-    ] {
-        write_u64(out, v as u64);
-    }
-}
-
-fn write_op(out: &mut Vec<u8>, op: &Op) {
-    match op {
-        Op::Dense {
-            inputs,
-            outputs,
-            weight_codes,
-            bias,
-            table,
-            act,
-            encoder,
-        } => {
-            out.push(0);
-            write_u64(out, *inputs as u64);
-            write_u64(out, *outputs as u64);
-            write_span(out, *weight_codes);
-            write_span(out, *bias);
-            write_table(out, table);
-            write_act(out, act);
-            write_opt_span(out, encoder);
-        }
-        Op::Conv {
-            geom,
-            out_channels,
-            weight_codes,
-            bias,
-            tables,
-            zero_code,
-            act,
-            encoder,
-        } => {
-            out.push(1);
-            write_geom(out, geom);
-            write_u64(out, *out_channels as u64);
-            write_span(out, *weight_codes);
-            write_span(out, *bias);
-            write_u64(out, tables.len() as u64);
-            for t in tables {
-                write_table(out, t);
-            }
-            out.extend_from_slice(&zero_code.to_le_bytes());
-            write_act(out, act);
-            write_opt_span(out, encoder);
-        }
-        Op::MaxPool(geom) => {
-            out.push(2);
-            write_geom(out, geom);
-        }
-        Op::AvgPool { geom, codebook } => {
-            out.push(3);
-            write_geom(out, geom);
-            write_span(out, *codebook);
-        }
-        Op::ResidualBegin { skip_codebook } => {
-            out.push(4);
-            write_span(out, *skip_codebook);
-        }
-        Op::ResidualEnd { encoder } => {
-            out.push(5);
-            write_opt_span(out, encoder);
-        }
-    }
-}
-
-/// Little-endian cursor with typed truncation errors.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn pos(&self) -> usize {
-        self.pos
-    }
-
-    fn ensure(&self, needed: usize) -> Result<(), ArtifactError> {
-        if self.remaining() < needed {
-            return Err(ArtifactError::Truncated {
-                needed,
-                available: self.remaining(),
-            });
-        }
-        Ok(())
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ArtifactError> {
-        self.ensure(n)?;
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, ArtifactError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ArtifactError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, ArtifactError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, ArtifactError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn usize(&mut self) -> Result<usize, ArtifactError> {
-        usize::try_from(self.u64()?).map_err(|_| too_large())
-    }
-
-    /// A length/count/dimension field, capped so later arithmetic on it
-    /// cannot overflow.
-    fn extent(&mut self) -> Result<usize, ArtifactError> {
-        let v = self.u64()?;
-        if v > MAX_EXTENT {
-            return Err(too_large());
-        }
-        Ok(v as usize)
-    }
-}
-
-fn read_span(r: &mut Reader<'_>) -> Result<Span, ArtifactError> {
-    let start = r.usize()?;
-    let len = r.extent()?;
-    Ok(Span { start, len })
-}
-
-fn read_opt_span(r: &mut Reader<'_>) -> Result<Option<Span>, ArtifactError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(read_span(r)?)),
-        t => Err(malformed(format!("bad option tag {t}"))),
-    }
-}
-
-fn read_table(r: &mut Reader<'_>) -> Result<TableRef, ArtifactError> {
-    Ok(TableRef {
-        offset: r.usize()?,
-        weight_count: r.extent()?,
-        input_count: r.extent()?,
-    })
-}
-
-fn read_act(r: &mut Reader<'_>) -> Result<ActRef, ArtifactError> {
-    match r.u8()? {
-        0 => Ok(ActRef::Identity),
-        1 => Ok(ActRef::Relu),
-        2 => Ok(ActRef::Lookup {
-            inputs: read_span(r)?,
-            outputs: read_span(r)?,
-        }),
-        t => Err(malformed(format!("bad activation tag {t}"))),
-    }
-}
-
-fn read_geom(r: &mut Reader<'_>) -> Result<Geom, ArtifactError> {
-    Ok(Geom {
-        in_channels: r.extent()?,
-        in_height: r.extent()?,
-        in_width: r.extent()?,
-        kernel_h: r.extent()?,
-        kernel_w: r.extent()?,
-        stride: r.extent()?,
-        pad: r.extent()?,
-        out_height: r.extent()?,
-        out_width: r.extent()?,
-    })
-}
-
-fn read_op(r: &mut Reader<'_>) -> Result<Op, ArtifactError> {
-    match r.u8()? {
-        0 => Ok(Op::Dense {
-            inputs: r.extent()?,
-            outputs: r.extent()?,
-            weight_codes: read_span(r)?,
-            bias: read_span(r)?,
-            table: read_table(r)?,
-            act: read_act(r)?,
-            encoder: read_opt_span(r)?,
-        }),
-        1 => {
-            let geom = read_geom(r)?;
-            let out_channels = r.extent()?;
-            let weight_codes = read_span(r)?;
-            let bias = read_span(r)?;
-            let ntables = r.extent()?;
-            // Each table costs 24 bytes on the wire.
-            r.ensure(ntables.checked_mul(24).ok_or_else(too_large)?)?;
-            let mut tables = Vec::with_capacity(ntables);
-            for _ in 0..ntables {
-                tables.push(read_table(r)?);
-            }
-            Ok(Op::Conv {
-                geom,
-                out_channels,
-                weight_codes,
-                bias,
-                tables,
-                zero_code: r.u16()?,
-                act: read_act(r)?,
-                encoder: read_opt_span(r)?,
-            })
-        }
-        2 => Ok(Op::MaxPool(read_geom(r)?)),
-        3 => Ok(Op::AvgPool {
-            geom: read_geom(r)?,
-            codebook: read_span(r)?,
-        }),
-        4 => Ok(Op::ResidualBegin {
-            skip_codebook: read_span(r)?,
-        }),
-        5 => Ok(Op::ResidualEnd {
-            encoder: read_opt_span(r)?,
-        }),
-        t => Err(malformed(format!("bad op tag {t}"))),
+        Act::Identity => y,
+        Act::Relu => y.max(0.0),
+        Act::Lookup { inputs, outputs } => outputs.slice(floats)[nearest(inputs.slice(floats), y)],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn nearest_matches_codebook_semantics() {
@@ -1900,105 +826,5 @@ mod tests {
         assert_eq!(nearest(&values, -0.6), 1);
         // Ties resolve low.
         assert_eq!(nearest(&[0.0, 2.0], 1.0), 0);
-    }
-
-    #[test]
-    fn reader_reports_truncation() {
-        let mut r = Reader::new(&[1, 2, 3]);
-        assert!(matches!(
-            r.u64(),
-            Err(ArtifactError::Truncated {
-                needed: 8,
-                available: 3
-            })
-        ));
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(matches!(
-            CompiledModel::decode(b"nope"),
-            Err(ArtifactError::BadMagic | ArtifactError::Truncated { .. })
-        ));
-        assert!(matches!(
-            CompiledModel::decode(b"XXXXXXXXXXXXXXXXXXXX"),
-            Err(ArtifactError::BadMagic)
-        ));
-    }
-
-    #[test]
-    fn decode_rejects_future_version() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&99u32.to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        bytes.extend_from_slice(&fnv1a64(&[]).to_le_bytes());
-        assert!(matches!(
-            CompiledModel::decode(&bytes),
-            Err(ArtifactError::UnsupportedVersion {
-                found: 99,
-                supported: FORMAT_VERSION
-            })
-        ));
-    }
-
-    #[test]
-    fn bits_for_matches_ceil_log2() {
-        assert_eq!(bits_for(0), 1);
-        assert_eq!(bits_for(1), 1);
-        assert_eq!(bits_for(2), 1);
-        assert_eq!(bits_for(3), 2);
-        assert_eq!(bits_for(8), 3);
-        assert_eq!(bits_for(9), 4);
-        assert_eq!(bits_for(256), 8);
-        assert_eq!(bits_for(1 << 16), 16);
-        assert_eq!(bits_for((1 << 16) + 7), 16);
-    }
-
-    #[test]
-    fn bit_streams_round_trip_every_width() {
-        for width in 1..=16u32 {
-            let mask = (1u32 << width) - 1;
-            let values: Vec<u16> = (0..41u32)
-                .map(|i| (i.wrapping_mul(0x9e37_79b9) & mask) as u16)
-                .collect();
-            let mut w = BitWriter::default();
-            for &v in &values {
-                w.put(v, width);
-            }
-            let stream = w.finish();
-            assert_eq!(stream.len(), packed_byte_len(values.len(), width));
-            for (i, &v) in values.iter().enumerate() {
-                assert_eq!(
-                    read_bits(&stream, i * width as usize, mask),
-                    v,
-                    "width {width}"
-                );
-            }
-        }
-    }
-
-    /// The v2 writer's alignment contract: the float section offset is
-    /// always a multiple of 8 in the payload, and the payload itself
-    /// starts 8 bytes into the outer header — so the float bytes are
-    /// 8-aligned in any 8-aligned buffer.
-    #[test]
-    fn v2_float_section_is_aligned() {
-        let model = CompiledModel::assemble(
-            1,
-            1,
-            Span { start: 0, len: 3 },
-            vec![],
-            FloatPool::Owned(vec![0.0, 1.0, 2.0]),
-            CodePool::Wide(vec![]),
-        );
-        let bytes = model.to_bytes();
-        let float_off = u64::from_le_bytes(
-            bytes[OUTER_HEADER_LEN + 48..OUTER_HEADER_LEN + 56]
-                .try_into()
-                .expect("8 bytes"),
-        );
-        assert_eq!(float_off % 8, 0);
-        assert_eq!(OUTER_HEADER_LEN % 8, 0);
     }
 }

@@ -35,6 +35,16 @@
 //! Pools, residual joins and encode steps are element-wise or
 //! window-local and run as plain batched loops.
 //!
+//! # Kernels per dense op
+//!
+//! An op the analyzer licensed ([`CompiledModel::quantize`]) runs the
+//! one integer kernel, the `i16 × i16 → i32` multiply-accumulate tile
+//! ([`madd_tile`]). Every other dense op runs in `f32`: as a packed
+//! multiply when its table factors back into `fl(w · book[x])`
+//! ([`factor_table`], checked per batch of at least [`LANES`] rows),
+//! else as the table gather ([`dense_block_gather`]) — which is also
+//! where an op refused as `FallbackReason::NotFactored` serves.
+//!
 //! # Equivalence
 //!
 //! Results are bit-for-bit identical to per-sample inference (and
@@ -44,10 +54,11 @@
 //! order the per-sample path uses. Batching only reorders work *across*
 //! samples.
 
-use crate::artifact::{ActRef, CompiledModel, Geom, InputEncoder, Op, Span, TableRef};
+use crate::artifact::{apply_act, CompiledModel, InputEncoder};
 use crate::error::{ArtifactError, Result, ServeError};
 use crate::lanes::Acc;
-use crate::quant::{level_of, LutOut, QuantFinish, QuantKind, QuantOp};
+use crate::quant::{level_of, LutOut, QuantFinish, QuantOp};
+use rapidnn_analyze::{Act, Geom, Op, Span, TableRef};
 // The branch-free nearest-representative search originated here and now
 // lives in `rapidnn_core::nearest`, shared with the composer's encode
 // paths so both sides pay the same cost per encode.
@@ -491,10 +502,10 @@ impl BatchRunner {
                     // the finish LUT, so the op is one pass.
                     if let Some(q) = model.quant_op(oi) {
                         debug_assert_eq!((q.nin, q.nout), (nin, nout));
-                        if domain != q.reads() {
+                        if domain != Domain::Quants {
                             return Err(wrong_domain(domain));
                         }
-                        domain = quant_dense(q, flow, padded, tile);
+                        domain = quant_dense(q, flow, padded);
                         cur_book = *encoder;
                         width = nout;
                         continue;
@@ -779,8 +790,8 @@ struct Plan {
     skip_depth: usize,
     max_skip: usize,
     /// Widest input any op interleaves into a [`LANES`]-row code tile
-    /// (f32 gathers, convolutions, integer Gather ops), and into a
-    /// decoded tile (the f32 factored path).
+    /// (f32 gathers, convolutions), and into a decoded tile (the f32
+    /// factored path).
     max_tile: usize,
     max_tile_f: usize,
     /// Largest codebook encoded through.
@@ -803,8 +814,8 @@ struct Plan {
 /// entirely on tiles materialized at load time and writes its finish
 /// straight into the next op's flow buffer, so it contributes no
 /// weight-decode, factored-matrix, activation-key, encode-book or
-/// accumulator capacity — an integer Madd op nothing at all, reading
-/// its rows from the flow in place. In particular `max_wcodes` (the
+/// accumulator capacity — nothing at all, reading its rows from the
+/// flow in place. In particular `max_wcodes` (the
 /// packed-pool decode tile) skips licensed ops, so a fully licensed
 /// model's arena no longer grows with its code-section size.
 fn plan(model: &CompiledModel) -> Plan {
@@ -825,9 +836,9 @@ fn plan(model: &CompiledModel) -> Plan {
     fn span_len(enc: &Option<Span>) -> usize {
         enc.as_ref().map_or(0, |e| e.len)
     }
-    fn act_len(act: &ActRef) -> usize {
+    fn act_len(act: &Act) -> usize {
         match act {
-            ActRef::Lookup { inputs, .. } => inputs.len,
+            Act::Lookup { inputs, .. } => inputs.len,
             _ => 0,
         }
     }
@@ -854,23 +865,19 @@ fn plan(model: &CompiledModel) -> Plan {
                 act,
                 table,
                 ..
-            } => match model.quant_op(oi) {
-                Some(q) => {
-                    if q.reads() == Domain::Codes {
-                        p.max_tile = p.max_tile.max(reads);
-                    }
-                }
-                None => {
-                    p.max_floats = p.max_floats.max(nout);
-                    p.max_tile = p.max_tile.max(reads);
-                    p.max_tile_f = p.max_tile_f.max(reads);
-                    p.max_book = p.max_book.max(span_len(encoder));
-                    p.max_act = p.max_act.max(act_len(act));
-                    p.max_wcount = p.max_wcount.max(table.weight_count);
-                    p.max_dense = p.max_dense.max(inputs.saturating_mul(*outputs));
-                    p.max_wcodes = p.max_wcodes.max(weight_codes.len);
-                }
-            },
+            } if model.quant_op(oi).is_none() => {
+                p.max_floats = p.max_floats.max(nout);
+                p.max_tile = p.max_tile.max(reads);
+                p.max_tile_f = p.max_tile_f.max(reads);
+                p.max_book = p.max_book.max(span_len(encoder));
+                p.max_act = p.max_act.max(act_len(act));
+                p.max_wcount = p.max_wcount.max(table.weight_count);
+                p.max_dense = p.max_dense.max(inputs.saturating_mul(*outputs));
+                p.max_wcodes = p.max_wcodes.max(weight_codes.len);
+            }
+            // A licensed op reads its rows from the flow in place and
+            // its weights from tiles materialized at load.
+            Op::Dense { .. } => {}
             Op::Conv {
                 weight_codes,
                 encoder,
@@ -1029,8 +1036,8 @@ fn dense_block_gather(
         let mut acc0 = [bias[o]; LANES];
         let mut acc1 = [bias[o + 1]; LANES];
         for ((xs, &wa), &wb) in tile.chunks_exact(LANES).zip(w0).zip(w1) {
-            let ta = table.row(pool_f, wa);
-            let tb = table.row(pool_f, wb);
+            let ta = table.row(pool_f, usize::from(wa));
+            let tb = table.row(pool_f, usize::from(wb));
             // Fold the lane group into two words so the eight code
             // loads become two 64-bit loads plus shifts, easing the
             // pressure on the load ports (the loop's throughput limit).
@@ -1059,7 +1066,7 @@ fn dense_block_gather(
         let wrow = &wcodes[o * nin..(o + 1) * nin];
         let mut acc = [bias[o]; LANES];
         for (xs, &w) in tile.chunks_exact(LANES).zip(wrow) {
-            let trow = table.row(pool_f, w);
+            let trow = table.row(pool_f, usize::from(w));
             for (l, a) in acc.iter_mut().enumerate() {
                 *a += trow[xs[l] as usize];
             }
@@ -1100,7 +1107,7 @@ fn factor_table(pool_f: &[f32], table: &TableRef, book: &[f32], wvals: &mut Vec<
     }
     wvals.clear();
     for w in 0..table.weight_count {
-        let row = table.row(pool_f, w as u16);
+        let row = table.row(pool_f, w);
         let mut found = None;
         'candidate: for (x0, &b0) in book.iter().enumerate() {
             if b0 == 0.0 || !b0.is_finite() {
@@ -1126,21 +1133,24 @@ fn factor_table(pool_f: &[f32], table: &TableRef, book: &[f32], wvals: &mut Vec<
 /// Expands the weight-code matrix through the recovered factors
 /// (`wdec[j] = wvals[wcodes[j]]`) into one flat `outputs × inputs`
 /// matrix for [`dense_mul_block`] to stream through.
+///
+/// [`factor_table`] recovered one factor per table row and the analyzer
+/// proved every weight code a row of that table, so the index is plain.
 fn decode_weights(wvals: &[f32], wcodes: &[u16], wdec: &mut Vec<f32>) {
-    let last = wvals.len() - 1;
     wdec.clear();
-    wdec.extend(wcodes.iter().map(|&w| wvals[(w as usize).min(last)]));
+    wdec.extend(wcodes.iter().map(|&w| wvals[usize::from(w)]));
 }
 
 /// [`interleave`] fused with a codebook decode, producing the `f32`
 /// tile the factored dense path multiplies against:
-/// `tile_f[i * LANES + l] = book[block[l * width + i]]`.
+/// `tile_f[i * LANES + l] = book[block[l * width + i]]`. The block was
+/// encoded through `book`, so the analyzer's code-domain proof covers
+/// the index.
 fn interleave_decode(xblock: &[u16], width: usize, book: &[f32], tile_f: &mut Vec<f32>) {
     refill(tile_f, width * LANES);
-    let last = book.len() - 1;
     for (l, xrow) in xblock.chunks_exact(width).enumerate() {
         for (i, &x) in xrow.iter().enumerate() {
-            tile_f[i * LANES + l] = book[(x as usize).min(last)];
+            tile_f[i * LANES + l] = book[usize::from(x)];
         }
     }
 }
@@ -1203,7 +1213,7 @@ fn dense_row(
         let wrow = &wcodes[o * nin..(o + 1) * nin];
         let mut acc = bias[o];
         for (&w, &x) in wrow.iter().zip(xrow) {
-            acc += table.fetch(pool_f, w, x);
+            acc += table.fetch(pool_f, usize::from(w), usize::from(x));
         }
         *d = acc;
     }
@@ -1215,19 +1225,17 @@ fn dense_row(
 /// LUT whose entries are already what the next op reads — into the
 /// scratch buffer of that domain and swaps it in. Returns the domain
 /// the flow is now in.
-fn quant_dense(q: &QuantOp, flow: &mut Flow, padded: usize, tile: &mut Vec<u16>) -> Domain {
-    let (codes, quants) = (&flow.codes, &flow.quants);
+fn quant_dense(q: &QuantOp, flow: &mut Flow, padded: usize) -> Domain {
+    let quants = &flow.quants;
     let domain = match &q.finish {
         QuantFinish::Dequant { inv } => {
             let (dst, inv) = (&mut flow.floats_next, *inv);
-            quant_dense_exec(q, codes, quants, dst, padded, tile, move |a| a as f32 * inv);
+            quant_dense_exec(q, quants, dst, padded, move |a| a as f32 * inv);
             Domain::Floats
         }
         QuantFinish::DequantRelu { inv } => {
             let (dst, inv) = (&mut flow.floats_next, *inv);
-            quant_dense_exec(q, codes, quants, dst, padded, tile, move |a| {
-                (a as f32 * inv).max(0.0)
-            });
+            quant_dense_exec(q, quants, dst, padded, move |a| (a as f32 * inv).max(0.0));
             Domain::Floats
         }
         QuantFinish::Lut { lo_q, shift, out } => {
@@ -1243,17 +1251,17 @@ fn quant_dense(q: &QuantOp, flow: &mut Flow, padded: usize, tile: &mut Vec<u16>)
             match out {
                 LutOut::Codes(table) => {
                     let (dst, finish) = (&mut flow.codes_next, lookup(table, lo_q, shift));
-                    quant_dense_exec(q, codes, quants, dst, padded, tile, finish);
+                    quant_dense_exec(q, quants, dst, padded, finish);
                     Domain::Codes
                 }
                 LutOut::Quants(table) => {
                     let (dst, finish) = (&mut flow.quants_next, lookup(table, lo_q, shift));
-                    quant_dense_exec(q, codes, quants, dst, padded, tile, finish);
+                    quant_dense_exec(q, quants, dst, padded, finish);
                     Domain::Quants
                 }
                 LutOut::Floats(table) => {
                     let (dst, finish) = (&mut flow.floats_next, lookup(table, lo_q, shift));
-                    quant_dense_exec(q, codes, quants, dst, padded, tile, finish);
+                    quant_dense_exec(q, quants, dst, padded, finish);
                     Domain::Floats
                 }
             }
@@ -1264,9 +1272,8 @@ fn quant_dense(q: &QuantOp, flow: &mut Flow, padded: usize, tile: &mut Vec<u16>)
 
 /// The integer dense op proper: accumulates every (row, output) in
 /// `i32` and writes `finish(acc)` — branch-free dequantize or
-/// finish-LUT bucket — into `dst`, resized to the batch. A Madd op
-/// reads its operand rows from `quants` in place, a Gather op its codes
-/// from `codes`.
+/// finish-LUT bucket — into `dst`, resized to the batch, reading its
+/// operand rows from `quants` in place.
 ///
 /// `i32` addition is associative and exact inside the plan's `2^30`
 /// budget, so tiles, single rows and any lane grouping produce the same
@@ -1275,58 +1282,27 @@ fn quant_dense(q: &QuantOp, flow: &mut Flow, padded: usize, tile: &mut Vec<u16>)
 /// fixing the summation order.
 fn quant_dense_exec<T: Copy + Default>(
     q: &QuantOp,
-    codes: &[u16],
     quants: &[i16],
     dst: &mut Vec<T>,
     padded: usize,
-    tile: &mut Vec<u16>,
     finish: impl Fn(i32) -> T + Copy,
 ) {
     let (nin, nout) = (q.nin, q.nout);
     refill(dst, padded * nout);
+    // One kernel at two heights: whole tiles of `TILE_ROWS`, then the
+    // same code one row at a time for what is left (only batches below
+    // `LANES` leave any).
     let mut r0 = 0usize;
-    match &q.kind {
-        QuantKind::Madd { weights, .. } => {
-            // One kernel at two heights: whole tiles of `TILE_ROWS`,
-            // then the same code one row at a time for what is left
-            // (only batches below `LANES` leave any).
-            while r0 + TILE_ROWS <= padded {
-                let xs = &quants[r0 * nin..(r0 + TILE_ROWS) * nin];
-                let dst = &mut dst[r0 * nout..(r0 + TILE_ROWS) * nout];
-                madd_tile::<TILE_ROWS, _>(weights, &q.bias_q, xs, dst, nout, finish);
-                r0 += TILE_ROWS;
-            }
-            for r in r0..padded {
-                let xs = &quants[r * nin..(r + 1) * nin];
-                let dst = &mut dst[r * nout..(r + 1) * nout];
-                madd_tile::<1, _>(weights, &q.bias_q, xs, dst, nout, finish);
-            }
-        }
-        QuantKind::Gather { rows, table_q } => {
-            while r0 + LANES <= padded {
-                interleave(&codes[r0 * nin..(r0 + LANES) * nin], nin, tile);
-                gather_i16_block(
-                    rows,
-                    table_q,
-                    &q.bias_q,
-                    tile,
-                    &mut dst[r0 * nout..(r0 + LANES) * nout],
-                    nout,
-                    finish,
-                );
-                r0 += LANES;
-            }
-            for r in r0..padded {
-                gather_i16_row(
-                    rows,
-                    table_q,
-                    &q.bias_q,
-                    &codes[r * nin..(r + 1) * nin],
-                    &mut dst[r * nout..(r + 1) * nout],
-                    finish,
-                );
-            }
-        }
+    while r0 + TILE_ROWS <= padded {
+        let xs = &quants[r0 * nin..(r0 + TILE_ROWS) * nin];
+        let dst = &mut dst[r0 * nout..(r0 + TILE_ROWS) * nout];
+        madd_tile::<TILE_ROWS, _>(&q.weights, &q.bias_q, xs, dst, nout, finish);
+        r0 += TILE_ROWS;
+    }
+    for r in r0..padded {
+        let xs = &quants[r * nin..(r + 1) * nin];
+        let dst = &mut dst[r * nout..(r + 1) * nout];
+        madd_tile::<1, _>(&q.weights, &q.bias_q, xs, dst, nout, finish);
     }
 }
 
@@ -1420,80 +1396,6 @@ fn madd_outputs<const R: usize, const O: usize, T: Copy>(
     }
 }
 
-/// Integer table gather over one [`LANES`]-row block for unfactorable
-/// tables: `rows` holds each weight's precomputed base offset into the
-/// compacted `i16` table, so the inner loop is one add and one clamped
-/// load per product — the per-gather row-address arithmetic of the f32
-/// path is gone.
-fn gather_i16_block<T: Copy>(
-    rows: &[u32],
-    table_q: &[i16],
-    bias_q: &[i32],
-    tile: &[u16],
-    dst: &mut [T],
-    nout: usize,
-    finish: impl Fn(i32) -> T,
-) {
-    let nin = tile.len() / LANES;
-    let last = table_q.len().saturating_sub(1);
-    let mut o = 0usize;
-    while o + OBLOCK <= nout {
-        let r0 = &rows[o * nin..(o + 1) * nin];
-        let r1 = &rows[(o + 1) * nin..(o + 2) * nin];
-        let mut acc0 = [bias_q[o]; LANES];
-        let mut acc1 = [bias_q[o + 1]; LANES];
-        for ((xs, &ra), &rb) in tile.chunks_exact(LANES).zip(r0).zip(r1) {
-            let (ra, rb) = (ra as usize, rb as usize);
-            for l in 0..LANES {
-                let x = xs[l] as usize;
-                acc0[l] += i32::from(table_q[(ra + x).min(last)]);
-                acc1[l] += i32::from(table_q[(rb + x).min(last)]);
-            }
-        }
-        for l in 0..LANES {
-            dst[l * nout + o] = finish(acc0[l]);
-            dst[l * nout + o + 1] = finish(acc1[l]);
-        }
-        o += OBLOCK;
-    }
-    while o < nout {
-        let wrow = &rows[o * nin..(o + 1) * nin];
-        let mut acc = [bias_q[o]; LANES];
-        for (xs, &ra) in tile.chunks_exact(LANES).zip(wrow) {
-            let ra = ra as usize;
-            for (l, a) in acc.iter_mut().enumerate() {
-                *a += i32::from(table_q[(ra + xs[l] as usize).min(last)]);
-            }
-        }
-        for (l, &a) in acc.iter().enumerate() {
-            dst[l * nout + o] = finish(a);
-        }
-        o += 1;
-    }
-}
-
-/// Integer gather over a single row (`rows == 1` and block tails);
-/// bit-identical to [`gather_i16_block`] by `i32` exactness.
-fn gather_i16_row<T: Copy>(
-    rows: &[u32],
-    table_q: &[i16],
-    bias_q: &[i32],
-    xrow: &[u16],
-    dst: &mut [T],
-    finish: impl Fn(i32) -> T,
-) {
-    let nin = xrow.len();
-    let last = table_q.len().saturating_sub(1);
-    for (o, d) in dst.iter_mut().enumerate() {
-        let wrow = &rows[o * nin..(o + 1) * nin];
-        let mut acc = bias_q[o];
-        for (&r, &x) in wrow.iter().zip(xrow) {
-            acc += i32::from(table_q[(r as usize + x as usize).min(last)]);
-        }
-        *d = finish(acc);
-    }
-}
-
 /// Convolution over one [`LANES`]-row block, mirroring [`dense_block`]:
 /// per output pixel, the tap loop runs innermost over a register block
 /// of accumulators reading contiguous lane groups from the interleaved
@@ -1558,7 +1460,7 @@ fn conv_channel_block(
                     let iy = (oy * g.stride + kh) as isize - g.pad as isize;
                     for kw in 0..g.kernel_w {
                         let ix = (ox * g.stride + kw) as isize - g.pad as isize;
-                        let trow = table.row(pool_f, wrow[k]);
+                        let trow = table.row(pool_f, usize::from(wrow[k]));
                         k += 1;
                         if iy >= 0 && ix >= 0 && (iy as usize) < h && (ix as usize) < w {
                             let src = ic * h * w + iy as usize * w + ix as usize;
@@ -1619,7 +1521,7 @@ fn conv_row(
                                 } else {
                                     zero_code
                                 };
-                            acc += table.fetch(pool_f, wrow[k], xcode);
+                            acc += table.fetch(pool_f, usize::from(wrow[k]), usize::from(xcode));
                             k += 1;
                         }
                     }
@@ -1638,12 +1540,12 @@ fn conv_row(
 /// A `Lookup` activation is a nearest-input search over a sorted LUT —
 /// the same shape as an encode step — so its total-order keys are
 /// cached once per op and every value goes through the branch-free
-/// [`nearest_index`] instead of `ActRef::apply`'s binary search. The
+/// [`nearest_index`] instead of [`apply_act`]'s binary search. The
 /// LUT's inputs are strictly increasing (built sorted and deduplicated),
 /// so both searches pick the same index bit-for-bit.
 fn finish_neuron(
     pool_f: &[f32],
-    act: &ActRef,
+    act: &Act,
     encoder: &Option<Span>,
     levels: Option<&[i16]>,
     flow: &mut Flow,
@@ -1651,7 +1553,7 @@ fn finish_neuron(
     act_keys: &mut Vec<i32>,
 ) -> Domain {
     let lut = match act {
-        ActRef::Lookup { inputs, outputs } => {
+        Act::Lookup { inputs, outputs } => {
             let xs = inputs.slice(pool_f);
             load_keys(act_keys, xs);
             Some((xs, outputs.slice(pool_f)))
@@ -1661,7 +1563,7 @@ fn finish_neuron(
     let act_keys: &[i32] = act_keys;
     let apply = |y: f32| match lut {
         Some((xs, ys)) => ys[nearest_index(xs, act_keys, y)],
-        None => act.apply(pool_f, y),
+        None => apply_act(act, pool_f, y),
     };
     let domain = match encoder {
         Some(enc) => {
@@ -1807,7 +1709,7 @@ mod tests {
         let draw = |rng: &mut SeededRng, mag: usize| rng.index(2 * mag + 1) as i32 - mag as i32;
         check(4, |rng| {
             let mut kind = usize_in(rng, 0, KINDS);
-            let (mut flow, mut tile) = (Flow::default(), Vec::new());
+            let mut flow = Flow::default();
             for nin in [1usize, 7, 8, 9, 24, 100, 784] {
                 // Largest operands that keep every |sum| inside 2^30.
                 let mag = (((1u64 << 29) / nin as u64).isqrt() as usize).min(i16::MAX as usize);
@@ -1837,10 +1739,8 @@ mod tests {
                         let q = QuantOp {
                             nin,
                             nout,
-                            kind: QuantKind::Madd {
-                                weights: weights.clone(),
-                                xq: xq.clone(),
-                            },
+                            weights: weights.clone(),
+                            xq: xq.clone(),
                             bias_q: bias_q.clone(),
                             finish,
                         };
@@ -1848,7 +1748,7 @@ mod tests {
                             (0..rows * nin).map(|_| rng.index(BOOK) as u16).collect();
                         flow.quants.clear();
                         flow.quants.extend(input.iter().map(|&c| level_of(&xq, c)));
-                        let domain = quant_dense(&q, &mut flow, rows, &mut tile);
+                        let domain = quant_dense(&q, &mut flow, rows);
                         for r in 0..rows {
                             for o in 0..nout {
                                 let w = &weights[o * nin..(o + 1) * nin];
@@ -1926,7 +1826,7 @@ mod tests {
             load_keys(&mut keys, book);
             for &p in &probes {
                 assert_eq!(
-                    nearest_sorted(book, &keys, p),
+                    usize::from(nearest_sorted(book, &keys, p)),
                     nearest(book, p),
                     "book {book:?} probe {p}"
                 );

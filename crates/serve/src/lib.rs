@@ -7,9 +7,10 @@
 //! not for deployment. This crate adds the deployment half:
 //!
 //! * [`artifact`] — [`CompiledModel`] flattens the reinterpreted network
-//!   into two contiguous pools plus a linear op program, serializable to
-//!   a versioned, checksummed, std-only binary format. Inference over
-//!   the flat program is bit-for-bit identical to the source network.
+//!   into two contiguous pools plus the analyzer's linear op program,
+//!   serializable to a versioned, checksummed, std-only binary format
+//!   (`wire`). Inference over the flat program is bit-for-bit identical
+//!   to the source network.
 //! * [`kernels`] — [`BatchRunner`] executes the op program batch-major
 //!   over a reusable scratch arena: each op runs once per batch across
 //!   all rows, with zero per-sample heap allocations in the steady
@@ -78,6 +79,7 @@ pub mod metrics;
 pub mod pipeline;
 mod pod;
 mod quant;
+mod wire;
 
 pub use artifact::{CompiledModel, FORMAT_VERSION, MAGIC};
 pub use engine::{DrainReport, Engine, EngineConfig, Ticket};

@@ -6,8 +6,9 @@
 //! (decode-failed) diagnostic, so callers always get one uniform
 //! [`Report`] to render. The `lint_artifact` example wraps this in a
 //! CLI that exits nonzero when the report has errors.
+//!
+//! [`CompiledModel::from_bytes`]: crate::CompiledModel::from_bytes
 
-use crate::artifact::CompiledModel;
 use crate::error::ArtifactError;
 use rapidnn_analyze::{DiagCode, Diagnostic, Report};
 
@@ -18,8 +19,10 @@ use rapidnn_analyze::{DiagCode, Diagnostic, Report};
 /// The report has no errors **iff** [`CompiledModel::from_bytes`]
 /// would accept the same bytes; on top of the accept/reject verdict it
 /// carries every warning and note the analyzer produced.
+///
+/// [`CompiledModel::from_bytes`]: crate::CompiledModel::from_bytes
 pub fn lint_bytes(bytes: &[u8]) -> Report {
-    match CompiledModel::decode(bytes) {
+    match crate::wire::decode(bytes) {
         Ok(model) => model.analyze(),
         Err(e) => decode_failure_report(&e),
     }
@@ -47,8 +50,8 @@ pub fn decode_failure_report(e: &ArtifactError) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{CodePool, FloatPool, Geom, Op, Span};
-    use rapidnn_analyze::Severity;
+    use crate::artifact::{CodePool, CompiledModel, FloatPool};
+    use rapidnn_analyze::{Geom, Op, Severity, Span};
 
     fn padded_pool_model() -> CompiledModel {
         // The PR-1 panic class: a pool geometry that declares padding.

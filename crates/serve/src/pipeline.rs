@@ -169,8 +169,8 @@ pub(crate) fn plan_stages(model: &CompiledModel, stages: usize) -> Option<StageP
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::Op;
     use crate::kernels::{pad_rows, BatchRunner, Domain, FlowData};
+    use rapidnn_analyze::Op;
 
     /// Executes `model` as the staged pipeline described by `bounds`
     /// (op-index boundaries including both ends), one fresh runner per
@@ -214,7 +214,7 @@ mod tests {
     /// bit, and the static flow walk agrees with every dynamic stage
     /// boundary along the way — on the f32 path, on the integer path
     /// (where every boundary hands off `FlowData::Quants`), and on a
-    /// mixed plan whose f32 and integer Gather ops are handed codes.
+    /// mixed plan whose two f32 fallbacks are handed codes.
     #[test]
     fn every_legal_split_reproduces_run_bit_for_bit() {
         use Domain::{Codes, Floats, Quants};

@@ -2,17 +2,21 @@
 //!
 //! [`CompiledModel::quantize`] derives a [`rapidnn_analyze::QuantPlan`]
 //! and this module turns each licensed op into the flat tiles the
-//! integer batch kernels stream through: expanded `i16` weight
-//! matrices (Madd) or compacted `i16` product tables plus row offsets
-//! (Gather), `i32` biases on the accumulator grid, and precomputed
-//! finish LUTs whose entries went through the *exact* scalar f32
-//! finish (activation lookup, nearest re-encode) at each bucket's
-//! center — so the integer path's only deviations from f32 are the
-//! rounding terms the plan's error bound already accounts for.
+//! integer batch kernel streams through: an expanded `i16` weight
+//! matrix and the quantized input codebook it multiplies against,
+//! `i32` biases on the accumulator grid, and a precomputed finish LUT
+//! whose entries went through the *exact* scalar f32 finish
+//! (activation lookup, nearest re-encode) at each bucket's center — so
+//! the integer path's only deviations from f32 are the rounding terms
+//! the plan's error bound already accounts for. There is one integer
+//! strategy, the factored multiply-accumulate; an op the plan refuses
+//! (a table that does not factor is `FallbackReason::NotFactored`) has
+//! no entry here and serves on the bit-exact f32 path.
 //!
-//! An integer Madd op multiplies `xq[code]`, never the code, so whatever
-//! produces its input writes that operand directly ([`Domain::Quants`]):
-//! a finish LUT feeding one is composed here, once, into
+//! A licensed op multiplies `xq[code]`, never the code, so whatever
+//! produces its input writes that operand directly
+//! ([`Domain::Quants`](crate::kernels::Domain::Quants)): a finish LUT
+//! feeding one is composed here, once, into
 //! `xq_next[lut_codes[bucket]]`, and every other producer is handed the
 //! op's `xq` ([`CompiledModel::madd_levels`]) when it runs.
 //!
@@ -22,9 +26,8 @@
 //! the code sections again, and the batch arena never holds a weight
 //! tile for a licensed op.
 
-use crate::artifact::{nearest, ActRef, CompiledModel, Op};
-use crate::kernels::Domain;
-use rapidnn_analyze::{FinishPlan, OpQuant, QuantMode, QuantPlan};
+use crate::artifact::{apply_act, nearest, CompiledModel};
+use rapidnn_analyze::{Act, FinishPlan, Op, OpQuant, QuantPlan};
 
 /// Everything the integer batch path needs, op-aligned with the model.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,36 +45,16 @@ pub(crate) struct QuantOp {
     pub(crate) nin: usize,
     /// Output neuron count.
     pub(crate) nout: usize,
-    /// How the accumulator is fed.
-    pub(crate) kind: QuantKind,
+    /// The expanded `nout × nin` weight matrix at `2^w_frac`.
+    pub(crate) weights: Vec<i16>,
+    /// The input codebook at `2^x_frac`, one entry per input code —
+    /// the levels this op's producer writes into the flow in place of
+    /// codes.
+    pub(crate) xq: Vec<i16>,
     /// Per-output bias on the `2^acc_frac` grid.
     pub(crate) bias_q: Vec<i32>,
     /// How the accumulator leaves the op.
     pub(crate) finish: QuantFinish,
-}
-
-/// Integer multiply strategy of one op.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum QuantKind {
-    /// Factored multiply-accumulate: `weights` is the expanded
-    /// `nout × nin` quantized weight matrix, `xq` the quantized input
-    /// codebook (indexed by input code) — the levels this op's
-    /// producer writes into the flow in place of codes.
-    Madd {
-        /// `nout × nin` weights at `2^w_frac`.
-        weights: Vec<i16>,
-        /// Input codebook at `2^x_frac`, one entry per code.
-        xq: Vec<i16>,
-    },
-    /// Table gather: `rows[o * nin + i]` is the precomputed base offset
-    /// of the weight's row in `table_q`; the input code indexes within
-    /// the row.
-    Gather {
-        /// `nout × nin` row base offsets (`weight code × book_len`).
-        rows: Vec<u32>,
-        /// Compacted `weight_count × book_len` table at `2^acc_frac`.
-        table_q: Vec<i16>,
-    },
 }
 
 /// Integer finish: one requantize/dequantize at the op boundary.
@@ -104,27 +87,18 @@ pub(crate) enum QuantFinish {
 pub(crate) enum LutOut {
     /// The op re-encodes: output codes.
     Codes(Vec<u16>),
-    /// The op re-encodes into an integer Madd op: that op's operand
+    /// The op re-encodes into a licensed op: that op's operand
     /// `xq[code]` of each output code, composed at load.
     Quants(Vec<i16>),
     /// The op does not re-encode: finished floats.
     Floats(Vec<f32>),
 }
 
-impl QuantOp {
-    /// The flow domain the op's kernel reads.
-    pub(crate) fn reads(&self) -> Domain {
-        match self.kind {
-            QuantKind::Madd { .. } => Domain::Quants,
-            QuantKind::Gather { .. } => Domain::Codes,
-        }
-    }
-}
-
-/// An integer Madd op's operand for `code`: `xq[code]`, clamped like
-/// every gather of an unproven index (an identity on real data).
+/// A licensed op's operand for `code`: `xq[code]`. Every producer
+/// encodes through the book `xq` was quantized from (the plan's
+/// `input_book`), so the analyzer's code-domain proof covers the index.
 pub(crate) fn level_of(xq: &[i16], code: u16) -> i16 {
-    xq[usize::from(code).min(xq.len() - 1)]
+    xq[usize::from(code)]
 }
 
 impl CompiledModel {
@@ -133,14 +107,12 @@ impl CompiledModel {
         self.quant.as_ref()?.ops.get(oi)?.as_ref()
     }
 
-    /// The per-code operands of op `oi` when it is an integer Madd op —
-    /// what the producer of its input writes in place of codes — and
-    /// `None` for every other op (and past the program's end).
+    /// The per-code operands of op `oi` when it runs the integer
+    /// kernel — what the producer of its input writes in place of
+    /// codes — and `None` for every other op (and past the program's
+    /// end).
     pub(crate) fn madd_levels(&self, oi: usize) -> Option<&[i16]> {
-        match &self.quant_op(oi)?.kind {
-            QuantKind::Madd { xq, .. } => Some(xq),
-            QuantKind::Gather { .. } => None,
-        }
+        Some(&self.quant_op(oi)?.xq)
     }
 }
 
@@ -148,8 +120,9 @@ impl QuantState {
     /// Builds the integer tiles for every licensed op of `plan`.
     ///
     /// Every constructed model has passed the analyzer, so spans are
-    /// in bounds; weight codes are still clamped defensively — this
-    /// runs once at load time, never in the batch loop.
+    /// in bounds, and the plan licenses an op only after checking each
+    /// of its weight codes against the table `wvals` was recovered
+    /// from.
     pub(crate) fn materialize(model: &CompiledModel, plan: QuantPlan) -> QuantState {
         let pool_f = model.float_pool();
         let mut ops: Vec<Option<QuantOp>> = Vec::with_capacity(model.ops.len());
@@ -163,106 +136,78 @@ impl QuantState {
                 outputs,
                 weight_codes,
                 bias,
-                table,
                 act,
                 encoder,
+                ..
             } = op
             else {
                 ops.push(None);
                 continue;
             };
-            let book = &pool_f[lic.input_book.start..lic.input_book.start + lic.input_book.len];
+            let book = lic.input_book.slice(pool_f);
             let scale = exp2(lic.acc_frac);
             let bias_q = bias
                 .slice(pool_f)
                 .iter()
                 .map(|&b| quant_i32(f64::from(b), scale))
                 .collect();
-            let kind = match lic.mode {
-                QuantMode::Madd { w_frac, x_frac } => {
-                    let ws = exp2(w_frac);
-                    let last = lic.wvals.len().saturating_sub(1);
-                    let mut weights = Vec::with_capacity(weight_codes.len);
-                    model
-                        .codes
-                        .map_range(weight_codes.start, weight_codes.len, |c| {
-                            let w = lic.wvals[(c as usize).min(last)];
-                            weights.push(quant_i16(f64::from(w), ws));
-                        });
-                    let xs = exp2(x_frac);
-                    let xq = book.iter().map(|&b| quant_i16(f64::from(b), xs)).collect();
-                    QuantKind::Madd { weights, xq }
-                }
-                QuantMode::Gather => {
-                    let blen = book.len();
-                    let last = table.weight_count.saturating_sub(1) as u32;
-                    let mut rows = Vec::with_capacity(weight_codes.len);
-                    model
-                        .codes
-                        .map_range(weight_codes.start, weight_codes.len, |c| {
-                            rows.push(u32::from(c).min(last) * blen as u32);
-                        });
-                    let mut table_q = Vec::with_capacity(table.weight_count * blen);
-                    for w in 0..table.weight_count {
-                        let row = table.row(pool_f, w as u16);
-                        table_q.extend(row[..blen].iter().map(|&v| quant_i16(f64::from(v), scale)));
-                    }
-                    QuantKind::Gather { rows, table_q }
-                }
-            };
+            let ws = exp2(lic.w_frac);
+            let mut weights = Vec::with_capacity(weight_codes.len);
+            model
+                .codes
+                .map_range(weight_codes.start, weight_codes.len, |c| {
+                    weights.push(quant_i16(f64::from(lic.wvals[usize::from(c)]), ws));
+                });
+            let xs = exp2(lic.x_frac);
+            let xq = book.iter().map(|&b| quant_i16(f64::from(b), xs)).collect();
             let inv = 1.0 / scale;
             let finish = match lic.finish {
                 FinishPlan::Direct => match act {
-                    ActRef::Relu => QuantFinish::DequantRelu { inv },
+                    Act::Relu => QuantFinish::DequantRelu { inv },
                     _ => QuantFinish::Dequant { inv },
                 },
                 FinishPlan::Lut { lo_q, shift, len } => {
-                    let enc = encoder.as_ref().map(|e| e.slice(pool_f));
-                    let mut codes = Vec::new();
-                    let mut vals = Vec::new();
                     let step = 1i64 << shift;
-                    for idx in 0..len as i64 {
-                        // Bucket center on the accumulator grid, exact
-                        // in f64, finished through the scalar path.
+                    // Each bucket's center on the accumulator grid,
+                    // exact in f64, finished through the scalar path.
+                    let finished = (0..len as i64).map(|idx| {
                         let rep_q = lo_q + idx * step + step / 2;
-                        let y = (rep_q as f64 / f64::from(scale)) as f32;
-                        let a = act.apply(pool_f, y);
-                        match enc {
-                            Some(book) => codes.push(nearest(book, a)),
-                            None => vals.push(a),
-                        }
-                    }
-                    QuantFinish::Lut {
-                        lo_q: i32::try_from(lo_q).unwrap_or(i32::MIN),
-                        shift,
-                        out: match enc {
-                            Some(_) => LutOut::Codes(codes),
-                            None => LutOut::Floats(vals),
-                        },
-                    }
+                        apply_act(act, pool_f, (rep_q as f64 / f64::from(scale)) as f32)
+                    });
+                    let out = match encoder {
+                        // RNA0004 caps a codebook at 2^16 entries.
+                        Some(e) => LutOut::Codes(
+                            finished
+                                .map(|a| nearest(e.slice(pool_f), a) as u16)
+                                .collect(),
+                        ),
+                        None => LutOut::Floats(finished.collect()),
+                    };
+                    let lo_q = i32::try_from(lo_q).unwrap_or(i32::MIN);
+                    QuantFinish::Lut { lo_q, shift, out }
                 }
             };
             ops.push(Some(QuantOp {
                 nin: *inputs,
                 nout: *outputs,
-                kind,
+                weights,
+                xq,
                 bias_q,
                 finish,
             }));
         }
-        // A finish LUT that feeds an integer Madd op emits that op's
+        // A finish LUT that feeds a licensed op emits that op's
         // operands: compose the two tables once, here.
         for oi in 1..ops.len() {
             let (producers, consumers) = ops.split_at_mut(oi);
             let (Some(producer), Some(consumer)) = (&mut producers[oi - 1], &consumers[0]) else {
                 continue;
             };
-            let (QuantFinish::Lut { out, .. }, QuantKind::Madd { xq, .. }) =
-                (&mut producer.finish, &consumer.kind)
-            else {
+            let QuantFinish::Lut { out, .. } = &mut producer.finish else {
                 continue;
             };
             if let LutOut::Codes(codes) = out {
+                let xq = &consumer.xq;
                 *out = LutOut::Quants(codes.iter().map(|&c| level_of(xq, c)).collect());
             }
         }

@@ -155,8 +155,8 @@ fn quant_file(path: &str) -> ExitCode {
         match op {
             OpQuant::NotApplicable => println!("op {i}: reads {read}, no tables (either path)"),
             OpQuant::Licensed(l) => println!(
-                "op {i}: reads {read}, licensed ({:?}, acc_frac {}, |error| <= {:.3e})",
-                l.mode, l.acc_frac, l.error
+                "op {i}: reads {read}, licensed (w_frac {}, x_frac {}, acc_frac {}, |error| <= {:.3e})",
+                l.w_frac, l.x_frac, l.acc_frac, l.error
             ),
             OpQuant::Fallback(reason) => println!("op {i}: reads {read}, f32 fallback — {reason}"),
         }

@@ -25,7 +25,7 @@
 //!   mixed one whose f32 and integer Gather ops are still handed codes.
 
 use rapidnn::analyze::{
-    Act, FinishPlan, Geom, Op, OpQuant, Program, QuantMode, QuantPlan, Span, TableRef,
+    Act, FallbackReason, FinishPlan, Geom, Op, OpQuant, Program, QuantPlan, Span, TableRef,
 };
 use rapidnn::composer::{ReinterpretOptions, ReinterpretedNetwork};
 use rapidnn::data::SyntheticSpec;
@@ -432,11 +432,11 @@ fn chain(rng: &mut SeededRng, features: usize, steps: &[Step]) -> Program<'stati
 }
 
 /// The two-step reference for one row of a [`chain`] under `plan`: codes
-/// flow between ops, and an integer Madd op first maps its input codes
+/// flow between ops, and a licensed op first maps its input codes
 /// through its quantized codebook (`codes → xq[code]`), then takes the
 /// dot product — in `i64`, against weights, biases and finish tables
-/// re-derived here from the plan's formats. Integer Gather ops sum
-/// quantized table entries; refused ops run the f32 table gather.
+/// re-derived here from the plan's formats. Refused ops run the f32
+/// table gather.
 fn chain_reference(program: &Program<'_>, plan: &QuantPlan, row: &[f32]) -> Vec<f32> {
     let floats = &program.floats;
     let slice = |s: Span| &floats[s.start..s.start + s.len];
@@ -498,29 +498,18 @@ fn chain_reference(program: &Program<'_>, plan: &QuantPlan, row: &[f32]) -> Vec<
         let finished: Vec<f32> = match verdict {
             OpQuant::Licensed(lic) => {
                 let bias_q = |o: usize| q32(slice(*bias)[o], lic.acc_frac);
-                let accs: Vec<i64> = match lic.mode {
-                    QuantMode::Madd { w_frac, x_frac } => {
-                        let xq: Vec<i64> = slice(lic.input_book)
-                            .iter()
-                            .map(|&b| q16(b, x_frac))
-                            .collect();
-                        let xs: Vec<i64> = codes.iter().map(|&c| xq[usize::from(c)]).collect();
-                        (0..*outputs)
-                            .map(|o| {
-                                wrow(o).iter().zip(&xs).fold(bias_q(o), |acc, (&w, &x)| {
-                                    acc + q16(lic.wvals[usize::from(w)], w_frac) * x
-                                })
-                            })
-                            .collect()
-                    }
-                    QuantMode::Gather => (0..*outputs)
-                        .map(|o| {
-                            wrow(o).iter().zip(&codes).fold(bias_q(o), |acc, (&w, &x)| {
-                                acc + q16(entry(w, x), lic.acc_frac)
-                            })
+                let xq: Vec<i64> = slice(lic.input_book)
+                    .iter()
+                    .map(|&b| q16(b, lic.x_frac))
+                    .collect();
+                let xs: Vec<i64> = codes.iter().map(|&c| xq[usize::from(c)]).collect();
+                let accs: Vec<i64> = (0..*outputs)
+                    .map(|o| {
+                        wrow(o).iter().zip(&xs).fold(bias_q(o), |acc, (&w, &x)| {
+                            acc + q16(lic.wvals[usize::from(w)], lic.w_frac) * x
                         })
-                        .collect(),
-                };
+                    })
+                    .collect();
                 let scale = (1u64 << lic.acc_frac) as f32;
                 accs.into_iter()
                     .map(|acc| match lic.finish {
@@ -552,14 +541,15 @@ fn chain_reference(program: &Program<'_>, plan: &QuantPlan, row: &[f32]) -> Vec<
     decoded
 }
 
-/// What flows into an integer Madd op is `xq[code]`, written by its
+/// What flows into a licensed op is `xq[code]`, written by its
 /// producer, and no bit changes: hand-built chains equal the two-step
-/// reference at every batch size. The first chain licenses throughout
-/// (input encoder and composed finish LUTs) and never leaves the
-/// quantized domain; in the second the middle op is refused and one op
-/// lowers to an integer Gather, both still handed codes, and an f32
-/// re-encode feeds a Madd op; in the third the producers are a max
-/// pool, an average pool, a residual entry and a residual join.
+/// reference at every batch size and stay inside the plan's bound. The
+/// first chain licenses throughout (input encoder and composed finish
+/// LUTs) and never leaves the quantized domain; in the second two ops
+/// in the middle are refused — one too wide for `i16`, one whose table
+/// does not factor — both still handed codes, and an f32 re-encode
+/// feeds a licensed op; in the third the producers are a max pool, an
+/// average pool, a residual entry and a residual join.
 #[test]
 fn quantized_flow_matches_the_two_step_reference() {
     use Step::{AvgPool, Dense, MaxPool, ResidualBegin, ResidualEnd};
@@ -610,27 +600,26 @@ fn quantized_flow_matches_the_two_step_reference() {
     for (case, (steps, reads)) in cases.into_iter().enumerate() {
         let mut rng = SeededRng::new(1400 + case as u64);
         let program = chain(&mut rng, 19, steps);
-        let mut model = CompiledModel::from_program(&program).expect("chain compiles");
+        let exact = CompiledModel::from_program(&program).expect("chain compiles");
+        let mut model = exact.clone();
         model.quantize().expect("chain quantizes");
         let plan = model.quant_plan().expect("plan").clone();
         assert_eq!(model.read_domains(&plan), reads, "case {case}");
         for (verdict, read) in plan.ops.iter().zip(reads) {
-            let madd = matches!(verdict, OpQuant::Licensed(lic)
-                if matches!(lic.mode, QuantMode::Madd { .. }));
             assert_eq!(
-                madd,
+                verdict.is_licensed(),
                 *read == "i16",
                 "case {case}: {verdict:?} reads {read}"
             );
         }
         if case == 1 {
-            assert_eq!(plan.fallbacks(), 1, "{:?}", plan.ops);
-            assert!(
-                matches!(&plan.ops[1], OpQuant::Fallback(_)),
-                "{:?}",
-                plan.ops[1]
+            assert_eq!(plan.fallbacks(), 2, "{:?}", plan.ops);
+            assert_eq!(
+                plan.ops[1],
+                OpQuant::Fallback(FallbackReason::ValueRangeTooWide)
             );
-            assert!(matches!(&plan.ops[2], OpQuant::Licensed(l) if l.mode == QuantMode::Gather));
+            assert_eq!(plan.ops[2], OpQuant::Fallback(FallbackReason::NotFactored));
+            assert_eq!(model.kernel_path(), "mixed");
         }
 
         let inputs: Vec<f32> = (0..64 * 19).map(|_| rng.uniform(-2.0, 2.0)).collect();
@@ -651,5 +640,14 @@ fn quantized_flow_matches_the_two_step_reference() {
                 "case {case}, batch size {bs}: fused flow differs from the two-step reference"
             );
         }
+        let exact: Vec<f32> = exact.infer_batch(&inputs).expect("f32").concat();
+        let worst = (want.iter().zip(&exact))
+            .map(|(q, e)| f64::from((q - e).abs()))
+            .fold(0.0, f64::max);
+        assert!(
+            worst <= plan.output_error,
+            "case {case}: deviates {worst} from f32, bound {}",
+            plan.output_error
+        );
     }
 }
