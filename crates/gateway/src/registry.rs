@@ -40,9 +40,9 @@ pub struct RegistryConfig {
     pub engine: EngineConfig,
     /// Per-model in-flight budget; request `max_inflight + 1` is shed.
     pub max_inflight: usize,
-    /// Synthetic inferences run through a fresh engine before it takes
-    /// traffic (covers lazy per-worker scratch growth and catches
-    /// models that verify but cannot serve).
+    /// Synthetic rows sent through a candidate engine, as one concurrent
+    /// wave, before cutover (catches models that verify but cannot
+    /// serve); `0` disables warm-up.
     pub warmup_samples: usize,
     /// How long a swap waits for the displaced engine to finish its
     /// in-flight work before detaching it.
@@ -304,30 +304,26 @@ impl Registry {
                 if let Some(stages) = stages {
                     engine_config.stages = stages;
                 }
-                let (warmed, served_stages) = {
-                    let engine = Engine::start(model, engine_config.clone());
-                    self.warm(&engine)?;
-                    let served_stages = engine.stage_count();
-                    let entry = Arc::new(ModelEntry {
-                        name: name.to_string(),
-                        slot: RwLock::new(Arc::new(engine)),
-                        inflight: AtomicU64::new(0),
-                        generation: AtomicU64::new(0),
-                        swapping: Mutex::new(()),
-                        engine_config: Mutex::new(engine_config),
-                        optimized: Mutex::new(optimized),
-                    });
-                    let mut models = self.write_models();
-                    if models.contains_key(name) {
-                        return Err(GatewayError::SwapInProgress(name.to_string()));
-                    }
-                    models.insert(name.to_string(), entry);
-                    (self.config.warmup_samples, served_stages)
-                };
+                let engine = self.candidate(model, engine_config.clone())?;
+                let served_stages = engine.stage_count();
+                let entry = Arc::new(ModelEntry {
+                    name: name.to_string(),
+                    slot: RwLock::new(Arc::new(engine)),
+                    inflight: AtomicU64::new(0),
+                    generation: AtomicU64::new(0),
+                    swapping: Mutex::new(()),
+                    engine_config: Mutex::new(engine_config),
+                    optimized: Mutex::new(optimized),
+                });
+                let mut models = self.write_models();
+                if models.contains_key(name) {
+                    return Err(GatewayError::SwapInProgress(name.to_string()));
+                }
+                models.insert(name.to_string(), entry);
                 Ok(SwapReport {
                     created: true,
                     generation: 0,
-                    warmed,
+                    warmed: self.config.warmup_samples,
                     stages: served_stages,
                     drained: true,
                     optimized,
@@ -371,22 +367,11 @@ impl Registry {
         // Build and warm the successor before touching traffic; any
         // failure here is a rollback by construction — including a
         // requested stage-count change, which must not stick either.
-        let engine_config = {
-            let held = entry
-                .engine_config
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let mut config = held.clone();
-            if let Some(stages) = stages {
-                config.stages = stages;
-            }
-            config
-        };
-        let engine = Engine::start(model, engine_config.clone());
-        if let Err(e) = self.warm(&engine) {
-            engine.drain(Duration::from_secs(1));
-            return Err(e);
+        let mut engine_config = lock(&entry.engine_config).clone();
+        if let Some(stages) = stages {
+            engine_config.stages = stages;
         }
+        let engine = self.candidate(model, engine_config.clone())?;
         let served_stages = engine.stage_count();
         // Atomic cutover: every submission after this write lock drops
         // lands on the new engine.
@@ -394,14 +379,8 @@ impl Registry {
             let mut slot = write_slot(&entry.slot);
             std::mem::replace(&mut *slot, Arc::new(engine))
         };
-        *entry
-            .engine_config
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = engine_config;
-        *entry
-            .optimized
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = optimized;
+        *lock(&entry.engine_config) = engine_config;
+        *lock(&entry.optimized) = optimized;
         let generation = entry.generation.fetch_add(1, Ordering::AcqRel) + 1;
         let (old_stats, drained) = drain_displaced(old, self.config.drain_deadline);
         Ok(SwapReport {
@@ -415,21 +394,37 @@ impl Registry {
         })
     }
 
-    /// Runs synthetic inferences through a fresh engine. Exercises the
-    /// full submit → batch → kernel → reply path per worker-visible
-    /// code, growing scratch arenas before real traffic arrives.
-    fn warm(&self, engine: &Engine) -> Result<(), GatewayError> {
+    /// Starts and warms a candidate engine; one that fails warm-up is
+    /// drained here, so every caller's failure path is a rollback.
+    fn candidate(
+        &self,
+        model: CompiledModel,
+        config: EngineConfig,
+    ) -> Result<Engine, GatewayError> {
+        let engine = Engine::start(model, config);
+        if let Err(e) = self.warm(&engine) {
+            engine.drain(Duration::from_secs(1));
+            return Err(GatewayError::WarmupFailed(e.to_string()));
+        }
+        Ok(engine)
+    }
+
+    /// One concurrent wave of `warmup_samples` synthetic rows: all are
+    /// submitted before any ticket is redeemed, so the batcher gathers
+    /// them into one batch — submit → gather → block kernels → reply,
+    /// for one hold. Blocking `submit`: a queue shorter than the wave
+    /// costs extra holds, not a spurious `QueueFull`.
+    fn warm(&self, engine: &Engine) -> Result<(), ServeError> {
         let features = engine.model().input_features();
+        let mut tickets = Vec::with_capacity(self.config.warmup_samples);
         for i in 0..self.config.warmup_samples {
             let input: Vec<f32> = (0..features)
                 .map(|f| ((i * 31 + f * 7) % 17) as f32 / 16.0 - 0.5)
                 .collect();
-            let outcome = engine
-                .try_submit(input)
-                .and_then(rapidnn_serve::Ticket::wait);
-            if let Err(e) = outcome {
-                return Err(GatewayError::WarmupFailed(e.to_string()));
-            }
+            tickets.push(engine.submit(input)?);
+        }
+        for ticket in tickets {
+            ticket.wait()?;
         }
         Ok(())
     }
@@ -489,10 +484,7 @@ impl Registry {
     pub fn stats(&self, name: &str) -> Result<ModelStats, GatewayError> {
         let entry = self.entry(name)?;
         let slot = read_slot(&entry.slot);
-        let optimized = *entry
-            .optimized
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let optimized = *lock(&entry.optimized);
         Ok(ModelStats {
             name: entry.name.clone(),
             generation: entry.generation.load(Ordering::Acquire),
@@ -566,6 +558,14 @@ impl std::fmt::Debug for Registry {
             .field("models", &self.names())
             .finish()
     }
+}
+
+/// Every write under these mutexes is one whole-value store, so a
+/// poisoned one still guards a consistent value.
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn read_slot(slot: &RwLock<Arc<Engine>>) -> Arc<Engine> {

@@ -8,14 +8,14 @@ use common::{
     analyzer_rejected_bytes, compiled_model, dead_padded_model, le_bytes, le_floats, read_response,
     request, request_with_headers, wider_model, write_request, FEATURES,
 };
-use rapidnn_gateway::{Gateway, GatewayConfig, RegistryConfig};
+use rapidnn_gateway::{Gateway, GatewayConfig, Registry, RegistryConfig};
 use rapidnn_prop::vec_f32;
 use rapidnn_serve::EngineConfig;
 use rapidnn_tensor::SeededRng;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn test_config() -> GatewayConfig {
     GatewayConfig {
@@ -550,4 +550,70 @@ fn optimize_opt_in_shrinks_and_reports_sizes() {
     assert!(stats.body_text().contains("\"generation\":1"));
 
     gateway.shutdown();
+}
+
+/// A registry (no HTTP) whose engines run one worker and warm up with
+/// the shipped eight rows.
+fn wave_registry(queue_capacity: usize, max_batch_size: usize, max_wait: Duration) -> Registry {
+    Registry::new(RegistryConfig {
+        engine: EngineConfig {
+            workers: 1,
+            queue_capacity,
+            max_batch_size,
+            max_wait,
+            ..EngineConfig::default()
+        },
+        warmup_samples: 8,
+        ..RegistryConfig::default()
+    })
+}
+
+/// Warm-up is one concurrent wave, so a `PUT` sits out O(1) batcher
+/// holds: row by row it was one hold per warm-up row, 8 × `HOLD` here.
+#[test]
+fn put_pays_one_batcher_hold_not_one_per_warmup_row() {
+    const HOLD: Duration = Duration::from_millis(100);
+    // Room for twice the wave, so the batch never fills and the one
+    // hold is really paid.
+    let registry = wave_registry(64, 16, HOLD);
+    // Create, then swap.
+    for generation in 0..2 {
+        let bytes = compiled_model(61 + generation).to_bytes();
+        let started = Instant::now();
+        let report = registry
+            .put_artifact("m", &bytes, false, None, false)
+            .unwrap();
+        let took = started.elapsed();
+        assert_eq!((report.generation, report.warmed), (generation, 8));
+        assert!(took < 4 * HOLD, "PUT {generation} took {took:?}");
+        // The wave is all this engine has served: eight rows, gathered
+        // into one batch (two if the worker woke between submissions).
+        let server = registry.stats("m").unwrap().server;
+        assert_eq!(server.completed, 8);
+        assert!(server.batches <= 2, "{} batches", server.batches);
+    }
+    registry.shutdown();
+}
+
+/// The wave submits with blocking `submit`: a queue shorter than
+/// `warmup_samples` costs extra holds, never a spurious `queue full`
+/// rejection of the `PUT`.
+#[test]
+fn warmup_wave_fits_through_a_queue_shorter_than_itself() {
+    let registry = wave_registry(2, 8, Duration::from_micros(200));
+    let mut rng = SeededRng::new(6);
+    let input = vec_f32(&mut rng, FEATURES, -2.0, 2.0);
+    // Create, then swap; each generation serves bit-exactly afterwards.
+    for generation in 0..2 {
+        let model = compiled_model(71 + generation);
+        let report = registry
+            .put_artifact("m", &model.to_bytes(), false, None, false)
+            .unwrap();
+        assert_eq!((report.generation, report.warmed), (generation, 8));
+        assert_eq!(
+            registry.infer("m", input.clone()).unwrap(),
+            model.infer(&input).unwrap()
+        );
+    }
+    registry.shutdown();
 }
