@@ -39,6 +39,7 @@
 
 mod error;
 pub mod http;
+mod json;
 pub mod registry;
 pub mod server;
 

@@ -19,10 +19,13 @@
 //!   old engine drains with a deadline. Verification or warmup failure
 //!   rolls back: the old engine never stops serving.
 //!
-//! The swap sequence never drops accepted work. In-flight requests hold
-//! an `Arc` to the engine slot they submitted to; the swap waits for
-//! those references to drop (the old engine is still serving them)
-//! before draining, and a request that races the cutover and hits
+//! The swap sequence never drops accepted work. What a model serves —
+//! engine, generation, configuration, optimizer outcome — is one `Arc`
+//! swapped at cutover, so a request resolves it in one read and its
+//! answer names the generation that computed it. In-flight requests
+//! hold that `Arc`; the displaced engine is told at once to stop holding
+//! partial batches, the swap waits for those references to drop before
+//! draining, and a request that races the cutover and hits
 //! `ShuttingDown` retries against the fresh slot.
 
 use crate::error::GatewayError;
@@ -66,26 +69,41 @@ impl Default for RegistryConfig {
 /// One model's serving state behind the registry.
 struct ModelEntry {
     name: String,
-    /// Current engine. Requests clone the `Arc` under the read lock and
-    /// submit outside it; a swap replaces the `Arc` under the write
-    /// lock, so cutover is atomic with respect to new submissions.
-    slot: RwLock<Arc<Engine>>,
+    /// What serves right now. Requests clone the `Arc` under the read
+    /// lock and submit outside it; a swap replaces the `Arc` under the
+    /// write lock, so cutover is atomic with respect to new submissions.
+    slot: RwLock<Arc<Serving>>,
     /// Requests currently inside this model (queued or executing).
     inflight: AtomicU64,
-    /// Completed swaps; `0` until the first successful `put` over an
-    /// existing model.
-    generation: AtomicU64,
     /// Serializes swaps per model; a contended lock is a 409, not a
     /// queue of competing artifact uploads.
     swapping: Mutex<()>,
-    /// Engine configuration this model's engines are built with: the
-    /// registry default, possibly with a per-model stage override from
-    /// `PUT`'s `x-stages`. Sticky across swaps until overridden again.
-    engine_config: Mutex<EngineConfig>,
-    /// What the certified optimizer did to the *currently serving*
-    /// generation's artifact (`PUT`'s `x-optimize` opt-in); `None` when
-    /// this generation was served as uploaded.
-    optimized: Mutex<Option<OptimizeStats>>,
+}
+
+/// One generation of a model: everything a swap replaces, together.
+struct Serving {
+    engine: Engine,
+    /// Swaps completed before this engine took over; `0` is the
+    /// artifact the model was registered with.
+    generation: u64,
+    /// Configuration the engine was built with: the registry default,
+    /// possibly with a per-model stage override from `PUT`'s
+    /// `x-stages`. Sticky across swaps until overridden again.
+    config: EngineConfig,
+    /// What the certified optimizer did to this generation's artifact
+    /// (`PUT`'s `x-optimize` opt-in); `None` when it serves as uploaded.
+    optimized: Option<OptimizeStats>,
+}
+
+impl ModelEntry {
+    fn new(name: &str, first: Serving) -> Arc<ModelEntry> {
+        Arc::new(ModelEntry {
+            name: name.to_string(),
+            slot: RwLock::new(Arc::new(first)),
+            inflight: AtomicU64::new(0),
+            swapping: Mutex::new(()),
+        })
+    }
 }
 
 /// What [`CompiledModel::optimize`] removed from an uploaded artifact,
@@ -192,7 +210,7 @@ impl Registry {
 
     /// Registered model names, sorted.
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.read_models().keys().cloned().collect();
+        let mut names: Vec<String> = read(&self.models).keys().cloned().collect();
         names.sort();
         names
     }
@@ -206,16 +224,15 @@ impl Registry {
     /// [`GatewayError::InvalidName`] or [`GatewayError::AlreadyExists`].
     pub fn register(&self, name: &str, model: CompiledModel) -> Result<(), GatewayError> {
         validate_name(name)?;
-        let entry = Arc::new(ModelEntry {
-            name: name.to_string(),
-            slot: RwLock::new(Arc::new(Engine::start(model, self.config.engine.clone()))),
-            inflight: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
-            swapping: Mutex::new(()),
-            engine_config: Mutex::new(self.config.engine.clone()),
-            optimized: Mutex::new(None),
-        });
-        let mut models = self.write_models();
+        let config = self.config.engine.clone();
+        let first = Serving {
+            engine: Engine::start(model, config.clone()),
+            generation: 0,
+            config,
+            optimized: None,
+        };
+        let entry = ModelEntry::new(name, first);
+        let mut models = write(&self.models);
         if models.contains_key(name) {
             // The freshly started engine never took traffic; drop joins it.
             return Err(GatewayError::AlreadyExists(name.to_string()));
@@ -281,7 +298,7 @@ impl Registry {
                 .map_err(|e| GatewayError::from_serve(name, e))?;
             let stats = OptimizeStats {
                 bytes_before: bytes.len(),
-                bytes_after: opt.to_bytes().len(),
+                bytes_after: opt.encoded_len(),
                 dead_entries_removed: cert.removed(Pass::DeadEntryElimination),
                 rows_removed: cert.removed(Pass::RowCompaction),
                 columns_removed: cert.removed(Pass::ColumnCompaction),
@@ -297,25 +314,14 @@ impl Registry {
                 .quantize()
                 .map_err(|e| GatewayError::from_serve(name, e))?;
         }
-        let existing = self.read_models().get(name).cloned();
+        let existing = read(&self.models).get(name).cloned();
         match existing {
             None => {
-                let mut engine_config = self.config.engine.clone();
-                if let Some(stages) = stages {
-                    engine_config.stages = stages;
-                }
-                let engine = self.candidate(model, engine_config.clone())?;
-                let served_stages = engine.stage_count();
-                let entry = Arc::new(ModelEntry {
-                    name: name.to_string(),
-                    slot: RwLock::new(Arc::new(engine)),
-                    inflight: AtomicU64::new(0),
-                    generation: AtomicU64::new(0),
-                    swapping: Mutex::new(()),
-                    engine_config: Mutex::new(engine_config),
-                    optimized: Mutex::new(optimized),
-                });
-                let mut models = self.write_models();
+                let config = self.config.engine.clone();
+                let first = self.candidate(model, config, stages, 0, optimized)?;
+                let served_stages = first.engine.stage_count();
+                let entry = ModelEntry::new(name, first);
+                let mut models = write(&self.models);
                 if models.contains_key(name) {
                     return Err(GatewayError::SwapInProgress(name.to_string()));
                 }
@@ -350,38 +356,28 @@ impl Registry {
             Err(TryLockError::Poisoned(p)) => p.into_inner(),
         };
         // The replacement must honour the model's wire contract.
-        let (cur_in, cur_out) = {
-            let slot = read_slot(&entry.slot);
-            (
-                slot.model().input_features(),
-                slot.model().output_features(),
-            )
-        };
-        if (model.input_features(), model.output_features()) != (cur_in, cur_out) {
+        let current = read_slot(&entry.slot);
+        let served = current.engine.model();
+        let expected = (served.input_features(), served.output_features());
+        let (generation, config) = (current.generation + 1, current.config.clone());
+        // The drain below waits for every other holder of this `Arc`.
+        drop(current);
+        let got = (model.input_features(), model.output_features());
+        if got != expected {
             return Err(GatewayError::WidthMismatch {
                 name: entry.name.clone(),
-                expected: (cur_in, cur_out),
-                got: (model.input_features(), model.output_features()),
+                expected,
+                got,
             });
         }
         // Build and warm the successor before touching traffic; any
         // failure here is a rollback by construction — including a
         // requested stage-count change, which must not stick either.
-        let mut engine_config = lock(&entry.engine_config).clone();
-        if let Some(stages) = stages {
-            engine_config.stages = stages;
-        }
-        let engine = self.candidate(model, engine_config.clone())?;
-        let served_stages = engine.stage_count();
+        let next = self.candidate(model, config, stages, generation, optimized)?;
+        let served_stages = next.engine.stage_count();
         // Atomic cutover: every submission after this write lock drops
-        // lands on the new engine.
-        let old = {
-            let mut slot = write_slot(&entry.slot);
-            std::mem::replace(&mut *slot, Arc::new(engine))
-        };
-        *lock(&entry.engine_config) = engine_config;
-        *lock(&entry.optimized) = optimized;
-        let generation = entry.generation.fetch_add(1, Ordering::AcqRel) + 1;
+        // lands on the new engine, under the new generation number.
+        let old = std::mem::replace(&mut *write(&entry.slot), Arc::new(next));
         let (old_stats, drained) = drain_displaced(old, self.config.drain_deadline);
         Ok(SwapReport {
             created: false,
@@ -394,19 +390,29 @@ impl Registry {
         })
     }
 
-    /// Starts and warms a candidate engine; one that fails warm-up is
-    /// drained here, so every caller's failure path is a rollback.
+    /// Starts and warms the engine of a candidate generation (`stages`
+    /// overrides the stage count of `config`); one that fails warm-up
+    /// is drained here, so every caller's failure path is a rollback.
     fn candidate(
         &self,
         model: CompiledModel,
-        config: EngineConfig,
-    ) -> Result<Engine, GatewayError> {
-        let engine = Engine::start(model, config);
+        mut config: EngineConfig,
+        stages: Option<usize>,
+        generation: u64,
+        optimized: Option<OptimizeStats>,
+    ) -> Result<Serving, GatewayError> {
+        config.stages = stages.unwrap_or(config.stages);
+        let engine = Engine::start(model, config.clone());
         if let Err(e) = self.warm(&engine) {
             engine.drain(Duration::from_secs(1));
             return Err(GatewayError::WarmupFailed(e.to_string()));
         }
-        Ok(engine)
+        Ok(Serving {
+            engine,
+            generation,
+            config,
+            optimized,
+        })
     }
 
     /// One concurrent wave of `warmup_samples` synthetic rows: all are
@@ -438,13 +444,29 @@ impl Registry {
     /// [`GatewayError::InvalidInput`] for a width mismatch, or the
     /// underlying serve failure.
     pub fn infer(&self, name: &str, input: Vec<f32>) -> Result<Vec<f32>, GatewayError> {
+        Ok(self.infer_with_generation(name, input)?.0)
+    }
+
+    /// [`infer`](Self::infer), with the generation of the engine that
+    /// computed the answer: both come from the one slot the request was
+    /// submitted to, so across a hot-swap the number names exactly the
+    /// artifact whose bits the output carries.
+    ///
+    /// # Errors
+    ///
+    /// As [`infer`](Self::infer).
+    pub fn infer_with_generation(
+        &self,
+        name: &str,
+        input: Vec<f32>,
+    ) -> Result<(Vec<f32>, u64), GatewayError> {
         let entry = self.entry(name)?;
         // Admission: one budget covering queue + execution time. The
         // guard releases the slot on every path below.
         let admitted = entry.inflight.fetch_add(1, Ordering::AcqRel);
         let _guard = InflightGuard(&entry.inflight);
         if admitted >= self.config.max_inflight as u64 {
-            read_slot(&entry.slot).metrics().record_shed();
+            read_slot(&entry.slot).engine.metrics().record_shed();
             return Err(GatewayError::Shed {
                 retry_after: self.config.retry_after,
             });
@@ -455,13 +477,16 @@ impl Registry {
         // the swap invisible to clients. Bounded, because each retry
         // observes a strictly newer slot and swaps are serialized.
         for _attempt in 0..8 {
-            let engine = read_slot(&entry.slot);
-            match engine.try_submit(input.clone()) {
+            let serving = read_slot(&entry.slot);
+            match serving.engine.try_submit(input.clone()) {
                 Ok(ticket) => {
-                    return ticket.wait().map_err(|e| GatewayError::from_serve(name, e));
+                    return match ticket.wait() {
+                        Ok(output) => Ok((output, serving.generation)),
+                        Err(e) => Err(GatewayError::from_serve(name, e)),
+                    };
                 }
                 Err(ServeError::QueueFull) => {
-                    engine.metrics().record_shed();
+                    serving.engine.metrics().record_shed();
                     return Err(GatewayError::Shed {
                         retry_after: self.config.retry_after,
                     });
@@ -483,20 +508,20 @@ impl Registry {
     /// [`GatewayError::UnknownModel`].
     pub fn stats(&self, name: &str) -> Result<ModelStats, GatewayError> {
         let entry = self.entry(name)?;
-        let slot = read_slot(&entry.slot);
-        let optimized = *lock(&entry.optimized);
+        let serving = read_slot(&entry.slot);
+        let (engine, model) = (&serving.engine, serving.engine.model());
         Ok(ModelStats {
             name: entry.name.clone(),
-            generation: entry.generation.load(Ordering::Acquire),
-            input_features: slot.model().input_features(),
-            output_features: slot.model().output_features(),
+            generation: serving.generation,
+            input_features: model.input_features(),
+            output_features: model.output_features(),
             inflight: entry.inflight.load(Ordering::Acquire),
-            stages: slot.stage_count(),
-            pipeline: slot.pipeline_stats(),
-            kernel_path: slot.model().kernel_path(),
-            optimized,
-            licensed_ops: slot.model().licensed_ops(),
-            server: slot.stats(),
+            stages: engine.stage_count(),
+            pipeline: engine.pipeline_stats(),
+            kernel_path: model.kernel_path(),
+            optimized: serving.optimized,
+            licensed_ops: model.licensed_ops(),
+            server: engine.stats(),
         })
     }
 
@@ -507,8 +532,7 @@ impl Registry {
     ///
     /// [`GatewayError::UnknownModel`].
     pub fn remove(&self, name: &str) -> Result<Option<ServerStats>, GatewayError> {
-        let entry = self
-            .write_models()
+        let entry = write(&self.models)
             .remove(name)
             .ok_or_else(|| GatewayError::UnknownModel(name.to_string()))?;
         // Late racers that already resolved this entry keep the engine
@@ -522,33 +546,21 @@ impl Registry {
     /// Drains every model (used at gateway shutdown).
     pub fn shutdown(&self) {
         let entries: Vec<Arc<ModelEntry>> = {
-            let mut models = self.write_models();
+            let mut models = write(&self.models);
             models.drain().map(|(_, entry)| entry).collect()
         };
         for entry in entries {
-            let slot = Arc::clone(&read_slot(&entry.slot));
+            let slot = read_slot(&entry.slot);
             drop(entry);
             drain_displaced(slot, self.config.drain_deadline);
         }
     }
 
     fn entry(&self, name: &str) -> Result<Arc<ModelEntry>, GatewayError> {
-        self.read_models()
+        read(&self.models)
             .get(name)
             .cloned()
             .ok_or_else(|| GatewayError::UnknownModel(name.to_string()))
-    }
-
-    fn read_models(&self) -> std::sync::RwLockReadGuard<'_, HashMap<String, Arc<ModelEntry>>> {
-        self.models
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn write_models(&self) -> std::sync::RwLockWriteGuard<'_, HashMap<String, Arc<ModelEntry>>> {
-        self.models
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -560,39 +572,38 @@ impl std::fmt::Debug for Registry {
     }
 }
 
-/// Every write under these mutexes is one whole-value store, so a
-/// poisoned one still guards a consistent value.
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
+/// Every write under the registry's locks is one map operation or one
+/// whole-value store, so a poisoned lock still guards consistent data.
+fn read<T>(lock: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
+    lock.read()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn read_slot(slot: &RwLock<Arc<Engine>>) -> Arc<Engine> {
-    Arc::clone(
-        &slot
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner),
-    )
-}
-
-fn write_slot(slot: &RwLock<Arc<Engine>>) -> std::sync::RwLockWriteGuard<'_, Arc<Engine>> {
-    slot.write()
+fn write<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
+    lock.write()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Waits for a displaced engine's outstanding references (in-flight
-/// requests still being served by it) to drop, then drains it inside
-/// what remains of the deadline. Returns `(final stats, fully joined)`;
-/// on deadline the engine is simply released — its last reference
-/// holder joins the workers on drop, so accepted requests still finish.
-fn drain_displaced(mut displaced: Arc<Engine>, deadline: Duration) -> (Option<ServerStats>, bool) {
+fn read_slot(slot: &RwLock<Arc<Serving>>) -> Arc<Serving> {
+    Arc::clone(&read(slot))
+}
+
+/// Tells a displaced engine it is shutting down — it answers what it
+/// holds without sitting out a batcher hold, and a late submitter gets
+/// `ShuttingDown` and retries on the fresh slot — then waits for its
+/// outstanding references (in-flight requests still being served by it)
+/// to drop and drains it inside what remains of the deadline. Returns
+/// `(final stats, fully joined)`; on deadline the engine is simply
+/// released — its last reference holder joins the workers on drop, so
+/// accepted requests still finish.
+fn drain_displaced(mut displaced: Arc<Serving>, deadline: Duration) -> (Option<ServerStats>, bool) {
+    displaced.engine.begin_shutdown();
     let end = Instant::now() + deadline;
     loop {
         match Arc::try_unwrap(displaced) {
-            Ok(engine) => {
+            Ok(serving) => {
                 let remaining = end.saturating_duration_since(Instant::now());
-                let report = engine.drain(remaining);
+                let report = serving.engine.drain(remaining);
                 return (Some(report.stats), report.joined);
             }
             Err(still_shared) => {

@@ -32,6 +32,7 @@
 
 use crate::error::GatewayError;
 use crate::http::{HttpReader, Limits, ReadOutcome, Request, Response};
+use crate::json::Json;
 use crate::registry::{ModelStats, OptimizeStats, Registry, RegistryConfig, SwapReport};
 use rapidnn_pool::WorkerGroup;
 use std::io;
@@ -271,18 +272,17 @@ fn error_response(err: &GatewayError) -> Response {
 }
 
 fn list_models(registry: &Registry) -> Response {
-    let mut body = String::from("{\"models\":[");
-    for (i, name) in registry.names().iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        let generation = registry.stats(name).map_or(0, |s| s.generation);
-        body.push_str(&format!(
-            "{{\"name\":{},\"generation\":{generation}}}",
-            json_string(name)
-        ));
-    }
-    body.push_str("]}");
+    let body = Json::document(|j| {
+        j.key("models").array(|j| {
+            for name in registry.names() {
+                j.object(|j| {
+                    j.key("name").string(&name);
+                    let generation = registry.stats(&name).map_or(0, |s| s.generation);
+                    j.key("generation").value(generation);
+                });
+            }
+        });
+    });
     Response::json(200, body)
 }
 
@@ -336,56 +336,48 @@ fn put_model(registry: &Registry, name: &str, request: &Request) -> Response {
 }
 
 fn swap_response(name: &str, report: &SwapReport) -> Response {
-    let status = if report.created { 201 } else { 200 };
-    Response::json(
-        status,
-        format!(
-            "{{\"name\":{},\"created\":{},\"generation\":{},\"warmed\":{},\"stages\":{},\"drained\":{},\"optimized\":{}}}",
-            json_string(name),
-            report.created,
-            report.generation,
-            report.warmed,
-            report.stages,
-            report.drained,
-            optimize_json(report.optimized.as_ref()),
-        ),
-    )
+    let body = Json::document(|j| {
+        j.key("name").string(name);
+        j.key("created").value(report.created);
+        j.key("generation").value(report.generation);
+        j.key("warmed").value(report.warmed);
+        j.key("stages").value(report.stages);
+        j.key("drained").value(report.drained);
+        optimize_json(j.key("optimized"), report.optimized.as_ref());
+    });
+    Response::json(if report.created { 201 } else { 200 }, body)
 }
 
-/// Serializes the certified-optimizer outcome (`null` when the upload
-/// did not opt in).
-fn optimize_json(stats: Option<&OptimizeStats>) -> String {
-    stats.map_or_else(
-        || "null".to_string(),
-        |o| {
-            format!(
-                "{{\"bytes_before\":{},\"bytes_after\":{},\
-                 \"dead_entries_removed\":{},\"rows_removed\":{},\
-                 \"columns_removed\":{},\"lut_rows_removed\":{}}}",
-                o.bytes_before,
-                o.bytes_after,
-                o.dead_entries_removed,
-                o.rows_removed,
-                o.columns_removed,
-                o.lut_rows_removed,
-            )
-        },
-    )
+/// Writes the certified-optimizer outcome (`null` when the upload did
+/// not opt in).
+fn optimize_json(json: &mut Json, stats: Option<&OptimizeStats>) {
+    let Some(o) = stats else { return json.null() };
+    json.object(|j| {
+        j.key("bytes_before").value(o.bytes_before);
+        j.key("bytes_after").value(o.bytes_after);
+        j.key("dead_entries_removed").value(o.dead_entries_removed);
+        j.key("rows_removed").value(o.rows_removed);
+        j.key("columns_removed").value(o.columns_removed);
+        j.key("lut_rows_removed").value(o.lut_rows_removed);
+    });
 }
 
 fn delete_model(registry: &Registry, name: &str) -> Response {
     match registry.remove(name) {
-        Ok(_final_stats) => Response::json(
-            200,
-            format!("{{\"name\":{},\"removed\":true}}", json_string(name)),
-        ),
+        Ok(_final_stats) => {
+            let body = Json::document(|j| {
+                j.key("name").string(name);
+                j.key("removed").value(true);
+            });
+            Response::json(200, body)
+        }
         Err(e) => error_response(&e),
     }
 }
 
 fn model_stats(registry: &Registry, name: &str) -> Response {
     match registry.stats(name) {
-        Ok(stats) => Response::json(200, stats_json(&stats)),
+        Ok(stats) => Response::json(200, stats.to_json()),
         Err(e) => error_response(&e),
     }
 }
@@ -409,9 +401,8 @@ fn infer(registry: &Registry, name: &str, request: &Request) -> Response {
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect()
     };
-    let generation = registry.stats(name).map_or(0, |s| s.generation);
-    match registry.infer(name, input) {
-        Ok(output) => {
+    match registry.infer_with_generation(name, input) {
+        Ok((output, generation)) => {
             let response = if as_text {
                 let csv = output
                     .iter()
@@ -449,108 +440,62 @@ fn parse_csv_floats(body: &[u8]) -> Result<Vec<f32>, String> {
     Ok(values)
 }
 
-/// Serializes [`ModelStats`] without a JSON library: durations as
-/// integer nanoseconds, floats via shortest round-trip formatting.
-fn stats_json(stats: &ModelStats) -> String {
-    let s = &stats.server;
-    let pipeline = stats.pipeline.as_ref().map_or_else(
-        || "null".to_string(),
-        |p| {
-            let stages: Vec<String> = p
-                .stages
-                .iter()
-                .map(|st| {
-                    format!(
-                        "{{\"ops_start\":{},\"ops_end\":{},\"cost_units\":{},\
-                         \"queue_depth\":{},\"queue_capacity\":{}}}",
-                        st.ops.start, st.ops.end, st.cost_units, st.queue_depth, st.queue_capacity,
-                    )
-                })
-                .collect();
-            format!("[{}]", stages.join(","))
-        },
-    );
-    let batch_buckets = s
-        .batch_size_buckets
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        concat!(
-            "{{\"name\":{name},\"generation\":{generation},",
-            "\"input_features\":{in_f},\"output_features\":{out_f},",
-            "\"inflight\":{inflight},",
-            "\"kernel_path\":{kernel_path},\"licensed_ops\":{licensed_ops},",
-            "\"optimized\":{optimized},",
-            "\"stages\":{stages},\"pipeline\":{pipeline},",
-            "\"server\":{{",
-            "\"submitted\":{submitted},\"completed\":{completed},",
-            "\"failed\":{failed},\"rejected\":{rejected},\"shed\":{shed},",
-            "\"batches\":{batches},\"mean_batch_size\":{mbs},",
-            "\"batch_size_buckets\":[{batch_buckets}],",
-            "\"queue_depth\":{qd},\"peak_queue_depth\":{pqd},",
-            "\"mean_latency_ns\":{mean_ns},\"p50_latency_ns\":{p50},",
-            "\"p90_latency_ns\":{p90},\"p99_latency_ns\":{p99},",
-            "\"latency_overflows\":{overflows},",
-            "\"throughput_rps\":{rps},\"uptime_ms\":{uptime}}}}}",
-        ),
-        name = json_string(&stats.name),
-        generation = stats.generation,
-        in_f = stats.input_features,
-        out_f = stats.output_features,
-        inflight = stats.inflight,
-        kernel_path = json_string(stats.kernel_path),
-        licensed_ops = stats.licensed_ops,
-        optimized = optimize_json(stats.optimized.as_ref()),
-        stages = stats.stages,
-        pipeline = pipeline,
-        submitted = s.submitted,
-        completed = s.completed,
-        failed = s.failed,
-        rejected = s.rejected,
-        shed = s.shed,
-        batches = s.batches,
-        mbs = s.mean_batch_size,
-        batch_buckets = batch_buckets,
-        qd = s.queue_depth,
-        pqd = s.peak_queue_depth,
-        mean_ns = s.mean_latency.as_nanos(),
-        p50 = s.p50_latency.as_nanos(),
-        p90 = s.p90_latency.as_nanos(),
-        p99 = s.p99_latency.as_nanos(),
-        overflows = s.latency_overflows,
-        rps = s.throughput_rps,
-        uptime = s.uptime.as_millis(),
-    )
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+impl ModelStats {
+    /// The `GET /models/{name}/stats` body: durations as integer
+    /// nanoseconds, floats via shortest round-trip formatting.
+    pub fn to_json(&self) -> String {
+        let s = &self.server;
+        Json::document(|j| {
+            j.key("name").string(&self.name);
+            j.key("generation").value(self.generation);
+            j.key("input_features").value(self.input_features);
+            j.key("output_features").value(self.output_features);
+            j.key("inflight").value(self.inflight);
+            j.key("kernel_path").string(self.kernel_path);
+            j.key("licensed_ops").value(self.licensed_ops);
+            optimize_json(j.key("optimized"), self.optimized.as_ref());
+            j.key("stages").value(self.stages);
+            match &self.pipeline {
+                None => j.key("pipeline").null(),
+                Some(pipeline) => j.key("pipeline").array(|j| {
+                    for stage in &pipeline.stages {
+                        j.object(|j| {
+                            j.key("ops_start").value(stage.ops.start);
+                            j.key("ops_end").value(stage.ops.end);
+                            j.key("cost_units").value(stage.cost_units);
+                            j.key("queue_depth").value(stage.queue_depth);
+                            j.key("queue_capacity").value(stage.queue_capacity);
+                        });
+                    }
+                }),
+            }
+            j.key("server").object(|j| {
+                j.key("submitted").value(s.submitted);
+                j.key("completed").value(s.completed);
+                j.key("failed").value(s.failed);
+                j.key("rejected").value(s.rejected);
+                j.key("shed").value(s.shed);
+                j.key("batches").value(s.batches);
+                j.key("mean_batch_size").value(s.mean_batch_size);
+                j.key("batch_size_buckets")
+                    .array(|j| s.batch_size_buckets.iter().for_each(|count| j.value(count)));
+                j.key("queue_depth").value(s.queue_depth);
+                j.key("peak_queue_depth").value(s.peak_queue_depth);
+                j.key("mean_latency_ns").value(s.mean_latency.as_nanos());
+                j.key("p50_latency_ns").value(s.p50_latency.as_nanos());
+                j.key("p90_latency_ns").value(s.p90_latency.as_nanos());
+                j.key("p99_latency_ns").value(s.p99_latency.as_nanos());
+                j.key("latency_overflows").value(s.latency_overflows);
+                j.key("throughput_rps").value(s.throughput_rps);
+                j.key("uptime_ms").value(s.uptime.as_millis());
+            });
+        })
     }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_string_escapes_specials() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("x\ny"), "\"x\\u000ay\"");
-    }
 
     #[test]
     fn csv_floats_parse_and_reject() {

@@ -8,7 +8,9 @@ use common::{
     analyzer_rejected_bytes, compiled_model, dead_padded_model, le_bytes, le_floats, read_response,
     request, request_with_headers, wider_model, write_request, FEATURES,
 };
-use rapidnn_gateway::{Gateway, GatewayConfig, Registry, RegistryConfig};
+use rapidnn_gateway::{
+    Gateway, GatewayConfig, ModelStats, OptimizeStats, Registry, RegistryConfig,
+};
 use rapidnn_prop::vec_f32;
 use rapidnn_serve::EngineConfig;
 use rapidnn_tensor::SeededRng;
@@ -616,4 +618,246 @@ fn warmup_wave_fits_through_a_queue_shorter_than_itself() {
         );
     }
     registry.shutdown();
+}
+
+/// A swap tells the displaced engine it is shutting down *before* it
+/// waits for that engine's in-flight requests, so a request parked in
+/// the old engine's batcher hold is answered at once — by the engine it
+/// was submitted to, under that engine's generation — and the swap
+/// returns without sitting the hold out. (2 s hold, 1 s bound: the
+/// margin is for the shared box's stalls, not for the code.)
+#[test]
+fn swap_cuts_the_displaced_engines_hold_short() {
+    const HOLD: Duration = Duration::from_secs(2);
+    // The warm-up wave fills a batch of eight, so it never holds.
+    let registry = wave_registry(64, 8, HOLD);
+    let (old_model, new_model) = (compiled_model(81), compiled_model(82));
+    registry.register("m", old_model.clone()).unwrap();
+    let mut rng = SeededRng::new(8);
+    let input = vec_f32(&mut rng, FEATURES, -2.0, 2.0);
+
+    std::thread::scope(|scope| {
+        let parked = scope.spawn(|| registry.infer_with_generation("m", input.clone()));
+        // One row in a batch of eight: the old engine holds it.
+        while registry.stats("m").unwrap().server.submitted == 0 {
+            std::thread::yield_now();
+        }
+        let started = Instant::now();
+        let report = registry
+            .put_artifact("m", &new_model.to_bytes(), false, None, false)
+            .unwrap();
+        let (output, generation) = parked.join().unwrap().unwrap();
+        let took = started.elapsed();
+        assert!(took < HOLD / 2, "swap + parked answer took {took:?}");
+        assert_eq!((report.generation, report.drained), (1, true));
+        assert_eq!(report.old_stats.unwrap().completed, 1);
+        assert_eq!((output, generation), (old_model.infer(&input).unwrap(), 0));
+    });
+    assert_eq!(registry.stats("m").unwrap().generation, 1);
+    registry.shutdown();
+}
+
+/// Under repeated hot-swaps between two artifacts, every reply's
+/// `x-model-generation` names exactly the generation whose bits its
+/// body carries: the handler takes both from the one slot the request
+/// was submitted to, where reading the generation in a separate registry
+/// call let a cutover slip between the two.
+#[test]
+fn generation_header_names_the_artifact_that_answered() {
+    const CLIENTS: usize = 3;
+    const SWAPS: usize = 40;
+
+    // Generation g serves `models[g % 2]`.
+    let models = [compiled_model(100), compiled_model(200)];
+    let gateway = Gateway::bind(test_config()).unwrap();
+    gateway.registry().register("m", models[0].clone()).unwrap();
+    let addr = gateway.local_addr();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut rng = SeededRng::new(900 + c as u64);
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .unwrap();
+                let mut answered = Vec::new();
+                while !stop.load(Ordering::Acquire) {
+                    let input = vec_f32(&mut rng, FEATURES, -2.0, 2.0);
+                    let body = le_bytes(&input);
+                    write_request(&mut stream, "POST", "/models/m/infer", None, &body, true)
+                        .unwrap();
+                    answered.push((input, read_response(&mut stream).unwrap()));
+                }
+                answered
+            })
+        })
+        .collect();
+
+    for swap in 1..=SWAPS {
+        std::thread::sleep(Duration::from_millis(2));
+        let bytes = models[swap % 2].to_bytes();
+        let response = request(addr, "PUT", "/models/m", None, &bytes).unwrap();
+        assert_eq!(response.status, 200, "{}", response.body_text());
+    }
+    stop.store(true, Ordering::Release);
+
+    let mut generations = std::collections::BTreeSet::new();
+    for client in clients {
+        for (input, response) in client.join().unwrap() {
+            assert_eq!(response.status, 200, "{}", response.body_text());
+            let generation: usize = response
+                .header("x-model-generation")
+                .and_then(|g| g.parse().ok())
+                .expect("every answer names its generation");
+            assert_eq!(
+                le_floats(&response.body),
+                models[generation % 2].infer(&input).unwrap(),
+                "generation {generation} did not compute this answer"
+            );
+            generations.insert(generation);
+        }
+    }
+    assert!(generations.len() > 2, "traffic saw only {generations:?}");
+    gateway.shutdown();
+}
+
+/// The JSON bodies of `GET /models`, `PUT` (201 and 200, with and
+/// without the optimizer) and `DELETE`, byte for byte as the
+/// hand-written `format!` templates produced them before the gateway's
+/// JSON writer replaced those (captured from that code).
+#[test]
+fn json_bodies_are_byte_identical_to_the_templates_they_replaced() {
+    let gateway = Gateway::bind(test_config()).unwrap();
+    let addr = gateway.local_addr();
+    let plain = compiled_model(44).to_bytes();
+    let padded = dead_padded_model(44, 9).to_bytes();
+    let put = |name: &str, headers: &[(&str, &str)], body: &[u8]| {
+        let response =
+            request_with_headers(addr, "PUT", &format!("/models/{name}"), headers, body).unwrap();
+        (response.status, response.body_text())
+    };
+
+    assert_eq!(
+        put("b", &[], &plain),
+        (201, "{\"name\":\"b\",\"created\":true,\"generation\":0,\"warmed\":4,\"stages\":1,\"drained\":true,\"optimized\":null}".into())
+    );
+    assert_eq!(
+        put("a.opt", &[("x-optimize", "1"), ("x-stages", "2")], &padded),
+        (201, format!("{{\"name\":\"a.opt\",\"created\":true,\"generation\":0,\"warmed\":4,\"stages\":2,\"drained\":true,\"optimized\":{{\"bytes_before\":{},\"bytes_after\":{},\"dead_entries_removed\":0,\"rows_removed\":18,\"columns_removed\":0,\"lut_rows_removed\":0}}}}", padded.len(), plain.len()))
+    );
+    assert_eq!(
+        put("b", &[], &padded),
+        (200, "{\"name\":\"b\",\"created\":false,\"generation\":1,\"warmed\":4,\"stages\":1,\"drained\":true,\"optimized\":null}".into())
+    );
+    let listing = request(addr, "GET", "/models", None, &[]).unwrap();
+    assert_eq!(
+        listing.body_text(),
+        "{\"models\":[{\"name\":\"a.opt\",\"generation\":0},{\"name\":\"b\",\"generation\":1}]}"
+    );
+    let removed = request(addr, "DELETE", "/models/a.opt", None, &[]).unwrap();
+    assert_eq!(
+        (removed.status, removed.body_text()),
+        (200, "{\"name\":\"a.opt\",\"removed\":true}".into())
+    );
+    let listing = request(addr, "GET", "/models", None, &[]).unwrap();
+    assert_eq!(
+        listing.body_text(),
+        "{\"models\":[{\"name\":\"b\",\"generation\":1}]}"
+    );
+    let removed = request(addr, "DELETE", "/models/b", None, &[]).unwrap();
+    assert_eq!(removed.body_text(), "{\"name\":\"b\",\"removed\":true}");
+    let listing = request(addr, "GET", "/models", None, &[]).unwrap();
+    assert_eq!(listing.body_text(), "{\"models\":[]}");
+
+    gateway.shutdown();
+}
+
+/// A `ModelStats` with every field distinct; `rich` adds what a
+/// sharded, optimized int16 generation reports on top.
+fn sample_stats(rich: bool) -> ModelStats {
+    use rapidnn_serve::{PipelineStats, ServerStats, StageStats};
+    let stage = |ops, cost_units, queue_depth, queue_capacity| StageStats {
+        ops,
+        cost_units,
+        queue_depth,
+        queue_capacity,
+    };
+    let mut batch_size_buckets = [0; rapidnn_serve::BATCH_BUCKETS];
+    batch_size_buckets[..4].copy_from_slice(&[5, 0, 7, 1]);
+    ModelStats {
+        name: "mnist-tiny".into(),
+        generation: 3,
+        input_features: 784,
+        output_features: 10,
+        inflight: 2,
+        stages: if rich { 2 } else { 1 },
+        pipeline: rich.then(|| PipelineStats {
+            stages: vec![stage(0..2, 25_120, 4, 1024), stage(2..3, 330, 1, 2)],
+        }),
+        kernel_path: if rich { "int16" } else { "f32" },
+        optimized: rich.then_some(OptimizeStats {
+            bytes_before: 11_512,
+            bytes_after: 9_800,
+            dead_entries_removed: 6,
+            rows_removed: 18,
+            columns_removed: 2,
+            lut_rows_removed: 0,
+        }),
+        licensed_ops: if rich { 3 } else { 0 },
+        server: ServerStats {
+            submitted: 41,
+            completed: 38,
+            failed: 1,
+            rejected: 0,
+            shed: 2,
+            batches: 13,
+            mean_batch_size: 2.923076923076923,
+            batch_size_buckets,
+            queue_depth: 2,
+            peak_queue_depth: 9,
+            mean_latency: Duration::from_nanos(1_250_333),
+            p50_latency: Duration::from_nanos(1 << 20),
+            p90_latency: Duration::from_nanos(1 << 21),
+            p99_latency: Duration::from_nanos(1 << 22),
+            latency_overflows: 0,
+            throughput_rps: 1670.25,
+            uptime: Duration::from_millis(23_351),
+        },
+    }
+}
+
+/// The stats body, byte for byte as the hand-written `format!`
+/// template this writer replaced produced it (captured from it).
+#[test]
+fn stats_body_is_byte_identical_to_the_template_it_replaced() {
+    let server = "\"server\":{\"submitted\":41,\"completed\":38,\"failed\":1,\"rejected\":0,\
+        \"shed\":2,\"batches\":13,\"mean_batch_size\":2.923076923076923,\
+        \"batch_size_buckets\":[5,0,7,1,0,0,0,0,0,0,0,0,0,0,0,0],\"queue_depth\":2,\
+        \"peak_queue_depth\":9,\"mean_latency_ns\":1250333,\"p50_latency_ns\":1048576,\
+        \"p90_latency_ns\":2097152,\"p99_latency_ns\":4194304,\"latency_overflows\":0,\
+        \"throughput_rps\":1670.25,\"uptime_ms\":23351}}";
+    let head = "{\"name\":\"mnist-tiny\",\"generation\":3,\"input_features\":784,\
+        \"output_features\":10,\"inflight\":2,";
+    assert_eq!(
+        sample_stats(false).to_json(),
+        format!(
+            "{head}\"kernel_path\":\"f32\",\"licensed_ops\":0,\"optimized\":null,\
+             \"stages\":1,\"pipeline\":null,{server}"
+        )
+    );
+    assert_eq!(
+        sample_stats(true).to_json(),
+        format!(
+            "{head}\"kernel_path\":\"int16\",\"licensed_ops\":3,\
+             \"optimized\":{{\"bytes_before\":11512,\"bytes_after\":9800,\
+             \"dead_entries_removed\":6,\"rows_removed\":18,\"columns_removed\":2,\
+             \"lut_rows_removed\":0}},\"stages\":2,\"pipeline\":[{{\"ops_start\":0,\
+             \"ops_end\":2,\"cost_units\":25120,\"queue_depth\":4,\"queue_capacity\":1024}},\
+             {{\"ops_start\":2,\"ops_end\":3,\"cost_units\":330,\"queue_depth\":1,\
+             \"queue_capacity\":2}}],{server}"
+        )
+    );
 }

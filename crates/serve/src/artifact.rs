@@ -534,6 +534,12 @@ impl CompiledModel {
         wire::encode(self)
     }
 
+    /// `self.to_bytes().len()` without serializing: the v2 layout fixes
+    /// every offset before a code is packed.
+    pub fn encoded_len(&self) -> usize {
+        wire::encoded_len(self)
+    }
+
     /// Decodes an artifact and runs the static analyzer over it — the
     /// only way bytes become a model.
     ///

@@ -1,15 +1,21 @@
 //! Batched, multi-threaded serving engine.
 //!
-//! [`Engine::start`] spins up a worker pool over a bounded request queue.
-//! Each worker gathers a dynamic batch — up to
-//! [`EngineConfig::max_batch_size`] requests, waiting at most
-//! [`EngineConfig::max_wait`] for stragglers — then executes the whole
-//! batch in one [`BatchRunner::run`] call outside the lock and answers
-//! each request through its own channel. The runner and its scratch
-//! arena persist across batches, so steady-state serving performs no
-//! per-sample heap allocation in the op loop.
+//! [`Engine::start`] runs one kind of thread, the *stage*: take a
+//! micro-batch from the inlet, run an op range over it in one
+//! [`BatchRunner`] call outside the lock, hand the result to the outlet.
+//! The inlet is the bounded request queue — gather up to
+//! [`EngineConfig::max_batch_size`] rows, waiting at most
+//! [`EngineConfig::max_wait`] for stragglers, flatten, encode — or the
+//! link from the stage before; the outlet is the link to the stage
+//! after, or the reply step that answers each request through its own
+//! channel. Unsharded, the engine is the one-stage pipeline over the
+//! whole program, replicated [`EngineConfig::workers`] times over the
+//! shared queue; sharded ([`EngineConfig::stages`]), it is one thread
+//! per op range, chained by bounded FIFO links. A stage's runner and
+//! scratch arena persist across batches, so steady-state serving
+//! performs no per-sample heap allocation in the op loop.
 //!
-//! The straggler wait is bounded both ways: a worker stops waiting the
+//! The straggler wait is bounded both ways: a stage stops waiting the
 //! moment its batch fills or shutdown begins, and the deadline is
 //! measured from the first request popped — a partial batch is never
 //! held longer than [`EngineConfig::max_wait`], even when the queue has
@@ -18,16 +24,16 @@
 //! Backpressure is explicit: [`Engine::try_submit`] returns
 //! [`ServeError::QueueFull`] instead of buffering without bound, while
 //! [`Engine::submit`] blocks until space frees up. Shutdown drains the
-//! queue before the workers exit, so every accepted request is answered.
+//! queue before the stages exit, so every accepted request is answered.
 //! A panic inside inference is caught and returned to the affected
-//! requesters as [`ServeError::WorkerPanic`]; the worker itself keeps
+//! requesters as [`ServeError::WorkerPanic`]; the stage itself keeps
 //! serving.
 
 use crate::artifact::CompiledModel;
 use crate::error::{ArtifactError, Result, ServeError};
-use crate::kernels::{pad_rows, BatchRunner, FlowData, FlowState};
+use crate::kernels::{pad_rows, BatchRunner, Domain, FlowData, FlowState};
 use crate::metrics::{Metrics, ServerStats};
-use crate::pipeline::{self, PipelineStats, StageStats};
+use crate::pipeline::{self, PipelineStats, StagePlan, StageStats};
 use rapidnn_pool::spsc;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
@@ -176,14 +182,6 @@ pub struct DrainReport {
     pub in_flight_at_deadline: u64,
 }
 
-/// Per-stage plumbing a pipelined engine keeps for stats: the plan plus
-/// each inter-stage channel's occupancy gauge.
-struct PipelineShape {
-    ranges: Vec<std::ops::Range<usize>>,
-    costs: Vec<u64>,
-    gauges: Vec<rapidnn_pool::spsc::Gauge>,
-}
-
 /// A running inference server over one [`CompiledModel`].
 pub struct Engine {
     shared: Arc<Shared>,
@@ -191,11 +189,13 @@ pub struct Engine {
     model: Arc<CompiledModel>,
     workers: Vec<JoinHandle<()>>,
     queue_capacity: usize,
-    pipeline: Option<PipelineShape>,
+    /// What a sharded engine keeps for stats: the plan, and the
+    /// occupancy gauge of each link between two of its stages.
+    pipeline: Option<(StagePlan, Vec<spsc::Gauge>)>,
 }
 
 impl Engine {
-    /// Starts the worker pool and returns the serving handle.
+    /// Starts the stage threads and returns the serving handle.
     ///
     /// With [`EngineConfig::stages`] ≥ 2 (and a model with at least one
     /// legal cut point) the op program is sharded into balanced
@@ -217,78 +217,42 @@ impl Engine {
         });
         let metrics = Arc::new(Metrics::new());
         let model = Arc::new(model);
-        if let Some(plan) = pipeline::plan_stages(&model, config.stages) {
-            let n = plan.ranges.len();
-            // Channel s connects stage s to stage s+1; each link buffers
-            // a couple of micro-batches so adjacent stages overlap
-            // without letting a slow stage hoard unbounded work —
-            // backpressure runs from the last stage back to the queue.
-            let mut txs = Vec::with_capacity(n - 1);
-            let mut rxs = Vec::with_capacity(n - 1);
-            let mut gauges = Vec::with_capacity(n - 1);
-            for _ in 1..n {
+        // A sharded model is its plan's ranges, one thread each; an
+        // unsharded one is the single stage over the whole program,
+        // replicated `workers` times over the shared queue.
+        let plan = pipeline::plan_stages(&model, config.stages);
+        let whole = 0..model.op_count();
+        let (ranges, entries, replicas) = match &plan {
+            Some(plan) => (plan.ranges.clone(), &plan.entries[1..], 1),
+            None => (vec![whole], &[][..], config.resolved_workers()),
+        };
+        let mut gauges = Vec::with_capacity(entries.len());
+        let mut workers = Vec::with_capacity(replicas * ranges.len());
+        for _ in 0..replicas {
+            // Link s connects stage s to stage s+1.
+            let mut inlets = vec![Inlet::Queue(Arc::clone(&shared), config.max_wait)];
+            let mut outlets = Vec::with_capacity(ranges.len());
+            for &entry in entries {
                 let (tx, rx, gauge) = spsc::channel::<Micro>(STAGE_CHANNEL_CAP);
-                txs.push(tx);
-                rxs.push(rx);
+                outlets.push(Some(tx));
+                inlets.push(Inlet::Link(rx, entry));
                 gauges.push(gauge);
             }
-            let mut txs = txs.into_iter();
-            let mut rxs = rxs.into_iter();
-            let mut workers = Vec::with_capacity(n);
-            for (s, (range, entry)) in plan
-                .ranges
-                .iter()
-                .cloned()
-                .zip(plan.entries.iter().copied())
-                .enumerate()
-            {
-                let model = Arc::clone(&model);
-                let metrics = Arc::clone(&metrics);
-                if s == 0 {
-                    let shared = Arc::clone(&shared);
-                    let tx = txs.next().expect("a pipeline has at least two stages");
-                    let max_wait = config.max_wait;
-                    workers.push(std::thread::spawn(move || {
-                        stage0_loop(&shared, &metrics, &model, range, max_batch, max_wait, &tx);
-                    }));
-                } else {
-                    let rx = rxs.next().expect("every later stage has an input link");
-                    let tx = txs.next();
-                    workers.push(std::thread::spawn(move || {
-                        stage_loop(&metrics, &model, range, entry, &rx, tx.as_ref());
-                    }));
-                }
+            outlets.push(None);
+            for ((range, inlet), outlet) in ranges.iter().cloned().zip(inlets).zip(outlets) {
+                let (metrics, model) = (Arc::clone(&metrics), Arc::clone(&model));
+                workers.push(std::thread::spawn(move || {
+                    stage_loop(&metrics, &model, range, max_batch, inlet, outlet);
+                }));
             }
-            return Engine {
-                shared,
-                metrics,
-                model,
-                workers,
-                queue_capacity,
-                pipeline: Some(PipelineShape {
-                    ranges: plan.ranges,
-                    costs: plan.costs,
-                    gauges,
-                }),
-            };
         }
-        let worker_count = config.resolved_workers();
-        let workers = (0..worker_count)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let metrics = Arc::clone(&metrics);
-                let model = Arc::clone(&model);
-                let max_wait = config.max_wait;
-                std::thread::spawn(move || worker_loop(shared, metrics, model, max_batch, max_wait))
-            })
-            .collect();
         Engine {
             shared,
             metrics,
             model,
             workers,
             queue_capacity,
-            pipeline: None,
+            pipeline: plan.map(|plan| (plan, gauges)),
         }
     }
 
@@ -310,16 +274,7 @@ impl Engine {
     /// enqueueing), [`ServeError::QueueFull`] when the bounded queue is at
     /// capacity, [`ServeError::ShuttingDown`] after shutdown began.
     pub fn try_submit(&self, input: Vec<f32>) -> Result<Ticket> {
-        self.check_width(&input)?;
-        let mut state = lock_state(&self.shared);
-        if state.shutting_down {
-            return Err(ServeError::ShuttingDown);
-        }
-        if state.jobs.len() >= self.queue_capacity {
-            self.metrics.record_rejected();
-            return Err(ServeError::QueueFull);
-        }
-        Ok(self.enqueue(&mut state, input, 1))
+        self.admit(input, false, false)
     }
 
     /// Submits a request, blocking while the queue is full.
@@ -329,27 +284,13 @@ impl Engine {
     /// [`ServeError::InvalidInput`] for a width mismatch,
     /// [`ServeError::ShuttingDown`] after shutdown began.
     pub fn submit(&self, input: Vec<f32>) -> Result<Ticket> {
-        self.check_width(&input)?;
-        let mut state = lock_state(&self.shared);
-        loop {
-            if state.shutting_down {
-                return Err(ServeError::ShuttingDown);
-            }
-            if state.jobs.len() < self.queue_capacity {
-                return Ok(self.enqueue(&mut state, input, 1));
-            }
-            state = self
-                .shared
-                .space_ready
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
+        self.admit(input, false, true)
     }
 
     /// Submits a pre-batched request — `rows × input_features` values
     /// flattened row-major — without blocking. The whole block runs as
     /// one unit and the ticket resolves to `rows × output_features`
-    /// values. Because the block is already flat, a worker serving it
+    /// values. Because the block is already flat, a stage serving it
     /// alone skips the gather copy entirely and runs the kernel
     /// straight off the request buffer.
     ///
@@ -359,16 +300,7 @@ impl Engine {
     /// number of feature rows; [`ServeError::QueueFull`] /
     /// [`ServeError::ShuttingDown`] as for [`try_submit`](Self::try_submit).
     pub fn try_submit_batch(&self, input: Vec<f32>) -> Result<Ticket> {
-        let rows = self.check_batch_width(&input)?;
-        let mut state = lock_state(&self.shared);
-        if state.shutting_down {
-            return Err(ServeError::ShuttingDown);
-        }
-        if state.jobs.len() >= self.queue_capacity {
-            self.metrics.record_rejected();
-            return Err(ServeError::QueueFull);
-        }
-        Ok(self.enqueue(&mut state, input, rows))
+        self.admit(input, true, false)
     }
 
     /// Blocking variant of [`try_submit_batch`](Self::try_submit_batch):
@@ -380,7 +312,23 @@ impl Engine {
     /// [`ServeError::InvalidInput`] for a shape mismatch,
     /// [`ServeError::ShuttingDown`] after shutdown began.
     pub fn submit_batch(&self, input: Vec<f32>) -> Result<Ticket> {
-        let rows = self.check_batch_width(&input)?;
+        self.admit(input, true, true)
+    }
+
+    /// The one admission path behind the four submit calls: `batch`
+    /// says whether `input` may hold any whole number of rows or must
+    /// be exactly one, `wait` whether a full queue blocks the caller or
+    /// bounces it with [`ServeError::QueueFull`].
+    fn admit(&self, input: Vec<f32>, batch: bool, wait: bool) -> Result<Ticket> {
+        let (len, features) = (input.len(), self.model.input_features());
+        let rows = if batch { len / features.max(1) } else { 1 };
+        if rows == 0 || len != rows * features {
+            return Err(ServeError::InvalidInput(if batch {
+                format!("batch of {len} values is not a non-empty whole number of {features}-feature rows")
+            } else {
+                format!("request has {len} features, model expects {features}")
+            }));
+        }
         let mut state = lock_state(&self.shared);
         loop {
             if state.shutting_down {
@@ -389,34 +337,16 @@ impl Engine {
             if state.jobs.len() < self.queue_capacity {
                 return Ok(self.enqueue(&mut state, input, rows));
             }
+            if !wait {
+                self.metrics.record_rejected();
+                return Err(ServeError::QueueFull);
+            }
             state = self
                 .shared
                 .space_ready
                 .wait(state)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
-    }
-
-    fn check_width(&self, input: &[f32]) -> Result<()> {
-        if input.len() != self.model.input_features() {
-            return Err(ServeError::InvalidInput(format!(
-                "request has {} features, model expects {}",
-                input.len(),
-                self.model.input_features()
-            )));
-        }
-        Ok(())
-    }
-
-    fn check_batch_width(&self, input: &[f32]) -> Result<usize> {
-        let features = self.model.input_features();
-        if input.is_empty() || !input.len().is_multiple_of(features) {
-            return Err(ServeError::InvalidInput(format!(
-                "batch of {} values is not a non-empty whole number of {features}-feature rows",
-                input.len()
-            )));
-        }
-        Ok(input.len() / features)
     }
 
     fn enqueue(&self, state: &mut QueueState, input: Vec<f32>, rows: usize) -> Ticket {
@@ -447,12 +377,10 @@ impl Engine {
     /// Stops accepting requests, drains the queue, joins the workers, and
     /// returns the final stats. Every request accepted before the call is
     /// still answered.
-    pub fn shutdown(mut self) -> ServerStats {
-        self.begin_shutdown();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        self.metrics.snapshot()
+    pub fn shutdown(self) -> ServerStats {
+        let metrics = Arc::clone(&self.metrics);
+        drop(self);
+        metrics.snapshot()
     }
 
     /// Gracefully drains the engine with a deadline: stops accepting new
@@ -470,22 +398,16 @@ impl Engine {
         self.begin_shutdown();
         let end = Instant::now() + deadline;
         let mut workers = std::mem::take(&mut self.workers);
-        loop {
+        let joined = loop {
             workers.retain(|w| !w.is_finished());
-            if workers.is_empty() {
-                return Self::drain_report(&self.metrics, true);
-            }
-            if Instant::now() >= end {
+            if workers.is_empty() || Instant::now() >= end {
                 // Dropping the handles detaches the stragglers; they own
                 // Arcs to everything they touch, so this is safe.
-                return Self::drain_report(&self.metrics, false);
+                break workers.is_empty();
             }
             std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-
-    fn drain_report(metrics: &Metrics, joined: bool) -> DrainReport {
-        let stats = metrics.snapshot();
+        };
+        let stats = self.metrics.snapshot();
         // Accepted minus answered (either way) is exactly the work the
         // detached workers still hold; counters only ever grow, so a
         // torn read can only momentarily overstate it — saturate.
@@ -501,10 +423,10 @@ impl Engine {
     }
 
     /// Stage topology and queue occupancy when this engine serves a
-    /// sharded pipeline; `None` for the classic worker pool.
+    /// sharded pipeline; `None` for the unsharded (one-stage) engine.
     pub fn pipeline_stats(&self) -> Option<PipelineStats> {
-        let shape = self.pipeline.as_ref()?;
-        let stages = shape
+        let (plan, gauges) = self.pipeline.as_ref()?;
+        let stages = plan
             .ranges
             .iter()
             .enumerate()
@@ -512,12 +434,11 @@ impl Engine {
                 let (queue_depth, queue_capacity) = if s == 0 {
                     (lock_state(&self.shared).jobs.len(), self.queue_capacity)
                 } else {
-                    let gauge = &shape.gauges[s - 1];
-                    (gauge.len(), gauge.capacity())
+                    (gauges[s - 1].len(), gauges[s - 1].capacity())
                 };
                 StageStats {
                     ops: range.clone(),
-                    cost_units: shape.costs[s],
+                    cost_units: plan.costs[s],
                     queue_depth,
                     queue_capacity,
                 }
@@ -528,10 +449,19 @@ impl Engine {
 
     /// Pipeline stages this engine runs (`1` when serving unsharded).
     pub fn stage_count(&self) -> usize {
-        self.pipeline.as_ref().map_or(1, |p| p.ranges.len())
+        self.pipeline
+            .as_ref()
+            .map_or(1, |(plan, _)| plan.ranges.len())
     }
 
-    fn begin_shutdown(&self) {
+    /// Stops accepting requests without waiting for anything: later
+    /// submissions answer [`ServeError::ShuttingDown`], a stage holding
+    /// a partial batch runs it at once, and every accepted request is
+    /// still answered. What [`shutdown`](Self::shutdown),
+    /// [`drain`](Self::drain) and drop begin with; callable ahead of
+    /// them through a shared handle, so a displaced engine stops
+    /// holding the moment traffic is cut over.
+    pub fn begin_shutdown(&self) {
         let mut state = lock_state(&self.shared);
         state.shutting_down = true;
         drop(state);
@@ -542,9 +472,6 @@ impl Engine {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        if self.workers.is_empty() {
-            return;
-        }
         self.begin_shutdown();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -593,10 +520,7 @@ fn gather_batch(
     let mut state = lock_state(shared);
     // Sleep until there is work; exit only once the queue has drained
     // after shutdown.
-    loop {
-        if !state.jobs.is_empty() {
-            break;
-        }
+    while state.jobs.is_empty() {
         if state.shutting_down {
             return false;
         }
@@ -685,176 +609,102 @@ fn answer_err(metrics: &Metrics, batch: &[Job], err: &ServeError) {
     }
 }
 
-fn worker_loop(
-    shared: Arc<Shared>,
-    metrics: Arc<Metrics>,
-    model: Arc<CompiledModel>,
-    max_batch: usize,
-    max_wait: Duration,
-) {
-    // Per-worker scratch, reused across batches: the batch kernel's
-    // arena plus flat input/output staging. Nothing here allocates per
-    // sample once the high-water batch size has been seen.
-    let mut runner = BatchRunner::for_model(&model, max_batch);
-    let mut flat: Vec<f32> = Vec::with_capacity(max_batch * model.input_features());
-    let mut outputs: Vec<f32> = Vec::with_capacity(max_batch * model.output_features());
-    let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
-    let width = model.output_features();
-    while gather_batch(&shared, &metrics, &mut batch, max_batch, max_wait) {
-        let rows: usize = batch.iter().map(|job| job.rows).sum();
-        metrics.record_batch(rows);
-        let inputs = flatten(&batch, &mut flat);
-        // Contain panics so a bad batch cannot kill the worker: a dead
-        // worker would shrink the pool silently, and with no workers
-        // left queued tickets would wait forever. The runner resets its
-        // scratch on every call, so reuse after a panic is safe.
-        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            runner.run(&model, inputs, &mut outputs)
-        }));
-        match run {
-            Ok(Ok(_)) => {
-                let data: Arc<[f32]> = Arc::from(&outputs[..rows * width]);
-                answer_ok(&metrics, &batch, &data, width);
-            }
-            Ok(Err(err)) => answer_err(&metrics, &batch, &err),
-            Err(payload) => answer_err(
-                &metrics,
-                &batch,
-                &ServeError::WorkerPanic(panic_message(&payload)),
-            ),
-        }
-    }
-}
-
 /// One micro-batch in flight between pipeline stages: the jobs it will
-/// answer, its row counts, and the flow buffer being transformed. The
+/// answer, its row count, and the flow buffer being transformed. The
 /// buffer *moves* stage to stage — rows are never copied or reordered,
 /// which is half of the bit-identity argument (the other half is that
 /// channels are FIFO and stages run disjoint op ranges in order).
 struct Micro {
     jobs: Vec<Job>,
     rows: usize,
-    padded: usize,
     data: FlowData,
 }
 
-/// First pipeline stage: owns the request queue end — gathers dynamic
-/// batches exactly like a classic worker, encodes them, runs its op
-/// range, and streams the resulting flow downstream.
-fn stage0_loop(
-    shared: &Shared,
-    metrics: &Metrics,
-    model: &CompiledModel,
-    range: std::ops::Range<usize>,
-    max_batch: usize,
-    max_wait: Duration,
-    tx: &spsc::Sender<Micro>,
-) {
-    let mut runner = BatchRunner::for_model(model, max_batch);
-    let mut flat: Vec<f32> = Vec::with_capacity(max_batch * model.input_features());
-    let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
-    while gather_batch(shared, metrics, &mut batch, max_batch, max_wait) {
-        let rows: usize = batch.iter().map(|job| job.rows).sum();
-        metrics.record_batch(rows);
-        let padded = pad_rows(rows);
-        let inputs = flatten(&batch, &mut flat);
-        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let entry = runner.encode_batch(model, inputs, padded);
-            let data = runner.take_flow(entry.domain);
-            runner.run_segment(model, range.clone(), entry, data, padded)
-        }));
-        match run {
-            Ok(Ok((_, data))) => {
-                let micro = Micro {
-                    jobs: std::mem::take(&mut batch),
-                    rows,
-                    padded,
-                    data,
-                };
-                // Blocks while downstream is busy — this is the
-                // backpressure path. `Err` means the next stage is gone,
-                // which only happens when the engine is tearing down.
-                if let Err(micro) = tx.send(micro) {
-                    answer_err(metrics, &micro.jobs, &ServeError::ShuttingDown);
-                    return;
-                }
-            }
-            Ok(Err(err)) => answer_err(metrics, &batch, &err),
-            Err(payload) => answer_err(
-                metrics,
-                &batch,
-                &ServeError::WorkerPanic(panic_message(&payload)),
-            ),
-        }
-    }
+/// Where a stage's micro-batches come from.
+enum Inlet {
+    /// The request queue: the stage gathers a dynamic batch, holding a
+    /// partial one at most this long, then flattens and encodes it.
+    Queue(Arc<Shared>, Duration),
+    /// The link from the stage before, and the flow state its buffers
+    /// arrive in. The link closes once that stage has exited *and* its
+    /// buffered micro-batches are drained — shutdown is a cascade from
+    /// the queue end.
+    Link(spsc::Receiver<Micro>, FlowState),
 }
 
-/// A non-first pipeline stage: receives micro-batches in FIFO order,
-/// runs its op range over the moved-in flow buffer, and either forwards
-/// downstream or (last stage) answers every job. Exits when the
-/// upstream sender drops *and* the channel has drained — shutdown is a
-/// cascade from stage 0.
+/// The engine's one loop: take a micro-batch from `inlet`, run `range`
+/// over it, hand the result to `outlet` — the link to the next stage,
+/// or (`None`) the reply step that answers every job in the batch.
 ///
-/// A panic while executing one micro-batch fails exactly that batch's
-/// jobs as [`ServeError::WorkerPanic`]; the stage keeps serving — the
-/// same containment contract as the classic pool.
+/// A failure while executing one micro-batch, panic included, fails
+/// exactly that batch's jobs; the stage keeps serving.
 fn stage_loop(
     metrics: &Metrics,
     model: &CompiledModel,
     range: std::ops::Range<usize>,
-    entry: FlowState,
-    rx: &spsc::Receiver<Micro>,
-    tx: Option<&spsc::Sender<Micro>>,
+    max_batch: usize,
+    inlet: Inlet,
+    outlet: Option<spsc::Sender<Micro>>,
 ) {
-    // The arena resizes to the first micro-batch; sizing it up front
-    // would need max_batch plumbing for no steady-state difference.
-    let mut runner = BatchRunner::for_model(model, 1);
-    while let Some(micro) = rx.recv() {
-        let Micro {
-            jobs,
-            rows,
-            padded,
-            data,
-        } = micro;
+    // Per-stage scratch, reused across batches: the batch kernel's
+    // arena, plus (queue inlet only) the flat input staging. Nothing
+    // here allocates per sample once the high-water batch size has
+    // been seen.
+    let mut runner = BatchRunner::for_model(model, max_batch);
+    let mut flat: Vec<f32> = Vec::new();
+    let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
+    loop {
+        let (rows, handed) = match &inlet {
+            Inlet::Queue(shared, max_wait) => {
+                if !gather_batch(shared, metrics, &mut batch, max_batch, *max_wait) {
+                    return;
+                }
+                let rows: usize = batch.iter().map(|job| job.rows).sum();
+                metrics.record_batch(rows);
+                (rows, None)
+            }
+            Inlet::Link(rx, entry) => {
+                let Some(micro) = rx.recv() else { return };
+                batch = micro.jobs;
+                (micro.rows, Some((*entry, micro.data)))
+            }
+        };
+        let padded = pad_rows(rows);
+        // Contain panics so a bad batch cannot kill the stage: a dead
+        // stage would shrink the pool silently (or cut the pipeline),
+        // and queued tickets would wait forever. The runner resets its
+        // scratch on every call, so reuse after a panic is safe.
         let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let (entry, data) = handed.unwrap_or_else(|| {
+                let entry = runner.encode_batch(model, flatten(&batch, &mut flat), padded);
+                (entry, runner.take_flow(entry.domain))
+            });
             runner.run_segment(model, range.clone(), entry, data, padded)
-        }));
-        match run {
-            Ok(Ok((exit, data))) => {
-                if let Some(tx) = tx {
-                    if tx
-                        .send(Micro {
-                            jobs,
-                            rows,
-                            padded,
-                            data,
-                        })
-                        .is_err()
-                    {
-                        return;
-                    }
-                } else {
-                    match data {
-                        FlowData::Floats(values) => {
-                            let data: Arc<[f32]> = Arc::from(&values[..rows * exit.width]);
-                            answer_ok(metrics, &jobs, &data, exit.width);
-                        }
-                        FlowData::Codes(_) | FlowData::Quants(_) => answer_err(
-                            metrics,
-                            &jobs,
-                            &ServeError::Artifact(ArtifactError::Malformed(
-                                "program ended in encoded domain".into(),
-                            )),
-                        ),
-                    }
+        }))
+        .unwrap_or_else(|payload| Err(ServeError::WorkerPanic(panic_message(&payload))));
+        match (run, &outlet) {
+            (Ok(exit), Some(tx)) => {
+                let (jobs, data) = (std::mem::take(&mut batch), runner.take_flow(exit.domain));
+                // Blocks while downstream is busy — this is the
+                // backpressure path. `Err` means the next stage is gone,
+                // which only happens when the engine is tearing down.
+                if let Err(micro) = tx.send(Micro { jobs, rows, data }) {
+                    answer_err(metrics, &micro.jobs, &ServeError::ShuttingDown);
+                    return;
                 }
             }
-            Ok(Err(err)) => answer_err(metrics, &jobs, &err),
-            Err(payload) => answer_err(
+            (Ok(exit), None) if exit.domain == Domain::Floats => {
+                let data: Arc<[f32]> = Arc::from(&runner.floats()[..rows * exit.width]);
+                answer_ok(metrics, &batch, &data, exit.width);
+            }
+            (Ok(_), None) => answer_err(
                 metrics,
-                &jobs,
-                &ServeError::WorkerPanic(panic_message(&payload)),
+                &batch,
+                &ServeError::Artifact(ArtifactError::Malformed(
+                    "program ended in encoded domain".into(),
+                )),
             ),
+            (Err(err), _) => answer_err(metrics, &batch, &err),
         }
     }
 }
@@ -906,6 +756,48 @@ mod tests {
         let stats = engine.shutdown();
         assert_eq!(stats.failed, 2);
         assert_eq!(stats.completed, 0);
+    }
+
+    /// The unsharded engine is the one-stage pipeline replicated: a
+    /// batch that panics in one replica fails alone, with a typed
+    /// [`ServeError::WorkerPanic`], while the batches around it — on
+    /// either replica — are answered bit for bit.
+    #[test]
+    fn replica_panic_fails_only_its_own_batch() {
+        let mut model = CompiledModel::deep_for_tests(1);
+        let rapidnn_analyze::Op::Dense { table, .. } = &mut model.ops[0] else {
+            unreachable!("deep_for_tests is all dense");
+        };
+        // Weight code 1 × input code 3 now reads one past the pool:
+        // a row with a feature near 1.0 panics, the others serve.
+        table.offset = 9;
+        let (good, bad) = (vec![-1.0, -0.25, 0.5, -1.0], vec![-1.0, -0.25, 0.5, 1.0]);
+        let expected = model.infer(&good).unwrap();
+        let engine = Engine::start(
+            model,
+            EngineConfig {
+                workers: 2,
+                max_batch_size: 1,
+                max_wait: Duration::ZERO,
+                ..EngineConfig::default()
+            },
+        );
+        assert_eq!((engine.worker_count(), engine.stage_count()), (2, 1));
+        let tickets: Vec<Ticket> = (0..32)
+            .map(|i| if i % 4 == 1 { &bad } else { &good })
+            .map(|input| engine.try_submit(input.clone()).unwrap())
+            .collect();
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            match ticket.wait() {
+                Ok(output) => assert!(i % 4 != 1 && output == expected, "request {i}"),
+                Err(err) => assert!(
+                    i % 4 == 1 && matches!(err, ServeError::WorkerPanic(_)),
+                    "request {i}: {err}"
+                ),
+            }
+        }
+        let stats = engine.shutdown();
+        assert_eq!((stats.completed, stats.failed), (24, 8));
     }
 
     /// A panic in a *late* pipeline stage (mid-stream, after stage 0

@@ -402,8 +402,11 @@ impl BatchRunner {
     }
 
     /// Runs the contiguous op range of one pipeline stage: installs the
-    /// handed-off `data` as the current flow, executes `range` from
-    /// `entry`, and extracts the resulting flow for the next stage.
+    /// handed-off `data` as the current flow and executes `range` from
+    /// `entry`. The result stays in the arena: a stage that forwards it
+    /// takes it out ([`take_flow`](Self::take_flow)), the last one
+    /// copies its rows out of [`floats`](Self::floats) and keeps the
+    /// buffer.
     ///
     /// The planner guarantees `entry` matches the upstream stage's exit
     /// state and that `range` never cuts a residual region; under those
@@ -423,7 +426,7 @@ impl BatchRunner {
         entry: FlowState,
         data: FlowData,
         padded: usize,
-    ) -> Result<(FlowState, FlowData)> {
+    ) -> Result<FlowState> {
         match (entry.domain, data) {
             (Domain::Codes, FlowData::Codes(v)) => self.flow.codes = v,
             (Domain::Quants, FlowData::Quants(v)) => self.flow.quants = v,
@@ -434,9 +437,12 @@ impl BatchRunner {
                 )))
             }
         }
-        let exit = self.exec_ops(model, range, entry, padded)?;
-        let out = self.take_flow(exit.domain);
-        Ok((exit, out))
+        self.exec_ops(model, range, entry, padded)
+    }
+
+    /// The current decoded flow (`padded × width`, row-major).
+    pub(crate) fn floats(&self) -> &[f32] {
+        &self.flow.floats
     }
 
     /// Executes the ops in `range` (global op indices) over the current

@@ -15,11 +15,11 @@
 //!   over a reusable scratch arena: each op runs once per batch across
 //!   all rows, with zero per-sample heap allocations in the steady
 //!   state and outputs bit-for-bit identical to per-sample `infer`.
-//! * [`engine`] — [`Engine`] serves a compiled model from a worker pool
-//!   with a bounded queue, dynamic batching, explicit backpressure
-//!   ([`ServeError::QueueFull`]) and draining shutdown. Each worker owns
-//!   a persistent [`BatchRunner`] and executes its gathered batch in one
-//!   kernel call.
+//! * [`engine`] — [`Engine`] serves a compiled model from one loop of
+//!   stage threads over a bounded queue, with dynamic batching, explicit
+//!   backpressure ([`ServeError::QueueFull`]) and draining shutdown.
+//!   Each stage owns a persistent [`BatchRunner`] and executes its
+//!   micro-batch in one kernel call.
 //! * [`lint`] — [`lint_bytes`] runs the `rapidnn-analyze` static
 //!   verifier over raw artifact bytes and returns its diagnostic
 //!   report; every [`CompiledModel`] constructor makes a clean report

@@ -193,11 +193,10 @@ mod tests {
                 "static flow state before op {} diverges from the dynamic exit",
                 w[0]
             );
-            let (exit, out) = runners[s]
+            entry = runners[s]
                 .run_segment(model, w[0]..w[1], entry, data, padded)
                 .unwrap();
-            entry = exit;
-            data = out;
+            data = runners[s].take_flow(entry.domain);
         }
         match data {
             FlowData::Floats(v) => v[..rows * entry.width].to_vec(),

@@ -124,11 +124,7 @@ pub(crate) fn encode(model: &CompiledModel) -> Vec<u8> {
 
     // Ops first (variable length), so the header can record where
     // the aligned float section starts.
-    let mut ops_bytes = Vec::new();
-    write_span(&mut ops_bytes, model.virtual_encoder);
-    for op in &model.ops {
-        write_op(&mut ops_bytes, op);
-    }
+    let ops_bytes = ops_bytes(model);
     let ops_end = V2_HEADER_LEN + ops_bytes.len();
     let float_byte_off = ops_end.next_multiple_of(8);
     let packed_byte_off = float_byte_off + floats.len() * 4;
@@ -176,8 +172,33 @@ pub(crate) fn encode(model: &CompiledModel) -> Vec<u8> {
         byte_off += stream.len();
     }
     debug_assert_eq!(payload.len(), payload_len);
+    debug_assert_eq!(OUTER_HEADER_LEN + payload_len + 8, encoded_len(model));
 
     frame(payload)
+}
+
+/// The payload's variable-length head: the virtual encoder's span, then
+/// every op.
+fn ops_bytes(model: &CompiledModel) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_span(&mut out, model.virtual_encoder);
+    for op in &model.ops {
+        write_op(&mut out, op);
+    }
+    out
+}
+
+/// Byte length of [`encode`]'s output, from the layout alone: no code
+/// is packed, no float copied, nothing hashed.
+pub(crate) fn encoded_len(model: &CompiledModel) -> usize {
+    let sections = plan_sections(&model.ops, &model.codes.to_wide());
+    let packed = |&(_, len, width): &(usize, usize, u32)| packed_byte_len(len, width);
+    OUTER_HEADER_LEN
+        + (V2_HEADER_LEN + ops_bytes(model).len()).next_multiple_of(8)
+        + model.float_pool().len() * 4
+        + sections.iter().map(packed).sum::<usize>()
+        + sections.len() * V2_DIR_ENTRY_LEN
+        + 8
 }
 
 /// Plans the v2 code sections as `(start, len, width_bits)` triples

@@ -75,9 +75,14 @@ fn round_trip_preserves_every_topology() {
         residual_model(&mut rng),
     ] {
         let compiled = CompiledModel::from_reinterpreted(&model).unwrap();
-        let restored = CompiledModel::from_bytes(&compiled.to_bytes()).unwrap();
+        let bytes = compiled.to_bytes();
+        let restored = CompiledModel::from_bytes(&bytes).unwrap();
         assert_eq!(restored, compiled);
         assert_bit_identical(&model, &restored, &mut rng);
+        // The size is known without serializing, from wide pools and
+        // from the packed views a load borrows alike.
+        assert_eq!(compiled.encoded_len(), bytes.len());
+        assert_eq!(restored.encoded_len(), bytes.len());
     }
 }
 
