@@ -27,6 +27,15 @@ fn bench_kmeans(c: &mut Criterion) {
             b.iter(|| cluster(black_box(&values), k, &KmeansConfig::default(), &mut rng).unwrap());
         });
     }
+    // The size the composer clusters at: any larger population is
+    // subsampled to `KmeansConfig::default().max_samples` = 16 384.
+    let capped = population(16_384);
+    for &k in &[8usize, 64] {
+        group.bench_with_input(BenchmarkId::new("plus_plus_16384", k), &k, |b, &k| {
+            let mut rng = SeededRng::new(1);
+            b.iter(|| cluster(black_box(&capped), k, &KmeansConfig::default(), &mut rng).unwrap());
+        });
+    }
     // Ablation: naive init vs k-means++ (DESIGN.md §6).
     group.bench_function("naive_init_64", |b| {
         let mut rng = SeededRng::new(1);

@@ -6,19 +6,15 @@
 //! assignment is a binary search over sorted centroids, and recursive
 //! bisection yields the tree codebook's prefix property.
 //!
-//! The Lloyd assignment pass runs chunk-parallel on the workspace pool:
-//! the sorted data is split into fixed-size chunks (independent of the
-//! worker count), each chunk computes per-centroid partial sums, and
-//! partials are merged in ascending chunk order — so centroids are
-//! bitwise-identical for any `RAPIDNN_THREADS` setting.
+//! Lloyd runs on prefix sums of the sorted sample, built once: each
+//! iteration finds the `k - 1` interval boundaries by binary search and
+//! reads every cluster's count and sum as a prefix difference —
+//! `O(n + I·k·log n)` for `I` iterations, not `O(I·n)`.
+//! Nothing here runs on the worker pool, so results cannot depend on
+//! `RAPIDNN_THREADS`.
 
 use crate::{nearest, CoreError, Result};
 use rapidnn_tensor::SeededRng;
-
-/// Fixed chunk size for the parallel assignment pass. Never derived
-/// from the thread count: chunk boundaries (and therefore the partial
-/// sums merged in chunk order) must not change when the pool grows.
-const ASSIGN_CHUNK: usize = 2048;
 
 /// Result of a k-means run.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +69,7 @@ pub fn cluster(
 ) -> Result<Clustering> {
     validate_input(values, k)?;
     let mut sorted = subsample(values, config, rng);
-    sorted.sort_by(f32::total_cmp);
+    sorted.sort_unstable_by(f32::total_cmp);
     let centroids = seed_plus_plus(&sorted, k, rng);
     Ok(lloyd(&sorted, centroids, config))
 }
@@ -110,34 +106,59 @@ fn lloyd(sorted: &[f32], mut centroids: Vec<f32>, config: &KmeansConfig) -> Clus
     centroids.sort_by(f32::total_cmp);
     centroids.dedup();
 
+    // prefix[j] = Σ d over d = sorted[t] - pivot, t < j, and the one total
+    // Σ d²: the clusters partition the sample, so their squared errors sum
+    // to Σ d² - Σᵢ (2·oᵢ·Sᵢ - mᵢ·oᵢ²) for cluster sums Sᵢ, counts mᵢ and
+    // centroid offsets oᵢ. Centring on the median keeps Σ d² the size of
+    // the spread, not of the values, so a tight population far from zero
+    // does not cancel away.
+    let n = sorted.len();
+    let pivot = f64::from(sorted[n / 2]);
+    let mut prefix = Vec::with_capacity(n + 1);
+    let (mut sum, mut total_sq) = (0.0f64, 0.0f64);
+    prefix.push(sum);
+    for &v in sorted {
+        let d = f64::from(v) - pivot;
+        sum += d;
+        total_sq += d * d;
+        prefix.push(sum);
+    }
+
     let mut last_wcss = f64::INFINITY;
     let mut iterations = 0;
     loop {
-        // Assignment: 1-D clusters are intervals; boundaries are centroid
-        // midpoints. Each chunk walks its slice of the sorted data;
-        // partials merge in chunk order below, keeping the result
-        // independent of how chunks were scheduled.
-        let partials = rapidnn_pool::parallel_map(sorted.len(), ASSIGN_CHUNK, |_, range| {
-            assign_partial(&sorted[range], &centroids)
-        });
-        let mut sums = vec![0.0f64; centroids.len()];
-        let mut counts = vec![0usize; centroids.len()];
-        let mut wcss = 0.0f64;
-        for p in partials {
-            for (s, ps) in sums.iter_mut().zip(&p.sums) {
-                *s += ps;
+        // Assignment and update in one sweep over the centroids: cluster
+        // `i` is `sorted[lo..hi]`, where `hi` is the first value at or
+        // after `lo` strictly closer to centroid `i + 1` than to `i`
+        // (ties stay low). Both are read before either is updated.
+        let mut explained = 0.0f64;
+        let mut lo = 0usize;
+        for i in 0..centroids.len() {
+            let centroid = centroids[i];
+            let hi = match centroids.get(i + 1) {
+                None => n,
+                Some(&next) => {
+                    let closer = |v: f32| (v - next).abs() < (v - centroid).abs();
+                    let mut hi = lo + sorted[lo..].partition_point(|&v| v < next && !closer(v));
+                    // From `next` up the strict test can fail by rounding
+                    // (equal centroids, or a gap below the ulp of
+                    // `v - centroid`); such a value stays in cluster `i`.
+                    while hi < n && !closer(sorted[hi]) {
+                        hi += 1;
+                    }
+                    hi
+                }
+            };
+            let count = (hi - lo) as f64;
+            let sum = prefix[hi] - prefix[lo];
+            let offset = f64::from(centroid) - pivot;
+            explained += offset * (2.0 * sum - count * offset);
+            if hi > lo {
+                centroids[i] = (pivot + sum / count) as f32;
             }
-            for (n, pn) in counts.iter_mut().zip(&p.counts) {
-                *n += pn;
-            }
-            wcss += p.wcss;
+            lo = hi;
         }
-        // Update.
-        for (i, centroid) in centroids.iter_mut().enumerate() {
-            if counts[i] > 0 {
-                *centroid = (sums[i] / counts[i] as f64) as f32;
-            }
-        }
+        let wcss = total_sq - explained;
         iterations += 1;
         let improved = last_wcss - wcss;
         last_wcss = wcss;
@@ -150,8 +171,9 @@ fn lloyd(sorted: &[f32], mut centroids: Vec<f32>, config: &KmeansConfig) -> Clus
 
     centroids.sort_by(f32::total_cmp);
     centroids.dedup();
-    // The loop's WCSS tracks the *pre-update* centroids; report the value
-    // consistent with the centroids actually returned.
+    // The loop's WCSS tracks the *pre-update* centroids and is a
+    // difference of large sums; report the exact walk over the centroids
+    // returned.
     let final_wcss = sorted_wcss(sorted, &centroids);
     Clustering {
         centroids,
@@ -160,56 +182,18 @@ fn lloyd(sorted: &[f32], mut centroids: Vec<f32>, config: &KmeansConfig) -> Clus
     }
 }
 
-/// Per-chunk partial of one Lloyd assignment pass.
-struct AssignPartial {
-    sums: Vec<f64>,
-    counts: Vec<usize>,
-    wcss: f64,
-}
-
-/// Assignment walk over one chunk of the sorted data. Starting the
-/// centroid cursor at 0 yields the same assignments as a single global
-/// walk: on sorted data the nearest-interval boundaries are monotone,
-/// so the cursor just catches up at the head of the chunk.
-fn assign_partial(chunk: &[f32], centroids: &[f32]) -> AssignPartial {
-    let mut sums = vec![0.0f64; centroids.len()];
-    let mut counts = vec![0usize; centroids.len()];
-    let mut wcss = 0.0f64;
+/// WCSS of sorted data against sorted centroids in one walk: on sorted
+/// data the nearest centroid only ever moves up.
+fn sorted_wcss(sorted: &[f32], centroids: &[f32]) -> f64 {
     let mut c = 0usize;
-    for &v in chunk {
+    let mut total = 0.0f64;
+    for &v in sorted {
         while c + 1 < centroids.len() && (v - centroids[c + 1]).abs() < (v - centroids[c]).abs() {
             c += 1;
         }
-        sums[c] += v as f64;
-        counts[c] += 1;
-        wcss += ((v - centroids[c]) as f64).powi(2);
+        total += ((v - centroids[c]) as f64).powi(2);
     }
-    AssignPartial { sums, counts, wcss }
-}
-
-/// WCSS of sorted data against sorted centroids, chunk-parallel with
-/// the partial totals folded in chunk order.
-fn sorted_wcss(sorted: &[f32], centroids: &[f32]) -> f64 {
-    rapidnn_pool::parallel_map_reduce(
-        sorted.len(),
-        ASSIGN_CHUNK,
-        |_, range| {
-            let chunk = &sorted[range];
-            let mut c = 0usize;
-            let mut total = 0.0f64;
-            for &v in chunk {
-                while c + 1 < centroids.len()
-                    && (v - centroids[c + 1]).abs() < (v - centroids[c]).abs()
-                {
-                    c += 1;
-                }
-                total += ((v - centroids[c]) as f64).powi(2);
-            }
-            total
-        },
-        0.0f64,
-        |acc, part| acc + part,
-    )
+    total
 }
 
 /// k-means++ seeding over sorted data: first centroid uniform, the rest
@@ -222,8 +206,8 @@ fn seed_plus_plus(sorted: &[f32], k: usize, rng: &mut SeededRng) -> Vec<f32> {
         .iter()
         .map(|&v| ((v - centroids[0]) as f64).powi(2))
         .collect();
+    let mut total: f64 = dist_sq.iter().sum();
     while centroids.len() < k {
-        let total: f64 = dist_sq.iter().sum();
         if total <= 0.0 {
             // All remaining mass is on existing centroids; give up early.
             break;
@@ -239,11 +223,13 @@ fn seed_plus_plus(sorted: &[f32], k: usize, rng: &mut SeededRng) -> Vec<f32> {
         }
         let new_c = sorted[chosen];
         centroids.push(new_c);
+        total = 0.0;
         for (d, &v) in dist_sq.iter_mut().zip(sorted) {
             let nd = ((v - new_c) as f64).powi(2);
             if nd < *d {
                 *d = nd;
             }
+            total += *d;
         }
     }
     centroids
@@ -265,7 +251,7 @@ pub fn cluster_naive_init(
 ) -> Result<Clustering> {
     validate_input(values, k)?;
     let mut sorted = subsample(values, config, rng);
-    sorted.sort_by(f32::total_cmp);
+    sorted.sort_unstable_by(f32::total_cmp);
     let centroids: Vec<f32> = (0..k).map(|_| sorted[rng.index(sorted.len())]).collect();
     Ok(lloyd(&sorted, centroids, config))
 }
@@ -297,6 +283,182 @@ pub fn wcss(values: &[f32], centroids: &[f32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The walk `lloyd` replaced, kept as its oracle: every pass visits
+    /// every value with a monotone centroid cursor, in 2048-value chunks
+    /// whose partial sums merge in chunk order.
+    fn lloyd_reference(
+        sorted: &[f32],
+        mut centroids: Vec<f32>,
+        config: &KmeansConfig,
+    ) -> Clustering {
+        const ASSIGN_CHUNK: usize = 2048;
+        centroids.sort_by(f32::total_cmp);
+        centroids.dedup();
+        let mut last_wcss = f64::INFINITY;
+        let mut iterations = 0;
+        loop {
+            let mut sums = vec![0.0f64; centroids.len()];
+            let mut counts = vec![0usize; centroids.len()];
+            let mut wcss = 0.0f64;
+            for chunk in sorted.chunks(ASSIGN_CHUNK) {
+                let mut part_sums = vec![0.0f64; centroids.len()];
+                let mut part_wcss = 0.0f64;
+                let mut c = 0usize;
+                for &v in chunk {
+                    while c + 1 < centroids.len()
+                        && (v - centroids[c + 1]).abs() < (v - centroids[c]).abs()
+                    {
+                        c += 1;
+                    }
+                    part_sums[c] += v as f64;
+                    counts[c] += 1;
+                    part_wcss += ((v - centroids[c]) as f64).powi(2);
+                }
+                for (s, ps) in sums.iter_mut().zip(&part_sums) {
+                    *s += ps;
+                }
+                wcss += part_wcss;
+            }
+            for (i, centroid) in centroids.iter_mut().enumerate() {
+                if counts[i] > 0 {
+                    *centroid = (sums[i] / counts[i] as f64) as f32;
+                }
+            }
+            iterations += 1;
+            let improved = last_wcss - wcss;
+            last_wcss = wcss;
+            if iterations >= config.max_iterations
+                || improved.abs() <= config.tolerance * wcss.max(1e-12)
+            {
+                break;
+            }
+        }
+        centroids.sort_by(f32::total_cmp);
+        centroids.dedup();
+        let wcss = sorted
+            .chunks(ASSIGN_CHUNK)
+            .map(|chunk| sorted_wcss(chunk, &centroids))
+            .sum();
+        Clustering {
+            centroids,
+            wcss,
+            iterations,
+        }
+    }
+
+    /// Seeded populations that reach every branch of the boundary search.
+    fn corpus() -> Vec<(&'static str, Vec<f32>)> {
+        fn draw(n: usize, mut f: impl FnMut(&mut SeededRng) -> f32) -> Vec<f32> {
+            let mut rng = SeededRng::new(2022 + n as u64);
+            (0..n).map(|_| f(&mut rng)).collect()
+        }
+        vec![
+            ("normal", draw(5001, SeededRng::normal)),
+            ("uniform", draw(4096, |r| r.uniform(-10.0, 10.0))),
+            (
+                "duplicate-heavy",
+                draw(3000, |r| [-2.5f32, 0.0, 0.0, 0.0, 1.25][r.index(5)]),
+            ),
+            ("relu", draw(6000, |r| r.normal().max(0.0))),
+            ("two-valued", draw(777, |r| [-1.0f32, 1.0][r.index(2)])),
+            ("fewer than k", vec![0.5, -0.25, 3.0]),
+            ("single value", vec![7.0; 40]),
+            ("one element", vec![-3.5]),
+            (
+                "tight far from zero",
+                draw(4000, |r| {
+                    [100.0f32, 100.5, 101.0][r.index(3)] + 0.01 * r.normal()
+                }),
+            ),
+            ("subsampled", draw(40_000, |r| r.normal_with(0.0, 0.05))),
+        ]
+    }
+
+    #[test]
+    fn prefix_sum_lloyd_matches_the_reference_walk() {
+        let config = KmeansConfig::default();
+        for (name, values) in corpus() {
+            for k in [1usize, 2, 8, 16, 64] {
+                for naive in [false, true] {
+                    let case = format!("{name}, k = {k}, naive = {naive}");
+                    let mut rng = SeededRng::new(31 + k as u64);
+                    let public = if naive {
+                        cluster_naive_init(&values, k, &config, &mut rng.clone())
+                    } else {
+                        cluster(&values, k, &config, &mut rng.clone())
+                    }
+                    .unwrap();
+
+                    let mut sorted = subsample(&values, &config, &mut rng);
+                    sorted.sort_by(f32::total_cmp);
+                    let seeds: Vec<f32> = if naive {
+                        (0..k).map(|_| sorted[rng.index(sorted.len())]).collect()
+                    } else {
+                        seed_plus_plus(&sorted, k, &mut rng)
+                    };
+                    let expected = lloyd_reference(&sorted, seeds, &config);
+
+                    let bits = |c: &Clustering| -> Vec<u32> {
+                        c.centroids.iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&public), bits(&expected), "{case}");
+                    assert_eq!(public.iterations, expected.iterations, "{case}");
+                    assert!(
+                        (public.wcss - expected.wcss).abs() <= 1e-9 * expected.wcss,
+                        "{case}: wcss {} vs {}",
+                        public.wcss,
+                        expected.wcss
+                    );
+                }
+            }
+        }
+    }
+
+    /// Two centroids closer together than the rounding of `v - centroid`:
+    /// above them the strict-closer test reads true at `3e7 + 4` alone
+    /// (`v - 1.0` is a tie that rounds to even), so it is not monotone
+    /// there, and a value it fails for stays low, as in the reference
+    /// walk. A bare binary search over that test lands at the end.
+    #[test]
+    fn boundary_search_follows_the_walk_where_rounding_breaks_monotonicity() {
+        let mut sorted = vec![1.0f32, 1.0, 3e7 + 2.0, 3e7 + 2.0, 3e7 + 4.0];
+        sorted.extend((0..7).map(|j| 3e7 + 6.0 + 4.0 * j as f32));
+        let seeds = vec![1.0f32, 1.0 + f32::EPSILON];
+        let one_pass = KmeansConfig {
+            max_iterations: 1,
+            ..KmeansConfig::default()
+        };
+        let first = lloyd(&sorted, seeds.clone(), &one_pass);
+        assert_eq!(first.centroids, [15_000_002.0, 30_000_016.0]);
+        for config in [one_pass, KmeansConfig::default()] {
+            assert_eq!(
+                lloyd(&sorted, seeds.clone(), &config),
+                lloyd_reference(&sorted, seeds.clone(), &config)
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_samples_end_in_a_typed_error() {
+        use crate::Codebook;
+        let mut rng = SeededRng::new(8);
+        let finite: Vec<f32> = (0..300).map(|_| rng.normal()).collect();
+        for bad in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for at in [0usize, 150, 299] {
+                let mut values = finite.clone();
+                values[at] = bad;
+                for k in [1usize, 4, 64] {
+                    let result = Codebook::from_kmeans(&values, k, &mut rng);
+                    assert!(
+                        matches!(result, Err(CoreError::InvalidCodebook(_))),
+                        "{bad} at {at}, k = {k}: {result:?}"
+                    );
+                }
+            }
+        }
+        assert!(Codebook::from_kmeans(&[f32::NAN; 5], 2, &mut rng).is_err());
+    }
 
     #[test]
     fn recovers_well_separated_clusters() {

@@ -24,9 +24,9 @@
 //!
 //! # Threading
 //!
-//! The composer's hot loops (k-means assignment, GEMM/im2col, per-layer
-//! clustering, the quality loop's validation pass) run on a process-wide
-//! thread pool. Set the `RAPIDNN_THREADS` environment variable to pick
+//! The composer's pooled loops (GEMM/im2col, the per-layer codebook
+//! fan-out, the quality loop's validation pass) run on a process-wide
+//! thread pool; k-means itself is sequential (Lloyd on prefix sums). Set the `RAPIDNN_THREADS` environment variable to pick
 //! the worker count (it defaults to the machine's available parallelism);
 //! `RAPIDNN_THREADS=1` runs fully sequentially. Every parallel pass
 //! splits work into fixed-size chunks and merges partial results in
