@@ -1,15 +1,18 @@
 //! Benchmarks of the DNN-composer kernels: k-means clustering, codebook
-//! construction (flat and tree), activation-table builds and full-network
-//! reinterpretation.
+//! construction (flat and tree), activation-table builds, full-network
+//! reinterpretation, and the float training its retrain step runs (the
+//! GEMM shapes of the tiny MNIST MLP and the first CIFAR conv, and the
+//! three-epoch fit of `PipelineConfig::tiny_for_tests`).
 
 use rapidnn::composer::kmeans::{cluster, cluster_naive_init, KmeansConfig};
 use rapidnn::composer::{
     ActivationTable, Codebook, QuantizationScheme, ReinterpretOptions, ReinterpretedNetwork,
     TreeCodebook,
 };
-use rapidnn::data::SyntheticSpec;
-use rapidnn::nn::{topology, Activation};
-use rapidnn::tensor::SeededRng;
+use rapidnn::data::{benchmark_dataset, SyntheticSpec};
+use rapidnn::nn::topology::{self, Benchmark};
+use rapidnn::nn::{Activation, Trainer, TrainerConfig};
+use rapidnn::tensor::{gemm, SeededRng, Shape};
 use rapidnn_bench::{BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -129,9 +132,45 @@ fn bench_reinterpretation(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_gemm(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gemm");
+    let mut rng = SeededRng::new(6);
+    // Forward and dW of the 784 -> 32 layer at batch 32, a square
+    // mid-size product, and the first 3x3 conv over a 32x32 image.
+    for &(m, k, n) in &[(32, 784, 32), (32, 32, 784), (64, 512, 512), (6, 27, 1024)] {
+        let a = rng.uniform_tensor(Shape::matrix(m, k), -1.0, 1.0);
+        let b = rng.uniform_tensor(Shape::matrix(k, n), -1.0, 1.0);
+        group.bench_function(&format!("{m}x{k}x{n}"), |bench| {
+            bench.iter(|| gemm(black_box(&a), black_box(&b)).unwrap());
+        });
+    }
+    group.finish();
+}
+
+fn bench_fit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fit");
+    // The training phase of `Pipeline::run(PipelineConfig::tiny_for_tests())`.
+    let mut rng = SeededRng::new(42);
+    let data = benchmark_dataset(Benchmark::Mnist, 80, &mut rng).unwrap();
+    let (train, _) = data.split(0.8);
+    let net = Benchmark::Mnist.build_reduced(16, &mut rng).unwrap();
+    group.bench_function("mnist_tiny_3_epochs", |b| {
+        b.iter(|| {
+            let mut net = net.clone();
+            let mut trainer = Trainer::new(TrainerConfig::default(), &mut rng);
+            trainer
+                .fit(&mut net, train.inputs(), train.labels(), 3)
+                .unwrap()
+        });
+    });
+    group.finish();
+}
+
 rapidnn_bench::bench_main!(
     bench_kmeans,
     bench_codebooks,
     bench_activation_tables,
-    bench_reinterpretation
+    bench_reinterpretation,
+    bench_gemm,
+    bench_fit
 );

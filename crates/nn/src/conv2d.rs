@@ -140,6 +140,58 @@ impl Conv2d {
         }
         Tensor::from_vec(Shape::vector(c * h * w), img).expect("volume matches")
     }
+
+    /// Leaves dW and db of `grad` (d-loss/d-output) over the cached patch
+    /// matrices in the layer; with `dx`, also writes d-loss/d-input, one
+    /// `in_features` row per sample.
+    fn accumulate(&mut self, grad: &Tensor, mut dx: Option<&mut [f32]>) -> Result<()> {
+        if self.cached_cols.is_empty() {
+            return Err(NnError::MissingForwardCache("conv2d"));
+        }
+        let batch = grad.shape().dims()[0];
+        if batch != self.cached_cols.len() {
+            return Err(NnError::InvalidLabels(format!(
+                "gradient batch {batch} does not match cached batch {}",
+                self.cached_cols.len()
+            )));
+        }
+        let pixels = self.geometry.out_pixels();
+        let out_features = self.out_features();
+        let in_features = self.in_features();
+        let patch_len = self.geometry.patch_len();
+
+        let mut dw = Tensor::zeros(Shape::matrix(self.out_channels, patch_len));
+        let mut db = vec![0.0f32; self.out_channels];
+        let wt = self.weights.transpose()?;
+
+        for b in 0..batch {
+            let dy = Tensor::from_vec(
+                Shape::matrix(self.out_channels, pixels),
+                grad.as_slice()[b * out_features..(b + 1) * out_features].to_vec(),
+            )?;
+            let cols = &self.cached_cols[b];
+            // dW += dY · colsᵀ
+            let colst = cols.transpose()?;
+            let contrib = dy.matmul(&colst)?;
+            dw.add_scaled(&contrib, 1.0)?;
+            // db += row sums of dY
+            for (oc, acc) in db.iter_mut().enumerate() {
+                *acc += dy.as_slice()[oc * pixels..(oc + 1) * pixels]
+                    .iter()
+                    .sum::<f32>();
+            }
+            // dcols = Wᵀ · dY, then scatter back to image layout.
+            if let Some(dx) = dx.as_deref_mut() {
+                let dcols = wt.matmul(&dy)?;
+                let img = self.col2im(&dcols);
+                dx[b * in_features..(b + 1) * in_features].copy_from_slice(img.as_slice());
+            }
+        }
+
+        self.grad_weights = dw;
+        self.grad_bias = Tensor::from_vec(Shape::vector(self.out_channels), db)?;
+        Ok(())
+    }
 }
 
 impl Layer for Conv2d {
@@ -180,51 +232,15 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Result<Tensor> {
-        if self.cached_cols.is_empty() {
-            return Err(NnError::MissingForwardCache("conv2d"));
-        }
         let batch = grad.shape().dims()[0];
-        if batch != self.cached_cols.len() {
-            return Err(NnError::InvalidLabels(format!(
-                "gradient batch {batch} does not match cached batch {}",
-                self.cached_cols.len()
-            )));
-        }
-        let pixels = self.geometry.out_pixels();
-        let out_features = self.out_features();
         let in_features = self.in_features();
-        let patch_len = self.geometry.patch_len();
-
-        let mut dw = Tensor::zeros(Shape::matrix(self.out_channels, patch_len));
-        let mut db = vec![0.0f32; self.out_channels];
         let mut dx = vec![0.0f32; batch * in_features];
-
-        for b in 0..batch {
-            let dy = Tensor::from_vec(
-                Shape::matrix(self.out_channels, pixels),
-                grad.as_slice()[b * out_features..(b + 1) * out_features].to_vec(),
-            )?;
-            let cols = &self.cached_cols[b];
-            // dW += dY · colsᵀ
-            let colst = cols.transpose()?;
-            let contrib = dy.matmul(&colst)?;
-            dw.add_scaled(&contrib, 1.0)?;
-            // db += row sums of dY
-            for (oc, acc) in db.iter_mut().enumerate() {
-                *acc += dy.as_slice()[oc * pixels..(oc + 1) * pixels]
-                    .iter()
-                    .sum::<f32>();
-            }
-            // dcols = Wᵀ · dY, then scatter back to image layout.
-            let wt = self.weights.transpose()?;
-            let dcols = wt.matmul(&dy)?;
-            let img = self.col2im(&dcols);
-            dx[b * in_features..(b + 1) * in_features].copy_from_slice(img.as_slice());
-        }
-
-        self.grad_weights = dw;
-        self.grad_bias = Tensor::from_vec(Shape::vector(self.out_channels), db)?;
+        self.accumulate(grad, Some(&mut dx))?;
         Ok(Tensor::from_vec(Shape::matrix(batch, in_features), dx)?)
+    }
+
+    fn backward_params(&mut self, grad: &Tensor) -> Result<()> {
+        self.accumulate(grad, None)
     }
 
     fn params(&mut self) -> Vec<ParamSet<'_>> {

@@ -132,6 +132,12 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Result<Tensor> {
+        self.backward_params(grad)?;
+        // dX = grad · W   (batch x inputs)
+        Ok(grad.matmul(&self.weights)?)
+    }
+
+    fn backward_params(&mut self, grad: &Tensor) -> Result<()> {
         let input = self
             .cached_input
             .as_ref()
@@ -149,8 +155,7 @@ impl Layer for Dense {
             }
         }
         self.grad_bias = Tensor::from_vec(Shape::vector(self.outputs), db)?;
-        // dX = grad · W   (batch x inputs)
-        Ok(grad.matmul(&self.weights)?)
+        Ok(())
     }
 
     fn params(&mut self) -> Vec<ParamSet<'_>> {

@@ -81,6 +81,20 @@ pub trait Layer: std::fmt::Debug + Send {
     /// training-mode `forward`.
     fn backward(&mut self, grad: &Tensor) -> Result<Tensor>;
 
+    /// Accumulates the parameter gradients exactly as
+    /// [`backward`](Layer::backward) does, without producing
+    /// d-loss/d-input — what the first layer of a network needs, since
+    /// nothing reads the gradient of the data. The default runs
+    /// `backward` and drops its result; layers whose input gradient is a
+    /// separate product override it to skip that product.
+    ///
+    /// # Errors
+    ///
+    /// As [`backward`](Layer::backward).
+    fn backward_params(&mut self, grad: &Tensor) -> Result<()> {
+        self.backward(grad).map(drop)
+    }
+
     /// Mutable access to every `(parameter, gradient)` pair of the layer.
     /// Parameter-free layers return an empty vector.
     fn params(&mut self) -> Vec<ParamSet<'_>>;

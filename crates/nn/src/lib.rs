@@ -10,7 +10,9 @@
 //! * activations — ReLU, sigmoid, tanh and softsign ([`Activation`]);
 //! * softmax cross-entropy loss ([`loss`]);
 //! * stochastic gradient descent with momentum ([`Sgd`]);
-//! * a batched trainer with error-rate evaluation ([`Trainer`]);
+//! * a mini-batch training loop ([`Trainer`]) — it reports batch losses
+//!   and runs no pass it does not learn from; error rates are
+//!   [`Network::evaluate`] on whichever dataset the caller cares about;
 //! * builders for the Table 2 topologies ([`topology`]).
 //!
 //! All inter-layer tensors are rank-2 `batch x features` matrices; image

@@ -121,7 +121,9 @@ impl Network {
     /// Runs one training step on a batch: forward, loss, backward.
     ///
     /// Returns the batch loss. Parameter gradients are left in the layers
-    /// for an optimizer to consume.
+    /// for an optimizer to consume. The first layer is asked for its
+    /// parameter gradients only ([`Layer::backward_params`]): the
+    /// gradient with respect to the data has no reader.
     ///
     /// # Errors
     ///
@@ -129,9 +131,14 @@ impl Network {
     pub fn train_batch(&mut self, input: &Tensor, labels: &[usize]) -> Result<f32> {
         let logits = self.forward_mode(input, Mode::Train)?;
         let (loss_value, mut grad) = loss::cross_entropy_with_logits(&logits, labels)?;
-        for layer in self.layers.iter_mut().rev() {
+        let (first, rest) = self
+            .layers
+            .split_first_mut()
+            .expect("forward_mode rejects an empty network");
+        for layer in rest.iter_mut().rev() {
             grad = layer.backward(&grad)?;
         }
+        first.backward_params(&grad)?;
         Ok(loss_value)
     }
 

@@ -34,35 +34,17 @@ impl Default for TrainerConfig {
     }
 }
 
-/// Per-epoch training metrics.
+/// What one epoch of [`Trainer::fit`] saw: the losses of the batches it
+/// trained on. An error rate is a separate forward pass, which the
+/// caller runs on the dataset it cares about (see the crate docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochReport {
     /// Epoch index (0-based).
     pub epoch: usize,
     /// Mean training loss over the epoch's batches.
     pub mean_loss: f32,
-    /// Training-set error rate measured after the epoch.
-    pub train_error: f32,
 }
 
-/// Mini-batch SGD training loop with per-epoch shuffling.
-///
-/// # Examples
-///
-/// ```
-/// use rapidnn_nn::{Dense, Network, Trainer, TrainerConfig};
-/// use rapidnn_tensor::{SeededRng, Shape, Tensor};
-///
-/// let mut rng = SeededRng::new(0);
-/// let mut net = Network::new(2);
-/// net.push(Dense::new(2, 2, &mut rng));
-/// let x = Tensor::from_vec(Shape::matrix(4, 2), vec![1., 1., -1., -1., 1., 1., -1., -1.])?;
-/// let labels = vec![0, 1, 0, 1];
-/// let mut trainer = Trainer::new(TrainerConfig::default(), &mut rng);
-/// let reports = trainer.fit(&mut net, &x, &labels, 3)?;
-/// assert_eq!(reports.len(), 3);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
 #[derive(Debug)]
 enum Optim {
     Sgd(Sgd),
@@ -92,9 +74,32 @@ impl Optim {
     }
 }
 
-/// Mini-batch training loop with per-epoch shuffling; see the crate docs
-/// for an end-to-end example. The optimizer is SGD+momentum by default or
-/// Adam when [`TrainerConfig::adam`] is set.
+/// Mini-batch training loop with per-epoch shuffling. The optimizer is
+/// SGD+momentum by default or Adam when [`TrainerConfig::adam`] is set.
+///
+/// The loop only trains: it runs no forward pass beyond the batches it
+/// learns from. All its state (shuffle RNG, optimizer moments, decayed
+/// learning rate) lives in the trainer, so `fit(.., n)` and `n` calls of
+/// `fit(.., 1)` leave the same bits in the network — a caller that wants
+/// an error rate between epochs measures it between them; an eval-mode
+/// forward pass draws no random numbers and caches nothing.
+///
+/// # Examples
+///
+/// ```
+/// use rapidnn_nn::{Dense, Network, Trainer, TrainerConfig};
+/// use rapidnn_tensor::{SeededRng, Shape, Tensor};
+///
+/// let mut rng = SeededRng::new(0);
+/// let mut net = Network::new(2);
+/// net.push(Dense::new(2, 2, &mut rng));
+/// let x = Tensor::from_vec(Shape::matrix(4, 2), vec![1., 1., -1., -1., 1., 1., -1., -1.])?;
+/// let labels = vec![0, 1, 0, 1];
+/// let mut trainer = Trainer::new(TrainerConfig::default(), &mut rng);
+/// let reports = trainer.fit(&mut net, &x, &labels, 3)?;
+/// assert_eq!(reports.len(), 3);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 #[derive(Debug)]
 pub struct Trainer {
     config: TrainerConfig,
@@ -124,9 +129,11 @@ impl Trainer {
         &self.config
     }
 
-    /// Trains `network` for `epochs` passes over `(inputs, labels)`.
+    /// Trains `network` for `epochs` passes over `(inputs, labels)`,
+    /// decaying the learning rate after each.
     ///
-    /// Returns one [`EpochReport`] per epoch.
+    /// Returns one [`EpochReport`] per epoch, numbered from 0 within this
+    /// call.
     ///
     /// # Errors
     ///
@@ -141,12 +148,7 @@ impl Trainer {
         let mut reports = Vec::with_capacity(epochs);
         for epoch in 0..epochs {
             let mean_loss = self.run_epoch(network, inputs, labels)?;
-            let train_error = network.evaluate(inputs, labels)?;
-            reports.push(EpochReport {
-                epoch,
-                mean_loss,
-                train_error,
-            });
+            reports.push(EpochReport { epoch, mean_loss });
             let lr = self.optimizer.learning_rate() * self.config.lr_decay;
             self.optimizer.set_learning_rate(lr.max(1e-5));
         }
@@ -231,14 +233,44 @@ mod tests {
             &mut rng,
         );
         let reports = trainer.fit(&mut net, &x, &labels, 30).unwrap();
-        let last = reports.last().unwrap();
-        assert!(
-            last.train_error < 0.05,
-            "error too high: {}",
-            last.train_error
-        );
+        let train_error = net.evaluate(&x, &labels).unwrap();
+        assert!(train_error < 0.05, "error too high: {train_error}");
         // Loss must broadly decrease.
-        assert!(last.mean_loss < reports[0].mean_loss);
+        assert!(reports.last().unwrap().mean_loss < reports[0].mean_loss);
+    }
+
+    /// `examples/mnist_mlp.rs` trains one epoch per call and measures the
+    /// error in between: that must be the same training run, bit for bit,
+    /// as one call — dropout included, whose RNG only training draws on.
+    #[test]
+    fn fit_n_equals_n_times_fit_one_with_evaluation_in_between() {
+        let run = |epochs_per_call: usize| {
+            let mut rng = SeededRng::new(31);
+            let (x, labels) = two_moons(&mut rng, 70);
+            let mut net = Network::new(2);
+            net.push(Dense::new(2, 8, &mut rng));
+            net.push(ActivationLayer::new(Activation::Relu));
+            net.push(crate::Dropout::new(0.25, &mut rng));
+            net.push(Dense::new(8, 2, &mut rng));
+            let mut trainer = Trainer::new(TrainerConfig::default(), &mut rng);
+            let mut losses = Vec::new();
+            for _ in 0..6 / epochs_per_call {
+                let reports = trainer.fit(&mut net, &x, &labels, epochs_per_call);
+                losses.extend(reports.unwrap().iter().map(|r| r.mean_loss.to_bits()));
+                if epochs_per_call == 1 {
+                    net.evaluate(&x, &labels).unwrap();
+                }
+            }
+            let mut weights = Vec::new();
+            for layer in net.layers_mut() {
+                for p in layer.params() {
+                    weights.extend(p.value.as_slice().iter().map(|v| v.to_bits()));
+                }
+            }
+            (losses, weights)
+        };
+        assert_eq!(run(6), run(1));
+        assert_eq!(run(6), run(3));
     }
 
     #[test]

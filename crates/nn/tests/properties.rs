@@ -1,8 +1,11 @@
 //! Property-based tests for the neural-network substrate.
 
-use rapidnn_nn::{loss, Activation, ActivationLayer, Dense, Layer, Mode, Network};
+use rapidnn_nn::{
+    loss, Activation, ActivationLayer, Conv2d, Dense, Layer, MaxPool2d, Mode, Network, Residual,
+    Sgd,
+};
 use rapidnn_prop::{check, usize_in, vec_f32, DEFAULT_CASES};
-use rapidnn_tensor::{Shape, Tensor};
+use rapidnn_tensor::{Padding, SeededRng, Shape, Tensor};
 
 /// Softmax outputs are a probability distribution for any finite
 /// logits.
@@ -118,4 +121,103 @@ fn error_rate_bounds() {
         let wrong: Vec<usize> = labels.iter().map(|&l| (l + 1) % 4).collect();
         assert_eq!(loss::error_rate(&logits, &wrong).unwrap(), 1.0);
     });
+}
+
+fn param_bits(layer: &mut dyn Layer, grads: bool) -> Vec<u32> {
+    let mut bits = Vec::new();
+    for p in layer.params() {
+        let t = if grads { &*p.grad } else { &*p.value };
+        bits.extend(t.as_slice().iter().map(|v| v.to_bits()));
+    }
+    bits
+}
+
+/// `backward_params` leaves exactly the parameter gradients `backward`
+/// does — for the two layers that override it and for one that takes
+/// the trait's default.
+#[test]
+fn backward_params_matches_backward_bit_for_bit() {
+    let mut rng = SeededRng::new(41);
+    let layers: Vec<(Box<dyn Layer>, usize)> = vec![
+        (Box::new(Dense::new(9, 5, &mut rng)), 9),
+        (
+            Box::new(Conv2d::new(2, 5, 5, 3, 3, 1, Padding::Same, &mut rng).unwrap()),
+            50,
+        ),
+        (
+            Box::new(Residual::new(vec![
+                Box::new(Dense::new(6, 6, &mut rng)),
+                Box::new(ActivationLayer::new(Activation::Relu)),
+            ])),
+            6,
+        ),
+    ];
+    for (mut full, width) in layers {
+        let mut params_only = full.clone_layer();
+        let x = rng.uniform_tensor(Shape::matrix(7, width), -1.0, 1.0);
+        let y = full.forward(&x, Mode::Train).unwrap();
+        params_only.forward(&x, Mode::Train).unwrap();
+        let grad = rng.uniform_tensor(y.shape().clone(), -1.0, 1.0);
+        full.backward(&grad).unwrap();
+        params_only.backward_params(&grad).unwrap();
+        let label = full.kind().label();
+        let want = param_bits(full.as_mut(), true);
+        assert!(want.iter().any(|&b| b != 0), "{label}: gradients all zero");
+        assert_eq!(param_bits(params_only.as_mut(), true), want, "{label}");
+    }
+    // Like `backward`, it needs a training-mode forward first.
+    assert!(Dense::new(2, 2, &mut rng)
+        .backward_params(&Tensor::ones(Shape::matrix(1, 2)))
+        .is_err());
+}
+
+/// Skipping the first layer's input gradient changes nothing a training
+/// run can see: three `train_batch` + optimizer steps leave the weights
+/// of an MLP and of a CNN bit-equal to a loop that calls `backward` on
+/// every layer.
+#[test]
+fn train_batch_matches_backward_through_every_layer() {
+    let mut rng = SeededRng::new(43);
+    let mut mlp = Network::new(12);
+    mlp.push(Dense::new(12, 9, &mut rng));
+    mlp.push(ActivationLayer::new(Activation::Relu));
+    mlp.push(Dense::new(9, 3, &mut rng));
+    let mut cnn = Network::new(2 * 6 * 6);
+    cnn.push(Conv2d::new(2, 6, 6, 3, 3, 1, Padding::Same, &mut rng).unwrap());
+    cnn.push(ActivationLayer::new(Activation::Relu));
+    cnn.push(MaxPool2d::new(3, 6, 6, 2).unwrap());
+    cnn.push(Dense::new(3 * 3 * 3, 3, &mut rng));
+
+    for mut net in [mlp, cnn] {
+        let mut reference = net.clone();
+        let (mut sgd, mut reference_sgd) = (Sgd::new(0.05, 0.9), Sgd::new(0.05, 0.9));
+        for step in 0..3 {
+            let x = rng.uniform_tensor(Shape::matrix(10, net.input_features()), -1.0, 1.0);
+            let labels: Vec<usize> = (0..10).map(|i| (i + step) % 3).collect();
+
+            let loss_value = net.train_batch(&x, &labels).unwrap();
+            sgd.step(&mut net);
+
+            let logits = reference.forward_mode(&x, Mode::Train).unwrap();
+            let (want_loss, mut grad) = loss::cross_entropy_with_logits(&logits, &labels).unwrap();
+            for layer in reference.layers_mut().iter_mut().rev() {
+                grad = layer.backward(&grad).unwrap();
+            }
+            reference_sgd.step(&mut reference);
+
+            assert_eq!(loss_value.to_bits(), want_loss.to_bits(), "step {step}");
+            for (li, (a, b)) in net
+                .layers_mut()
+                .iter_mut()
+                .zip(reference.layers_mut())
+                .enumerate()
+            {
+                assert_eq!(
+                    param_bits(a.as_mut(), false),
+                    param_bits(b.as_mut(), false),
+                    "step {step}, layer {li}"
+                );
+            }
+        }
+    }
 }

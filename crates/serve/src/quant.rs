@@ -151,15 +151,15 @@ impl QuantState {
                 .iter()
                 .map(|&b| quant_i32(f64::from(b), scale))
                 .collect();
-            let ws = exp2(lic.w_frac);
+            // Quantize `wvals`' few levels once; a weight is its code's level.
+            let wq = Vec::from_iter(lic.wvals.iter().map(|&w| quant_i16(w, lic.w_frac)));
             let mut weights = Vec::with_capacity(weight_codes.len);
             model
                 .codes
                 .map_range(weight_codes.start, weight_codes.len, |c| {
-                    weights.push(quant_i16(f64::from(lic.wvals[usize::from(c)]), ws));
+                    weights.push(level_of(&wq, c));
                 });
-            let xs = exp2(lic.x_frac);
-            let xq = book.iter().map(|&b| quant_i16(f64::from(b), xs)).collect();
+            let xq = book.iter().map(|&b| quant_i16(b, lic.x_frac)).collect();
             let inv = 1.0 / scale;
             let finish = match lic.finish {
                 FinishPlan::Direct => match act {
@@ -219,9 +219,9 @@ fn exp2(bits: u32) -> f32 {
     (1u64 << bits.min(62)) as f32
 }
 
-/// Round-to-nearest quantization onto `scale`, saturated to `i16`.
-fn quant_i16(v: f64, scale: f32) -> i16 {
-    let q = (v * f64::from(scale)).round();
+/// Round-to-nearest quantization onto `2^frac`, saturated to `i16`.
+fn quant_i16(v: f32, frac: u32) -> i16 {
+    let q = (f64::from(v) * f64::from(exp2(frac))).round();
     q.clamp(f64::from(i16::MIN), f64::from(i16::MAX)) as i16
 }
 

@@ -14,9 +14,20 @@ fn bits(t: &Tensor) -> Vec<u32> {
 #[test]
 fn gemm_bit_identical_across_thread_counts() {
     let mut rng = SeededRng::new(11);
-    // (m, k, n) large enough for the parallel gate, with odd remainders.
-    for &(m, k, n) in &[(97, 33, 41), (128, 64, 64), (65, 129, 7)] {
-        let a = rng.uniform_tensor(Shape::matrix(m, k), -1.0, 1.0);
+    // (m, k, n) large enough for the parallel gate, with odd remainders:
+    // last bands of 1, 2 and 3 rows past a 4-row tile, panels of 1 to 7
+    // columns past an 8-column one, and a ReLU-sparse A so the tile's
+    // zero skip runs on both sides of every band boundary.
+    for &(m, k, n) in &[
+        (97, 33, 41),
+        (128, 64, 64),
+        (65, 129, 7),
+        (99, 40, 77),
+        (70, 50, 12),
+        (130, 20, 9),
+    ] {
+        let mut a = rng.uniform_tensor(Shape::matrix(m, k), -1.0, 1.0);
+        a.as_mut_slice().iter_mut().for_each(|x| *x = x.max(0.0));
         let b = rng.uniform_tensor(Shape::matrix(k, n), -1.0, 1.0);
         let oracle = with_threads(1, || bits(&gemm(&a, &b).unwrap()));
         for threads in 1..=8 {

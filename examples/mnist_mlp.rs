@@ -33,16 +33,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. The Table 2 topology, reduced 4x for a fast example.
     let mut network = benchmark.build_reduced(4, &mut rng)?;
 
-    // 3. Train the float baseline with SGD + momentum (§5.2).
+    // 3. Train the float baseline with SGD + momentum (§5.2). The
+    //    trainer only trains; an epoch at a time, so the training error
+    //    can be measured in between (same run as one `fit(.., 10)`).
     let mut trainer = Trainer::new(TrainerConfig::default(), &mut rng);
-    let reports = trainer.fit(&mut network, train.inputs(), train.labels(), 10)?;
-    for r in reports.iter().step_by(3) {
-        println!(
-            "epoch {:2}: loss {:.3}, train error {:.1}%",
-            r.epoch,
-            r.mean_loss,
-            100.0 * r.train_error
-        );
+    for epoch in 0..10 {
+        let report = trainer.fit(&mut network, train.inputs(), train.labels(), 1)?[0];
+        if epoch % 3 == 0 {
+            let train_error = network.evaluate(train.inputs(), train.labels())?;
+            println!(
+                "epoch {epoch:2}: loss {:.3}, train error {:.1}%",
+                report.mean_loss,
+                100.0 * train_error
+            );
+        }
     }
     let baseline = network.evaluate(validation.inputs(), validation.labels())?;
     println!("float baseline error: {:.2}%", 100.0 * baseline);
