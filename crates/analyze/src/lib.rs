@@ -77,7 +77,8 @@ pub use optimize::{
 };
 pub use program::{Act, Geom, Op, PackedSection, Program, Span, TableRef};
 pub use quant::{
-    quantize_plan, quantize_plan_with, FallbackReason, FinishPlan, LicensedOp, OpQuant, QuantPlan,
+    factor_table, quantize_plan, quantize_plan_with, FallbackReason, FinishPlan, LicensedOp,
+    OpQuant, QuantPlan,
 };
 
 #[cfg(test)]

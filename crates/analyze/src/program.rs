@@ -29,6 +29,12 @@ impl Span {
     pub fn slice<'a, T>(&self, pool: &'a [T]) -> &'a [T] {
         &pool[self.start..self.start + self.len]
     }
+
+    /// [`Self::slice`] for a span nothing has checked yet: `None` when
+    /// it overflows or runs past `pool`.
+    pub fn get<'a, T>(&self, pool: &'a [T]) -> Option<&'a [T]> {
+        pool.get(self.start..self.start.checked_add(self.len)?)
+    }
 }
 
 /// A flattened `w x u` product table inside the float pool.

@@ -254,8 +254,7 @@ struct QuantWalk<'p, 'a> {
 
 impl<'p> QuantWalk<'p, '_> {
     fn floats(&self, s: Span) -> Option<&'p [f32]> {
-        let end = s.start.checked_add(s.len)?;
-        self.program.floats.get(s.start..end)
+        s.get(&self.program.floats)
     }
 
     /// A span that must hold a sorted, finite, non-empty codebook.
@@ -270,8 +269,7 @@ impl<'p> QuantWalk<'p, '_> {
     }
 
     fn codes(&self, s: Span) -> Option<&'p [u16]> {
-        let end = s.start.checked_add(s.len)?;
-        self.program.codes.get(s.start..end)
+        s.get(&self.program.codes)
     }
 
     fn run(&mut self) {
@@ -714,9 +712,53 @@ fn lut_lip(xs: &[f32], ys: &[f32]) -> f64 {
     slice_lip(xs, ys)
 }
 
+/// Factors a dense product table back into per-weight-code multipliers.
+/// `ProductTable` stores the single-rounded product `w * x` of every
+/// (weight, input) representative pair, so with the input codebook in
+/// hand each row is `fl(w · book[x])` for one recoverable `w`
+/// (`factor_row`). On success `out[c] * book[x]` reproduces, bit for
+/// bit, every entry a code of `wcodes` can select — the licence to run
+/// the op as a multiply instead of a table gather; a row no code
+/// references keeps `0.0`.
+///
+/// Total on input nothing has verified: `None` for a table outside
+/// `floats`, a code outside the table, an empty, non-finite or
+/// over-long book, and a referenced row that is non-finite or not of
+/// this form (hand-built artifacts only).
+pub fn factor_table(
+    floats: &[f32],
+    table: &TableRef,
+    book: &[f32],
+    wcodes: &[u16],
+) -> Option<Vec<f32>> {
+    let len = table.weight_count.checked_mul(table.input_count)?;
+    let span = Span {
+        start: table.offset,
+        len,
+    };
+    let rows = span.get(floats)?;
+    let finite = |vals: &[f32]| vals.iter().all(|v| v.is_finite());
+    if book.is_empty() || book.len() > table.input_count || !finite(book) {
+        return None;
+    }
+    // `weight_count ≤ floats.len()` now, so neither vector outgrows the pool.
+    let mut factors = vec![0.0f32; table.weight_count];
+    let mut seen = vec![false; table.weight_count];
+    for &c in wcodes {
+        let c = usize::from(c);
+        if !std::mem::replace(seen.get_mut(c)?, true) {
+            let row = &rows[c * table.input_count..][..book.len()];
+            if !finite(row) {
+                return None;
+            }
+            factors[c] = factor_row(row, book)?;
+        }
+    }
+    Some(factors)
+}
+
 /// Recovers the factor `w` of one product-table row, verified bitwise
-/// over every book column exactly like the serving kernels'
-/// `factor_table` fast path: on success `fl(w · book[x])` reproduces
+/// over every book column: on success `fl(w · book[x])` reproduces
 /// each entry.
 fn factor_row(row: &[f32], book: &[f32]) -> Option<f32> {
     'candidate: for (x0, &b0) in book.iter().enumerate() {
@@ -853,6 +895,16 @@ mod tests {
         }
         let plan = quantize_plan(&program);
         assert_eq!(plan.ops[0], OpQuant::Fallback(FallbackReason::Invalid));
+
+        // Serving asks `factor_table` at load, before any checker ran
+        // (`tests/factor_table.rs` has the rest).
+        let Op::Dense { table, .. } = &program.ops[0] else {
+            unreachable!("tiny is one dense op");
+        };
+        let (floats, book) = (&program.floats, &program.floats[..4]);
+        assert!(factor_table(floats, table, book, &[0, 1]).is_some());
+        assert_eq!(factor_table(floats, table, book, &[0, 2]), None);
+        assert_eq!(factor_table(&floats[..11], table, book, &[0, 1]), None);
     }
 
     #[test]

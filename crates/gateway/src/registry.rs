@@ -215,6 +215,19 @@ impl Registry {
         names
     }
 
+    /// Every registered model with the generation it is serving, sorted
+    /// by name, read under one hold of the registry lock: each pair is
+    /// a model that was registered at that instant and a generation its
+    /// slot held.
+    pub fn generations(&self) -> Vec<(String, u64)> {
+        let mut listing: Vec<(String, u64)> = read(&self.models)
+            .iter()
+            .map(|(name, entry)| (name.clone(), read(&entry.slot).generation))
+            .collect();
+        listing.sort();
+        listing
+    }
+
     /// Registers a new model under `name` from an in-memory compiled
     /// model (the in-process path; the HTTP path is
     /// [`put_artifact`](Self::put_artifact)).

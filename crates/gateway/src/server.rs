@@ -240,7 +240,9 @@ fn route(registry: &Registry, request: &Request) -> Response {
     match (request.method.as_str(), path.as_slice()) {
         ("GET", ["health"]) => Response::text(200, "ok\n"),
         ("GET", ["models"]) => list_models(registry),
-        ("PUT", ["models", name]) => put_model(registry, name, request),
+        ("PUT", ["models", name]) => {
+            put_model(registry, name, request).unwrap_or_else(|refusal| refusal)
+        }
         ("DELETE", ["models", name]) => delete_model(registry, name),
         ("GET", ["models", name, "stats"]) => model_stats(registry, name),
         ("POST", ["models", name, "infer"]) => infer(registry, name, request),
@@ -274,10 +276,9 @@ fn error_response(err: &GatewayError) -> Response {
 fn list_models(registry: &Registry) -> Response {
     let body = Json::document(|j| {
         j.key("models").array(|j| {
-            for name in registry.names() {
+            for (name, generation) in registry.generations() {
                 j.object(|j| {
                     j.key("name").string(&name);
-                    let generation = registry.stats(&name).map_or(0, |s| s.generation);
                     j.key("generation").value(generation);
                 });
             }
@@ -286,53 +287,45 @@ fn list_models(registry: &Registry) -> Response {
     Response::json(200, body)
 }
 
-fn put_model(registry: &Registry, name: &str, request: &Request) -> Response {
+/// An opt-in upload header: absent is off, one of `on` is on, and
+/// anything else is a client error (`Err`), not a silent fallback.
+fn opt_in(request: &Request, name: &str, on: &[&str]) -> Result<bool, Response> {
+    match request.header(name) {
+        None => Ok(false),
+        Some(value) if on.contains(&value) => Ok(true),
+        Some(other) => Err(Response::text(
+            400,
+            format!("unknown {name} value {other:?}; try {:?}\n", on[0]),
+        )),
+    }
+}
+
+/// `Err` is the 400 of an upload header this server does not understand.
+fn put_model(registry: &Registry, name: &str, request: &Request) -> Result<Response, Response> {
     // `x-kernels: int16` opts the upload into analyzer-licensed integer
-    // lowering; absence means the plain f32 path. Anything else is a
-    // client error, not a silent fallback.
-    let quantize = match request.header("x-kernels") {
-        None => false,
-        Some("int16") => true,
-        Some(other) => {
-            return Response::text(
-                400,
-                format!("unknown x-kernels value {other:?}; try \"int16\"\n"),
-            )
-        }
-    };
+    // lowering; absence means the plain f32 path.
+    let quantize = opt_in(request, "x-kernels", &["int16"])?;
     // `x-stages: N` serves this model as an N-stage sharded pipeline
     // (0/1 = unsharded); the setting is per-model and sticks across
     // later swaps. Garbage is a client error, not a silent default.
-    let stages = match request.header("x-stages") {
-        None => None,
-        Some(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                return Response::text(
-                    400,
-                    format!("x-stages must be a non-negative integer, got {raw:?}\n"),
-                )
-            }
-        },
-    };
+    let stages = request.header("x-stages").map(|raw| {
+        raw.trim().parse::<usize>().map_err(|_| {
+            Response::text(
+                400,
+                format!("x-stages must be a non-negative integer, got {raw:?}\n"),
+            )
+        })
+    });
+    let stages = stages.transpose()?;
     // `x-optimize: 1`/`true` runs the upload through the certified
     // optimizer (translation-validated dead-data elimination) before it
-    // serves; absence means the artifact serves as uploaded. Anything
-    // else is a client error, not a silent fallback.
-    let optimize = match request.header("x-optimize") {
-        None => false,
-        Some("1" | "true") => true,
-        Some(other) => {
-            return Response::text(
-                400,
-                format!("unknown x-optimize value {other:?}; try \"1\"\n"),
-            )
-        }
-    };
-    match registry.put_artifact(name, &request.body, quantize, stages, optimize) {
+    // serves; absence means the artifact serves as uploaded.
+    let optimize = opt_in(request, "x-optimize", &["1", "true"])?;
+    let outcome = registry.put_artifact(name, &request.body, quantize, stages, optimize);
+    Ok(match outcome {
         Ok(report) => swap_response(name, &report),
         Err(e) => error_response(&e),
-    }
+    })
 }
 
 fn swap_response(name: &str, report: &SwapReport) -> Response {

@@ -775,6 +775,82 @@ fn json_bodies_are_byte_identical_to_the_templates_they_replaced() {
     gateway.shutdown();
 }
 
+/// `GET /models` reads its `(name, generation)` pairs under one hold of
+/// the registry lock: while another thread deletes, every listing is a
+/// set of models that were all registered at one instant, each with a
+/// generation its slot really held — no model half-gone, none reported
+/// at a made-up generation 0.
+#[test]
+fn listing_while_deleting_invents_no_model_and_no_generation() {
+    const MODELS: usize = 6;
+    let registry = Arc::new(wave_registry(16, 8, Duration::from_micros(200)));
+    let names: Vec<String> = (0..MODELS).map(|i| format!("m{i}")).collect();
+    let bytes = compiled_model(71).to_bytes();
+    for name in &names {
+        // Created at generation 0, swapped to 1: a listed 0 is invented.
+        for generation in 0..2 {
+            let report = registry.put_artifact(name, &bytes, false, None, false);
+            assert_eq!(report.unwrap().generation, generation);
+        }
+    }
+    let deleter = {
+        let (registry, names) = (Arc::clone(&registry), names.clone());
+        std::thread::spawn(move || {
+            for name in &names {
+                registry.remove(name).unwrap();
+            }
+        })
+    };
+    // Models go in name order, so what is left is always a suffix.
+    let mut listings = 0;
+    loop {
+        let listing = registry.generations();
+        let expected: Vec<(String, u64)> = names[MODELS - listing.len()..]
+            .iter()
+            .map(|name| (name.clone(), 1))
+            .collect();
+        assert_eq!(listing, expected, "listing {listings}");
+        listings += 1;
+        if listing.is_empty() {
+            break;
+        }
+    }
+    deleter.join().unwrap();
+}
+
+/// The upload headers refuse a value they do not know in the words they
+/// always used, and a refused upload registers nothing.
+#[test]
+fn unknown_upload_header_values_are_refused_in_the_same_words() {
+    let gateway = Gateway::bind(test_config()).unwrap();
+    let addr = gateway.local_addr();
+    let bytes = compiled_model(72).to_bytes();
+    for (header, value, words) in [
+        (
+            "x-kernels",
+            "int8",
+            "unknown x-kernels value \"int8\"; try \"int16\"\n",
+        ),
+        (
+            "x-stages",
+            "two",
+            "x-stages must be a non-negative integer, got \"two\"\n",
+        ),
+        (
+            "x-optimize",
+            "yes",
+            "unknown x-optimize value \"yes\"; try \"1\"\n",
+        ),
+    ] {
+        let refused =
+            request_with_headers(addr, "PUT", "/models/m", &[(header, value)], &bytes).unwrap();
+        assert_eq!((refused.status, refused.body_text()), (400, words.into()));
+    }
+    let listing = request(addr, "GET", "/models", None, &[]).unwrap();
+    assert_eq!(listing.body_text(), "{\"models\":[]}");
+    gateway.shutdown();
+}
+
 /// A `ModelStats` with every field distinct; `rich` adds what a
 /// sharded, optimized int16 generation reports on top.
 fn sample_stats(rich: bool) -> ModelStats {

@@ -86,8 +86,8 @@ impl PipelineReport {
     /// (see [`rapidnn_serve::CompiledModel`]).
     ///
     /// `CompiledModel::to_bytes` serializes in format v2 — weight codes
-    /// bit-packed at their cluster width, float pool laid out for
-    /// zero-copy loading.
+    /// bit-packed at their cluster width on the wire, unpacked once at
+    /// load.
     ///
     /// # Errors
     ///

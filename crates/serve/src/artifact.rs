@@ -5,9 +5,11 @@
 //! contiguous pools (`floats`, `codes`) plus the analyzer's linear op
 //! program ([`rapidnn_analyze::Op`]), which the kernels execute as it
 //! is. The flat layout is cache-friendly for serving and trivially
-//! serializable; the binary format lives in the crate's `wire` module.
-//! This module is the in-memory model, its pools and the construction
-//! gate.
+//! serializable; the binary format lives in the crate's `wire` module
+//! and ends there: a model in memory is a `Vec<f32>`, a `Vec<u16>` and
+//! an op list however it was built. This module is that model, what
+//! [`CompiledModel::assemble`] derives from it once (the input encoder,
+//! each dense op's kernel) and the construction gate.
 //!
 //! # Verified by construction
 //!
@@ -34,9 +36,8 @@
 //! interpreter.
 
 use crate::error::{Result, ServeError};
-use crate::kernels::BatchRunner;
-use crate::pod::{self, AlignedBytes};
-use crate::wire::{self, packed_byte_len, read_bits};
+use crate::kernels::{lower_dense, BatchRunner, DenseMul};
+use crate::wire;
 use rapidnn_analyze::{Act, Op, Program, Span};
 #[cfg(test)]
 use rapidnn_analyze::{Geom, TableRef};
@@ -44,167 +45,8 @@ use rapidnn_core::nearest::{load_keys, tabulate_thresholds};
 use rapidnn_core::ReinterpretedNetwork;
 use std::borrow::Cow;
 use std::path::Path;
-use std::sync::Arc;
 
 pub use crate::wire::{FORMAT_VERSION, MAGIC};
-
-/// The model's float pool: every codebook, product table, LUT, and bias.
-///
-/// `Owned` is the materialized pool (compiler and optimizer output);
-/// `View` borrows the raw LE float section of an artifact buffer
-/// without copying. Construction of a `View` goes through the
-/// single [`pod::f32s`] gate, so on targets where the reinterpretation
-/// would be wrong (big-endian) the loader falls back to `Owned`.
-#[derive(Debug, Clone)]
-pub(crate) enum FloatPool {
-    /// Materialized values.
-    Owned(Vec<f32>),
-    /// Borrowed view over an aligned artifact buffer.
-    View {
-        /// The artifact image the floats live in.
-        buf: Arc<AlignedBytes>,
-        /// Absolute byte offset of the float section (4-aligned).
-        byte_off: usize,
-        /// Number of `f32` values.
-        len: usize,
-    },
-}
-
-impl FloatPool {
-    pub(crate) fn as_slice(&self) -> &[f32] {
-        match self {
-            FloatPool::Owned(v) => v,
-            FloatPool::View { buf, byte_off, len } => {
-                pod::f32s(&buf.bytes()[*byte_off..*byte_off + *len * 4])
-                    .expect("View is only constructed after pod::f32s succeeded on these bytes")
-            }
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            FloatPool::Owned(v) => v.len(),
-            FloatPool::View { len, .. } => *len,
-        }
-    }
-}
-
-impl PartialEq for FloatPool {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-/// One bit-packed code section of a v2 artifact as the pool reads it:
-/// the layout the analyzer lints (code range, LSB-first width, pad bits
-/// as recorded at decode time) plus where the bit stream sits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PackedSection {
-    pub(crate) layout: rapidnn_analyze::PackedSection,
-    /// Absolute byte offset of the section's bit stream in the buffer.
-    pub(crate) byte_off: usize,
-}
-
-impl PackedSection {
-    /// Bytes the section's bit stream occupies.
-    fn byte_len(&self) -> usize {
-        packed_byte_len(self.layout.code_len, self.layout.width_bits)
-    }
-}
-
-/// The model's code pool: every encoded weight.
-///
-/// `Wide` is the classic materialized `u16` pool; `Packed` keeps the
-/// bit-packed sections of a v2 artifact in place and decodes spans on
-/// demand through a bounded bit cursor ([`CompiledModel::codes_for`]).
-#[derive(Debug, Clone)]
-pub(crate) enum CodePool {
-    /// Materialized wide codes.
-    Wide(Vec<u16>),
-    /// Bit-packed sections borrowed from an aligned artifact buffer.
-    Packed {
-        /// The artifact image the sections live in.
-        buf: Arc<AlignedBytes>,
-        /// Sections in ascending `start` order, tiling `0..total`.
-        sections: Vec<PackedSection>,
-        /// Total number of codes across all sections.
-        total: usize,
-    },
-}
-
-impl CodePool {
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            CodePool::Wide(v) => v.len(),
-            CodePool::Packed { total, .. } => *total,
-        }
-    }
-
-    /// Streams the codes of pool range `start..start + len` through `f`
-    /// in order, reading each bit-packed section through a bounded bit
-    /// cursor — no intermediate wide buffer. The quantized-table materializer consumes v2 code
-    /// sections through this exactly once at load time, which is what
-    /// lets the integer batch path skip per-op tile decodes entirely.
-    /// The range must be in bounds (callers bounds-check first).
-    pub(crate) fn map_range(&self, start: usize, len: usize, mut f: impl FnMut(u16)) {
-        match self {
-            CodePool::Wide(v) => v[start..start + len].iter().for_each(|&c| f(c)),
-            CodePool::Packed { buf, sections, .. } => {
-                let bytes = buf.bytes();
-                let end = start + len;
-                // Sections are sorted and tile the pool; find the first
-                // one overlapping the range, then walk forward.
-                let first =
-                    sections.partition_point(|s| s.layout.code_start + s.layout.code_len <= start);
-                for s in &sections[first..] {
-                    let (s_start, width) = (s.layout.code_start, s.layout.width_bits as usize);
-                    if s_start >= end {
-                        break;
-                    }
-                    let lo = start.max(s_start);
-                    let hi = end.min(s_start + s.layout.code_len);
-                    let stream = &bytes[s.byte_off..s.byte_off + s.byte_len()];
-                    let mask = (1u32 << width) - 1;
-                    let mut bit = (lo - s_start) * width;
-                    for _ in lo..hi {
-                        f(read_bits(stream, bit, mask));
-                        bit += width;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Materializes the whole pool (serialization, analysis, equality —
-    /// never the inference hot path, which decodes per-op tiles).
-    pub(crate) fn to_wide(&self) -> Vec<u16> {
-        match self {
-            CodePool::Wide(v) => v.clone(),
-            CodePool::Packed { total, .. } => {
-                let mut out = Vec::with_capacity(*total);
-                self.map_range(0, *total, |c| out.push(c));
-                out
-            }
-        }
-    }
-
-    /// The packed sections, empty for a wide pool.
-    pub(crate) fn sections(&self) -> &[PackedSection] {
-        match self {
-            CodePool::Wide(_) => &[],
-            CodePool::Packed { sections, .. } => sections,
-        }
-    }
-}
-
-impl PartialEq for CodePool {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (CodePool::Wide(a), CodePool::Wide(b)) => a == b,
-            (a, b) => a.len() == b.len() && a.to_wide() == b.to_wide(),
-        }
-    }
-}
 
 /// A [`ReinterpretedNetwork`] flattened into contiguous pools plus a
 /// linear op program — the deployable, serializable serving artifact.
@@ -220,9 +62,15 @@ pub struct CompiledModel {
     pub(crate) input_enc: InputEncoder,
     pub(crate) ops: Vec<Op>,
     /// All f32 data: codebooks, product tables, LUTs, biases.
-    pub(crate) floats: FloatPool,
-    /// All encoded weights.
-    pub(crate) codes: CodePool,
+    pub(crate) floats: Vec<f32>,
+    /// All encoded weights, one `u16` each however the model was built
+    /// (the wire's bit packing ends in `wire::decode`).
+    pub(crate) codes: Vec<u16>,
+    /// Per op, the multiply kernel of a dense op whose table factors
+    /// ([`lower_dense`]), built once by [`CompiledModel::assemble`].
+    /// Never serialized: a pure function of the ops and the pools —
+    /// and of `quant`, which takes over the ops it licenses.
+    pub(crate) dense_mul: Vec<Option<DenseMul>>,
     /// Materialized integer-kernel state, populated by
     /// [`CompiledModel::quantize`] for analyzer-licensed ops. Never
     /// serialized — a loaded artifact re-earns it.
@@ -248,8 +96,7 @@ impl InputEncoder {
     /// seen yet, which it will reject before it encodes anything —
     /// tabulates as empty.
     fn new(floats: &[f32], book: Span) -> InputEncoder {
-        let end = book.start.saturating_add(book.len);
-        let book = floats.get(book.start..end).unwrap_or(&[]);
+        let book = book.get(floats).unwrap_or(&[]);
         let mut keys = Vec::new();
         load_keys(&mut keys, book);
         match tabulate_thresholds(book, &keys) {
@@ -261,22 +108,25 @@ impl InputEncoder {
 
 impl CompiledModel {
     /// The one place a model is put together: an f32-only model over
-    /// the given program and pools, with the input encoder tabulated.
+    /// the given program and pools, with the input encoder tabulated
+    /// and every dense op lowered to the kernel its table allows.
     /// Runs no analysis — every public constructor gates what it
-    /// assembles; only unit tests hand this broken programs.
+    /// assembles; only unit tests hand this broken programs — so
+    /// both derivations are total on pools and spans nothing checked.
     pub(crate) fn assemble(
         input_features: usize,
         output_features: usize,
         virtual_encoder: Span,
         ops: Vec<Op>,
-        floats: FloatPool,
-        codes: CodePool,
+        floats: Vec<f32>,
+        codes: Vec<u16>,
     ) -> CompiledModel {
         CompiledModel {
             input_features,
             output_features,
             virtual_encoder,
-            input_enc: InputEncoder::new(floats.as_slice(), virtual_encoder),
+            input_enc: InputEncoder::new(&floats, virtual_encoder),
+            dense_mul: lower_dense(virtual_encoder, &ops, &floats, &codes),
             ops,
             floats,
             codes,
@@ -301,28 +151,6 @@ impl CompiledModel {
         self.input_features
     }
 
-    /// The float pool as a contiguous slice — materialized values for
-    /// owned pools, a zero-copy borrow of the artifact buffer for v2
-    /// views.
-    pub(crate) fn float_pool(&self) -> &[f32] {
-        self.floats.as_slice()
-    }
-
-    /// The codes of `span`, borrowing the wide pool directly or bit-
-    /// decoding the packed sections into `scratch` (cleared first). The
-    /// span must be in bounds — the analyzer establishes that before
-    /// any model exists to read through this.
-    pub(crate) fn codes_for<'a>(&'a self, span: Span, scratch: &'a mut Vec<u16>) -> &'a [u16] {
-        match &self.codes {
-            CodePool::Wide(v) => span.slice(v),
-            packed => {
-                scratch.clear();
-                packed.map_range(span.start, span.len, |c| scratch.push(c));
-                scratch
-            }
-        }
-    }
-
     /// A deliberately inconsistent model (assembled past the analyzer)
     /// whose `infer` panics out of bounds — for exercising the engine's
     /// worker panic containment.
@@ -343,8 +171,23 @@ impl CompiledModel {
                 out_height: 1,
                 out_width: 1,
             })],
-            FloatPool::Owned(vec![0.0, 1.0]),
-            CodePool::Wide(vec![]),
+            vec![0.0, 1.0],
+            vec![],
+        )
+    }
+
+    /// The model re-assembled after `edit` changed its program or its
+    /// float pool, so what `assemble` derives matches what it now says.
+    #[cfg(test)]
+    pub(crate) fn edited(mut self, edit: impl FnOnce(&mut Vec<Op>, &mut Vec<f32>)) -> Self {
+        edit(&mut self.ops, &mut self.floats);
+        CompiledModel::assemble(
+            self.input_features,
+            self.output_features,
+            self.virtual_encoder,
+            self.ops,
+            self.floats,
+            self.codes,
         )
     }
 
@@ -384,8 +227,8 @@ impl CompiledModel {
             4,
             book,
             ops,
-            FloatPool::Owned(floats),
-            CodePool::Wide(vec![0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0]),
+            floats,
+            vec![0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0],
         )
     }
 
@@ -400,28 +243,26 @@ impl CompiledModel {
         refused: usize,
         gathered: usize,
     ) -> CompiledModel {
-        let mut model = Self::deep_for_tests(layers);
-        let FloatPool::Owned(floats) = &mut model.floats else {
-            unreachable!("deep_for_tests owns its pool");
-        };
-        let mut add_table = |weights: [f32; 2], nudge: f32| {
-            let offset = floats.len();
-            for w in weights {
-                floats.extend([-1.0f32, -0.25, 0.5, 1.0].iter().map(|x| w * x));
-            }
-            floats[offset] += nudge;
-            offset
-        };
-        let (wide, unfactored) = (
-            add_table([1.0e6, -1.0e6], 0.0),
-            add_table([0.5, -1.0], 0.001),
-        );
-        for (oi, offset) in [(refused, wide), (gathered, unfactored)] {
-            let Op::Dense { table, .. } = &mut model.ops[oi] else {
-                unreachable!("deep_for_tests is all dense");
+        let mut model = Self::deep_for_tests(layers).edited(|ops, floats| {
+            let mut add_table = |weights: [f32; 2], nudge: f32| {
+                let offset = floats.len();
+                for w in weights {
+                    floats.extend([-1.0f32, -0.25, 0.5, 1.0].iter().map(|x| w * x));
+                }
+                floats[offset] += nudge;
+                offset
             };
-            table.offset = offset;
-        }
+            let (wide, unfactored) = (
+                add_table([1.0e6, -1.0e6], 0.0),
+                add_table([0.5, -1.0], 0.001),
+            );
+            for (oi, offset) in [(refused, wide), (gathered, unfactored)] {
+                let Op::Dense { table, .. } = &mut ops[oi] else {
+                    unreachable!("deep_for_tests is all dense");
+                };
+                table.offset = offset;
+            }
+        });
         model.quantize().expect("quantize is infallible");
         for oi in 0..layers {
             let licensed = oi != refused && oi != gathered;
@@ -438,8 +279,7 @@ impl CompiledModel {
     /// requests while the stages keep serving.
     #[cfg(test)]
     pub(crate) fn deep_broken_tail_for_tests(layers: usize) -> CompiledModel {
-        let mut model = Self::deep_for_tests(layers);
-        model.ops.push(Op::MaxPool(Geom {
+        let tail = Op::MaxPool(Geom {
             in_channels: 4,
             in_height: 4,
             in_width: 4,
@@ -449,7 +289,8 @@ impl CompiledModel {
             pad: 0,
             out_height: 3,
             out_width: 3,
-        }));
+        });
+        let mut model = Self::deep_for_tests(layers).edited(|ops, _| ops.push(tail));
         model.output_features = 4 * 9;
         model
     }
@@ -464,15 +305,10 @@ impl CompiledModel {
         self.ops.len()
     }
 
-    /// Total bytes held by the two pools (the dominant footprint):
-    /// 4 per float, and 2 per code for wide pools or the bit-packed
-    /// section bytes for packed pools.
+    /// Total bytes held by the two pools: 4 per float and 2 per code,
+    /// the same for a loaded model as for the one it was written from.
     pub fn pool_bytes(&self) -> usize {
-        let code_bytes = match &self.codes {
-            CodePool::Wide(v) => v.len() * 2,
-            CodePool::Packed { sections, .. } => sections.iter().map(PackedSection::byte_len).sum(),
-        };
-        self.floats.len() * 4 + code_bytes
+        self.floats.len() * 4 + self.codes.len() * 2
     }
 
     /// Runs encoded inference on one sample, returning the output logits.
@@ -528,14 +364,14 @@ impl CompiledModel {
     /// payload, FNV-1a 64 checksum — all little-endian. The payload
     /// carries the float pool as raw LE `f32` bytes at an 8-aligned
     /// offset and the code pool as per-op bit-packed sections located
-    /// by a tail directory, so a loader can borrow both without
-    /// materializing them.
+    /// by a tail directory.
     pub fn to_bytes(&self) -> Vec<u8> {
         wire::encode(self)
     }
 
     /// `self.to_bytes().len()` without serializing: the v2 layout fixes
-    /// every offset before a code is packed.
+    /// every offset before a code is packed, so this only reads the
+    /// code pool, in place, for each section's width.
     pub fn encoded_len(&self) -> usize {
         wire::encoded_len(self)
     }
@@ -551,8 +387,12 @@ impl CompiledModel {
     /// analysis errors surfaces as [`ServeError::Rejected`] carrying
     /// the full diagnostic report. This function never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let model = wire::decode(bytes)?;
-        gate(&model.to_program())?;
+        let (model, packed) = wire::decode(bytes)?;
+        // The section layouts exist for this one pass (RNA0012–0014).
+        gate(&Program {
+            packed,
+            ..model.to_program()
+        })?;
         Ok(model)
     }
 
@@ -593,26 +433,22 @@ impl CompiledModel {
     // ------------------------------------------------------------------
 
     /// The model as the analyzer's [`Program`]: the ops as they are,
-    /// both pools lent (a packed code pool is unpacked for it).
+    /// both pools lent.
     pub(crate) fn to_program(&self) -> Program<'_> {
         Program {
             input_features: self.input_features,
             output_features: self.output_features,
             virtual_encoder: self.virtual_encoder,
             ops: self.ops.clone(),
-            floats: Cow::Borrowed(self.float_pool()),
-            codes: match &self.codes {
-                CodePool::Wide(v) => Cow::Borrowed(&v[..]),
-                packed => Cow::Owned(packed.to_wide()),
-            },
-            packed: self.codes.sections().iter().map(|s| s.layout).collect(),
+            floats: Cow::Borrowed(&self.floats),
+            codes: Cow::Borrowed(&self.codes),
+            packed: Vec::new(),
         }
     }
 
     /// Builds a model from the analyzer's program IR after the analyzer
-    /// has passed it. Pools are materialized owned/wide; writing the
-    /// model back out re-packs v2 code sections at the width the
-    /// (possibly compacted) tables now imply.
+    /// has passed it. Writing the model back out packs v2 code sections
+    /// at the width the (possibly compacted) tables now imply.
     ///
     /// # Errors
     ///
@@ -624,15 +460,15 @@ impl CompiledModel {
     }
 
     /// A model over a program the analyzer has already passed: its ops
-    /// as they are, its pools owned and wide.
+    /// and pools as they are.
     fn owning(program: Program<'_>) -> Self {
         CompiledModel::assemble(
             program.input_features,
             program.output_features,
             program.virtual_encoder,
             program.ops,
-            FloatPool::Owned(program.floats.into_owned()),
-            CodePool::Wide(program.codes.into_owned()),
+            program.floats.into_owned(),
+            program.codes.into_owned(),
         )
     }
 
@@ -679,10 +515,10 @@ impl CompiledModel {
     }
 
     /// Materializes integer kernels for every op the analyzer licenses
-    /// ([`rapidnn_analyze::quantize_plan`]): `i16` weight/table tiles,
-    /// quantized biases and precomputed finish LUTs, with v2 bit-packed
-    /// code sections consumed directly — exactly once, here — so the
-    /// integer batch path never decodes weight tiles again.
+    /// ([`rapidnn_analyze::quantize_plan`]): `i16` weight tiles,
+    /// quantized biases and precomputed finish LUTs, expanded from the
+    /// code pool exactly once, here. A licensed op's `f32` multiply
+    /// kernel is dropped: one op holds one kernel.
     ///
     /// Quantization is opt-in: no constructor enables it, so the f32
     /// path stays bit-identical unless a caller asks for integers. Ops
@@ -696,7 +532,13 @@ impl CompiledModel {
     /// harness (`bench/`) `.expect`s it.
     pub fn quantize(&mut self) -> Result<()> {
         let plan = rapidnn_analyze::quantize_plan(&self.to_program());
-        self.quant = Some(crate::quant::QuantState::materialize(self, plan));
+        let quant = crate::quant::QuantState::materialize(self, plan);
+        for (mul, licensed) in self.dense_mul.iter_mut().zip(&quant.ops) {
+            if licensed.is_some() {
+                *mul = None;
+            }
+        }
+        self.quant = Some(quant);
         Ok(())
     }
 

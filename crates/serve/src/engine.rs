@@ -764,13 +764,14 @@ mod tests {
     /// either replica — are answered bit for bit.
     #[test]
     fn replica_panic_fails_only_its_own_batch() {
-        let mut model = CompiledModel::deep_for_tests(1);
-        let rapidnn_analyze::Op::Dense { table, .. } = &mut model.ops[0] else {
-            unreachable!("deep_for_tests is all dense");
-        };
-        // Weight code 1 × input code 3 now reads one past the pool:
-        // a row with a feature near 1.0 panics, the others serve.
-        table.offset = 9;
+        let model = CompiledModel::deep_for_tests(1).edited(|ops, _| {
+            let rapidnn_analyze::Op::Dense { table, .. } = &mut ops[0] else {
+                unreachable!("deep_for_tests is all dense");
+            };
+            // Weight code 1 × input code 3 now reads one past the pool:
+            // a row with a feature near 1.0 panics, the others serve.
+            table.offset = 9;
+        });
         let (good, bad) = (vec![-1.0, -0.25, 0.5, -1.0], vec![-1.0, -0.25, 0.5, 1.0]);
         let expected = model.infer(&good).unwrap();
         let engine = Engine::start(

@@ -35,15 +35,20 @@
 //! Pools, residual joins and encode steps are element-wise or
 //! window-local and run as plain batched loops.
 //!
-//! # Kernels per dense op
+//! # One kernel per dense op, chosen at load
 //!
-//! An op the analyzer licensed ([`CompiledModel::quantize`]) runs the
-//! one integer kernel, the `i16 × i16 → i32` multiply-accumulate tile
-//! ([`madd_tile`]). Every other dense op runs in `f32`: as a packed
-//! multiply when its table factors back into `fl(w · book[x])`
-//! ([`factor_table`], checked per batch of at least [`LANES`] rows),
-//! else as the table gather ([`dense_block_gather`]) — which is also
-//! where an op refused as `FallbackReason::NotFactored` serves.
+//! The model holds each dense op's kernel; the batch loop derives
+//! nothing the model fixes. An op the analyzer licensed
+//! ([`CompiledModel::quantize`]) runs the one integer kernel, the
+//! `i16 × i16 → i32` multiply-accumulate tile ([`madd_tile`]). Every
+//! other dense op runs in `f32`: when its table factors back into
+//! `fl(w · book[x])`, [`lower_dense`] decoded its weight matrix when
+//! the model was assembled and a batch of at least [`LANES`] rows runs
+//! as a packed multiply ([`dense_mul_block`]); else — a table that does
+//! not factor (an op refused as `FallbackReason::NotFactored` serves
+//! here), a batch below a block — as the table gather
+//! ([`dense_block_gather`], [`dense_row`]), reading its weight codes as
+//! a slice of the model's pool.
 //!
 //! # Equivalence
 //!
@@ -58,7 +63,7 @@ use crate::artifact::{apply_act, CompiledModel, InputEncoder};
 use crate::error::{ArtifactError, Result, ServeError};
 use crate::lanes::Acc;
 use crate::quant::{level_of, LutOut, QuantFinish, QuantOp};
-use rapidnn_analyze::{Act, Geom, Op, Span, TableRef};
+use rapidnn_analyze::{factor_table, Act, Geom, Op, Span, TableRef};
 // The branch-free nearest-representative search originated here and now
 // lives in `rapidnn_core::nearest`, shared with the composer's encode
 // paths so both sides pay the same cost per encode.
@@ -97,9 +102,8 @@ impl Domain {
     }
 }
 
-/// Where the flow stands between two ops: which domain it is in, how
-/// wide a row is, and (in the encoded and quantized domains) which
-/// codebook the values were encoded through. A pipeline stage boundary
+/// Where the flow stands between two ops: which domain it is in and how
+/// wide a row is. A pipeline stage boundary
 /// is exactly one of these — the shard planner derives the entry state
 /// of every legal cut point statically, and [`BatchRunner::exec_ops`]
 /// resumes execution from it bit-identically to an uncut run.
@@ -109,9 +113,6 @@ pub(crate) struct FlowState {
     pub(crate) domain: Domain,
     /// Values per row.
     pub(crate) width: usize,
-    /// Codebook the current codes index into (`None` when decoded or
-    /// unknown); lets a downstream dense op take the factored fast path.
-    pub(crate) book: Option<Span>,
 }
 
 /// Owned batch buffer handed between pipeline stages. Buffers are
@@ -179,22 +180,9 @@ pub struct BatchRunner {
     /// Interleaved code tile for one [`LANES`]-row block (see
     /// [`interleave`]).
     tile: Vec<u16>,
-    /// Interleaved *decoded* tile for the factored dense fast path (see
+    /// Interleaved *decoded* tile for the f32 multiply kernel (see
     /// [`interleave_decode`]).
     tile_f: Vec<f32>,
-    /// Recovered per-weight-code factors of the current product table
-    /// (see [`factor_table`]).
-    wvals: Vec<f32>,
-    /// Decoded weight matrix (`outputs × inputs`) for the factored
-    /// dense fast path, rebuilt once per op per batch.
-    wdec: Vec<f32>,
-    /// Decoded weight-code tile for models whose code pool is
-    /// bit-packed (format v2): each neuron op's span is unpacked here
-    /// once per batch, so the gather loops read the same wide codes
-    /// they read for wide pools — bit-for-bit identical results, with
-    /// the unpack cost amortized across the whole batch. Wide pools
-    /// borrow their codes directly and leave this untouched.
-    wcodes: Vec<u16>,
 }
 
 /// The arena's flow buffers: per [`Domain`], the current flow
@@ -247,9 +235,6 @@ impl BatchRunner {
         self.act_keys.reserve(plan.max_act);
         self.tile.reserve(plan.max_tile.saturating_mul(LANES));
         self.tile_f.reserve(plan.max_tile_f.saturating_mul(LANES));
-        self.wvals.reserve(plan.max_wcount);
-        self.wdec.reserve(plan.max_dense);
-        self.wcodes.reserve(plan.max_wcodes);
         let rows = |width: usize| max_rows.saturating_mul(width);
         self.flow.codes.reserve(rows(plan.max_codes));
         self.flow.codes_next.reserve(rows(plan.max_codes));
@@ -268,10 +253,9 @@ impl BatchRunner {
     /// (capacities, not live lengths).
     ///
     /// This is the runner's whole heap footprint, exposed so tests can
-    /// pin the high-water accounting — in particular that models whose
-    /// table ops all run the integer path stop paying for weight-code
-    /// decode tiles, so the arena no longer scales with the artifact's
-    /// code-section size.
+    /// pin the high-water accounting — in particular that it holds
+    /// flow buffers and block tiles only: weights in every form live in
+    /// the model, so the arena does not scale with its code pool.
     pub fn scratch_bytes(&self) -> usize {
         use std::mem::size_of;
         self.flow.codes.capacity() * size_of::<u16>()
@@ -289,9 +273,6 @@ impl BatchRunner {
             + self.act_keys.capacity() * size_of::<i32>()
             + self.tile.capacity() * size_of::<u16>()
             + self.tile_f.capacity() * size_of::<f32>()
-            + self.wvals.capacity() * size_of::<f32>()
-            + self.wdec.capacity() * size_of::<f32>()
-            + self.wcodes.capacity() * size_of::<u16>()
     }
 
     /// Runs batched inference over `rows × features` row-major `inputs`,
@@ -355,7 +336,7 @@ impl BatchRunner {
         padded: usize,
     ) -> FlowState {
         let features = model.input_features;
-        let book = || model.virtual_encoder.slice(model.float_pool());
+        let book = || model.virtual_encoder.slice(&model.floats);
         let domain = match model.madd_levels(0) {
             None => {
                 let codes = &mut self.flow.codes;
@@ -385,7 +366,6 @@ impl BatchRunner {
         FlowState {
             domain,
             width: features,
-            book: Some(model.virtual_encoder),
         }
     }
 
@@ -466,22 +446,14 @@ impl BatchRunner {
             act_keys,
             tile,
             tile_f,
-            wvals,
-            wdec,
-            wcodes: wcodes_scratch,
         } = self;
-        let pool_f: &[f32] = model.float_pool();
+        let pool_f: &[f32] = &model.floats;
         // Residual nesting is stage-local: the planner only cuts at
         // depth 0, so every range starts and ends outside all regions.
         let mut skip_depth = 0usize;
 
         let mut domain = entry.domain;
         let mut width = entry.width;
-        // The codebook the current flow was encoded through, tracked so
-        // dense ops can try the factored multiply path (see
-        // [`factor_table`]). `None` whenever the flow is decoded or the
-        // book is unknown.
-        let mut cur_book: Option<Span> = entry.book;
 
         for oi in range {
             let op = &model.ops[oi];
@@ -500,19 +472,15 @@ impl BatchRunner {
                 } => {
                     let (nin, nout) = (*nin, *outputs);
                     // Analyzer-licensed ops run the integer path on
-                    // tiles materialized once at load time, streamed
-                    // straight from the (possibly bit-packed) code
-                    // sections. This branch never calls `codes_for`:
-                    // no per-op weight tile is decoded into the arena,
-                    // and the activation + re-encode are baked into
-                    // the finish LUT, so the op is one pass.
+                    // tiles materialized once at load time; the
+                    // activation + re-encode are baked into the finish
+                    // LUT, so the op is one pass.
                     if let Some(q) = model.quant_op(oi) {
                         debug_assert_eq!((q.nin, q.nout), (nin, nout));
                         if domain != Domain::Quants {
                             return Err(wrong_domain(domain));
                         }
                         domain = quant_dense(q, flow, padded);
-                        cur_book = *encoder;
                         width = nout;
                         continue;
                     }
@@ -521,51 +489,25 @@ impl BatchRunner {
                     }
                     let codes = &flow.codes;
                     let floats_next = &mut flow.floats_next;
-                    let wcodes = model.codes_for(*weight_codes, wcodes_scratch);
+                    let wcodes = weight_codes.slice(&model.codes);
                     let b = bias.slice(pool_f);
                     refill(floats_next, padded * nout);
-                    // When the incoming codebook is known, try to factor
-                    // the product table back into per-weight multipliers
-                    // (verified bitwise) and run the op as a packed
-                    // multiply instead of a table gather.
-                    let factored = padded >= LANES
-                        && cur_book
-                            .is_some_and(|bk| factor_table(pool_f, table, bk.slice(pool_f), wvals));
+                    let mul = model.dense_mul[oi].as_ref();
                     let mut r0 = 0usize;
-                    if factored {
-                        let bk = cur_book.map_or(&[] as &[f32], |s| s.slice(pool_f));
-                        decode_weights(wvals, wcodes, wdec);
-                        while r0 + LANES <= padded {
-                            interleave_decode(
-                                &codes[r0 * nin..(r0 + LANES) * nin],
-                                nin,
-                                bk,
-                                tile_f,
-                            );
-                            dense_mul_block(
-                                wdec,
-                                b,
-                                tile_f,
-                                &mut floats_next[r0 * nout..(r0 + LANES) * nout],
-                                nout,
-                            );
-                            r0 += LANES;
+                    while r0 + LANES <= padded {
+                        let xblock = &codes[r0 * nin..(r0 + LANES) * nin];
+                        let dst = &mut floats_next[r0 * nout..(r0 + LANES) * nout];
+                        match mul {
+                            Some(mul) => {
+                                interleave_decode(xblock, nin, mul.book.slice(pool_f), tile_f);
+                                dense_mul_block(&mul.weights, b, tile_f, dst, nout);
+                            }
+                            None => {
+                                interleave(xblock, nin, tile);
+                                dense_block_gather(pool_f, table, wcodes, b, dst, nout, tile);
+                            }
                         }
-                    } else {
-                        while r0 + LANES <= padded {
-                            dense_block(
-                                pool_f,
-                                table,
-                                wcodes,
-                                b,
-                                &codes[r0 * nin..(r0 + LANES) * nin],
-                                &mut floats_next[r0 * nout..(r0 + LANES) * nout],
-                                nin,
-                                nout,
-                                tile,
-                            );
-                            r0 += LANES;
-                        }
+                        r0 += LANES;
                     }
                     for r in r0..padded {
                         dense_row(
@@ -578,7 +520,6 @@ impl BatchRunner {
                         );
                     }
                     domain = finish_neuron(pool_f, act, encoder, levels, flow, keys, act_keys);
-                    cur_book = *encoder;
                     width = nout;
                 }
                 Op::Conv {
@@ -596,7 +537,7 @@ impl BatchRunner {
                     }
                     let codes = &flow.codes;
                     let floats_next = &mut flow.floats_next;
-                    let wcodes = model.codes_for(*weight_codes, wcodes_scratch);
+                    let wcodes = weight_codes.slice(&model.codes);
                     let b = bias.slice(pool_f);
                     let in_vol = g.in_volume();
                     let nout = out_channels * g.out_pixels();
@@ -633,7 +574,6 @@ impl BatchRunner {
                         );
                     }
                     domain = finish_neuron(pool_f, act, encoder, levels, flow, keys, act_keys);
-                    cur_book = *encoder;
                     width = nout;
                 }
                 Op::MaxPool(g) => {
@@ -674,7 +614,6 @@ impl BatchRunner {
                         (Domain::Codes, levels) => {
                             let book = codebook.slice(pool_f);
                             load_keys(keys, book);
-                            cur_book = Some(*codebook);
                             let encode = |s: f32| nearest_sorted(book, keys, s / window);
                             let decode = |c: u16| book[c as usize];
                             let src = &flow.codes;
@@ -738,7 +677,6 @@ impl BatchRunner {
                         Some(enc) => {
                             let book = enc.slice(pool_f);
                             load_keys(keys, book);
-                            cur_book = Some(*enc);
                             emit_encoded(
                                 levels,
                                 &mut flow.codes_next,
@@ -753,7 +691,6 @@ impl BatchRunner {
                             for i in 0..n {
                                 dst[i] = joined[i] + skip[i];
                             }
-                            cur_book = None;
                             Domain::Floats
                         }
                     };
@@ -762,11 +699,7 @@ impl BatchRunner {
             }
         }
 
-        Ok(FlowState {
-            domain,
-            width,
-            book: cur_book,
-        })
+        Ok(FlowState { domain, width })
     }
 }
 
@@ -784,6 +717,7 @@ pub(crate) fn pad_rows(rows: usize) -> usize {
 }
 
 /// Scratch-arena high-water marks for one model (see [`plan`]).
+#[derive(Default)]
 struct Plan {
     /// Widest flow the op program reaches in each domain — a model
     /// whose whole program runs in one encoded domain reserves nothing
@@ -797,48 +731,27 @@ struct Plan {
     max_skip: usize,
     /// Widest input any op interleaves into a [`LANES`]-row code tile
     /// (f32 gathers, convolutions), and into a decoded tile (the f32
-    /// factored path).
+    /// multiply kernel).
     max_tile: usize,
     max_tile_f: usize,
     /// Largest codebook encoded through.
     max_book: usize,
     /// Largest activation lookup table applied.
     max_act: usize,
-    /// Most weight representatives in any product table.
-    max_wcount: usize,
-    /// Largest dense weight matrix (`outputs × inputs`).
-    max_dense: usize,
-    /// Longest weight-code span of any neuron op (the packed-pool
-    /// decode tile's high-water mark).
-    max_wcodes: usize,
 }
 
 /// Collects the scratch arena's high-water marks from the static flow
 /// walk ([`flow_states`]) and the op program.
 ///
-/// Quantized models reserve less: an analyzer-licensed dense op runs
-/// entirely on tiles materialized at load time and writes its finish
-/// straight into the next op's flow buffer, so it contributes no
-/// weight-decode, factored-matrix, activation-key, encode-book or
-/// accumulator capacity — nothing at all, reading its rows from the
-/// flow in place. In particular `max_wcodes` (the
-/// packed-pool decode tile) skips licensed ops, so a fully licensed
-/// model's arena no longer grows with its code-section size.
+/// No op reserves anything for its weights — codes, decoded matrix
+/// and integer tiles all live in the model — so the arena is flow
+/// buffers plus one block tile and does not grow with the code pool.
+/// Quantized models reserve less still: an analyzer-licensed dense op
+/// writes its finish straight into the next op's flow buffer, so it
+/// contributes no tile, activation-key, encode-book or accumulator
+/// capacity — nothing at all, reading its rows from the flow in place.
 fn plan(model: &CompiledModel) -> Plan {
-    let mut p = Plan {
-        max_codes: 0,
-        max_quants: 0,
-        max_floats: 0,
-        skip_depth: 0,
-        max_skip: 0,
-        max_tile: 0,
-        max_tile_f: 0,
-        max_book: 0,
-        max_act: 0,
-        max_wcount: 0,
-        max_dense: 0,
-        max_wcodes: 0,
-    };
+    let mut p = Plan::default();
     fn span_len(enc: &Option<Span>) -> usize {
         enc.as_ref().map_or(0, |e| e.len)
     }
@@ -863,38 +776,25 @@ fn plan(model: &CompiledModel) -> Plan {
         // leaves.
         let (reads, nout) = (states[oi].width, states[oi + 1].width);
         match op {
-            Op::Dense {
-                inputs,
-                outputs,
-                weight_codes,
-                encoder,
-                act,
-                table,
-                ..
-            } if model.quant_op(oi).is_none() => {
+            Op::Dense { encoder, act, .. } if model.quant_op(oi).is_none() => {
                 p.max_floats = p.max_floats.max(nout);
-                p.max_tile = p.max_tile.max(reads);
-                p.max_tile_f = p.max_tile_f.max(reads);
+                // A block is interleaved for the kernel the op holds.
+                let tile = match model.dense_mul[oi] {
+                    Some(_) => &mut p.max_tile_f,
+                    None => &mut p.max_tile,
+                };
+                *tile = (*tile).max(reads);
                 p.max_book = p.max_book.max(span_len(encoder));
                 p.max_act = p.max_act.max(act_len(act));
-                p.max_wcount = p.max_wcount.max(table.weight_count);
-                p.max_dense = p.max_dense.max(inputs.saturating_mul(*outputs));
-                p.max_wcodes = p.max_wcodes.max(weight_codes.len);
             }
             // A licensed op reads its rows from the flow in place and
             // its weights from tiles materialized at load.
             Op::Dense { .. } => {}
-            Op::Conv {
-                weight_codes,
-                encoder,
-                act,
-                ..
-            } => {
+            Op::Conv { encoder, act, .. } => {
                 p.max_floats = p.max_floats.max(nout);
                 p.max_tile = p.max_tile.max(reads);
                 p.max_book = p.max_book.max(span_len(encoder));
                 p.max_act = p.max_act.max(act_len(act));
-                p.max_wcodes = p.max_wcodes.max(weight_codes.len);
             }
             Op::MaxPool(_) => {}
             Op::AvgPool { codebook, .. } => p.max_book = p.max_book.max(codebook.len),
@@ -940,7 +840,6 @@ pub(crate) fn flow_states_with(
     let mut st = FlowState {
         domain: encoded(0),
         width: model.input_features,
-        book: Some(model.virtual_encoder),
     };
     let mut depth = 0usize;
     states.push(st);
@@ -952,7 +851,6 @@ pub(crate) fn flow_states_with(
             } => {
                 st.width = *outputs;
                 st.domain = finished(oi, encoder);
-                st.book = *encoder;
             }
             Op::Conv {
                 geom,
@@ -962,7 +860,6 @@ pub(crate) fn flow_states_with(
             } => {
                 st.width = out_channels * geom.out_pixels();
                 st.domain = finished(oi, encoder);
-                st.book = *encoder;
             }
             Op::MaxPool(g) => {
                 st.width = g.in_channels * g.out_pixels();
@@ -970,11 +867,10 @@ pub(crate) fn flow_states_with(
                     st.domain = encoded(oi + 1);
                 }
             }
-            Op::AvgPool { geom: g, codebook } => {
+            Op::AvgPool { geom: g, .. } => {
                 st.width = g.in_channels * g.out_pixels();
                 if st.domain != Domain::Floats {
                     st.domain = encoded(oi + 1);
-                    st.book = Some(*codebook);
                 }
             }
             Op::ResidualBegin { .. } => {
@@ -986,7 +882,6 @@ pub(crate) fn flow_states_with(
             Op::ResidualEnd { encoder } => {
                 depth = depth.saturating_sub(1);
                 st.domain = finished(oi, encoder);
-                st.book = *encoder;
             }
         }
         states.push(st);
@@ -995,30 +890,13 @@ pub(crate) fn flow_states_with(
     (states, depths)
 }
 
-/// Dense over one [`LANES`]-row block: for each output neuron, [`LANES`]
-/// accumulators live in a local array while the weight loop runs
-/// innermost, so the block's add chains are independent and the current
-/// table row is shared by all lanes. The block's codes are first
-/// transposed into the interleaved `tile` (feature-major, lane-minor),
-/// so the hot loop reads one contiguous `LANES`-code group per weight —
-/// `chunks_exact` makes the lane indices provably in-bounds.
-#[allow(clippy::too_many_arguments)]
-fn dense_block(
-    pool_f: &[f32],
-    table: &TableRef,
-    wcodes: &[u16],
-    bias: &[f32],
-    xblock: &[u16],
-    dst: &mut [f32],
-    nin: usize,
-    nout: usize,
-    tile: &mut Vec<u16>,
-) {
-    interleave(xblock, nin, tile);
-    dense_block_gather(pool_f, table, wcodes, bias, dst, nout, tile);
-}
-
-/// Gather loop of [`dense_block`] over the already-interleaved `tile`.
+/// Dense table gather over one [`LANES`]-row block: for each output
+/// neuron, [`LANES`] accumulators live in a local array while the weight
+/// loop runs innermost, so the block's add chains are independent and
+/// the current table row is shared by all lanes. The block's codes come
+/// transposed into the interleaved `tile` ([`interleave`]: feature-major,
+/// lane-minor), so the hot loop reads one contiguous `LANES`-code group
+/// per weight — `chunks_exact` makes the lane indices provably in-bounds.
 #[inline]
 fn dense_block_gather(
     pool_f: &[f32],
@@ -1096,55 +974,55 @@ fn interleave(xblock: &[u16], width: usize, tile: &mut Vec<u16>) {
     }
 }
 
-/// Attempts to factor a dense product table back into per-weight-code
-/// multipliers. `ProductTable` stores the single-rounded product
-/// `w * x` for every (weight, input) representative pair, so with the
-/// input codebook in hand each table row is `fl(w · book[x])` for one
-/// recoverable weight value `w`. A candidate is read off any finite
-/// nonzero book entry and then **every** product is verified bitwise
-/// against the stored table, so on success `wvals[w] * book[x]`
-/// reproduces each entry exactly and the caller may replace the table
-/// gather with a packed multiply ([`dense_mul_block`]). Returns `false`
-/// — leaving the gather path in charge — for tables not of this form
-/// (possible only in hand-crafted artifacts).
-fn factor_table(pool_f: &[f32], table: &TableRef, book: &[f32], wvals: &mut Vec<f32>) -> bool {
-    if book.is_empty() || book.len() > table.input_count || table.weight_count == 0 {
-        return false;
-    }
-    wvals.clear();
-    for w in 0..table.weight_count {
-        let row = table.row(pool_f, w);
-        let mut found = None;
-        'candidate: for (x0, &b0) in book.iter().enumerate() {
-            if b0 == 0.0 || !b0.is_finite() {
-                continue;
-            }
-            let cand = row[x0] / b0;
-            for (&bx, &rx) in book.iter().zip(row) {
-                if (cand * bx).to_bits() != rx.to_bits() {
-                    continue 'candidate;
-                }
-            }
-            found = Some(cand);
-            break;
-        }
-        match found {
-            Some(v) => wvals.push(v),
-            None => return false,
-        }
-    }
-    true
+/// A dense op lowered to the `f32` multiply kernel: its table is
+/// `fl(w · book[x])` ([`factor_table`] verified every product a weight
+/// code can select, bitwise), so `weights[j] * book[x]` is the entry
+/// the gather would have loaded.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct DenseMul {
+    /// Codebook the op's input codes decode through.
+    pub(crate) book: Span,
+    /// The decoded `outputs × inputs` weight matrix [`dense_mul_block`]
+    /// streams through: each weight code's recovered factor.
+    pub(crate) weights: Vec<f32>,
 }
 
-/// Expands the weight-code matrix through the recovered factors
-/// (`wdec[j] = wvals[wcodes[j]]`) into one flat `outputs × inputs`
-/// matrix for [`dense_mul_block`] to stream through.
-///
-/// [`factor_table`] recovered one factor per table row and the analyzer
-/// proved every weight code a row of that table, so the index is plain.
-fn decode_weights(wvals: &[f32], wcodes: &[u16], wdec: &mut Vec<f32>) {
-    wdec.clear();
-    wdec.extend(wcodes.iter().map(|&w| wvals[usize::from(w)]));
+/// Lowers every dense op whose table factors over the codebook its
+/// input was encoded through, `None` for every other op — the one
+/// walk that tracks that codebook. Runs before the analyzer has seen
+/// the program, so a span or code out of range lowers to `None`, never
+/// a panic.
+pub(crate) fn lower_dense(
+    virtual_encoder: Span,
+    ops: &[Op],
+    floats: &[f32],
+    codes: &[u16],
+) -> Vec<Option<DenseMul>> {
+    let mut cur_book = Some(virtual_encoder);
+    let lower = |op: &Op| match op {
+        Op::Dense {
+            weight_codes,
+            table,
+            encoder,
+            ..
+        } => {
+            let book = std::mem::replace(&mut cur_book, *encoder)?;
+            let wcodes = weight_codes.get(codes)?;
+            let factors = factor_table(floats, table, book.get(floats)?, wcodes)?;
+            let weights = wcodes.iter().map(|&w| factors[usize::from(w)]).collect();
+            Some(DenseMul { book, weights })
+        }
+        Op::Conv { encoder, .. } | Op::ResidualEnd { encoder } => {
+            cur_book = *encoder;
+            None
+        }
+        Op::AvgPool { codebook, .. } => {
+            cur_book = Some(*codebook);
+            None
+        }
+        Op::MaxPool(_) | Op::ResidualBegin { .. } => None,
+    };
+    ops.iter().map(lower).collect()
 }
 
 /// [`interleave`] fused with a codebook decode, producing the `f32`
@@ -1164,7 +1042,7 @@ fn interleave_decode(xblock: &[u16], width: usize, book: &[f32], tile_f: &mut Ve
 /// Multiply-accumulate form of [`dense_block_gather`] for factored
 /// tables: `acc += w · x` on the decoded weight matrix and tile. Every
 /// product is bitwise equal to the table entry the gather would have
-/// loaded ([`factor_table`] verified all of them) and each accumulator
+/// loaded (see [`DenseMul`]) and each accumulator
 /// still sums its weights in ascending order, so results are unchanged
 /// — but the inner loop is a pure mul-add stream the compiler turns
 /// into packed vector arithmetic, with no loads serialised behind
@@ -1402,7 +1280,7 @@ fn madd_outputs<const R: usize, const O: usize, T: Copy>(
     }
 }
 
-/// Convolution over one [`LANES`]-row block, mirroring [`dense_block`]:
+/// Convolution over one [`LANES`]-row block, mirroring [`dense_block_gather`]:
 /// per output pixel, the tap loop runs innermost over a register block
 /// of accumulators reading contiguous lane groups from the interleaved
 /// tile; padding taps add the same product to every lane.
@@ -1794,6 +1672,35 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// One op, one kernel, read off its table: in a mixed plan the
+    /// licensed ops hold integer tiles and no `f32` matrix, the op too
+    /// wide for `i16` keeps the multiply its table factors into, and
+    /// the op whose table does not factor holds nothing — it gathers.
+    /// Block batches (multiply, block gather, 4-row tiles) equal the
+    /// one-row kernels (row gather, 1-row tiles) bit for bit.
+    #[test]
+    fn each_dense_op_serves_on_the_kernel_its_table_allows() {
+        let (refused, gathered) = (1, 3);
+        let model = CompiledModel::deep_mixed_for_tests(5, refused, gathered);
+        for oi in 0..5 {
+            let kernels = (model.quant_op(oi).is_some(), model.dense_mul[oi].is_some());
+            let expected = (oi != refused && oi != gathered, oi == refused);
+            assert_eq!(kernels, expected, "op {oi}: (madd, mul)");
+        }
+        let mut runner = BatchRunner::new();
+        let (mut block, mut row) = (Vec::new(), Vec::new());
+        for rows in [8usize, 64] {
+            let inputs: Vec<f32> = (0..rows * 4).map(|i| (i as f32 * 0.37).sin()).collect();
+            runner.run(&model, &inputs, &mut block).unwrap();
+            for (r, sample) in inputs.chunks(4).enumerate() {
+                runner.run(&model, sample, &mut row).unwrap();
+                let got = &block[r * 4..(r + 1) * 4];
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(&row), "row {r} of {rows}");
+            }
+        }
     }
 
     /// The branch-free search must agree with the reference binary

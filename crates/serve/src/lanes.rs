@@ -13,8 +13,8 @@
 //! the [`portable`] body runs; it is compiled on every target and unit
 //! tested lane for lane against the SSE2 one.
 //!
-//! With `pod`, one of the two modules in the crate allowed to use
-//! `unsafe`; the crate root is `#![deny(unsafe_code)]`.
+//! The one module in the crate allowed to use `unsafe`; the crate root
+//! is `#![deny(unsafe_code)]`.
 #![allow(unsafe_code)]
 
 #[cfg(not(target_arch = "x86_64"))]

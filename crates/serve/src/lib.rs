@@ -9,7 +9,8 @@
 //! * [`artifact`] — [`CompiledModel`] flattens the reinterpreted network
 //!   into two contiguous pools plus the analyzer's linear op program,
 //!   serializable to a versioned, checksummed, std-only binary format
-//!   (`wire`). Inference over the flat program is bit-for-bit identical
+//!   (`wire`, bit-packed on the wire and unpacked once at load).
+//!   Inference over the flat program is bit-for-bit identical
 //!   to the source network.
 //! * [`kernels`] — [`BatchRunner`] executes the op program batch-major
 //!   over a reusable scratch arena: each op runs once per batch across
@@ -62,10 +63,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-// `deny` rather than `forbid`: two modules opt back in — `pod` for the
-// two checked reinterpretation casts behind the v2 zero-copy loader,
-// `lanes` for the SSE2 multiply-add step of the integer tile kernel;
-// everything else in the crate stays safe code.
+// `deny` rather than `forbid`: one module opts back in — `lanes`, for
+// the SSE2 multiply-add step of the integer tile kernel, which CI's
+// Miri job runs; everything else in the crate stays safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -77,7 +77,6 @@ mod lanes;
 pub mod lint;
 pub mod metrics;
 pub mod pipeline;
-mod pod;
 mod quant;
 mod wire;
 

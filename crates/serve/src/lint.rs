@@ -10,7 +10,7 @@
 //! [`CompiledModel::from_bytes`]: crate::CompiledModel::from_bytes
 
 use crate::error::ArtifactError;
-use rapidnn_analyze::{DiagCode, Diagnostic, Report};
+use rapidnn_analyze::{DiagCode, Diagnostic, Program, Report};
 
 /// Statically analyzes a serialized artifact, folding decode failures
 /// into the report ([`decode_failure_report`]) instead of returning
@@ -23,7 +23,10 @@ use rapidnn_analyze::{DiagCode, Diagnostic, Report};
 /// [`CompiledModel::from_bytes`]: crate::CompiledModel::from_bytes
 pub fn lint_bytes(bytes: &[u8]) -> Report {
     match crate::wire::decode(bytes) {
-        Ok(model) => model.analyze(),
+        Ok((model, packed)) => rapidnn_analyze::analyze(&Program {
+            packed,
+            ..model.to_program()
+        }),
         Err(e) => decode_failure_report(&e),
     }
 }
@@ -50,7 +53,7 @@ pub fn decode_failure_report(e: &ArtifactError) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{CodePool, CompiledModel, FloatPool};
+    use crate::artifact::CompiledModel;
     use rapidnn_analyze::{Geom, Op, Severity, Span};
 
     fn padded_pool_model() -> CompiledModel {
@@ -72,8 +75,8 @@ mod tests {
                 out_height: 3,
                 out_width: 3,
             })],
-            FloatPool::Owned(vec![0.0, 1.0]),
-            CodePool::Wide(vec![]),
+            vec![0.0, 1.0],
+            vec![],
         )
     }
 
@@ -93,14 +96,8 @@ mod tests {
         // The other PR-1 panic class: a codebook past the u16 index
         // range, whose top entries `nearest` would silently wrap.
         let len = (1 << 16) + 1;
-        let model = CompiledModel::assemble(
-            1,
-            1,
-            Span { start: 0, len },
-            vec![],
-            FloatPool::Owned(vec![0.0; len]),
-            CodePool::Wide(vec![]),
-        );
+        let model =
+            CompiledModel::assemble(1, 1, Span { start: 0, len }, vec![], vec![0.0; len], vec![]);
         let report = lint_bytes(&model.to_bytes());
         let d = report
             .find(DiagCode::OversizedCodebook)

@@ -20,11 +20,9 @@
 //! `xq_next[lut_codes[bucket]]`, and every other producer is handed the
 //! op's `xq` ([`CompiledModel::madd_levels`]) when it runs.
 //!
-//! Weight codes are consumed here exactly once, streamed straight out
-//! of the artifact's (possibly bit-packed) code pool via
-//! `CodePool::map_range`; at run time the integer path never touches
-//! the code sections again, and the batch arena never holds a weight
-//! tile for a licensed op.
+//! Weight codes are read here exactly once, as a slice of the model's
+//! code pool; at run time the integer path never touches the pool
+//! again, and the batch arena holds no weight tile for any op.
 
 use crate::artifact::{apply_act, nearest, CompiledModel};
 use rapidnn_analyze::{Act, FinishPlan, Op, OpQuant, QuantPlan};
@@ -124,7 +122,7 @@ impl QuantState {
     /// of its weight codes against the table `wvals` was recovered
     /// from.
     pub(crate) fn materialize(model: &CompiledModel, plan: QuantPlan) -> QuantState {
-        let pool_f = model.float_pool();
+        let pool_f: &[f32] = &model.floats;
         let mut ops: Vec<Option<QuantOp>> = Vec::with_capacity(model.ops.len());
         for (op, verdict) in model.ops.iter().zip(&plan.ops) {
             let OpQuant::Licensed(lic) = verdict else {
@@ -153,12 +151,8 @@ impl QuantState {
                 .collect();
             // Quantize `wvals`' few levels once; a weight is its code's level.
             let wq = Vec::from_iter(lic.wvals.iter().map(|&w| quant_i16(w, lic.w_frac)));
-            let mut weights = Vec::with_capacity(weight_codes.len);
-            model
-                .codes
-                .map_range(weight_codes.start, weight_codes.len, |c| {
-                    weights.push(level_of(&wq, c));
-                });
+            let wcodes = weight_codes.slice(&model.codes);
+            let weights = wcodes.iter().map(|&c| level_of(&wq, c)).collect();
             let xq = book.iter().map(|&b| quant_i16(b, lic.x_frac)).collect();
             let inv = 1.0 / scale;
             let finish = match lic.finish {

@@ -9,32 +9,30 @@
 //! region, and tail directory), then the ops, zero padding to the next
 //! 8-byte boundary, the raw LE `f32` float section, per-op code
 //! sections bit-packed at `ceil(log2(codebook_len))` bits each, and
-//! finally a tail directory locating every section. Because the payload
-//! begins 8 bytes into a 16-byte outer header, an 8-aligned payload
-//! offset is 8-aligned in the whole buffer, and the loader can borrow
-//! the float section (and read codes through a bounded bit cursor)
-//! directly out of one aligned copy of the artifact —
-//! validate-then-borrow instead of parse-then-copy.
+//! finally a tail directory locating every section.
+//!
+//! The packing is a property of the bytes only: [`decode`] unpacks
+//! every section once into the model's one `Vec<u16>` and copies the
+//! float section into its one `Vec<f32>`, so a loaded model is laid out
+//! exactly like the one it was written from and nothing downstream
+//! knows how it was built.
 //!
 //! Nothing here judges a program: [`decode`] checks byte framing only
 //! and hands back a model no analyzer has seen, which
 //! [`CompiledModel::from_bytes`] and `lint_bytes` then gate.
 
-use crate::artifact::{CodePool, CompiledModel, FloatPool, PackedSection};
+use crate::artifact::CompiledModel;
 use crate::error::ArtifactError;
-use crate::pod::{self, AlignedBytes};
-use rapidnn_analyze::{Act, Geom, Op, Span, TableRef};
-use std::sync::Arc;
+use rapidnn_analyze::{Act, Geom, Op, PackedSection, Span, TableRef};
 
 /// File magic: `RNNA` ("RapidNN Artifact").
 pub const MAGIC: [u8; 4] = *b"RNNA";
 /// The artifact format version (bit-packed code sections with a tail
-/// directory and a zero-copy float section) — the only one read or
+/// directory and an aligned raw float section) — the only one read or
 /// written.
 pub const FORMAT_VERSION: u32 = 2;
 /// Byte length of the outer framing before the payload (magic, version,
-/// payload length). The payload therefore starts 8-aligned inside the
-/// buffer, which the v2 zero-copy float view relies on.
+/// payload length), so the payload starts 8-aligned in the file.
 const OUTER_HEADER_LEN: usize = 16;
 /// Byte length of the fixed v2 payload header (nine `u64` fields).
 const V2_HEADER_LEN: usize = 72;
@@ -61,7 +59,7 @@ fn bits_needed(values: &[u16]) -> u32 {
 }
 
 /// Bytes needed to pack `len` codes at `width` bits each.
-pub(crate) fn packed_byte_len(len: usize, width: u32) -> usize {
+fn packed_byte_len(len: usize, width: u32) -> usize {
     (len * width as usize).div_ceil(8)
 }
 
@@ -70,7 +68,7 @@ pub(crate) fn packed_byte_len(len: usize, width: u32) -> usize {
 /// past the final byte (possible only while probing, never for codes a
 /// validated section owns) stays in bounds.
 #[inline]
-pub(crate) fn read_bits(stream: &[u8], bit: usize, mask: u32) -> u16 {
+fn read_bits(stream: &[u8], bit: usize, mask: u32) -> u16 {
     let byte = bit / 8;
     let shift = bit % 8;
     let mut acc = 0u32;
@@ -115,12 +113,10 @@ impl BitWriter {
 /// format version, payload length, payload, FNV-1a 64 checksum —
 /// all little-endian. The payload carries the float pool as raw LE
 /// `f32` bytes at an 8-aligned offset and the code pool as per-op
-/// bit-packed sections located by a tail directory, so a loader can
-/// borrow both without materializing them.
+/// bit-packed sections located by a tail directory.
 pub(crate) fn encode(model: &CompiledModel) -> Vec<u8> {
-    let floats = model.float_pool();
-    let codes = model.codes.to_wide();
-    let sections = plan_sections(&model.ops, &codes);
+    let (floats, codes) = (&model.floats, &model.codes);
+    let sections = plan_sections(&model.ops, codes);
 
     // Ops first (variable length), so the header can record where
     // the aligned float section starts.
@@ -157,7 +153,7 @@ pub(crate) fn encode(model: &CompiledModel) -> Vec<u8> {
     }
     payload.extend_from_slice(&ops_bytes);
     payload.resize(float_byte_off, 0); // alignment padding, must be zero
-    for &f in floats {
+    for f in floats {
         payload.extend_from_slice(&f.to_le_bytes());
     }
     for stream in &streams {
@@ -188,14 +184,15 @@ fn ops_bytes(model: &CompiledModel) -> Vec<u8> {
     out
 }
 
-/// Byte length of [`encode`]'s output, from the layout alone: no code
-/// is packed, no float copied, nothing hashed.
+/// Byte length of [`encode`]'s output, from the layout alone: the code
+/// pool is read in place for each section's width; no code is packed,
+/// no float copied, nothing hashed.
 pub(crate) fn encoded_len(model: &CompiledModel) -> usize {
-    let sections = plan_sections(&model.ops, &model.codes.to_wide());
+    let sections = plan_sections(&model.ops, &model.codes);
     let packed = |&(_, len, width): &(usize, usize, u32)| packed_byte_len(len, width);
     OUTER_HEADER_LEN
         + (V2_HEADER_LEN + ops_bytes(model).len()).next_multiple_of(8)
-        + model.float_pool().len() * 4
+        + model.floats.len() * 4
         + sections.iter().map(packed).sum::<usize>()
         + sections.len() * V2_DIR_ENTRY_LEN
         + 8
@@ -263,14 +260,16 @@ fn plan_sections(ops: &[Op], codes: &[u16]) -> Vec<(usize, usize, u32)> {
 }
 
 /// Decodes the byte framing (magic, version, checksum, payload) into
-/// a model no analyzer has seen. Callers run the analyzer over it
-/// ([`CompiledModel::from_bytes`], `lint_bytes`) before anything infers.
+/// a model no analyzer has seen, and the layout of the code sections it
+/// was unpacked from. Callers run the analyzer over both
+/// ([`CompiledModel::from_bytes`], `lint_bytes`) before anything infers,
+/// then drop the layouts: the model keeps no trace of the packing.
 ///
-/// Once the checksum holds, the whole image is copied into one aligned
-/// buffer (the only copy); the fixed header and ops are parsed, the
-/// section directory's framing invariants checked, and borrowed pool
-/// views built over the buffer — validate-then-borrow.
-pub(crate) fn decode(bytes: &[u8]) -> Result<CompiledModel, ArtifactError> {
+/// Once the checksum holds, the fixed header and ops are parsed and the
+/// section directory's framing invariants checked; each section is
+/// unpacked only after its stream is known to lie inside the packed
+/// region, so no allocation is sized by a count the bytes do not back.
+pub(crate) fn decode(bytes: &[u8]) -> Result<(CompiledModel, Vec<PackedSection>), ArtifactError> {
     let mut r = Reader::new(bytes);
     let magic = r.take(4)?;
     if magic != MAGIC {
@@ -301,8 +300,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<CompiledModel, ArtifactError> {
     }
 
     let invalid = |msg: String| ArtifactError::PackedLayout(msg);
-    let buf = Arc::new(AlignedBytes::copy_from(bytes));
-    let payload = &buf.bytes()[OUTER_HEADER_LEN..OUTER_HEADER_LEN + payload_len];
 
     let mut p = Reader::new(payload);
     let input_features = p.extent()?;
@@ -360,6 +357,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<CompiledModel, ArtifactError> {
     // with byte streams chaining exactly through the packed region.
     let mut d = Reader::new(&payload[dir_byte_off..]);
     let mut sections = Vec::with_capacity(nsections);
+    // A code costs at least one bit of the packed region.
+    let packed_bits = (dir_byte_off - packed_byte_off).saturating_mul(8);
+    let mut codes = Vec::with_capacity(ncodes.min(packed_bits));
     let mut code_cursor = 0usize;
     let mut byte_cursor = packed_byte_off;
     for i in 0..nsections {
@@ -396,18 +396,17 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<CompiledModel, ArtifactError> {
         // Unused high bits of the final byte must be zero; recorded
         // here, enforced by the analyzer so the mutation invariant
         // ("flagged or infers without panic") has no third outcome.
+        let stream = &payload[byte_off..byte_cursor];
         let tail_bits = (len * width_bits as usize) % 8;
-        let padding_clear = tail_bits == 0 || payload[byte_off + byte_len - 1] >> tail_bits == 0;
+        let padding_clear = tail_bits == 0 || stream[byte_len - 1] >> tail_bits == 0;
         sections.push(PackedSection {
-            layout: rapidnn_analyze::PackedSection {
-                code_start: start,
-                code_len: len,
-                width_bits,
-                padding_clear,
-            },
-            // Absolute offset in the artifact buffer.
-            byte_off: OUTER_HEADER_LEN + byte_off,
+            code_start: start,
+            code_len: len,
+            width_bits,
+            padding_clear,
         });
+        let mask = (1u32 << width_bits) - 1;
+        codes.extend((0..len).map(|i| read_bits(stream, i * width_bits as usize, mask)));
     }
     if code_cursor != ncodes {
         return Err(invalid(format!(
@@ -420,39 +419,20 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<CompiledModel, ArtifactError> {
         )));
     }
 
-    let float_bytes =
-        &buf.bytes()[OUTER_HEADER_LEN + float_byte_off..OUTER_HEADER_LEN + packed_byte_off];
-    let floats = match pod::f32s(float_bytes) {
-        // Zero-copy on little-endian targets: the section *is* the
-        // decoded values.
-        Some(_) => FloatPool::View {
-            buf: Arc::clone(&buf),
-            byte_off: OUTER_HEADER_LEN + float_byte_off,
-            len: nfloats,
-        },
-        // Big-endian (or a format drift that broke alignment):
-        // decode each lane instead of borrowing.
-        None => FloatPool::Owned(
-            float_bytes
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte lane")))
-                .collect(),
-        ),
-    };
-    let codes = CodePool::Packed {
-        buf,
-        sections,
-        total: ncodes,
-    };
+    let floats = payload[float_byte_off..packed_byte_off]
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte lane")))
+        .collect();
 
-    Ok(CompiledModel::assemble(
+    let model = CompiledModel::assemble(
         input_features,
         output_features,
         virtual_encoder,
         ops,
         floats,
         codes,
-    ))
+    );
+    Ok((model, sections))
 }
 
 fn malformed(msg: impl Into<String>) -> ArtifactError {
@@ -876,7 +856,7 @@ mod tests {
     /// The v2 writer's alignment contract: the float section offset is
     /// always a multiple of 8 in the payload, and the payload itself
     /// starts 8 bytes into the outer header — so the float bytes are
-    /// 8-aligned in any 8-aligned buffer.
+    /// 8-aligned in the file.
     #[test]
     fn v2_float_section_is_aligned() {
         let model = CompiledModel::assemble(
@@ -884,8 +864,8 @@ mod tests {
             1,
             Span { start: 0, len: 3 },
             vec![],
-            FloatPool::Owned(vec![0.0, 1.0, 2.0]),
-            CodePool::Wide(vec![]),
+            vec![0.0, 1.0, 2.0],
+            vec![],
         );
         let bytes = encode(&model);
         let float_off = u64::from_le_bytes(

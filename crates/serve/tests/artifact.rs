@@ -79,8 +79,7 @@ fn round_trip_preserves_every_topology() {
         let restored = CompiledModel::from_bytes(&bytes).unwrap();
         assert_eq!(restored, compiled);
         assert_bit_identical(&model, &restored, &mut rng);
-        // The size is known without serializing, from wide pools and
-        // from the packed views a load borrows alike.
+        // The size is known without serializing.
         assert_eq!(compiled.encoded_len(), bytes.len());
         assert_eq!(restored.encoded_len(), bytes.len());
     }

@@ -2,29 +2,63 @@
 //! compiler can emit (dense, conv + pools, residual), `infer_batch` must
 //! be bit-for-bit identical to per-sample `infer`, a reused
 //! [`BatchRunner`] must be stateless across batch sizes and models and
-//! allocate nothing past its reservation, the engine's straggler wait must exit early when a batch fills and flush
-//! partial batches at the deadline, and a saved artifact must serve
-//! identically after a round trip through a real file.
+//! allocate nothing past its reservation, the kernels each dense op was
+//! lowered to must reproduce the composer's emulator whether the model
+//! was built or reloaded, the engine's straggler wait must exit early
+//! when a batch fills and flush partial batches at the deadline, and a
+//! saved artifact must serve identically after a round trip through a
+//! real file.
 
 mod common;
 
 use common::{cnn_model, mlp_model, residual_model};
+use rapidnn_core::ReinterpretedNetwork;
 use rapidnn_prop::{check, usize_in, vec_f32};
 use rapidnn_serve::{BatchRunner, CompiledModel, Engine, EngineConfig};
 use rapidnn_tensor::SeededRng;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-fn compiled_topologies() -> Vec<CompiledModel> {
+fn topologies() -> [ReinterpretedNetwork; 3] {
     let mut rng = SeededRng::new(2024);
     [
         mlp_model(&mut rng),
         cnn_model(&mut rng),
         residual_model(&mut rng),
     ]
-    .iter()
-    .map(|m| CompiledModel::from_reinterpreted(m).unwrap())
-    .collect()
+}
+
+fn compiled_topologies() -> Vec<CompiledModel> {
+    let compile = |m| CompiledModel::from_reinterpreted(m).unwrap();
+    topologies().iter().map(compile).collect()
+}
+
+/// Each dense op gets its kernel once, when the model is assembled —
+/// from a network or from bytes — and which one runs depends on the
+/// batch: the gather below a block of eight rows, the decoded-weight
+/// multiply from eight up. Every combination must produce the bits of
+/// the composer's own encoded-domain emulator.
+#[test]
+fn lowered_kernels_match_the_emulator_built_or_reloaded_at_every_batch_size() {
+    let mut rng = SeededRng::new(31);
+    for (network, built) in topologies().iter().zip(compiled_topologies()) {
+        let reloaded = CompiledModel::from_bytes(&built.to_bytes()).unwrap();
+        let features = built.input_features();
+        for rows in [1usize, 5, 8, 64] {
+            let flat = vec_f32(&mut rng, rows * features, -3.0, 3.0);
+            let expected: Vec<u32> = flat
+                .chunks(features)
+                .flat_map(|sample| network.infer_sample(sample).unwrap())
+                .map(f32::to_bits)
+                .collect();
+            for (how, model) in [("built", &built), ("reloaded", &reloaded)] {
+                let mut out = Vec::new();
+                BatchRunner::new().run(model, &flat, &mut out).unwrap();
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, expected, "{how}, {features} features, {rows} rows");
+            }
+        }
+    }
 }
 
 #[test]

@@ -12,12 +12,12 @@
 //!   -order escape hatch to hide behind);
 //! * models the analyzer refuses keep serving the f32 path
 //!   bit-identically — a fallback is invisible, not approximate;
-//! * wide (in-memory) and bit-packed (reloaded) models agree
-//!   bit-for-bit on the integer path, since quantized tiles are
-//!   streamed straight out of the packed sections at load time;
-//! * licensed ops stop charging the batch arena for weight tiles, so
-//!   a quantized runner's scratch no longer scales with the model's
-//!   code-section size;
+//! * a model reloaded from its artifact *equals* the one it was
+//!   written from after both quantize — pools, lowering and integer
+//!   kernel state — so the integer path cannot tell them apart;
+//! * no op charges the batch arena for its weights on either kernel
+//!   path (codes, decoded matrix and integer tiles live in the model),
+//!   so a runner's scratch does not scale with the model's code pool;
 //! * what flows into an integer Madd op is its `i16` operand, written
 //!   by whatever produces it, and that changes no bit: a hand-built
 //!   chain equals the two-step reference (`codes → xq[code]`, then the
@@ -188,53 +188,72 @@ fn refused_model_serves_f32_bit_identically() {
     assert_eq!(bits(&fout), bits(&qout));
 }
 
-/// The wide in-memory model and its bit-packed reload materialize
-/// identical integer tiles: the quantizer streams codes via
-/// `CodePool::map_range` in both layouts, so the integer path cannot
-/// tell them apart.
+/// A model built in memory and its reload from bytes are one model:
+/// after both quantize they are equal — which covers the pools, each
+/// op's kernel and the whole integer state — and serve the same bits.
 #[test]
-fn packed_and_wide_artifacts_agree_on_the_integer_path() {
+fn built_and_reloaded_models_agree_on_the_integer_path() {
     let mut rng = SeededRng::new(77);
-    let mut wide = compiled_mlp(&mut rng, 8, &[16, 12], 3, 8);
-    let mut packed = CompiledModel::from_bytes(&wide.to_bytes()).expect("reload");
-    wide.quantize().expect("wide quantize");
-    packed.quantize().expect("packed quantize");
-    assert_eq!(wide.licensed_ops(), packed.licensed_ops());
-    assert!(wide.licensed_ops() > 0, "expected licensed ops");
+    let mut built = compiled_mlp(&mut rng, 8, &[16, 12], 3, 8);
+    let mut reloaded = CompiledModel::from_bytes(&built.to_bytes()).expect("reload");
+    assert_eq!(reloaded, built);
+    built.quantize().expect("built quantize");
+    reloaded.quantize().expect("reloaded quantize");
+    assert_eq!(reloaded, built, "quantized");
+    assert!(built.licensed_ops() > 0, "expected licensed ops");
 
     let inputs: Vec<f32> = (0..64 * 8).map(|_| rng.uniform(-3.0, 3.0)).collect();
     let mut out1 = Vec::new();
     let mut out2 = Vec::new();
-    BatchRunner::for_model(&wide, 64)
-        .run(&wide, &inputs, &mut out1)
-        .expect("wide run");
-    BatchRunner::for_model(&packed, 64)
-        .run(&packed, &inputs, &mut out2)
-        .expect("packed run");
-    assert_eq!(bits(&out1), bits(&out2), "wide vs packed integer outputs");
+    BatchRunner::for_model(&built, 64)
+        .run(&built, &inputs, &mut out1)
+        .expect("built run");
+    BatchRunner::for_model(&reloaded, 64)
+        .run(&reloaded, &inputs, &mut out2)
+        .expect("reloaded run");
+    assert_eq!(
+        bits(&out1),
+        bits(&out2),
+        "built vs reloaded integer outputs"
+    );
 }
 
-/// Licensed ops contribute no weight-decode scratch: quantizing a model
-/// shrinks the runner's arena by at least the dense weight tiles.
+/// Neither kernel path's arena holds a weight tile. The f32 path used
+/// to reserve, per worker, a `u16` code tile, the recovered factors and
+/// a decoded `f32` matrix for its largest dense op; the model holds the
+/// decoded matrix now, so the f32 arena is flow buffers, encode keys
+/// and one block tile, whatever the size of the code pool — built or
+/// reloaded.
 #[test]
-fn quantized_arena_skips_weight_tiles() {
-    let mut rng = SeededRng::new(55);
-    let model = compiled_mlp(&mut rng, 12, &[48, 48], 4, 16);
-    let mut quantized = model.clone();
-    quantized.quantize().expect("quantize");
-    assert!(quantized.licensed_ops() > 0);
-
-    let f32_arena = BatchRunner::for_model(&model, 64).scratch_bytes();
-    let q_arena = BatchRunner::for_model(&quantized, 64).scratch_bytes();
-    // The 48x48 layer alone costs the f32 path a u16 weight-code tile
-    // (plus an f32 decoded matrix) the integer path never reserves; the
-    // margin only demands the code tile since the integer path adds a
-    // small quantized-input tile of its own.
-    let weight_tiles = 48 * 48 * 2;
+fn neither_arena_holds_a_weight_tile() {
+    let build = |hidden: &[usize]| {
+        let mut rng = SeededRng::new(66);
+        compiled_mlp(&mut rng, 10, hidden, 3, 8)
+    };
+    let shallow = build(&[32, 32]);
+    let deep = build(&[32, 32, 32, 32, 32, 32, 32, 32]);
     assert!(
-        q_arena + weight_tiles <= f32_arena,
-        "quantized arena {q_arena} not smaller than f32 arena {f32_arena} by {weight_tiles}"
+        deep.pool_bytes() >= shallow.pool_bytes() + 6 * (32 * 32 * 2),
+        "deep model should carry six more 32x32 code sections"
     );
+    let arena = |m: &CompiledModel| BatchRunner::for_model(m, 64).scratch_bytes();
+    let reloaded = CompiledModel::from_bytes(&deep.to_bytes()).expect("reload");
+    assert_eq!(arena(&deep), arena(&shallow));
+    assert_eq!(arena(&deep), arena(&reloaded));
+    // The flow is `u16` codes 32 wide between ops, and each op stages
+    // 32 `f32` accumulators per row before it re-encodes them through
+    // an 8-entry book (8 keys); every table factors, so the one block
+    // tile is eight decoded rows of 32. No term has a weight in it.
+    assert_eq!(
+        arena(&deep),
+        2 * (64 * 32 * 2) + 2 * (64 * 32 * 4) + 8 * 4 + 8 * 32 * 4
+    );
+
+    // The integer path needs less still: see
+    // `quantized_arena_does_not_scale_with_code_sections`.
+    let mut quantized = deep.clone();
+    quantized.quantize().expect("quantize");
+    assert!(arena(&quantized) < arena(&deep));
 }
 
 /// A fully licensed model's arena is independent of its code-section
