@@ -1,8 +1,11 @@
 //! Benchmarks of the DNN-composer kernels: k-means clustering, codebook
 //! construction (flat and tree), activation-table builds, full-network
-//! reinterpretation, and the float training its retrain step runs (the
-//! GEMM shapes of the tiny MNIST MLP and the first CIFAR conv, and the
-//! three-epoch fit of `PipelineConfig::tiny_for_tests`).
+//! reinterpretation and the quality estimate, the float training its
+//! retrain step runs (the GEMM shapes of the tiny MNIST MLP and the
+//! first CIFAR conv, and the three-epoch fit of
+//! `PipelineConfig::tiny_for_tests`), and the other phases of that
+//! pipeline at their real sizes: its synthetic data, a He-initialised
+//! 784 -> 32 layer, and the whole run.
 
 use rapidnn::composer::kmeans::{cluster, cluster_naive_init, KmeansConfig};
 use rapidnn::composer::{
@@ -12,7 +15,8 @@ use rapidnn::composer::{
 use rapidnn::data::{benchmark_dataset, SyntheticSpec};
 use rapidnn::nn::topology::{self, Benchmark};
 use rapidnn::nn::{Activation, Trainer, TrainerConfig};
-use rapidnn::tensor::{gemm, SeededRng, Shape};
+use rapidnn::tensor::{gemm, Initializer, SeededRng, Shape};
+use rapidnn::{Pipeline, PipelineConfig};
 use rapidnn_bench::{BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -30,14 +34,24 @@ fn bench_kmeans(c: &mut Criterion) {
             b.iter(|| cluster(black_box(&values), k, &KmeansConfig::default(), &mut rng).unwrap());
         });
     }
-    // The size the composer clusters at: any larger population is
-    // subsampled to `KmeansConfig::default().max_samples` = 16 384.
-    let capped = population(16_384);
-    for &k in &[8usize, 64] {
-        group.bench_with_input(BenchmarkId::new("plus_plus_16384", k), &k, |b, &k| {
-            let mut rng = SeededRng::new(1);
-            b.iter(|| cluster(black_box(&capped), k, &KmeansConfig::default(), &mut rng).unwrap());
-        });
+    // The size the composer clusters at (any larger population is
+    // subsampled to `KmeansConfig::default().max_samples` = 16 384), and
+    // mnist-tiny's first-layer input population (64 rows x 784), which
+    // is subsampled down to it.
+    for n in [16_384usize, 50_176] {
+        let values = population(n);
+        for &k in &[8usize, 64] {
+            group.bench_with_input(
+                BenchmarkId::new(&format!("plus_plus_{n}"), k),
+                &k,
+                |b, &k| {
+                    let mut rng = SeededRng::new(1);
+                    b.iter(|| {
+                        cluster(black_box(&values), k, &KmeansConfig::default(), &mut rng).unwrap()
+                    });
+                },
+            );
+        }
     }
     // Ablation: naive init vs k-means++ (DESIGN.md §6).
     group.bench_function("naive_init_64", |b| {
@@ -129,6 +143,53 @@ fn bench_reinterpretation(c: &mut Criterion) {
             .unwrap()
         });
     });
+    // The quality estimate of `Pipeline::run(tiny_for_tests)`: the
+    // reinterpreted model over its 16 validation rows.
+    let report = Pipeline::new(PipelineConfig::tiny_for_tests())
+        .run(&mut SeededRng::new(42))
+        .unwrap();
+    group.bench_function("evaluate_mnist_tiny_16", |b| {
+        b.iter(|| {
+            report
+                .compose
+                .reinterpreted
+                .evaluate(black_box(&report.validation))
+                .unwrap()
+        });
+    });
+    group.finish();
+}
+
+fn bench_synthetic(c: &mut Criterion) {
+    let mut group = c.benchmark_group("synthetic");
+    // The dataset of `Pipeline::run(tiny_for_tests)`.
+    group.bench_function("mnist_80x784", |b| {
+        let mut rng = SeededRng::new(42);
+        b.iter(|| benchmark_dataset(Benchmark::Mnist, 80, &mut rng).unwrap());
+    });
+    group.finish();
+}
+
+fn bench_init(c: &mut Criterion) {
+    let mut group = c.benchmark_group("init");
+    // The first layer of mnist-tiny.
+    group.bench_function("he_normal_784x32", |b| {
+        let mut rng = SeededRng::new(42);
+        b.iter(|| rng.init_tensor(Shape::matrix(32, 784), Initializer::HeNormal, 784, 32));
+    });
+    group.finish();
+}
+
+fn bench_pipeline(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pipeline");
+    group.bench_function("tiny_for_tests", |b| {
+        let mut rng = SeededRng::new(42);
+        b.iter(|| {
+            Pipeline::new(PipelineConfig::tiny_for_tests())
+                .run(&mut rng)
+                .unwrap()
+        });
+    });
     group.finish();
 }
 
@@ -171,6 +232,9 @@ rapidnn_bench::bench_main!(
     bench_codebooks,
     bench_activation_tables,
     bench_reinterpretation,
+    bench_synthetic,
+    bench_init,
     bench_gemm,
-    bench_fit
+    bench_fit,
+    bench_pipeline
 );

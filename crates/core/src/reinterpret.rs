@@ -151,7 +151,100 @@ impl NeuronStage {
                 codes.len()
             )));
         }
-        let accumulated = match &self.kind {
+        let accumulated = self.accumulate(codes);
+        let activated: Vec<f32> = accumulated
+            .iter()
+            .map(|&y| self.activation.lookup(y))
+            .collect();
+        match &self.encoder {
+            Some(enc) => {
+                let codes = activated.iter().map(|&z| enc.encode(z)).collect();
+                Ok((activated, Some(codes)))
+            }
+            None => Ok((activated, None)),
+        }
+    }
+
+    /// Pre-activation outputs of one encoded sample: dense outputs
+    /// [`TILE`] at a time (four weight rows against the same inputs),
+    /// conv output pixels [`TILE`] at a time (one channel's weight row
+    /// against four patches), a ragged tail one at a time through the
+    /// same body.
+    fn accumulate(&self, codes: &[u16]) -> Vec<f32> {
+        match &self.kind {
+            StageKind::Dense { inputs, outputs } => {
+                let table = &self.product_tables[0];
+                let row = |o: usize| &self.weight_codes[o * inputs..(o + 1) * inputs];
+                let mut out = vec![0.0f32; *outputs];
+                let whole = outputs - outputs % TILE;
+                for o in (0..whole).step_by(TILE) {
+                    let sums = accumulate_tile::<TILE>(
+                        table,
+                        std::array::from_fn(|r| self.bias[o + r]),
+                        std::array::from_fn(|r| row(o + r)),
+                        [codes; TILE],
+                    );
+                    out[o..o + TILE].copy_from_slice(&sums);
+                }
+                for (o, y) in out.iter_mut().enumerate().skip(whole) {
+                    [*y] = accumulate_tile::<1>(table, [self.bias[o]], [row(o)], [codes]);
+                }
+                out
+            }
+            StageKind::Conv {
+                geometry: g,
+                out_channels,
+            } => {
+                let patch_len = g.patch_len();
+                let pixels = g.out_pixels();
+                let mut out = vec![0.0f32; out_channels * pixels];
+                let mut patches = vec![0u16; TILE * patch_len];
+                let whole = pixels - pixels % TILE;
+                for p in (0..whole).step_by(TILE) {
+                    self.conv_tile::<TILE>(g, codes, p, &mut patches, &mut out);
+                }
+                for p in whole..pixels {
+                    self.conv_tile::<1>(g, codes, p, &mut patches, &mut out);
+                }
+                out
+            }
+        }
+    }
+
+    /// Conv output pixels `p..p + R` of every channel: their `R` patches
+    /// are gathered once into `patches`, then each channel's weight row
+    /// runs against all of them in one tile.
+    fn conv_tile<const R: usize>(
+        &self,
+        g: &Conv2dGeometry,
+        codes: &[u16],
+        p: usize,
+        patches: &mut [u16],
+        out: &mut [f32],
+    ) {
+        let patch_len = g.patch_len();
+        let pixels = g.out_pixels();
+        for (r, patch) in patches.chunks_exact_mut(patch_len).take(R).enumerate() {
+            gather_patch(g, codes, self.zero_code, p + r, patch);
+        }
+        let patches: [&[u16]; R] =
+            std::array::from_fn(|r| &patches[r * patch_len..(r + 1) * patch_len]);
+        for (oc, wrow) in self.weight_codes.chunks_exact(patch_len).enumerate() {
+            let sums = accumulate_tile::<R>(
+                &self.product_tables[oc],
+                [self.bias[oc]; R],
+                [wrow; R],
+                patches,
+            );
+            out[oc * pixels + p..][..R].copy_from_slice(&sums);
+        }
+    }
+
+    /// The one-output-at-a-time loops [`Self::accumulate`] replaced, kept
+    /// as its bit oracle.
+    #[cfg(test)]
+    fn accumulate_scalar(&self, codes: &[u16]) -> Vec<f32> {
+        match &self.kind {
             StageKind::Dense { inputs, outputs } => {
                 let table = &self.product_tables[0];
                 let mut out = Vec::with_capacity(*outputs);
@@ -205,17 +298,61 @@ impl NeuronStage {
                 }
                 out
             }
-        };
-        let activated: Vec<f32> = accumulated
-            .iter()
-            .map(|&y| self.activation.lookup(y))
-            .collect();
-        match &self.encoder {
-            Some(enc) => {
-                let codes = activated.iter().map(|&z| enc.encode(z)).collect();
-                Ok((activated, Some(codes)))
+        }
+    }
+}
+
+/// Outputs one [`accumulate_tile`] call sums: four independent add
+/// chains where one output's 784-step chain would leave the core
+/// waiting on every add.
+const TILE: usize = 4;
+
+/// `R` accumulators advanced together: lane `r` starts at `bias[r]` and
+/// adds `table[w[r][k]][x[r][k]]` for `k` ascending — exactly the sum
+/// order of one output's scalar loop. All slices share one length.
+#[inline(always)]
+fn accumulate_tile<const R: usize>(
+    table: &ProductTable,
+    bias: [f32; R],
+    w: [&[u16]; R],
+    x: [&[u16]; R],
+) -> [f32; R] {
+    let len = w[0].len();
+    let w: [&[u16]; R] = std::array::from_fn(|r| &w[r][..len]);
+    let x: [&[u16]; R] = std::array::from_fn(|r| &x[r][..len]);
+    let mut acc = bias;
+    for k in 0..len {
+        for (r, a) in acc.iter_mut().enumerate() {
+            *a += table.fetch(w[r][k], x[r][k]);
+        }
+    }
+    acc
+}
+
+/// Writes the input codes of conv output pixel `pixel` into `patch`, in
+/// the weight row's `(ic, kh, kw)` order, padding with `zero_code`.
+fn gather_patch(
+    g: &Conv2dGeometry,
+    codes: &[u16],
+    zero_code: u16,
+    pixel: usize,
+    patch: &mut [u16],
+) {
+    let (h, w) = (g.in_height, g.in_width);
+    let (oy, ox) = (pixel / g.out_width, pixel % g.out_width);
+    let mut k = 0usize;
+    for ic in 0..g.in_channels {
+        for kh in 0..g.kernel_h {
+            let iy = (oy * g.stride + kh) as isize - g.pad as isize;
+            for kw in 0..g.kernel_w {
+                let ix = (ox * g.stride + kw) as isize - g.pad as isize;
+                patch[k] = if iy >= 0 && ix >= 0 && (iy as usize) < h && (ix as usize) < w {
+                    codes[ic * h * w + iy as usize * w + ix as usize]
+                } else {
+                    zero_code
+                };
+                k += 1;
             }
-            None => Ok((activated, None)),
         }
     }
 }
@@ -788,27 +925,15 @@ enum Proto {
     },
 }
 
-/// Clusters one neuron job: the observed inputs into the input
-/// codebook, then the weights (per §3.1: one codebook for a dense
-/// matrix, one per output channel for a convolution).
-fn cluster_neuron(
-    job: &NeuronJob,
-    options: &ReinterpretOptions,
-) -> Result<(Codebook, Vec<Codebook>, Vec<u16>)> {
-    let mut input_rng = job.input_rng.clone();
-    let input_codebook =
-        Codebook::from_kmeans(&job.observations, options.input_clusters, &mut input_rng)?;
-    let mut weight_rng = job.weight_rng.clone();
-    let (weight_codebooks, weight_codes) = cluster_weight_values(
-        &job.weights,
-        &job.kind,
-        options.weight_clusters,
-        &mut weight_rng,
-    )?;
-    Ok((input_codebook, weight_codebooks, weight_codes))
+/// What one clustering task of a neuron job yields: the job's input
+/// codebook, or its weight codebooks with the codes they encode.
+enum Clustered {
+    Input(Codebook),
+    Weights(Vec<Codebook>, Vec<u16>),
 }
 
-/// Weight clustering over a parameter snapshot.
+/// Weight clustering over a parameter snapshot (per §3.1: one codebook
+/// for a dense matrix, one per output channel for a convolution).
 fn cluster_weight_values(
     weights: &[f32],
     kind: &StageKind,
@@ -882,7 +1007,7 @@ impl Builder<'_> {
                         _ => unreachable!(),
                     };
                     // Snapshot the observed inputs and the parameters;
-                    // both are clustered later, layer-parallel.
+                    // both are clustered later, as two pool tasks.
                     let observations = current.as_slice().to_vec();
                     let (weights, bias) = {
                         let params = layers[i].params();
@@ -970,21 +1095,44 @@ impl Builder<'_> {
             }
         }
 
-        // Clustering phase (layer-parallel): every job carries its own
-        // forked RNGs, so the codebooks are identical for any worker
-        // count. Errors propagate in layer order.
+        // Clustering phase: a job's input clustering and its weight
+        // clustering are two pool tasks (the first layer holds the two
+        // largest populations). Each draws from its own RNG forked
+        // above, so the codebooks are identical for any worker count.
+        // Errors propagate in layer order, input before weights.
         let options = self.options;
-        let clustered =
-            rapidnn_pool::parallel_map(pending.len(), 1, |idx, _| match &pending[idx] {
-                Pending::Neuron { job, .. } => Some(cluster_neuron(job, &options)),
+        let jobs: Vec<&NeuronJob> = pending
+            .iter()
+            .filter_map(|item| match item {
+                Pending::Neuron { job, .. } => Some(&**job),
                 _ => None,
-            });
+            })
+            .collect();
+        let mut clustered = rapidnn_pool::parallel_map(2 * jobs.len(), 1, |task, _| {
+            let job = jobs[task / 2];
+            if task % 2 == 0 {
+                let mut rng = job.input_rng.clone();
+                Codebook::from_kmeans(&job.observations, options.input_clusters, &mut rng)
+                    .map(Clustered::Input)
+            } else {
+                let mut rng = job.weight_rng.clone();
+                cluster_weight_values(&job.weights, &job.kind, options.weight_clusters, &mut rng)
+                    .map(|(books, codes)| Clustered::Weights(books, codes))
+            }
+        })
+        .into_iter();
         let mut protos: Vec<Proto> = Vec::with_capacity(pending.len());
-        for (item, result) in pending.into_iter().zip(clustered) {
+        for item in pending {
             protos.push(match item {
                 Pending::Neuron { job, activation } => {
-                    let (input_codebook, weight_codebooks, weight_codes) =
-                        result.expect("neuron job produced a clustering result")?;
+                    let mut next = || clustered.next().expect("two tasks per neuron job");
+                    let (
+                        Clustered::Input(input_codebook),
+                        Clustered::Weights(weight_codebooks, weight_codes),
+                    ) = (next()?, next()?)
+                    else {
+                        unreachable!("a job's tasks are its input, then its weights");
+                    };
                     Proto::Neuron {
                         kind: job.kind,
                         weight_codebooks,
@@ -1176,6 +1324,80 @@ mod tests {
             weight_clusters: w,
             input_clusters: u,
             ..ReinterpretOptions::default()
+        }
+    }
+
+    /// A stage with random books, weight codes, bias and product tables
+    /// of the given shape — what `accumulate` reads, and nothing else.
+    fn random_stage(kind: StageKind, rng: &mut SeededRng) -> NeuronStage {
+        // One weight row per dense output or conv channel; one book and
+        // table per dense stage or conv channel.
+        let (groups, rows) = match kind {
+            StageKind::Dense { outputs, .. } => (1, outputs),
+            StageKind::Conv { out_channels, .. } => (out_channels, out_channels),
+        };
+        let book = |rng: &mut SeededRng, n: usize| {
+            Codebook::new((0..n).map(|_| rng.uniform(-2.0, 2.0)).collect()).unwrap()
+        };
+        let input_codebook = book(rng, 9);
+        let weight_codebooks: Vec<Codebook> = (0..groups).map(|_| book(rng, 7)).collect();
+        let row_len = kind.edges_per_neuron();
+        let weight_codes = (0..rows * row_len)
+            .map(|i| rng.index(weight_codebooks[i / row_len % groups].len()) as u16)
+            .collect();
+        NeuronStage {
+            kind,
+            product_tables: weight_codebooks
+                .iter()
+                .map(|wcb| ProductTable::build(wcb, &input_codebook))
+                .collect(),
+            zero_code: input_codebook.encode(0.0),
+            bias: (0..rows).map(|_| rng.normal()).collect(),
+            weight_codebooks,
+            weight_codes,
+            input_codebook,
+            activation: ActivationTable::identity(),
+            encoder: None,
+        }
+    }
+
+    /// The four-wide tiles against the one-output loops they replaced:
+    /// dense widths around the tile, conv grids of 35, 9 and 12 output
+    /// pixels, with and without padding and stride.
+    #[test]
+    fn tiled_accumulation_matches_the_scalar_loops_bit_for_bit() {
+        use rapidnn_tensor::Padding;
+        let mut rng = SeededRng::new(0x711e);
+        let mut kinds: Vec<StageKind> = [1usize, 3, 4, 5, 10, 32]
+            .into_iter()
+            .map(|outputs| StageKind::Dense {
+                inputs: 37,
+                outputs,
+            })
+            .collect();
+        for (geometry, out_channels) in [
+            (Conv2dGeometry::new(3, 5, 7, 3, 3, 1, Padding::Same), 5),
+            (Conv2dGeometry::new(2, 6, 6, 3, 3, 2, Padding::Same), 3),
+            (Conv2dGeometry::new(2, 9, 6, 3, 2, 2, Padding::Valid), 4),
+        ] {
+            kinds.push(StageKind::Conv {
+                geometry: geometry.unwrap(),
+                out_channels,
+            });
+        }
+        for kind in kinds {
+            let stage = random_stage(kind, &mut rng);
+            for _ in 0..4 {
+                let codes: Vec<u16> = (0..kind.input_features())
+                    .map(|_| rng.index(stage.input_codebook.len()) as u16)
+                    .collect();
+                let bits = |v: Vec<f32>| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+                assert_eq!(
+                    bits(stage.accumulate(&codes)),
+                    bits(stage.accumulate_scalar(&codes)),
+                    "{kind:?}"
+                );
+            }
         }
     }
 

@@ -143,15 +143,28 @@ impl SyntheticSpec {
         let mut order: Vec<usize> = (0..samples).collect();
         rng.shuffle(&mut order);
 
+        // The noise is drawn in slot order, one row per slot. A fill with
+        // mean 0 and deviation 1 is bit for bit those `normal()` calls:
+        // `0 + 1·z` is `z` for every non-zero `z`, and Box–Muller never
+        // returns zero.
+        let mut noise = vec![0.0f32; samples * self.features];
+        rng.fill_normal(&mut noise, 0.0, 1.0);
         let mut xs = vec![0.0f32; samples * self.features];
         let mut labels = vec![0usize; samples];
-        for (slot, &row) in order.iter().enumerate() {
+        for (slot, (&row, row_noise)) in order
+            .iter()
+            .zip(noise.chunks_exact(self.features))
+            .enumerate()
+        {
             let class = slot % self.classes;
             labels[row] = class;
-            let base = row * self.features;
             let mean = &means[class * self.features..(class + 1) * self.features];
-            for f in 0..self.features {
-                xs[base + f] = mean[f] + rng.normal();
+            for ((x, &m), &z) in xs[row * self.features..]
+                .iter_mut()
+                .zip(mean)
+                .zip(row_noise)
+            {
+                *x = m + z;
             }
         }
         let inputs = Tensor::from_vec(Shape::matrix(samples, self.features), xs)?;

@@ -24,9 +24,12 @@
 //!
 //! # Threading
 //!
-//! The composer's pooled loops (GEMM/im2col, the per-layer codebook
-//! fan-out, the quality loop's validation pass) run on a process-wide
-//! thread pool; k-means itself is sequential (Lloyd on prefix sums). Set the `RAPIDNN_THREADS` environment variable to pick
+//! Model build runs on a process-wide thread pool: Box–Muller normals
+//! for the synthetic data and He initialisation, GEMM/im2col, the
+//! composer's clustering tasks (a weighted layer's input and weight
+//! clusterings are two tasks), and the quality loop's validation pass.
+//! A single k-means run is sequential (radix sort, then Lloyd on prefix
+//! sums). Set the `RAPIDNN_THREADS` environment variable to pick
 //! the worker count (it defaults to the machine's available parallelism);
 //! `RAPIDNN_THREADS=1` runs fully sequentially. Every parallel pass
 //! splits work into fixed-size chunks and merges partial results in

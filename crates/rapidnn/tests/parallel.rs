@@ -1,15 +1,18 @@
-//! End-to-end determinism: the whole pipeline — training, layer-parallel
-//! clustering, the quality loop's sharded validation pass, and compiled
-//! inference — must produce bitwise-identical results for any worker
-//! count. `with_threads(1)` is the sequential oracle.
+//! End-to-end determinism: the whole pipeline — pooled normals for data
+//! and initialisation, training, the clustering tasks, the quality
+//! loop's sharded validation pass, and compiled inference — must
+//! produce bitwise-identical results for any worker count.
+//! `with_threads(1)` is the sequential oracle.
 
 use rapidnn::pool::with_threads;
 use rapidnn::tensor::SeededRng;
 use rapidnn::{Pipeline, PipelineConfig};
 
 /// Runs the tiny pipeline and compiled inference under `threads` workers,
-/// returning an exact bit-level fingerprint of everything float-valued.
-fn fingerprint(threads: usize) -> (u32, u32, Vec<u32>) {
+/// returning an exact bit-level fingerprint: both error rates, one
+/// output row, and the whole compiled artifact — every codebook, code
+/// and table, so one that moves without moving the rest still shows.
+fn fingerprint(threads: usize) -> (u32, u32, Vec<u32>, Vec<u8>) {
     with_threads(threads, || {
         let mut rng = SeededRng::new(31);
         let report = Pipeline::new(PipelineConfig::tiny_for_tests())
@@ -22,6 +25,7 @@ fn fingerprint(threads: usize) -> (u32, u32, Vec<u32>) {
             report.compose.baseline_error.to_bits(),
             report.compose.final_error.to_bits(),
             output.iter().map(|v| v.to_bits()).collect(),
+            model.to_bytes(),
         )
     })
 }

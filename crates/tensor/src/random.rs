@@ -41,6 +41,40 @@ pub struct SeededRng {
     state: [u64; 4],
 }
 
+/// Values per wave of [`SeededRng::fill_normal`]: bounds its buffer of
+/// raw draws at 256 KB however long the fill. (An unbounded buffer read
+/// faster on the benchmark's set-up and higher on its peak RSS; waves of
+/// 8 192 paid a pool dispatch per 8 192 values and read slower.)
+const NORMAL_WAVE: usize = 32_768;
+
+/// Values per pool task of a [`SeededRng::fill_normal`] wave. Fixed, so
+/// which values share a task never depends on the thread count.
+const NORMAL_CHUNK: usize = 4_096;
+
+/// `[0, 1)` fraction of a 24-bit draw.
+fn fraction_of(draw: u32) -> f32 {
+    draw as f32 * (1.0 / 16_777_216.0)
+}
+
+/// Uniform sample in `[low, high)` from a 24-bit draw.
+fn uniform_of(draw: u32, low: f32, high: f32) -> f32 {
+    let v = low + (high - low) * fraction_of(draw);
+    // Guard against the upper bound under f32 rounding.
+    if v >= high && low < high {
+        low
+    } else {
+        v
+    }
+}
+
+/// Box–Muller: the standard-normal value of two 24-bit draws, the
+/// first setting the radius and the second the angle.
+fn box_muller(radius: u32, angle: u32) -> f32 {
+    let u1 = uniform_of(radius, f32::EPSILON, 1.0).max(f32::EPSILON);
+    let u2 = uniform_of(angle, 0.0, 1.0);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+}
+
 /// SplitMix64 step: expands a 64-bit seed into well-mixed state words.
 fn splitmix64(x: &mut u64) -> u64 {
     *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -86,32 +120,55 @@ impl SeededRng {
         SeededRng::new(self.next_u64())
     }
 
+    /// The top 24 bits of the next output: the entropy of one fraction.
+    fn draw(&mut self) -> u32 {
+        (self.next_u64() >> 40) as u32
+    }
+
     /// Uniform fraction in `[0, 1)` with 24 bits of mantissa entropy.
     fn fraction(&mut self) -> f32 {
-        (self.next_u64() >> 40) as f32 * (1.0 / 16_777_216.0)
+        fraction_of(self.draw())
     }
 
     /// Uniform sample in `[low, high)`.
     pub fn uniform(&mut self, low: f32, high: f32) -> f32 {
-        let v = low + (high - low) * self.fraction();
-        // Guard against the upper bound under f32 rounding.
-        if v >= high && low < high {
-            low
-        } else {
-            v
-        }
+        uniform_of(self.draw(), low, high)
     }
 
     /// Standard-normal sample via Box–Muller.
     pub fn normal(&mut self) -> f32 {
-        let u1: f32 = self.uniform(f32::EPSILON, 1.0).max(f32::EPSILON);
-        let u2: f32 = self.uniform(0.0, 1.0);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+        let radius = self.draw();
+        box_muller(radius, self.draw())
     }
 
     /// Normal sample with the given mean and standard deviation.
     pub fn normal_with(&mut self, mean: f32, std_dev: f32) -> f32 {
         mean + std_dev * self.normal()
+    }
+
+    /// Fills `out` with what `out.len()` calls of
+    /// [`normal_with`](Self::normal_with) would return, in order, and
+    /// leaves the generator where those calls would.
+    ///
+    /// The stream is inherently sequential but Box–Muller is not: each
+    /// wave of up to 32 768 values draws its raw fractions in order into
+    /// one reused buffer, then runs the transform on the workspace pool
+    /// in fixed 4 096-value chunks. Every value is a pure function of its
+    /// own two draws, so the output is the same for any thread count.
+    pub fn fill_normal(&mut self, out: &mut [f32], mean: f32, std_dev: f32) {
+        let mut draws: Vec<[u32; 2]> = Vec::with_capacity(out.len().min(NORMAL_WAVE));
+        for wave in out.chunks_mut(NORMAL_WAVE) {
+            draws.clear();
+            draws.extend((0..wave.len()).map(|_| {
+                let radius = self.draw();
+                [radius, self.draw()]
+            }));
+            rapidnn_pool::for_chunks_mut(wave, NORMAL_CHUNK, |_, start, chunk| {
+                for (v, &[radius, angle]) in chunk.iter_mut().zip(&draws[start..]) {
+                    *v = mean + std_dev * box_muller(radius, angle);
+                }
+            });
+        }
     }
 
     /// Uniform integer in `[0, bound)`.
@@ -140,10 +197,8 @@ impl SeededRng {
 
     /// Tensor of normal samples.
     pub fn normal_tensor(&mut self, shape: Shape, mean: f32, std_dev: f32) -> Tensor {
-        let volume = shape.volume();
-        let data = (0..volume)
-            .map(|_| self.normal_with(mean, std_dev))
-            .collect();
+        let mut data = vec![0.0; shape.volume()];
+        self.fill_normal(&mut data, mean, std_dev);
         Tensor::from_vec(shape, data).expect("volume matches by construction")
     }
 
@@ -245,6 +300,39 @@ mod tests {
         let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f32>() / n as f32;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.1, "var {var}");
+    }
+
+    /// A fill is the loop of `normal_with` it replaces, bit for bit, and
+    /// leaves the stream where that loop would: around the chunk and
+    /// wave edges, past two waves, at one, two and four threads.
+    #[test]
+    fn fill_normal_is_a_loop_of_normal_with() {
+        let lens = [
+            0,
+            1,
+            NORMAL_CHUNK - 1,
+            NORMAL_CHUNK,
+            NORMAL_CHUNK + 1,
+            NORMAL_WAVE - 1,
+            NORMAL_WAVE,
+            NORMAL_WAVE + 1,
+            70_000,
+        ];
+        for threads in [1, 2, 4] {
+            for (i, &n) in lens.iter().enumerate() {
+                let (mean, std_dev) = (0.25 * i as f32, 1.0 + i as f32);
+                let mut looped = SeededRng::new(n as u64);
+                let expected: Vec<u32> = (0..n)
+                    .map(|_| looped.normal_with(mean, std_dev).to_bits())
+                    .collect();
+                let mut filled = SeededRng::new(n as u64);
+                let mut out = vec![0.0f32; n];
+                rapidnn_pool::with_threads(threads, || filled.fill_normal(&mut out, mean, std_dev));
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                assert!(got == expected, "n = {n} at {threads} threads");
+                assert_eq!(filled.next_u64(), looped.next_u64(), "n = {n}");
+            }
+        }
     }
 
     #[test]
