@@ -25,7 +25,7 @@
 
 use crate::diag::{DiagCode, Diagnostic, Report};
 use crate::interval::{f32_sum_slack, Interval};
-use crate::program::{Act, Geom, Op, PackedSection, Program, Span, TableRef};
+use crate::program::{Act, Geom, Op, Program, Span, TableRef};
 use rapidnn_accel::DatapathModel;
 use rapidnn_core::nearest::{load_keys, nearest_range};
 
@@ -35,14 +35,6 @@ const MAX_EXTENT: u64 = 1 << 31;
 /// Mirror of the serving format's codebook cap: codes are `u16`, so a
 /// longer book would make nearest-encode silently wrap indices.
 const MAX_CODEBOOK_LEN: usize = 1 << 16;
-
-/// Bits needed to address `rows` rows: mirror of the serving writer's
-/// width rule (`ceil(log2(rows))`, minimum 1, capped at 16 because
-/// codes are `u16`).
-fn bits_for(rows: usize) -> u32 {
-    let top = rows.max(2) - 1;
-    (usize::BITS - top.leading_zeros()).min(16)
-}
 
 /// Analyzes `program` against the paper's Table 1 datapath widths.
 pub fn analyze(program: &Program<'_>) -> Report {
@@ -88,7 +80,6 @@ pub(crate) fn analyze_collect(program: &Program<'_>, datapath: DatapathModel) ->
         ops: &program.ops,
         floats: &program.floats,
         codes: &program.codes,
-        packed: &program.packed,
         datapath,
         report: Report::new(),
         facts: Facts {
@@ -195,7 +186,6 @@ struct Checker<'p> {
     ops: &'p [Op],
     floats: &'p [f32],
     codes: &'p [u16],
-    packed: &'p [PackedSection],
     datapath: DatapathModel,
     report: Report,
     facts: Facts,
@@ -430,8 +420,8 @@ impl<'p> Checker<'p> {
         }
     }
 
-    /// Mirror of `check_table` plus the dead-column note: non-empty,
-    /// in bounds, and wide enough for every upstream code.
+    /// A product table: non-empty, in bounds, and wide enough for every
+    /// upstream code; columns past the upstream domain are noted dead.
     fn check_table(
         &mut self,
         op: usize,
@@ -740,49 +730,6 @@ impl<'p> Checker<'p> {
         }
     }
 
-    /// Packed-form checks: when the code pool arrived bit-packed
-    /// (decoded from an artifact), an op's weight-code
-    /// span must coincide with exactly one section, and the section's
-    /// bit width must match the width implied by the rows of the
-    /// product table(s) it feeds. No-op for wide pools.
-    fn check_packed_span(
-        &mut self,
-        op: usize,
-        span: Span,
-        rows: usize,
-        label: &str,
-    ) -> Result<(), Halt> {
-        if self.packed.is_empty() || span.len == 0 {
-            return Ok(());
-        }
-        let found = self
-            .packed
-            .iter()
-            .find(|s| s.code_start == span.start && s.code_len == span.len);
-        let Some(section) = found else {
-            return Err(self.error(
-                DiagCode::PackedLayoutInvalid,
-                Some(op),
-                format!(
-                    "{label}: weight-code span {}+{} does not coincide with a packed section",
-                    span.start, span.len
-                ),
-            ));
-        };
-        let expected = bits_for(rows);
-        if section.width_bits != expected {
-            return Err(self.error(
-                DiagCode::PackedWidthMismatch,
-                Some(op),
-                format!(
-                    "{label}: packed section is {} bits wide, a {rows}-row table implies {expected}",
-                    section.width_bits
-                ),
-            ));
-        }
-        Ok(())
-    }
-
     /// Activation + optional re-encode shared by dense/conv/residual
     /// joins. `slack` bounds the concrete `f32` drift of the
     /// pre-activation values.
@@ -828,28 +775,6 @@ impl<'p> Checker<'p> {
                 None,
                 "zero input features".to_string(),
             ));
-        }
-        for (s, section) in self.packed.iter().enumerate() {
-            if !(1..=16).contains(&section.width_bits) {
-                return Err(self.error(
-                    DiagCode::PackedLayoutInvalid,
-                    None,
-                    format!(
-                        "packed section {s}: bit width {} outside 1..=16",
-                        section.width_bits
-                    ),
-                ));
-            }
-            if !section.padding_clear {
-                return Err(self.error(
-                    DiagCode::PackedTrailingBits,
-                    None,
-                    format!(
-                        "packed section {s} (codes {}+{}) has non-zero trailing pad bits",
-                        section.code_start, section.code_len
-                    ),
-                ));
-            }
         }
         let venc = self.codebook(None, self.virtual_encoder, "virtual input encoder")?;
         // Every input feature is an arbitrary float, so (for a sorted
@@ -914,7 +839,6 @@ impl<'p> Checker<'p> {
                             ),
                         ));
                     }
-                    self.check_packed_span(i, *weight_codes, table.weight_count, "dense")?;
                     let wcodes = self.codes_span(Some(i), *weight_codes, "dense: weight codes")?;
                     let mut used = vec![false; table.weight_count];
                     for &c in wcodes {
@@ -1037,8 +961,6 @@ impl<'p> Checker<'p> {
                             ),
                         ));
                     }
-                    let max_rows = tables.iter().map(|t| t.weight_count).max().unwrap_or(0);
-                    self.check_packed_span(i, *weight_codes, max_rows, "conv")?;
                     let wcodes = self.codes_span(Some(i), *weight_codes, "conv: weight codes")?;
                     // Padded windows read the zero column of every row.
                     let extra_col = (geom.pad > 0).then_some(*zero_code as usize);
@@ -1338,7 +1260,6 @@ mod tests {
             ],
             floats: Cow::Owned(floats),
             codes: Cow::Owned(vec![0, 1, 2, 3, 1, 0, 0, 1]),
-            packed: vec![],
         }
     }
 

@@ -151,7 +151,6 @@ mod tests {
             ops,
             floats: Cow::Owned(vec![-1.0, 1.0]),
             codes: Cow::Owned(vec![]),
-            packed: vec![],
         }
     }
 

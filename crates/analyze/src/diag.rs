@@ -76,19 +76,11 @@ pub enum DiagCode {
     /// A reachable centroid, product, bias, or LUT entry is NaN or
     /// infinite and would propagate to outputs.
     NonFinite,
-    /// A format v2 bit-packed code layout is structurally invalid:
-    /// directory offsets out of bounds or out of order, sections not
-    /// tiling the code pool, a bit width outside `1..=16`, or an op's
-    /// weight-code span not matching any packed section.
+    /// The serving crate's artifact decoder refused the bytes' code
+    /// layout (its `ArtifactError::PackedLayout`, which `lint_bytes`
+    /// renders under this code). The decoder owns that judgement; the
+    /// checker never sees a layout and never emits this code.
     PackedLayoutInvalid,
-    /// A packed section's bit width disagrees with the width implied by
-    /// the product table it feeds (`ceil(log2(weight_count))`), so the
-    /// stream can encode row indices the table does not have.
-    PackedWidthMismatch,
-    /// A packed section's final stream byte carries non-zero bits past
-    /// the last code — trailing garbage a bit-exact round-trip would
-    /// silently preserve.
-    PackedTrailingBits,
     /// An optimizer certificate is structurally malformed: op/remap
     /// counts disagree, a row map is not an order-preserving injection
     /// onto a prefix of the new row indices, or a kept range is out of
@@ -140,8 +132,6 @@ impl DiagCode {
             DiagCode::ResidualImbalance => "RNA0010",
             DiagCode::NonFinite => "RNA0011",
             DiagCode::PackedLayoutInvalid => "RNA0012",
-            DiagCode::PackedWidthMismatch => "RNA0013",
-            DiagCode::PackedTrailingBits => "RNA0014",
             DiagCode::CertificateInvalid => "RNA0015",
             DiagCode::RewriteMismatch => "RNA0016",
             DiagCode::RewriteUnproven => "RNA0017",
@@ -170,8 +160,6 @@ impl DiagCode {
             | DiagCode::ResidualImbalance
             | DiagCode::NonFinite
             | DiagCode::PackedLayoutInvalid
-            | DiagCode::PackedWidthMismatch
-            | DiagCode::PackedTrailingBits
             | DiagCode::CertificateInvalid
             | DiagCode::RewriteMismatch
             | DiagCode::RewriteUnproven => Severity::Error,

@@ -49,7 +49,6 @@
 //!     ops: vec![],
 //!     floats: Cow::Owned(vec![-1.0, 1.0]),
 //!     codes: Cow::Owned(vec![]),
-//!     packed: vec![],
 //! };
 //! let report = analyze(&program);
 //! assert!(report.has_errors()); // ends in the encoded domain
@@ -75,7 +74,7 @@ pub use optimize::{
     inject_dead_rows, optimize, validate_certificate, Certificate, OpRemap, Optimized, Pass,
     PassRecord,
 };
-pub use program::{Act, Geom, Op, PackedSection, Program, Span, TableRef};
+pub use program::{Act, Geom, Op, Program, Span, TableRef};
 pub use quant::{
     factor_table, quantize_plan, quantize_plan_with, FallbackReason, FinishPlan, LicensedOp,
     OpQuant, QuantPlan,
@@ -121,7 +120,6 @@ mod tests {
             }],
             floats: Cow::Owned(floats),
             codes: Cow::Owned(vec![0, 1]),
-            packed: vec![],
         }
     }
 
@@ -249,50 +247,6 @@ mod tests {
         assert!(!report.has_errors(), "{report}");
         assert!(
             report.find(DiagCode::AccumulatorOverflow).is_some(),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn packed_section_lints_are_typed() {
-        let section = |width_bits, code_len, padding_clear| PackedSection {
-            code_start: 0,
-            code_len,
-            width_bits,
-            padding_clear,
-        };
-
-        // A faithful packed description of tiny() is clean: one section
-        // covering both weight codes at the 1-bit width its 2-row table
-        // implies.
-        let mut p = tiny();
-        p.packed = vec![section(1, 2, true)];
-        assert!(analyze(&p).is_clean(), "{}", analyze(&p));
-
-        // Width disagreeing with the table's row count.
-        let mut p = tiny();
-        p.packed = vec![section(4, 2, true)];
-        let report = analyze(&p);
-        assert!(
-            report.find(DiagCode::PackedWidthMismatch).is_some(),
-            "{report}"
-        );
-
-        // Op span not coinciding with any section.
-        let mut p = tiny();
-        p.packed = vec![section(1, 1, true)];
-        let report = analyze(&p);
-        assert!(
-            report.find(DiagCode::PackedLayoutInvalid).is_some(),
-            "{report}"
-        );
-
-        // Non-zero trailing pad bits.
-        let mut p = tiny();
-        p.packed = vec![section(1, 2, false)];
-        let report = analyze(&p);
-        assert!(
-            report.find(DiagCode::PackedTrailingBits).is_some(),
             "{report}"
         );
     }

@@ -457,7 +457,6 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
             ops,
             floats: Cow::Owned(b.floats),
             codes: Cow::Owned(b.codes),
-            packed: Vec::new(),
         },
         certificate: cert,
         report,
@@ -1405,7 +1404,6 @@ pub fn inject_dead_rows(program: &Program<'_>, extra: usize) -> Program<'static>
         ops,
         floats: Cow::Owned(floats),
         codes: Cow::Owned(program.codes.to_vec()),
-        packed: Vec::new(),
     }
 }
 
@@ -1502,7 +1500,6 @@ mod tests {
             ],
             floats: Cow::Owned(floats),
             codes: Cow::Owned(vec![0, 1, 3, 3, 0, 1]),
-            packed: vec![],
         }
     }
 

@@ -8,6 +8,11 @@
 //! stage graph into the same form. Keeping the IR here (rather than in
 //! the serving crate) is what lets `rapidnn-serve` depend on the
 //! analyzer as its construction gate without a crate cycle.
+//!
+//! The IR holds no trace of how a model is stored: an artifact's
+//! bit-packed code sections end in the serving crate's decoder, which
+//! judges their layout itself, so a decoded program and a composed one
+//! look alike here.
 
 use rapidnn_core::{ActivationTable, ReinterpretedNetwork, Stage, StageKind};
 use rapidnn_nn::Activation;
@@ -188,25 +193,6 @@ pub enum Op {
     },
 }
 
-/// One bit-packed code section of a format-v2 artifact, as surfaced to
-/// the analyzer: which code-pool range it holds, how many bits each
-/// code is packed with, and whether the stream's trailing pad bits are
-/// zero. The checker lints these directly ([`crate::DiagCode`]s
-/// RNA0013/RNA0014); byte-level directory framing is checked by the
-/// serving decoder before a `Program` exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackedSection {
-    /// First code-pool index the section holds.
-    pub code_start: usize,
-    /// Number of codes in the section.
-    pub code_len: usize,
-    /// Bits per code, `1..=16`.
-    pub width_bits: u32,
-    /// Whether the unused high bits of the section's final stream byte
-    /// are zero.
-    pub padding_clear: bool,
-}
-
 /// A flattened inference program over borrowed (or owned) pools — the
 /// analyzer's input.
 #[derive(Debug, Clone, PartialEq)]
@@ -223,10 +209,6 @@ pub struct Program<'a> {
     pub floats: Cow<'a, [f32]>,
     /// All encoded weights.
     pub codes: Cow<'a, [u16]>,
-    /// Bit-packed section layout of the code pool, in ascending
-    /// `code_start` order. Empty for wide (in-memory) pools, in which
-    /// case the packed-form lints are skipped.
-    pub packed: Vec<PackedSection>,
 }
 
 impl Program<'_> {
@@ -247,7 +229,6 @@ impl Program<'_> {
             ops: b.ops,
             floats: Cow::Owned(b.floats),
             codes: Cow::Owned(b.codes),
-            packed: Vec::new(),
         }
     }
 }

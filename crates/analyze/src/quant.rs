@@ -18,13 +18,24 @@
 //! bias + activation, and (except at the output) re-encodes. There is
 //! one integer lowering, a multiply-accumulate: when every referenced
 //! table row factors back into `fl(w · book[x])` (the only form the
-//! composer writes; verified bitwise the same way the f32 kernels'
-//! `factor_table` fast path does), weights and book values are
+//! composer writes, the paper's neuron-to-memory products; recovered
+//! and verified bitwise by [`factor_table`], the one routine the f32
+//! kernels' multiply fast path uses too), weights and book values are
 //! quantized separately to `i16` at `2^w_frac` / `2^x_frac` and the
 //! kernel runs a pure `i16×i16 → i32` multiply-accumulate stream. A
 //! table that does not factor — possible only in a hand-built artifact
 //! — falls back ([`FallbackReason::NotFactored`]) and serves on the
 //! bit-exact f32 gather.
+//!
+//! # Precondition: an analyzer-clean program
+//!
+//! The plan is derived for programs the checker passes, which every
+//! serving model is by construction. It trusts what the checker refuses
+//! as an `error` — spans, table bounds, shapes, weight codes, finite
+//! codebooks, biases and referenced table rows — and checks only what
+//! the checker warns about or proves for reachable entries alone:
+//! sorted axes, and the finiteness of LUT inputs and of every finish-LUT
+//! output.
 //!
 //! Headroom is proven, not hoped for: with `mag = max_o (|bias_o| +
 //! Σ_i max_x |table[w(o,i)][x]|)` bounding every partial sum over the
@@ -89,13 +100,14 @@ pub enum FinishPlan {
 pub enum FallbackReason {
     /// The op kind has no integer lowering (convolutions today).
     UnsupportedOp,
-    /// The op consumes decoded floats, so there is no input codebook to
-    /// quantize against.
-    NotEncoded,
-    /// Structural problems — out-of-bounds spans, unsorted codebooks,
-    /// shape mismatches. Strict loading rejects such models anyway.
-    Invalid,
-    /// A value the lowering must quantize is NaN or infinite.
+    /// A codebook or activation-LUT input axis the error bound walks as
+    /// sorted is not sorted by `<=` (the checker only warns, RNA0101),
+    /// or a LUT input axis — which the checker leaves unchecked — is
+    /// non-finite or longer than `2^16`.
+    UnsortedBook,
+    /// A value the lowering must quantize is NaN or infinite. A
+    /// non-finite referenced table row is named before one that does
+    /// not factor.
     NonFinite,
     /// A referenced table row is not `fl(w · book[x])` for any `w`, so
     /// there are no separate weight and input operands to multiply.
@@ -113,8 +125,7 @@ impl fmt::Display for FallbackReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let msg = match self {
             FallbackReason::UnsupportedOp => "op kind has no integer lowering",
-            FallbackReason::NotEncoded => "op consumes decoded floats",
-            FallbackReason::Invalid => "op is structurally invalid",
+            FallbackReason::UnsortedBook => "a codebook or LUT axis is not sorted and finite",
             FallbackReason::NonFinite => "quantization source values are not finite",
             FallbackReason::NotFactored => "product table does not factor into w · x",
             FallbackReason::ValueRangeTooWide => "operand range exceeds i16 at any fraction",
@@ -201,7 +212,8 @@ impl QuantPlan {
 }
 
 /// Derives a [`QuantPlan`] against the paper's datapath
-/// ([`DatapathModel::paper`], Q8.8).
+/// ([`DatapathModel::paper`], Q8.8), for an analyzer-clean program
+/// (see [`quantize_plan_with`]).
 pub fn quantize_plan(program: &Program<'_>) -> QuantPlan {
     quantize_plan_with(program, DatapathModel::paper())
 }
@@ -211,9 +223,13 @@ pub fn quantize_plan(program: &Program<'_>) -> QuantPlan {
 /// `datapath.fraction_bits`, so requantization happens on (at least)
 /// the simulated hardware's grid.
 ///
-/// Never panics, even on structurally broken programs — ops the walk
-/// cannot prove sound simply fall back
-/// ([`FallbackReason::Invalid`]).
+/// # Panics
+///
+/// The precondition is an analyzer-clean `program`
+/// (`!analyze(program).has_errors()`), which every serving model is by
+/// construction: the walk indexes every span, table and weight code the
+/// checker proved in bounds without checking again, and may panic on a
+/// program the checker refuses.
 pub fn quantize_plan_with(program: &Program<'_>, datapath: DatapathModel) -> QuantPlan {
     let mut walk = QuantWalk {
         program,
@@ -252,24 +268,24 @@ struct QuantWalk<'p, 'a> {
     ops: Vec<OpQuant>,
 }
 
+/// The checker refuses a table op on decoded floats (RNA0007), so one
+/// that passed it reads codes through a book.
+const READS_CODES: &str = "an analyzer-clean table op reads codes";
+
 impl<'p> QuantWalk<'p, '_> {
-    fn floats(&self, s: Span) -> Option<&'p [f32]> {
-        s.get(&self.program.floats)
+    fn floats(&self, s: Span) -> &'p [f32] {
+        s.slice(&self.program.floats)
     }
 
-    /// A span that must hold a sorted, finite, non-empty codebook.
+    /// An axis the error bound walks as sorted: a codebook, or an
+    /// activation LUT's inputs. The checker proves either in bounds
+    /// and non-empty, and a codebook finite and addressable; `None`
+    /// for what it does not prove (see [`FallbackReason::UnsortedBook`]).
     fn book(&self, s: Span) -> Option<&'p [f32]> {
-        let vals = self.floats(s)?;
-        if vals.is_empty() || vals.len() > MAX_LUT_LEN {
-            return None;
-        }
+        let vals = self.floats(s);
         let sorted = vals.windows(2).all(|w| w[0] <= w[1]);
         let finite = vals.iter().all(|v| v.is_finite());
-        (sorted && finite).then_some(vals)
-    }
-
-    fn codes(&self, s: Span) -> Option<&'p [u16]> {
-        s.get(&self.program.codes)
+        (vals.len() <= MAX_LUT_LEN && sorted && finite).then_some(vals)
     }
 
     fn run(&mut self) {
@@ -284,25 +300,15 @@ impl<'p> QuantWalk<'p, '_> {
         match op {
             Op::Dense {
                 inputs,
-                outputs,
                 weight_codes,
                 bias,
                 table,
                 act,
                 encoder,
+                ..
             } => {
-                let book = self.cur_book.take();
-                self.cur_book = *encoder;
-                self.dense(
-                    *inputs,
-                    *outputs,
-                    *weight_codes,
-                    *bias,
-                    table,
-                    act,
-                    encoder,
-                    book,
-                )
+                let book = std::mem::replace(&mut self.cur_book, *encoder).expect(READS_CODES);
+                self.dense(*inputs, *weight_codes, *bias, table, act, encoder, book)
             }
             Op::Conv {
                 geom,
@@ -311,12 +317,11 @@ impl<'p> QuantWalk<'p, '_> {
                 encoder,
                 ..
             } => {
-                let book = self.cur_book.take();
-                self.cur_book = *encoder;
+                let book = std::mem::replace(&mut self.cur_book, *encoder).expect(READS_CODES);
                 // Convolutions stay on f32; if upstream deviation
                 // exists it still propagates through the taps.
                 if self.err > 0.0 {
-                    let lip = book.and_then(|b| self.book(b)).map_or(f64::INFINITY, |bk| {
+                    let lip = self.book(book).map_or(f64::INFINITY, |bk| {
                         tables
                             .iter()
                             .map(|t| self.table_lip_all(t, bk))
@@ -356,76 +361,44 @@ impl<'p> QuantWalk<'p, '_> {
     }
 
     /// Dense licensing. On any failure the op falls back and upstream
-    /// deviation propagates as well as the structure allows (infinity
-    /// when it cannot be bounded — such models are also rejected by
-    /// loading).
+    /// deviation propagates as well as the data allows (infinity when
+    /// an axis it must walk is not sorted and finite).
     #[allow(clippy::too_many_arguments)]
     fn dense(
         &mut self,
         inputs: usize,
-        outputs: usize,
         weight_codes: Span,
         bias: Span,
         table: &TableRef,
         act: &Act,
         encoder: &Option<Span>,
-        book_span: Option<Span>,
+        book_span: Span,
     ) -> OpQuant {
         let fallback = |w: &mut Self, reason: FallbackReason| {
             if w.err > 0.0 {
-                // Bound the f32 fallback's own deviation when the
-                // structure is sound enough to measure; else give up.
-                let acc_dev = book_span
-                    .and_then(|bs| w.book(bs))
-                    .and_then(|bk| w.fallback_acc_dev(inputs, outputs, weight_codes, table, bk))
+                // Bound the f32 fallback's own deviation when the data
+                // allows; else give up.
+                let acc_dev = w
+                    .book(book_span)
+                    .and_then(|bk| w.fallback_acc_dev(inputs, weight_codes, table, bk))
                     .unwrap_or(f64::INFINITY);
                 w.err = w.finish_error(acc_dev, act, encoder);
             }
             OpQuant::Fallback(reason)
         };
 
-        // --- Structural gate (mirrors what the checker proves, but
-        // must never panic on programs it has not seen).
-        let Some(book_span) = book_span else {
-            return fallback(self, FallbackReason::NotEncoded);
-        };
+        // --- What the checker does not refuse: unsorted axes, and
+        // finish-LUT data it proves finite only where reachable.
         let Some(book) = self.book(book_span) else {
-            return fallback(self, FallbackReason::Invalid);
+            return fallback(self, FallbackReason::UnsortedBook);
         };
-        let pool_f: &[f32] = &self.program.floats;
-        let table_ok = table
-            .weight_count
-            .checked_mul(table.input_count)
-            .and_then(|n| table.offset.checked_add(n))
-            .is_some_and(|end| end <= pool_f.len());
-        let shape_ok = inputs >= 1
-            && outputs >= 1
-            && inputs.checked_mul(outputs) == Some(weight_codes.len)
-            && bias.len == outputs
-            && book.len() <= table.input_count
-            && table.weight_count >= 1;
-        if !table_ok || !shape_ok {
-            return fallback(self, FallbackReason::Invalid);
-        }
-        let (Some(wcodes), Some(bias_v)) = (self.codes(weight_codes), self.floats(bias)) else {
-            return fallback(self, FallbackReason::Invalid);
-        };
-        if wcodes.iter().any(|&c| (c as usize) >= table.weight_count) {
-            return fallback(self, FallbackReason::Invalid);
-        }
-        if bias_v.iter().any(|v| !v.is_finite()) {
-            return fallback(self, FallbackReason::NonFinite);
-        }
-        // Activation / encoder data the finish LUT will bake in.
         let act_data = match act {
             Act::Identity | Act::Relu => None,
             Act::Lookup { inputs, outputs } => {
-                let (Some(xs), Some(ys)) = (self.book(*inputs), self.floats(*outputs)) else {
-                    return fallback(self, FallbackReason::Invalid);
+                let Some(xs) = self.book(*inputs) else {
+                    return fallback(self, FallbackReason::UnsortedBook);
                 };
-                if xs.len() != ys.len() {
-                    return fallback(self, FallbackReason::Invalid);
-                }
+                let ys = self.floats(*outputs);
                 if ys.iter().any(|v| !v.is_finite()) {
                     return fallback(self, FallbackReason::NonFinite);
                 }
@@ -436,13 +409,17 @@ impl<'p> QuantWalk<'p, '_> {
             None => None,
             Some(e) => match self.book(*e) {
                 Some(b) => Some(b),
-                None => return fallback(self, FallbackReason::Invalid),
+                None => return fallback(self, FallbackReason::UnsortedBook),
             },
         };
 
-        // --- Row scan: hull, magnitude, Lipschitz and factors.
+        // --- Row scan: hull, magnitude and Lipschitz constant of every
+        // referenced row, then the factors. A non-finite row is named
+        // before any factoring: `factor_table` answers `None` for it too.
+        let pool_f: &[f32] = &self.program.floats;
+        let wcodes = weight_codes.slice(&self.program.codes);
+        let bias_v = self.floats(bias);
         let mut rows: Vec<Option<RowInfo>> = vec![None; table.weight_count];
-        let mut wvals = vec![0.0f32; table.weight_count];
         let mut acc = Interval::zero();
         let mut mag_bound = 0.0f64;
         let count = inputs as f64;
@@ -459,10 +436,6 @@ impl<'p> QuantWalk<'p, '_> {
                         let Some(info) = self.row_info(table, c, book) else {
                             return fallback(self, FallbackReason::NonFinite);
                         };
-                        let Some(w) = factor_row(&table.row(pool_f, c)[..book.len()], book) else {
-                            return fallback(self, FallbackReason::NotFactored);
-                        };
-                        wvals[c] = w;
                         rows[c] = Some(info);
                         info
                     }
@@ -475,6 +448,9 @@ impl<'p> QuantWalk<'p, '_> {
             first = false;
             mag_bound = mag_bound.max(mag_o);
         }
+        let Some(wvals) = factor_table(pool_f, table, book, wcodes) else {
+            return fallback(self, FallbackReason::NotFactored);
+        };
 
         // --- Choose a fraction split with proven headroom.
         let lut_frac = self.lut_frac;
@@ -581,44 +557,26 @@ impl<'p> QuantWalk<'p, '_> {
     /// conv propagation, where per-row code tracking is not worth it).
     fn table_lip_all(&self, table: &TableRef, book: &[f32]) -> f64 {
         let pool_f: &[f32] = &self.program.floats;
-        let end = table
-            .weight_count
-            .checked_mul(table.input_count)
-            .and_then(|n| table.offset.checked_add(n));
-        if end.is_none_or(|e| e > pool_f.len()) || book.len() > table.input_count {
-            return f64::INFINITY;
-        }
         (0..table.weight_count)
             .map(|w| slice_lip(book, &table.row(pool_f, w)[..book.len()]))
             .fold(0.0, f64::max)
     }
 
     /// Accumulator deviation of an *unlicensed* dense op fed deviated
-    /// inputs: upstream error through the table's Lipschitz constant.
+    /// inputs: upstream error through the table's Lipschitz constant;
+    /// `None` when a referenced row is not finite.
     fn fallback_acc_dev(
         &self,
         inputs: usize,
-        outputs: usize,
         weight_codes: Span,
         table: &TableRef,
         book: &[f32],
     ) -> Option<f64> {
-        let wcodes = self.codes(weight_codes)?;
-        if inputs.checked_mul(outputs) != Some(weight_codes.len) || book.len() > table.input_count {
-            return None;
-        }
         let pool_f: &[f32] = &self.program.floats;
-        let end = table
-            .weight_count
-            .checked_mul(table.input_count)
-            .and_then(|n| table.offset.checked_add(n))?;
-        if end > pool_f.len() || wcodes.iter().any(|&c| (c as usize) >= table.weight_count) {
-            return None;
-        }
         let mut lip = 0.0f64;
         let mut mag = 0.0f64;
         let mut seen = vec![false; table.weight_count];
-        for &c in wcodes {
+        for &c in weight_codes.slice(&self.program.codes) {
             let c = c as usize;
             if !seen[c] {
                 seen[c] = true;
@@ -639,11 +597,9 @@ impl<'p> QuantWalk<'p, '_> {
     fn finish_error(&self, acc_dev: f64, act: &Act, encoder: &Option<Span>) -> f64 {
         let act_err = match act {
             Act::Identity | Act::Relu => acc_dev,
-            Act::Lookup { inputs, outputs } => match (self.book(*inputs), self.floats(*outputs)) {
-                (Some(xs), Some(ys)) if xs.len() == ys.len() => {
-                    lut_lip(xs, ys) * (acc_dev + 2.0 * half_gap(xs))
-                }
-                _ => f64::INFINITY,
+            Act::Lookup { inputs, outputs } => match self.book(*inputs) {
+                Some(xs) => lut_lip(xs, self.floats(*outputs)) * (acc_dev + 2.0 * half_gap(xs)),
+                None => f64::INFINITY,
             },
         };
         match encoder {
@@ -721,10 +677,11 @@ fn lut_lip(xs: &[f32], ys: &[f32]) -> f64 {
 /// the op as a multiply instead of a table gather; a row no code
 /// references keeps `0.0`.
 ///
-/// Total on input nothing has verified: `None` for a table outside
-/// `floats`, a code outside the table, an empty, non-finite or
-/// over-long book, and a referenced row that is non-finite or not of
-/// this form (hand-built artifacts only).
+/// Total on input nothing has verified — the serving crate lowers its
+/// dense ops through it before the construction gate runs: `None` for
+/// a table outside `floats`, a code outside the table, an empty,
+/// non-finite or over-long book, and a referenced row that is
+/// non-finite or not of this form (hand-built artifacts only).
 pub fn factor_table(
     floats: &[f32],
     table: &TableRef,
@@ -819,7 +776,6 @@ mod tests {
             }],
             floats: Cow::Owned(floats),
             codes: Cow::Owned(vec![0, 1]),
-            packed: vec![],
         }
     }
 
@@ -879,22 +835,30 @@ mod tests {
         assert_eq!(plan.output_error, 0.0);
     }
 
+    /// `factor_table` answers `None` for a non-finite row and for one
+    /// that does not factor alike, so the plan names the non-finite row
+    /// first, whichever the weight codes reach first. (The checker
+    /// refuses a non-finite referenced row, RNA0011; the order is the
+    /// plan's own.)
     #[test]
-    fn non_finite_table_falls_back() {
+    fn non_finite_row_is_named_before_an_unfactored_one() {
         let mut program = tiny(&[-0.5, 1.0]);
-        program.floats.to_mut()[5] = f32::NAN;
+        program.floats.to_mut()[4] += 0.001; // row 0 no longer factors
+        program.floats.to_mut()[9] = f32::NAN; // row 1, reached second
         let plan = quantize_plan(&program);
         assert_eq!(plan.ops[0], OpQuant::Fallback(FallbackReason::NonFinite));
     }
 
     #[test]
     fn broken_spans_never_panic() {
+        // The plan trusts the checker, which refuses a span past its
+        // pool before any plan is asked for.
         let mut program = tiny(&[-0.5, 1.0]);
         if let Op::Dense { weight_codes, .. } = &mut program.ops[0] {
             weight_codes.len = usize::MAX;
         }
-        let plan = quantize_plan(&program);
-        assert_eq!(plan.ops[0], OpQuant::Fallback(FallbackReason::Invalid));
+        let report = crate::analyze(&program);
+        assert!(report.has_errors(), "{report}");
 
         // Serving asks `factor_table` at load, before any checker ran
         // (`tests/factor_table.rs` has the rest).
@@ -988,7 +952,6 @@ mod tests {
             ],
             floats: Cow::Owned(floats),
             codes: Cow::Owned(vec![0, 1, 1, 0, 0, 1]),
-            packed: vec![],
         }
     }
 
@@ -1009,13 +972,18 @@ mod tests {
         assert_eq!(plan.output_error, op2.error);
     }
 
+    /// A convolution stays on f32 but carries the upstream deviation
+    /// through its taps: fan-in times the table's Lipschitz constant
+    /// along the book (here `2 · book`, so 2).
     #[test]
-    fn conv_downstream_of_license_is_unbounded() {
+    fn conv_downstream_of_license_propagates_through_its_taps() {
         use crate::program::Geom;
         let mut program = tiny(&[-0.5, 1.0]);
         if let Op::Dense { encoder, .. } = &mut program.ops[0] {
             *encoder = Some(Span { start: 0, len: 4 });
         }
+        let offset = program.floats.len();
+        program.floats.to_mut().extend([-2.0, 0.0, 1.0, 4.0]);
         program.ops.push(Op::Conv {
             geom: Geom {
                 in_channels: 1,
@@ -1030,9 +998,9 @@ mod tests {
             },
             out_channels: 1,
             weight_codes: Span { start: 0, len: 1 },
-            bias: Span { start: 8, len: 1 },
+            bias: Span { start: 12, len: 1 },
             tables: vec![TableRef {
-                offset: 40, // out of bounds on purpose: lip is unknowable
+                offset,
                 weight_count: 1,
                 input_count: 4,
             }],
@@ -1040,11 +1008,17 @@ mod tests {
             act: Act::Identity,
             encoder: None,
         });
+        let report = crate::analyze(&program);
+        assert!(!report.has_errors(), "{report}");
         let plan = quantize_plan(&program);
+        let OpQuant::Licensed(op) = &plan.ops[0] else {
+            panic!("expected license, got {:?}", plan.ops[0]);
+        };
         assert_eq!(
             plan.ops[1],
             OpQuant::Fallback(FallbackReason::UnsupportedOp)
         );
-        assert!(plan.output_error.is_infinite());
+        assert!(op.error > 0.0);
+        assert_eq!(plan.output_error, 2.0 * op.error);
     }
 }

@@ -328,72 +328,57 @@ impl Registry {
                 .map_err(|e| GatewayError::from_serve(name, e))?;
         }
         let existing = read(&self.models).get(name).cloned();
-        match existing {
-            None => {
-                let config = self.config.engine.clone();
-                let first = self.candidate(model, config, stages, 0, optimized)?;
-                let served_stages = first.engine.stage_count();
-                let entry = ModelEntry::new(name, first);
-                let mut models = write(&self.models);
-                if models.contains_key(name) {
-                    return Err(GatewayError::SwapInProgress(name.to_string()));
-                }
-                models.insert(name.to_string(), entry);
-                Ok(SwapReport {
-                    created: true,
-                    generation: 0,
-                    warmed: self.config.warmup_samples,
-                    stages: served_stages,
-                    drained: true,
-                    optimized,
-                    old_stats: None,
-                })
+        let _swap = match existing.as_ref().map(|entry| entry.swapping.try_lock()) {
+            None => None,
+            Some(Ok(guard)) => Some(guard),
+            Some(Err(TryLockError::WouldBlock)) => {
+                return Err(GatewayError::SwapInProgress(name.to_string()))
             }
-            Some(entry) => self.swap_entry(&entry, model, stages, optimized),
-        }
-    }
-
-    /// The verified-hot-swap core: new engine, warmup, cutover, drain.
-    fn swap_entry(
-        &self,
-        entry: &ModelEntry,
-        model: CompiledModel,
-        stages: Option<usize>,
-        optimized: Option<OptimizeStats>,
-    ) -> Result<SwapReport, GatewayError> {
-        let _swap = match entry.swapping.try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::WouldBlock) => {
-                return Err(GatewayError::SwapInProgress(entry.name.clone()))
-            }
-            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Some(Err(TryLockError::Poisoned(p))) => Some(p.into_inner()),
         };
-        // The replacement must honour the model's wire contract.
-        let current = read_slot(&entry.slot);
-        let served = current.engine.model();
-        let expected = (served.input_features(), served.output_features());
-        let (generation, config) = (current.generation + 1, current.config.clone());
-        // The drain below waits for every other holder of this `Arc`.
-        drop(current);
-        let got = (model.input_features(), model.output_features());
-        if got != expected {
-            return Err(GatewayError::WidthMismatch {
-                name: entry.name.clone(),
-                expected,
-                got,
-            });
-        }
-        // Build and warm the successor before touching traffic; any
+        let (generation, config) = match &existing {
+            None => (0, self.config.engine.clone()),
+            Some(entry) => {
+                // The replacement must honour the model's wire contract.
+                // `current` drops with this arm: the drain below waits
+                // for every other holder of its `Arc`.
+                let current = read_slot(&entry.slot);
+                let served = current.engine.model();
+                let expected = (served.input_features(), served.output_features());
+                let got = (model.input_features(), model.output_features());
+                if got != expected {
+                    return Err(GatewayError::WidthMismatch {
+                        name: name.to_string(),
+                        expected,
+                        got,
+                    });
+                }
+                (current.generation + 1, current.config.clone())
+            }
+        };
+        // Build and warm the candidate before touching traffic; any
         // failure here is a rollback by construction — including a
         // requested stage-count change, which must not stick either.
         let next = self.candidate(model, config, stages, generation, optimized)?;
         let served_stages = next.engine.stage_count();
-        // Atomic cutover: every submission after this write lock drops
-        // lands on the new engine, under the new generation number.
-        let old = std::mem::replace(&mut *write(&entry.slot), Arc::new(next));
-        let (old_stats, drained) = drain_displaced(old, self.config.drain_deadline);
+        let (old_stats, drained) = match &existing {
+            None => {
+                let mut models = write(&self.models);
+                if models.contains_key(name) {
+                    return Err(GatewayError::SwapInProgress(name.to_string()));
+                }
+                models.insert(name.to_string(), ModelEntry::new(name, next));
+                (None, true)
+            }
+            Some(entry) => {
+                // Atomic cutover: every submission after this write lock
+                // drops lands on the new engine, under the new generation.
+                let old = std::mem::replace(&mut *write(&entry.slot), Arc::new(next));
+                drain_displaced(old, self.config.drain_deadline)
+            }
+        };
         Ok(SwapReport {
-            created: false,
+            created: existing.is_none(),
             generation,
             warmed: self.config.warmup_samples,
             stages: served_stages,

@@ -383,16 +383,13 @@ impl CompiledModel {
     ///
     /// Byte-level corruption surfaces as [`ServeError::Artifact`] with a
     /// typed [`ArtifactError`](crate::ArtifactError) — bad magic, unknown version, truncation,
-    /// checksum mismatch, broken framing; a decodable program with
-    /// analysis errors surfaces as [`ServeError::Rejected`] carrying
-    /// the full diagnostic report. This function never panics.
+    /// checksum mismatch, broken framing or code-section layout; a
+    /// decodable program with analysis errors surfaces as
+    /// [`ServeError::Rejected`] carrying the full diagnostic report.
+    /// This function never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let (model, packed) = wire::decode(bytes)?;
-        // The section layouts exist for this one pass (RNA0012–0014).
-        gate(&Program {
-            packed,
-            ..model.to_program()
-        })?;
+        let model = wire::decode(bytes)?;
+        gate(&model.to_program())?;
         Ok(model)
     }
 
@@ -442,7 +439,6 @@ impl CompiledModel {
             ops: self.ops.clone(),
             floats: Cow::Borrowed(&self.floats),
             codes: Cow::Borrowed(&self.codes),
-            packed: Vec::new(),
         }
     }
 

@@ -39,9 +39,11 @@ pub enum ArtifactError {
     Malformed(String),
     /// A format v2 packed-code layout is inconsistent: section directory
     /// offsets out of bounds or out of order, sections not tiling the
-    /// code pool, a bit width outside `1..=16`, or non-zero alignment
-    /// padding. Kept distinct from [`ArtifactError::Malformed`] so the
-    /// analyzer can map it to its own diagnostic code.
+    /// code pool, a bit width outside `1..=16`, non-zero alignment or
+    /// trailing pad bits, or a directory other than the one the encoder
+    /// writes for the decoded ops and codes. Kept distinct from
+    /// [`ArtifactError::Malformed`] so `lint_bytes` can render it under
+    /// its own diagnostic code (RNA0012).
     PackedLayout(String),
 }
 

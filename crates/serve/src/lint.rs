@@ -10,7 +10,7 @@
 //! [`CompiledModel::from_bytes`]: crate::CompiledModel::from_bytes
 
 use crate::error::ArtifactError;
-use rapidnn_analyze::{DiagCode, Diagnostic, Program, Report};
+use rapidnn_analyze::{DiagCode, Diagnostic, Report};
 
 /// Statically analyzes a serialized artifact, folding decode failures
 /// into the report ([`decode_failure_report`]) instead of returning
@@ -23,17 +23,14 @@ use rapidnn_analyze::{DiagCode, Diagnostic, Program, Report};
 /// [`CompiledModel::from_bytes`]: crate::CompiledModel::from_bytes
 pub fn lint_bytes(bytes: &[u8]) -> Report {
     match crate::wire::decode(bytes) {
-        Ok((model, packed)) => rapidnn_analyze::analyze(&Program {
-            packed,
-            ..model.to_program()
-        }),
+        Ok(model) => rapidnn_analyze::analyze(&model.to_program()),
         Err(e) => decode_failure_report(&e),
     }
 }
 
 /// The one-diagnostic report a byte-level decode failure renders as:
-/// packed-layout framing failures (section directories) get their own
-/// `RNA0012` code; every other failure folds into `RNA0001`. Shared by
+/// a refused code-section layout ([`ArtifactError::PackedLayout`]) gets
+/// its own `RNA0012` code; every other failure folds into `RNA0001`. Shared by
 /// [`lint_bytes`] and by callers that already hold the
 /// [`ArtifactError`] of a refused load.
 pub fn decode_failure_report(e: &ArtifactError) -> Report {

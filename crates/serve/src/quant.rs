@@ -118,9 +118,8 @@ impl QuantState {
     /// Builds the integer tiles for every licensed op of `plan`.
     ///
     /// Every constructed model has passed the analyzer, so spans are
-    /// in bounds, and the plan licenses an op only after checking each
-    /// of its weight codes against the table `wvals` was recovered
-    /// from.
+    /// in bounds and each weight code names a row of its table, which
+    /// `wvals` holds one factor per row of.
     pub(crate) fn materialize(model: &CompiledModel, plan: QuantPlan) -> QuantState {
         let pool_f: &[f32] = &model.floats;
         let mut ops: Vec<Option<QuantOp>> = Vec::with_capacity(model.ops.len());

@@ -17,13 +17,15 @@
 //! exactly like the one it was written from and nothing downstream
 //! knows how it was built.
 //!
-//! Nothing here judges a program: [`decode`] checks byte framing only
-//! and hands back a model no analyzer has seen, which
-//! [`CompiledModel::from_bytes`] and `lint_bytes` then gate.
+//! [`decode`] judges the bytes, all of them: the framing, and the
+//! section layout, which must be the one [`encode`] writes for the
+//! decoded ops and codes. It does not judge the program — it hands back
+//! a model no analyzer has seen, which [`CompiledModel::from_bytes`]
+//! and `lint_bytes` then gate.
 
 use crate::artifact::CompiledModel;
 use crate::error::ArtifactError;
-use rapidnn_analyze::{Act, Geom, Op, PackedSection, Span, TableRef};
+use rapidnn_analyze::{Act, Geom, Op, Span, TableRef};
 
 /// File magic: `RNNA` ("RapidNN Artifact").
 pub const MAGIC: [u8; 4] = *b"RNNA";
@@ -259,17 +261,18 @@ fn plan_sections(ops: &[Op], codes: &[u16]) -> Vec<(usize, usize, u32)> {
     sections
 }
 
-/// Decodes the byte framing (magic, version, checksum, payload) into
-/// a model no analyzer has seen, and the layout of the code sections it
-/// was unpacked from. Callers run the analyzer over both
-/// ([`CompiledModel::from_bytes`], `lint_bytes`) before anything infers,
-/// then drop the layouts: the model keeps no trace of the packing.
+/// Decodes an artifact into a model no analyzer has seen; callers
+/// ([`CompiledModel::from_bytes`], `lint_bytes`) run the analyzer over
+/// it before anything infers. The model keeps no trace of the packing.
 ///
 /// Once the checksum holds, the fixed header and ops are parsed and the
 /// section directory's framing invariants checked; each section is
 /// unpacked only after its stream is known to lie inside the packed
 /// region, so no allocation is sized by a count the bytes do not back.
-pub(crate) fn decode(bytes: &[u8]) -> Result<(CompiledModel, Vec<PackedSection>), ArtifactError> {
+/// A section with non-zero trailing pad bits, or a directory other than
+/// the one [`encode`] writes for the decoded ops and codes, is an
+/// [`ArtifactError::PackedLayout`]: one byte string per model.
+pub(crate) fn decode(bytes: &[u8]) -> Result<CompiledModel, ArtifactError> {
     let mut r = Reader::new(bytes);
     let magic = r.take(4)?;
     if magic != MAGIC {
@@ -393,18 +396,14 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(CompiledModel, Vec<PackedSection>)
                 "section {i} stream overruns the directory at byte {dir_byte_off}"
             )));
         }
-        // Unused high bits of the final byte must be zero; recorded
-        // here, enforced by the analyzer so the mutation invariant
-        // ("flagged or infers without panic") has no third outcome.
         let stream = &payload[byte_off..byte_cursor];
         let tail_bits = (len * width_bits as usize) % 8;
-        let padding_clear = tail_bits == 0 || stream[byte_len - 1] >> tail_bits == 0;
-        sections.push(PackedSection {
-            code_start: start,
-            code_len: len,
-            width_bits,
-            padding_clear,
-        });
+        if tail_bits != 0 && stream[byte_len - 1] >> tail_bits != 0 {
+            return Err(invalid(format!(
+                "section {i} has non-zero trailing pad bits"
+            )));
+        }
+        sections.push((start, len, width_bits));
         let mask = (1u32 << width_bits) - 1;
         codes.extend((0..len).map(|i| read_bits(stream, i * width_bits as usize, mask)));
     }
@@ -418,21 +417,36 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(CompiledModel, Vec<PackedSection>)
             "packed streams end at byte {byte_cursor}, directory starts at {dir_byte_off}"
         )));
     }
+    // Each op's weight codes are one section at the width its table
+    // implies, filler between: exactly what `encode` writes.
+    let expected = plan_sections(&ops, &codes);
+    if sections != expected {
+        let i = sections
+            .iter()
+            .zip(&expected)
+            .take_while(|(a, b)| a == b)
+            .count();
+        return Err(invalid(format!(
+            "section {i} is {:?} as (code_start, code_len, width_bits); \
+             these ops and codes encode it as {:?}",
+            sections.get(i),
+            expected.get(i)
+        )));
+    }
 
     let floats = payload[float_byte_off..packed_byte_off]
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte lane")))
         .collect();
 
-    let model = CompiledModel::assemble(
+    Ok(CompiledModel::assemble(
         input_features,
         output_features,
         virtual_encoder,
         ops,
         floats,
         codes,
-    );
-    Ok((model, sections))
+    ))
 }
 
 fn malformed(msg: impl Into<String>) -> ArtifactError {

@@ -5,7 +5,10 @@
 //! the loader refuses it, or it loads and infers without panicking. The
 //! property test below throws hundreds of random single-field
 //! corruptions at serialized artifacts of every op-program topology and
-//! checks there is no third outcome.
+//! checks there is no third outcome; the layout tests hold the decoder
+//! to refusing every section layout the encoder would not write. The
+//! analyzer's liveness notes read nothing dead on what the composer
+//! emits.
 
 mod common;
 
@@ -113,6 +116,32 @@ fn corrupted_artifacts_are_flagged_or_harmless() {
     });
 }
 
+/// No composed model carries dead data. Every weight centroid owns the
+/// weights it was fitted to, product tables span exactly the input
+/// book, and the analyzer's hull over every code combination has so far
+/// always covered the float calibration range each codebook and LUT was
+/// fitted to — an observation, not a theorem, which this test keeps
+/// checked.
+#[test]
+fn composed_models_carry_no_dead_data() {
+    for seed in [1, 2, 3, 42, 43] {
+        let mut rng = SeededRng::new(seed);
+        for (name, net) in [
+            ("mlp", common::mlp_model(&mut rng)),
+            ("cnn", common::cnn_model(&mut rng)),
+            ("residual", common::residual_model(&mut rng)),
+        ] {
+            let model = CompiledModel::from_reinterpreted(&net).expect("compile");
+            let report = model.analyze();
+            assert_eq!(
+                report.liveness().total(),
+                0,
+                "{name}, seed {seed}:\n{report}"
+            );
+        }
+    }
+}
+
 #[test]
 fn an_output_width_lie_is_refused_at_load() {
     let mut rng = SeededRng::new(100);
@@ -160,7 +189,6 @@ fn decode_cannot_be_made_to_allocate_by_a_lie() {
         }],
         floats: Cow::Owned(floats),
         codes: Cow::Owned((0..16).map(|i| i % 2).collect()),
-        packed: vec![],
     };
     let clean = CompiledModel::from_program(&program)
         .expect("compile")
@@ -188,4 +216,120 @@ fn decode_cannot_be_made_to_allocate_by_a_lie() {
         );
         assert_flagged_or_harmless(&bytes);
     }
+}
+
+/// Codes of [`five_code_artifact`]'s one dense op: 5 codes into a
+/// 2-row table, one 1-bit section of 5 bits, so its byte has 3 pad bits.
+const FIVE_CODES: [u16; 5] = [0, 1, 1, 0, 1];
+
+fn five_code_artifact() -> Vec<u8> {
+    let book = [-1.0f32, -0.25, 0.5, 1.0];
+    let mut floats = book.to_vec();
+    for w in [0.5f32, -1.0] {
+        floats.extend(book.iter().map(|x| w * x));
+    }
+    floats.push(0.125);
+    let program = Program {
+        input_features: 5,
+        output_features: 1,
+        virtual_encoder: Span { start: 0, len: 4 },
+        ops: vec![Op::Dense {
+            inputs: 5,
+            outputs: 1,
+            weight_codes: Span { start: 0, len: 5 },
+            bias: Span { start: 12, len: 1 },
+            table: TableRef {
+                offset: 4,
+                weight_count: 2,
+                input_count: 4,
+            },
+            act: Act::Identity,
+            encoder: None,
+        }],
+        floats: Cow::Owned(floats),
+        codes: Cow::Owned(FIVE_CODES.to_vec()),
+    };
+    CompiledModel::from_program(&program)
+        .expect("compile")
+        .to_bytes()
+}
+
+/// `clean` with its packed region and directory rewritten: `codes`
+/// split into `sections` of `(code_len, width_bits)`, each packed
+/// LSB-first, with bit 7 of each stream's last byte set when `dirty`.
+/// Framing stays consistent (offsets, lengths, checksum), so only the
+/// layout itself is on trial.
+fn repack(clean: &[u8], codes: &[u16], sections: &[(usize, u32)], dirty: bool) -> Vec<u8> {
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("u64"));
+    let payload = &clean[16..clean.len() - 8];
+    let packed_off = u64_at(payload, 56) as usize;
+    let (mut streams, mut dir, mut start) = (Vec::new(), Vec::new(), 0);
+    for &(len, width) in sections {
+        let width = width as usize;
+        let mut stream = vec![0u8; (len * width).div_ceil(8)];
+        for (i, &code) in codes[start..start + len].iter().enumerate() {
+            for b in (0..width).filter(|b| code >> b & 1 == 1) {
+                stream[(i * width + b) / 8] |= 1 << ((i * width + b) % 8);
+            }
+        }
+        if dirty {
+            *stream.last_mut().expect("non-empty") |= 0x80;
+        }
+        for v in [start, len, packed_off + streams.len(), width] {
+            dir.extend_from_slice(&(v as u64).to_le_bytes());
+        }
+        streams.extend(stream);
+        start += len;
+    }
+    let mut body = payload[..packed_off].to_vec();
+    body[40..48].copy_from_slice(&(sections.len() as u64).to_le_bytes());
+    body[64..72].copy_from_slice(&((packed_off + streams.len()) as u64).to_le_bytes());
+    body.extend(streams);
+    body.extend(dir);
+    let mut bytes = clean[..8].to_vec();
+    bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    bytes.extend(body);
+    bytes.extend_from_slice(&[0; 8]);
+    repair_checksum(&mut bytes);
+    bytes
+}
+
+/// A layout refusal belongs to the decoder: a typed `PackedLayout`
+/// error from the loader, errors from the linter, and no third outcome.
+fn assert_layout_refused(bytes: &[u8]) {
+    let loaded = CompiledModel::from_bytes(bytes);
+    assert!(
+        matches!(
+            loaded,
+            Err(ServeError::Artifact(ArtifactError::PackedLayout(_)))
+        ),
+        "{loaded:?}"
+    );
+    assert!(lint_bytes(bytes).has_errors());
+    assert_flagged_or_harmless(bytes);
+}
+
+#[test]
+fn repack_reproduces_the_encoder() {
+    let clean = five_code_artifact();
+    assert_eq!(repack(&clean, &FIVE_CODES, &[(5, 1)], false), clean);
+}
+
+#[test]
+fn a_section_wider_than_its_table_is_refused() {
+    // Two rows need one bit; two bits still hold every code.
+    let clean = five_code_artifact();
+    assert_layout_refused(&repack(&clean, &FIVE_CODES, &[(5, 2)], false));
+}
+
+#[test]
+fn a_weight_code_span_split_across_sections_is_refused() {
+    let clean = five_code_artifact();
+    assert_layout_refused(&repack(&clean, &FIVE_CODES, &[(2, 1), (3, 1)], false));
+}
+
+#[test]
+fn non_zero_trailing_pad_bits_are_refused() {
+    let clean = five_code_artifact();
+    assert_layout_refused(&repack(&clean, &FIVE_CODES, &[(5, 1)], true));
 }

@@ -446,7 +446,6 @@ fn chain(rng: &mut SeededRng, features: usize, steps: &[Step]) -> Program<'stati
         ops,
         floats: Cow::Owned(floats),
         codes: Cow::Owned(codes),
-        packed: vec![],
     }
 }
 
