@@ -3,7 +3,8 @@
 //! The paper's chip pipelines layers across tiles: once the pipeline is
 //! full, throughput is bounded by the *slowest* stage, so splitting a
 //! model into balanced stages needs a per-op cost estimate. This module
-//! derives one from the same [`Program`] IR the checker walks.
+//! derives one from each op and the row widths the program's dataflow
+//! walk ([`Program::flow`]) gives around it.
 //!
 //! Costs are unitless work estimates, not wall-clock promises: one unit
 //! is one product-table lookup-and-accumulate — the operation the RNA
@@ -45,70 +46,42 @@ impl OpCost {
 
 /// Estimates every op's per-sample cost in program order.
 ///
-/// The walk mirrors the checker's shape propagation; it never touches
-/// pool data, so it is safe on malformed programs (costs for ops past a
-/// shape error are still best-effort estimates).
+/// Widths come from the program's dataflow walk ([`Program::flow`]);
+/// nothing here touches pool data.
 pub fn op_costs(program: &Program<'_>) -> Vec<OpCost> {
-    let mut width = program.input_features as u64;
+    let flow = program.flow();
     program
         .ops
         .iter()
-        .map(|op| {
+        .zip(flow.windows(2))
+        .map(|(op, at)| {
+            // What the op reads, and what it leaves.
+            let (width, out) = (at[0].width as u64, at[1].width as u64);
             let mut c = OpCost::default();
             match op {
-                Op::Dense {
-                    inputs,
-                    outputs,
-                    act,
-                    encoder,
-                    ..
-                } => {
-                    let (nin, nout) = (*inputs as u64, *outputs as u64);
-                    c.lookups = nin * nout;
-                    c.elementwise = nout;
+                Op::Dense { act, encoder, .. } | Op::Conv { act, encoder, .. } => {
+                    let fan_in = match op {
+                        Op::Conv { geom, .. } => geom.patch_len() as u64,
+                        _ => width,
+                    };
+                    c.lookups = out * fan_in;
+                    c.elementwise = out;
                     if matches!(act, Act::Lookup { .. }) {
-                        c.encodes += nout;
+                        c.encodes += out;
                     }
                     if encoder.is_some() {
-                        c.encodes += nout;
+                        c.encodes += out;
                     }
-                    width = nout;
                 }
-                Op::Conv {
-                    geom,
-                    out_channels,
-                    act,
-                    encoder,
-                    ..
-                } => {
-                    let nout = (*out_channels * geom.out_pixels()) as u64;
-                    c.lookups = nout * geom.patch_len() as u64;
-                    c.elementwise = nout;
-                    if matches!(act, Act::Lookup { .. }) {
-                        c.encodes += nout;
-                    }
-                    if encoder.is_some() {
-                        c.encodes += nout;
-                    }
-                    width = nout;
-                }
-                Op::MaxPool(g) => {
-                    let out = (g.in_channels * g.out_pixels()) as u64;
-                    c.elementwise = out * (g.kernel_h * g.kernel_w) as u64;
-                    width = out;
-                }
+                Op::MaxPool(g) => c.elementwise = out * (g.kernel_h * g.kernel_w) as u64,
                 Op::AvgPool { geom: g, .. } => {
-                    let out = (g.in_channels * g.out_pixels()) as u64;
                     c.elementwise = out * (g.kernel_h * g.kernel_w) as u64;
                     // Decode-average-re-encode on encoded flows; the
                     // re-encode dominates, count it unconditionally.
                     c.encodes = out;
-                    width = out;
                 }
-                Op::ResidualBegin { .. } => {
-                    // Snapshot (decode) of the current flow.
-                    c.elementwise = width;
-                }
+                // Snapshot (decode) of the current flow.
+                Op::ResidualBegin { .. } => c.elementwise = width,
                 Op::ResidualEnd { encoder } => {
                     c.elementwise = width;
                     if encoder.is_some() {

@@ -27,12 +27,12 @@
 //!   findings are about dead *data*.
 //!
 //! Findings are collected into a [`Report`] of rustc-style
-//! [`Diagnostic`]s. The serving crate (`rapidnn-serve`) lowers its
-//! `CompiledModel` into the [`Program`] IR — every constructor there is
-//! gated on a clean report — and [`Program::from_reinterpreted`] lowers
-//! the composer's stage graph, both as the one compile path and so
-//! pipelines can be linted before compilation
-//! (`PipelineReport::analyze()` in the `rapidnn` facade).
+//! [`Diagnostic`]s. The serving crate (`rapidnn-serve`) decodes its
+//! artifacts into the [`Program`] IR and a `CompiledModel` holds one —
+//! every constructor there is gated on a clean report — and
+//! [`Program::from_reinterpreted`] lowers the composer's stage graph,
+//! both as the one compile path and so pipelines can be linted before
+//! compilation (`PipelineReport::analyze()` in the `rapidnn` facade).
 //!
 //! # Examples
 //!
@@ -74,7 +74,7 @@ pub use optimize::{
     inject_dead_rows, optimize, validate_certificate, Certificate, OpRemap, Optimized, Pass,
     PassRecord,
 };
-pub use program::{Act, Geom, Op, Program, Span, TableRef};
+pub use program::{Act, Boundary, Geom, Op, Program, Span, TableRef};
 pub use quant::{
     factor_table, quantize_plan, quantize_plan_with, FallbackReason, FinishPlan, LicensedOp,
     OpQuant, QuantPlan,

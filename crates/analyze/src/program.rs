@@ -2,17 +2,24 @@
 //!
 //! [`Program`] is the one flattened op layout — two contiguous pools
 //! plus a linear op list — with public fields and borrowed pools.
-//! `rapidnn_serve::CompiledModel` holds these [`Op`]s directly and
-//! executes them, so analyzing a compiled model is a matter of lending
-//! its pools, and [`Program::from_reinterpreted`] lowers the composer's
-//! stage graph into the same form. Keeping the IR here (rather than in
+//! `rapidnn_serve::CompiledModel` holds one and executes its [`Op`]s
+//! directly, so analyzing a compiled model is a matter of lending it,
+//! and [`Program::from_reinterpreted`] lowers the composer's stage graph
+//! into the same form. Keeping the IR here (rather than in
 //! the serving crate) is what lets `rapidnn-serve` depend on the
 //! analyzer as its construction gate without a crate cycle.
 //!
 //! The IR holds no trace of how a model is stored: an artifact's
 //! bit-packed code sections end in the serving crate's decoder, which
-//! judges their layout itself, so a decoded program and a composed one
-//! look alike here.
+//! judges their layout itself and returns a [`Program`], so a decoded
+//! program and a composed one look alike here.
+//!
+//! [`Program::flow`] states the program's dataflow once: at every op
+//! boundary, how wide a row is, which codebook the values are encoded
+//! through, and how deep in residual regions it sits. The checker
+//! proves those rules on its own abstract interpretation; everything
+//! downstream of it — the quantization plan, the cost model, the
+//! serving kernels and the stage planner — reads them from the walk.
 
 use rapidnn_core::{ActivationTable, ReinterpretedNetwork, Stage, StageKind};
 use rapidnn_nn::Activation;
@@ -33,12 +40,6 @@ impl Span {
     /// bounds check) has proven in range.
     pub fn slice<'a, T>(&self, pool: &'a [T]) -> &'a [T] {
         &pool[self.start..self.start + self.len]
-    }
-
-    /// [`Self::slice`] for a span nothing has checked yet: `None` when
-    /// it overflows or runs past `pool`.
-    pub fn get<'a, T>(&self, pool: &'a [T]) -> Option<&'a [T]> {
-        pool.get(self.start..self.start.checked_add(self.len)?)
     }
 }
 
@@ -211,7 +212,65 @@ pub struct Program<'a> {
     pub codes: Cow<'a, [u16]>,
 }
 
+/// The dataflow fact at one op boundary of a program (see
+/// [`Program::flow`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Boundary {
+    /// Values per row.
+    pub width: usize,
+    /// The codebook the values are encoded through; `None` when they
+    /// are decoded floats.
+    pub book: Option<Span>,
+    /// Residual regions open at this boundary.
+    pub depth: usize,
+}
+
 impl Program<'_> {
+    /// The program's dataflow, one [`Boundary`] per op boundary:
+    /// `flow[i]` is what op `i` reads and `flow[ops.len()]` what the
+    /// program returns. A table op re-encodes through its encoder or
+    /// decodes; a max pool keeps its input's book; an average pool
+    /// re-encodes encoded values through its own book and leaves
+    /// decoded ones decoded; a residual region passes its entry flow to
+    /// its first op and leaves through the join's encoder.
+    ///
+    /// The rules hold on an analyzer-clean program, whose checker
+    /// proves them; the walk reads no pool, so it is total on any
+    /// program, but answers for the others mean nothing.
+    pub fn flow(&self) -> Vec<Boundary> {
+        let mut at = Boundary {
+            width: self.input_features,
+            book: Some(self.virtual_encoder),
+            depth: 0,
+        };
+        let mut flow = Vec::with_capacity(self.ops.len() + 1);
+        flow.push(at);
+        for op in &self.ops {
+            match op {
+                Op::Dense {
+                    outputs, encoder, ..
+                } => (at.width, at.book) = (*outputs, *encoder),
+                Op::Conv {
+                    geom,
+                    out_channels,
+                    encoder,
+                    ..
+                } => (at.width, at.book) = (out_channels * geom.out_pixels(), *encoder),
+                Op::MaxPool(g) => at.width = g.in_channels * g.out_pixels(),
+                Op::AvgPool { geom, codebook } => {
+                    at.width = geom.in_channels * geom.out_pixels();
+                    at.book = at.book.and(Some(*codebook));
+                }
+                Op::ResidualBegin { .. } => at.depth += 1,
+                Op::ResidualEnd { encoder } => {
+                    (at.depth, at.book) = (at.depth.saturating_sub(1), *encoder);
+                }
+            }
+            flow.push(at);
+        }
+        flow
+    }
+
     /// Lowers a composed network's stage graph into the flat IR — the
     /// one lowering: the checker analyzes pipelines through it before
     /// they are compiled, and `CompiledModel::from_reinterpreted` in

@@ -30,7 +30,9 @@
 //! # Precondition: an analyzer-clean program
 //!
 //! The plan is derived for programs the checker passes, which every
-//! serving model is by construction. It trusts what the checker refuses
+//! serving model is by construction. The codebook each op reads comes
+//! from the program's dataflow walk ([`Program::flow`]), whose rules the
+//! checker proves. The plan trusts what the checker refuses
 //! as an `error` — spans, table bounds, shapes, weight codes, finite
 //! codebooks, biases and referenced table rows — and checks only what
 //! the checker warns about or proves for reachable entries alone:
@@ -146,9 +148,6 @@ pub struct LicensedOp {
     pub x_frac: u32,
     /// Fraction bits of the `i32` accumulator grid (`w_frac + x_frac`).
     pub acc_frac: u32,
-    /// The input codebook the op's codes decode through (float-pool
-    /// span), recorded so the runtime need not re-derive the book walk.
-    pub input_book: Span,
     /// Recovered per-weight-code factors (zero for a table row no
     /// weight code references).
     pub wvals: Vec<f32>,
@@ -234,7 +233,6 @@ pub fn quantize_plan_with(program: &Program<'_>, datapath: DatapathModel) -> Qua
     let mut walk = QuantWalk {
         program,
         lut_frac: datapath.fraction_bits.min(24),
-        cur_book: Some(program.virtual_encoder),
         err: 0.0,
         skip_errs: Vec::new(),
         ops: Vec::with_capacity(program.ops.len()),
@@ -261,16 +259,11 @@ struct RowInfo {
 struct QuantWalk<'p, 'a> {
     program: &'p Program<'a>,
     lut_frac: u32,
-    cur_book: Option<Span>,
     /// Deviation bound of the integer path vs f32 at this point.
     err: f64,
     skip_errs: Vec<f64>,
     ops: Vec<OpQuant>,
 }
-
-/// The checker refuses a table op on decoded floats (RNA0007), so one
-/// that passed it reads codes through a book.
-const READS_CODES: &str = "an analyzer-clean table op reads codes";
 
 impl<'p> QuantWalk<'p, '_> {
     fn floats(&self, s: Span) -> &'p [f32] {
@@ -290,13 +283,17 @@ impl<'p> QuantWalk<'p, '_> {
 
     fn run(&mut self) {
         let program = self.program;
-        for op in &program.ops {
-            let verdict = self.step(op);
+        for (op, at) in program.ops.iter().zip(program.flow()) {
+            let verdict = self.step(op, at.book);
             self.ops.push(verdict);
         }
     }
 
-    fn step(&mut self, op: &Op) -> OpQuant {
+    /// One op's verdict; `book` is the codebook its input is encoded
+    /// through — for a table op always one, since the checker refuses
+    /// a table op fed decoded floats (RNA0007).
+    fn step(&mut self, op: &Op, book: Option<Span>) -> OpQuant {
+        let table_input = || book.expect("a clean table op reads codes");
         match op {
             Op::Dense {
                 inputs,
@@ -307,7 +304,7 @@ impl<'p> QuantWalk<'p, '_> {
                 encoder,
                 ..
             } => {
-                let book = std::mem::replace(&mut self.cur_book, *encoder).expect(READS_CODES);
+                let book = table_input();
                 self.dense(*inputs, *weight_codes, *bias, table, act, encoder, book)
             }
             Op::Conv {
@@ -317,7 +314,7 @@ impl<'p> QuantWalk<'p, '_> {
                 encoder,
                 ..
             } => {
-                let book = std::mem::replace(&mut self.cur_book, *encoder).expect(READS_CODES);
+                let book = table_input();
                 // Convolutions stay on f32; if upstream deviation
                 // exists it still propagates through the taps.
                 if self.err > 0.0 {
@@ -334,7 +331,6 @@ impl<'p> QuantWalk<'p, '_> {
             }
             Op::MaxPool(_) => OpQuant::NotApplicable,
             Op::AvgPool { codebook, .. } => {
-                self.cur_book = Some(*codebook);
                 if self.err > 0.0 {
                     let r = self.book(*codebook).map_or(f64::INFINITY, half_gap);
                     self.err += 2.0 * r;
@@ -346,7 +342,6 @@ impl<'p> QuantWalk<'p, '_> {
                 OpQuant::NotApplicable
             }
             Op::ResidualEnd { encoder } => {
-                self.cur_book = *encoder;
                 let skip = self.skip_errs.pop().unwrap_or(0.0);
                 self.err += skip;
                 if self.err > 0.0 {
@@ -530,7 +525,6 @@ impl<'p> QuantWalk<'p, '_> {
             w_frac,
             x_frac,
             acc_frac,
-            input_book: book_span,
             wvals,
             acc,
             acc_error,
@@ -675,37 +669,29 @@ fn lut_lip(xs: &[f32], ys: &[f32]) -> f64 {
 /// (`factor_row`). On success `out[c] * book[x]` reproduces, bit for
 /// bit, every entry a code of `wcodes` can select — the licence to run
 /// the op as a multiply instead of a table gather; a row no code
-/// references keeps `0.0`.
+/// references keeps `0.0`. `None` when a referenced row is non-finite
+/// or not of this form (hand-built artifacts only).
 ///
-/// Total on input nothing has verified — the serving crate lowers its
-/// dense ops through it before the construction gate runs: `None` for
-/// a table outside `floats`, a code outside the table, an empty,
-/// non-finite or over-long book, and a referenced row that is
-/// non-finite or not of this form (hand-built artifacts only).
+/// # Panics
+///
+/// The precondition is the one [`quantize_plan_with`] states: `table`,
+/// `book` and `wcodes` are a dense op of an analyzer-clean program and
+/// the codebook its input is encoded through ([`Program::flow`]), so
+/// the table lies in `floats`, each code names one of its rows and the
+/// book is finite and no wider than a row. Anything else may panic.
 pub fn factor_table(
     floats: &[f32],
     table: &TableRef,
     book: &[f32],
     wcodes: &[u16],
 ) -> Option<Vec<f32>> {
-    let len = table.weight_count.checked_mul(table.input_count)?;
-    let span = Span {
-        start: table.offset,
-        len,
-    };
-    let rows = span.get(floats)?;
-    let finite = |vals: &[f32]| vals.iter().all(|v| v.is_finite());
-    if book.is_empty() || book.len() > table.input_count || !finite(book) {
-        return None;
-    }
-    // `weight_count ≤ floats.len()` now, so neither vector outgrows the pool.
     let mut factors = vec![0.0f32; table.weight_count];
     let mut seen = vec![false; table.weight_count];
     for &c in wcodes {
         let c = usize::from(c);
-        if !std::mem::replace(seen.get_mut(c)?, true) {
-            let row = &rows[c * table.input_count..][..book.len()];
-            if !finite(row) {
+        if !std::mem::replace(&mut seen[c], true) {
+            let row = &table.row(floats, c)[..book.len()];
+            if row.iter().any(|v| !v.is_finite()) {
                 return None;
             }
             factors[c] = factor_row(row, book)?;
@@ -852,23 +838,14 @@ mod tests {
     #[test]
     fn broken_spans_never_panic() {
         // The plan trusts the checker, which refuses a span past its
-        // pool before any plan is asked for.
+        // pool before any plan is asked for — and before serving
+        // factors a table (`tests/factor_table.rs`).
         let mut program = tiny(&[-0.5, 1.0]);
         if let Op::Dense { weight_codes, .. } = &mut program.ops[0] {
             weight_codes.len = usize::MAX;
         }
         let report = crate::analyze(&program);
         assert!(report.has_errors(), "{report}");
-
-        // Serving asks `factor_table` at load, before any checker ran
-        // (`tests/factor_table.rs` has the rest).
-        let Op::Dense { table, .. } = &program.ops[0] else {
-            unreachable!("tiny is one dense op");
-        };
-        let (floats, book) = (&program.floats, &program.floats[..4]);
-        assert!(factor_table(floats, table, book, &[0, 1]).is_some());
-        assert_eq!(factor_table(floats, table, book, &[0, 2]), None);
-        assert_eq!(factor_table(&floats[..11], table, book, &[0, 1]), None);
     }
 
     #[test]

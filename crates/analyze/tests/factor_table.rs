@@ -1,7 +1,7 @@
 //! `factor_table` is the licence to run a dense op as a multiply instead
-//! of a table gather, taken at load on programs no analyzer has seen:
-//! what it returns must reproduce the table bit for bit, and whatever
-//! it is handed it must answer, never panic.
+//! of a table gather, taken when a gated model is assembled: what it
+//! returns must reproduce the table bit for bit, and a referenced row it
+//! cannot reproduce must be refused.
 
 use rapidnn_analyze::{factor_table, TableRef};
 
@@ -47,7 +47,7 @@ fn factors_reproduce_every_referenced_entry_bitwise() {
 }
 
 #[test]
-fn anything_else_is_none_never_a_panic() {
+fn an_unfactored_or_non_finite_referenced_row_is_none() {
     let (floats, table) = table(2, BOOK.len());
     let wcodes = [0u16, 1, 3];
     assert!(factor_table(&floats, &table, &BOOK, &wcodes).is_some());
@@ -59,11 +59,8 @@ fn anything_else_is_none_never_a_panic() {
     assert_eq!(factor_table(&nudged, &table, &BOOK, &wcodes), None);
     assert!(factor_table(&nudged, &table, &BOOK, &[0, 3]).is_some());
 
-    // Non-finite values, in the book or in a referenced row.
+    // Non-finite values in a referenced row.
     for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-        let mut book = BOOK;
-        book[4] = bad;
-        assert_eq!(factor_table(&floats, &table, &book, &wcodes), None);
         let mut row = floats.clone();
         row[table.offset + 4] = bad;
         assert_eq!(factor_table(&row, &table, &BOOK, &wcodes), None);
@@ -79,33 +76,6 @@ fn anything_else_is_none_never_a_panic() {
     };
     assert_eq!(factor_table(&overflow, &one_row, &book, &[0]), None);
 
-    // A book that is empty, or longer than the table is wide.
-    assert_eq!(factor_table(&floats, &table, &[], &wcodes), None);
-    let long = [BOOK.as_slice(), &[3.0]].concat();
-    assert_eq!(factor_table(&floats, &table, &long, &wcodes), None);
     // A book of zeros offers no column to read a factor off.
     assert_eq!(factor_table(&floats, &table, &[0.0; 5], &wcodes), None);
-
-    // A code past the last row; a table past, or wrapping past, the pool.
-    assert_eq!(factor_table(&floats, &table, &BOOK, &[0, 4]), None);
-    assert_eq!(factor_table(&floats, &table, &BOOK, &[u16::MAX]), None);
-    for (offset, weight_count, input_count) in [
-        (3, WEIGHTS.len(), BOOK.len()),
-        (2, WEIGHTS.len() + 1, BOOK.len()),
-        (usize::MAX, 1, BOOK.len()),
-        (2, usize::MAX, BOOK.len()),
-        (2, usize::MAX, usize::MAX),
-        (floats.len(), 0, BOOK.len()),
-    ] {
-        let table = TableRef {
-            offset,
-            weight_count,
-            input_count,
-        };
-        assert_eq!(
-            factor_table(&floats, &table, &BOOK, &wcodes),
-            None,
-            "{table:?}"
-        );
-    }
 }

@@ -1,15 +1,14 @@
 //! Compiled-model artifacts.
 //!
-//! [`CompiledModel`] holds a [`ReinterpretedNetwork`] — nested stages,
-//! per-stage codebooks, product tables, activation/encoder LUTs — as two
-//! contiguous pools (`floats`, `codes`) plus the analyzer's linear op
-//! program ([`rapidnn_analyze::Op`]), which the kernels execute as it
-//! is. The flat layout is cache-friendly for serving and trivially
-//! serializable; the binary format lives in the crate's `wire` module
-//! and ends there: a model in memory is a `Vec<f32>`, a `Vec<u16>` and
-//! an op list however it was built. This module is that model, what
-//! [`CompiledModel::assemble`] derives from it once (the input encoder,
-//! each dense op's kernel) and the construction gate.
+//! [`CompiledModel`] is a gated [`Program`] — the analyzer's IR: two
+//! contiguous pools (`floats`, `codes`) holding a [`ReinterpretedNetwork`]'s
+//! codebooks, product tables, LUTs and weight codes, plus the linear op
+//! program the kernels execute as it is — and what is derived from it
+//! once, after the gate: the input encoder's search tables and one
+//! kernel per op. The flat layout is cache-friendly for serving and
+//! trivially serializable; the binary format lives in the crate's
+//! `wire` module and ends there: bytes decode to a [`Program`], the
+//! same IR every other constructor starts from.
 //!
 //! # Verified by construction
 //!
@@ -18,14 +17,15 @@
 //! [`from_program`](CompiledModel::from_program),
 //! [`from_bytes`](CompiledModel::from_bytes) /
 //! [`load`](CompiledModel::load) and
-//! [`optimize`](CompiledModel::optimize) — lowers to a
-//! [`rapidnn_analyze::Program`] and runs the static analyzer over it,
-//! returning either a model or [`ServeError::Rejected`] with the full
-//! report. The analyzer proves every span, weight code, code domain and
-//! geometry in bounds, so [`CompiledModel::infer`] never panics on a
-//! model that exists, and the kernels index with plain bounds-checked
-//! slices — no per-gather clamp. Corrupt bytes surface earlier, as
-//! typed [`ArtifactError`](crate::ArtifactError)s.
+//! [`optimize`](CompiledModel::optimize) — runs the static analyzer over
+//! a [`rapidnn_analyze::Program`] before it derives anything, returning
+//! either a model or [`ServeError::Rejected`] with the full report. The
+//! analyzer proves every span, weight code, code domain and geometry in
+//! bounds, so what [`CompiledModel::assemble`] derives needs no guard,
+//! [`CompiledModel::infer`] never panics on a model that exists, and the
+//! kernels index with plain bounds-checked slices — no per-gather clamp.
+//! Corrupt bytes surface earlier, as typed
+//! [`ArtifactError`](crate::ArtifactError)s.
 //!
 //! Inference over the flattened program is bit-for-bit identical to
 //! [`ReinterpretedNetwork::infer_sample`]: the nearest-representative
@@ -36,11 +36,11 @@
 //! interpreter.
 
 use crate::error::{Result, ServeError};
-use crate::kernels::{lower_dense, BatchRunner, DenseMul};
+use crate::kernels::{lower, BatchRunner, Domain, Kernel};
 use crate::wire;
-use rapidnn_analyze::{Act, Op, Program, Span};
+use rapidnn_analyze::{Act, Boundary, Op, OpQuant, Program, QuantPlan};
 #[cfg(test)]
-use rapidnn_analyze::{Geom, TableRef};
+use rapidnn_analyze::{Geom, Span, TableRef};
 use rapidnn_core::nearest::{load_keys, tabulate_thresholds};
 use rapidnn_core::ReinterpretedNetwork;
 use std::borrow::Cow;
@@ -52,29 +52,20 @@ pub use crate::wire::{FORMAT_VERSION, MAGIC};
 /// linear op program — the deployable, serializable serving artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledModel {
-    pub(crate) input_features: usize,
-    pub(crate) output_features: usize,
-    /// Virtual input-layer codebook (sorted values) in the float pool.
-    pub(crate) virtual_encoder: Span,
-    /// `virtual_encoder`'s search tables, built once by
-    /// [`CompiledModel::assemble`] so no batch pays for them. Never
-    /// serialized: a pure function of the pool and the span.
+    /// The program the construction gate passed, as built or decoded:
+    /// all f32 data (codebooks, product tables, LUTs, biases), every
+    /// weight code as one `u16` (the wire's bit packing ends in
+    /// `wire::decode`), and the ops.
+    pub(crate) program: Program<'static>,
+    /// The virtual input codebook's search tables, built once by
+    /// [`CompiledModel::assemble`] so no batch pays for them.
     pub(crate) input_enc: InputEncoder,
-    pub(crate) ops: Vec<Op>,
-    /// All f32 data: codebooks, product tables, LUTs, biases.
-    pub(crate) floats: Vec<f32>,
-    /// All encoded weights, one `u16` each however the model was built
-    /// (the wire's bit packing ends in `wire::decode`).
-    pub(crate) codes: Vec<u16>,
-    /// Per op, the multiply kernel of a dense op whose table factors
-    /// ([`lower_dense`]), built once by [`CompiledModel::assemble`].
-    /// Never serialized: a pure function of the ops and the pools —
-    /// and of `quant`, which takes over the ops it licenses.
-    pub(crate) dense_mul: Vec<Option<DenseMul>>,
-    /// Materialized integer-kernel state, populated by
-    /// [`CompiledModel::quantize`] for analyzer-licensed ops. Never
-    /// serialized — a loaded artifact re-earns it.
-    pub(crate) quant: Option<crate::quant::QuantState>,
+    /// The kernel each op runs on: chosen by [`CompiledModel::assemble`]
+    /// from what its table allows, and overwritten by
+    /// [`CompiledModel::quantize`] for every op the plan licenses.
+    pub(crate) kernels: Vec<Kernel>,
+    /// The plan [`CompiledModel::quantize`] materialized.
+    pub(crate) quant_plan: Option<QuantPlan>,
 }
 
 /// What [`BatchRunner`] needs to encode input rows through a model's
@@ -91,12 +82,9 @@ pub(crate) enum InputEncoder {
 }
 
 impl InputEncoder {
-    /// Tabulates `book`'s span of `floats`. A span outside the pool —
-    /// possible only on a freshly decoded model the analyzer has not
-    /// seen yet, which it will reject before it encodes anything —
-    /// tabulates as empty.
-    fn new(floats: &[f32], book: Span) -> InputEncoder {
-        let book = book.get(floats).unwrap_or(&[]);
+    /// Tabulates the program's virtual input codebook.
+    fn new(program: &Program<'_>) -> InputEncoder {
+        let book = program.virtual_encoder.slice(&program.floats);
         let mut keys = Vec::new();
         load_keys(&mut keys, book);
         match tabulate_thresholds(book, &keys) {
@@ -107,97 +95,61 @@ impl InputEncoder {
 }
 
 impl CompiledModel {
-    /// The one place a model is put together: an f32-only model over
-    /// the given program and pools, with the input encoder tabulated
-    /// and every dense op lowered to the kernel its table allows.
-    /// Runs no analysis — every public constructor gates what it
-    /// assembles; only unit tests hand this broken programs — so
-    /// both derivations are total on pools and spans nothing checked.
-    pub(crate) fn assemble(
-        input_features: usize,
-        output_features: usize,
-        virtual_encoder: Span,
-        ops: Vec<Op>,
-        floats: Vec<f32>,
-        codes: Vec<u16>,
-    ) -> CompiledModel {
+    /// The one place a model is put together, over a program the gate
+    /// passed: the input encoder tabulated and every op lowered to the
+    /// kernel its table allows ([`lower`]), f32 only.
+    fn assemble(program: Program<'static>) -> CompiledModel {
         CompiledModel {
-            input_features,
-            output_features,
-            virtual_encoder,
-            input_enc: InputEncoder::new(&floats, virtual_encoder),
-            dense_mul: lower_dense(virtual_encoder, &ops, &floats, &codes),
-            ops,
-            floats,
-            codes,
-            quant: None,
+            input_enc: InputEncoder::new(&program),
+            kernels: lower(&program),
+            quant_plan: None,
+            program,
         }
     }
 
+    /// Gates `program`, then assembles it.
+    fn gated(program: Program<'static>) -> Result<Self> {
+        gate(&program)?;
+        Ok(Self::assemble(program))
+    }
+
     /// Flattens a reinterpreted network into a compiled model: the
-    /// analyzer's lowering ([`rapidnn_analyze::Program::from_reinterpreted`])
-    /// through [`Self::from_program`].
+    /// analyzer's lowering ([`rapidnn_analyze::Program::from_reinterpreted`]),
+    /// gated like [`Self::from_program`].
     ///
     /// # Errors
     ///
     /// [`ServeError::Rejected`] carrying the report when the lowered
     /// program fails static analysis.
     pub fn from_reinterpreted(network: &ReinterpretedNetwork) -> Result<Self> {
-        Self::from_program(&Program::from_reinterpreted(network))
+        Self::gated(Program::from_reinterpreted(network))
     }
 
     /// Input feature width.
     pub fn input_features(&self) -> usize {
-        self.input_features
+        self.program.input_features
     }
 
-    /// A deliberately inconsistent model (assembled past the analyzer)
-    /// whose `infer` panics out of bounds — for exercising the engine's
-    /// worker panic containment.
+    /// A model over `program` that no gate has seen, deriving no kernel
+    /// — every op runs its table — so a deliberately inconsistent
+    /// program panics at inference, inside the engine's containment.
     #[cfg(test)]
-    pub(crate) fn broken_for_tests() -> CompiledModel {
-        CompiledModel::assemble(
-            1,
-            1,
-            Span { start: 0, len: 2 },
-            vec![Op::MaxPool(Geom {
-                in_channels: 1,
-                in_height: 2,
-                in_width: 2,
-                kernel_h: 2,
-                kernel_w: 2,
-                stride: 1,
-                pad: 0,
-                out_height: 1,
-                out_width: 1,
-            })],
-            vec![0.0, 1.0],
-            vec![],
-        )
-    }
-
-    /// The model re-assembled after `edit` changed its program or its
-    /// float pool, so what `assemble` derives matches what it now says.
-    #[cfg(test)]
-    pub(crate) fn edited(mut self, edit: impl FnOnce(&mut Vec<Op>, &mut Vec<f32>)) -> Self {
-        edit(&mut self.ops, &mut self.floats);
-        CompiledModel::assemble(
-            self.input_features,
-            self.output_features,
-            self.virtual_encoder,
-            self.ops,
-            self.floats,
-            self.codes,
-        )
+    pub(crate) fn ungated_for_tests(program: Program<'static>) -> CompiledModel {
+        CompiledModel {
+            input_enc: InputEncoder::new(&program),
+            kernels: vec![Kernel::Table; program.ops.len()],
+            quant_plan: None,
+            program,
+        }
     }
 
     /// Hand-built `layers`-deep dense chain (4 features wide throughout)
     /// for exercising the pipeline shard planner without composing a
     /// network: every interior layer re-encodes through the shared
     /// 4-entry codebook, the last decodes. All layers alias the same
-    /// table/bias/weight spans, so the model stays a few dozen floats.
+    /// table/bias/weight spans, so the program stays a few dozen floats.
     #[cfg(test)]
-    pub(crate) fn deep_for_tests(layers: usize) -> CompiledModel {
+    pub(crate) fn deep_program_for_tests(layers: usize) -> Program<'static> {
         let book = Span { start: 0, len: 4 };
         let table = TableRef {
             offset: 4,
@@ -222,20 +174,28 @@ impl CompiledModel {
                 encoder: (l + 1 < layers.max(1)).then_some(book),
             })
             .collect();
-        CompiledModel::assemble(
-            4,
-            4,
-            book,
+        Program {
+            input_features: 4,
+            output_features: 4,
+            virtual_encoder: book,
             ops,
-            floats,
-            vec![0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0],
-        )
+            floats: Cow::Owned(floats),
+            codes: Cow::Owned(vec![0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0]),
+        }
+    }
+
+    /// [`deep_program_for_tests`](Self::deep_program_for_tests) through
+    /// the construction gate.
+    #[cfg(test)]
+    pub(crate) fn deep_for_tests(layers: usize) -> CompiledModel {
+        CompiledModel::from_program(&Self::deep_program_for_tests(layers))
+            .expect("the deep chain analyzes clean")
     }
 
     /// [`deep_for_tests`](Self::deep_for_tests) quantized into a mixed
     /// plan: op `refused` multiplies through a table too wide for `i16`,
     /// op `gathered` through one that does not factor, and both stay on
-    /// the f32 gather reading codes; every other op licenses as an
+    /// the f32 path reading codes; every other op licenses as an
     /// integer multiply-accumulate reading `i16` operands.
     #[cfg(test)]
     pub(crate) fn deep_mixed_for_tests(
@@ -243,26 +203,28 @@ impl CompiledModel {
         refused: usize,
         gathered: usize,
     ) -> CompiledModel {
-        let mut model = Self::deep_for_tests(layers).edited(|ops, floats| {
-            let mut add_table = |weights: [f32; 2], nudge: f32| {
-                let offset = floats.len();
-                for w in weights {
-                    floats.extend([-1.0f32, -0.25, 0.5, 1.0].iter().map(|x| w * x));
-                }
-                floats[offset] += nudge;
-                offset
-            };
-            let (wide, unfactored) = (
-                add_table([1.0e6, -1.0e6], 0.0),
-                add_table([0.5, -1.0], 0.001),
-            );
-            for (oi, offset) in [(refused, wide), (gathered, unfactored)] {
-                let Op::Dense { table, .. } = &mut ops[oi] else {
-                    unreachable!("deep_for_tests is all dense");
-                };
-                table.offset = offset;
+        let mut program = Self::deep_program_for_tests(layers);
+        let floats = program.floats.to_mut();
+        let mut add_table = |weights: [f32; 2], nudge: f32| {
+            let offset = floats.len();
+            for w in weights {
+                floats.extend([-1.0f32, -0.25, 0.5, 1.0].iter().map(|x| w * x));
             }
-        });
+            floats[offset] += nudge;
+            offset
+        };
+        let (wide, unfactored) = (
+            add_table([1.0e6, -1.0e6], 0.0),
+            add_table([0.5, -1.0], 0.001),
+        );
+        for (oi, offset) in [(refused, wide), (gathered, unfactored)] {
+            let Op::Dense { table, .. } = &mut program.ops[oi] else {
+                unreachable!("the deep chain is all dense");
+            };
+            table.offset = offset;
+        }
+        let mut model =
+            CompiledModel::from_program(&program).expect("the mixed chain analyzes clean");
         model.quantize().expect("quantize is infallible");
         for oi in 0..layers {
             let licensed = oi != refused && oi != gathered;
@@ -272,14 +234,15 @@ impl CompiledModel {
         model
     }
 
-    /// [`deep_for_tests`](Self::deep_for_tests) with a deliberately
-    /// inconsistent pool op appended: the healthy dense prefix executes
-    /// fine, then the tail op panics out of bounds — for proving that a
-    /// panic in a *late* pipeline stage fails only the affected
-    /// requests while the stages keep serving.
+    /// [`deep_program_for_tests`](Self::deep_program_for_tests) with a
+    /// deliberately inconsistent pool op appended: the healthy dense
+    /// prefix executes fine, then the tail op panics out of bounds —
+    /// for proving that a panic, in a worker or in a *late* pipeline
+    /// stage, fails only the affected requests while serving goes on.
     #[cfg(test)]
     pub(crate) fn deep_broken_tail_for_tests(layers: usize) -> CompiledModel {
-        let tail = Op::MaxPool(Geom {
+        let mut program = Self::deep_program_for_tests(layers);
+        program.ops.push(Op::MaxPool(Geom {
             in_channels: 4,
             in_height: 4,
             in_width: 4,
@@ -289,26 +252,25 @@ impl CompiledModel {
             pad: 0,
             out_height: 3,
             out_width: 3,
-        });
-        let mut model = Self::deep_for_tests(layers).edited(|ops, _| ops.push(tail));
-        model.output_features = 4 * 9;
-        model
+        }));
+        program.output_features = 4 * 9;
+        CompiledModel::ungated_for_tests(program)
     }
 
     /// Output feature width (class count).
     pub fn output_features(&self) -> usize {
-        self.output_features
+        self.program.output_features
     }
 
     /// Number of ops in the flattened program.
     pub fn op_count(&self) -> usize {
-        self.ops.len()
+        self.program.ops.len()
     }
 
     /// Total bytes held by the two pools: 4 per float and 2 per code,
     /// the same for a loaded model as for the one it was written from.
     pub fn pool_bytes(&self) -> usize {
-        self.floats.len() * 4 + self.codes.len() * 2
+        self.program.floats.len() * 4 + self.program.codes.len() * 2
     }
 
     /// Runs encoded inference on one sample, returning the output logits.
@@ -324,14 +286,14 @@ impl CompiledModel {
     /// Returns [`ServeError::InvalidInput`] when `sample` has the wrong
     /// width. Never panics: the analyzer proved every index in bounds.
     pub fn infer(&self, sample: &[f32]) -> Result<Vec<f32>> {
-        if sample.len() != self.input_features {
+        if sample.len() != self.input_features() {
             return Err(ServeError::InvalidInput(format!(
                 "sample has {} features, expected {}",
                 sample.len(),
-                self.input_features
+                self.input_features()
             )));
         }
-        let mut out = Vec::with_capacity(self.output_features);
+        let mut out = Vec::with_capacity(self.output_features());
         BatchRunner::new().run(self, sample, &mut out)?;
         Ok(out)
     }
@@ -350,7 +312,7 @@ impl CompiledModel {
         let mut out = Vec::new();
         BatchRunner::new().run(self, inputs, &mut out)?;
         Ok(out
-            .chunks(self.output_features)
+            .chunks(self.output_features())
             .map(<[f32]>::to_vec)
             .collect())
     }
@@ -366,18 +328,19 @@ impl CompiledModel {
     /// offset and the code pool as per-op bit-packed sections located
     /// by a tail directory.
     pub fn to_bytes(&self) -> Vec<u8> {
-        wire::encode(self)
+        wire::encode(&self.program)
     }
 
     /// `self.to_bytes().len()` without serializing: the v2 layout fixes
     /// every offset before a code is packed, so this only reads the
     /// code pool, in place, for each section's width.
     pub fn encoded_len(&self) -> usize {
-        wire::encoded_len(self)
+        wire::encoded_len(&self.program)
     }
 
-    /// Decodes an artifact and runs the static analyzer over it — the
-    /// only way bytes become a model.
+    /// Decodes an artifact into a [`Program`], runs the static analyzer
+    /// over it, then assembles the model — the only way bytes become a
+    /// model, and nothing is derived from a program before it passes.
     ///
     /// # Errors
     ///
@@ -388,9 +351,7 @@ impl CompiledModel {
     /// [`ServeError::Rejected`] carrying the full diagnostic report.
     /// This function never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let model = wire::decode(bytes)?;
-        gate(&model.to_program())?;
-        Ok(model)
+        Self::gated(wire::decode(bytes)?)
     }
 
     /// [`Self::from_bytes`] under its old name: the analyzer used to be
@@ -429,22 +390,10 @@ impl CompiledModel {
     // Static analysis
     // ------------------------------------------------------------------
 
-    /// The model as the analyzer's [`Program`]: the ops as they are,
-    /// both pools lent.
-    pub(crate) fn to_program(&self) -> Program<'_> {
-        Program {
-            input_features: self.input_features,
-            output_features: self.output_features,
-            virtual_encoder: self.virtual_encoder,
-            ops: self.ops.clone(),
-            floats: Cow::Borrowed(&self.floats),
-            codes: Cow::Borrowed(&self.codes),
-        }
-    }
-
     /// Builds a model from the analyzer's program IR after the analyzer
-    /// has passed it. Writing the model back out packs v2 code sections
-    /// at the width the (possibly compacted) tables now imply.
+    /// has passed it, over its own copy of the pools. Writing the model
+    /// back out packs v2 code sections at the width the (possibly
+    /// compacted) tables now imply.
     ///
     /// # Errors
     ///
@@ -452,20 +401,14 @@ impl CompiledModel {
     /// fails static analysis.
     pub fn from_program(program: &Program<'_>) -> Result<Self> {
         gate(program)?;
-        Ok(Self::owning(program.clone()))
-    }
-
-    /// A model over a program the analyzer has already passed: its ops
-    /// and pools as they are.
-    fn owning(program: Program<'_>) -> Self {
-        CompiledModel::assemble(
-            program.input_features,
-            program.output_features,
-            program.virtual_encoder,
-            program.ops,
-            program.floats.into_owned(),
-            program.codes.into_owned(),
-        )
+        Ok(Self::assemble(Program {
+            input_features: program.input_features,
+            output_features: program.output_features,
+            virtual_encoder: program.virtual_encoder,
+            ops: program.ops.clone(),
+            floats: Cow::Owned(program.floats.to_vec()),
+            codes: Cow::Owned(program.codes.to_vec()),
+        }))
     }
 
     /// Runs the certified optimizer ([`rapidnn_analyze::optimize`])
@@ -488,10 +431,10 @@ impl CompiledModel {
     /// [`ServeError::Rejected`] carrying the diagnostic report when the
     /// certificate does not validate (RNA0015/RNA0016/RNA0017).
     pub fn optimize(&self) -> Result<(CompiledModel, rapidnn_analyze::Certificate)> {
-        let input = self.to_program();
-        let optimized = rapidnn_analyze::optimize(&input).map_err(ServeError::Rejected)?;
+        let input = &self.program;
+        let optimized = rapidnn_analyze::optimize(input).map_err(ServeError::Rejected)?;
         let check = rapidnn_analyze::validate_certificate(
-            &input,
+            input,
             &optimized.program,
             &optimized.certificate,
         );
@@ -500,21 +443,21 @@ impl CompiledModel {
         }
         // The validator just ran the analyzer over the optimized program
         // with no errors; gating it again would only repeat that pass.
-        Ok((Self::owning(optimized.program), optimized.certificate))
+        Ok((Self::assemble(optimized.program), optimized.certificate))
     }
 
     /// Runs the static analyzer over the compiled program and returns
     /// the full diagnostic report. Construction already refused every
     /// `error`, so what comes back are the warnings and notes.
     pub fn analyze(&self) -> rapidnn_analyze::Report {
-        rapidnn_analyze::analyze(&self.to_program())
+        rapidnn_analyze::analyze(&self.program)
     }
 
     /// Materializes integer kernels for every op the analyzer licenses
     /// ([`rapidnn_analyze::quantize_plan`]): `i16` weight tiles,
     /// quantized biases and precomputed finish LUTs, expanded from the
-    /// code pool exactly once, here. A licensed op's `f32` multiply
-    /// kernel is dropped: one op holds one kernel.
+    /// code pool exactly once, here. Each licensed op's integer kernel
+    /// replaces the one it held: one op holds one kernel.
     ///
     /// Quantization is opt-in: no constructor enables it, so the f32
     /// path stays bit-identical unless a caller asks for integers. Ops
@@ -527,28 +470,23 @@ impl CompiledModel {
     /// constructed. The `Result` remains because the frozen benchmark
     /// harness (`bench/`) `.expect`s it.
     pub fn quantize(&mut self) -> Result<()> {
-        let plan = rapidnn_analyze::quantize_plan(&self.to_program());
-        let quant = crate::quant::QuantState::materialize(self, plan);
-        for (mul, licensed) in self.dense_mul.iter_mut().zip(&quant.ops) {
-            if licensed.is_some() {
-                *mul = None;
-            }
-        }
-        self.quant = Some(quant);
+        let plan = rapidnn_analyze::quantize_plan(&self.program);
+        crate::quant::materialize(self, &plan);
+        self.quant_plan = Some(plan);
         Ok(())
     }
 
     /// The quantization plan materialized by [`Self::quantize`], or
     /// `None` for a pure-f32 model.
-    pub fn quant_plan(&self) -> Option<&rapidnn_analyze::QuantPlan> {
-        self.quant.as_ref().map(|q| &q.plan)
+    pub fn quant_plan(&self) -> Option<&QuantPlan> {
+        self.quant_plan.as_ref()
     }
 
     /// Derives the quantization plan without changing the model: which
     /// ops the analyzer would license for the integer path and why the
     /// rest fall back.
-    pub fn quant_plan_preview(&self) -> rapidnn_analyze::QuantPlan {
-        rapidnn_analyze::quantize_plan(&self.to_program())
+    pub fn quant_plan_preview(&self) -> QuantPlan {
+        rapidnn_analyze::quantize_plan(&self.program)
     }
 
     /// The flow domain each op reads under `plan`, in op order:
@@ -556,48 +494,41 @@ impl CompiledModel {
     /// integer op, which whatever produces its input writes in place of codes,
     /// so consecutive `"i16"` ops never leave the quantized domain.
     /// Like [`Self::quant_plan_preview`] it needs no materialized plan.
-    pub fn read_domains(&self, plan: &rapidnn_analyze::QuantPlan) -> Vec<&'static str> {
-        use rapidnn_analyze::OpQuant;
-        let (states, _) = crate::kernels::flow_states_with(self, |oi| {
-            matches!(
-                (self.ops.get(oi), plan.ops.get(oi)),
-                (Some(Op::Dense { .. }), Some(OpQuant::Licensed(_)))
-            )
-        });
-        let reads = &states[..self.ops.len()];
-        reads.iter().map(|st| st.domain.name()).collect()
+    pub fn read_domains(&self, plan: &QuantPlan) -> Vec<&'static str> {
+        let name =
+            |(at, verdict): (&Boundary, &OpQuant)| Domain::of(at, verdict.is_licensed()).name();
+        self.program
+            .flow()
+            .iter()
+            .zip(&plan.ops)
+            .map(name)
+            .collect()
     }
 
     /// Which kernels serve this model: `"f32"` (no quantization, or
     /// nothing licensed), `"int16"` (every table op licensed), or
     /// `"mixed"`.
     pub fn kernel_path(&self) -> &'static str {
-        match &self.quant {
+        match &self.quant_plan {
             None => "f32",
-            Some(q) => {
-                let plan = &q.plan;
-                if plan.licensed() == 0 {
-                    "f32"
-                } else if plan.fallbacks() == 0 {
-                    "int16"
-                } else {
-                    "mixed"
-                }
-            }
+            Some(plan) if plan.licensed() == 0 => "f32",
+            Some(plan) if plan.fallbacks() == 0 => "int16",
+            Some(_) => "mixed",
         }
     }
 
     /// Number of ops running on the integer path (0 unless
     /// [`Self::quantize`] licensed some).
     pub fn licensed_ops(&self) -> usize {
-        self.quant.as_ref().map_or(0, |q| q.plan.licensed())
+        self.quant_plan.as_ref().map_or(0, QuantPlan::licensed)
     }
 
     /// `(inputs, outputs)` of every dense op, in program order — the
     /// shapes an equivalent unquantized GEMM stack would multiply
     /// (used by the benchmark's dense-baseline comparison).
     pub fn dense_shapes(&self) -> Vec<(usize, usize)> {
-        self.ops
+        self.program
+            .ops
             .iter()
             .filter_map(|op| match op {
                 Op::Dense {

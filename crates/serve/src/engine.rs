@@ -743,14 +743,14 @@ mod tests {
     #[test]
     fn worker_survives_inference_panic() {
         let engine = Engine::start(
-            CompiledModel::broken_for_tests(),
+            CompiledModel::deep_broken_tail_for_tests(1),
             EngineConfig {
                 workers: 1,
                 ..EngineConfig::default()
             },
         );
         for _ in 0..2 {
-            let ticket = engine.try_submit(vec![0.5]).unwrap();
+            let ticket = engine.try_submit(vec![0.5; 4]).unwrap();
             assert!(matches!(ticket.wait(), Err(ServeError::WorkerPanic(_))));
         }
         let stats = engine.shutdown();
@@ -764,14 +764,14 @@ mod tests {
     /// either replica — are answered bit for bit.
     #[test]
     fn replica_panic_fails_only_its_own_batch() {
-        let model = CompiledModel::deep_for_tests(1).edited(|ops, _| {
-            let rapidnn_analyze::Op::Dense { table, .. } = &mut ops[0] else {
-                unreachable!("deep_for_tests is all dense");
-            };
-            // Weight code 1 × input code 3 now reads one past the pool:
-            // a row with a feature near 1.0 panics, the others serve.
-            table.offset = 9;
-        });
+        let mut program = CompiledModel::deep_program_for_tests(1);
+        let rapidnn_analyze::Op::Dense { table, .. } = &mut program.ops[0] else {
+            unreachable!("the deep chain is all dense");
+        };
+        // Weight code 1 × input code 3 now reads one past the pool: a
+        // row with a feature near 1.0 panics, the others serve.
+        table.offset = 9;
+        let model = CompiledModel::ungated_for_tests(program);
         let (good, bad) = (vec![-1.0, -0.25, 0.5, -1.0], vec![-1.0, -0.25, 0.5, 1.0]);
         let expected = model.infer(&good).unwrap();
         let engine = Engine::start(

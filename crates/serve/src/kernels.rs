@@ -35,20 +35,26 @@
 //! Pools, residual joins and encode steps are element-wise or
 //! window-local and run as plain batched loops.
 //!
-//! # One kernel per dense op, chosen at load
+//! # One kernel per op, chosen once
 //!
-//! The model holds each dense op's kernel; the batch loop derives
+//! The model holds one [`Kernel`] per op; the batch loop derives
 //! nothing the model fixes. An op the analyzer licensed
 //! ([`CompiledModel::quantize`]) runs the one integer kernel, the
 //! `i16 × i16 → i32` multiply-accumulate tile ([`madd_tile`]). Every
 //! other dense op runs in `f32`: when its table factors back into
-//! `fl(w · book[x])`, [`lower_dense`] decoded its weight matrix when
-//! the model was assembled and a batch of at least [`LANES`] rows runs
-//! as a packed multiply ([`dense_mul_block`]); else — a table that does
-//! not factor (an op refused as `FallbackReason::NotFactored` serves
-//! here), a batch below a block — as the table gather
-//! ([`dense_block_gather`], [`dense_row`]), reading its weight codes as
-//! a slice of the model's pool.
+//! `fl(w · book[x])`, [`lower`] decoded its weight matrix when the
+//! model was assembled and a batch of at least [`LANES`] rows runs as a
+//! packed multiply ([`dense_mul_block`]); else — a table that does not
+//! factor (an op refused as `FallbackReason::NotFactored` serves here),
+//! a batch below a block — as the table gather ([`dense_block_gather`],
+//! [`dense_row`]), reading its weight codes as a slice of the model's
+//! pool. Every other op runs its table, or is its pool or residual
+//! step.
+//!
+//! Where the flow stands between two ops — its width, whether it is
+//! encoded, the residual depth — is the program's one dataflow walk
+//! ([`Program::flow`]); the kernels add only which encoded domain the
+//! next op's kernel reads ([`Domain::of`]).
 //!
 //! # Equivalence
 //!
@@ -63,7 +69,7 @@ use crate::artifact::{apply_act, CompiledModel, InputEncoder};
 use crate::error::{ArtifactError, Result, ServeError};
 use crate::lanes::Acc;
 use crate::quant::{level_of, LutOut, QuantFinish, QuantOp};
-use rapidnn_analyze::{factor_table, Act, Geom, Op, Span, TableRef};
+use rapidnn_analyze::{factor_table, Act, Boundary, Geom, Op, Program, Span, TableRef};
 // The branch-free nearest-representative search originated here and now
 // lives in `rapidnn_core::nearest`, shared with the composer's encode
 // paths so both sides pay the same cost per encode.
@@ -92,6 +98,17 @@ pub(crate) enum Domain {
 }
 
 impl Domain {
+    /// The domain of the flow at boundary `at`: decoded floats, or the
+    /// encoded domain its reader takes — `Quants` when that reader
+    /// runs the integer Madd kernel, `Codes` otherwise.
+    pub(crate) fn of(at: &Boundary, reads_quants: bool) -> Domain {
+        match at.book {
+            None => Domain::Floats,
+            Some(_) if reads_quants => Domain::Quants,
+            Some(_) => Domain::Codes,
+        }
+    }
+
     /// Name used by the plan preview (`lint_artifact quant`).
     pub(crate) fn name(self) -> &'static str {
         match self {
@@ -103,9 +120,9 @@ impl Domain {
 }
 
 /// Where the flow stands between two ops: which domain it is in and how
-/// wide a row is. A pipeline stage boundary
-/// is exactly one of these — the shard planner derives the entry state
-/// of every legal cut point statically, and [`BatchRunner::exec_ops`]
+/// wide a row is ([`flow_states`]). A pipeline stage boundary is
+/// exactly one of these — the shard planner derives the entry state of
+/// every legal cut point statically, and [`BatchRunner::exec_ops`]
 /// resumes execution from it bit-identically to an uncut run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FlowState {
@@ -295,7 +312,7 @@ impl BatchRunner {
         inputs: &[f32],
         out: &mut Vec<f32>,
     ) -> Result<usize> {
-        let features = model.input_features;
+        let features = model.input_features();
         if features == 0 || !inputs.len().is_multiple_of(features) {
             return Err(ServeError::InvalidInput(format!(
                 "{} values is not a whole number of {features}-feature rows",
@@ -309,7 +326,7 @@ impl BatchRunner {
         }
         let padded = pad_rows(rows);
         let entry = self.encode_batch(model, inputs, padded);
-        let exit = self.exec_ops(model, 0..model.ops.len(), entry, padded)?;
+        let exit = self.exec_ops(model, 0..model.op_count(), entry, padded)?;
         match exit.domain {
             Domain::Floats => {
                 out.extend_from_slice(&self.flow.floats[..rows * exit.width]);
@@ -335,8 +352,9 @@ impl BatchRunner {
         inputs: &[f32],
         padded: usize,
     ) -> FlowState {
-        let features = model.input_features;
-        let book = || model.virtual_encoder.slice(&model.floats);
+        let program = &model.program;
+        let features = program.input_features;
+        let book = || program.virtual_encoder.slice(&program.floats);
         let domain = match model.madd_levels(0) {
             None => {
                 let codes = &mut self.flow.codes;
@@ -447,7 +465,8 @@ impl BatchRunner {
             tile,
             tile_f,
         } = self;
-        let pool_f: &[f32] = &model.floats;
+        let program = &model.program;
+        let pool_f: &[f32] = &program.floats;
         // Residual nesting is stage-local: the planner only cuts at
         // depth 0, so every range starts and ends outside all regions.
         let mut skip_depth = 0usize;
@@ -456,7 +475,7 @@ impl BatchRunner {
         let mut width = entry.width;
 
         for oi in range {
-            let op = &model.ops[oi];
+            let op = &program.ops[oi];
             // An op that hands encoded values to an integer Madd op
             // writes that op's operand for each code, not the code.
             let levels = model.madd_levels(oi + 1);
@@ -471,28 +490,31 @@ impl BatchRunner {
                     encoder,
                 } => {
                     let (nin, nout) = (*nin, *outputs);
-                    // Analyzer-licensed ops run the integer path on
-                    // tiles materialized once at load time; the
-                    // activation + re-encode are baked into the finish
-                    // LUT, so the op is one pass.
-                    if let Some(q) = model.quant_op(oi) {
-                        debug_assert_eq!((q.nin, q.nout), (nin, nout));
-                        if domain != Domain::Quants {
-                            return Err(wrong_domain(domain));
+                    let mul = match &model.kernels[oi] {
+                        // Analyzer-licensed ops run the integer path on
+                        // tiles materialized once at load time; the
+                        // activation + re-encode are baked into the
+                        // finish LUT, so the op is one pass.
+                        Kernel::Madd(q) => {
+                            debug_assert_eq!((q.nin, q.nout), (nin, nout));
+                            if domain != Domain::Quants {
+                                return Err(wrong_domain(domain));
+                            }
+                            domain = quant_dense(q, flow, padded);
+                            width = nout;
+                            continue;
                         }
-                        domain = quant_dense(q, flow, padded);
-                        width = nout;
-                        continue;
-                    }
+                        Kernel::Mul(mul) => Some(mul),
+                        Kernel::Table => None,
+                    };
                     if domain != Domain::Codes {
                         return Err(wrong_domain(domain));
                     }
                     let codes = &flow.codes;
                     let floats_next = &mut flow.floats_next;
-                    let wcodes = weight_codes.slice(&model.codes);
+                    let wcodes = weight_codes.slice(&program.codes);
                     let b = bias.slice(pool_f);
                     refill(floats_next, padded * nout);
-                    let mul = model.dense_mul[oi].as_ref();
                     let mut r0 = 0usize;
                     while r0 + LANES <= padded {
                         let xblock = &codes[r0 * nin..(r0 + LANES) * nin];
@@ -537,7 +559,7 @@ impl BatchRunner {
                     }
                     let codes = &flow.codes;
                     let floats_next = &mut flow.floats_next;
-                    let wcodes = weight_codes.slice(&model.codes);
+                    let wcodes = weight_codes.slice(&program.codes);
                     let b = bias.slice(pool_f);
                     let in_vol = g.in_volume();
                     let nout = out_channels * g.out_pixels();
@@ -740,8 +762,8 @@ struct Plan {
     max_act: usize,
 }
 
-/// Collects the scratch arena's high-water marks from the static flow
-/// walk ([`flow_states`]) and the op program.
+/// Collects the scratch arena's high-water marks from the program's
+/// dataflow walk ([`Program::flow`]) and each op's kernel.
 ///
 /// No op reserves anything for its weights — codes, decoded matrix
 /// and integer tiles all live in the model — so the arena is flow
@@ -761,38 +783,32 @@ fn plan(model: &CompiledModel) -> Plan {
             _ => 0,
         }
     }
-    let (states, depths) = flow_states(model);
-    for st in &states {
-        let max = match st.domain {
+    let program = &model.program;
+    let flow = program.flow();
+    for (oi, at) in flow.iter().enumerate() {
+        let max = match Domain::of(at, model.madd_levels(oi).is_some()) {
             Domain::Codes => &mut p.max_codes,
             Domain::Quants => &mut p.max_quants,
             Domain::Floats => &mut p.max_floats,
         };
-        *max = (*max).max(st.width);
+        *max = (*max).max(at.width);
+        p.skip_depth = p.skip_depth.max(at.depth);
     }
-    p.skip_depth = depths.iter().copied().max().unwrap_or(0);
-    for (oi, op) in model.ops.iter().enumerate() {
-        // `states[oi]` is what the op reads, `states[oi + 1]` what it
-        // leaves.
-        let (reads, nout) = (states[oi].width, states[oi + 1].width);
+    for ((op, kernel), at) in program.ops.iter().zip(&model.kernels).zip(flow.windows(2)) {
+        // `at[0]` is what the op reads, `at[1]` what it leaves.
+        let (reads, nout) = (at[0].width, at[1].width);
         match op {
-            Op::Dense { encoder, act, .. } if model.quant_op(oi).is_none() => {
-                p.max_floats = p.max_floats.max(nout);
-                // A block is interleaved for the kernel the op holds.
-                let tile = match model.dense_mul[oi] {
-                    Some(_) => &mut p.max_tile_f,
-                    None => &mut p.max_tile,
+            Op::Dense { encoder, act, .. } | Op::Conv { encoder, act, .. } => {
+                // A block is interleaved for the kernel the op holds; a
+                // licensed op reads its rows from the flow in place and
+                // its weights from tiles materialized at load.
+                let tile = match kernel {
+                    Kernel::Madd(_) => continue,
+                    Kernel::Mul(_) => &mut p.max_tile_f,
+                    Kernel::Table => &mut p.max_tile,
                 };
                 *tile = (*tile).max(reads);
-                p.max_book = p.max_book.max(span_len(encoder));
-                p.max_act = p.max_act.max(act_len(act));
-            }
-            // A licensed op reads its rows from the flow in place and
-            // its weights from tiles materialized at load.
-            Op::Dense { .. } => {}
-            Op::Conv { encoder, act, .. } => {
                 p.max_floats = p.max_floats.max(nout);
-                p.max_tile = p.max_tile.max(reads);
                 p.max_book = p.max_book.max(span_len(encoder));
                 p.max_act = p.max_act.max(act_len(act));
             }
@@ -805,89 +821,19 @@ fn plan(model: &CompiledModel) -> Plan {
     p
 }
 
-/// Walks the op program computing the flow state *before* each op (and
-/// after the last) plus the residual nesting depth at each point.
-/// `states[i]` / `depths[i]` describe the boundary before op `i`;
-/// index `ops.len()` is the program's exit state.
-///
-/// The transitions mirror [`BatchRunner::exec_ops`] — the pipeline's
-/// property suite keeps them honest by executing every legal split.
-pub(crate) fn flow_states(model: &CompiledModel) -> (Vec<FlowState>, Vec<usize>) {
-    flow_states_with(model, |oi| model.madd_levels(oi).is_some())
-}
-
-/// [`flow_states`] under any assignment of integer Madd ops: encoded
-/// flow into an op `reads_quants` names is in [`Domain::Quants`]. The
-/// plan preview asks for a plan it has not materialized.
-pub(crate) fn flow_states_with(
-    model: &CompiledModel,
-    reads_quants: impl Fn(usize) -> bool,
-) -> (Vec<FlowState>, Vec<usize>) {
-    let n = model.ops.len();
-    let encoded = |oi: usize| {
-        if reads_quants(oi) {
-            Domain::Quants
-        } else {
-            Domain::Codes
-        }
+/// The flow state at every op boundary: the program's dataflow walk
+/// ([`Program::flow`]), each encoded boundary in the domain its
+/// reader's kernel takes ([`Domain::of`]). `states[i]` is what op `i`
+/// reads; index `ops.len()` is the program's exit state. The
+/// pipeline's property suite holds it to [`BatchRunner::exec_ops`] by
+/// executing every legal split.
+pub(crate) fn flow_states(model: &CompiledModel) -> Vec<FlowState> {
+    let flow = model.program.flow();
+    let state = |(oi, at): (usize, &Boundary)| FlowState {
+        domain: Domain::of(at, model.madd_levels(oi).is_some()),
+        width: at.width,
     };
-    let finished = |oi: usize, encoder: &Option<Span>| match encoder {
-        Some(_) => encoded(oi + 1),
-        None => Domain::Floats,
-    };
-    let mut states = Vec::with_capacity(n + 1);
-    let mut depths = Vec::with_capacity(n + 1);
-    let mut st = FlowState {
-        domain: encoded(0),
-        width: model.input_features,
-    };
-    let mut depth = 0usize;
-    states.push(st);
-    depths.push(depth);
-    for (oi, op) in model.ops.iter().enumerate() {
-        match op {
-            Op::Dense {
-                outputs, encoder, ..
-            } => {
-                st.width = *outputs;
-                st.domain = finished(oi, encoder);
-            }
-            Op::Conv {
-                geom,
-                out_channels,
-                encoder,
-                ..
-            } => {
-                st.width = out_channels * geom.out_pixels();
-                st.domain = finished(oi, encoder);
-            }
-            Op::MaxPool(g) => {
-                st.width = g.in_channels * g.out_pixels();
-                if st.domain != Domain::Floats {
-                    st.domain = encoded(oi + 1);
-                }
-            }
-            Op::AvgPool { geom: g, .. } => {
-                st.width = g.in_channels * g.out_pixels();
-                if st.domain != Domain::Floats {
-                    st.domain = encoded(oi + 1);
-                }
-            }
-            Op::ResidualBegin { .. } => {
-                depth += 1;
-                if st.domain != Domain::Floats {
-                    st.domain = encoded(oi + 1);
-                }
-            }
-            Op::ResidualEnd { encoder } => {
-                depth = depth.saturating_sub(1);
-                st.domain = finished(oi, encoder);
-            }
-        }
-        states.push(st);
-        depths.push(depth);
-    }
-    (states, depths)
+    flow.iter().enumerate().map(state).collect()
 }
 
 /// Dense table gather over one [`LANES`]-row block: for each output
@@ -987,42 +933,43 @@ pub(crate) struct DenseMul {
     pub(crate) weights: Vec<f32>,
 }
 
-/// Lowers every dense op whose table factors over the codebook its
-/// input was encoded through, `None` for every other op — the one
-/// walk that tracks that codebook. Runs before the analyzer has seen
-/// the program, so a span or code out of range lowers to `None`, never
-/// a panic.
-pub(crate) fn lower_dense(
-    virtual_encoder: Span,
-    ops: &[Op],
-    floats: &[f32],
-    codes: &[u16],
-) -> Vec<Option<DenseMul>> {
-    let mut cur_book = Some(virtual_encoder);
-    let lower = |op: &Op| match op {
-        Op::Dense {
-            weight_codes,
-            table,
-            encoder,
-            ..
-        } => {
-            let book = std::mem::replace(&mut cur_book, *encoder)?;
-            let wcodes = weight_codes.get(codes)?;
-            let factors = factor_table(floats, table, book.get(floats)?, wcodes)?;
-            let weights = wcodes.iter().map(|&w| factors[usize::from(w)]).collect();
-            Some(DenseMul { book, weights })
+/// The kernel one op runs on.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Kernel {
+    /// The op as the program states it: the table gather for a dense or
+    /// conv op, the step itself for a pool or a residual op.
+    Table,
+    /// A dense op whose table factors: the `f32` multiply.
+    Mul(DenseMul),
+    /// An analyzer-licensed dense op: the `i16` multiply-accumulate,
+    /// materialized by [`CompiledModel::quantize`].
+    Madd(QuantOp),
+}
+
+/// Lowers every op of a gated program to its `f32` kernel: the
+/// multiply for a dense op whose table factors over the codebook its
+/// input is encoded through ([`Program::flow`]), the table for every
+/// other op.
+pub(crate) fn lower(program: &Program<'_>) -> Vec<Kernel> {
+    let lower = |(op, at): (&Op, &Boundary)| match (op, at.book) {
+        (
+            Op::Dense {
+                weight_codes,
+                table,
+                ..
+            },
+            Some(book),
+        ) => {
+            let wcodes = weight_codes.slice(&program.codes);
+            let factors = factor_table(&program.floats, table, book.slice(&program.floats), wcodes);
+            factors.map_or(Kernel::Table, |factors| {
+                let weights = wcodes.iter().map(|&w| factors[usize::from(w)]).collect();
+                Kernel::Mul(DenseMul { book, weights })
+            })
         }
-        Op::Conv { encoder, .. } | Op::ResidualEnd { encoder } => {
-            cur_book = *encoder;
-            None
-        }
-        Op::AvgPool { codebook, .. } => {
-            cur_book = Some(*codebook);
-            None
-        }
-        Op::MaxPool(_) | Op::ResidualBegin { .. } => None,
+        _ => Kernel::Table,
     };
-    ops.iter().map(lower).collect()
+    program.ops.iter().zip(&program.flow()).map(lower).collect()
 }
 
 /// [`interleave`] fused with a codebook decode, producing the `f32`
@@ -1684,10 +1631,20 @@ mod tests {
     fn each_dense_op_serves_on_the_kernel_its_table_allows() {
         let (refused, gathered) = (1, 3);
         let model = CompiledModel::deep_mixed_for_tests(5, refused, gathered);
-        for oi in 0..5 {
-            let kernels = (model.quant_op(oi).is_some(), model.dense_mul[oi].is_some());
-            let expected = (oi != refused && oi != gathered, oi == refused);
-            assert_eq!(kernels, expected, "op {oi}: (madd, mul)");
+        for (oi, kernel) in model.kernels.iter().enumerate() {
+            let held = match kernel {
+                Kernel::Madd(_) => "madd",
+                Kernel::Mul(_) => "mul",
+                Kernel::Table => "table",
+            };
+            let expected = if oi == refused {
+                "mul"
+            } else if oi == gathered {
+                "table"
+            } else {
+                "madd"
+            };
+            assert_eq!(held, expected, "op {oi}");
         }
         let mut runner = BatchRunner::new();
         let (mut block, mut row) = (Vec::new(), Vec::new());

@@ -4,8 +4,10 @@
 //! [`CompiledModel::from_bytes`] it never returns an error —
 //! byte-level corruption is folded into the report as an `RNA0001`
 //! (decode-failed) diagnostic, so callers always get one uniform
-//! [`Report`] to render. The `lint_artifact` example wraps this in a
-//! CLI that exits nonzero when the report has errors.
+//! [`Report`] to render — and it builds no model: it analyzes the
+//! decoded [`Program`](rapidnn_analyze::Program) as it is. The
+//! `lint_artifact` example wraps this in a CLI that exits nonzero when
+//! the report has errors.
 //!
 //! [`CompiledModel::from_bytes`]: crate::CompiledModel::from_bytes
 
@@ -23,7 +25,7 @@ use rapidnn_analyze::{DiagCode, Diagnostic, Report};
 /// [`CompiledModel::from_bytes`]: crate::CompiledModel::from_bytes
 pub fn lint_bytes(bytes: &[u8]) -> Report {
     match crate::wire::decode(bytes) {
-        Ok(model) => rapidnn_analyze::analyze(&model.to_program()),
+        Ok(program) => rapidnn_analyze::analyze(&program),
         Err(e) => decode_failure_report(&e),
     }
 }
@@ -51,35 +53,32 @@ pub fn decode_failure_report(e: &ArtifactError) -> Report {
 mod tests {
     use super::*;
     use crate::artifact::CompiledModel;
-    use rapidnn_analyze::{Geom, Op, Severity, Span};
+    use crate::wire::encode;
+    use rapidnn_analyze::{Geom, Op, Severity};
 
-    fn padded_pool_model() -> CompiledModel {
+    fn padded_pool_artifact() -> Vec<u8> {
         // The PR-1 panic class: a pool geometry that declares padding.
         // Pool kernels index without padding, so before the validation
         // fix `infer` panicked out of bounds inside `pool`.
-        CompiledModel::assemble(
-            4,
-            9,
-            Span { start: 0, len: 2 },
-            vec![Op::MaxPool(Geom {
-                in_channels: 1,
-                in_height: 2,
-                in_width: 2,
-                kernel_h: 2,
-                kernel_w: 2,
-                stride: 1,
-                pad: 1,
-                out_height: 3,
-                out_width: 3,
-            })],
-            vec![0.0, 1.0],
-            vec![],
-        )
+        let mut program = CompiledModel::deep_program_for_tests(1);
+        program.ops = vec![Op::MaxPool(Geom {
+            in_channels: 1,
+            in_height: 2,
+            in_width: 2,
+            kernel_h: 2,
+            kernel_w: 2,
+            stride: 1,
+            pad: 1,
+            out_height: 3,
+            out_width: 3,
+        })];
+        program.output_features = 9;
+        encode(&program)
     }
 
     #[test]
     fn padded_pool_is_a_typed_error() {
-        let report = lint_bytes(&padded_pool_model().to_bytes());
+        let report = lint_bytes(&padded_pool_artifact());
         let d = report
             .find(DiagCode::PaddedPool)
             .expect("RNA0009 in report");
@@ -92,10 +91,13 @@ mod tests {
     fn oversized_codebook_is_a_typed_error() {
         // The other PR-1 panic class: a codebook past the u16 index
         // range, whose top entries `nearest` would silently wrap.
-        let len = (1 << 16) + 1;
-        let model =
-            CompiledModel::assemble(1, 1, Span { start: 0, len }, vec![], vec![0.0; len], vec![]);
-        let report = lint_bytes(&model.to_bytes());
+        let mut program = CompiledModel::deep_program_for_tests(1);
+        program.virtual_encoder.len = (1 << 16) + 1;
+        program
+            .floats
+            .to_mut()
+            .resize(program.virtual_encoder.len, 0.0);
+        let report = lint_bytes(&encode(&program));
         let d = report
             .find(DiagCode::OversizedCodebook)
             .expect("RNA0004 in report");
@@ -109,7 +111,7 @@ mod tests {
         assert!(report.find(DiagCode::DecodeFailed).is_some());
 
         // Flip a payload byte: checksum mismatch, still DecodeFailed.
-        let mut bytes = padded_pool_model().to_bytes();
+        let mut bytes = padded_pool_artifact();
         bytes[20] ^= 0xff;
         let report = lint_bytes(&bytes);
         assert!(report.find(DiagCode::DecodeFailed).is_some());
@@ -117,7 +119,7 @@ mod tests {
 
     #[test]
     fn load_agrees_with_lint() {
-        let bytes = padded_pool_model().to_bytes();
+        let bytes = padded_pool_artifact();
         assert!(lint_bytes(&bytes).has_errors());
         assert!(matches!(
             CompiledModel::from_bytes(&bytes),

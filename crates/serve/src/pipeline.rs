@@ -16,10 +16,11 @@
 //! self-describing: one row-major buffer in a known domain. That rules
 //! out cutting inside a residual region — the skip snapshot lives in
 //! the runner executing the region — so cuts are restricted to op
-//! indices at residual nesting depth zero. The static flow walk
-//! (`kernels::flow_states`) mirrors `BatchRunner::exec_ops`'s
-//! domain/width/codebook transitions exactly; a property test here pins
-//! the two against each other by running every legal split.
+//! indices at residual nesting depth zero. Both facts come from the
+//! program's dataflow walk (`Program::flow`, read through
+//! `kernels::flow_states` for the domain each stage resumes in); the
+//! property tests here pin it against `BatchRunner::exec_ops` by
+//! running every legal split.
 //!
 //! # Determinism
 //!
@@ -71,8 +72,10 @@ pub struct PipelineStats {
 /// Op indices where the program may be cut: strictly interior
 /// boundaries at residual nesting depth zero.
 pub(crate) fn cut_points(model: &CompiledModel) -> Vec<usize> {
-    let (_, depths) = flow_states(model);
-    (1..model.ops.len()).filter(|&i| depths[i] == 0).collect()
+    let flow = model.program.flow();
+    (1..model.op_count())
+        .filter(|&i| flow[i].depth == 0)
+        .collect()
 }
 
 /// Shards `model` into at most `stages` contiguous op ranges, balanced
@@ -80,7 +83,7 @@ pub(crate) fn cut_points(model: &CompiledModel) -> Vec<usize> {
 /// bound). Returns `None` when fewer than two stages are possible or
 /// requested — the caller then serves unsharded.
 pub(crate) fn plan_stages(model: &CompiledModel, stages: usize) -> Option<StagePlan> {
-    if stages < 2 || model.ops.is_empty() {
+    if stages < 2 || model.op_count() == 0 {
         return None;
     }
     let cuts = cut_points(model);
@@ -89,7 +92,7 @@ pub(crate) fn plan_stages(model: &CompiledModel, stages: usize) -> Option<StageP
         return None;
     }
 
-    let per_op: Vec<u64> = rapidnn_analyze::op_costs(&model.to_program())
+    let per_op: Vec<u64> = rapidnn_analyze::op_costs(&model.program)
         .iter()
         .map(rapidnn_analyze::OpCost::units)
         .collect();
@@ -99,7 +102,7 @@ pub(crate) fn plan_stages(model: &CompiledModel, stages: usize) -> Option<StageP
     let mut bounds = Vec::with_capacity(cuts.len() + 2);
     bounds.push(0);
     bounds.extend(&cuts);
-    bounds.push(model.ops.len());
+    bounds.push(model.op_count());
     let m = bounds.len() - 1;
     let seg: Vec<u64> = (0..m)
         .map(|j| per_op[bounds[j]..bounds[j + 1]].iter().sum())
@@ -148,7 +151,7 @@ pub(crate) fn plan_stages(model: &CompiledModel, stages: usize) -> Option<StageP
     splits.push(0);
     splits.reverse();
 
-    let (states, _) = flow_states(model);
+    let states = flow_states(model);
     let mut ranges = Vec::with_capacity(k);
     let mut entries = Vec::with_capacity(k);
     let mut costs = Vec::with_capacity(k);
@@ -171,6 +174,12 @@ mod tests {
     use super::*;
     use crate::kernels::{pad_rows, BatchRunner, Domain, FlowData};
     use rapidnn_analyze::Op;
+    use rapidnn_core::{ReinterpretOptions, ReinterpretedNetwork};
+    use rapidnn_data::SyntheticSpec;
+    use rapidnn_nn::{
+        Activation, ActivationLayer, AvgPool2d, Conv2d, Dense, MaxPool2d, Network, Residual,
+    };
+    use rapidnn_tensor::{Padding, SeededRng};
 
     /// Executes `model` as the staged pipeline described by `bounds`
     /// (op-index boundaries including both ends), one fresh runner per
@@ -204,8 +213,44 @@ mod tests {
         }
     }
 
-    fn bits(v: &[f32]) -> Vec<u32> {
-        v.iter().map(|x| x.to_bits()).collect()
+    /// Splits `model` at every legal cut — and, with `three_stage`, at
+    /// every pair of cuts — and asserts each split reproduces the uncut
+    /// run of `rows` rows bit for bit.
+    fn assert_splits_reproduce_run(model: &CompiledModel, rows: usize, three_stage: bool) {
+        let inputs: Vec<f32> = (0..rows * model.input_features())
+            .map(|i| (i as f32 * 0.7).sin() * 2.0)
+            .collect();
+        let mut reference = Vec::new();
+        BatchRunner::new()
+            .run(model, &inputs, &mut reference)
+            .unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (states, cuts, n) = (flow_states(model), cut_points(model), model.op_count());
+        assert!(!cuts.is_empty());
+        let mut splits: Vec<Vec<usize>> = cuts.iter().map(|&c| vec![0, c, n]).collect();
+        if three_stage {
+            for (i, &a) in cuts.iter().enumerate() {
+                splits.extend(cuts[i + 1..].iter().map(|&b| vec![0, a, b, n]));
+            }
+        }
+        for bounds in splits {
+            let out = run_split(model, &bounds, &states, &inputs, rows);
+            assert_eq!(bits(&out), bits(&reference), "split at {bounds:?}");
+        }
+    }
+
+    /// `net` reinterpreted over synthetic calibration data and compiled.
+    fn compile(mut net: Network, classes: usize, rng: &mut SeededRng) -> CompiledModel {
+        let data = SyntheticSpec::new(net.input_features(), classes, 2.0)
+            .generate(40, rng)
+            .unwrap();
+        let opts = ReinterpretOptions {
+            weight_clusters: 8,
+            input_clusters: 8,
+            ..ReinterpretOptions::default()
+        };
+        let network = ReinterpretedNetwork::build(&mut net, data.inputs(), &opts, rng).unwrap();
+        CompiledModel::from_reinterpreted(&network).unwrap()
     }
 
     /// The determinism contract, exhaustively: every legal 2-stage and
@@ -227,32 +272,10 @@ mod tests {
                 [Quants, Quants, Codes, Quants, Codes, Quants],
             ),
         ] {
-            let rows = 5;
-            let inputs: Vec<f32> = (0..rows * model.input_features())
-                .map(|i| (i as f32 * 0.7).sin() * 2.0)
-                .collect();
-            let mut reference = Vec::new();
-            BatchRunner::new()
-                .run(&model, &inputs, &mut reference)
-                .unwrap();
-
-            let (states, _) = flow_states(&model);
-            let n = model.ops.len();
-            let walked: Vec<Domain> = states.iter().map(|st| st.domain).collect();
-            assert_eq!(walked[..n], domains, "domain each op reads");
-            assert_eq!(walked[n], Floats);
-            let cuts = cut_points(&model);
-            assert!(!cuts.is_empty());
-            for &c in &cuts {
-                let out = run_split(&model, &[0, c, n], &states, &inputs, rows);
-                assert_eq!(bits(&out), bits(&reference), "2-stage split at {c}");
-            }
-            for (i, &a) in cuts.iter().enumerate() {
-                for &b in &cuts[i + 1..] {
-                    let out = run_split(&model, &[0, a, b, n], &states, &inputs, rows);
-                    assert_eq!(bits(&out), bits(&reference), "3-stage split at {a},{b}");
-                }
-            }
+            let walked: Vec<Domain> = flow_states(&model).iter().map(|st| st.domain).collect();
+            assert_eq!(walked[..6], domains, "domain each op reads");
+            assert_eq!(walked[6], Floats);
+            assert_splits_reproduce_run(&model, 5, true);
         }
     }
 
@@ -262,11 +285,6 @@ mod tests {
     /// run bit for bit.
     #[test]
     fn residual_regions_are_never_cut() {
-        use rapidnn_core::{ReinterpretOptions, ReinterpretedNetwork};
-        use rapidnn_data::SyntheticSpec;
-        use rapidnn_nn::{Activation, ActivationLayer, Dense, Network, Residual};
-        use rapidnn_tensor::SeededRng;
-
         let mut rng = SeededRng::new(23);
         let mut net = Network::new(6);
         net.push(Dense::new(6, 5, &mut rng));
@@ -276,58 +294,69 @@ mod tests {
             Box::new(ActivationLayer::new(Activation::Relu)),
         ]));
         net.push(Dense::new(5, 2, &mut rng));
-        let data = SyntheticSpec::new(6, 2, 2.0)
-            .generate(40, &mut rng)
-            .unwrap();
-        let opts = ReinterpretOptions {
-            weight_clusters: 8,
-            input_clusters: 8,
-            ..ReinterpretOptions::default()
-        };
-        let network =
-            ReinterpretedNetwork::build(&mut net, data.inputs(), &opts, &mut rng).unwrap();
-        let model = CompiledModel::from_reinterpreted(&network).unwrap();
+        let model = compile(net, 2, &mut rng);
 
-        let begin = model
-            .ops
+        let ops = &model.program.ops;
+        let begin = ops
             .iter()
-            .position(|op| matches!(op, Op::ResidualBegin { .. }))
-            .expect("residual compiled in");
-        let end = model
-            .ops
+            .position(|op| matches!(op, Op::ResidualBegin { .. }));
+        let end = ops
             .iter()
-            .position(|op| matches!(op, Op::ResidualEnd { .. }))
-            .expect("residual compiled in");
-        let cuts = cut_points(&model);
-        assert!(!cuts.is_empty());
-        for &c in &cuts {
+            .position(|op| matches!(op, Op::ResidualEnd { .. }));
+        let (begin, end) = (begin.unwrap(), end.unwrap());
+        for c in cut_points(&model) {
             assert!(
                 c <= begin || c > end,
                 "cut {c} lands inside the residual region {begin}..={end}"
             );
         }
+        assert_splits_reproduce_run(&model, 4, false);
+    }
 
-        let rows = 4;
-        let inputs: Vec<f32> = (0..rows * model.input_features())
-            .map(|i| (i as f32 * 0.3).cos() * 1.5)
-            .collect();
-        let mut reference = Vec::new();
-        BatchRunner::new()
-            .run(&model, &inputs, &mut reference)
-            .unwrap();
-        let (states, _) = flow_states(&model);
-        let n = model.ops.len();
-        for &c in &cuts {
-            let out = run_split(&model, &[0, c, n], &states, &inputs, rows);
-            assert_eq!(bits(&out), bits(&reference), "residual split at {c}");
+    /// The walk holds on conv and both pool kinds: a CNN shaped like
+    /// the integration tests' (conv → max pool → conv → avg pool →
+    /// dense), f32 and quantized, enters every legal cut in the state
+    /// the walk names and reproduces the uncut run bit for bit — the
+    /// quantized dense head reading `i16` operands its avg pool wrote.
+    #[test]
+    fn cnn_splits_reproduce_run_bit_for_bit() {
+        use Domain::{Codes, Floats, Quants};
+        let mut rng = SeededRng::new(29);
+        let mut net = Network::new(2 * 8 * 8);
+        net.push(Conv2d::new(2, 8, 8, 3, 3, 1, Padding::Same, &mut rng).unwrap());
+        net.push(ActivationLayer::new(Activation::Relu));
+        net.push(MaxPool2d::new(3, 8, 8, 2).unwrap());
+        net.push(Conv2d::new(3, 4, 4, 2, 3, 1, Padding::Same, &mut rng).unwrap());
+        net.push(ActivationLayer::new(Activation::Relu));
+        net.push(AvgPool2d::new(2, 4, 4, 2).unwrap());
+        net.push(Dense::new(2 * 2 * 2, 4, &mut rng));
+        let model = compile(net, 4, &mut rng);
+        let mut quantized = model.clone();
+        quantized.quantize().expect("quantize is infallible");
+        // The convolutions fall back, the dense head licenses.
+        assert_eq!(quantized.kernel_path(), "mixed");
+
+        let widths = [128, 3 * 64, 3 * 16, 2 * 16, 2 * 4, 4];
+        for (model, domains) in [
+            (model, [Codes, Codes, Codes, Codes, Codes, Floats]),
+            (quantized, [Codes, Codes, Codes, Codes, Quants, Floats]),
+        ] {
+            let walked: Vec<_> = flow_states(&model)
+                .iter()
+                .map(|st| (st.domain, st.width))
+                .collect();
+            let expected: Vec<_> = domains.into_iter().zip(widths).collect();
+            assert_eq!(walked, expected, "{}", model.kernel_path());
+            assert_eq!(cut_points(&model), [1, 2, 3, 4]);
+            assert_splits_reproduce_run(&model, 9, false);
         }
     }
 
     /// A no-op-cut model (single op) cannot be sharded.
     #[test]
     fn single_op_model_refuses_to_shard() {
-        let model = CompiledModel::broken_for_tests();
-        assert_eq!(model.ops.len(), 1);
+        let model = CompiledModel::deep_for_tests(1);
+        assert_eq!(model.op_count(), 1);
         assert!(plan_stages(&model, 4).is_none());
         assert!(plan_stages(&model, 1).is_none());
     }
@@ -340,7 +369,7 @@ mod tests {
             let plan = plan_stages(&model, stages).expect("shardable");
             assert!(plan.ranges.len() >= 2 && plan.ranges.len() <= stages);
             assert_eq!(plan.ranges[0].start, 0);
-            assert_eq!(plan.ranges.last().unwrap().end, model.ops.len());
+            assert_eq!(plan.ranges.last().unwrap().end, model.op_count());
             for w in plan.ranges.windows(2) {
                 assert_eq!(w[0].end, w[1].start);
             }
@@ -355,7 +384,7 @@ mod tests {
     fn stage_count_clamps_to_cut_points() {
         let model = CompiledModel::deep_for_tests(3);
         let plan = plan_stages(&model, 64).expect("shardable");
-        assert_eq!(plan.ranges.len(), model.ops.len());
+        assert_eq!(plan.ranges.len(), model.op_count());
     }
 
     /// The balance heuristic never does worse than the trivial "one

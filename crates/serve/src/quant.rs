@@ -1,17 +1,18 @@
 //! Materialized integer-kernel state.
 //!
 //! [`CompiledModel::quantize`] derives a [`rapidnn_analyze::QuantPlan`]
-//! and this module turns each licensed op into the flat tiles the
-//! integer batch kernel streams through: an expanded `i16` weight
-//! matrix and the quantized input codebook it multiplies against,
-//! `i32` biases on the accumulator grid, and a precomputed finish LUT
-//! whose entries went through the *exact* scalar f32 finish
-//! (activation lookup, nearest re-encode) at each bucket's center — so
-//! the integer path's only deviations from f32 are the rounding terms
-//! the plan's error bound already accounts for. There is one integer
-//! strategy, the factored multiply-accumulate; an op the plan refuses
-//! (a table that does not factor is `FallbackReason::NotFactored`) has
-//! no entry here and serves on the bit-exact f32 path.
+//! and [`materialize`] turns each licensed op into the flat tiles the
+//! integer batch kernel streams through — its [`Kernel::Madd`], which
+//! replaces the kernel the op held: an expanded `i16` weight matrix and
+//! the quantized input codebook it multiplies against, `i32` biases on
+//! the accumulator grid, and a precomputed finish LUT whose entries
+//! went through the *exact* scalar f32 finish (activation lookup,
+//! nearest re-encode) at each bucket's center — so the integer path's
+//! only deviations from f32 are the rounding terms the plan's error
+//! bound already accounts for. There is one integer strategy, the
+//! factored multiply-accumulate; an op the plan refuses (a table that
+//! does not factor is `FallbackReason::NotFactored`) keeps its kernel
+//! and serves on the bit-exact f32 path.
 //!
 //! A licensed op multiplies `xq[code]`, never the code, so whatever
 //! produces its input writes that operand directly
@@ -25,16 +26,8 @@
 //! again, and the batch arena holds no weight tile for any op.
 
 use crate::artifact::{apply_act, nearest, CompiledModel};
+use crate::kernels::Kernel;
 use rapidnn_analyze::{Act, FinishPlan, Op, OpQuant, QuantPlan};
-
-/// Everything the integer batch path needs, op-aligned with the model.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct QuantState {
-    /// The licensing plan (exposed via `CompiledModel::quant_plan`).
-    pub(crate) plan: QuantPlan,
-    /// One materialized kernel per op; `None` where the op runs f32.
-    pub(crate) ops: Vec<Option<QuantOp>>,
-}
 
 /// One dense op lowered to integer tiles.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,8 +86,9 @@ pub(crate) enum LutOut {
 }
 
 /// A licensed op's operand for `code`: `xq[code]`. Every producer
-/// encodes through the book `xq` was quantized from (the plan's
-/// `input_book`), so the analyzer's code-domain proof covers the index.
+/// encodes through the book `xq` was quantized from (the codebook the
+/// program's walk says the op reads), so the analyzer's code-domain
+/// proof covers the index.
 pub(crate) fn level_of(xq: &[i16], code: u16) -> i16 {
     xq[usize::from(code)]
 }
@@ -102,7 +96,10 @@ pub(crate) fn level_of(xq: &[i16], code: u16) -> i16 {
 impl CompiledModel {
     /// The integer kernel of op `oi`, if the analyzer licensed one.
     pub(crate) fn quant_op(&self, oi: usize) -> Option<&QuantOp> {
-        self.quant.as_ref()?.ops.get(oi)?.as_ref()
+        match self.kernels.get(oi)? {
+            Kernel::Madd(q) => Some(q),
+            Kernel::Mul(_) | Kernel::Table => None,
+        }
     }
 
     /// The per-code operands of op `oi` when it runs the integer
@@ -114,21 +111,23 @@ impl CompiledModel {
     }
 }
 
-impl QuantState {
-    /// Builds the integer tiles for every licensed op of `plan`.
-    ///
-    /// Every constructed model has passed the analyzer, so spans are
-    /// in bounds and each weight code names a row of its table, which
-    /// `wvals` holds one factor per row of.
-    pub(crate) fn materialize(model: &CompiledModel, plan: QuantPlan) -> QuantState {
-        let pool_f: &[f32] = &model.floats;
-        let mut ops: Vec<Option<QuantOp>> = Vec::with_capacity(model.ops.len());
-        for (op, verdict) in model.ops.iter().zip(&plan.ops) {
-            let OpQuant::Licensed(lic) = verdict else {
-                ops.push(None);
-                continue;
-            };
-            let Op::Dense {
+/// Lowers every op `plan` licenses onto integer tiles, over the kernel
+/// it held.
+///
+/// Every constructed model has passed the analyzer, so spans are in
+/// bounds, each weight code names a row of its table, which `wvals`
+/// holds one factor per row of, and a licensed op reads codes through
+/// the book its boundary of the walk names.
+pub(crate) fn materialize(model: &mut CompiledModel, plan: &QuantPlan) {
+    let CompiledModel {
+        program, kernels, ..
+    } = model;
+    let pool_f: &[f32] = &program.floats;
+    let reads = program.ops.iter().zip(program.flow());
+    for ((op, at), (verdict, kernel)) in reads.zip(plan.ops.iter().zip(kernels.iter_mut())) {
+        let (
+            OpQuant::Licensed(lic),
+            Op::Dense {
                 inputs,
                 outputs,
                 weight_codes,
@@ -136,75 +135,76 @@ impl QuantState {
                 act,
                 encoder,
                 ..
-            } = op
-            else {
-                ops.push(None);
-                continue;
-            };
-            let book = lic.input_book.slice(pool_f);
-            let scale = exp2(lic.acc_frac);
-            let bias_q = bias
-                .slice(pool_f)
-                .iter()
-                .map(|&b| quant_i32(f64::from(b), scale))
-                .collect();
-            // Quantize `wvals`' few levels once; a weight is its code's level.
-            let wq = Vec::from_iter(lic.wvals.iter().map(|&w| quant_i16(w, lic.w_frac)));
-            let wcodes = weight_codes.slice(&model.codes);
-            let weights = wcodes.iter().map(|&c| level_of(&wq, c)).collect();
-            let xq = book.iter().map(|&b| quant_i16(b, lic.x_frac)).collect();
-            let inv = 1.0 / scale;
-            let finish = match lic.finish {
-                FinishPlan::Direct => match act {
-                    Act::Relu => QuantFinish::DequantRelu { inv },
-                    _ => QuantFinish::Dequant { inv },
-                },
-                FinishPlan::Lut { lo_q, shift, len } => {
-                    let step = 1i64 << shift;
-                    // Each bucket's center on the accumulator grid,
-                    // exact in f64, finished through the scalar path.
-                    let finished = (0..len as i64).map(|idx| {
-                        let rep_q = lo_q + idx * step + step / 2;
-                        apply_act(act, pool_f, (rep_q as f64 / f64::from(scale)) as f32)
-                    });
-                    let out = match encoder {
-                        // RNA0004 caps a codebook at 2^16 entries.
-                        Some(e) => LutOut::Codes(
-                            finished
-                                .map(|a| nearest(e.slice(pool_f), a) as u16)
-                                .collect(),
-                        ),
-                        None => LutOut::Floats(finished.collect()),
-                    };
-                    let lo_q = i32::try_from(lo_q).unwrap_or(i32::MIN);
-                    QuantFinish::Lut { lo_q, shift, out }
-                }
-            };
-            ops.push(Some(QuantOp {
-                nin: *inputs,
-                nout: *outputs,
-                weights,
-                xq,
-                bias_q,
-                finish,
-            }));
-        }
-        // A finish LUT that feeds a licensed op emits that op's
-        // operands: compose the two tables once, here.
-        for oi in 1..ops.len() {
-            let (producers, consumers) = ops.split_at_mut(oi);
-            let (Some(producer), Some(consumer)) = (&mut producers[oi - 1], &consumers[0]) else {
-                continue;
-            };
-            let QuantFinish::Lut { out, .. } = &mut producer.finish else {
-                continue;
-            };
-            if let LutOut::Codes(codes) = out {
-                let xq = &consumer.xq;
-                *out = LutOut::Quants(codes.iter().map(|&c| level_of(xq, c)).collect());
+            },
+            Some(book),
+        ) = (verdict, op, at.book)
+        else {
+            continue;
+        };
+        let book = book.slice(pool_f);
+        let scale = exp2(lic.acc_frac);
+        let bias_q = bias
+            .slice(pool_f)
+            .iter()
+            .map(|&b| quant_i32(f64::from(b), scale))
+            .collect();
+        // Quantize `wvals`' few levels once; a weight is its code's level.
+        let wq = Vec::from_iter(lic.wvals.iter().map(|&w| quant_i16(w, lic.w_frac)));
+        let wcodes = weight_codes.slice(&program.codes);
+        let weights = wcodes.iter().map(|&c| level_of(&wq, c)).collect();
+        let xq = book.iter().map(|&b| quant_i16(b, lic.x_frac)).collect();
+        let inv = 1.0 / scale;
+        let finish = match lic.finish {
+            FinishPlan::Direct => match act {
+                Act::Relu => QuantFinish::DequantRelu { inv },
+                _ => QuantFinish::Dequant { inv },
+            },
+            FinishPlan::Lut { lo_q, shift, len } => {
+                let step = 1i64 << shift;
+                // Each bucket's center on the accumulator grid,
+                // exact in f64, finished through the scalar path.
+                let finished = (0..len as i64).map(|idx| {
+                    let rep_q = lo_q + idx * step + step / 2;
+                    apply_act(act, pool_f, (rep_q as f64 / f64::from(scale)) as f32)
+                });
+                let out = match encoder {
+                    // RNA0004 caps a codebook at 2^16 entries.
+                    Some(e) => LutOut::Codes(
+                        finished
+                            .map(|a| nearest(e.slice(pool_f), a) as u16)
+                            .collect(),
+                    ),
+                    None => LutOut::Floats(finished.collect()),
+                };
+                let lo_q = i32::try_from(lo_q).unwrap_or(i32::MIN);
+                QuantFinish::Lut { lo_q, shift, out }
             }
+        };
+        *kernel = Kernel::Madd(QuantOp {
+            nin: *inputs,
+            nout: *outputs,
+            weights,
+            xq,
+            bias_q,
+            finish,
+        });
+    }
+    // A finish LUT that feeds a licensed op emits that op's
+    // operands: compose the two tables once, here.
+    for oi in 1..kernels.len() {
+        let (producers, consumers) = kernels.split_at_mut(oi);
+        let (Kernel::Madd(producer), Kernel::Madd(consumer)) =
+            (&mut producers[oi - 1], &consumers[0])
+        else {
+            continue;
+        };
+        let QuantFinish::Lut { out, .. } = &mut producer.finish else {
+            continue;
+        };
+        if let LutOut::Codes(codes) = out {
+            let xq = &consumer.xq;
+            *out = LutOut::Quants(codes.iter().map(|&c| level_of(xq, c)).collect());
         }
-        QuantState { plan, ops }
     }
 }
 

@@ -12,20 +12,23 @@
 //! finally a tail directory locating every section.
 //!
 //! The packing is a property of the bytes only: [`decode`] unpacks
-//! every section once into the model's one `Vec<u16>` and copies the
-//! float section into its one `Vec<f32>`, so a loaded model is laid out
+//! every section once into the program's one code pool and copies the
+//! float section into its one float pool, so a loaded model is laid out
 //! exactly like the one it was written from and nothing downstream
 //! knows how it was built.
 //!
 //! [`decode`] judges the bytes, all of them: the framing, and the
 //! section layout, which must be the one [`encode`] writes for the
 //! decoded ops and codes. It does not judge the program — it hands back
-//! a model no analyzer has seen, which [`CompiledModel::from_bytes`]
-//! and `lint_bytes` then gate.
+//! the analyzer's IR, a [`Program`] no analyzer has seen, which
+//! [`CompiledModel::from_bytes`] gates before it derives anything and
+//! `lint_bytes` analyzes as it is.
+//!
+//! [`CompiledModel::from_bytes`]: crate::CompiledModel::from_bytes
 
-use crate::artifact::CompiledModel;
 use crate::error::ArtifactError;
-use rapidnn_analyze::{Act, Geom, Op, Span, TableRef};
+use rapidnn_analyze::{Act, Geom, Op, Program, Span, TableRef};
+use std::borrow::Cow;
 
 /// File magic: `RNNA` ("RapidNN Artifact").
 pub const MAGIC: [u8; 4] = *b"RNNA";
@@ -111,18 +114,18 @@ impl BitWriter {
     }
 }
 
-/// Serializes the model in the current (v2) format: `RNNA` magic,
+/// Serializes a program in the current (v2) format: `RNNA` magic,
 /// format version, payload length, payload, FNV-1a 64 checksum —
 /// all little-endian. The payload carries the float pool as raw LE
 /// `f32` bytes at an 8-aligned offset and the code pool as per-op
 /// bit-packed sections located by a tail directory.
-pub(crate) fn encode(model: &CompiledModel) -> Vec<u8> {
-    let (floats, codes) = (&model.floats, &model.codes);
-    let sections = plan_sections(&model.ops, codes);
+pub(crate) fn encode(program: &Program<'_>) -> Vec<u8> {
+    let (floats, codes) = (&program.floats, &program.codes);
+    let sections = plan_sections(&program.ops, codes);
 
     // Ops first (variable length), so the header can record where
     // the aligned float section starts.
-    let ops_bytes = ops_bytes(model);
+    let ops_bytes = ops_bytes(program);
     let ops_end = V2_HEADER_LEN + ops_bytes.len();
     let float_byte_off = ops_end.next_multiple_of(8);
     let packed_byte_off = float_byte_off + floats.len() * 4;
@@ -141,11 +144,11 @@ pub(crate) fn encode(model: &CompiledModel) -> Vec<u8> {
     let payload_len = dir_byte_off + sections.len() * V2_DIR_ENTRY_LEN;
     let mut payload = Vec::with_capacity(payload_len);
     for v in [
-        model.input_features as u64,
-        model.output_features as u64,
+        program.input_features as u64,
+        program.output_features as u64,
         floats.len() as u64,
         codes.len() as u64,
-        model.ops.len() as u64,
+        program.ops.len() as u64,
         sections.len() as u64,
         float_byte_off as u64,
         packed_byte_off as u64,
@@ -155,7 +158,7 @@ pub(crate) fn encode(model: &CompiledModel) -> Vec<u8> {
     }
     payload.extend_from_slice(&ops_bytes);
     payload.resize(float_byte_off, 0); // alignment padding, must be zero
-    for f in floats {
+    for f in floats.iter() {
         payload.extend_from_slice(&f.to_le_bytes());
     }
     for stream in &streams {
@@ -170,17 +173,17 @@ pub(crate) fn encode(model: &CompiledModel) -> Vec<u8> {
         byte_off += stream.len();
     }
     debug_assert_eq!(payload.len(), payload_len);
-    debug_assert_eq!(OUTER_HEADER_LEN + payload_len + 8, encoded_len(model));
+    debug_assert_eq!(OUTER_HEADER_LEN + payload_len + 8, encoded_len(program));
 
     frame(payload)
 }
 
 /// The payload's variable-length head: the virtual encoder's span, then
 /// every op.
-fn ops_bytes(model: &CompiledModel) -> Vec<u8> {
+fn ops_bytes(program: &Program<'_>) -> Vec<u8> {
     let mut out = Vec::new();
-    write_span(&mut out, model.virtual_encoder);
-    for op in &model.ops {
+    write_span(&mut out, program.virtual_encoder);
+    for op in &program.ops {
         write_op(&mut out, op);
     }
     out
@@ -189,12 +192,12 @@ fn ops_bytes(model: &CompiledModel) -> Vec<u8> {
 /// Byte length of [`encode`]'s output, from the layout alone: the code
 /// pool is read in place for each section's width; no code is packed,
 /// no float copied, nothing hashed.
-pub(crate) fn encoded_len(model: &CompiledModel) -> usize {
-    let sections = plan_sections(&model.ops, &model.codes);
+pub(crate) fn encoded_len(program: &Program<'_>) -> usize {
+    let sections = plan_sections(&program.ops, &program.codes);
     let packed = |&(_, len, width): &(usize, usize, u32)| packed_byte_len(len, width);
     OUTER_HEADER_LEN
-        + (V2_HEADER_LEN + ops_bytes(model).len()).next_multiple_of(8)
-        + model.floats.len() * 4
+        + (V2_HEADER_LEN + ops_bytes(program).len()).next_multiple_of(8)
+        + program.floats.len() * 4
         + sections.iter().map(packed).sum::<usize>()
         + sections.len() * V2_DIR_ENTRY_LEN
         + 8
@@ -210,7 +213,7 @@ pub(crate) fn encoded_len(model: &CompiledModel) -> usize {
 /// only hand-built or malformed models have — become filler
 /// sections, and every width is widened if needed to hold the
 /// largest value actually present, so serialization round-trips the
-/// pool bit-for-bit even for the broken models unit tests assemble.
+/// pool bit-for-bit even for the broken programs unit tests write.
 fn plan_sections(ops: &[Op], codes: &[u16]) -> Vec<(usize, usize, u32)> {
     let total = codes.len();
     let mut claims: Vec<(Span, u32)> = Vec::new();
@@ -261,9 +264,10 @@ fn plan_sections(ops: &[Op], codes: &[u16]) -> Vec<(usize, usize, u32)> {
     sections
 }
 
-/// Decodes an artifact into a model no analyzer has seen; callers
-/// ([`CompiledModel::from_bytes`], `lint_bytes`) run the analyzer over
-/// it before anything infers. The model keeps no trace of the packing.
+/// Decodes an artifact into the program it carries, which no analyzer
+/// has seen yet: `CompiledModel::from_bytes` gates it before deriving
+/// anything, and `lint_bytes` analyzes it. The program keeps no trace
+/// of the packing.
 ///
 /// Once the checksum holds, the fixed header and ops are parsed and the
 /// section directory's framing invariants checked; each section is
@@ -272,7 +276,7 @@ fn plan_sections(ops: &[Op], codes: &[u16]) -> Vec<(usize, usize, u32)> {
 /// A section with non-zero trailing pad bits, or a directory other than
 /// the one [`encode`] writes for the decoded ops and codes, is an
 /// [`ArtifactError::PackedLayout`]: one byte string per model.
-pub(crate) fn decode(bytes: &[u8]) -> Result<CompiledModel, ArtifactError> {
+pub(crate) fn decode(bytes: &[u8]) -> Result<Program<'static>, ArtifactError> {
     let mut r = Reader::new(bytes);
     let magic = r.take(4)?;
     if magic != MAGIC {
@@ -434,19 +438,19 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<CompiledModel, ArtifactError> {
         )));
     }
 
-    let floats = payload[float_byte_off..packed_byte_off]
+    let floats: Vec<f32> = payload[float_byte_off..packed_byte_off]
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte lane")))
         .collect();
 
-    Ok(CompiledModel::assemble(
+    Ok(Program {
         input_features,
         output_features,
         virtual_encoder,
         ops,
-        floats,
-        codes,
-    ))
+        floats: Cow::Owned(floats),
+        codes: Cow::Owned(codes),
+    })
 }
 
 fn malformed(msg: impl Into<String>) -> ArtifactError {
@@ -786,7 +790,7 @@ mod tests {
     /// this module existed: neither change may show on the wire.
     #[test]
     fn deep_model_bytes_are_pinned() {
-        let bytes = encode(&CompiledModel::deep_for_tests(3));
+        let bytes = crate::CompiledModel::deep_for_tests(3).to_bytes();
         assert_eq!(bytes.len(), 474);
         assert_eq!(fnv1a64(&bytes), 0xa2f3_9ebd_de1d_cb34);
     }
@@ -873,15 +877,7 @@ mod tests {
     /// 8-aligned in the file.
     #[test]
     fn v2_float_section_is_aligned() {
-        let model = CompiledModel::assemble(
-            1,
-            1,
-            Span { start: 0, len: 3 },
-            vec![],
-            vec![0.0, 1.0, 2.0],
-            vec![],
-        );
-        let bytes = encode(&model);
+        let bytes = encode(&crate::CompiledModel::deep_program_for_tests(1));
         let float_off = u64::from_le_bytes(
             bytes[OUTER_HEADER_LEN + 48..OUTER_HEADER_LEN + 56]
                 .try_into()

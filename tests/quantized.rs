@@ -474,7 +474,8 @@ fn chain_reference(program: &Program<'_>, plan: &QuantPlan, row: &[f32]) -> Vec<
     let mut codes = encode(program.virtual_encoder, row);
     // Decoded flow (a residual branch's output) and the skip snapshot.
     let (mut decoded, mut skip) = (Vec::new(), Vec::new());
-    for (op, verdict) in program.ops.iter().zip(&plan.ops) {
+    let flow = program.flow();
+    for ((op, verdict), at) in program.ops.iter().zip(&plan.ops).zip(&flow) {
         let (inputs, outputs, weight_codes, bias, table, act, encoder) = match op {
             Op::Dense {
                 inputs,
@@ -516,10 +517,8 @@ fn chain_reference(program: &Program<'_>, plan: &QuantPlan, row: &[f32]) -> Vec<
         let finished: Vec<f32> = match verdict {
             OpQuant::Licensed(lic) => {
                 let bias_q = |o: usize| q32(slice(*bias)[o], lic.acc_frac);
-                let xq: Vec<i64> = slice(lic.input_book)
-                    .iter()
-                    .map(|&b| q16(b, lic.x_frac))
-                    .collect();
+                let book = at.book.expect("a licensed op reads codes");
+                let xq: Vec<i64> = slice(book).iter().map(|&b| q16(b, lic.x_frac)).collect();
                 let xs: Vec<i64> = codes.iter().map(|&c| xq[usize::from(c)]).collect();
                 let accs: Vec<i64> = (0..*outputs)
                     .map(|o| {
