@@ -29,9 +29,11 @@ use crate::program::{Act, Geom, Op, Program, Span, TableRef};
 use rapidnn_accel::DatapathModel;
 use rapidnn_core::nearest::{load_keys, nearest_range};
 
-/// Mirror of the serving format's extent cap (`1 << 31`): no single
-/// dimension may exceed it, keeping index arithmetic far from overflow.
-const MAX_EXTENT: u64 = 1 << 31;
+/// Upper bound on any single dimension or extent, keeping index
+/// arithmetic far from overflow. The serving format's decoder refuses a
+/// larger field with this same cap, so everything it loads the
+/// analyzer can judge.
+pub const MAX_EXTENT: u64 = 1 << 31;
 /// Mirror of the serving format's codebook cap: codes are `u16`, so a
 /// longer book would make nearest-encode silently wrap indices.
 const MAX_CODEBOOK_LEN: usize = 1 << 16;

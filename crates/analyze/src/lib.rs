@@ -66,7 +66,7 @@ mod optimize;
 mod program;
 mod quant;
 
-pub use checker::{analyze, analyze_with};
+pub use checker::{analyze, analyze_with, MAX_EXTENT};
 pub use cost::{op_costs, OpCost};
 pub use diag::{DiagCode, Diagnostic, LivenessCounts, Report, Severity};
 pub use interval::{f32_sum_slack, Interval};

@@ -4,11 +4,12 @@
 //! contiguous pools (`floats`, `codes`) holding a [`ReinterpretedNetwork`]'s
 //! codebooks, product tables, LUTs and weight codes, plus the linear op
 //! program the kernels execute as it is — and what is derived from it
-//! once, after the gate: the input encoder's search tables and one
-//! kernel per op. The flat layout is cache-friendly for serving and
-//! trivially serializable; the binary format lives in the crate's
-//! `wire` module and ends there: bytes decode to a [`Program`], the
-//! same IR every other constructor starts from.
+//! once, after the gate: the input encoder's search tables, one kernel
+//! per op and the flow state at every op boundary. The flat layout is
+//! cache-friendly for serving and trivially serializable; the binary
+//! format lives in the crate's `wire` module and ends there: bytes
+//! decode to a [`Program`], the same IR every other constructor starts
+//! from.
 //!
 //! # Verified by construction
 //!
@@ -36,7 +37,7 @@
 //! interpreter.
 
 use crate::error::{Result, ServeError};
-use crate::kernels::{lower, BatchRunner, Domain, Kernel};
+use crate::kernels::{lower, BatchRunner, Domain, FlowState, Kernel};
 use crate::wire;
 use rapidnn_analyze::{Act, Boundary, Op, OpQuant, Program, QuantPlan};
 #[cfg(test)]
@@ -66,6 +67,11 @@ pub struct CompiledModel {
     pub(crate) kernels: Vec<Kernel>,
     /// The plan [`CompiledModel::quantize`] materialized.
     pub(crate) quant_plan: Option<QuantPlan>,
+    /// Where the flow stands at each of the `ops.len() + 1` op
+    /// boundaries ([`CompiledModel::walk`]): `flow[i]` is what op `i`
+    /// reads, the last entry what the program returns. The batch loop
+    /// executes it as it is.
+    pub(crate) flow: Vec<FlowState>,
 }
 
 /// What [`BatchRunner`] needs to encode input rows through a model's
@@ -99,12 +105,33 @@ impl CompiledModel {
     /// passed: the input encoder tabulated and every op lowered to the
     /// kernel its table allows ([`lower`]), f32 only.
     fn assemble(program: Program<'static>) -> CompiledModel {
-        CompiledModel {
+        let kernels = lower(&program);
+        Self::with_kernels(program, kernels)
+    }
+
+    /// `program` over `kernels`, with its input encoder and flow.
+    fn with_kernels(program: Program<'static>, kernels: Vec<Kernel>) -> CompiledModel {
+        let mut model = CompiledModel {
             input_enc: InputEncoder::new(&program),
-            kernels: lower(&program),
+            kernels,
             quant_plan: None,
+            flow: Vec::new(),
             program,
-        }
+        };
+        model.flow = model.walk();
+        model
+    }
+
+    /// The flow state at every op boundary: the program's dataflow walk
+    /// ([`Program::flow`]), each encoded boundary in the domain its
+    /// reader's kernel takes ([`Domain::of`]). The walk is total on any
+    /// program; on a gated one the checker has proven what it states.
+    fn walk(&self) -> Vec<FlowState> {
+        let state = |(oi, at): (usize, &Boundary)| FlowState {
+            domain: Domain::of(at, self.madd_levels(oi).is_some()),
+            width: at.width,
+        };
+        self.program.flow().iter().enumerate().map(state).collect()
     }
 
     /// Gates `program`, then assembles it.
@@ -135,12 +162,8 @@ impl CompiledModel {
     /// program panics at inference, inside the engine's containment.
     #[cfg(test)]
     pub(crate) fn ungated_for_tests(program: Program<'static>) -> CompiledModel {
-        CompiledModel {
-            input_enc: InputEncoder::new(&program),
-            kernels: vec![Kernel::Table; program.ops.len()],
-            quant_plan: None,
-            program,
-        }
+        let kernels = vec![Kernel::Table; program.ops.len()];
+        Self::with_kernels(program, kernels)
     }
 
     /// Hand-built `layers`-deep dense chain (4 features wide throughout)
@@ -457,7 +480,8 @@ impl CompiledModel {
     /// ([`rapidnn_analyze::quantize_plan`]): `i16` weight tiles,
     /// quantized biases and precomputed finish LUTs, expanded from the
     /// code pool exactly once, here. Each licensed op's integer kernel
-    /// replaces the one it held: one op holds one kernel.
+    /// replaces the one it held: one op holds one kernel, and the flow
+    /// into it becomes the `i16` operands that kernel reads.
     ///
     /// Quantization is opt-in: no constructor enables it, so the f32
     /// path stays bit-identical unless a caller asks for integers. Ops
@@ -473,6 +497,7 @@ impl CompiledModel {
         let plan = rapidnn_analyze::quantize_plan(&self.program);
         crate::quant::materialize(self, &plan);
         self.quant_plan = Some(plan);
+        self.flow = self.walk();
         Ok(())
     }
 
@@ -590,6 +615,49 @@ pub(crate) fn apply_act(act: &Act, floats: &[f32], y: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rapidnn_core::ReinterpretOptions;
+    use rapidnn_data::SyntheticSpec;
+    use rapidnn_nn::topology::Benchmark;
+    use rapidnn_tensor::SeededRng;
+
+    /// `quantize` re-derives the flow: each op reads the domain the plan
+    /// names for it, so a licensed op reads the `i16` operands its
+    /// producer leaves — on mnist-tiny's topology (784 → 32 → 32 → 10)
+    /// and on a mixed deep chain — and a model reloaded from its bytes
+    /// equals the one written, before and after quantizing both.
+    #[test]
+    fn quantize_rederives_the_flow() {
+        let mut rng = SeededRng::new(5);
+        let mut net = Benchmark::Mnist.build_reduced(16, &mut rng).unwrap();
+        let data = SyntheticSpec::new(784, 10, 2.0)
+            .generate(40, &mut rng)
+            .unwrap();
+        let opts = ReinterpretOptions {
+            weight_clusters: 8,
+            input_clusters: 8,
+            ..ReinterpretOptions::default()
+        };
+        let network =
+            ReinterpretedNetwork::build(&mut net, data.inputs(), &opts, &mut rng).unwrap();
+        let mnist = CompiledModel::from_reinterpreted(&network).unwrap();
+        let reload = |m: &CompiledModel| CompiledModel::from_bytes(&m.to_bytes()).unwrap();
+        // Bytes carry no quantization: the mixed chain reloads as f32.
+        let mixed = reload(&CompiledModel::deep_mixed_for_tests(5, 1, 3));
+        for (name, mut model) in [("mnist-tiny", mnist), ("deep-mixed", mixed)] {
+            let mut reloaded = reload(&model);
+            assert_eq!(reloaded, model, "{name}");
+            model.quantize().unwrap();
+            reloaded.quantize().unwrap();
+            assert_eq!(reloaded, model, "{name} quantized");
+            let plan = model.quant_plan().expect("quantized");
+            assert!(plan.licensed() > 0, "{name}: {plan:?}");
+            let domains = model.read_domains(plan);
+            assert_eq!(model.flow.len(), domains.len() + 1, "{name}");
+            for (oi, want) in domains.iter().enumerate() {
+                assert_eq!(model.flow[oi].domain.name(), *want, "{name} op {oi}");
+            }
+        }
+    }
 
     #[test]
     fn nearest_matches_codebook_semantics() {

@@ -30,8 +30,8 @@
 //! serving.
 
 use crate::artifact::CompiledModel;
-use crate::error::{ArtifactError, Result, ServeError};
-use crate::kernels::{pad_rows, BatchRunner, Domain, FlowData, FlowState};
+use crate::error::{Result, ServeError};
+use crate::kernels::{pad_rows, BatchRunner, FlowData};
 use crate::metrics::{Metrics, ServerStats};
 use crate::pipeline::{self, PipelineStats, StagePlan, StageStats};
 use rapidnn_pool::spsc;
@@ -222,20 +222,20 @@ impl Engine {
         // replicated `workers` times over the shared queue.
         let plan = pipeline::plan_stages(&model, config.stages);
         let whole = 0..model.op_count();
-        let (ranges, entries, replicas) = match &plan {
-            Some(plan) => (plan.ranges.clone(), &plan.entries[1..], 1),
-            None => (vec![whole], &[][..], config.resolved_workers()),
+        let (ranges, replicas) = match &plan {
+            Some(plan) => (plan.ranges.clone(), 1),
+            None => (vec![whole], config.resolved_workers()),
         };
-        let mut gauges = Vec::with_capacity(entries.len());
+        let mut gauges = Vec::with_capacity(ranges.len() - 1);
         let mut workers = Vec::with_capacity(replicas * ranges.len());
         for _ in 0..replicas {
             // Link s connects stage s to stage s+1.
             let mut inlets = vec![Inlet::Queue(Arc::clone(&shared), config.max_wait)];
             let mut outlets = Vec::with_capacity(ranges.len());
-            for &entry in entries {
+            for _ in 1..ranges.len() {
                 let (tx, rx, gauge) = spsc::channel::<Micro>(STAGE_CHANNEL_CAP);
                 outlets.push(Some(tx));
-                inlets.push(Inlet::Link(rx, entry));
+                inlets.push(Inlet::Link(rx));
                 gauges.push(gauge);
             }
             outlets.push(None);
@@ -601,11 +601,12 @@ fn answer_ok(metrics: &Metrics, batch: &[Job], data: &Arc<[f32]>, width: usize) 
     }
 }
 
-/// Fails every job in `batch` with (a replica of) `err`.
-fn answer_err(metrics: &Metrics, batch: &[Job], err: &ServeError) {
+/// Fails every job in `batch` with the error `err` builds — one per job,
+/// since [`ServeError`] is not `Clone` (it can wrap `io::Error`).
+fn answer_err(metrics: &Metrics, batch: &[Job], err: impl Fn() -> ServeError) {
     for job in batch {
         metrics.record_completion(job.enqueued.elapsed(), false);
-        let _ = job.reply.send(Err(replicate(err)));
+        let _ = job.reply.send(Err(err()));
     }
 }
 
@@ -625,19 +626,20 @@ enum Inlet {
     /// The request queue: the stage gathers a dynamic batch, holding a
     /// partial one at most this long, then flattens and encodes it.
     Queue(Arc<Shared>, Duration),
-    /// The link from the stage before, and the flow state its buffers
-    /// arrive in. The link closes once that stage has exited *and* its
-    /// buffered micro-batches are drained — shutdown is a cascade from
-    /// the queue end.
-    Link(spsc::Receiver<Micro>, FlowState),
+    /// The link from the stage before, whose buffers arrive in the
+    /// model's flow state at this stage's first op. The link closes once
+    /// that stage has exited *and* its buffered micro-batches are
+    /// drained — shutdown is a cascade from the queue end.
+    Link(spsc::Receiver<Micro>),
 }
 
 /// The engine's one loop: take a micro-batch from `inlet`, run `range`
 /// over it, hand the result to `outlet` — the link to the next stage,
 /// or (`None`) the reply step that answers every job in the batch.
 ///
-/// A failure while executing one micro-batch, panic included, fails
-/// exactly that batch's jobs; the stage keeps serving.
+/// The model fixes every flow state, so executing a micro-batch can
+/// fail only by panic — on a model that bypassed the construction gate
+/// — which fails exactly that batch's jobs; the stage keeps serving.
 fn stage_loop(
     metrics: &Metrics,
     model: &CompiledModel,
@@ -663,10 +665,10 @@ fn stage_loop(
                 metrics.record_batch(rows);
                 (rows, None)
             }
-            Inlet::Link(rx, entry) => {
+            Inlet::Link(rx) => {
                 let Some(micro) = rx.recv() else { return };
                 batch = micro.jobs;
-                (micro.rows, Some((*entry, micro.data)))
+                (micro.rows, Some(micro.data))
             }
         };
         let padded = pad_rows(rows);
@@ -675,51 +677,33 @@ fn stage_loop(
         // and queued tickets would wait forever. The runner resets its
         // scratch on every call, so reuse after a panic is safe.
         let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let (entry, data) = handed.unwrap_or_else(|| {
-                let entry = runner.encode_batch(model, flatten(&batch, &mut flat), padded);
-                (entry, runner.take_flow(entry.domain))
+            let data = handed.unwrap_or_else(|| {
+                runner.encode_batch(model, flatten(&batch, &mut flat), padded);
+                runner.take_flow(model.flow[range.start].domain)
             });
-            runner.run_segment(model, range.clone(), entry, data, padded)
-        }))
-        .unwrap_or_else(|payload| Err(ServeError::WorkerPanic(panic_message(&payload))));
+            runner.run_segment(model, range.clone(), data, padded);
+        }));
+        let exit = model.flow[range.end];
         match (run, &outlet) {
-            (Ok(exit), Some(tx)) => {
+            (Ok(()), Some(tx)) => {
                 let (jobs, data) = (std::mem::take(&mut batch), runner.take_flow(exit.domain));
                 // Blocks while downstream is busy — this is the
                 // backpressure path. `Err` means the next stage is gone,
                 // which only happens when the engine is tearing down.
                 if let Err(micro) = tx.send(Micro { jobs, rows, data }) {
-                    answer_err(metrics, &micro.jobs, &ServeError::ShuttingDown);
+                    answer_err(metrics, &micro.jobs, || ServeError::ShuttingDown);
                     return;
                 }
             }
-            (Ok(exit), None) if exit.domain == Domain::Floats => {
+            (Ok(()), None) => {
                 let data: Arc<[f32]> = Arc::from(&runner.floats()[..rows * exit.width]);
                 answer_ok(metrics, &batch, &data, exit.width);
             }
-            (Ok(_), None) => answer_err(
-                metrics,
-                &batch,
-                &ServeError::Artifact(ArtifactError::Malformed(
-                    "program ended in encoded domain".into(),
-                )),
-            ),
-            (Err(err), _) => answer_err(metrics, &batch, &err),
+            (Err(payload), _) => {
+                let msg = panic_message(&payload);
+                answer_err(metrics, &batch, || ServeError::WorkerPanic(msg.clone()));
+            }
         }
-    }
-}
-
-/// Fans one batch-level error out to every affected job. [`ServeError`]
-/// is not `Clone` (it can wrap `io::Error`), so replicate the variants
-/// the batch kernel can actually produce.
-fn replicate(err: &ServeError) -> ServeError {
-    match err {
-        ServeError::InvalidInput(msg) => ServeError::InvalidInput(msg.clone()),
-        ServeError::Artifact(ArtifactError::Malformed(msg)) => {
-            ServeError::Artifact(ArtifactError::Malformed(msg.clone()))
-        }
-        ServeError::WorkerPanic(msg) => ServeError::WorkerPanic(msg.clone()),
-        other => ServeError::InvalidInput(other.to_string()),
     }
 }
 

@@ -34,8 +34,7 @@ pub enum ArtifactError {
         actual: u64,
     },
     /// The bytes are inconsistent below the level the analyzer sees
-    /// (bad tags, size overflow, trailing bytes), or a kernel was handed
-    /// a flow it does not read.
+    /// (bad tags, size overflow, trailing bytes).
     Malformed(String),
     /// A format v2 packed-code layout is inconsistent: section directory
     /// offsets out of bounds or out of order, sections not tiling the

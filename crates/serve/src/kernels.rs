@@ -51,10 +51,16 @@
 //! pool. Every other op runs its table, or is its pool or residual
 //! step.
 //!
-//! Where the flow stands between two ops — its width, whether it is
-//! encoded, the residual depth — is the program's one dataflow walk
-//! ([`Program::flow`]); the kernels add only which encoded domain the
-//! next op's kernel reads ([`Domain::of`]).
+//! Where the flow stands between two ops — its width and domain — is
+//! fixed when the model is built ([`FlowState`], one per op boundary,
+//! derived from the program's dataflow walk [`Program::flow`]), and
+//! the batch loop executes it as it is: op `i` reads the model's
+//! `flow[i]` and leaves `flow[i + 1]`. Nothing is re-checked per batch.
+//! Every model that exists passed the construction gate, which refuses
+//! a domain mismatch, an unbalanced residual region and an encoded
+//! exit. A model that bypassed it (only tests build one) runs the same
+//! safe code, where a contradiction panics on a slice bound inside the
+//! engine's containment.
 //!
 //! # Equivalence
 //!
@@ -66,7 +72,7 @@
 //! samples.
 
 use crate::artifact::{apply_act, CompiledModel, InputEncoder};
-use crate::error::{ArtifactError, Result, ServeError};
+use crate::error::{Result, ServeError};
 use crate::lanes::Acc;
 use crate::quant::{level_of, LutOut, QuantFinish, QuantOp};
 use rapidnn_analyze::{factor_table, Act, Boundary, Geom, Op, Program, Span, TableRef};
@@ -120,10 +126,9 @@ impl Domain {
 }
 
 /// Where the flow stands between two ops: which domain it is in and how
-/// wide a row is ([`flow_states`]). A pipeline stage boundary is
-/// exactly one of these — the shard planner derives the entry state of
-/// every legal cut point statically, and [`BatchRunner::exec_ops`]
-/// resumes execution from it bit-identically to an uncut run.
+/// wide a row is. A model holds one per op boundary, derived once when
+/// it is built; a pipeline stage resumes from the one at its first op,
+/// bit-identically to an uncut run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FlowState {
     /// Current flow domain.
@@ -218,14 +223,13 @@ struct Flow {
 
 impl Flow {
     /// Makes the scratch buffer an op just filled the current flow of
-    /// `domain`, which it returns.
-    fn advance(&mut self, domain: Domain) -> Domain {
+    /// `domain`.
+    fn advance(&mut self, domain: Domain) {
         match domain {
             Domain::Codes => std::mem::swap(&mut self.codes, &mut self.codes_next),
             Domain::Quants => std::mem::swap(&mut self.quants, &mut self.quants_next),
             Domain::Floats => std::mem::swap(&mut self.floats, &mut self.floats_next),
         }
-        domain
     }
 }
 
@@ -297,15 +301,17 @@ impl BatchRunner {
     /// cleared first) and returning the number of rows executed.
     ///
     /// Outputs are bit-for-bit identical to calling
-    /// [`CompiledModel::infer`] per row. The runner fully re-initialises
-    /// its scratch state on entry, so a runner whose previous `run`
+    /// [`CompiledModel::infer`] per row. The op loop executes the flow
+    /// states the model fixed when it was built, so nothing about the
+    /// model is checked per batch. The runner fully re-initialises its
+    /// scratch state on entry, so a runner whose previous `run`
     /// panicked (possible only on a model that bypassed the analyzer)
     /// is safe to reuse.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidInput`] when `inputs` is not a whole
-    /// number of feature rows.
+    /// number of feature rows — the one thing outside the model.
     pub fn run(
         &mut self,
         model: &CompiledModel,
@@ -325,37 +331,25 @@ impl BatchRunner {
             return Ok(0);
         }
         let padded = pad_rows(rows);
-        let entry = self.encode_batch(model, inputs, padded);
-        let exit = self.exec_ops(model, 0..model.op_count(), entry, padded)?;
-        match exit.domain {
-            Domain::Floats => {
-                out.extend_from_slice(&self.flow.floats[..rows * exit.width]);
-                Ok(rows)
-            }
-            Domain::Codes | Domain::Quants => Err(ServeError::Artifact(ArtifactError::Malformed(
-                "program ended in encoded domain".into(),
-            ))),
-        }
+        self.encode_batch(model, inputs, padded);
+        self.exec_ops(model, 0..model.op_count(), padded);
+        let exit = model.flow[model.op_count()];
+        out.extend_from_slice(&self.flow.floats[..rows * exit.width]);
+        Ok(rows)
     }
 
     /// Encodes a `padded`-row batch through the model's virtual input
     /// codebook into the arena buffer the first op reads — `quants` when
     /// it is an integer Madd op, whose level of each code the encoder
-    /// then writes directly, `codes` otherwise — and returns the flow
-    /// state the op program starts from. `inputs` may hold fewer than
+    /// then writes directly, `codes` otherwise. `inputs` may hold fewer than
     /// `padded` rows; pad rows keep zeros — code 0 is valid for every
     /// non-empty codebook and a zero operand for every Madd — and their
     /// results are computed but never copied out.
-    pub(crate) fn encode_batch(
-        &mut self,
-        model: &CompiledModel,
-        inputs: &[f32],
-        padded: usize,
-    ) -> FlowState {
+    pub(crate) fn encode_batch(&mut self, model: &CompiledModel, inputs: &[f32], padded: usize) {
         let program = &model.program;
         let features = program.input_features;
         let book = || program.virtual_encoder.slice(&program.floats);
-        let domain = match model.madd_levels(0) {
+        match model.madd_levels(0) {
             None => {
                 let codes = &mut self.flow.codes;
                 refill(codes, padded * features);
@@ -365,7 +359,6 @@ impl BatchRunner {
                         nearest_sorted_block(book(), keys, inputs, codes, |i| i as u16);
                     }
                 }
-                Domain::Codes
             }
             Some(xq) => {
                 let quants = &mut self.flow.quants;
@@ -378,12 +371,7 @@ impl BatchRunner {
                         nearest_sorted_block(book(), keys, inputs, quants, |i| xq[i]);
                     }
                 }
-                Domain::Quants
             }
-        };
-        FlowState {
-            domain,
-            width: features,
         }
     }
 
@@ -400,42 +388,29 @@ impl BatchRunner {
     }
 
     /// Runs the contiguous op range of one pipeline stage: installs the
-    /// handed-off `data` as the current flow and executes `range` from
-    /// `entry`. The result stays in the arena: a stage that forwards it
-    /// takes it out ([`take_flow`](Self::take_flow)), the last one
-    /// copies its rows out of [`floats`](Self::floats) and keeps the
-    /// buffer.
+    /// handed-off `data` as the current flow of its domain — the
+    /// model's flow state at `range.start` — and executes `range`. The
+    /// result stays in the arena: a stage that forwards it takes it out
+    /// ([`take_flow`](Self::take_flow)), the last one copies its rows
+    /// out of [`floats`](Self::floats) and keeps the buffer.
     ///
-    /// The planner guarantees `entry` matches the upstream stage's exit
-    /// state and that `range` never cuts a residual region; under those
-    /// invariants the concatenation of all stages' `run_segment` calls
-    /// performs exactly the op sequence (and arithmetic order) of an
-    /// uncut [`run`](Self::run), so outputs are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Artifact`] when `data`'s domain contradicts
-    /// `entry` (a planner/handoff bug, never input-dependent) or the
-    /// range itself is malformed.
+    /// The planner never cuts a residual region, so the concatenation
+    /// of all stages' `run_segment` calls performs exactly the op
+    /// sequence (and arithmetic order) of an uncut [`run`](Self::run),
+    /// and outputs are bit-identical.
     pub(crate) fn run_segment(
         &mut self,
         model: &CompiledModel,
         range: std::ops::Range<usize>,
-        entry: FlowState,
         data: FlowData,
         padded: usize,
-    ) -> Result<FlowState> {
-        match (entry.domain, data) {
-            (Domain::Codes, FlowData::Codes(v)) => self.flow.codes = v,
-            (Domain::Quants, FlowData::Quants(v)) => self.flow.quants = v,
-            (Domain::Floats, FlowData::Floats(v)) => self.flow.floats = v,
-            _ => {
-                return Err(ServeError::Artifact(ArtifactError::Malformed(
-                    "stage handoff domain mismatch".into(),
-                )))
-            }
+    ) {
+        match data {
+            FlowData::Codes(v) => self.flow.codes = v,
+            FlowData::Quants(v) => self.flow.quants = v,
+            FlowData::Floats(v) => self.flow.floats = v,
         }
-        self.exec_ops(model, range, entry, padded)
+        self.exec_ops(model, range, padded);
     }
 
     /// The current decoded flow (`padded × width`, row-major).
@@ -444,19 +419,16 @@ impl BatchRunner {
     }
 
     /// Executes the ops in `range` (global op indices) over the current
-    /// arena flow, starting from `entry`. This is the op loop shared by
-    /// the whole-model [`run`](Self::run) (`0..ops.len()`) and the
-    /// pipeline stages (one contiguous sub-range each).
+    /// arena flow. This is the op loop shared by the whole-model
+    /// [`run`](Self::run) (`0..ops.len()`) and the pipeline stages (one
+    /// contiguous sub-range each).
     ///
-    /// Quantization state is looked up by *global* op index, so a stage
-    /// executes exactly the kernels the unsharded run would.
-    fn exec_ops(
-        &mut self,
-        model: &CompiledModel,
-        range: std::ops::Range<usize>,
-        entry: FlowState,
-        padded: usize,
-    ) -> Result<FlowState> {
+    /// Op `oi` reads the model's `flow[oi]` and writes the scratch
+    /// buffer of the domain `flow[oi + 1]` names, which the loop then
+    /// makes the current flow. Kernels and flow states are looked up by
+    /// *global* op index, so a stage executes exactly what the
+    /// unsharded run would.
+    fn exec_ops(&mut self, model: &CompiledModel, range: std::ops::Range<usize>, padded: usize) {
         let BatchRunner {
             flow,
             skips,
@@ -471,11 +443,9 @@ impl BatchRunner {
         // depth 0, so every range starts and ends outside all regions.
         let mut skip_depth = 0usize;
 
-        let mut domain = entry.domain;
-        let mut width = entry.width;
-
         for oi in range {
             let op = &program.ops[oi];
+            let (at, next) = (model.flow[oi], model.flow[oi + 1].domain);
             // An op that hands encoded values to an integer Madd op
             // writes that op's operand for each code, not the code.
             let levels = model.madd_levels(oi + 1);
@@ -497,19 +467,13 @@ impl BatchRunner {
                         // finish LUT, so the op is one pass.
                         Kernel::Madd(q) => {
                             debug_assert_eq!((q.nin, q.nout), (nin, nout));
-                            if domain != Domain::Quants {
-                                return Err(wrong_domain(domain));
-                            }
-                            domain = quant_dense(q, flow, padded);
-                            width = nout;
+                            quant_dense(q, flow, padded);
+                            flow.advance(next);
                             continue;
                         }
                         Kernel::Mul(mul) => Some(mul),
                         Kernel::Table => None,
                     };
-                    if domain != Domain::Codes {
-                        return Err(wrong_domain(domain));
-                    }
                     let codes = &flow.codes;
                     let floats_next = &mut flow.floats_next;
                     let wcodes = weight_codes.slice(&program.codes);
@@ -541,8 +505,7 @@ impl BatchRunner {
                             &mut floats_next[r * nout..(r + 1) * nout],
                         );
                     }
-                    domain = finish_neuron(pool_f, act, encoder, levels, flow, keys, act_keys);
-                    width = nout;
+                    finish_neuron(pool_f, act, encoder, levels, flow, keys, act_keys);
                 }
                 Op::Conv {
                     geom: g,
@@ -554,9 +517,6 @@ impl BatchRunner {
                     act,
                     encoder,
                 } => {
-                    if domain != Domain::Codes {
-                        return Err(wrong_domain(domain));
-                    }
                     let codes = &flow.codes;
                     let floats_next = &mut flow.floats_next;
                     let wcodes = weight_codes.slice(&program.codes);
@@ -595,81 +555,64 @@ impl BatchRunner {
                             &mut floats_next[r * nout..(r + 1) * nout],
                         );
                     }
-                    domain = finish_neuron(pool_f, act, encoder, levels, flow, keys, act_keys);
-                    width = nout;
+                    finish_neuron(pool_f, act, encoder, levels, flow, keys, act_keys);
                 }
                 Op::MaxPool(g) => {
                     let (same, max) = (|c: u16| c, |a: u16, b: u16| a.max(b));
-                    domain = match (domain, levels) {
+                    // A pool reads codes whenever it reads encoded values:
+                    // only an integer Madd op reads `Quants`.
+                    match (at.domain, levels) {
                         (Domain::Floats, _) => {
                             let (src, dst) = (&flow.floats, &mut flow.floats_next);
                             pool_rows(g, src, dst, padded, |v| v, f32::max, |v| v);
-                            Domain::Floats
                         }
-                        (Domain::Codes, None) => {
+                        (_, None) => {
                             let (src, dst) = (&flow.codes, &mut flow.codes_next);
                             pool_rows(g, src, dst, padded, same, max, same);
-                            Domain::Codes
                         }
-                        (Domain::Codes, Some(xq)) => {
+                        (_, Some(xq)) => {
                             let (src, dst) = (&flow.codes, &mut flow.quants_next);
                             pool_rows(g, src, dst, padded, same, max, |c| level_of(xq, c));
-                            Domain::Quants
                         }
-                        (Domain::Quants, _) => return Err(wrong_domain(domain)),
-                    };
-                    flow.advance(domain);
-                    width = g.in_channels * g.out_pixels();
+                    }
                 }
                 Op::AvgPool { geom: g, codebook } => {
                     let window = (g.kernel_h * g.kernel_w) as f32;
                     let sum = |a: f32, b: f32| a + b;
-                    domain = match (domain, levels) {
-                        (Domain::Floats, _) => {
-                            let (src, dst) = (&flow.floats, &mut flow.floats_next);
-                            pool_rows(g, src, dst, padded, |v| v, sum, |s| s / window);
-                            Domain::Floats
-                        }
+                    if at.domain == Domain::Floats {
+                        let (src, dst) = (&flow.floats, &mut flow.floats_next);
+                        pool_rows(g, src, dst, padded, |v| v, sum, |s| s / window);
+                    } else {
                         // Fused decode + average + re-encode: codebook
                         // values are gathered straight out of the window
                         // (the sum order of decoding the sample first).
-                        (Domain::Codes, levels) => {
-                            let book = codebook.slice(pool_f);
-                            load_keys(keys, book);
-                            let encode = |s: f32| nearest_sorted(book, keys, s / window);
-                            let decode = |c: u16| book[c as usize];
-                            let src = &flow.codes;
-                            match levels {
-                                None => {
-                                    let dst = &mut flow.codes_next;
-                                    pool_rows(g, src, dst, padded, decode, sum, encode);
-                                    Domain::Codes
-                                }
-                                Some(xq) => {
-                                    let dst = &mut flow.quants_next;
-                                    pool_rows(g, src, dst, padded, decode, sum, |s| {
-                                        level_of(xq, encode(s))
-                                    });
-                                    Domain::Quants
-                                }
+                        let book = codebook.slice(pool_f);
+                        load_keys(keys, book);
+                        let encode = |s: f32| nearest_sorted(book, keys, s / window);
+                        let decode = |c: u16| book[c as usize];
+                        let src = &flow.codes;
+                        match levels {
+                            None => {
+                                let dst = &mut flow.codes_next;
+                                pool_rows(g, src, dst, padded, decode, sum, encode);
+                            }
+                            Some(xq) => {
+                                let dst = &mut flow.quants_next;
+                                pool_rows(g, src, dst, padded, decode, sum, |s| {
+                                    level_of(xq, encode(s))
+                                });
                             }
                         }
-                        (Domain::Quants, _) => return Err(wrong_domain(domain)),
-                    };
-                    flow.advance(domain);
-                    width = g.in_channels * g.out_pixels();
+                    }
                 }
                 Op::ResidualBegin { skip_codebook } => {
-                    if domain != Domain::Codes {
-                        return Err(wrong_domain(domain));
-                    }
                     let book = skip_codebook.slice(pool_f);
                     if skips.len() == skip_depth {
                         skips.push(Vec::new());
                     }
                     let buf = &mut skips[skip_depth];
                     buf.clear();
-                    let src = &flow.codes[..padded * width];
+                    let src = &flow.codes[..padded * at.width];
                     buf.extend(src.iter().map(|&c| book[c as usize]));
                     skip_depth += 1;
                     // The codes pass through to the region's first op;
@@ -677,25 +620,15 @@ impl BatchRunner {
                     if let Some(xq) = levels {
                         flow.quants.clear();
                         flow.quants.extend(src.iter().map(|&c| level_of(xq, c)));
-                        domain = Domain::Quants;
                     }
+                    continue;
                 }
                 Op::ResidualEnd { encoder } => {
-                    if domain != Domain::Floats {
-                        return Err(ServeError::Artifact(ArtifactError::Malformed(
-                            "residual join received encoded values".into(),
-                        )));
-                    }
-                    if skip_depth == 0 {
-                        return Err(ServeError::Artifact(ArtifactError::Malformed(
-                            "residual join without matching begin".into(),
-                        )));
-                    }
                     skip_depth -= 1;
                     let skip = &skips[skip_depth];
-                    let n = padded * width;
+                    let n = padded * at.width;
                     let joined = &flow.floats;
-                    domain = match encoder {
+                    match encoder {
                         Some(enc) => {
                             let book = enc.slice(pool_f);
                             load_keys(keys, book);
@@ -705,7 +638,7 @@ impl BatchRunner {
                                 &mut flow.quants_next,
                                 n,
                                 |i| nearest_sorted(book, keys, joined[i] + skip[i]),
-                            )
+                            );
                         }
                         None => {
                             let dst = &mut flow.floats_next;
@@ -713,15 +646,12 @@ impl BatchRunner {
                             for i in 0..n {
                                 dst[i] = joined[i] + skip[i];
                             }
-                            Domain::Floats
                         }
-                    };
-                    flow.advance(domain);
+                    }
                 }
             }
+            flow.advance(next);
         }
-
-        Ok(FlowState { domain, width })
     }
 }
 
@@ -762,8 +692,9 @@ struct Plan {
     max_act: usize,
 }
 
-/// Collects the scratch arena's high-water marks from the program's
-/// dataflow walk ([`Program::flow`]) and each op's kernel.
+/// Collects the scratch arena's high-water marks from the model's flow
+/// states, the program's residual depths ([`Program::flow`]) and each
+/// op's kernel.
 ///
 /// No op reserves anything for its weights — codes, decoded matrix
 /// and integer tiles all live in the model — so the arena is flow
@@ -784,16 +715,16 @@ fn plan(model: &CompiledModel) -> Plan {
         }
     }
     let program = &model.program;
-    let flow = program.flow();
-    for (oi, at) in flow.iter().enumerate() {
-        let max = match Domain::of(at, model.madd_levels(oi).is_some()) {
+    for at in &model.flow {
+        let max = match at.domain {
             Domain::Codes => &mut p.max_codes,
             Domain::Quants => &mut p.max_quants,
             Domain::Floats => &mut p.max_floats,
         };
         *max = (*max).max(at.width);
-        p.skip_depth = p.skip_depth.max(at.depth);
     }
+    p.skip_depth = program.flow().iter().map(|at| at.depth).max().unwrap_or(0);
+    let flow = &model.flow;
     for ((op, kernel), at) in program.ops.iter().zip(&model.kernels).zip(flow.windows(2)) {
         // `at[0]` is what the op reads, `at[1]` what it leaves.
         let (reads, nout) = (at[0].width, at[1].width);
@@ -819,21 +750,6 @@ fn plan(model: &CompiledModel) -> Plan {
         }
     }
     p
-}
-
-/// The flow state at every op boundary: the program's dataflow walk
-/// ([`Program::flow`]), each encoded boundary in the domain its
-/// reader's kernel takes ([`Domain::of`]). `states[i]` is what op `i`
-/// reads; index `ops.len()` is the program's exit state. The
-/// pipeline's property suite holds it to [`BatchRunner::exec_ops`] by
-/// executing every legal split.
-pub(crate) fn flow_states(model: &CompiledModel) -> Vec<FlowState> {
-    let flow = model.program.flow();
-    let state = |(oi, at): (usize, &Boundary)| FlowState {
-        domain: Domain::of(at, model.madd_levels(oi).is_some()),
-        width: at.width,
-    };
-    flow.iter().enumerate().map(state).collect()
 }
 
 /// Dense table gather over one [`LANES`]-row block: for each output
@@ -1050,24 +966,20 @@ fn dense_row(
     }
 }
 
-/// Runs one analyzer-licensed dense op over the padded batch and leaves
-/// its result as the current flow: runs [`quant_dense_exec`] with the
-/// finish the plan baked — dequantize, dequantize + ReLU, or a finish
-/// LUT whose entries are already what the next op reads — into the
-/// scratch buffer of that domain and swaps it in. Returns the domain
-/// the flow is now in.
-fn quant_dense(q: &QuantOp, flow: &mut Flow, padded: usize) -> Domain {
+/// Runs one analyzer-licensed dense op over the padded batch: runs
+/// [`quant_dense_exec`] with the finish the plan baked — dequantize,
+/// dequantize + ReLU, or a finish LUT whose entries are already what the
+/// next op reads — into the scratch buffer of that domain.
+fn quant_dense(q: &QuantOp, flow: &mut Flow, padded: usize) {
     let quants = &flow.quants;
-    let domain = match &q.finish {
+    match &q.finish {
         QuantFinish::Dequant { inv } => {
             let (dst, inv) = (&mut flow.floats_next, *inv);
             quant_dense_exec(q, quants, dst, padded, move |a| a as f32 * inv);
-            Domain::Floats
         }
         QuantFinish::DequantRelu { inv } => {
             let (dst, inv) = (&mut flow.floats_next, *inv);
             quant_dense_exec(q, quants, dst, padded, move |a| (a as f32 * inv).max(0.0));
-            Domain::Floats
         }
         QuantFinish::Lut { lo_q, shift, out } => {
             fn lookup<T: Copy>(
@@ -1083,22 +995,18 @@ fn quant_dense(q: &QuantOp, flow: &mut Flow, padded: usize) -> Domain {
                 LutOut::Codes(table) => {
                     let (dst, finish) = (&mut flow.codes_next, lookup(table, lo_q, shift));
                     quant_dense_exec(q, quants, dst, padded, finish);
-                    Domain::Codes
                 }
                 LutOut::Quants(table) => {
                     let (dst, finish) = (&mut flow.quants_next, lookup(table, lo_q, shift));
                     quant_dense_exec(q, quants, dst, padded, finish);
-                    Domain::Quants
                 }
                 LutOut::Floats(table) => {
                     let (dst, finish) = (&mut flow.floats_next, lookup(table, lo_q, shift));
                     quant_dense_exec(q, quants, dst, padded, finish);
-                    Domain::Floats
                 }
             }
         }
-    };
-    flow.advance(domain)
+    }
 }
 
 /// The integer dense op proper: accumulates every (row, output) in
@@ -1364,9 +1272,9 @@ fn conv_row(
 }
 
 /// Applies the activation to the raw accumulators in `floats_next` and
-/// routes the batch into the next flow domain, mirroring the per-sample
-/// finish-neuron step: activate every value, then encode through the
-/// stage encoder if one is present ([`emit_encoded`]).
+/// leaves them in the scratch buffer of the next flow domain, mirroring
+/// the per-sample finish-neuron step: activate every value, then encode
+/// through the stage encoder if one is present ([`emit_encoded`]).
 ///
 /// A `Lookup` activation is a nearest-input search over a sorted LUT —
 /// the same shape as an encode step — so its total-order keys are
@@ -1382,7 +1290,7 @@ fn finish_neuron(
     flow: &mut Flow,
     keys: &mut Vec<i32>,
     act_keys: &mut Vec<i32>,
-) -> Domain {
+) {
     let lut = match act {
         Act::Lookup { inputs, outputs } => {
             let xs = inputs.slice(pool_f);
@@ -1396,7 +1304,7 @@ fn finish_neuron(
         Some((xs, ys)) => ys[nearest_index(xs, act_keys, y)],
         None => apply_act(act, pool_f, y),
     };
-    let domain = match encoder {
+    match encoder {
         Some(enc) => {
             let book = enc.slice(pool_f);
             load_keys(keys, book);
@@ -1407,38 +1315,34 @@ fn finish_neuron(
                 &mut flow.quants_next,
                 raw.len(),
                 |i| nearest_sorted(book, keys, apply(raw[i])),
-            )
+            );
         }
         None => {
             for y in flow.floats_next.iter_mut() {
                 *y = apply(*y);
             }
-            Domain::Floats
         }
-    };
-    flow.advance(domain)
+    }
 }
 
 /// Fills the scratch buffer the next op reads with `n` freshly encoded
-/// values and returns its domain: the codes themselves, or — handed the
-/// `levels` of an integer Madd op — that op's operand for each code.
+/// values: the codes themselves, or — handed the `levels` of an integer
+/// Madd op — that op's operand for each code.
 fn emit_encoded(
     levels: Option<&[i16]>,
     codes_next: &mut Vec<u16>,
     quants_next: &mut Vec<i16>,
     n: usize,
     code_at: impl Fn(usize) -> u16,
-) -> Domain {
+) {
     match levels {
         None => {
             codes_next.clear();
             codes_next.extend((0..n).map(code_at));
-            Domain::Codes
         }
         Some(xq) => {
             quants_next.clear();
             quants_next.extend((0..n).map(|i| level_of(xq, code_at(i))));
-            Domain::Quants
         }
     }
 }
@@ -1510,16 +1414,6 @@ fn refill<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
     buf.resize(len, T::default());
 }
 
-/// The error of an op handed a flow it does not read: decoded values —
-/// a malformed program — or the encoded domain of another kernel, which
-/// only a disagreement between a producer and [`flow_states`] yields.
-fn wrong_domain(got: Domain) -> ServeError {
-    ServeError::Artifact(ArtifactError::Malformed(match got {
-        Domain::Floats => "neuron op received decoded values".into(),
-        Domain::Codes | Domain::Quants => format!("op does not read {} flow", got.name()),
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1579,7 +1473,7 @@ mod tests {
                             (0..rows * nin).map(|_| rng.index(BOOK) as u16).collect();
                         flow.quants.clear();
                         flow.quants.extend(input.iter().map(|&c| level_of(&xq, c)));
-                        let domain = quant_dense(&q, &mut flow, rows);
+                        quant_dense(&q, &mut flow, rows);
                         for r in 0..rows {
                             for o in 0..nout {
                                 let w = &weights[o * nin..(o + 1) * nin];
@@ -1593,8 +1487,8 @@ mod tests {
                                 let ctx = format!("rows={rows} nin={nin} nout={nout} r={r} o={o}");
                                 let bucket = lut_bucket(acc, lo_q, shift, LUT - 1);
                                 let float = |want: f32| {
-                                    assert_eq!(domain, Domain::Floats, "{ctx}");
-                                    assert_eq!(flow.floats[at].to_bits(), want.to_bits(), "{ctx}");
+                                    let got = flow.floats_next[at];
+                                    assert_eq!(got.to_bits(), want.to_bits(), "{ctx}");
                                 };
                                 match &q.finish {
                                     QuantFinish::Dequant { inv } => float(acc as f32 * inv),
@@ -1603,12 +1497,10 @@ mod tests {
                                     }
                                     QuantFinish::Lut { out, .. } => match out {
                                         LutOut::Codes(t) => {
-                                            assert_eq!(domain, Domain::Codes, "{ctx}");
-                                            assert_eq!(flow.codes[at], t[bucket], "{ctx}");
+                                            assert_eq!(flow.codes_next[at], t[bucket], "{ctx}");
                                         }
                                         LutOut::Quants(t) => {
-                                            assert_eq!(domain, Domain::Quants, "{ctx}");
-                                            assert_eq!(flow.quants[at], t[bucket], "{ctx}");
+                                            assert_eq!(flow.quants_next[at], t[bucket], "{ctx}");
                                         }
                                         LutOut::Floats(t) => float(t[bucket]),
                                     },

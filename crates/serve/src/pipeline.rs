@@ -16,11 +16,10 @@
 //! self-describing: one row-major buffer in a known domain. That rules
 //! out cutting inside a residual region — the skip snapshot lives in
 //! the runner executing the region — so cuts are restricted to op
-//! indices at residual nesting depth zero. Both facts come from the
-//! program's dataflow walk (`Program::flow`, read through
-//! `kernels::flow_states` for the domain each stage resumes in); the
-//! property tests here pin it against `BatchRunner::exec_ops` by
-//! running every legal split.
+//! indices at residual nesting depth zero (`Program::flow`). The
+//! domain and width a stage resumes in is the model's flow state at
+//! its first op, fixed when the model was built; the property tests
+//! here run every legal split and check each handoff against it.
 //!
 //! # Determinism
 //!
@@ -33,16 +32,13 @@
 //! in-order channel discipline is the whole contract.
 
 use crate::artifact::CompiledModel;
-use crate::kernels::{flow_states, FlowState};
 use std::ops::Range;
 
 /// How a model is sharded: `ranges[s]` is stage `s`'s contiguous op
-/// range, `entries[s]` the flow state it resumes from, `costs[s]` its
-/// per-sample cost estimate in analyzer units.
+/// range, `costs[s]` its per-sample cost estimate in analyzer units.
 #[derive(Debug, Clone)]
 pub(crate) struct StagePlan {
     pub(crate) ranges: Vec<Range<usize>>,
-    pub(crate) entries: Vec<FlowState>,
     pub(crate) costs: Vec<u64>,
 }
 
@@ -151,22 +147,14 @@ pub(crate) fn plan_stages(model: &CompiledModel, stages: usize) -> Option<StageP
     splits.push(0);
     splits.reverse();
 
-    let states = flow_states(model);
     let mut ranges = Vec::with_capacity(k);
-    let mut entries = Vec::with_capacity(k);
     let mut costs = Vec::with_capacity(k);
     for w in splits.windows(2) {
-        let (a, b) = (bounds[w[0]], bounds[w[1]]);
-        ranges.push(a..b);
-        entries.push(states[a]);
+        ranges.push(bounds[w[0]]..bounds[w[1]]);
         costs.push(run(w[0], w[1]));
     }
     debug_assert_eq!(ranges.len(), k);
-    Some(StagePlan {
-        ranges,
-        entries,
-        costs,
-    })
+    Some(StagePlan { ranges, costs })
 }
 
 #[cfg(test)]
@@ -183,34 +171,36 @@ mod tests {
 
     /// Executes `model` as the staged pipeline described by `bounds`
     /// (op-index boundaries including both ends), one fresh runner per
-    /// stage, asserting along the way that the static flow walk matches
-    /// every dynamic stage exit. Returns the final decoded rows.
-    fn run_split(
-        model: &CompiledModel,
-        bounds: &[usize],
-        states: &[FlowState],
-        inputs: &[f32],
-        rows: usize,
-    ) -> Vec<f32> {
+    /// stage, asserting that every buffer handed across a boundary `b`
+    /// is in the domain `model.flow[b]` names and holds
+    /// `padded × model.flow[b].width` values. Returns the final decoded
+    /// rows.
+    fn run_split(model: &CompiledModel, bounds: &[usize], inputs: &[f32], rows: usize) -> Vec<f32> {
         let padded = pad_rows(rows);
-        let mut runners: Vec<BatchRunner> = (1..bounds.len()).map(|_| BatchRunner::new()).collect();
-        let mut entry = runners[0].encode_batch(model, inputs, padded);
-        let mut data = runners[0].take_flow(entry.domain);
-        for (s, w) in bounds.windows(2).enumerate() {
-            assert_eq!(
-                states[w[0]], entry,
-                "static flow state before op {} diverges from the dynamic exit",
-                w[0]
-            );
-            entry = runners[s]
-                .run_segment(model, w[0]..w[1], entry, data, padded)
-                .unwrap();
-            data = runners[s].take_flow(entry.domain);
+        let mut runner = BatchRunner::new();
+        runner.encode_batch(model, inputs, padded);
+        let take = |runner: &mut BatchRunner, b: usize| {
+            let state = model.flow[b];
+            let data = runner.take_flow(state.domain);
+            let (domain, len) = match &data {
+                FlowData::Codes(v) => (Domain::Codes, v.len()),
+                FlowData::Quants(v) => (Domain::Quants, v.len()),
+                FlowData::Floats(v) => (Domain::Floats, v.len()),
+            };
+            assert_eq!(domain, state.domain, "handoff variant at boundary {b}");
+            assert_eq!(len, padded * state.width, "handoff length at boundary {b}");
+            data
+        };
+        let mut data = take(&mut runner, 0);
+        for w in bounds.windows(2) {
+            let mut runner = BatchRunner::new();
+            runner.run_segment(model, w[0]..w[1], data, padded);
+            data = take(&mut runner, w[1]);
         }
-        match data {
-            FlowData::Floats(v) => v[..rows * entry.width].to_vec(),
-            FlowData::Codes(_) | FlowData::Quants(_) => panic!("program ended in encoded domain"),
-        }
+        let FlowData::Floats(out) = data else {
+            unreachable!("the last boundary is decoded");
+        };
+        out[..rows * model.output_features()].to_vec()
     }
 
     /// Splits `model` at every legal cut — and, with `three_stage`, at
@@ -225,7 +215,7 @@ mod tests {
             .run(model, &inputs, &mut reference)
             .unwrap();
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let (states, cuts, n) = (flow_states(model), cut_points(model), model.op_count());
+        let (cuts, n) = (cut_points(model), model.op_count());
         assert!(!cuts.is_empty());
         let mut splits: Vec<Vec<usize>> = cuts.iter().map(|&c| vec![0, c, n]).collect();
         if three_stage {
@@ -234,7 +224,7 @@ mod tests {
             }
         }
         for bounds in splits {
-            let out = run_split(model, &bounds, &states, &inputs, rows);
+            let out = run_split(model, &bounds, &inputs, rows);
             assert_eq!(bits(&out), bits(&reference), "split at {bounds:?}");
         }
     }
@@ -255,8 +245,8 @@ mod tests {
 
     /// The determinism contract, exhaustively: every legal 2-stage and
     /// 3-stage split of a deep model reproduces the uncut run bit for
-    /// bit, and the static flow walk agrees with every dynamic stage
-    /// boundary along the way — on the f32 path, on the integer path
+    /// bit, and every stage hands off the buffer its boundary's flow
+    /// state names — on the f32 path, on the integer path
     /// (where every boundary hands off `FlowData::Quants`), and on a
     /// mixed plan whose two f32 fallbacks are handed codes.
     #[test]
@@ -272,7 +262,7 @@ mod tests {
                 [Quants, Quants, Codes, Quants, Codes, Quants],
             ),
         ] {
-            let walked: Vec<Domain> = flow_states(&model).iter().map(|st| st.domain).collect();
+            let walked: Vec<Domain> = model.flow.iter().map(|st| st.domain).collect();
             assert_eq!(walked[..6], domains, "domain each op reads");
             assert_eq!(walked[6], Floats);
             assert_splits_reproduce_run(&model, 5, true);
@@ -341,10 +331,7 @@ mod tests {
             (model, [Codes, Codes, Codes, Codes, Codes, Floats]),
             (quantized, [Codes, Codes, Codes, Codes, Quants, Floats]),
         ] {
-            let walked: Vec<_> = flow_states(&model)
-                .iter()
-                .map(|st| (st.domain, st.width))
-                .collect();
+            let walked: Vec<_> = model.flow.iter().map(|st| (st.domain, st.width)).collect();
             let expected: Vec<_> = domains.into_iter().zip(widths).collect();
             assert_eq!(walked, expected, "{}", model.kernel_path());
             assert_eq!(cut_points(&model), [1, 2, 3, 4]);
@@ -373,7 +360,6 @@ mod tests {
             for w in plan.ranges.windows(2) {
                 assert_eq!(w[0].end, w[1].start);
             }
-            assert_eq!(plan.entries.len(), plan.ranges.len());
             assert_eq!(plan.costs.len(), plan.ranges.len());
             assert!(plan.costs.iter().all(|&c| c > 0));
         }

@@ -27,7 +27,7 @@
 //! [`CompiledModel::from_bytes`]: crate::CompiledModel::from_bytes
 
 use crate::error::ArtifactError;
-use rapidnn_analyze::{Act, Geom, Op, Program, Span, TableRef};
+use rapidnn_analyze::{Act, Geom, Op, Program, Span, TableRef, MAX_EXTENT};
 use std::borrow::Cow;
 
 /// File magic: `RNNA` ("RapidNN Artifact").
@@ -43,9 +43,6 @@ const OUTER_HEADER_LEN: usize = 16;
 const V2_HEADER_LEN: usize = 72;
 /// Byte length of one v2 tail-directory entry (four `u64` fields).
 const V2_DIR_ENTRY_LEN: usize = 32;
-/// Upper bound on any single dimension/extent, keeping index arithmetic
-/// far away from overflow on 32-bit-and-up targets.
-const MAX_EXTENT: u64 = 1 << 31;
 
 /// Number of bits v2 packs each code of a section with `rows`
 /// addressable codebook entries into: enough to represent `rows - 1`,
@@ -664,8 +661,9 @@ impl<'a> Reader<'a> {
         usize::try_from(self.u64()?).map_err(|_| too_large())
     }
 
-    /// A length/count/dimension field, capped so later arithmetic on it
-    /// cannot overflow.
+    /// A length/count/dimension field, capped at the analyzer's
+    /// [`MAX_EXTENT`] before anything is sized by it, so later arithmetic
+    /// on it cannot overflow.
     fn extent(&mut self) -> Result<usize, ArtifactError> {
         let v = self.u64()?;
         if v > MAX_EXTENT {
