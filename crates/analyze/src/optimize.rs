@@ -157,15 +157,6 @@ pub struct Optimized {
 /// Inclusive kept range of one code domain, in old code indices.
 type Keep = (usize, usize);
 
-/// Which codebook produced the codes currently flowing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Producer {
-    /// The virtual input encoder.
-    Input,
-    /// Op `i`'s output book (its encoder, or the avgpool book).
-    Op(usize),
-}
-
 /// Optimizes `program`: runs the analyzer, licenses the pass set from
 /// its liveness facts, and returns the rewritten program plus its
 /// [`Certificate`]. A program with nothing dead round-trips unchanged
@@ -193,31 +184,21 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
     // barrier), so one forward scan suffices: constraints always refer
     // to the domain currently flowing.
     // ------------------------------------------------------------------
+    // Slot 0 keeps the virtual input encoder's domain, slot `i + 1` op
+    // `i`'s output book (its encoder, or the avgpool book).
     let venc_len = program.virtual_encoder.len;
-    let mut input_keep: Keep = (0, venc_len - 1);
-    let mut op_keeps: Vec<Option<Keep>> = vec![None; program.ops.len()];
+    let mut keeps: Vec<Option<Keep>> = vec![None; program.ops.len() + 1];
+    keeps[0] = Some((0, venc_len - 1));
     {
-        let mut cur: Option<(Producer, usize)> = Some((Producer::Input, venc_len));
-        let widen = |keeps: &mut Vec<Option<Keep>>,
-                     input_keep: &mut Keep,
-                     p: Producer,
-                     lo: usize,
-                     hi: usize| {
-            let k = match p {
-                Producer::Input => input_keep,
-                Producer::Op(i) => keeps[i].as_mut().expect("producer planned"),
-            };
-            k.0 = k.0.min(lo);
-            k.1 = k.1.max(hi);
+        // The slot of the book the flowing codes come from, and its length.
+        let mut cur: Option<(usize, usize)> = Some((0, venc_len));
+        let widen = |k: &mut Option<Keep>, lo: usize, hi: usize| {
+            let k = k.as_mut().expect("producer planned");
+            (k.0, k.1) = (k.0.min(lo), k.1.max(hi));
         };
         for (i, op) in program.ops.iter().enumerate() {
-            match op {
-                Op::Dense { encoder, .. } => {
-                    cur = encoder.map(|s| {
-                        op_keeps[i] = Some(facts.ops[i].encoder_reach.unwrap_or((0, s.len - 1)));
-                        (Producer::Op(i), s.len)
-                    });
-                }
+            let encoder = match op {
+                Op::Dense { encoder, .. } | Op::ResidualEnd { encoder } => encoder,
                 Op::Conv {
                     geom,
                     zero_code,
@@ -227,38 +208,35 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
                     if geom.pad > 0 {
                         let (p, _) = cur.expect("conv consumes an encoded flow");
                         let z = *zero_code as usize;
-                        widen(&mut op_keeps, &mut input_keep, p, z, z);
+                        widen(&mut keeps[p], z, z);
                     }
-                    cur = encoder.map(|s| {
-                        op_keeps[i] = Some(facts.ops[i].encoder_reach.unwrap_or((0, s.len - 1)));
-                        (Producer::Op(i), s.len)
-                    });
+                    encoder
                 }
-                Op::MaxPool(_) | Op::ResidualBegin { .. } => {}
+                Op::MaxPool(_) | Op::ResidualBegin { .. } => continue,
                 Op::AvgPool { codebook, .. } => {
                     if let Some((p, domain)) = cur {
                         // Barrier: the avgpool book decodes incoming
                         // codes by direct indexing, so the incoming
                         // domain keeps its full width...
-                        widen(&mut op_keeps, &mut input_keep, p, 0, domain - 1);
+                        widen(&mut keeps[p], 0, domain - 1);
                         // ...and the book itself only trims its tail:
                         // kept head must cover both the decode role
                         // (indices up to domain-1) and the re-encode
                         // reach.
                         let reach = facts.ops[i].encoder_reach.unwrap_or((0, codebook.len - 1));
-                        op_keeps[i] = Some((0, (domain - 1).max(reach.1)));
-                        cur = Some((Producer::Op(i), codebook.len));
+                        keeps[i + 1] = Some((0, (domain - 1).max(reach.1)));
+                        cur = Some((i + 1, codebook.len));
                     }
+                    continue;
                 }
-                Op::ResidualEnd { encoder } => {
-                    cur = encoder.map(|s| {
-                        op_keeps[i] = Some(facts.ops[i].encoder_reach.unwrap_or((0, s.len - 1)));
-                        (Producer::Op(i), s.len)
-                    });
-                }
-            }
+            };
+            cur = encoder.map(|s| {
+                keeps[i + 1] = Some(facts.ops[i].encoder_reach.unwrap_or((0, s.len - 1)));
+                (i + 1, s.len)
+            });
         }
     }
+    let (input_keep, op_keeps) = (keeps[0].expect("input planned"), &keeps[1..]);
 
     // ------------------------------------------------------------------
     // Pass 2: rebuild the program against the planned keeps, recording
@@ -267,17 +245,14 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
     let floats = &program.floats[..];
     let codes = &program.codes[..];
     let mut b = Builder::default();
-    let mut cert = Certificate {
-        kept_virtual: input_keep,
-        ops: vec![OpRemap::default(); program.ops.len()],
-        log: Vec::new(),
-    };
+    let mut remaps = vec![OpRemap::default(); program.ops.len()];
     let virtual_encoder = b.floats_span(program.virtual_encoder.slice(floats));
     let mut ops = Vec::with_capacity(program.ops.len());
     let mut cur: Option<Keep> = Some(input_keep);
 
     for (i, op) in program.ops.iter().enumerate() {
-        let remap = &mut cert.ops[i];
+        let remap = &mut remaps[i];
+        let (lut_reach, used_rows) = (facts.ops[i].lut_reach, &facts.ops[i].used_rows);
         match op {
             Op::Dense {
                 inputs,
@@ -289,31 +264,14 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
                 encoder,
             } => {
                 let keep = cur.expect("dense consumes an encoded flow");
-                let (new_table, row_map) =
-                    b.rebuild_table(floats, table, &facts.ops[i].used_rows[0], keep);
+                let (new_table, row_map) = b.rebuild_table(floats, table, &used_rows[0], keep, i);
                 let wc: Vec<u16> = weight_codes
                     .slice(codes)
                     .iter()
                     .map(|&c| row_map[c as usize].expect("referenced rows are kept"))
                     .collect();
-                log_table(&mut cert.log, i, table, &new_table, &row_map);
-                let new_act = b.rebuild_act(floats, act, facts.ops[i].lut_reach, remap);
-                if let (Act::Lookup { inputs: x, .. }, Some((llo, lhi))) =
-                    (act, remap.kept_lut_rows)
-                {
-                    log_removed(&mut cert.log, Pass::LutPruning, i, x.len - (lhi - llo + 1));
-                }
-                let new_encoder = encoder.map(|s| {
-                    let ekeep = op_keeps[i].expect("encoder planned");
-                    remap.kept_encoder = Some(ekeep);
-                    log_removed(
-                        &mut cert.log,
-                        Pass::DeadEntryElimination,
-                        i,
-                        s.len - (ekeep.1 - ekeep.0 + 1),
-                    );
-                    b.floats_span(&s.slice(floats)[ekeep.0..=ekeep.1])
-                });
+                let new_act = b.rebuild_act(floats, act, lut_reach, remap, i);
+                let new_encoder = b.rebuild_encoder(floats, *encoder, op_keeps[i], remap, i);
                 remap.row_maps = vec![row_map];
                 remap.kept_cols = Some(keep);
                 ops.push(Op::Dense {
@@ -345,11 +303,10 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
                 let mut row_maps = Vec::with_capacity(tables.len());
                 for (oc, table) in tables.iter().enumerate() {
                     let (new_table, row_map) =
-                        b.rebuild_table(floats, table, &facts.ops[i].used_rows[oc], keep);
+                        b.rebuild_table(floats, table, &used_rows[oc], keep, i);
                     for &c in &wc_old[oc * patch_len..(oc + 1) * patch_len] {
                         wc.push(row_map[c as usize].expect("referenced rows are kept"));
                     }
-                    log_table(&mut cert.log, i, table, &new_table, &row_map);
                     new_tables.push(new_table);
                     row_maps.push(row_map);
                 }
@@ -361,23 +318,8 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
                     // runtime, any in-domain value is valid.
                     0
                 };
-                let new_act = b.rebuild_act(floats, act, facts.ops[i].lut_reach, remap);
-                if let (Act::Lookup { inputs: x, .. }, Some((llo, lhi))) =
-                    (act, remap.kept_lut_rows)
-                {
-                    log_removed(&mut cert.log, Pass::LutPruning, i, x.len - (lhi - llo + 1));
-                }
-                let new_encoder = encoder.map(|s| {
-                    let ekeep = op_keeps[i].expect("encoder planned");
-                    remap.kept_encoder = Some(ekeep);
-                    log_removed(
-                        &mut cert.log,
-                        Pass::DeadEntryElimination,
-                        i,
-                        s.len - (ekeep.1 - ekeep.0 + 1),
-                    );
-                    b.floats_span(&s.slice(floats)[ekeep.0..=ekeep.1])
-                });
+                let new_act = b.rebuild_act(floats, act, lut_reach, remap, i);
+                let new_encoder = b.rebuild_encoder(floats, *encoder, op_keeps[i], remap, i);
                 remap.row_maps = row_maps;
                 remap.kept_cols = Some(keep);
                 ops.push(Op::Conv {
@@ -399,12 +341,7 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
                     Some(_) => {
                         let keep = op_keeps[i].expect("avgpool book planned");
                         remap.kept_encoder = Some(keep);
-                        log_removed(
-                            &mut cert.log,
-                            Pass::DeadEntryElimination,
-                            i,
-                            codebook.len - (keep.1 + 1),
-                        );
+                        b.log(Pass::DeadEntryElimination, i, codebook.len - (keep.1 + 1));
                         cur = Some(keep);
                         b.floats_span(&book[keep.0..=keep.1])
                     }
@@ -418,29 +355,15 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
             Op::ResidualBegin { skip_codebook } => {
                 let keep = cur.expect("residual begin consumes an encoded flow");
                 remap.kept_cols = Some(keep);
-                log_removed(
-                    &mut cert.log,
-                    Pass::ColumnCompaction,
-                    i,
-                    skip_codebook.len - (keep.1 - keep.0 + 1),
-                );
+                let kept = keep.1 - keep.0 + 1;
+                b.log(Pass::ColumnCompaction, i, skip_codebook.len - kept);
                 let book = skip_codebook.slice(floats);
                 ops.push(Op::ResidualBegin {
                     skip_codebook: b.floats_span(&book[keep.0..=keep.1]),
                 });
             }
             Op::ResidualEnd { encoder } => {
-                let new_encoder = encoder.map(|s| {
-                    let ekeep = op_keeps[i].expect("encoder planned");
-                    remap.kept_encoder = Some(ekeep);
-                    log_removed(
-                        &mut cert.log,
-                        Pass::DeadEntryElimination,
-                        i,
-                        s.len - (ekeep.1 - ekeep.0 + 1),
-                    );
-                    b.floats_span(&s.slice(floats)[ekeep.0..=ekeep.1])
-                });
+                let new_encoder = b.rebuild_encoder(floats, *encoder, op_keeps[i], remap, i);
                 ops.push(Op::ResidualEnd {
                     encoder: new_encoder,
                 });
@@ -458,41 +381,30 @@ pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
             floats: Cow::Owned(b.floats),
             codes: Cow::Owned(b.codes),
         },
-        certificate: cert,
+        certificate: Certificate {
+            kept_virtual: input_keep,
+            ops: remaps,
+            log: b.log,
+        },
         report,
     })
-}
-
-fn log_removed(log: &mut Vec<PassRecord>, pass: Pass, op: usize, removed: usize) {
-    if removed > 0 {
-        log.push(PassRecord { pass, op, removed });
-    }
-}
-
-fn log_table(
-    log: &mut Vec<PassRecord>,
-    op: usize,
-    old: &TableRef,
-    new: &TableRef,
-    row_map: &[Option<u16>],
-) {
-    let dropped_rows = row_map.iter().filter(|m| m.is_none()).count();
-    log_removed(log, Pass::RowCompaction, op, dropped_rows);
-    log_removed(
-        log,
-        Pass::ColumnCompaction,
-        op,
-        (old.input_count - new.input_count) * new.weight_count,
-    );
 }
 
 #[derive(Default)]
 struct Builder {
     floats: Vec<f32>,
     codes: Vec<u16>,
+    /// The certificate's pass log.
+    log: Vec<PassRecord>,
 }
 
 impl Builder {
+    fn log(&mut self, pass: Pass, op: usize, removed: usize) {
+        if removed > 0 {
+            self.log.push(PassRecord { pass, op, removed });
+        }
+    }
+
     fn floats_span(&mut self, values: &[f32]) -> Span {
         let start = self.floats.len();
         self.floats.extend_from_slice(values);
@@ -511,14 +423,16 @@ impl Builder {
         }
     }
 
-    /// Copies `table` keeping only `used` rows and the `keep` column
-    /// range; returns the new ref and the order-preserving row map.
+    /// Copies `table` of op `op` keeping only `used` rows and the
+    /// `keep` column range, logging what it drops; returns the new ref
+    /// and the order-preserving row map.
     fn rebuild_table(
         &mut self,
         floats: &[f32],
         table: &TableRef,
         used: &[bool],
         keep: Keep,
+        op: usize,
     ) -> (TableRef, Vec<Option<u16>>) {
         let cols = keep.1 - keep.0 + 1;
         let mut row_map = vec![None; table.weight_count];
@@ -533,6 +447,10 @@ impl Builder {
             *m = Some(next);
             next += 1;
         }
+        let dropped_rows = row_map.iter().filter(|m| m.is_none()).count();
+        self.log(Pass::RowCompaction, op, dropped_rows);
+        let dropped_cols = (table.input_count - cols) * usize::from(next);
+        self.log(Pass::ColumnCompaction, op, dropped_cols);
         (
             TableRef {
                 offset: start,
@@ -543,14 +461,16 @@ impl Builder {
         )
     }
 
-    /// Copies an activation step, pruning a lookup to its reachable
-    /// rows and recording the kept range in `remap`.
+    /// Copies the activation step of op `op`, pruning a lookup to its
+    /// reachable rows, recording the kept range in `remap` and logging
+    /// the pruned rows.
     fn rebuild_act(
         &mut self,
         floats: &[f32],
         act: &Act,
         lut_reach: Option<(usize, usize)>,
         remap: &mut OpRemap,
+        op: usize,
     ) -> Act {
         match act {
             Act::Identity => Act::Identity,
@@ -558,12 +478,35 @@ impl Builder {
             Act::Lookup { inputs, outputs } => {
                 let (lo, hi) = lut_reach.unwrap_or((0, inputs.len - 1));
                 remap.kept_lut_rows = Some((lo, hi));
+                self.log(Pass::LutPruning, op, inputs.len - (hi - lo + 1));
                 Act::Lookup {
                     inputs: self.floats_span(&inputs.slice(floats)[lo..=hi]),
                     outputs: self.floats_span(&outputs.slice(floats)[lo..=hi]),
                 }
             }
         }
+    }
+
+    /// Copies the book op `op` encodes through, sliced to its planned
+    /// `keep`, recording the kept range in `remap` and logging the
+    /// dropped entries.
+    fn rebuild_encoder(
+        &mut self,
+        floats: &[f32],
+        encoder: Option<Span>,
+        keep: Option<Keep>,
+        remap: &mut OpRemap,
+        op: usize,
+    ) -> Option<Span> {
+        let s = encoder?;
+        let keep = keep.expect("encoder planned");
+        remap.kept_encoder = Some(keep);
+        self.log(
+            Pass::DeadEntryElimination,
+            op,
+            s.len - (keep.1 - keep.0 + 1),
+        );
+        Some(self.floats_span(&s.slice(floats)[keep.0..=keep.1]))
     }
 }
 
@@ -597,14 +540,25 @@ struct Validator {
 }
 
 impl Validator {
-    fn fail(&mut self, code: DiagCode, op: Option<usize>, msg: String) {
-        self.report.push(Diagnostic::new(code, op, msg));
+    fn fail(&mut self, code: DiagCode, op: Option<usize>, msg: impl Into<String>) {
+        self.report.push(Diagnostic::new(code, op, msg.into()));
+    }
+
+    /// [`Self::fail`], answering a check's refusal (`false`, `None`).
+    fn refuse<T: Default>(
+        &mut self,
+        code: DiagCode,
+        op: Option<usize>,
+        msg: impl Into<String>,
+    ) -> T {
+        self.fail(code, op, msg);
+        T::default()
     }
 
     fn run(&mut self, input: &Program<'_>, output: &Program<'_>, cert: &Certificate) {
         // Shape-level certificate checks before touching any pool.
         if cert.ops.len() != input.ops.len() || input.ops.len() != output.ops.len() {
-            self.fail(
+            return self.fail(
                 DiagCode::CertificateInvalid,
                 None,
                 format!(
@@ -614,17 +568,15 @@ impl Validator {
                     output.ops.len()
                 ),
             );
-            return;
         }
         if input.input_features != output.input_features
             || input.output_features != output.output_features
         {
-            self.fail(
+            return self.fail(
                 DiagCode::RewriteMismatch,
                 None,
-                "optimized program changes the input/output feature widths".to_string(),
+                "optimized program changes the input/output feature widths",
             );
-            return;
         }
 
         // The input analysis supplies the liveness facts that license
@@ -633,7 +585,7 @@ impl Validator {
         // structural span indexing below panic-free).
         let (in_report, facts) = analyze_collect(input, DatapathModel::paper());
         if in_report.has_errors() {
-            self.fail(
+            return self.fail(
                 DiagCode::RewriteUnproven,
                 None,
                 format!(
@@ -641,7 +593,6 @@ impl Validator {
                     in_report.summary()
                 ),
             );
-            return;
         }
         let out_report = crate::checker::analyze(output);
         if out_report.has_errors() {
@@ -665,7 +616,7 @@ impl Validator {
             self.fail(
                 DiagCode::CertificateInvalid,
                 None,
-                "certificate compacts the virtual input encoder".to_string(),
+                "certificate compacts the virtual input encoder",
             );
         } else if !bits_eq(
             input.virtual_encoder.slice(&input.floats),
@@ -674,7 +625,7 @@ impl Validator {
             self.fail(
                 DiagCode::RewriteMismatch,
                 None,
-                "virtual input encoder changed".to_string(),
+                "virtual input encoder changed",
             );
         }
 
@@ -689,7 +640,9 @@ impl Validator {
         let mut encoded = true;
         for (i, (io, oo)) in input.ops.iter().zip(&output.ops).enumerate() {
             let m = &cert.ops[i];
-            match (io, oo) {
+            // Neuron and join ops hand their encoder pair on; the rest
+            // are done with the op.
+            let (ie, oe) = match (io, oo) {
                 (
                     Op::Dense {
                         inputs: ii,
@@ -711,12 +664,11 @@ impl Validator {
                     },
                 ) => {
                     if ii != oi || io_out != oo_out {
-                        self.fail(
+                        return self.fail(
                             DiagCode::RewriteMismatch,
                             Some(i),
-                            "dense: shape changed".to_string(),
+                            "dense: shape changed",
                         );
-                        return;
                     }
                     if !self.check_consumer(i, m, cert_keep, reach, domain) {
                         return;
@@ -741,26 +693,16 @@ impl Validator {
                         return;
                     }
                     if !bits_eq(ib.slice(&input.floats), ob.slice(&output.floats)) {
-                        self.fail(
+                        return self.fail(
                             DiagCode::RewriteMismatch,
                             Some(i),
-                            "dense: bias changed".to_string(),
+                            "dense: bias changed",
                         );
-                        return;
                     }
                     if !self.check_act(i, input, output, ia, oa, m, facts.ops[i].lut_reach) {
                         return;
                     }
-                    match self.check_encoder(i, input, output, *ie, *oe, m, &facts.ops[i]) {
-                        Ok(Some((keep, r, d))) => {
-                            cert_keep = keep;
-                            reach = r;
-                            domain = d;
-                            encoded = true;
-                        }
-                        Ok(None) => encoded = false,
-                        Err(()) => return,
-                    }
+                    (*ie, *oe)
                 }
                 (
                     Op::Conv {
@@ -785,12 +727,11 @@ impl Validator {
                     },
                 ) => {
                     if ig != og || ic != oc || its.len() != ots.len() {
-                        self.fail(
+                        return self.fail(
                             DiagCode::RewriteMismatch,
                             Some(i),
-                            "conv: geometry or channel count changed".to_string(),
+                            "conv: geometry or channel count changed",
                         );
-                        return;
                     }
                     if !self.check_consumer(i, m, cert_keep, reach, domain) {
                         return;
@@ -798,7 +739,7 @@ impl Validator {
                     if ig.pad > 0 {
                         let z = *iz as usize;
                         if !(cert_keep.0..=cert_keep.1).contains(&z) {
-                            self.fail(
+                            return self.fail(
                                 DiagCode::RewriteUnproven,
                                 Some(i),
                                 format!(
@@ -806,19 +747,17 @@ impl Validator {
                                     cert_keep.0, cert_keep.1
                                 ),
                             );
-                            return;
                         }
                         if *oz as usize != z - cert_keep.0 {
-                            self.fail(
+                            return self.fail(
                                 DiagCode::RewriteMismatch,
                                 Some(i),
-                                "conv: zero-padding code not remapped with its domain".to_string(),
+                                "conv: zero-padding code not remapped with its domain",
                             );
-                            return;
                         }
                     }
                     if m.row_maps.len() != its.len() {
-                        self.fail(
+                        return self.fail(
                             DiagCode::CertificateInvalid,
                             Some(i),
                             format!(
@@ -827,7 +766,6 @@ impl Validator {
                                 its.len()
                             ),
                         );
-                        return;
                     }
                     let patch_len = ig.patch_len();
                     let iw = iwc.slice(&input.codes);
@@ -854,36 +792,22 @@ impl Validator {
                         }
                     }
                     if !bits_eq(ib.slice(&input.floats), ob.slice(&output.floats)) {
-                        self.fail(
-                            DiagCode::RewriteMismatch,
-                            Some(i),
-                            "conv: bias changed".to_string(),
-                        );
-                        return;
+                        return self.fail(DiagCode::RewriteMismatch, Some(i), "conv: bias changed");
                     }
                     if !self.check_act(i, input, output, ia, oa, m, facts.ops[i].lut_reach) {
                         return;
                     }
-                    match self.check_encoder(i, input, output, *ie, *oe, m, &facts.ops[i]) {
-                        Ok(Some((keep, r, d))) => {
-                            cert_keep = keep;
-                            reach = r;
-                            domain = d;
-                            encoded = true;
-                        }
-                        Ok(None) => encoded = false,
-                        Err(()) => return,
-                    }
+                    (*ie, *oe)
                 }
                 (Op::MaxPool(ig), Op::MaxPool(og)) => {
                     if ig != og {
-                        self.fail(
+                        return self.fail(
                             DiagCode::RewriteMismatch,
                             Some(i),
-                            "maxpool: geometry changed".to_string(),
+                            "maxpool: geometry changed",
                         );
-                        return;
                     }
+                    continue;
                 }
                 (
                     Op::AvgPool {
@@ -896,21 +820,19 @@ impl Validator {
                     },
                 ) => {
                     if ig != og {
-                        self.fail(
+                        return self.fail(
                             DiagCode::RewriteMismatch,
                             Some(i),
-                            "avgpool: geometry changed".to_string(),
+                            "avgpool: geometry changed",
                         );
-                        return;
                     }
                     if !encoded {
                         if !bits_eq(ibk.slice(&input.floats), obk.slice(&output.floats)) {
-                            self.fail(
+                            return self.fail(
                                 DiagCode::RewriteMismatch,
                                 Some(i),
-                                "avgpool: decoded-domain codebook changed".to_string(),
+                                "avgpool: decoded-domain codebook changed",
                             );
-                            return;
                         }
                         continue;
                     }
@@ -919,25 +841,22 @@ impl Validator {
                     // tail past both the decode range and the
                     // re-encode reach.
                     if cert_keep != (0, domain - 1) {
-                        self.fail(
+                        return self.fail(
                             DiagCode::RewriteUnproven,
                             Some(i),
-                            "avgpool: incoming domain was compacted across the decode barrier"
-                                .to_string(),
+                            "avgpool: incoming domain was compacted across the decode barrier",
                         );
-                        return;
                     }
                     let Some((blo, bhi)) = m.kept_encoder else {
-                        self.fail(
+                        return self.fail(
                             DiagCode::CertificateInvalid,
                             Some(i),
-                            "avgpool: certificate missing the book's kept range".to_string(),
+                            "avgpool: certificate missing the book's kept range",
                         );
-                        return;
                     };
                     let book_reach = facts.ops[i].encoder_reach.unwrap_or((0, ibk.len - 1));
                     if blo != 0 || bhi >= ibk.len || bhi < (domain - 1).max(book_reach.1) {
-                        self.fail(
+                        return self.fail(
                             DiagCode::RewriteUnproven,
                             Some(i),
                             format!(
@@ -946,21 +865,20 @@ impl Validator {
                                 book_reach.0, book_reach.1
                             ),
                         );
-                        return;
                     }
                     let ib = ibk.slice(&input.floats);
                     let ob = obk.slice(&output.floats);
                     if ob.len() != bhi - blo + 1 || !bits_eq(&ib[blo..=bhi], ob) {
-                        self.fail(
+                        return self.fail(
                             DiagCode::RewriteMismatch,
                             Some(i),
-                            "avgpool: book is not the certified slice of its input".to_string(),
+                            "avgpool: book is not the certified slice of its input",
                         );
-                        return;
                     }
                     cert_keep = (blo, bhi);
                     reach = book_reach;
                     domain = ibk.len;
+                    continue;
                 }
                 (
                     Op::ResidualBegin { skip_codebook: ibk },
@@ -971,45 +889,32 @@ impl Validator {
                     }
                     let (klo, khi) = cert_keep;
                     if khi >= ibk.len {
-                        self.fail(
+                        return self.fail(
                             DiagCode::CertificateInvalid,
                             Some(i),
-                            "residual skip: kept range exceeds the book".to_string(),
+                            "residual skip: kept range exceeds the book",
                         );
-                        return;
                     }
                     let ib = ibk.slice(&input.floats);
                     let ob = obk.slice(&output.floats);
                     if ob.len() != khi - klo + 1 || !bits_eq(&ib[klo..=khi], ob) {
-                        self.fail(
+                        return self.fail(
                             DiagCode::RewriteMismatch,
                             Some(i),
-                            "residual skip: book is not the certified slice of its input"
-                                .to_string(),
+                            "residual skip: book is not the certified slice of its input",
                         );
-                        return;
                     }
+                    continue;
                 }
-                (Op::ResidualEnd { encoder: ie }, Op::ResidualEnd { encoder: oe }) => {
-                    match self.check_encoder(i, input, output, *ie, *oe, m, &facts.ops[i]) {
-                        Ok(Some((keep, r, d))) => {
-                            cert_keep = keep;
-                            reach = r;
-                            domain = d;
-                            encoded = true;
-                        }
-                        Ok(None) => encoded = false,
-                        Err(()) => return,
-                    }
+                (Op::ResidualEnd { encoder: ie }, Op::ResidualEnd { encoder: oe }) => (*ie, *oe),
+                _ => return self.fail(DiagCode::RewriteMismatch, Some(i), "op kind changed"),
+            };
+            match self.check_encoder(i, input, output, ie, oe, m, &facts.ops[i]) {
+                Some(Some((keep, r, d))) => {
+                    (cert_keep, reach, domain, encoded) = (keep, r, d, true);
                 }
-                _ => {
-                    self.fail(
-                        DiagCode::RewriteMismatch,
-                        Some(i),
-                        "op kind changed".to_string(),
-                    );
-                    return;
-                }
+                Some(None) => encoded = false,
+                None => return,
             }
         }
     }
@@ -1026,7 +931,7 @@ impl Validator {
         domain: usize,
     ) -> bool {
         if m.kept_cols != Some(cert_keep) {
-            self.fail(
+            return self.refuse(
                 DiagCode::CertificateInvalid,
                 Some(op),
                 format!(
@@ -1034,10 +939,9 @@ impl Validator {
                     m.kept_cols, cert_keep.0, cert_keep.1
                 ),
             );
-            return false;
         }
         if cert_keep.0 > reach.0 || cert_keep.1 < reach.1 || cert_keep.1 >= domain {
-            self.fail(
+            return self.refuse(
                 DiagCode::RewriteUnproven,
                 Some(op),
                 format!(
@@ -1046,7 +950,6 @@ impl Validator {
                     cert_keep.0, cert_keep.1, reach.0, reach.1
                 ),
             );
-            return false;
         }
         true
     }
@@ -1067,15 +970,14 @@ impl Validator {
         keep: Keep,
     ) -> Option<&'m Vec<Option<u16>>> {
         let Some(row_map) = row_map else {
-            self.fail(
+            return self.refuse(
                 DiagCode::CertificateInvalid,
                 Some(op),
-                "missing row map for a product table".to_string(),
+                "missing row map for a product table",
             );
-            return None;
         };
         if row_map.len() != it.weight_count || keep.1 >= it.input_count {
-            self.fail(
+            return self.refuse(
                 DiagCode::CertificateInvalid,
                 Some(op),
                 format!(
@@ -1087,23 +989,21 @@ impl Validator {
                     it.input_count
                 ),
             );
-            return None;
         }
         let mut next = 0u16;
         for n in row_map.iter().flatten() {
             if *n != next {
-                self.fail(
+                return self.refuse(
                     DiagCode::CertificateInvalid,
                     Some(op),
-                    "row map is not an order-preserving compaction".to_string(),
+                    "row map is not an order-preserving compaction",
                 );
-                return None;
             }
             next += 1;
         }
         let cols = keep.1 - keep.0 + 1;
         if ot.weight_count != next as usize || ot.input_count != cols {
-            self.fail(
+            return self.refuse(
                 DiagCode::RewriteMismatch,
                 Some(op),
                 format!(
@@ -1111,19 +1011,17 @@ impl Validator {
                     ot.weight_count, ot.input_count, next
                 ),
             );
-            return None;
         }
         for (w, m) in row_map.iter().enumerate() {
             let Some(n) = m else { continue };
             let old = &it.row(&input.floats, w)[keep.0..=keep.1];
             let new = ot.row(&output.floats, *n as usize);
             if !bits_eq(old, new) {
-                self.fail(
+                return self.refuse(
                     DiagCode::RewriteMismatch,
                     Some(op),
                     format!("table row {w} is not preserved bit-identically"),
                 );
-                return None;
             }
         }
         Some(row_map)
@@ -1139,30 +1037,27 @@ impl Validator {
         row_map: &[Option<u16>],
     ) -> bool {
         if input.len() != output.len() {
-            self.fail(
+            return self.refuse(
                 DiagCode::RewriteMismatch,
                 Some(op),
-                "weight-code count changed".to_string(),
+                "weight-code count changed",
             );
-            return false;
         }
         for (j, (&ic, &oc)) in input.iter().zip(output).enumerate() {
             match row_map.get(ic as usize).copied().flatten() {
                 None => {
-                    self.fail(
+                    return self.refuse(
                         DiagCode::RewriteUnproven,
                         Some(op),
                         format!("weight code {ic} (index {j}) references a deleted row"),
-                    );
-                    return false;
+                    )
                 }
                 Some(n) if n != oc => {
-                    self.fail(
+                    return self.refuse(
                         DiagCode::RewriteMismatch,
                         Some(op),
                         format!("weight code {ic} remapped to {oc}, certificate says {n}"),
                     );
-                    return false;
                 }
                 Some(_) => {}
             }
@@ -1197,24 +1092,22 @@ impl Validator {
                 },
             ) => {
                 let Some((lo, hi)) = m.kept_lut_rows else {
-                    self.fail(
+                    return self.refuse(
                         DiagCode::CertificateInvalid,
                         Some(op),
-                        "lookup activation without a kept-row range".to_string(),
+                        "lookup activation without a kept-row range",
                     );
-                    return false;
                 };
                 if hi >= ix.len {
-                    self.fail(
+                    return self.refuse(
                         DiagCode::CertificateInvalid,
                         Some(op),
-                        "kept LUT rows exceed the table".to_string(),
+                        "kept LUT rows exceed the table",
                     );
-                    return false;
                 }
                 let (rlo, rhi) = lut_reach.unwrap_or((0, ix.len - 1));
                 if lo > rlo || hi < rhi {
-                    self.fail(
+                    return self.refuse(
                         DiagCode::RewriteUnproven,
                         Some(op),
                         format!(
@@ -1222,7 +1115,6 @@ impl Validator {
                              {rlo}..={rhi}"
                         ),
                     );
-                    return false;
                 }
                 let len = hi - lo + 1;
                 if ox.len != len
@@ -1230,29 +1122,25 @@ impl Validator {
                     || !bits_eq(&ix.slice(&input.floats)[lo..=hi], ox.slice(&output.floats))
                     || !bits_eq(&iy.slice(&input.floats)[lo..=hi], oy.slice(&output.floats))
                 {
-                    self.fail(
+                    return self.refuse(
                         DiagCode::RewriteMismatch,
                         Some(op),
-                        "LUT is not the certified slice of its input".to_string(),
+                        "LUT is not the certified slice of its input",
                     );
-                    return false;
                 }
                 true
             }
-            _ => {
-                self.fail(
-                    DiagCode::RewriteMismatch,
-                    Some(op),
-                    "activation kind changed".to_string(),
-                );
-                false
-            }
+            _ => self.refuse(
+                DiagCode::RewriteMismatch,
+                Some(op),
+                "activation kind changed",
+            ),
         }
     }
 
     /// Encoder step of a neuron/join op. On success returns the new
     /// flowing-domain state `(cert_keep, reach, old_domain)` when the
-    /// op re-encodes, `None` when it ends in floats.
+    /// op re-encodes, `None` when it ends in floats; `None` refuses.
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn check_encoder(
         &mut self,
@@ -1263,29 +1151,27 @@ impl Validator {
         oe: Option<Span>,
         m: &OpRemap,
         facts: &crate::checker::OpFacts,
-    ) -> Result<Option<(Keep, Keep, usize)>, ()> {
+    ) -> Option<Option<(Keep, Keep, usize)>> {
         match (ie, oe) {
-            (None, None) => Ok(None),
+            (None, None) => Some(None),
             (Some(is), Some(os)) => {
                 let Some((elo, ehi)) = m.kept_encoder else {
-                    self.fail(
+                    return self.refuse(
                         DiagCode::CertificateInvalid,
                         Some(op),
-                        "encoder without a kept-entry range".to_string(),
+                        "encoder without a kept-entry range",
                     );
-                    return Err(());
                 };
                 if ehi >= is.len {
-                    self.fail(
+                    return self.refuse(
                         DiagCode::CertificateInvalid,
                         Some(op),
-                        "kept encoder entries exceed the book".to_string(),
+                        "kept encoder entries exceed the book",
                     );
-                    return Err(());
                 }
                 let reach = facts.encoder_reach.unwrap_or((0, is.len - 1));
                 if elo > reach.0 || ehi < reach.1 {
-                    self.fail(
+                    return self.refuse(
                         DiagCode::RewriteUnproven,
                         Some(op),
                         format!(
@@ -1294,7 +1180,6 @@ impl Validator {
                             reach.0, reach.1
                         ),
                     );
-                    return Err(());
                 }
                 let len = ehi - elo + 1;
                 if os.len != len
@@ -1303,23 +1188,19 @@ impl Validator {
                         os.slice(&output.floats),
                     )
                 {
-                    self.fail(
+                    return self.refuse(
                         DiagCode::RewriteMismatch,
                         Some(op),
-                        "encoder book is not the certified slice of its input".to_string(),
+                        "encoder book is not the certified slice of its input",
                     );
-                    return Err(());
                 }
-                Ok(Some(((elo, ehi), reach, is.len)))
+                Some(Some(((elo, ehi), reach, is.len)))
             }
-            _ => {
-                self.fail(
-                    DiagCode::RewriteMismatch,
-                    Some(op),
-                    "encoder presence changed".to_string(),
-                );
-                Err(())
-            }
+            _ => self.refuse(
+                DiagCode::RewriteMismatch,
+                Some(op),
+                "encoder presence changed",
+            ),
         }
     }
 }

@@ -88,7 +88,7 @@ pub enum FinishPlan {
     /// `(acc - lo_q) >> shift`, one finished output per bucket.
     Lut {
         /// Accumulator value (at `2^acc_frac`) of bucket 0's left edge.
-        lo_q: i64,
+        lo_q: i32,
         /// Right-shift from accumulator grid to bucket grid
         /// (`acc_frac - datapath fraction bits`).
         shift: u32,
@@ -400,12 +400,9 @@ impl<'p> QuantWalk<'p, '_> {
                 Some((xs, ys))
             }
         };
-        let enc_book = match encoder {
-            None => None,
-            Some(e) => match self.book(*e) {
-                Some(b) => Some(b),
-                None => return fallback(self, FallbackReason::UnsortedBook),
-            },
+        let enc_book = match encoder.map(|e| self.book(e)) {
+            Some(None) => return fallback(self, FallbackReason::UnsortedBook),
+            book => book.flatten(),
         };
 
         // --- Row scan: hull, magnitude and Lipschitz constant of every
@@ -425,15 +422,11 @@ impl<'p> QuantWalk<'p, '_> {
             let mut mag_o = f64::from(bias_v[o]).abs();
             for &c in wrow {
                 let c = c as usize;
-                let info = match rows[c] {
-                    Some(info) => info,
-                    None => {
-                        let Some(info) = self.row_info(table, c, book) else {
-                            return fallback(self, FallbackReason::NonFinite);
-                        };
-                        rows[c] = Some(info);
-                        info
-                    }
+                if rows[c].is_none() {
+                    rows[c] = self.row_info(table, c, book);
+                }
+                let Some(info) = rows[c] else {
+                    return fallback(self, FallbackReason::NonFinite);
                 };
                 hull_o = hull_o + info.hull;
                 mag_o += info.mag;
@@ -497,11 +490,11 @@ impl<'p> QuantWalk<'p, '_> {
             let lo_q = lo_q.div_euclid(step) * step;
             let hi_q = (hi_f * exp2(acc_frac)).ceil() as i64;
             let len = usize::try_from((hi_q - lo_q).div_euclid(step) + 1).unwrap_or(usize::MAX);
-            let bounded =
-                len <= MAX_LUT_LEN && i32::try_from(lo_q).is_ok() && i32::try_from(hi_q).is_ok();
-            if !bounded {
+            let (true, Ok(lo_q), Ok(_)) =
+                (len <= MAX_LUT_LEN, i32::try_from(lo_q), i32::try_from(hi_q))
+            else {
                 return fallback(self, FallbackReason::AccumulatorRangeTooWide);
-            }
+            };
             FinishPlan::Lut { lo_q, shift, len }
         };
 
@@ -513,7 +506,7 @@ impl<'p> QuantWalk<'p, '_> {
         let delta = acc_error + bucket;
         let act_err = match act_data {
             None => delta,
-            Some((xs, ys)) => lut_lip(xs, ys) * (delta + 2.0 * half_gap(xs)),
+            Some((xs, ys)) => slice_lip(xs, ys) * (delta + 2.0 * half_gap(xs)),
         };
         let out_err = match enc_book {
             None => act_err,
@@ -592,17 +585,12 @@ impl<'p> QuantWalk<'p, '_> {
         let act_err = match act {
             Act::Identity | Act::Relu => acc_dev,
             Act::Lookup { inputs, outputs } => match self.book(*inputs) {
-                Some(xs) => lut_lip(xs, self.floats(*outputs)) * (acc_dev + 2.0 * half_gap(xs)),
+                Some(xs) => slice_lip(xs, self.floats(*outputs)) * (acc_dev + 2.0 * half_gap(xs)),
                 None => f64::INFINITY,
             },
         };
-        match encoder {
-            None => act_err,
-            Some(e) => {
-                let r = self.book(*e).map_or(f64::INFINITY, half_gap);
-                act_err + 2.0 * r
-            }
-        }
+        let r = encoder.map_or(0.0, |e| self.book(e).map_or(f64::INFINITY, half_gap));
+        act_err + 2.0 * r
     }
 }
 
@@ -625,11 +613,8 @@ fn exp2_neg(bits: u32) -> f64 {
 }
 
 /// Largest fraction `f ≤ 15` with `v · 2^f ≤ Q_MAX`; `None` when even
-/// `f = 0` overflows `i16`.
+/// `f = 0` overflows `i16` (or `v` is not finite).
 fn frac_cap(v: f64) -> Option<u32> {
-    if !v.is_finite() {
-        return None;
-    }
     (0..=15u32).rev().find(|&f| v * exp2(f) <= Q_MAX)
 }
 
@@ -641,9 +626,10 @@ fn half_gap(book: &[f32]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Max adjacent `|Δvalue| / Δkey` of a table row along its sorted key
-/// axis; `∞` when two equal keys map to different values. Telescoping
-/// over the sorted keys makes this a global Lipschitz constant.
+/// Max adjacent `|Δvalue| / Δkey` of a table row, or of a lookup's
+/// outputs, along its sorted key axis; `∞` when two equal keys map to
+/// different values. Telescoping over the sorted keys makes this a
+/// global Lipschitz constant.
 fn slice_lip(keys: &[f32], vals: &[f32]) -> f64 {
     let mut lip = 0.0f64;
     for i in 1..keys.len().min(vals.len()) {
@@ -654,12 +640,6 @@ fn slice_lip(keys: &[f32], vals: &[f32]) -> f64 {
         }
     }
     lip
-}
-
-/// Nearest-lookup output Lipschitz constant: max adjacent
-/// `|Δoutput| / Δinput` (∞ on duplicate inputs with distinct outputs).
-fn lut_lip(xs: &[f32], ys: &[f32]) -> f64 {
-    slice_lip(xs, ys)
 }
 
 /// Factors a dense product table back into per-weight-code multipliers.
@@ -866,9 +846,9 @@ mod tests {
         assert!(len <= MAX_LUT_LEN && len > 0);
         // The bucketed domain covers the proven accumulator hull.
         let step = 1i64 << shift;
-        let hi_q = lo_q + step * (len as i64 - 1);
+        let hi_q = i64::from(lo_q) + step * (len as i64 - 1);
         let scale = exp2(op.acc_frac);
-        assert!((lo_q as f64) / scale <= op.acc.lo);
+        assert!(f64::from(lo_q) / scale <= op.acc.lo);
         assert!((hi_q as f64) / scale >= op.acc.hi);
         // Encoding adds the book's contraction defect to the bound.
         assert!(op.error >= 2.0 * 0.75, "error {}", op.error);

@@ -166,6 +166,27 @@ impl CompiledModel {
         Self::with_kernels(program, kernels)
     }
 
+    /// Mnist-tiny's topology (784 → 32 → 32 → 10), untrained, composed
+    /// from `seed` with 8 clusters a side, through the construction gate.
+    #[cfg(test)]
+    pub(crate) fn mnist_tiny_for_tests(seed: u64) -> CompiledModel {
+        let mut rng = rapidnn_tensor::SeededRng::new(seed);
+        let mut net = rapidnn_nn::topology::Benchmark::Mnist
+            .build_reduced(16, &mut rng)
+            .unwrap();
+        let data = rapidnn_data::SyntheticSpec::new(784, 10, 2.0)
+            .generate(40, &mut rng)
+            .unwrap();
+        let opts = rapidnn_core::ReinterpretOptions {
+            weight_clusters: 8,
+            input_clusters: 8,
+            ..Default::default()
+        };
+        let network =
+            ReinterpretedNetwork::build(&mut net, data.inputs(), &opts, &mut rng).unwrap();
+        CompiledModel::from_reinterpreted(&network).unwrap()
+    }
+
     /// Hand-built `layers`-deep dense chain (4 features wide throughout)
     /// for exercising the pipeline shard planner without composing a
     /// network: every interior layer re-encodes through the shared
@@ -615,10 +636,6 @@ pub(crate) fn apply_act(act: &Act, floats: &[f32], y: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rapidnn_core::ReinterpretOptions;
-    use rapidnn_data::SyntheticSpec;
-    use rapidnn_nn::topology::Benchmark;
-    use rapidnn_tensor::SeededRng;
 
     /// `quantize` re-derives the flow: each op reads the domain the plan
     /// names for it, so a licensed op reads the `i16` operands its
@@ -627,19 +644,7 @@ mod tests {
     /// equals the one written, before and after quantizing both.
     #[test]
     fn quantize_rederives_the_flow() {
-        let mut rng = SeededRng::new(5);
-        let mut net = Benchmark::Mnist.build_reduced(16, &mut rng).unwrap();
-        let data = SyntheticSpec::new(784, 10, 2.0)
-            .generate(40, &mut rng)
-            .unwrap();
-        let opts = ReinterpretOptions {
-            weight_clusters: 8,
-            input_clusters: 8,
-            ..ReinterpretOptions::default()
-        };
-        let network =
-            ReinterpretedNetwork::build(&mut net, data.inputs(), &opts, &mut rng).unwrap();
-        let mnist = CompiledModel::from_reinterpreted(&network).unwrap();
+        let mnist = CompiledModel::mnist_tiny_for_tests(5);
         let reload = |m: &CompiledModel| CompiledModel::from_bytes(&m.to_bytes()).unwrap();
         // Bytes carry no quantization: the mixed chain reloads as f32.
         let mixed = reload(&CompiledModel::deep_mixed_for_tests(5, 1, 3));

@@ -532,6 +532,7 @@ fn chain_reference(program: &Program<'_>, plan: &QuantPlan, row: &[f32]) -> Vec<
                     .map(|acc| match lic.finish {
                         FinishPlan::Direct => relu(act, acc as f32 * (1.0 / scale)),
                         FinishPlan::Lut { lo_q, shift, len } => {
+                            let lo_q = i64::from(lo_q);
                             let bucket = ((acc - lo_q).max(0) >> shift).min(len as i64 - 1);
                             let step = 1i64 << shift;
                             let center = lo_q + bucket * step + step / 2;
