@@ -43,9 +43,10 @@ pub struct RegistryConfig {
     pub engine: EngineConfig,
     /// Per-model in-flight budget; request `max_inflight + 1` is shed.
     pub max_inflight: usize,
-    /// Synthetic rows sent through a candidate engine, as one concurrent
-    /// wave, before cutover (catches models that verify but cannot
-    /// serve); `0` disables warm-up.
+    /// Synthetic rows sent through a candidate engine before cutover
+    /// (catches models that verify but cannot serve), rounded up to
+    /// whole `max_batch_size` blocks so the wave never sits out a
+    /// batcher hold; `0` disables warm-up.
     pub warmup_samples: usize,
     /// How long a swap waits for the displaced engine to finish its
     /// in-flight work before detaching it.
@@ -175,7 +176,7 @@ pub struct SwapReport {
     pub created: bool,
     /// Generation now serving.
     pub generation: u64,
-    /// Warmup inferences run through the new engine before cutover.
+    /// Warm-up rows run through the new engine before cutover.
     pub warmed: usize,
     /// Pipeline stages the now-serving engine actually runs (`1` =
     /// unsharded; may be less than requested when the model has fewer
@@ -336,7 +337,7 @@ impl Registry {
             }
             Some(Err(TryLockError::Poisoned(p))) => Some(p.into_inner()),
         };
-        let (generation, config) = match &existing {
+        let (generation, mut config) = match &existing {
             None => (0, self.config.engine.clone()),
             Some(entry) => {
                 // The replacement must honour the model's wire contract.
@@ -359,8 +360,22 @@ impl Registry {
         // Build and warm the candidate before touching traffic; any
         // failure here is a rollback by construction — including a
         // requested stage-count change, which must not stick either.
-        let next = self.candidate(model, config, stages, generation, optimized)?;
-        let served_stages = next.engine.stage_count();
+        config.stages = stages.unwrap_or(config.stages);
+        let engine = Engine::start(model, config.clone());
+        let warmed = match self.warm(&engine, config.max_batch_size) {
+            Ok(rows) => rows,
+            Err(e) => {
+                engine.drain(Duration::from_secs(1));
+                return Err(GatewayError::WarmupFailed(e.to_string()));
+            }
+        };
+        let served_stages = engine.stage_count();
+        let next = Serving {
+            engine,
+            generation,
+            config,
+            optimized,
+        };
         let (old_stats, drained) = match &existing {
             None => {
                 let mut models = write(&self.models);
@@ -380,7 +395,7 @@ impl Registry {
         Ok(SwapReport {
             created: existing.is_none(),
             generation,
-            warmed: self.config.warmup_samples,
+            warmed,
             stages: served_stages,
             drained,
             optimized,
@@ -388,49 +403,27 @@ impl Registry {
         })
     }
 
-    /// Starts and warms the engine of a candidate generation (`stages`
-    /// overrides the stage count of `config`); one that fails warm-up
-    /// is drained here, so every caller's failure path is a rollback.
-    fn candidate(
-        &self,
-        model: CompiledModel,
-        mut config: EngineConfig,
-        stages: Option<usize>,
-        generation: u64,
-        optimized: Option<OptimizeStats>,
-    ) -> Result<Serving, GatewayError> {
-        config.stages = stages.unwrap_or(config.stages);
-        let engine = Engine::start(model, config.clone());
-        if let Err(e) = self.warm(&engine) {
-            engine.drain(Duration::from_secs(1));
-            return Err(GatewayError::WarmupFailed(e.to_string()));
-        }
-        Ok(Serving {
-            engine,
-            generation,
-            config,
-            optimized,
-        })
-    }
-
-    /// One concurrent wave of `warmup_samples` synthetic rows: all are
-    /// submitted before any ticket is redeemed, so the batcher gathers
-    /// them into one batch — submit → gather → block kernels → reply,
-    /// for one hold. Blocking `submit`: a queue shorter than the wave
-    /// costs extra holds, not a spurious `QueueFull`.
-    fn warm(&self, engine: &Engine) -> Result<(), ServeError> {
-        let features = engine.model().input_features();
-        let mut tickets = Vec::with_capacity(self.config.warmup_samples);
-        for i in 0..self.config.warmup_samples {
-            let input: Vec<f32> = (0..features)
-                .map(|f| ((i * 31 + f * 7) % 17) as f32 / 16.0 - 0.5)
+    /// The warm-up wave: `warmup_samples` synthetic rows rounded up to
+    /// whole batches, each one `submit_batch` block of `max_batch_size`
+    /// rows. A full batch dispatches the moment it is gathered, so the
+    /// wave sits out no batcher hold, and the largest batch the engine
+    /// runs has served before cutover. Every block is submitted before
+    /// any is redeemed; blocking `submit_batch` waits out a queue shorter
+    /// than the wave rather than answer `QueueFull`. Returns the rows run.
+    fn warm(&self, engine: &Engine, max_batch_size: usize) -> Result<usize, ServeError> {
+        let (features, batch) = (engine.model().input_features(), max_batch_size.max(1));
+        let blocks = self.config.warmup_samples.div_ceil(batch);
+        let mut tickets = Vec::with_capacity(blocks);
+        for block in 0..blocks {
+            let input = (block * batch * features..(block + 1) * batch * features)
+                .map(|k| ((k / features * 31 + k % features * 7) % 17) as f32 / 16.0 - 0.5)
                 .collect();
-            tickets.push(engine.submit(input)?);
+            tickets.push(engine.submit_batch(input)?);
         }
         for ticket in tickets {
             ticket.wait()?;
         }
-        Ok(())
+        Ok(blocks * batch)
     }
 
     /// Serves one request against `name`, applying admission control.

@@ -554,9 +554,13 @@ fn optimize_opt_in_shrinks_and_reports_sizes() {
     gateway.shutdown();
 }
 
-/// A registry (no HTTP) whose engines run one worker and warm up with
-/// the shipped eight rows.
-fn wave_registry(queue_capacity: usize, max_batch_size: usize, max_wait: Duration) -> Registry {
+/// A registry (no HTTP) whose engines run one worker.
+fn wave_registry(
+    queue_capacity: usize,
+    max_batch_size: usize,
+    max_wait: Duration,
+    warmup_samples: usize,
+) -> Registry {
     Registry::new(RegistryConfig {
         engine: EngineConfig {
             workers: 1,
@@ -565,44 +569,48 @@ fn wave_registry(queue_capacity: usize, max_batch_size: usize, max_wait: Duratio
             max_wait,
             ..EngineConfig::default()
         },
-        warmup_samples: 8,
+        warmup_samples,
         ..RegistryConfig::default()
     })
 }
 
-/// Warm-up is one concurrent wave, so a `PUT` sits out O(1) batcher
-/// holds: row by row it was one hold per warm-up row, 8 × `HOLD` here.
+/// Warm-up is whole `max_batch_size` blocks, and a full batch runs the
+/// moment it is gathered, so a `PUT` sits out no batcher hold: under a
+/// 10 s hold each one returns in well under a second, unsharded and
+/// sharded, on create and on swap.
 #[test]
-fn put_pays_one_batcher_hold_not_one_per_warmup_row() {
-    const HOLD: Duration = Duration::from_millis(100);
-    // Room for twice the wave, so the batch never fills and the one
-    // hold is really paid.
-    let registry = wave_registry(64, 16, HOLD);
-    // Create, then swap.
-    for generation in 0..2 {
-        let bytes = compiled_model(61 + generation).to_bytes();
-        let started = Instant::now();
-        let report = registry
-            .put_artifact("m", &bytes, false, None, false)
-            .unwrap();
-        let took = started.elapsed();
-        assert_eq!((report.generation, report.warmed), (generation, 8));
-        assert!(took < 4 * HOLD, "PUT {generation} took {took:?}");
-        // The wave is all this engine has served: eight rows, gathered
-        // into one batch (two if the worker woke between submissions).
-        let server = registry.stats("m").unwrap().server;
-        assert_eq!(server.completed, 8);
-        assert!(server.batches <= 2, "{} batches", server.batches);
+fn put_sits_out_no_batcher_hold() {
+    const HOLD: Duration = Duration::from_secs(10);
+    // Eight warm-up rows round up to one block of sixteen.
+    let registry = wave_registry(64, 16, HOLD, 8);
+    for (name, stages) in [("plain", None), ("sharded", Some(2))] {
+        // Create, then swap.
+        for generation in 0..2 {
+            let bytes = compiled_model(61 + generation).to_bytes();
+            let started = Instant::now();
+            let report = registry
+                .put_artifact(name, &bytes, false, stages, false)
+                .unwrap();
+            let took = started.elapsed();
+            assert_eq!((report.generation, report.warmed), (generation, 16));
+            assert!(
+                took < Duration::from_secs(1),
+                "{name} PUT {generation} took {took:?}"
+            );
+            // The wave is all this engine has served: one job, one batch.
+            let server = registry.stats(name).unwrap().server;
+            assert_eq!((server.completed, server.batches), (1, 1));
+        }
     }
     registry.shutdown();
 }
 
-/// The wave submits with blocking `submit`: a queue shorter than
-/// `warmup_samples` costs extra holds, never a spurious `queue full`
+/// The wave submits with blocking `submit_batch`: three blocks through
+/// a one-job queue wait for space, never a spurious `queue full`
 /// rejection of the `PUT`.
 #[test]
 fn warmup_wave_fits_through_a_queue_shorter_than_itself() {
-    let registry = wave_registry(2, 8, Duration::from_micros(200));
+    let registry = wave_registry(1, 4, Duration::from_micros(200), 10);
     let mut rng = SeededRng::new(6);
     let input = vec_f32(&mut rng, FEATURES, -2.0, 2.0);
     // Create, then swap; each generation serves bit-exactly afterwards.
@@ -611,7 +619,8 @@ fn warmup_wave_fits_through_a_queue_shorter_than_itself() {
         let report = registry
             .put_artifact("m", &model.to_bytes(), false, None, false)
             .unwrap();
-        assert_eq!((report.generation, report.warmed), (generation, 8));
+        // Ten rows round up to three blocks of four.
+        assert_eq!((report.generation, report.warmed), (generation, 12));
         assert_eq!(
             registry.infer("m", input.clone()).unwrap(),
             model.infer(&input).unwrap()
@@ -629,8 +638,8 @@ fn warmup_wave_fits_through_a_queue_shorter_than_itself() {
 #[test]
 fn swap_cuts_the_displaced_engines_hold_short() {
     const HOLD: Duration = Duration::from_secs(2);
-    // The warm-up wave fills a batch of eight, so it never holds.
-    let registry = wave_registry(64, 8, HOLD);
+    // The warm-up wave is one full block of eight, so it never holds.
+    let registry = wave_registry(64, 8, HOLD, 8);
     let (old_model, new_model) = (compiled_model(81), compiled_model(82));
     registry.register("m", old_model.clone()).unwrap();
     let mut rng = SeededRng::new(8);
@@ -742,15 +751,15 @@ fn json_bodies_are_byte_identical_to_the_templates_they_replaced() {
 
     assert_eq!(
         put("b", &[], &plain),
-        (201, "{\"name\":\"b\",\"created\":true,\"generation\":0,\"warmed\":4,\"stages\":1,\"drained\":true,\"optimized\":null}".into())
+        (201, "{\"name\":\"b\",\"created\":true,\"generation\":0,\"warmed\":8,\"stages\":1,\"drained\":true,\"optimized\":null}".into())
     );
     assert_eq!(
         put("a.opt", &[("x-optimize", "1"), ("x-stages", "2")], &padded),
-        (201, format!("{{\"name\":\"a.opt\",\"created\":true,\"generation\":0,\"warmed\":4,\"stages\":2,\"drained\":true,\"optimized\":{{\"bytes_before\":{},\"bytes_after\":{},\"dead_entries_removed\":0,\"rows_removed\":18,\"columns_removed\":0,\"lut_rows_removed\":0}}}}", padded.len(), plain.len()))
+        (201, format!("{{\"name\":\"a.opt\",\"created\":true,\"generation\":0,\"warmed\":8,\"stages\":2,\"drained\":true,\"optimized\":{{\"bytes_before\":{},\"bytes_after\":{},\"dead_entries_removed\":0,\"rows_removed\":18,\"columns_removed\":0,\"lut_rows_removed\":0}}}}", padded.len(), plain.len()))
     );
     assert_eq!(
         put("b", &[], &padded),
-        (200, "{\"name\":\"b\",\"created\":false,\"generation\":1,\"warmed\":4,\"stages\":1,\"drained\":true,\"optimized\":null}".into())
+        (200, "{\"name\":\"b\",\"created\":false,\"generation\":1,\"warmed\":8,\"stages\":1,\"drained\":true,\"optimized\":null}".into())
     );
     let listing = request(addr, "GET", "/models", None, &[]).unwrap();
     assert_eq!(
@@ -783,7 +792,7 @@ fn json_bodies_are_byte_identical_to_the_templates_they_replaced() {
 #[test]
 fn listing_while_deleting_invents_no_model_and_no_generation() {
     const MODELS: usize = 6;
-    let registry = Arc::new(wave_registry(16, 8, Duration::from_micros(200)));
+    let registry = Arc::new(wave_registry(16, 8, Duration::from_micros(200), 8));
     let names: Vec<String> = (0..MODELS).map(|i| format!("m{i}")).collect();
     let bytes = compiled_model(71).to_bytes();
     for name in &names {
