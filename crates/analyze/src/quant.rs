@@ -36,7 +36,7 @@
 //! as an `error` — spans, table bounds, shapes, weight codes, finite
 //! codebooks, biases and referenced table rows — and checks only what
 //! the checker warns about or proves for reachable entries alone:
-//! sorted axes, and the finiteness of LUT inputs and of every finish-LUT
+//! sorted axes, and the finiteness of LUT inputs and of every finish
 //! output.
 //!
 //! Headroom is proven, not hoped for: with `mag = max_o (|bias_o| +
@@ -54,8 +54,8 @@
 //! [`QuantPlan::output_error`] bounds `|integer-path output − f32-path
 //! output|` element-wise, for every input. It composes per op as a
 //! linear recursion `err_out = A · err_in + B`: quantization noise `B`
-//! from rounding operands to `i16` and finishing through a bucketed
-//! LUT, and propagation `A · err_in` through table reads (tables are
+//! from rounding operands to `i16` and finishing on a bucket grid,
+//! and propagation `A · err_in` through table reads (tables are
 //! Lipschitz along their sorted input codebook), activation lookups and
 //! re-encoders. Nearest-encode through a sorted book is *almost*
 //! contractive — `|enc(a) − enc(b)| ≤ |a − b| + 2·R` where `R` is the
@@ -75,8 +75,10 @@ const Q_MAX: f64 = 32766.0;
 /// Accumulator budget: worst-case `|acc|` must stay within `2^30`,
 /// leaving a 4× safety margin inside `i32`.
 const ACC_BUDGET: f64 = (1u64 << 30) as f64;
-/// Hard cap on materialized finish-LUT rows (u16-indexable).
-const MAX_LUT_LEN: usize = 1 << 16;
+/// Longest sorted axis [`QuantWalk::book`] accepts, the checker's
+/// codebook cap (RNA0004). A finish's runs are keyed on a lookup row or
+/// an output code, so none holds more runs than this.
+const MAX_AXIS_LEN: usize = 1 << 16;
 
 /// How a licensed op leaves the `i32` accumulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,15 +86,17 @@ pub enum FinishPlan {
     /// Dequantize (and clamp at zero for ReLU) straight to `f32`; only
     /// for output-stage ops with exact activations.
     Direct,
-    /// Requantize through a precomputed lookup table: bucket index
-    /// `(acc - lo_q) >> shift`, one finished output per bucket.
+    /// Requantize on a grid of buckets `(acc - lo_q) >> shift`, each
+    /// finished at its center. Serving keeps the grid's runs of buckets
+    /// that share one output, so `len` sizes no table.
     Lut {
         /// Accumulator value (at `2^acc_frac`) of bucket 0's left edge.
         lo_q: i32,
         /// Right-shift from accumulator grid to bucket grid
         /// (`acc_frac - datapath fraction bits`).
         shift: u32,
-        /// Bucket count; at most [`2^16`](MAX_LUT_LEN).
+        /// Bucket count: the proven range with its margins, both ends
+        /// inside `i32`.
         len: usize,
     },
 }
@@ -117,9 +121,8 @@ pub enum FallbackReason {
     /// Weights, codebook or table entries too large for `i16` even at
     /// zero fraction bits.
     ValueRangeTooWide,
-    /// The proven accumulator range (or the finish LUT it implies)
-    /// cannot fit the integer budget at the datapath's minimum
-    /// fraction.
+    /// The proven accumulator range cannot fit the integer budget at
+    /// the datapath's minimum fraction.
     AccumulatorRangeTooWide,
 }
 
@@ -278,7 +281,7 @@ impl<'p> QuantWalk<'p, '_> {
         let vals = self.floats(s);
         let sorted = vals.windows(2).all(|w| w[0] <= w[1]);
         let finite = vals.iter().all(|v| v.is_finite());
-        (vals.len() <= MAX_LUT_LEN && sorted && finite).then_some(vals)
+        (vals.len() <= MAX_AXIS_LEN && sorted && finite).then_some(vals)
     }
 
     fn run(&mut self) {
@@ -383,7 +386,7 @@ impl<'p> QuantWalk<'p, '_> {
         };
 
         // --- What the checker does not refuse: unsorted axes, and
-        // finish-LUT data it proves finite only where reachable.
+        // finish data it proves finite only where reachable.
         let Some(book) = self.book(book_span) else {
             return fallback(self, FallbackReason::UnsortedBook);
         };
@@ -474,7 +477,7 @@ impl<'p> QuantWalk<'p, '_> {
         let acc_error = eps_acc + flip_term(count, lip_max, self.err);
 
         // --- Finish: direct dequantization when nothing follows the
-        // accumulator but an exact activation, else a bucketed LUT
+        // accumulator but an exact activation, else a bucket grid
         // covering the proven range (flipped codes included — the hull
         // is over the full code domain).
         let direct = enc_book.is_none() && matches!(act, Act::Identity | Act::Relu);
@@ -490,9 +493,7 @@ impl<'p> QuantWalk<'p, '_> {
             let lo_q = lo_q.div_euclid(step) * step;
             let hi_q = (hi_f * exp2(acc_frac)).ceil() as i64;
             let len = usize::try_from((hi_q - lo_q).div_euclid(step) + 1).unwrap_or(usize::MAX);
-            let (true, Ok(lo_q), Ok(_)) =
-                (len <= MAX_LUT_LEN, i32::try_from(lo_q), i32::try_from(hi_q))
-            else {
+            let (Ok(lo_q), Ok(_)) = (i32::try_from(lo_q), i32::try_from(hi_q)) else {
                 return fallback(self, FallbackReason::AccumulatorRangeTooWide);
             };
             FinishPlan::Lut { lo_q, shift, len }
@@ -843,7 +844,7 @@ mod tests {
             panic!("expected lut finish, got {:?}", op.finish);
         };
         assert_eq!(shift, op.acc_frac - 8);
-        assert!(len <= MAX_LUT_LEN && len > 0);
+        assert!(len > 0);
         // The bucketed domain covers the proven accumulator hull.
         let step = 1i64 << shift;
         let hi_q = i64::from(lo_q) + step * (len as i64 - 1);

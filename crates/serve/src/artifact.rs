@@ -499,8 +499,8 @@ impl CompiledModel {
 
     /// Materializes integer kernels for every op the analyzer licenses
     /// ([`rapidnn_analyze::quantize_plan`]): `i16` weight tiles,
-    /// quantized biases and precomputed finish LUTs, expanded from the
-    /// code pool exactly once, here. Each licensed op's integer kernel
+    /// quantized biases and each finish's runs, expanded from the code
+    /// pool exactly once, here. Each licensed op's integer kernel
     /// replaces the one it held: one op holds one kernel, and the flow
     /// into it becomes the `i16` operands that kernel reads.
     ///
@@ -602,7 +602,7 @@ fn gate(program: &Program<'_>) -> Result<()> {
 ///
 /// The hot paths use the branch-free equivalent in `kernels`; this
 /// binary-search form is the readable reference the unit tests check
-/// both against, and the quantized-LUT materializer (`crate::quant`)
+/// both against, and the integer-finish materializer (`crate::quant`)
 /// bakes finish codes through it so integer finishes encode exactly
 /// like the scalar path would.
 #[inline]

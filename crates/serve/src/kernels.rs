@@ -90,8 +90,8 @@ use rapidnn_core::nearest::{
 /// fixed when the model is loaded: the flow into an analyzer-licensed
 /// integer Madd op ([`CompiledModel::madd_levels`]) is `Quants`, the
 /// flow into every other op that reads encoded values is `Codes`, and
-/// whatever produces that flow — the input encoder, a finish LUT, an
-/// f32 re-encode, a pool — writes it in that domain directly.
+/// whatever produces that flow — the input encoder, an integer finish,
+/// an f32 re-encode, a pool — writes it in that domain directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Domain {
     /// Encoded `u16` cluster codes.
@@ -464,7 +464,7 @@ impl BatchRunner {
                         // Analyzer-licensed ops run the integer path on
                         // tiles materialized once at load time; the
                         // activation + re-encode are baked into the
-                        // finish LUT, so the op is one pass.
+                        // finish's runs, so the op is one pass.
                         Kernel::Madd(q) => {
                             debug_assert_eq!((q.nin, q.nout), (nin, nout));
                             quant_dense(q, flow, padded);
@@ -968,8 +968,9 @@ fn dense_row(
 
 /// Runs one analyzer-licensed dense op over the padded batch: runs
 /// [`quant_dense_exec`] with the finish the plan baked — dequantize,
-/// dequantize + ReLU, or a finish LUT whose entries are already what the
-/// next op reads — into the scratch buffer of that domain.
+/// dequantize + ReLU, or the output of the accumulator's run
+/// ([`run_of`]), already what the next op reads — into the scratch
+/// buffer of that domain.
 fn quant_dense(q: &QuantOp, flow: &mut Flow, padded: usize) {
     let quants = &flow.quants;
     match &q.finish {
@@ -981,28 +982,17 @@ fn quant_dense(q: &QuantOp, flow: &mut Flow, padded: usize) {
             let (dst, inv) = (&mut flow.floats_next, *inv);
             quant_dense_exec(q, quants, dst, padded, move |a| (a as f32 * inv).max(0.0));
         }
-        QuantFinish::Lut { lo_q, shift, out } => {
-            fn lookup<T: Copy>(
-                table: &[T],
-                lo_q: i32,
-                shift: u32,
-            ) -> impl Fn(i32) -> T + Copy + '_ {
-                let last = table.len().saturating_sub(1);
-                move |a| table[lut_bucket(a, lo_q, shift, last)]
-            }
-            let (lo_q, shift) = (*lo_q, *shift);
+        QuantFinish::Runs { edges, out } => {
+            let run = |a| run_of(edges, a);
             match out {
-                LutOut::Codes(table) => {
-                    let (dst, finish) = (&mut flow.codes_next, lookup(table, lo_q, shift));
-                    quant_dense_exec(q, quants, dst, padded, finish);
+                LutOut::Codes(o) => {
+                    quant_dense_exec(q, quants, &mut flow.codes_next, padded, |a| o[run(a)]);
                 }
-                LutOut::Quants(table) => {
-                    let (dst, finish) = (&mut flow.quants_next, lookup(table, lo_q, shift));
-                    quant_dense_exec(q, quants, dst, padded, finish);
+                LutOut::Quants(o) => {
+                    quant_dense_exec(q, quants, &mut flow.quants_next, padded, |a| o[run(a)]);
                 }
-                LutOut::Floats(table) => {
-                    let (dst, finish) = (&mut flow.floats_next, lookup(table, lo_q, shift));
-                    quant_dense_exec(q, quants, dst, padded, finish);
+                LutOut::Floats(o) => {
+                    quant_dense_exec(q, quants, &mut flow.floats_next, padded, |a| o[run(a)]);
                 }
             }
         }
@@ -1010,8 +1000,8 @@ fn quant_dense(q: &QuantOp, flow: &mut Flow, padded: usize) {
 }
 
 /// The integer dense op proper: accumulates every (row, output) in
-/// `i32` and writes `finish(acc)` — branch-free dequantize or
-/// finish-LUT bucket — into `dst`, resized to the batch, reading its
+/// `i32` and writes `finish(acc)` — branch-free dequantize or the
+/// output of its run — into `dst`, resized to the batch, reading its
 /// operand rows from `quants` in place.
 ///
 /// `i32` addition is associative and exact inside the plan's `2^30`
@@ -1045,15 +1035,22 @@ fn quant_dense_exec<T: Copy + Default>(
     }
 }
 
-/// Maps an integer accumulator to its finish-LUT bucket: offset from
-/// the domain floor, right-shift down to bucket granularity, clamp to
-/// the table. The subtraction runs in `i64` — the quant plan proves the
-/// *true* accumulator range lands inside the table, but the mapping
-/// must stay total for every `i32` bit pattern so the kernels carry no
-/// per-element branches (`max`/`min` lower to conditional moves).
+/// Edges a finish compares an accumulator against in one step.
+pub(crate) const EDGE_LANES: usize = 8;
+
+/// The run of a finish `acc` lies in: how many run `edges` are at or
+/// below it, counted a whole lane group at a time without a branch, as
+/// `rapidnn_core::nearest` counts keys below a probe. Total over `i32`:
+/// below the first edge is the first run, past the last the last.
 #[inline]
-fn lut_bucket(acc: i32, lo_q: i32, shift: u32, last: usize) -> usize {
-    (((i64::from(acc) - i64::from(lo_q)).max(0) >> shift) as usize).min(last)
+pub(crate) fn run_of(edges: &[[i32; EDGE_LANES]], acc: i32) -> usize {
+    let mut below = [0u32; EDGE_LANES];
+    for group in edges {
+        for (b, &e) in below.iter_mut().zip(group) {
+            *b += u32::from(e <= acc);
+        }
+    }
+    below.iter().sum::<u32>() as usize
 }
 
 /// Integer Madd over a register-blocked tile of `R` operand rows (`xs`,
@@ -1423,14 +1420,18 @@ mod tests {
     /// The integer Madd op — tiles, single rows, 8-lane body, scalar
     /// tails, odd last output, every finish — reading operand rows in
     /// place equals the two-step reference: each code through `xq`,
-    /// then a plain `i64` dot product put through the same finish, at
-    /// every row count around the tile and block sizes and every
-    /// `nin`/`nout` remainder.
+    /// then a plain `i64` dot product put through the same finish (a
+    /// run found by a linear scan of its edges), at every row count
+    /// around the tile and block sizes and every `nin`/`nout` remainder.
     #[test]
     fn madd_tile_matches_i64_reference_dot() {
         const BOOK: usize = 8;
-        const LUT: usize = 64;
+        const RUNS: usize = 65;
         const KINDS: usize = 5;
+        // A run every 2^24 from -2^29, and the run a linear scan finds.
+        let flat: Vec<i32> = (1..RUNS as i32).map(|i| (i << 24) - (1 << 29)).collect();
+        let edges = flat.as_chunks::<EDGE_LANES>().0.to_vec();
+        let scan = |acc: i32| flat.iter().take_while(|&&e| e <= acc).count();
         let draw = |rng: &mut SeededRng, mag: usize| rng.index(2 * mag + 1) as i32 - mag as i32;
         check(4, |rng| {
             let mut kind = usize_in(rng, 0, KINDS);
@@ -1445,20 +1446,22 @@ mod tests {
                     let bias_q: Vec<i32> = (0..nout).map(|_| draw(rng, 1 << 20)).collect();
                     for rows in 1..=19usize {
                         let inv = 1.0 / 4096.0;
-                        let (lo_q, shift) = (-(1 << 29), 24);
                         kind = (kind + 1) % KINDS;
-                        let lut = |out| QuantFinish::Lut { lo_q, shift, out };
+                        let runs = |out| QuantFinish::Runs {
+                            edges: edges.clone(),
+                            out,
+                        };
                         let finish = match kind {
                             0 => QuantFinish::Dequant { inv },
                             1 => QuantFinish::DequantRelu { inv },
-                            2 => lut(LutOut::Codes(
-                                (0..LUT).map(|i| (i * 7 % BOOK) as u16).collect(),
+                            2 => runs(LutOut::Codes(
+                                (0..RUNS).map(|i| (i * 7 % BOOK) as u16).collect(),
                             )),
-                            3 => lut(LutOut::Quants(
-                                (0..LUT).map(|i| (i * 523 % 4001) as i16 - 2000).collect(),
+                            3 => runs(LutOut::Quants(
+                                (0..RUNS).map(|i| (i * 523 % 4001) as i16 - 2000).collect(),
                             )),
-                            _ => lut(LutOut::Floats(
-                                (0..LUT).map(|i| i as f32 * 0.37 - 9.0).collect(),
+                            _ => runs(LutOut::Floats(
+                                (0..RUNS).map(|i| i as f32 * 0.37 - 9.0).collect(),
                             )),
                         };
                         let q = QuantOp {
@@ -1485,7 +1488,7 @@ mod tests {
                                 let acc = i32::try_from(dot).expect("inside the budget");
                                 let at = r * nout + o;
                                 let ctx = format!("rows={rows} nin={nin} nout={nout} r={r} o={o}");
-                                let bucket = lut_bucket(acc, lo_q, shift, LUT - 1);
+                                let run = scan(acc);
                                 let float = |want: f32| {
                                     let got = flow.floats_next[at];
                                     assert_eq!(got.to_bits(), want.to_bits(), "{ctx}");
@@ -1495,14 +1498,14 @@ mod tests {
                                     QuantFinish::DequantRelu { inv } => {
                                         float((acc as f32 * inv).max(0.0));
                                     }
-                                    QuantFinish::Lut { out, .. } => match out {
+                                    QuantFinish::Runs { out, .. } => match out {
                                         LutOut::Codes(t) => {
-                                            assert_eq!(flow.codes_next[at], t[bucket], "{ctx}");
+                                            assert_eq!(flow.codes_next[at], t[run], "{ctx}");
                                         }
                                         LutOut::Quants(t) => {
-                                            assert_eq!(flow.quants_next[at], t[bucket], "{ctx}");
+                                            assert_eq!(flow.quants_next[at], t[run], "{ctx}");
                                         }
-                                        LutOut::Floats(t) => float(t[bucket]),
+                                        LutOut::Floats(t) => float(t[run]),
                                     },
                                 }
                             }

@@ -5,29 +5,29 @@
 //! integer batch kernel streams through — its [`Kernel::Madd`], which
 //! replaces the kernel the op held: an expanded `i16` weight matrix and
 //! the quantized input codebook it multiplies against, `i32` biases on
-//! the accumulator grid, and a precomputed finish LUT whose entries
-//! went through the *exact* scalar f32 finish (activation lookup,
-//! nearest re-encode) at each bucket's center — so the integer path's
-//! only deviations from f32 are the rounding terms the plan's error
-//! bound already accounts for. There is one integer strategy, the
-//! factored multiply-accumulate; an op the plan refuses (a table that
-//! does not factor is `FallbackReason::NotFactored`) keeps its kernel
-//! and serves on the bit-exact f32 path.
+//! the accumulator grid, and a finish holding one output per run of
+//! buckets that share one, each through the *exact* scalar f32 finish
+//! (activation lookup, nearest re-encode) at a bucket's center — so the
+//! integer path's only deviations from f32 are the rounding terms the
+//! plan's error bound already accounts for. There is one integer
+//! strategy, the factored multiply-accumulate; an op the plan refuses
+//! (a table that does not factor is `FallbackReason::NotFactored`)
+//! keeps its kernel and serves on the bit-exact f32 path.
 //!
 //! A licensed op multiplies `xq[code]`, never the code, so whatever
 //! produces its input writes that operand directly
-//! ([`Domain::Quants`](crate::kernels::Domain::Quants)): a finish LUT
-//! feeding one holds `xq_next[code]` per bucket, and every other
-//! producer is handed the op's `xq` ([`CompiledModel::madd_levels`])
-//! when it runs. A LUT is filled by runs of buckets that share one
-//! output, each run finished once ([`finish_lut`] says why that is exact).
+//! ([`Domain::Quants`](crate::kernels::Domain::Quants)): a finish
+//! feeding one holds `xq_next[code]` per run, and every other producer
+//! is handed the op's `xq` ([`CompiledModel::madd_levels`]) when it
+//! runs. A finish has no more runs than the lookup rows or codes it is
+//! keyed on, however wide the accumulator range ([`finish_runs`]).
 //!
 //! Weight codes are read here exactly once, as a slice of the model's
 //! code pool; at run time the integer path never touches the pool
 //! again, and the batch arena holds no weight tile for any op.
 
 use crate::artifact::{apply_act, nearest, CompiledModel};
-use crate::kernels::Kernel;
+use crate::kernels::{Kernel, EDGE_LANES};
 use rapidnn_analyze::{Act, FinishPlan, Op, OpQuant, QuantPlan};
 
 /// One dense op lowered to integer tiles.
@@ -62,19 +62,20 @@ pub(crate) enum QuantFinish {
         /// `2^-acc_frac`.
         inv: f32,
     },
-    /// Bucketed lookup `(acc - lo_q) >> shift`, entries precomputed
-    /// through the exact scalar finish at each bucket center.
-    Lut {
-        /// Accumulator value of bucket 0's left edge.
-        lo_q: i32,
-        /// Accumulator-to-bucket right shift.
-        shift: u32,
-        /// One finished output per bucket.
+    /// The runs of the plan's bucket grid that share one output: an
+    /// accumulator with `i` of `edges` at or below it finishes as
+    /// `out[i]` ([`run_of`](crate::kernels::run_of)).
+    Runs {
+        /// Accumulator value where each run after the first starts,
+        /// ascending, in whole lane groups: the last run's edge repeats
+        /// to fill the last group.
+        edges: Vec<[i32; EDGE_LANES]>,
+        /// One finished output per run, then one per repeated edge.
         out: LutOut,
     },
 }
 
-/// The entries of a finish LUT, in the domain the next op reads.
+/// The outputs of a finish's runs, in the domain the next op reads.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum LutOut {
     /// The op re-encodes: output codes.
@@ -120,16 +121,16 @@ impl CompiledModel {
 /// holds one factor per row of, and a licensed op reads codes through
 /// the book its boundary of the walk names. Its activation inputs and
 /// re-encode book are sorted and finite (anything else is
-/// `FallbackReason::UnsortedBook`), which is what makes [`finish_lut`]'s
-/// fill by runs exact.
+/// `FallbackReason::UnsortedBook`), which is what makes the runs
+/// [`finish_runs`] keeps exact.
 pub(crate) fn materialize(model: &mut CompiledModel, plan: &QuantPlan) {
     let CompiledModel {
         program, kernels, ..
     } = model;
     let pool_f: &[f32] = &program.floats;
     let reads = program.ops.iter().zip(program.flow()).zip(&plan.ops);
-    // Last op first: a finish LUT feeding a licensed op reads the
-    // operands already derived for it.
+    // Last op first: a finish feeding a licensed op reads the operands
+    // already derived for it.
     for (oi, ((op, at), verdict)) in reads.enumerate().rev() {
         let (
             OpQuant::Licensed(lic),
@@ -171,8 +172,7 @@ pub(crate) fn materialize(model: &mut CompiledModel, plan: &QuantPlan) {
                     _ => None,
                 };
                 let enc = encoder.map(|e| e.slice(pool_f));
-                let out = finish_lut(pool_f, act, enc, next_xq, scale, (lo_q, shift, len));
-                QuantFinish::Lut { lo_q, shift, out }
+                finish_runs(pool_f, act, enc, next_xq, scale, (lo_q, shift, len))
             }
         };
         kernels[oi] = Kernel::Madd(QuantOp {
@@ -186,56 +186,60 @@ pub(crate) fn materialize(model: &mut CompiledModel, plan: &QuantPlan) {
     }
 }
 
-/// A finish LUT of `len` buckets of `2^shift` accumulator steps from
-/// `lo_q`: bucket `idx` holds the exact scalar f32 finish at its center
-/// (activation, then nearest re-encode through `enc`, then the
-/// consumer's operand `next_xq[code]` when one is licensed).
-///
-/// Filled in runs: with `act`'s lookup inputs and `enc` sorted and
-/// finite, `nearest` never decreases as its input grows, nor do the
-/// centers as `idx` does, so neither does a bucket's key — its lookup
-/// row, else its output code, else its activation value. A run of
-/// equal keys shares one output, so its end is found by galloping then
-/// bisecting on the key, and only its first bucket is finished.
-fn finish_lut(
+/// The plan's grid of `len` buckets of `2^shift` accumulator steps from
+/// `lo_q`, kept as its runs: the scalar f32 finish (activation, nearest
+/// re-encode through `enc`, then `next_xq[code]` when licensed) at the
+/// center of each run's first bucket. With `act`'s lookup inputs and
+/// `enc` sorted and finite, a bucket's key (its lookup row, else its
+/// code) never decreases, so runs of one key share one output, number
+/// at most the key's values, and are found by a search on the key.
+fn finish_runs(
     pool_f: &[f32],
     act: &Act,
     enc: Option<&[f32]>,
     next_xq: Option<&[i16]>,
     scale: f32,
     (lo_q, shift, len): (i32, u32, usize),
-) -> LutOut {
+) -> QuantFinish {
     let step = 1i64 << shift;
-    // Each bucket's center on the accumulator grid, exact in f64.
-    let center = |idx: usize| {
-        let rep_q = i64::from(lo_q) + idx as i64 * step + step / 2;
-        (rep_q as f64 / f64::from(scale)) as f32
-    };
+    // A bucket's left edge and center on the accumulator grid.
+    let left = |idx: usize| i64::from(lo_q) + idx as i64 * step;
+    let center = |idx| ((left(idx) + step / 2) as f64 / f64::from(scale)) as f32;
     let act_at = |idx| apply_act(act, pool_f, center(idx));
     // RNA0004 caps a codebook at 2^16 entries.
     let code_at = |e, idx| nearest(e, act_at(idx)) as u16;
     let key = |idx| match (act, enc) {
-        (Act::Lookup { inputs, .. }, _) => nearest(inputs.slice(pool_f), center(idx)) as u32,
-        (_, Some(e)) => u32::from(code_at(e, idx)),
-        (_, None) => act_at(idx).to_bits(),
+        (Act::Lookup { inputs, .. }, _) => nearest(inputs.slice(pool_f), center(idx)),
+        // Identity and Relu reach a grid only through a re-encode:
+        // without one the plan dequantizes them directly.
+        (_, e) => usize::from(code_at(e.expect("a re-encode"), idx)),
     };
-    match (enc, next_xq) {
-        (Some(e), Some(xq)) => LutOut::Quants(fill_runs(len, key, |i| level_of(xq, code_at(e, i)))),
-        (Some(e), None) => LutOut::Codes(fill_runs(len, key, |i| code_at(e, i))),
-        (None, _) => LutOut::Floats(fill_runs(len, key, act_at)),
-    }
+    let mut starts = run_starts(len, key);
+    // The last run repeats until its edges fill whole lane groups.
+    starts.resize(
+        (starts.len() - 1).next_multiple_of(EDGE_LANES) + 1,
+        starts[starts.len() - 1],
+    );
+    let runs = starts.iter().copied();
+    let out = match (enc, next_xq) {
+        (Some(e), Some(xq)) => LutOut::Quants(runs.map(|i| level_of(xq, code_at(e, i))).collect()),
+        (Some(e), None) => LutOut::Codes(runs.map(|i| code_at(e, i)).collect()),
+        (None, _) => LutOut::Floats(runs.map(act_at).collect()),
+    };
+    // A run starts inside `lo_q..=hi_q`, which the plan proved fits `i32`.
+    let edges = starts[1..].as_chunks().0.iter();
+    let edges = edges.map(|g| g.map(|i| left(i) as i32)).collect();
+    QuantFinish::Runs { edges, out }
 }
 
-/// `len` entries, each run of equal `key` (which never decreases over
-/// the indices) filled with `finish` of its first index.
-fn fill_runs<T: Copy>(
-    len: usize,
-    key: impl Fn(usize) -> u32,
-    finish: impl Fn(usize) -> T,
-) -> Vec<T> {
-    let mut out = Vec::with_capacity(len);
-    while out.len() < len {
-        let (start, k) = (out.len(), key(out.len()));
+/// Where each run of equal `key` (which never decreases) over `0..len`
+/// starts.
+fn run_starts(len: usize, key: impl Fn(usize) -> usize) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut start = 0;
+    while start < len {
+        starts.push(start);
+        let k = key(start);
         let in_run = |i| i < len && key(i) == k;
         // Gallop past the run, then bisect: `lo` is in it, `hi` is not.
         let (mut lo, mut hi) = (start, start + 1);
@@ -246,9 +250,9 @@ fn fill_runs<T: Copy>(
             let mid = lo + (hi - lo) / 2;
             *if in_run(mid) { &mut lo } else { &mut hi } = mid;
         }
-        out.resize(hi, finish(start));
+        start = hi;
     }
-    out
+    starts
 }
 
 fn exp2(bits: u32) -> f32 {
@@ -270,10 +274,11 @@ fn quant_i32(v: f64, scale: f32) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::run_of;
     use rapidnn_analyze::Span;
 
-    /// The fill [`finish_lut`] replaced: every bucket through the
-    /// scalar finish, its code then composed into the consumer's operand.
+    /// The finish the runs replaced: every bucket through the scalar
+    /// finish, its code then composed into the consumer's operand.
     fn per_bucket(
         pool_f: &[f32],
         act: &Act,
@@ -297,17 +302,31 @@ mod tests {
         }
     }
 
-    /// The fill by runs holds bit for bit what finishing every bucket
-    /// held: on each LUT of mnist-tiny at five seeds (codes composed into
-    /// the consumer's operands among them), and on hand-built finishes —
-    /// a lookup with a duplicate input and centers on its ties, with and
-    /// without a re-encode, one bucket, and one run.
+    /// Output `i` of `out` with its domain, exact: an `f32` by its bits.
+    fn entry(out: &LutOut, i: usize) -> Option<(u8, i64)> {
+        match out {
+            LutOut::Codes(t) => t.get(i).map(|&v| (0, i64::from(v))),
+            LutOut::Quants(t) => t.get(i).map(|&v| (1, i64::from(v))),
+            LutOut::Floats(t) => t.get(i).map(|v| (2, i64::from(v.to_bits()))),
+        }
+    }
+
+    /// The runs finish every accumulator bit for bit as finishing every
+    /// bucket did — at each bucket's first and last accumulator and at
+    /// every `i32` outside the grid — and number at most the keys they
+    /// are found on: on each finish of mnist-tiny at five seeds (codes
+    /// composed into the consumer's operands among them), and on
+    /// hand-built finishes — a lookup with a duplicate input and centers
+    /// on its ties, with and without a re-encode, one bucket, and one
+    /// run.
     #[test]
     fn finish_lut_runs_match_the_per_bucket_fill() {
-        // Exact: `Debug` prints an `f32` in full, and the license keeps
-        // LUT outputs finite.
-        let debug = |out: &LutOut| format!("{out:?}");
-        let mut composed = 0;
+        // (runs, per-bucket table, grid, lookup rows else codes)
+        let mut cases = Vec::new();
+        let keys = |act: &Act, enc: Option<&[f32]>| match act {
+            Act::Lookup { inputs, .. } => inputs.len,
+            Act::Identity | Act::Relu => enc.map_or(0, <[f32]>::len),
+        };
         for seed in [1, 2, 3, 42, 43] {
             let mut model = CompiledModel::mnist_tiny_for_tests(seed);
             model.quantize().unwrap();
@@ -319,17 +338,14 @@ mod tests {
                 let FinishPlan::Lut { lo_q, shift, len } = lic.finish else {
                     continue;
                 };
-                let (enc, next_xq) = (encoder.map(|e| e.slice(f)), model.madd_levels(oi + 1));
-                let want = per_bucket(f, act, enc, next_xq, exp2(lic.acc_frac), (lo_q, shift, len));
-                let Some(QuantFinish::Lut { out, .. }) = model.quant_op(oi).map(|q| &q.finish)
-                else {
-                    panic!("seed {seed} op {oi}: no LUT kernel");
-                };
-                assert_eq!(debug(out), debug(&want), "seed {seed} op {oi}");
-                composed += usize::from(matches!(out, LutOut::Quants(_)));
+                let (enc, lut) = (encoder.map(|e| e.slice(f)), (lo_q, shift, len));
+                let next_xq = model.madd_levels(oi + 1);
+                let want = per_bucket(f, act, enc, next_xq, exp2(lic.acc_frac), lut);
+                let runs = model.quant_op(oi).unwrap().finish.clone();
+                cases.push((runs, want, lut, keys(act, enc)));
             }
         }
-        assert!(composed > 0, "no LUT fed a licensed op");
+        assert!(cases.iter().any(|c| matches!(c.1, LutOut::Quants(_))));
 
         // Inputs with a duplicate, their outputs, and a re-encode book.
         let f = [-1.0, 0.0, 0.0, 1.0, 0.5, -0.25, 0.75, 2.0, -1.0, 0.0, 1.0];
@@ -339,7 +355,7 @@ mod tests {
         // short third run would vanish under the gallop.
         let [lookup, bumpy] = [span(4), span(1)].map(|outputs| Act::Lookup { inputs, outputs });
         // Centers every 1/64 over [-2, 2], on each tie between inputs;
-        // the last LUT's centers all encode to 1.0, one run.
+        // the last grid's centers all encode to 1.0, one run.
         let wide = (-514, 2, 257);
         for (act, enc, next_xq, lut) in [
             (&lookup, enc, None, wide),
@@ -350,9 +366,30 @@ mod tests {
             (&lookup, enc, Some(xq), (0, 0, 1)),
             (&Act::Identity, enc, None, (154, 0, 50)),
         ] {
-            let runs = finish_lut(&f, act, enc, next_xq, 256.0, lut);
             let want = per_bucket(&f, act, enc, next_xq, 256.0, lut);
-            assert_eq!(debug(&runs), debug(&want));
+            let runs = finish_runs(&f, act, enc, next_xq, 256.0, lut);
+            cases.push((runs, want, lut, keys(act, enc)));
+        }
+        for (runs, want, (lo_q, shift, len), keys) in cases {
+            let QuantFinish::Runs { edges, out } = runs else {
+                panic!("not a finish of runs: {runs:?}");
+            };
+            let (n, mut real) = (edges.len() * EDGE_LANES, edges.concat());
+            real.dedup();
+            assert!(real.len() < keys && entry(&out, n).is_some() && entry(&out, n + 1).is_none());
+            let (lo_q, step) = (i64::from(lo_q), 1i64 << shift);
+            let left = |b: usize| lo_q + b as i64 * step;
+            let probes =
+                (0..=len).flat_map(|b| [(left(b), b.min(len - 1)), (left(b) - 1, b.max(1) - 1)]);
+            let ends = [(i64::from(i32::MIN), 0), (i64::from(i32::MAX), len - 1)];
+            for (acc, bucket) in probes.chain(ends) {
+                // Past the grid's last bucket need not fit `i32`.
+                let Ok(acc) = i32::try_from(acc) else {
+                    continue;
+                };
+                let got = entry(&out, run_of(&edges, acc));
+                assert_eq!(got, entry(&want, bucket), "acc {acc}");
+            }
         }
     }
 }

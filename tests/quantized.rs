@@ -62,23 +62,31 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 }
 
 /// Integer outputs stay within the analyzer-derived bound of f32
-/// outputs, and the integer path is bit-identical across batch sizes.
+/// outputs, and the integer path is bit-identical across batch sizes —
+/// also where a finish's bucket grid is past 2^16 buckets.
 #[test]
 fn integer_path_stays_within_licensed_error_bound() {
     let mut any_licensed = false;
-    for seed in 0..7u64 {
+    for seed in 0..8u64 {
         let mut rng = SeededRng::new(900 + seed);
         let mut features = usize_in(&mut rng, 4, 10);
-        let classes = usize_in(&mut rng, 2, 4);
+        let mut classes = usize_in(&mut rng, 2, 4);
         let depth = usize_in(&mut rng, 1, 3);
         let mut hidden: Vec<usize> = (0..depth).map(|_| usize_in(&mut rng, 4, 12)).collect();
+        let mut clusters = 8;
         if seed == 6 {
             // Every remainder of the integer tile kernel in the first
             // dense op: 8-lane steps plus a scalar tail (19 = 2·8 + 3)
             // and an odd last output.
             (features, hidden[0]) = (19, 11);
         }
-        let model = compiled_mlp(&mut rng, features, &hidden, classes, 8);
+        if seed == 7 {
+            // 512 inputs widen the hidden op's accumulator hull past
+            // 2^16 buckets of the datapath grid; its finish keeps the
+            // grid's few runs.
+            (features, hidden, classes, clusters) = (512, vec![16], 3, 16);
+        }
+        let model = compiled_mlp(&mut rng, features, &hidden, classes, clusters);
 
         let mut quantized = model.clone();
         quantized.quantize().expect("quantize");
@@ -87,6 +95,18 @@ fn integer_path_stays_within_licensed_error_bound() {
         if seed == 6 {
             assert_eq!(quantized.dense_shapes()[0], (19, 11));
             assert_eq!(quantized.kernel_path(), "int16", "tile-remainder case");
+        }
+        if seed == 7 {
+            let grid = |op: &OpQuant| match op {
+                OpQuant::Licensed(lic) => match lic.finish {
+                    FinishPlan::Lut { len, .. } => len,
+                    FinishPlan::Direct => 0,
+                },
+                _ => 0,
+            };
+            let widest = plan.ops.iter().map(grid).max();
+            assert!(widest > Some(1 << 16), "widest finish grid {widest:?}");
+            assert_eq!(quantized.kernel_path(), "int16", "wide-grid case");
         }
 
         let inputs: Vec<f32> = (0..64 * features).map(|_| rng.uniform(-3.0, 3.0)).collect();
