@@ -1,10 +1,11 @@
 //! RAPIDNN accelerator simulator: RNA blocks, tiles, chip, controller and
 //! the cycle/energy/area model (§4, Table 1).
 //!
-//! The functional behaviour of the accelerator is *by construction*
-//! identical to [`rapidnn_core::ReinterpretedNetwork`] — the composer's
-//! encoded-domain model is exactly what the hardware computes. What this
-//! crate adds is the hardware cost of computing it:
+//! What the accelerator computes is the composer's encoded-domain
+//! program, op for op. This crate does not run that program; it prices
+//! it, from each op's shape alone (neurons, fan-in, codebook and AM
+//! rows, pool windows), so it depends on nothing but the memory
+//! substrates:
 //!
 //! * [`params`] — the Table 1 area/power constants and the
 //!   [`AcceleratorConfig`] (1k RNAs per tile, 32 tiles per chip, 1 GHz);
@@ -14,8 +15,9 @@
 //!   and the NOR-built carry-save adder tree (§4.1.2);
 //! * [`RnaCost`] — per-neuron latency/energy combining accumulation with
 //!   the activation and encoder AM searches;
-//! * [`Simulator`] — maps a reinterpreted network onto tiles/RNAs,
-//!   pipelines layers through broadcast buffers (§4.3), and reports
+//! * [`Simulator`] — prices a program's [`OpShape`]s, one stage per op:
+//!   maps them onto tiles/RNAs, pipelines layers through broadcast
+//!   buffers (§4.3), and reports
 //!   latency, throughput, energy breakdown (Figure 13), area breakdown
 //!   (Figure 14) and compute efficiency, including RNA sharing (§5.6).
 //!
@@ -48,4 +50,4 @@ pub use area::{rna_area_breakdown, system_area_breakdown, AreaBreakdown};
 pub use metrics::{BlockBreakdown, BlockClass, HardwareReport};
 pub use params::{AcceleratorConfig, DatapathModel};
 pub use rna::{neuron_cost, RnaCost};
-pub use sim::{SimulationReport, Simulator, StageCost};
+pub use sim::{OpShape, SimulationReport, Simulator, StageCost};

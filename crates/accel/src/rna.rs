@@ -61,8 +61,8 @@ pub fn expected_operands(edges: usize, slots: usize) -> usize {
 ///
 /// * `edges` — incoming edges (dense fan-in or conv patch length);
 /// * `weight_clusters` / `input_clusters` — codebook sizes `w`, `u`;
-/// * `activation_rows` — rows of the activation AM (1 for comparator
-///   ReLU);
+/// * `activation_rows` — rows of the activation AM (0 or 1 for an exact
+///   comparator, which searches like a one-row AM);
 /// * `encoder_rows` — rows of the encoder AM (0 for the output stage).
 pub fn neuron_cost(
     edges: usize,

@@ -1,15 +1,12 @@
 use crate::metrics::{BlockBreakdown, BlockClass, HardwareReport};
 use crate::params::{AcceleratorConfig, BUFFER_POWER_MW};
 use crate::rna::{neuron_cost, RnaCost};
-use rapidnn_core::{ReinterpretedNetwork, Stage, StageKind};
 use rapidnn_ndcam::SearchCost;
 
-/// Hardware cost of one pipeline stage.
+/// Hardware cost of one program op.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageCost {
-    /// Stage label (`dense`, `conv`, `maxpool`, …).
-    pub label: &'static str,
-    /// Neurons mapped onto RNA blocks (0 for pooling stages).
+    /// Neurons mapped onto RNA blocks (0 for every op but a neuron op).
     pub neurons: usize,
     /// Number of sequential waves needed when neurons exceed the RNA
     /// capacity.
@@ -27,7 +24,7 @@ pub struct StageCost {
 pub struct SimulationReport {
     /// Aggregate metrics.
     pub hardware: HardwareReport,
-    /// Per-stage costs in pipeline order.
+    /// Per-op costs in program order.
     pub stages: Vec<StageCost>,
     /// The configuration simulated.
     pub config: AcceleratorConfig,
@@ -56,7 +53,56 @@ impl SimulationReport {
     }
 }
 
-/// Maps a reinterpreted network onto the accelerator and accounts cycles
+/// What the simulator prices of one program op: the shape of the work
+/// the controller maps onto RNAs and tiles (§4.3), not its data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpShape {
+    /// A dense or convolution layer: `neurons` RNA evaluations of
+    /// `edges` encoded products each.
+    Neuron {
+        /// Output neurons mapped onto RNA blocks.
+        neurons: usize,
+        /// Incoming edges per neuron (dense fan-in or conv patch length).
+        edges: usize,
+        /// Rows of the largest weight codebook (`w`).
+        weight_rows: usize,
+        /// Rows of the input codebook (`u`).
+        input_rows: usize,
+        /// Rows of the activation AM; 0 when the activation is exact
+        /// (comparator ReLU or identity).
+        activation_rows: usize,
+        /// Rows of the encoder AM; 0 for an output layer.
+        encoder_rows: usize,
+    },
+    /// Max pooling on encoded values.
+    MaxPool {
+        /// Pooled values produced.
+        outputs: usize,
+        /// Window taps per output.
+        window: usize,
+    },
+    /// Average pooling by in-memory addition.
+    AvgPool {
+        /// Pooled values produced.
+        outputs: usize,
+        /// Window taps per output.
+        window: usize,
+    },
+    /// Snapshot of the skip values into the residual FIFO.
+    ResidualBegin {
+        /// Values snapshotted.
+        width: usize,
+    },
+    /// Residual join of the branch output and the skip snapshot.
+    ResidualEnd {
+        /// Values joined.
+        width: usize,
+        /// Rows of the join's encoder AM; 0 at the network output.
+        encoder_rows: usize,
+    },
+}
+
+/// Maps a program's op shapes onto the accelerator and accounts cycles
 /// and energy (§4.3).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Simulator {
@@ -74,14 +120,18 @@ impl Simulator {
         &self.config
     }
 
-    /// Simulates one inference of `model`.
-    pub fn simulate(&self, model: &ReinterpretedNetwork) -> SimulationReport {
-        let mut stages = Vec::new();
-        let mut mac_ops = 0u64;
-        self.walk(model.stages(), &mut stages, &mut mac_ops);
-
+    /// Simulates one inference of the program whose ops have `ops`
+    /// shapes; `stages[i]` of the report prices `ops[i]`.
+    pub fn simulate(&self, ops: &[OpShape]) -> SimulationReport {
+        let stages: Vec<StageCost> = ops.iter().map(|op| self.stage_cost(op)).collect();
+        let mac_ops = ops
+            .iter()
+            .map(|op| match *op {
+                OpShape::Neuron { neurons, edges, .. } => (neurons * edges) as u64,
+                _ => 0,
+            })
+            .sum();
         let (breakdown, latency_ns, energy_pj, interval) = self.aggregate(&stages);
-
         SimulationReport {
             hardware: HardwareReport {
                 latency_ns,
@@ -95,90 +145,62 @@ impl Simulator {
         }
     }
 
-    fn walk(&self, model_stages: &[Stage], out: &mut Vec<StageCost>, mac_ops: &mut u64) {
-        for stage in model_stages {
-            match stage {
-                Stage::Neuron(neuron) => {
-                    let kind = neuron.kind();
-                    let neurons = kind.neuron_count();
-                    let edges = kind.edges_per_neuron();
-                    *mac_ops += (neurons * edges) as u64;
-                    let w = neuron
-                        .weight_codebooks()
-                        .iter()
-                        .map(rapidnn_core::Codebook::len)
-                        .max()
-                        .unwrap_or(1);
-                    let u = neuron.input_codebook().len();
-                    let act_rows = neuron.activation().rows();
-                    let enc_rows = neuron.encoder().map_or(0, rapidnn_core::EncoderTable::rows);
-                    let cost = neuron_cost(edges, w, u, act_rows, enc_rows);
-                    out.push(self.neuron_stage_cost(
-                        match kind {
-                            StageKind::Dense { .. } => "dense",
-                            StageKind::Conv { .. } => "conv",
-                        },
-                        neurons,
-                        u,
-                        &cost,
-                    ));
-                }
-                Stage::MaxPool(g) => {
-                    let outputs = g.in_channels * g.out_pixels();
-                    let window = g.kernel_h * g.kernel_w;
-                    // Write the window into the encoder CAM, then one
-                    // search (§4.2.1): window + 1 cycles.
-                    let latency = (window + 1) as f64 * self.config.cycle_ns();
-                    let search = SearchCost::for_search(window, 8, 1);
-                    let energy = outputs as f64 * (search.energy_fj / 1000.0 + 0.2);
-                    let mut b = BlockBreakdown::default();
-                    b.add(BlockClass::Pooling, energy, latency);
-                    out.push(StageCost {
-                        label: "maxpool",
-                        neurons: 0,
-                        waves: 1,
-                        latency_ns: latency,
-                        energy_pj: energy,
-                        breakdown: b,
-                    });
-                }
-                Stage::AvgPool { geometry: g, .. } => {
-                    let outputs = g.in_channels * g.out_pixels();
-                    let window = g.kernel_h * g.kernel_w;
-                    // In-memory addition of the window (§4.2.1): reuse the
-                    // adder model via a tiny neuron cost.
-                    let cost = neuron_cost(window, window, window, 1, 1);
-                    let latency = cost.cycles() as f64 * self.config.cycle_ns();
-                    let energy = outputs as f64 * cost.energy_pj();
-                    let mut b = BlockBreakdown::default();
-                    b.add(BlockClass::Pooling, energy, latency);
-                    out.push(StageCost {
-                        label: "avgpool",
-                        neurons: 0,
-                        waves: 1,
-                        latency_ns: latency,
-                        energy_pj: energy,
-                        breakdown: b,
-                    });
-                }
-                Stage::Residual { branch, .. } => {
-                    self.walk(branch, out, mac_ops);
-                    // The join is one in-memory addition over the skip
-                    // FIFO values (§4.3).
-                    let cost = neuron_cost(2, 2, 2, 1, 1);
-                    let latency = cost.cycles() as f64 * self.config.cycle_ns();
-                    let mut b = BlockBreakdown::default();
-                    b.add(BlockClass::WeightedAccumulation, cost.energy_pj(), latency);
-                    out.push(StageCost {
-                        label: "residual-join",
-                        neurons: 0,
-                        waves: 1,
-                        latency_ns: latency,
-                        energy_pj: cost.energy_pj(),
-                        breakdown: b,
-                    });
-                }
+    fn stage_cost(&self, op: &OpShape) -> StageCost {
+        let cycle_ns = self.config.cycle_ns();
+        let (class, energy, latency) = match *op {
+            OpShape::Neuron {
+                neurons,
+                edges,
+                weight_rows,
+                input_rows,
+                activation_rows,
+                encoder_rows,
+            } => {
+                let cost = neuron_cost(
+                    edges,
+                    weight_rows,
+                    input_rows,
+                    activation_rows,
+                    encoder_rows,
+                );
+                return self.neuron_stage_cost(neurons, input_rows, &cost);
             }
+            OpShape::MaxPool { outputs, window } => {
+                // Write the window into the encoder CAM, then one search
+                // (§4.2.1): window + 1 cycles.
+                let search = SearchCost::for_search(window, 8, 1);
+                let energy = outputs as f64 * (search.energy_fj / 1000.0 + 0.2);
+                (BlockClass::Pooling, energy, (window + 1) as f64 * cycle_ns)
+            }
+            OpShape::AvgPool { outputs, window } => {
+                // In-memory addition of the window (§4.2.1): reuse the
+                // adder model via a tiny neuron cost.
+                let cost = neuron_cost(window, window, window, 1, 1);
+                let latency = cost.cycles() as f64 * cycle_ns;
+                (
+                    BlockClass::Pooling,
+                    outputs as f64 * cost.energy_pj(),
+                    latency,
+                )
+            }
+            // The skip values wait in the FIFO; filling it is free here.
+            OpShape::ResidualBegin { .. } => (BlockClass::Other, 0.0, 0.0),
+            OpShape::ResidualEnd { .. } => {
+                // The join is one in-memory addition over the skip FIFO
+                // values (§4.3).
+                let cost = neuron_cost(2, 2, 2, 1, 1);
+                let latency = cost.cycles() as f64 * cycle_ns;
+                (BlockClass::WeightedAccumulation, cost.energy_pj(), latency)
+            }
+        };
+        let mut breakdown = BlockBreakdown::default();
+        breakdown.add(class, energy, latency);
+        StageCost {
+            neurons: 0,
+            waves: 1,
+            latency_ns: latency,
+            energy_pj: energy,
+            breakdown,
         }
     }
 
@@ -209,47 +231,10 @@ impl Simulator {
         (breakdown, latency_ns, energy_pj, interval)
     }
 
-    /// Simulates a network given only per-layer shapes
-    /// `(neurons, edges)` and uniform codebook sizes — used to project
-    /// cost onto real-scale topologies whose trainable substitutes are
-    /// reduced (DESIGN.md §5).
-    pub fn simulate_shapes(
-        &self,
-        shapes: &[(usize, usize)],
-        weight_clusters: usize,
-        input_clusters: usize,
-    ) -> SimulationReport {
-        let mut stages = Vec::new();
-        let mut mac_ops = 0u64;
-        for (i, &(neurons, edges)) in shapes.iter().enumerate() {
-            mac_ops += (neurons * edges) as u64;
-            let enc_rows = if i + 1 == shapes.len() {
-                0
-            } else {
-                input_clusters
-            };
-            let cost = neuron_cost(edges, weight_clusters, input_clusters, 1, enc_rows);
-            stages.push(self.neuron_stage_cost("layer", neurons, input_clusters, &cost));
-        }
-        let (breakdown, latency_ns, energy_pj, interval) = self.aggregate(&stages);
-        SimulationReport {
-            hardware: HardwareReport {
-                latency_ns,
-                pipeline_interval_ns: interval,
-                energy_pj,
-                breakdown,
-                mac_ops,
-            },
-            stages,
-            config: self.config,
-        }
-    }
-
     fn neuron_stage_cost(
         &self,
-        label: &'static str,
         neurons: usize,
-        next_codebook: usize,
+        input_rows: usize,
         per_neuron: &RnaCost,
     ) -> StageCost {
         let capacity = self.config.effective_neuron_capacity().max(1);
@@ -260,9 +245,11 @@ impl Simulator {
         let compute_latency = waves as f64 * neuron_latency * share_factor;
 
         // Bit-serial broadcast of encoded outputs into the tile buffer
-        // (§4.3): bits = ceil(log2(u_next)); all RNAs of a tile write in
-        // parallel.
-        let bits = (usize::BITS - next_codebook.saturating_sub(1).leading_zeros()).max(1) as f64;
+        // (§4.3), one bit per cycle; all RNAs of a tile write in
+        // parallel. The code width is taken from the op's own input book,
+        // bits = ceil(log2(input_rows)), not from the encoder it writes
+        // through.
+        let bits = (usize::BITS - input_rows.saturating_sub(1).leading_zeros()).max(1) as f64;
         let transfer_latency = bits * self.config.cycle_ns() * waves as f64;
         let tiles_active = (neurons as f64 / self.config.rnas_per_tile as f64)
             .ceil()
@@ -288,7 +275,6 @@ impl Simulator {
         );
 
         StageCost {
-            label,
             neurons,
             waves,
             latency_ns: compute_latency + transfer_latency,
@@ -301,30 +287,32 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rapidnn_core::ReinterpretOptions;
-    use rapidnn_data::SyntheticSpec;
-    use rapidnn_nn::{topology, Network};
-    use rapidnn_tensor::SeededRng;
 
-    fn tiny_model(rng: &mut SeededRng, w: usize, u: usize) -> ReinterpretedNetwork {
-        let data = SyntheticSpec::new(12, 3, 2.0).generate(40, rng).unwrap();
-        let mut net: Network = topology::mlp(12, &[16], 3, rng).unwrap();
-        let options = ReinterpretOptions {
-            weight_clusters: w,
-            input_clusters: u,
-            ..ReinterpretOptions::default()
+    /// The shapes of a composed `12 → 16 → 3` ReLU MLP with `(w, u)`
+    /// codebooks: a hidden layer that re-encodes through `u` rows, then
+    /// an output layer.
+    fn mlp_shapes(w: usize, u: usize) -> [OpShape; 2] {
+        let layer = |neurons, edges, encoder_rows| OpShape::Neuron {
+            neurons,
+            edges,
+            weight_rows: w,
+            input_rows: u,
+            activation_rows: 0,
+            encoder_rows,
         };
-        ReinterpretedNetwork::build(&mut net, data.inputs(), &options, rng).unwrap()
+        [layer(16, 12, u), layer(3, 16, 0)]
+    }
+
+    fn simulate(config: AcceleratorConfig, ops: &[OpShape]) -> SimulationReport {
+        Simulator::new(config).simulate(ops)
     }
 
     #[test]
     fn simulation_produces_positive_costs() {
-        let mut rng = SeededRng::new(1);
-        let model = tiny_model(&mut rng, 8, 8);
-        let report = Simulator::new(AcceleratorConfig::default()).simulate(&model);
+        let report = simulate(AcceleratorConfig::default(), &mlp_shapes(8, 8));
         assert!(report.hardware.latency_ns > 0.0);
         assert!(report.hardware.energy_pj > 0.0);
-        assert!(report.hardware.mac_ops > 0);
+        assert_eq!(report.hardware.mac_ops, 16 * 12 + 3 * 16);
         assert_eq!(report.stages.len(), 2);
         assert!(report.hardware.pipeline_interval_ns <= report.hardware.latency_ns);
     }
@@ -333,32 +321,26 @@ mod tests {
     fn smaller_codebooks_are_faster_and_cheaper() {
         // Figure 11's trend: smaller encoded sets → more energy-efficient
         // and faster computation.
-        let mut rng = SeededRng::new(2);
-        let small =
-            Simulator::new(AcceleratorConfig::default()).simulate(&tiny_model(&mut rng, 4, 4));
-        let mut rng = SeededRng::new(2);
-        let large =
-            Simulator::new(AcceleratorConfig::default()).simulate(&tiny_model(&mut rng, 64, 64));
+        let small = simulate(AcceleratorConfig::default(), &mlp_shapes(4, 4));
+        let large = simulate(AcceleratorConfig::default(), &mlp_shapes(64, 64));
         assert!(small.hardware.latency_ns <= large.hardware.latency_ns);
         assert!(small.hardware.energy_pj < large.hardware.energy_pj);
     }
 
     #[test]
     fn more_chips_do_not_slow_down() {
-        let mut rng = SeededRng::new(3);
-        let model = tiny_model(&mut rng, 8, 8);
-        let one = Simulator::new(AcceleratorConfig::with_chips(1)).simulate(&model);
-        let eight = Simulator::new(AcceleratorConfig::with_chips(8)).simulate(&model);
+        let one = simulate(AcceleratorConfig::with_chips(1), &mlp_shapes(8, 8));
+        let eight = simulate(AcceleratorConfig::with_chips(8), &mlp_shapes(8, 8));
         assert!(eight.hardware.latency_ns <= one.hardware.latency_ns);
     }
 
     #[test]
     fn sharing_trades_latency_for_density() {
-        let mut rng = SeededRng::new(4);
-        let model = tiny_model(&mut rng, 8, 8);
-        let base = Simulator::new(AcceleratorConfig::default()).simulate(&model);
-        let shared =
-            Simulator::new(AcceleratorConfig::default().with_sharing(0.3)).simulate(&model);
+        let base = simulate(AcceleratorConfig::default(), &mlp_shapes(8, 8));
+        let shared = simulate(
+            AcceleratorConfig::default().with_sharing(0.3),
+            &mlp_shapes(8, 8),
+        );
         assert!(shared.hardware.latency_ns > base.hardware.latency_ns);
         // Compute efficiency (GOPS/mm²) should not get worse by sharing at
         // fixed area... per Table 4 sharing *improves* GOPS/mm² because a
@@ -371,18 +353,14 @@ mod tests {
 
     #[test]
     fn weighted_accumulation_dominates_breakdown() {
-        let mut rng = SeededRng::new(5);
-        let model = tiny_model(&mut rng, 64, 64);
-        let report = Simulator::new(AcceleratorConfig::default()).simulate(&model);
+        let report = simulate(AcceleratorConfig::default(), &mlp_shapes(64, 64));
         let fr = report.hardware.breakdown.energy_fractions();
         assert!(fr[0] > 0.5, "weighted accumulation fraction {}", fr[0]);
     }
 
     #[test]
     fn efficiency_metrics_are_finite_and_positive() {
-        let mut rng = SeededRng::new(6);
-        let model = tiny_model(&mut rng, 16, 16);
-        let report = Simulator::new(AcceleratorConfig::default()).simulate(&model);
+        let report = simulate(AcceleratorConfig::default(), &mlp_shapes(16, 16));
         assert!(report.edp() > 0.0);
         assert!(report.gops_per_mm2() > 0.0);
         assert!(report.gops_per_w() > 0.0);
@@ -391,33 +369,33 @@ mod tests {
 
     #[test]
     fn cnn_model_accounts_pooling() {
-        let mut rng = SeededRng::new(7);
-        let mut net = Network::new(2 * 6 * 6);
-        net.push(
-            rapidnn_nn::Conv2d::new(2, 6, 6, 3, 3, 1, rapidnn_nn::Padding::Same, &mut rng).unwrap(),
-        );
-        net.push(rapidnn_nn::ActivationLayer::new(
-            rapidnn_nn::Activation::Relu,
-        ));
-        net.push(rapidnn_nn::MaxPool2d::new(3, 6, 6, 2).unwrap());
-        net.push(rapidnn_nn::Dense::new(27, 4, &mut rng));
-        let data = SyntheticSpec::new(72, 4, 2.0)
-            .generate(30, &mut rng)
-            .unwrap();
-        let model = ReinterpretedNetwork::build(
-            &mut net,
-            data.inputs(),
-            &ReinterpretOptions {
-                weight_clusters: 8,
-                input_clusters: 8,
-                ..ReinterpretOptions::default()
+        // A 2×6×6 input through a 3-channel 3×3 conv, a 2×2 max pool and
+        // a dense head.
+        let ops = [
+            OpShape::Neuron {
+                neurons: 3 * 6 * 6,
+                edges: 2 * 3 * 3,
+                weight_rows: 8,
+                input_rows: 8,
+                activation_rows: 0,
+                encoder_rows: 8,
             },
-            &mut rng,
-        )
-        .unwrap();
-        let report = Simulator::new(AcceleratorConfig::default()).simulate(&model);
+            OpShape::MaxPool {
+                outputs: 3 * 3 * 3,
+                window: 2 * 2,
+            },
+            OpShape::Neuron {
+                neurons: 4,
+                edges: 27,
+                weight_rows: 8,
+                input_rows: 8,
+                activation_rows: 0,
+                encoder_rows: 0,
+            },
+        ];
+        let report = simulate(AcceleratorConfig::default(), &ops);
         let pooling_energy = report.hardware.breakdown.energy_pj[3];
         assert!(pooling_energy > 0.0);
-        assert!(report.stages.iter().any(|s| s.label == "maxpool"));
+        assert_eq!(report.stages[1].breakdown.energy_pj[3], pooling_energy);
     }
 }

@@ -1,22 +1,11 @@
-//! Per-op execution-cost estimates for pipeline sharding.
-//!
-//! The paper's chip pipelines layers across tiles: once the pipeline is
-//! full, throughput is bounded by the *slowest* stage, so splitting a
-//! model into balanced stages needs a per-op cost estimate. This module
-//! derives one from each op and the row widths the program's dataflow
-//! walk ([`Program::flow`]) gives around it.
-//!
-//! Costs are unitless work estimates, not wall-clock promises: one unit
-//! is one product-table lookup-and-accumulate — the operation the RNA
-//! datapath retires once per cycle, so a stage's `lookups` total is also
-//! its cycle estimate on the modeled accelerator (Table 1 clock,
-//! `rapidnn_accel::CLOCK_GHZ`). Software pays extra for nearest-code
-//! encodes (a branch-free binary search, ~`log2(book)` probes) where the
-//! hardware's associative memory answers in one cycle; [`OpCost::units`]
-//! weighs encodes accordingly so the estimate balances *software* stages
-//! while [`OpCost::lookups`] remains the hardware-cycle view.
+//! Per-op shapes and their software cost: [`op_shapes`] reads each op,
+//! with the widths and codebooks the dataflow walk ([`Program::flow`])
+//! gives around it, into the [`OpShape`] the chip simulator prices, so
+//! a simulation's `stages[i]` is op `i`'s hardware cost; [`op_costs`]
+//! prices the same shapes in software work units.
 
-use crate::program::{Act, Op, Program};
+use crate::program::{Act, Op, Program, Span, TableRef};
+use rapidnn_accel::OpShape;
 
 /// Weight of one nearest-code encode relative to one table lookup in
 /// [`OpCost::units`]: roughly the probe depth of the branch-free binary
@@ -44,54 +33,88 @@ impl OpCost {
     }
 }
 
-/// Estimates every op's per-sample cost in program order.
-///
-/// Widths come from the program's dataflow walk ([`Program::flow`]);
-/// nothing here touches pool data.
-pub fn op_costs(program: &Program<'_>) -> Vec<OpCost> {
+/// Every op's shape in program order. Reads no pool data.
+pub fn op_shapes(program: &Program<'_>) -> Vec<OpShape> {
     let flow = program.flow();
-    program
-        .ops
-        .iter()
-        .zip(flow.windows(2))
-        .map(|(op, at)| {
-            // What the op reads, and what it leaves.
-            let (width, out) = (at[0].width as u64, at[1].width as u64);
-            let mut c = OpCost::default();
-            match op {
-                Op::Dense { act, encoder, .. } | Op::Conv { act, encoder, .. } => {
-                    let fan_in = match op {
-                        Op::Conv { geom, .. } => geom.patch_len() as u64,
-                        _ => width,
-                    };
-                    c.lookups = out * fan_in;
-                    c.elementwise = out;
-                    if matches!(act, Act::Lookup { .. }) {
-                        c.encodes += out;
-                    }
-                    if encoder.is_some() {
-                        c.encodes += out;
-                    }
-                }
-                Op::MaxPool(g) => c.elementwise = out * (g.kernel_h * g.kernel_w) as u64,
-                Op::AvgPool { geom: g, .. } => {
-                    c.elementwise = out * (g.kernel_h * g.kernel_w) as u64;
-                    // Decode-average-re-encode on encoded flows; the
-                    // re-encode dominates, count it unconditionally.
-                    c.encodes = out;
-                }
-                // Snapshot (decode) of the current flow.
-                Op::ResidualBegin { .. } => c.elementwise = width,
-                Op::ResidualEnd { encoder } => {
-                    c.elementwise = width;
-                    if encoder.is_some() {
-                        c.encodes = width;
-                    }
-                }
-            }
-            c
-        })
-        .collect()
+    let rows = |span: Option<Span>| span.map_or(0, |s| s.len);
+    let ops = program.ops.iter().zip(flow.windows(2));
+    ops.map(|(op, at)| {
+        let (width, outputs) = (at[0].width, at[1].width);
+        let neuron = |edges, tables: &[TableRef], act: &Act, encoder| OpShape::Neuron {
+            neurons: outputs,
+            edges,
+            weight_rows: tables.iter().map(|t| t.weight_count).max().unwrap_or(1),
+            input_rows: rows(at[0].book),
+            activation_rows: match act {
+                Act::Lookup { inputs, .. } => inputs.len,
+                Act::Identity | Act::Relu => 0,
+            },
+            encoder_rows: rows(encoder),
+        };
+        match op {
+            Op::Dense {
+                table,
+                act,
+                encoder,
+                ..
+            } => neuron(width, std::slice::from_ref(table), act, *encoder),
+            Op::Conv {
+                geom,
+                tables,
+                act,
+                encoder,
+                ..
+            } => neuron(geom.patch_len(), tables, act, *encoder),
+            Op::MaxPool(g) => OpShape::MaxPool {
+                outputs,
+                window: g.kernel_h * g.kernel_w,
+            },
+            Op::AvgPool { geom: g, .. } => OpShape::AvgPool {
+                outputs,
+                window: g.kernel_h * g.kernel_w,
+            },
+            Op::ResidualBegin { .. } => OpShape::ResidualBegin { width },
+            Op::ResidualEnd { encoder } => OpShape::ResidualEnd {
+                width,
+                encoder_rows: rows(*encoder),
+            },
+        }
+    })
+    .collect()
+}
+
+/// Every op's per-sample software cost in program order: [`op_shapes`]
+/// priced in work units.
+pub fn op_costs(program: &Program<'_>) -> Vec<OpCost> {
+    let per = |n: usize, rows: usize| if rows > 0 { n } else { 0 };
+    let cost = |shape: &OpShape| {
+        let (lookups, encodes, elementwise) = match *shape {
+            OpShape::Neuron {
+                neurons: n,
+                edges,
+                activation_rows: act,
+                encoder_rows: enc,
+                ..
+            } => (n * edges, per(n, act) + per(n, enc), n),
+            OpShape::MaxPool { outputs, window } => (0, 0, outputs * window),
+            // Decode-average-re-encode on encoded flows; the re-encode
+            // dominates, count it unconditionally.
+            OpShape::AvgPool { outputs, window } => (0, outputs, outputs * window),
+            // Snapshot (decode) of the current flow.
+            OpShape::ResidualBegin { width } => (0, 0, width),
+            OpShape::ResidualEnd {
+                width,
+                encoder_rows,
+            } => (0, per(width, encoder_rows), width),
+        };
+        let [lookups, encodes, elementwise] = [lookups, encodes, elementwise].map(|n| n as u64);
+        OpCost {
+            lookups,
+            encodes,
+            elementwise,
+        }
+    };
+    op_shapes(program).iter().map(cost).collect()
 }
 
 #[cfg(test)]

@@ -67,7 +67,7 @@ mod program;
 mod quant;
 
 pub use checker::{analyze, analyze_with, MAX_EXTENT};
-pub use cost::{op_costs, OpCost};
+pub use cost::{op_costs, op_shapes, OpCost};
 pub use diag::{DiagCode, Diagnostic, LivenessCounts, Report, Severity};
 pub use interval::{f32_sum_slack, Interval};
 pub use optimize::{

@@ -134,11 +134,6 @@ impl Certificate {
             .map(|r| r.removed)
             .sum()
     }
-
-    /// Total elements removed across all passes.
-    pub fn removed_total(&self) -> usize {
-        self.log.iter().map(|r| r.removed).sum()
-    }
 }
 
 /// Result of a successful [`optimize`] run.

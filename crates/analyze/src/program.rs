@@ -277,7 +277,7 @@ impl Program<'_> {
     /// the serving crate compiles through it.
     pub fn from_reinterpreted(network: &ReinterpretedNetwork) -> Program<'static> {
         let mut b = Builder::default();
-        let virtual_encoder = b.push_floats(network.virtual_encoder().target().values());
+        let virtual_encoder = push(&mut b.floats, network.virtual_encoder().target().values());
         for stage in network.stages() {
             b.lower_stage(stage);
         }
@@ -300,24 +300,6 @@ struct Builder {
 }
 
 impl Builder {
-    fn push_floats(&mut self, values: &[f32]) -> Span {
-        let start = self.floats.len();
-        self.floats.extend_from_slice(values);
-        Span {
-            start,
-            len: values.len(),
-        }
-    }
-
-    fn push_codes(&mut self, values: &[u16]) -> Span {
-        let start = self.codes.len();
-        self.codes.extend_from_slice(values);
-        Span {
-            start,
-            len: values.len(),
-        }
-    }
-
     fn lower_act(&mut self, act: &ActivationTable) -> Act {
         // Only ReLU and identity have exact compiled forms today; an
         // exact table of any other activation still carries its sampled
@@ -326,8 +308,8 @@ impl Builder {
             (true, Activation::Relu) => Act::Relu,
             (true, Activation::Identity) => Act::Identity,
             _ => Act::Lookup {
-                inputs: self.push_floats(act.inputs()),
-                outputs: self.push_floats(act.outputs()),
+                inputs: push(&mut self.floats, act.inputs()),
+                outputs: push(&mut self.floats, act.outputs()),
             },
         }
     }
@@ -335,60 +317,49 @@ impl Builder {
     fn lower_stage(&mut self, stage: &Stage) {
         match stage {
             Stage::Neuron(s) => {
-                let weight_codes = self.push_codes(s.weight_codes());
-                let bias = self.push_floats(s.bias());
+                let weight_codes = push(&mut self.codes, s.weight_codes());
+                let bias = push(&mut self.floats, s.bias());
                 let act = self.lower_act(s.activation());
-                let encoder = s.encoder().map(|e| self.push_floats(e.target().values()));
-                match *s.kind() {
-                    StageKind::Dense { inputs, outputs } => {
-                        let t = &s.product_tables()[0];
-                        let span = self.push_floats(t.products());
-                        self.ops.push(Op::Dense {
-                            inputs,
-                            outputs,
-                            weight_codes,
-                            bias,
-                            table: TableRef {
-                                offset: span.start,
-                                weight_count: t.weight_count(),
-                                input_count: t.input_count(),
-                            },
-                            act,
-                            encoder,
-                        });
-                    }
+                let encoder = s
+                    .encoder()
+                    .map(|e| push(&mut self.floats, e.target().values()));
+                let mut tables: Vec<TableRef> = s
+                    .product_tables()
+                    .iter()
+                    .map(|t| TableRef {
+                        offset: push(&mut self.floats, t.products()).start,
+                        weight_count: t.weight_count(),
+                        input_count: t.input_count(),
+                    })
+                    .collect();
+                self.ops.push(match *s.kind() {
+                    StageKind::Dense { inputs, outputs } => Op::Dense {
+                        inputs,
+                        outputs,
+                        weight_codes,
+                        bias,
+                        table: tables.swap_remove(0),
+                        act,
+                        encoder,
+                    },
                     StageKind::Conv {
                         geometry,
                         out_channels,
-                    } => {
-                        let tables = s
-                            .product_tables()
-                            .iter()
-                            .map(|t| {
-                                let span = self.push_floats(t.products());
-                                TableRef {
-                                    offset: span.start,
-                                    weight_count: t.weight_count(),
-                                    input_count: t.input_count(),
-                                }
-                            })
-                            .collect();
-                        self.ops.push(Op::Conv {
-                            geom: geom_of(&geometry),
-                            out_channels,
-                            weight_codes,
-                            bias,
-                            tables,
-                            zero_code: s.zero_code(),
-                            act,
-                            encoder,
-                        });
-                    }
-                }
+                    } => Op::Conv {
+                        geom: geom_of(&geometry),
+                        out_channels,
+                        weight_codes,
+                        bias,
+                        tables,
+                        zero_code: s.zero_code(),
+                        act,
+                        encoder,
+                    },
+                });
             }
             Stage::MaxPool(g) => self.ops.push(Op::MaxPool(geom_of(g))),
             Stage::AvgPool { geometry, codebook } => {
-                let codebook = self.push_floats(codebook.values());
+                let codebook = push(&mut self.floats, codebook.values());
                 self.ops.push(Op::AvgPool {
                     geom: geom_of(geometry),
                     codebook,
@@ -399,17 +370,27 @@ impl Builder {
                 input_codebook,
                 join_encoder,
             } => {
-                let skip_codebook = self.push_floats(input_codebook.values());
+                let skip_codebook = push(&mut self.floats, input_codebook.values());
                 self.ops.push(Op::ResidualBegin { skip_codebook });
                 for inner in branch {
                     self.lower_stage(inner);
                 }
                 let encoder = join_encoder
                     .as_ref()
-                    .map(|e| self.push_floats(e.target().values()));
+                    .map(|e| push(&mut self.floats, e.target().values()));
                 self.ops.push(Op::ResidualEnd { encoder });
             }
         }
+    }
+}
+
+/// Appends `values` to `pool` and returns the span they occupy.
+fn push<T: Copy>(pool: &mut Vec<T>, values: &[T]) -> Span {
+    let start = pool.len();
+    pool.extend_from_slice(values);
+    Span {
+        start,
+        len: values.len(),
     }
 }
 

@@ -3,7 +3,8 @@
 //! (Figure 16), EDP configuration search step (Figure 12) and the
 //! baseline analytic models.
 
-use rapidnn::accel::{AcceleratorConfig, Simulator};
+use rapidnn::accel::{AcceleratorConfig, OpShape, Simulator};
+use rapidnn::analyze::{op_shapes, Program};
 use rapidnn::baselines::{
     dadiannao, gpu_gtx1080, imagenet_layer_shapes, isaac, pipelayer, Workload, WorkloadKind,
 };
@@ -36,28 +37,37 @@ fn model_for_sim() -> ReinterpretedNetwork {
 
 fn bench_simulation(c: &mut Criterion) {
     let mut group = c.benchmark_group("figures_sim");
-    let model = model_for_sim();
+    let shapes = op_shapes(&Program::from_reinterpreted(&model_for_sim()));
     for &chips in &[1usize, 8] {
         let simulator = Simulator::new(AcceleratorConfig::with_chips(chips));
         group.bench_with_input(
             BenchmarkId::new("simulate_mlp", chips),
             &simulator,
             |b, sim| {
-                b.iter(|| sim.simulate(black_box(&model)));
+                b.iter(|| sim.simulate(black_box(&shapes)));
             },
         );
     }
     let simulator = Simulator::new(AcceleratorConfig::default());
     for name in ["AlexNet", "VGGNet", "GoogLeNet", "ResNet"] {
-        let shapes: Vec<(usize, usize)> = imagenet_layer_shapes(name)
+        let layers = imagenet_layer_shapes(name);
+        let shapes: Vec<OpShape> = layers
             .iter()
-            .map(|s| (s.neurons, s.edges))
+            .enumerate()
+            .map(|(i, s)| OpShape::Neuron {
+                neurons: s.neurons,
+                edges: s.edges,
+                weight_rows: 64,
+                input_rows: 64,
+                activation_rows: 0,
+                encoder_rows: if i + 1 == layers.len() { 0 } else { 64 },
+            })
             .collect();
         group.bench_with_input(
-            BenchmarkId::new("simulate_shapes", name),
+            BenchmarkId::new("simulate_imagenet", name),
             &shapes,
             |b, shapes| {
-                b.iter(|| simulator.simulate_shapes(black_box(shapes), 64, 64));
+                b.iter(|| simulator.simulate(black_box(shapes)));
             },
         );
     }
@@ -91,7 +101,8 @@ fn bench_edp_search_step(c: &mut Criterion) {
     let simulator = Simulator::new(AcceleratorConfig::default());
     group.bench_function("edp_point", |b| {
         b.iter(|| {
-            let report = simulator.simulate(black_box(&model));
+            let program = Program::from_reinterpreted(black_box(&model));
+            let report = simulator.simulate(&op_shapes(&program));
             (report.edp(), model.memory_bytes())
         });
     });

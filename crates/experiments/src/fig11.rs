@@ -8,6 +8,7 @@
 use crate::context::{fmt_factor, render_table, Ctx, PerformanceModeler};
 use crate::fig15::rapidnn_point;
 use rapidnn::accel::{AcceleratorConfig, Simulator};
+use rapidnn::analyze::{op_shapes, Program};
 use rapidnn::baselines::gpu_gtx1080;
 use rapidnn::nn::topology::Benchmark;
 use rapidnn::tensor::SeededRng;
@@ -34,7 +35,7 @@ pub fn run(ctx: &Ctx) {
             let mut s_cells = vec![format!("w={w}")];
             for &u in &INPUT_SWEEP {
                 let model = modeler.model(w, u, &mut rng);
-                let report = simulator.simulate(&model);
+                let report = simulator.simulate(&op_shapes(&Program::from_reinterpreted(&model)));
                 // Idle RNAs carry independent inferences (replication),
                 // the parallelism the paper's throughput numbers rely on.
                 let (rapid_latency_s, rapid_energy_j) = rapidnn_point(&report);

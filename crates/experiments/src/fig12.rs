@@ -3,6 +3,7 @@
 
 use crate::context::{fmt_bytes, prepare_app, render_table, Ctx};
 use rapidnn::accel::{AcceleratorConfig, Simulator};
+use rapidnn::analyze::{op_shapes, Program};
 use rapidnn::nn::topology::Benchmark;
 use rapidnn::tensor::SeededRng;
 
@@ -29,7 +30,7 @@ pub fn run(ctx: &Ctx) {
         for &w in &CLUSTER_CHOICES {
             for &u in &CLUSTER_CHOICES {
                 let (delta_e, model) = app.compose_with(w, u, 1, &mut rng);
-                let report = simulator.simulate(&model);
+                let report = simulator.simulate(&op_shapes(&Program::from_reinterpreted(&model)));
                 grid.push(Point {
                     w,
                     u,

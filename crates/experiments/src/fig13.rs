@@ -4,6 +4,7 @@
 
 use crate::context::{fmt_pct, prepare_app, render_table, Ctx};
 use rapidnn::accel::{AcceleratorConfig, BlockBreakdown, BlockClass, Simulator};
+use rapidnn::analyze::{op_shapes, Program};
 use rapidnn::nn::topology::Benchmark;
 use rapidnn::tensor::SeededRng;
 
@@ -17,7 +18,7 @@ pub fn run(ctx: &Ctx) {
         let mut rng = SeededRng::new(ctx.seed ^ 0xf13 ^ benchmark.name().len() as u64);
         let app = prepare_app(benchmark, ctx, &mut rng);
         let (_, model) = app.compose_with(64, 64, 1, &mut rng);
-        let report = simulator.simulate(&model);
+        let report = simulator.simulate(&op_shapes(&Program::from_reinterpreted(&model)));
         if benchmark.is_type2() {
             type2.merge(&report.hardware.breakdown);
         } else {

@@ -7,6 +7,7 @@
 
 use crate::context::{fmt_factor, render_table, Ctx, PerformanceModeler};
 use rapidnn::accel::{AcceleratorConfig, SimulationReport, Simulator};
+use rapidnn::analyze::{op_shapes, Program};
 use rapidnn::baselines::{dadiannao, gpu_gtx1080, isaac, pipelayer, Workload};
 use rapidnn::nn::topology::Benchmark;
 use rapidnn::tensor::SeededRng;
@@ -46,9 +47,11 @@ pub fn run(ctx: &Ctx) {
         let gpu_latency = gpu.latency_s(&workload);
         let gpu_energy = gpu.energy_j(&workload);
 
-        let model = modeler.model(64, 64, &mut rng);
-        let (r1_lat, r1_energy) = rapidnn_point(&sim1.simulate(&model));
-        let (r8_lat, r8_energy) = rapidnn_point(&sim8.simulate(&model));
+        let shapes = op_shapes(&Program::from_reinterpreted(
+            &modeler.model(64, 64, &mut rng),
+        ));
+        let (r1_lat, r1_energy) = rapidnn_point(&sim1.simulate(&shapes));
+        let (r8_lat, r8_energy) = rapidnn_point(&sim8.simulate(&shapes));
 
         let mut speeds = Vec::new();
         let mut energies = Vec::new();

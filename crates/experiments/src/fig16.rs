@@ -9,7 +9,7 @@
 
 use crate::context::{fmt_factor, render_table, Ctx};
 use crate::fig15::rapidnn_point;
-use rapidnn::accel::{AcceleratorConfig, Simulator};
+use rapidnn::accel::{AcceleratorConfig, OpShape, Simulator};
 use rapidnn::baselines::{eyeriss, imagenet_layer_shapes, imagenet_workloads, snapea};
 
 pub fn run(_ctx: &Ctx) {
@@ -29,11 +29,21 @@ pub fn run(_ctx: &Ctx) {
     let mut energy_rows = Vec::new();
     let mut geo = [0.0f64; 4];
     for workload in imagenet_workloads() {
-        let shapes: Vec<(usize, usize)> = imagenet_layer_shapes(workload.name())
+        let layers = imagenet_layer_shapes(workload.name());
+        let shapes: Vec<OpShape> = layers
             .iter()
-            .map(|s| (s.neurons, s.edges))
+            .enumerate()
+            .map(|(i, s)| OpShape::Neuron {
+                neurons: s.neurons,
+                edges: s.edges,
+                weight_rows: 64,
+                input_rows: 64,
+                activation_rows: 0,
+                // Every layer but the last re-encodes its outputs.
+                encoder_rows: if i + 1 == layers.len() { 0 } else { 64 },
+            })
             .collect();
-        let report = simulator.simulate_shapes(&shapes, 64, 64);
+        let report = simulator.simulate(&shapes);
         let (rapid_latency, rapid_energy) = rapidnn_point(&report);
 
         let e_lat = eyeriss.latency_s(&workload) / eyeriss_copies;

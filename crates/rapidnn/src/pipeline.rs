@@ -1,4 +1,5 @@
 use rapidnn_accel::{AcceleratorConfig, SimulationReport, Simulator};
+use rapidnn_analyze::{op_shapes, Program};
 use rapidnn_baselines::{workload_of, Workload};
 use rapidnn_core::{ComposeOutcome, Composer, ComposerConfig};
 use rapidnn_data::{benchmark_dataset, Dataset};
@@ -169,7 +170,8 @@ impl Pipeline {
         let compose = composer.compose(&mut network, &train, &validation, rng)?;
 
         let simulator = Simulator::new(cfg.accelerator);
-        let simulation = simulator.simulate(&compose.reinterpreted);
+        let program = Program::from_reinterpreted(&compose.reinterpreted);
+        let simulation = simulator.simulate(&op_shapes(&program));
 
         let workload = workload_of(cfg.benchmark.name(), &network);
         Ok(PipelineReport {

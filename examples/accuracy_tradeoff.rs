@@ -7,6 +7,7 @@
 //! ```
 
 use rapidnn::accel::{AcceleratorConfig, Simulator};
+use rapidnn::analyze::{op_shapes, Program};
 use rapidnn::composer::{Composer, ComposerConfig, TreeCodebook};
 use rapidnn::data::benchmark_dataset;
 use rapidnn::nn::topology::Benchmark;
@@ -37,7 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .with_max_iterations(2),
         );
         let outcome = composer.compose(&mut net, &train, &validation, &mut rng)?;
-        let report = simulator.simulate(&outcome.reinterpreted);
+        let program = Program::from_reinterpreted(&outcome.reinterpreted);
+        let report = simulator.simulate(&op_shapes(&program));
         println!(
             "{:>6} {:>6} {:>7.1}% {:>10.0}ns {:>10.2}µJ {:>9}B",
             w,

@@ -7,6 +7,7 @@
 //! ```
 
 use rapidnn::accel::{AcceleratorConfig, Simulator};
+use rapidnn::analyze::{op_shapes, Program};
 use rapidnn::composer::{Composer, ComposerConfig, Stage};
 use rapidnn::data::benchmark_dataset;
 use rapidnn::nn::topology::Benchmark;
@@ -64,7 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Max pooling runs on encoded indices directly: the sorted-codebook
     // property guarantees the max code is the max value.
-    let report = Simulator::new(AcceleratorConfig::default()).simulate(&outcome.reinterpreted);
+    let program = Program::from_reinterpreted(&outcome.reinterpreted);
+    let report = Simulator::new(AcceleratorConfig::default()).simulate(&op_shapes(&program));
     let pooling_energy = report.hardware.breakdown.energy_pj[3];
     println!(
         "accelerator: {:.0} ns, {:.2} µJ ({}J of it pooling) — Type 2 profile",

@@ -10,6 +10,7 @@
 //! ```
 
 use rapidnn::accel::{AcceleratorConfig, Simulator};
+use rapidnn::analyze::{op_shapes, Program};
 use rapidnn::composer::{Composer, ComposerConfig};
 use rapidnn::data::benchmark_dataset;
 use rapidnn::nn::topology::Benchmark;
@@ -76,7 +77,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 6. Simulate one inference on the accelerator.
-    let report = Simulator::new(AcceleratorConfig::default()).simulate(&outcome.reinterpreted);
+    let program = Program::from_reinterpreted(&outcome.reinterpreted);
+    let report = Simulator::new(AcceleratorConfig::default()).simulate(&op_shapes(&program));
     println!(
         "accelerator: {:.0} ns latency, {:.3} µJ, {:.1} GOPS effective",
         report.hardware.latency_ns,

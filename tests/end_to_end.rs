@@ -2,6 +2,7 @@
 //! data to hardware simulation.
 
 use rapidnn::accel::{AcceleratorConfig, Simulator};
+use rapidnn::analyze::{op_shapes, Program};
 use rapidnn::composer::{Composer, ComposerConfig, ReinterpretOptions, ReinterpretedNetwork};
 use rapidnn::data::{benchmark_dataset, SyntheticSpec};
 use rapidnn::nn::topology::Benchmark;
@@ -82,8 +83,9 @@ fn accelerator_simulation_scales_sanely_with_chips() {
     let report = Pipeline::new(tiny_config()).run(&mut rng).unwrap();
     let model = &report.compose.reinterpreted;
 
-    let one = Simulator::new(AcceleratorConfig::with_chips(1)).simulate(model);
-    let eight = Simulator::new(AcceleratorConfig::with_chips(8)).simulate(model);
+    let shapes = op_shapes(&Program::from_reinterpreted(model));
+    let one = Simulator::new(AcceleratorConfig::with_chips(1)).simulate(&shapes);
+    let eight = Simulator::new(AcceleratorConfig::with_chips(8)).simulate(&shapes);
     // Same functional network: identical op counts; energy within noise;
     // more chips never slower.
     assert_eq!(one.hardware.mac_ops, eight.hardware.mac_ops);
