@@ -73,12 +73,14 @@ fn resolve(book: &[f32], keys: &[i32], ins: usize, kv: i32, value: f32) -> usize
 
 /// Probes per register-resident chunk of the block encoders: a chunk's
 /// keys and running sums stay in vector registers across every bound,
-/// so a sweep touches memory once per probe. Sixteen is what the
-/// autovectorizer turns into four full `i32` vectors; eight falls back
-/// to scalar code (64 × 784 probes against 7 bounds: 29 µs at sixteen,
-/// 89 µs at eight, 52 µs for the 256-probe sweep through memory this
-/// replaced).
-const CHUNK: usize = 16;
+/// so a sweep touches memory once per probe. Thirty-two is four `ymm`
+/// registers of keys and four of sums in the serving executor's AVX2
+/// frame, which inlines these encoders. `mnist-tiny`'s int16 input
+/// encode (64 × 784 probes against 7 bounds, best of 2000 on a Xeon
+/// with AVX-512): 26–28 µs at 32 and 33–36 µs at 16 inside that frame,
+/// 39–42 and 45–49 µs compiled for baseline x86_64. Eight falls back to
+/// scalar code.
+const CHUNK: usize = 32;
 
 /// Largest codebook [`tabulate_thresholds`] applies to (bounds the
 /// stack array of [`nearest_thresholded_levels`]).
@@ -148,6 +150,7 @@ fn sweep<T>(
 /// # Panics
 ///
 /// Panics when `book` is empty or `out` is shorter than `values`.
+#[inline]
 pub fn nearest_sorted_block<T>(
     book: &[f32],
     keys: &[i32],
@@ -172,6 +175,7 @@ pub fn nearest_sorted_block<T>(
 /// # Panics
 ///
 /// Panics when `out` is shorter than `values`.
+#[inline]
 pub fn nearest_thresholded_block(thr: &[i32], values: &[f32], out: &mut [u16]) {
     sweep(thr, |_| 1, values, out, |_, _, count| count as u16);
 }
@@ -188,6 +192,7 @@ pub fn nearest_thresholded_block(thr: &[i32], values: &[f32], out: &mut [u16]) {
 ///
 /// Panics when `levels` is not one entry longer than `thr`, `thr` is
 /// past the tabulation cap, or `out` is shorter than `values`.
+#[inline]
 pub fn nearest_thresholded_levels(thr: &[i32], levels: &[i16], values: &[f32], out: &mut [i16]) {
     assert_eq!(levels.len(), thr.len() + 1, "one level per code");
     let mut steps = [0i32; THRESH_BOOK - 1];

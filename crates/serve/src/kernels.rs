@@ -44,12 +44,16 @@
 //! other dense op runs in `f32`: when its table factors back into
 //! `fl(w · book[x])`, [`lower`] decoded its weight matrix when the
 //! model was assembled and a batch of at least [`LANES`] rows runs as a
-//! packed multiply ([`dense_mul_block`]); else — a table that does not
-//! factor (an op refused as `FallbackReason::NotFactored` serves here),
-//! a batch below a block — as the table gather ([`dense_block_gather`],
-//! [`dense_row`]), reading its weight codes as a slice of the model's
-//! pool. Every other op runs its table, or is its pool or residual
-//! step.
+//! packed multiply; else — a table that does not factor (an op refused
+//! as `FallbackReason::NotFactored` serves here), a batch below a
+//! block — as the table gather, reading its weight codes as a slice of
+//! the model's pool. Both are [`dense_block`], at [`LANES`] rows or one.
+//! Every other op runs its table, or is its pool or residual step.
+//!
+//! The executor — input encoder, op loop and every kernel — runs on the
+//! lane body [`lanes::run`] picks for the CPU; on an AVX2 CPU the
+//! encoder and the integer kernels are compiled at that width (see
+//! [`crate::lanes`]), with the same bits.
 //!
 //! Where the flow stands between two ops — its width and domain — is
 //! fixed when the model is built ([`FlowState`], one per op boundary,
@@ -73,9 +77,10 @@
 
 use crate::artifact::{apply_act, CompiledModel, InputEncoder};
 use crate::error::{Result, ServeError};
-use crate::lanes::Acc;
+use crate::lanes::{self, Acc, LaneWork};
 use crate::quant::{level_of, LutOut, QuantFinish, QuantOp};
 use rapidnn_analyze::{factor_table, Act, Boundary, Geom, Op, Program, Span, TableRef};
+use std::ops::Range;
 // The branch-free nearest-representative search originated here and now
 // lives in `rapidnn_core::nearest`, shared with the composer's encode
 // paths so both sides pay the same cost per encode.
@@ -159,20 +164,17 @@ pub(crate) enum FlowData {
 const LANES: usize = 8;
 
 /// Output neurons processed per pass over a dense block: one code load
-/// feeds this many accumulator blocks. `OBLOCK * LANES`
-/// accumulators fill the SSE register file exactly.
+/// feeds this many accumulator blocks.
 ///
 /// 8 lanes by 2 outputs measured fastest: fewer lanes starve the
 /// floating-point add chains, more outputs spill the register file.
 const OBLOCK: usize = 2;
 
-// The u64 lane folding in `dense_block_gather` spells out eight lanes.
-const _: () = assert!(LANES == 8, "lane folding assumes eight lanes");
-
 /// Rows per tile of the integer Madd kernel ([`madd_tile`]): with
 /// [`OBLOCK`] outputs that is eight vector accumulators, which with the
-/// two weight vectors and a row vector still fits the sixteen SSE
-/// registers. Divides [`LANES`], so a padded batch is whole tiles.
+/// two weight vectors and a row vector still fits the sixteen vector
+/// registers, `xmm` or `ymm`. Divides [`LANES`], so a padded batch is
+/// whole tiles.
 const TILE_ROWS: usize = 4;
 const _: () = assert!(LANES.is_multiple_of(TILE_ROWS));
 
@@ -202,8 +204,8 @@ pub struct BatchRunner {
     /// Interleaved code tile for one [`LANES`]-row block (see
     /// [`interleave`]).
     tile: Vec<u16>,
-    /// Interleaved *decoded* tile for the f32 multiply kernel (see
-    /// [`interleave_decode`]).
+    /// Interleaved *decoded* tile for the f32 multiply (see
+    /// [`interleave`]).
     tile_f: Vec<f32>,
 }
 
@@ -331,8 +333,7 @@ impl BatchRunner {
             return Ok(0);
         }
         let padded = pad_rows(rows);
-        self.encode_batch(model, inputs, padded);
-        self.exec_ops(model, 0..model.op_count(), padded);
+        lanes::run(Exec(self, model, Some(inputs), 0..model.op_count(), padded));
         let exit = model.flow[model.op_count()];
         out.extend_from_slice(&self.flow.floats[..rows * exit.width]);
         Ok(rows)
@@ -346,6 +347,12 @@ impl BatchRunner {
     /// non-empty codebook and a zero operand for every Madd — and their
     /// results are computed but never copied out.
     pub(crate) fn encode_batch(&mut self, model: &CompiledModel, inputs: &[f32], padded: usize) {
+        lanes::run(Exec(self, model, Some(inputs), 0..0, padded));
+    }
+
+    /// [`encode_batch`](Self::encode_batch) inside the executor's frame.
+    #[inline(always)]
+    fn encode(&mut self, model: &CompiledModel, inputs: &[f32], padded: usize) {
         let program = &model.program;
         let features = program.input_features;
         let book = || program.virtual_encoder.slice(&program.floats);
@@ -401,7 +408,7 @@ impl BatchRunner {
     pub(crate) fn run_segment(
         &mut self,
         model: &CompiledModel,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         data: FlowData,
         padded: usize,
     ) {
@@ -410,7 +417,7 @@ impl BatchRunner {
             FlowData::Quants(v) => self.flow.quants = v,
             FlowData::Floats(v) => self.flow.floats = v,
         }
-        self.exec_ops(model, range, padded);
+        lanes::run(Exec(self, model, None, range, padded));
     }
 
     /// The current decoded flow (`padded × width`, row-major).
@@ -428,7 +435,8 @@ impl BatchRunner {
     /// makes the current flow. Kernels and flow states are looked up by
     /// *global* op index, so a stage executes exactly what the
     /// unsharded run would.
-    fn exec_ops(&mut self, model: &CompiledModel, range: std::ops::Range<usize>, padded: usize) {
+    #[inline(always)]
+    fn exec_ops<A: Acc>(&mut self, model: &CompiledModel, range: Range<usize>, padded: usize) {
         let BatchRunner {
             flow,
             skips,
@@ -467,7 +475,7 @@ impl BatchRunner {
                         // finish's runs, so the op is one pass.
                         Kernel::Madd(q) => {
                             debug_assert_eq!((q.nin, q.nout), (nin, nout));
-                            quant_dense(q, flow, padded);
+                            quant_dense::<A>(q, flow, padded);
                             flow.advance(next);
                             continue;
                         }
@@ -485,25 +493,26 @@ impl BatchRunner {
                         let dst = &mut floats_next[r0 * nout..(r0 + LANES) * nout];
                         match mul {
                             Some(mul) => {
-                                interleave_decode(xblock, nin, mul.book.slice(pool_f), tile_f);
-                                dense_mul_block(&mul.weights, b, tile_f, dst, nout);
+                                let book = mul.book.slice(pool_f);
+                                interleave(xblock, nin, tile_f, |x| book[usize::from(x)]);
+                                let tile = tile_f.as_chunks::<LANES>().0;
+                                dense_block(&mul.weights, b, tile, dst, nout, |w| move |x| w * x);
                             }
                             None => {
-                                interleave(xblock, nin, tile);
-                                dense_block_gather(pool_f, table, wcodes, b, dst, nout, tile);
+                                interleave(xblock, nin, tile, |x| x);
+                                let tile = tile.as_chunks::<LANES>().0;
+                                let row = |w| products::<LANES>(pool_f, table, w);
+                                dense_block(wcodes, b, tile, dst, nout, row);
                             }
                         }
                         r0 += LANES;
                     }
+                    // The rows below a block: each is a one-lane tile.
                     for r in r0..padded {
-                        dense_row(
-                            pool_f,
-                            table,
-                            wcodes,
-                            b,
-                            &codes[r * nin..(r + 1) * nin],
-                            &mut floats_next[r * nout..(r + 1) * nout],
-                        );
+                        let xrow = codes[r * nin..(r + 1) * nin].as_chunks::<1>().0;
+                        let dst = &mut floats_next[r * nout..(r + 1) * nout];
+                        let row = |w| products::<1>(pool_f, table, w);
+                        dense_block(wcodes, b, xrow, dst, nout, row);
                     }
                     finish_neuron(pool_f, act, encoder, levels, flow, keys, act_keys);
                 }
@@ -521,39 +530,22 @@ impl BatchRunner {
                     let floats_next = &mut flow.floats_next;
                     let wcodes = weight_codes.slice(&program.codes);
                     let b = bias.slice(pool_f);
-                    let in_vol = g.in_volume();
-                    let nout = out_channels * g.out_pixels();
+                    let (oc, z, in_vol) = (*out_channels, *zero_code, g.in_volume());
+                    let nout = oc * g.out_pixels();
                     refill(floats_next, padded * nout);
                     let mut r0 = 0usize;
                     while r0 + LANES <= padded {
-                        conv_block(
-                            pool_f,
-                            g,
-                            *out_channels,
-                            wcodes,
-                            b,
-                            tables,
-                            *zero_code,
-                            &codes[r0 * in_vol..(r0 + LANES) * in_vol],
-                            &mut floats_next[r0 * nout..(r0 + LANES) * nout],
-                            in_vol,
-                            nout,
-                            tile,
-                        );
+                        let xblock = &codes[r0 * in_vol..(r0 + LANES) * in_vol];
+                        let dst = &mut floats_next[r0 * nout..(r0 + LANES) * nout];
+                        interleave(xblock, in_vol, tile, |x| x);
+                        let tile = tile.as_chunks::<LANES>().0;
+                        conv_block(pool_f, g, oc, wcodes, b, tables, z, tile, dst, nout);
                         r0 += LANES;
                     }
                     for r in r0..padded {
-                        conv_row(
-                            pool_f,
-                            g,
-                            *out_channels,
-                            wcodes,
-                            b,
-                            tables,
-                            *zero_code,
-                            &codes[r * in_vol..(r + 1) * in_vol],
-                            &mut floats_next[r * nout..(r + 1) * nout],
-                        );
+                        let xrow = codes[r * in_vol..(r + 1) * in_vol].as_chunks::<1>().0;
+                        let dst = &mut floats_next[r * nout..(r + 1) * nout];
+                        conv_block(pool_f, g, oc, wcodes, b, tables, z, xrow, dst, nout);
                     }
                     finish_neuron(pool_f, act, encoder, levels, flow, keys, act_keys);
                 }
@@ -655,6 +647,30 @@ impl BatchRunner {
     }
 }
 
+/// The batch executor's one entry, run by [`lanes::run`] on the lane
+/// body this CPU executes: encodes the inputs, when given, into the
+/// runner's flow, then runs the op range over it, for `padded` rows.
+struct Exec<'a>(
+    &'a mut BatchRunner,
+    &'a CompiledModel,
+    Option<&'a [f32]>,
+    Range<usize>,
+    usize,
+);
+
+impl LaneWork for Exec<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<A: Acc>(self) {
+        let Exec(runner, model, inputs, ops, padded) = self;
+        if let Some(inputs) = inputs {
+            runner.encode(model, inputs, padded);
+        }
+        runner.exec_ops::<A>(model, ops, padded);
+    }
+}
+
 /// Rows the kernels actually execute for a `rows`-sample batch: padded
 /// to a whole number of [`LANES`]-row blocks so the final partial block
 /// runs through the block kernels instead of the serial row path. Pad
@@ -752,69 +768,52 @@ fn plan(model: &CompiledModel) -> Plan {
     p
 }
 
-/// Dense table gather over one [`LANES`]-row block: for each output
-/// neuron, [`LANES`] accumulators live in a local array while the weight
-/// loop runs innermost, so the block's add chains are independent and
-/// the current table row is shared by all lanes. The block's codes come
-/// transposed into the interleaved `tile` ([`interleave`]: feature-major,
-/// lane-minor), so the hot loop reads one contiguous `LANES`-code group
-/// per weight — `chunks_exact` makes the lane indices provably in-bounds.
-#[inline]
-fn dense_block_gather(
-    pool_f: &[f32],
-    table: &TableRef,
-    wcodes: &[u16],
+/// One block of `L` rows of a dense op, read from the interleaved
+/// `tile` ([`interleave`]: one `L`-lane group per input feature). For
+/// each output, `L` accumulators start at its bias and add `row(w)(x)`,
+/// the product of weight `w` and a lane's input `x`, over its weights in
+/// ascending order — the order per-sample inference adds in. They live
+/// in a local array while the weight loop runs innermost, so the
+/// block's add chains are independent and one weight's row serves every
+/// lane; [`OBLOCK`] outputs share each pass over the tile, an odd last
+/// output takes it alone. `row` is the table gather, or for a table
+/// that factors the multiply by the decoded weight ([`DenseMul`]): a
+/// pure mul-add stream the compiler turns into packed arithmetic. At
+/// `L = 1` the same code is the serial row path.
+fn dense_block<const L: usize, W: Copy, X: Copy, F: Fn(X) -> f32>(
+    weights: &[W],
     bias: &[f32],
+    tile: &[[X; L]],
     dst: &mut [f32],
     nout: usize,
-    tile: &[u16],
+    row: impl Fn(W) -> F,
 ) {
-    let nin = tile.len() / LANES;
-    // Output neurons go in groups of OBLOCK sharing one pass over the
-    // block's codes: each lane's load feeds OBLOCK accumulator blocks,
-    // dividing the per-product bookkeeping. Each accumulator still sums
-    // its weights in ascending order, so per-output results are
-    // unchanged.
+    let nin = tile.len();
     let mut o = 0usize;
     while o + OBLOCK <= nout {
-        let w0 = &wcodes[o * nin..(o + 1) * nin];
-        let w1 = &wcodes[(o + 1) * nin..(o + 2) * nin];
-        let mut acc0 = [bias[o]; LANES];
-        let mut acc1 = [bias[o + 1]; LANES];
-        for ((xs, &wa), &wb) in tile.chunks_exact(LANES).zip(w0).zip(w1) {
-            let ta = table.row(pool_f, usize::from(wa));
-            let tb = table.row(pool_f, usize::from(wb));
-            // Fold the lane group into two words so the eight code
-            // loads become two 64-bit loads plus shifts, easing the
-            // pressure on the load ports (the loop's throughput limit).
-            let lo = u64::from(xs[0])
-                | u64::from(xs[1]) << 16
-                | u64::from(xs[2]) << 32
-                | u64::from(xs[3]) << 48;
-            let hi = u64::from(xs[4])
-                | u64::from(xs[5]) << 16
-                | u64::from(xs[6]) << 32
-                | u64::from(xs[7]) << 48;
-            for l in 0..LANES {
-                let word = if l < 4 { lo } else { hi };
-                let x = (word >> (16 * (l & 3))) as u16 as usize;
-                acc0[l] += ta[x];
-                acc1[l] += tb[x];
+        let w0 = &weights[o * nin..(o + 1) * nin];
+        let w1 = &weights[(o + 1) * nin..(o + 2) * nin];
+        let mut acc0 = [bias[o]; L];
+        let mut acc1 = [bias[o + 1]; L];
+        for ((xs, &wa), &wb) in tile.iter().zip(w0).zip(w1) {
+            let (ra, rb) = (row(wa), row(wb));
+            for l in 0..L {
+                acc0[l] += ra(xs[l]);
+                acc1[l] += rb(xs[l]);
             }
         }
-        for l in 0..LANES {
+        for l in 0..L {
             dst[l * nout + o] = acc0[l];
             dst[l * nout + o + 1] = acc1[l];
         }
         o += OBLOCK;
     }
     while o < nout {
-        let wrow = &wcodes[o * nin..(o + 1) * nin];
-        let mut acc = [bias[o]; LANES];
-        for (xs, &w) in tile.chunks_exact(LANES).zip(wrow) {
-            let trow = table.row(pool_f, usize::from(w));
-            for (l, a) in acc.iter_mut().enumerate() {
-                *a += trow[xs[l] as usize];
+        let mut acc = [bias[o]; L];
+        for (xs, &w) in tile.iter().zip(&weights[o * nin..(o + 1) * nin]) {
+            let r = row(w);
+            for (a, &x) in acc.iter_mut().zip(xs) {
+                *a += r(x);
             }
         }
         for (l, &a) in acc.iter().enumerate() {
@@ -824,14 +823,35 @@ fn dense_block_gather(
     }
 }
 
+/// Weight code `w`'s products by input code, for a block of `L` rows.
+/// A block's lanes share one bounds-checked table row; a lone row
+/// indexes the pool directly, as [`TableRef::fetch`] does (each
+/// measured the faster there).
+#[inline(always)]
+fn products<'a, const L: usize>(pool: &'a [f32], t: &TableRef, w: u16) -> impl Fn(u16) -> f32 + 'a {
+    let start = t.offset + usize::from(w) * t.input_count;
+    let (row, base) = match L {
+        1 => (pool, start),
+        _ => (&pool[start..start + t.input_count], 0),
+    };
+    move |x| row[base + usize::from(x)]
+}
+
 /// Transposes a row-major `LANES`-row block of codes into the
-/// interleaved tile layout `tile[i * LANES + l] = block[l * width + i]`,
-/// putting all lanes of one feature side by side.
-fn interleave(xblock: &[u16], width: usize, tile: &mut Vec<u16>) {
+/// interleaved tile layout `tile[i * LANES + l] = map(block[l * width + i])`,
+/// putting all lanes of one feature side by side. `map` decodes for the
+/// `f32` multiply: the block was encoded through the book it reads, so
+/// the analyzer's code-domain proof covers the index.
+fn interleave<T: Copy + Default>(
+    xblock: &[u16],
+    width: usize,
+    tile: &mut Vec<T>,
+    map: impl Fn(u16) -> T,
+) {
     refill(tile, width * LANES);
     for (l, xrow) in xblock.chunks_exact(width).enumerate() {
         for (i, &x) in xrow.iter().enumerate() {
-            tile[i * LANES + l] = x;
+            tile[i * LANES + l] = map(x);
         }
     }
 }
@@ -844,7 +864,7 @@ fn interleave(xblock: &[u16], width: usize, tile: &mut Vec<u16>) {
 pub(crate) struct DenseMul {
     /// Codebook the op's input codes decode through.
     pub(crate) book: Span,
-    /// The decoded `outputs × inputs` weight matrix [`dense_mul_block`]
+    /// The decoded `outputs × inputs` weight matrix [`dense_block`]
     /// streams through: each weight code's recovered factor.
     pub(crate) weights: Vec<f32>,
 }
@@ -888,111 +908,34 @@ pub(crate) fn lower(program: &Program<'_>) -> Vec<Kernel> {
     program.ops.iter().zip(&program.flow()).map(lower).collect()
 }
 
-/// [`interleave`] fused with a codebook decode, producing the `f32`
-/// tile the factored dense path multiplies against:
-/// `tile_f[i * LANES + l] = book[block[l * width + i]]`. The block was
-/// encoded through `book`, so the analyzer's code-domain proof covers
-/// the index.
-fn interleave_decode(xblock: &[u16], width: usize, book: &[f32], tile_f: &mut Vec<f32>) {
-    refill(tile_f, width * LANES);
-    for (l, xrow) in xblock.chunks_exact(width).enumerate() {
-        for (i, &x) in xrow.iter().enumerate() {
-            tile_f[i * LANES + l] = book[usize::from(x)];
-        }
-    }
-}
-
-/// Multiply-accumulate form of [`dense_block_gather`] for factored
-/// tables: `acc += w · x` on the decoded weight matrix and tile. Every
-/// product is bitwise equal to the table entry the gather would have
-/// loaded (see [`DenseMul`]) and each accumulator
-/// still sums its weights in ascending order, so results are unchanged
-/// — but the inner loop is a pure mul-add stream the compiler turns
-/// into packed vector arithmetic, with no loads serialised behind
-/// gathered indices.
-fn dense_mul_block(wdec: &[f32], bias: &[f32], tile_f: &[f32], dst: &mut [f32], nout: usize) {
-    let nin = tile_f.len() / LANES;
-    let mut o = 0usize;
-    while o + OBLOCK <= nout {
-        let w0 = &wdec[o * nin..(o + 1) * nin];
-        let w1 = &wdec[(o + 1) * nin..(o + 2) * nin];
-        let mut acc0 = [bias[o]; LANES];
-        let mut acc1 = [bias[o + 1]; LANES];
-        for ((xs, &wa), &wb) in tile_f.chunks_exact(LANES).zip(w0).zip(w1) {
-            for l in 0..LANES {
-                acc0[l] += wa * xs[l];
-                acc1[l] += wb * xs[l];
-            }
-        }
-        for l in 0..LANES {
-            dst[l * nout + o] = acc0[l];
-            dst[l * nout + o + 1] = acc1[l];
-        }
-        o += OBLOCK;
-    }
-    while o < nout {
-        let wrow = &wdec[o * nin..(o + 1) * nin];
-        let mut acc = [bias[o]; LANES];
-        for (xs, &wa) in tile_f.chunks_exact(LANES).zip(wrow) {
-            for (l, a) in acc.iter_mut().enumerate() {
-                *a += wa * xs[l];
-            }
-        }
-        for (l, &a) in acc.iter().enumerate() {
-            dst[l * nout + o] = a;
-        }
-        o += 1;
-    }
-}
-
-/// Dense over a single row: the serial per-sample chain, used for
-/// `rows == 1` and the tail of a batch that doesn't fill a block.
-fn dense_row(
-    pool_f: &[f32],
-    table: &TableRef,
-    wcodes: &[u16],
-    bias: &[f32],
-    xrow: &[u16],
-    dst: &mut [f32],
-) {
-    let nin = xrow.len();
-    for (o, d) in dst.iter_mut().enumerate() {
-        let wrow = &wcodes[o * nin..(o + 1) * nin];
-        let mut acc = bias[o];
-        for (&w, &x) in wrow.iter().zip(xrow) {
-            acc += table.fetch(pool_f, usize::from(w), usize::from(x));
-        }
-        *d = acc;
-    }
-}
-
 /// Runs one analyzer-licensed dense op over the padded batch: runs
-/// [`quant_dense_exec`] with the finish the plan baked — dequantize,
+/// [`madd_rows`] with the finish the plan baked — dequantize,
 /// dequantize + ReLU, or the output of the accumulator's run
 /// ([`run_of`]), already what the next op reads — into the scratch
 /// buffer of that domain.
-fn quant_dense(q: &QuantOp, flow: &mut Flow, padded: usize) {
+#[inline(always)]
+fn quant_dense<A: Acc>(q: &QuantOp, flow: &mut Flow, padded: usize) {
     let quants = &flow.quants;
     match &q.finish {
         QuantFinish::Dequant { inv } => {
             let (dst, inv) = (&mut flow.floats_next, *inv);
-            quant_dense_exec(q, quants, dst, padded, move |a| a as f32 * inv);
+            madd_rows::<A, _>(q, quants, dst, padded, move |a| a as f32 * inv);
         }
         QuantFinish::DequantRelu { inv } => {
             let (dst, inv) = (&mut flow.floats_next, *inv);
-            quant_dense_exec(q, quants, dst, padded, move |a| (a as f32 * inv).max(0.0));
+            madd_rows::<A, _>(q, quants, dst, padded, move |a| (a as f32 * inv).max(0.0));
         }
         QuantFinish::Runs { edges, out } => {
             let run = |a| run_of(edges, a);
             match out {
                 LutOut::Codes(o) => {
-                    quant_dense_exec(q, quants, &mut flow.codes_next, padded, |a| o[run(a)]);
+                    madd_rows::<A, _>(q, quants, &mut flow.codes_next, padded, |a| o[run(a)]);
                 }
                 LutOut::Quants(o) => {
-                    quant_dense_exec(q, quants, &mut flow.quants_next, padded, |a| o[run(a)]);
+                    madd_rows::<A, _>(q, quants, &mut flow.quants_next, padded, |a| o[run(a)]);
                 }
                 LutOut::Floats(o) => {
-                    quant_dense_exec(q, quants, &mut flow.floats_next, padded, |a| o[run(a)]);
+                    madd_rows::<A, _>(q, quants, &mut flow.floats_next, padded, |a| o[run(a)]);
                 }
             }
         }
@@ -1009,7 +952,8 @@ fn quant_dense(q: &QuantOp, flow: &mut Flow, padded: usize) {
 /// accumulator, and the batch path stays bit-for-bit identical to
 /// per-sample execution — the property the f32 kernels only get by
 /// fixing the summation order.
-fn quant_dense_exec<T: Copy + Default>(
+#[inline(always)]
+fn madd_rows<A: Acc, T: Copy + Default>(
     q: &QuantOp,
     quants: &[i16],
     dst: &mut Vec<T>,
@@ -1025,13 +969,13 @@ fn quant_dense_exec<T: Copy + Default>(
     while r0 + TILE_ROWS <= padded {
         let xs = &quants[r0 * nin..(r0 + TILE_ROWS) * nin];
         let dst = &mut dst[r0 * nout..(r0 + TILE_ROWS) * nout];
-        madd_tile::<TILE_ROWS, _>(&q.weights, &q.bias_q, xs, dst, nout, finish);
+        madd_tile::<A, TILE_ROWS, _>(q, xs, dst, finish);
         r0 += TILE_ROWS;
     }
     for r in r0..padded {
         let xs = &quants[r * nin..(r + 1) * nin];
         let dst = &mut dst[r * nout..(r + 1) * nout];
-        madd_tile::<1, _>(&q.weights, &q.bias_q, xs, dst, nout, finish);
+        madd_tile::<A, 1, _>(q, xs, dst, finish);
     }
 }
 
@@ -1049,33 +993,38 @@ pub(crate) fn run_of(edges: &[[i32; EDGE_LANES]], acc: i32) -> usize {
         for (b, &e) in below.iter_mut().zip(group) {
             *b += u32::from(e <= acc);
         }
+        // Keeps the group as the vector: without a barrier, inside the
+        // AVX2 frame the loop vectorizer takes eight groups as its lanes
+        // and transposes them (64-edge finishes: 37 µs for a 64-row
+        // 16 → 24 op against 12 µs with it).
+        std::hint::black_box(());
     }
     below.iter().sum::<u32>() as usize
 }
 
 /// Integer Madd over a register-blocked tile of `R` operand rows (`xs`,
-/// `R × nin`, read where they lie in the flow): output neurons go two at a time, and for each pair one
-/// sweep over `nin` in 8-lane steps keeps `R × 2` vector accumulators
+/// `R × nin`, read where they lie in the flow): output neurons go two
+/// at a time, and for each pair one sweep over `nin` in 16-lane steps
+/// ([`Acc::madd`]) keeps `R × 2` vector accumulators
 /// live, so a weight vector is loaded once per `R` rows and the lanes
 /// are folded once per (row, output). Weights stay in their row-major
 /// `nout × nin` layout; an odd last output takes the same sweep alone.
-fn madd_tile<const R: usize, T: Copy>(
-    weights: &[i16],
-    bias_q: &[i32],
+#[inline(always)]
+fn madd_tile<A: Acc, const R: usize, T: Copy>(
+    q: &QuantOp,
     xs: &[i16],
     dst: &mut [T],
-    nout: usize,
     finish: impl Fn(i32) -> T,
 ) {
-    let nin = xs.len() / R;
+    let (nin, nout) = (q.nin, q.nout);
     let xs: [&[i16]; R] = std::array::from_fn(|r| &xs[r * nin..(r + 1) * nin]);
     let mut o = 0usize;
     while o + OBLOCK <= nout {
-        madd_outputs::<R, OBLOCK, _>(weights, bias_q, &xs, dst, nout, o, &finish);
+        madd_outputs::<A, R, OBLOCK, _>(q, &xs, dst, o, &finish);
         o += OBLOCK;
     }
     if o < nout {
-        madd_outputs::<R, 1, _>(weights, bias_q, &xs, dst, nout, o, &finish);
+        madd_outputs::<A, R, 1, _>(q, &xs, dst, o, &finish);
     }
 }
 
@@ -1089,21 +1038,19 @@ fn madd_tile<const R: usize, T: Copy>(
 /// where a wrong license would overflow, so debug builds recompute
 /// each sum in `i64` and compare.
 #[inline(always)]
-fn madd_outputs<const R: usize, const O: usize, T: Copy>(
-    weights: &[i16],
-    bias_q: &[i32],
+fn madd_outputs<A: Acc, const R: usize, const O: usize, T: Copy>(
+    q: &QuantOp,
     xs: &[&[i16]; R],
     dst: &mut [T],
-    nout: usize,
     o: usize,
     finish: &impl Fn(i32) -> T,
 ) {
-    let nin = xs[0].len();
+    let (nin, nout, weights, bias_q) = (q.nin, q.nout, &q.weights, &q.bias_q);
     let ws: [&[i16]; O] = std::array::from_fn(|j| &weights[(o + j) * nin..(o + j + 1) * nin]);
-    let wv: [&[[i16; 8]]; O] = std::array::from_fn(|j| ws[j].as_chunks().0);
-    let xv: [&[[i16; 8]]; R] = std::array::from_fn(|r| xs[r].as_chunks().0);
-    let steps = nin / 8;
-    let mut acc = [[Acc::zero(); O]; R];
+    let wv: [&[[i16; 16]]; O] = std::array::from_fn(|j| ws[j].as_chunks().0);
+    let xv: [&[[i16; 16]]; R] = std::array::from_fn(|r| xs[r].as_chunks().0);
+    let (steps, tail) = (nin / 16, nin % 16);
+    let mut acc = [[A::zero(); O]; R];
     for k in 0..steps {
         for r in 0..R {
             for j in 0..O {
@@ -1111,11 +1058,27 @@ fn madd_outputs<const R: usize, const O: usize, T: Copy>(
             }
         }
     }
+    // The last `tail` operands of a row with a whole step take one more,
+    // over the row's last sixteen against the op's tails, zero where a
+    // step already counted (summed scalar, a 64-row 24-wide deep-mlp op
+    // took 16.6 µs against 12.0). A row shorter than one step is summed
+    // scalar.
+    if steps > 0 && tail > 0 {
+        let tails = &q.tails[o..o + O];
+        for (acc, xs) in acc.iter_mut().zip(xs) {
+            let x = &xs[nin - 16..].as_chunks::<16>().0[0];
+            for (acc, w) in acc.iter_mut().zip(tails) {
+                acc.madd(w, x);
+            }
+        }
+    }
     for r in 0..R {
         for j in 0..O {
             let mut sum = bias_q[o + j] + acc[r][j].sum();
-            for i in steps * 8..nin {
-                sum += i32::from(ws[j][i]) * i32::from(xs[r][i]);
+            if steps == 0 {
+                for (&w, &x) in ws[j].iter().zip(xs[r]) {
+                    sum += i32::from(w) * i32::from(x);
+                }
             }
             debug_assert_eq!(
                 i64::from(sum),
@@ -1132,12 +1095,13 @@ fn madd_outputs<const R: usize, const O: usize, T: Copy>(
     }
 }
 
-/// Convolution over one [`LANES`]-row block, mirroring [`dense_block_gather`]:
-/// per output pixel, the tap loop runs innermost over a register block
-/// of accumulators reading contiguous lane groups from the interleaved
-/// tile; padding taps add the same product to every lane.
+/// Convolution over one block of `L` rows, mirroring [`dense_block`]:
+/// per output channel and pixel, the tap loop runs innermost over `L`
+/// accumulators reading each tap's lane group from the interleaved
+/// tile; a padding tap adds the same product to every lane. At `L = 1`
+/// the same code is the serial row path.
 #[allow(clippy::too_many_arguments)]
-fn conv_block(
+fn conv_block<const L: usize>(
     pool_f: &[f32],
     g: &Geom,
     out_channels: usize,
@@ -1145,124 +1109,43 @@ fn conv_block(
     bias: &[f32],
     tables: &[TableRef],
     zero_code: u16,
-    xblock: &[u16],
-    dst: &mut [f32],
-    in_vol: usize,
-    nout: usize,
-    tile: &mut Vec<u16>,
-) {
-    interleave(xblock, in_vol, tile);
-    let patch_len = g.patch_len();
-    for oc in 0..out_channels {
-        let wrow = &wcodes[oc * patch_len..(oc + 1) * patch_len];
-        conv_channel_block(
-            pool_f,
-            g,
-            &tables[oc],
-            wrow,
-            bias[oc],
-            zero_code,
-            tile,
-            dst,
-            nout,
-            oc,
-        );
-    }
-}
-
-/// Tap loop of [`conv_block`] for one output channel.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn conv_channel_block(
-    pool_f: &[f32],
-    g: &Geom,
-    table: &TableRef,
-    wrow: &[u16],
-    bias: f32,
-    zero_code: u16,
-    tile: &[u16],
+    tile: &[[u16; L]],
     dst: &mut [f32],
     nout: usize,
-    oc: usize,
 ) {
-    let pixels = g.out_pixels();
-    let (c, h, w) = (g.in_channels, g.in_height, g.in_width);
-    for oy in 0..g.out_height {
-        for ox in 0..g.out_width {
-            let mut acc = [bias; LANES];
-            let mut k = 0usize;
-            for ic in 0..c {
-                for kh in 0..g.kernel_h {
-                    let iy = (oy * g.stride + kh) as isize - g.pad as isize;
-                    for kw in 0..g.kernel_w {
-                        let ix = (ox * g.stride + kw) as isize - g.pad as isize;
-                        let trow = table.row(pool_f, usize::from(wrow[k]));
-                        k += 1;
-                        if iy >= 0 && ix >= 0 && (iy as usize) < h && (ix as usize) < w {
-                            let src = ic * h * w + iy as usize * w + ix as usize;
-                            let xs: &[u16; LANES] = tile[src * LANES..(src + 1) * LANES]
-                                .try_into()
-                                .expect("lane group");
-                            for (l, a) in acc.iter_mut().enumerate() {
-                                *a += trow[xs[l] as usize];
-                            }
-                        } else {
-                            let pad_v = trow[zero_code as usize];
-                            for a in acc.iter_mut() {
-                                *a += pad_v;
-                            }
-                        }
-                    }
-                }
-            }
-            let pixel = oc * pixels + oy * g.out_width + ox;
-            for (l, &a) in acc.iter().enumerate() {
-                dst[l * nout + pixel] = a;
-            }
-        }
-    }
-}
-
-/// Convolution over a single row (`rows == 1` and block tails).
-#[allow(clippy::too_many_arguments)]
-fn conv_row(
-    pool_f: &[f32],
-    g: &Geom,
-    out_channels: usize,
-    wcodes: &[u16],
-    bias: &[f32],
-    tables: &[TableRef],
-    zero_code: u16,
-    xrow: &[u16],
-    dst: &mut [f32],
-) {
-    let patch_len = g.patch_len();
-    let pixels = g.out_pixels();
+    let (patch_len, pixels) = (g.patch_len(), g.out_pixels());
     let (c, h, w) = (g.in_channels, g.in_height, g.in_width);
     for oc in 0..out_channels {
-        let table = &tables[oc];
         let wrow = &wcodes[oc * patch_len..(oc + 1) * patch_len];
         for oy in 0..g.out_height {
             for ox in 0..g.out_width {
-                let mut acc = bias[oc];
+                let mut acc = [bias[oc]; L];
                 let mut k = 0usize;
                 for ic in 0..c {
                     for kh in 0..g.kernel_h {
                         let iy = (oy * g.stride + kh) as isize - g.pad as isize;
                         for kw in 0..g.kernel_w {
                             let ix = (ox * g.stride + kw) as isize - g.pad as isize;
-                            let xcode =
-                                if iy >= 0 && ix >= 0 && (iy as usize) < h && (ix as usize) < w {
-                                    xrow[ic * h * w + iy as usize * w + ix as usize]
-                                } else {
-                                    zero_code
-                                };
-                            acc += table.fetch(pool_f, usize::from(wrow[k]), usize::from(xcode));
+                            let trow = products::<L>(pool_f, &tables[oc], wrow[k]);
                             k += 1;
+                            if iy >= 0 && ix >= 0 && (iy as usize) < h && (ix as usize) < w {
+                                let xs = &tile[ic * h * w + iy as usize * w + ix as usize];
+                                for (a, &x) in acc.iter_mut().zip(xs) {
+                                    *a += trow(x);
+                                }
+                            } else {
+                                let pad_v = trow(zero_code);
+                                for a in acc.iter_mut() {
+                                    *a += pad_v;
+                                }
+                            }
                         }
                     }
                 }
-                dst[oc * pixels + oy * g.out_width + ox] = acc;
+                let pixel = oc * pixels + oy * g.out_width + ox;
+                for (l, &a) in acc.iter().enumerate() {
+                    dst[l * nout + pixel] = a;
+                }
             }
         }
     }
@@ -1417,12 +1300,29 @@ mod tests {
     use crate::artifact::nearest;
     use rapidnn_prop::{check, usize_in, SeededRng};
 
-    /// The integer Madd op — tiles, single rows, 8-lane body, scalar
+    /// [`quant_dense`] over its own copy of the operand rows, on the
+    /// lane body [`lanes::each_body`] hands it.
+    struct Dense<'a>(&'a QuantOp, &'a [i16], usize);
+
+    impl LaneWork for Dense<'_> {
+        type Out = Flow;
+
+        fn run<A: Acc>(self) -> Flow {
+            let mut flow = Flow::default();
+            flow.quants.extend_from_slice(self.1);
+            quant_dense::<A>(self.0, &mut flow, self.2);
+            flow
+        }
+    }
+
+    /// The integer Madd op — tiles, single rows, 16-lane step, scalar
     /// tails, odd last output, every finish — reading operand rows in
     /// place equals the two-step reference: each code through `xq`,
     /// then a plain `i64` dot product put through the same finish (a
     /// run found by a linear scan of its edges), at every row count
-    /// around the tile and block sizes and every `nin`/`nout` remainder.
+    /// around the tile and block sizes, every `nin % 16` class around
+    /// the step and every `nout` remainder, on each lane body the CPU
+    /// executes.
     #[test]
     fn madd_tile_matches_i64_reference_dot() {
         const BOOK: usize = 8;
@@ -1435,8 +1335,7 @@ mod tests {
         let draw = |rng: &mut SeededRng, mag: usize| rng.index(2 * mag + 1) as i32 - mag as i32;
         check(4, |rng| {
             let mut kind = usize_in(rng, 0, KINDS);
-            let mut flow = Flow::default();
-            for nin in [1usize, 7, 8, 9, 24, 100, 784] {
+            for nin in [1usize, 7, 8, 9, 15, 16, 17, 24, 33, 100, 784] {
                 // Largest operands that keep every |sum| inside 2^30.
                 let mag = (((1u64 << 29) / nin as u64).isqrt() as usize).min(i16::MAX as usize);
                 for nout in [1usize, 2, 3, 10, 32] {
@@ -1464,19 +1363,12 @@ mod tests {
                                 (0..RUNS).map(|i| i as f32 * 0.37 - 9.0).collect(),
                             )),
                         };
-                        let q = QuantOp {
-                            nin,
-                            nout,
-                            weights: weights.clone(),
-                            xq: xq.clone(),
-                            bias_q: bias_q.clone(),
-                            finish,
-                        };
+                        let (w, b) = (weights.clone(), bias_q.clone());
+                        let q = QuantOp::new(nin, nout, w, xq.clone(), b, finish);
                         let input: Vec<u16> =
                             (0..rows * nin).map(|_| rng.index(BOOK) as u16).collect();
-                        flow.quants.clear();
-                        flow.quants.extend(input.iter().map(|&c| level_of(&xq, c)));
-                        quant_dense(&q, &mut flow, rows);
+                        let quants: Vec<i16> = input.iter().map(|&c| level_of(&xq, c)).collect();
+                        let flows = lanes::each_body(|| Dense(&q, &quants, rows));
                         for r in 0..rows {
                             for o in 0..nout {
                                 let w = &weights[o * nin..(o + 1) * nin];
@@ -1486,27 +1378,30 @@ mod tests {
                                         s + i64::from(w) * i64::from(xq[x as usize])
                                     });
                                 let acc = i32::try_from(dot).expect("inside the budget");
-                                let at = r * nout + o;
-                                let ctx = format!("rows={rows} nin={nin} nout={nout} r={r} o={o}");
-                                let run = scan(acc);
-                                let float = |want: f32| {
-                                    let got = flow.floats_next[at];
-                                    assert_eq!(got.to_bits(), want.to_bits(), "{ctx}");
-                                };
-                                match &q.finish {
-                                    QuantFinish::Dequant { inv } => float(acc as f32 * inv),
-                                    QuantFinish::DequantRelu { inv } => {
-                                        float((acc as f32 * inv).max(0.0));
+                                let (at, run) = (r * nout + o, scan(acc));
+                                for (body, flow) in flows.iter().enumerate() {
+                                    let ctx = format!(
+                                        "body={body} rows={rows} nin={nin} nout={nout} r={r} o={o}"
+                                    );
+                                    let float = |want: f32| {
+                                        let got = flow.floats_next[at];
+                                        assert_eq!(got.to_bits(), want.to_bits(), "{ctx}");
+                                    };
+                                    match &q.finish {
+                                        QuantFinish::Dequant { inv } => float(acc as f32 * inv),
+                                        QuantFinish::DequantRelu { inv } => {
+                                            float((acc as f32 * inv).max(0.0));
+                                        }
+                                        QuantFinish::Runs { out, .. } => match out {
+                                            LutOut::Codes(t) => {
+                                                assert_eq!(flow.codes_next[at], t[run], "{ctx}");
+                                            }
+                                            LutOut::Quants(t) => {
+                                                assert_eq!(flow.quants_next[at], t[run], "{ctx}");
+                                            }
+                                            LutOut::Floats(t) => float(t[run]),
+                                        },
                                     }
-                                    QuantFinish::Runs { out, .. } => match out {
-                                        LutOut::Codes(t) => {
-                                            assert_eq!(flow.codes_next[at], t[run], "{ctx}");
-                                        }
-                                        LutOut::Quants(t) => {
-                                            assert_eq!(flow.quants_next[at], t[run], "{ctx}");
-                                        }
-                                        LutOut::Floats(t) => float(t[run]),
-                                    },
                                 }
                             }
                         }

@@ -1,129 +1,179 @@
-//! The 8-lane `i16 × i16 → i32` multiply-accumulate step of the integer
-//! Madd tile kernel, behind a safe [`Acc`].
+//! The 16-lane `i16 × i16 → i32` multiply-accumulate step of the integer
+//! Madd tile kernel, and the batch executor's one entry.
 //!
-//! One [`Acc`] is four `i32` lanes; [`Acc::madd`] adds the pairwise
-//! products `a[2j]·b[2j] + a[2j+1]·b[2j+1]` into lane `j` and
-//! [`Acc::sum`] folds the lanes once, at the end of a dot product. All
-//! lane arithmetic wraps: the quant plan keeps every true sum inside
-//! `2^30`, so a licensed op never wraps, and the tile kernel re-checks
-//! that in `i64` under `debug_assertions`.
+//! An [`Acc`] is eight `i32` lanes: [`Acc::madd`] adds the pairwise
+//! products `a[2j]·b[2j] + a[2j+1]·b[2j+1]` into lane `j`, [`Acc::sum`]
+//! folds the lanes once, at the end of a dot product. All lane arithmetic
+//! wraps: the quant plan keeps every true sum inside `2^30`, so a
+//! licensed op never wraps, and the tile kernel re-checks that in `i64`
+//! under `debug_assertions`.
 //!
-//! On `x86_64` the body is SSE2 (`pmaddwd`/`paddd`), which is part of
-//! that architecture's baseline: no runtime detection. Everywhere else
-//! the [`portable`] body runs; it is compiled on every target and unit
-//! tested lane for lane against the SSE2 one.
+//! Two bodies: `Avx2` (`vpmaddwd`/`vpaddd`) on `x86_64`, and `Portable`,
+//! compiled everywhere and tested lane for lane against the AVX2 one.
+//! The executor takes the body as a type parameter ([`LaneWork`]) and is
+//! entered through [`run`], where the crate's one CPU feature check
+//! picks it. On an AVX2 CPU the op loop, the integer kernels and the
+//! input encoder are inlined into one `#[target_feature(enable =
+//! "avx2")]` frame, so the encoder's sweeps and the finish's edge count
+//! run at that width too (the `f32` kernels it calls keep their
+//! baseline code); the frame enables no FMA, so `f32` results keep
+//! their bits. Any other CPU runs the portable body, with the same bits.
 //!
 //! The one module in the crate allowed to use `unsafe`; the crate root
-//! is `#![deny(unsafe_code)]`.
+//! is `#![deny(unsafe_code)]`. `Avx2` is named only behind the check.
 #![allow(unsafe_code)]
 
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) use portable::Acc;
+/// Eight wrapping `i32` multiply-accumulate lanes.
+pub(crate) trait Acc: Copy {
+    fn zero() -> Self;
+    /// Adds `a[2j]·b[2j] + a[2j+1]·b[2j+1]` into lane `j`.
+    fn madd(&mut self, a: &[i16; 16], b: &[i16; 16]);
+    fn sum(self) -> i32;
+}
+
+/// Work generic over the lane body [`run`] picks. Its `run` and every
+/// kernel that takes the body are `#[inline(always)]`, so that they
+/// compile inside the AVX2 frame rather than being called from it.
+pub(crate) trait LaneWork {
+    type Out;
+    fn run<A: Acc>(self) -> Self::Out;
+}
+
+/// Runs `work` on the fastest lane body this CPU executes.
+pub(crate) fn run<W: LaneWork>(work: W) -> W::Out {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_detected() {
+        // SAFETY: the CPU executes AVX2.
+        return unsafe { avx2::enter(work) };
+    }
+    work.run::<Portable>()
+}
+
+/// `work()` run on every lane body this CPU executes, portable first.
+#[cfg(test)]
+pub(crate) fn each_body<W: LaneWork>(work: impl Fn() -> W) -> Vec<W::Out> {
+    let portable = work().run::<Portable>();
+    #[cfg(target_arch = "x86_64")]
+    if avx2_detected() {
+        // SAFETY: the CPU executes AVX2.
+        return vec![portable, unsafe { avx2::enter(work()) }];
+    }
+    vec![portable]
+}
+
 #[cfg(target_arch = "x86_64")]
-pub(crate) use sse2::Acc;
+fn avx2_detected() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
+}
 
-// Off x86_64 this is the kernel; on x86_64 only the tests use it.
-#[cfg_attr(all(target_arch = "x86_64", not(test)), allow(dead_code))]
-mod portable {
-    /// Four wrapping `i32` lanes.
-    #[derive(Clone, Copy)]
-    pub(crate) struct Acc(pub(super) [i32; 4]);
+#[derive(Clone, Copy)]
+struct Portable([i32; 8]);
 
-    impl Acc {
-        pub(crate) fn zero() -> Acc {
-            Acc([0; 4])
+impl Acc for Portable {
+    #[inline(always)]
+    fn zero() -> Self {
+        Portable([0; 8])
+    }
+
+    #[inline(always)]
+    fn madd(&mut self, a: &[i16; 16], b: &[i16; 16]) {
+        for (j, lane) in self.0.iter_mut().enumerate() {
+            let lo = i32::from(a[2 * j]) * i32::from(b[2 * j]);
+            let hi = i32::from(a[2 * j + 1]) * i32::from(b[2 * j + 1]);
+            *lane = lane.wrapping_add(lo.wrapping_add(hi));
         }
+    }
 
-        #[inline(always)]
-        pub(crate) fn madd(&mut self, a: &[i16; 8], b: &[i16; 8]) {
-            for (j, lane) in self.0.iter_mut().enumerate() {
-                let lo = i32::from(a[2 * j]) * i32::from(b[2 * j]);
-                let hi = i32::from(a[2 * j + 1]) * i32::from(b[2 * j + 1]);
-                *lane = lane.wrapping_add(lo.wrapping_add(hi));
-            }
-        }
-
-        #[inline(always)]
-        pub(crate) fn sum(self) -> i32 {
-            self.0.iter().fold(0i32, |s, &l| s.wrapping_add(l))
-        }
+    #[inline(always)]
+    fn sum(self) -> i32 {
+        self.0.iter().fold(0i32, |s, &l| s.wrapping_add(l))
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-mod sse2 {
+mod avx2 {
+    use super::{Acc, LaneWork};
     use std::arch::x86_64::{
-        __m128i, _mm_add_epi32, _mm_cvtsi128_si32, _mm_loadu_si128, _mm_madd_epi16,
-        _mm_setzero_si128, _mm_shuffle_epi32,
+        __m256i, _mm256_add_epi32, _mm256_castsi256_si128, _mm256_extracti128_si256,
+        _mm256_loadu_si256, _mm256_madd_epi16, _mm256_setzero_si256, _mm_add_epi32,
+        _mm_cvtsi128_si32, _mm_shuffle_epi32,
     };
 
-    /// Four wrapping `i32` lanes in one SSE register.
+    /// Eight lanes in one AVX2 register. Every `unsafe` below rests on
+    /// this type being named only in [`enter`] and in tests that check
+    /// for AVX2 first: a value of it exists only on a CPU with AVX2.
     #[derive(Clone, Copy)]
-    pub(crate) struct Acc(__m128i);
+    pub(super) struct Avx2(pub(super) __m256i);
 
-    impl Acc {
-        pub(crate) fn zero() -> Acc {
-            // SAFETY: SSE2 is architecturally part of x86_64, so every
-            // CPU this `cfg` compiles for executes the instruction.
-            Acc(unsafe { _mm_setzero_si128() })
+    /// Runs `work` on the AVX2 body, compiling what it inlines for AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn enter<W: LaneWork>(work: W) -> W::Out {
+        work.run::<Avx2>()
+    }
+
+    impl Acc for Avx2 {
+        #[inline(always)]
+        fn zero() -> Self {
+            // SAFETY: the CPU executes AVX2 (see `Avx2`).
+            Avx2(unsafe { _mm256_setzero_si256() })
         }
 
         #[inline(always)]
-        pub(crate) fn madd(&mut self, a: &[i16; 8], b: &[i16; 8]) {
-            // SAFETY: SSE2 is baseline on x86_64 (see `zero`). Each
-            // pointer comes from a reference to 16 readable bytes, and
-            // `loadu` has no alignment requirement.
+        fn madd(&mut self, a: &[i16; 16], b: &[i16; 16]) {
+            // SAFETY: as in `zero`. Each pointer comes from a reference
+            // to 32 readable bytes, and `loadu` needs no alignment.
             self.0 = unsafe {
-                let a = _mm_loadu_si128(a.as_ptr().cast());
-                let b = _mm_loadu_si128(b.as_ptr().cast());
-                _mm_add_epi32(self.0, _mm_madd_epi16(a, b))
+                let a = _mm256_loadu_si256(a.as_ptr().cast());
+                let b = _mm256_loadu_si256(b.as_ptr().cast());
+                _mm256_add_epi32(self.0, _mm256_madd_epi16(a, b))
             };
         }
 
         #[inline(always)]
-        pub(crate) fn sum(self) -> i32 {
-            // SAFETY: SSE2 is baseline on x86_64 (see `zero`); these
-            // are register-only operations.
+        fn sum(self) -> i32 {
+            // SAFETY: as in `zero`; register-only operations. Folds the
+            // upper 128 bits onto the lower, then halves, then lane 1.
             unsafe {
-                // Fold the upper half onto the lower, then lane 1 onto 0.
-                let s = _mm_add_epi32(self.0, _mm_shuffle_epi32::<0b00_00_11_10>(self.0));
+                let v = self.0;
+                let s = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+                let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b00_00_11_10>(s));
                 _mm_cvtsi128_si32(_mm_add_epi32(s, _mm_shuffle_epi32::<0b00_00_00_01>(s)))
             }
-        }
-
-        #[cfg(test)]
-        pub(super) fn lanes(self) -> [i32; 4] {
-            let mut out = [0i32; 4];
-            // SAFETY: SSE2 is baseline on x86_64 (see `zero`); `out` is
-            // 16 writable bytes and `storeu` needs no alignment.
-            unsafe { std::arch::x86_64::_mm_storeu_si128(out.as_mut_ptr().cast(), self.0) };
-            out
         }
     }
 }
 
 #[cfg(all(test, target_arch = "x86_64"))]
 mod tests {
-    use super::portable;
-    use super::sse2::Acc;
+    use super::avx2::Avx2;
+    use super::{avx2_detected, Acc, Portable};
     use rapidnn_prop::{check, SeededRng};
 
     /// Runs both bodies over the same vector pairs and compares the
-    /// lanes after every step, then the folded sum.
-    fn assert_same(pairs: &[([i16; 8], [i16; 8])]) {
-        let (mut fast, mut plain) = (Acc::zero(), portable::Acc::zero());
+    /// lanes after every step, then the folded sum. On a CPU without
+    /// AVX2 it says so and checks nothing.
+    fn assert_same(pairs: &[([i16; 16], [i16; 16])]) {
+        if !avx2_detected() {
+            eprintln!("skipped: this CPU does not execute AVX2");
+            return;
+        }
+        let (mut fast, mut plain) = (Avx2::zero(), Portable::zero());
         for (a, b) in pairs {
             fast.madd(a, b);
             plain.madd(a, b);
-            assert_eq!(fast.lanes(), plain.0, "a={a:?} b={b:?}");
+            let mut lanes = [0i32; 8];
+            // SAFETY: AVX2 was detected; `lanes` is 32 writable bytes
+            // and `storeu` needs no alignment.
+            unsafe { std::arch::x86_64::_mm256_storeu_si256(lanes.as_mut_ptr().cast(), fast.0) };
+            assert_eq!(lanes, plain.0, "a={a:?} b={b:?}");
         }
         assert_eq!(fast.sum(), plain.sum());
     }
 
     #[test]
-    fn portable_matches_sse2_on_random_vectors() {
+    fn portable_matches_avx2_on_random_vectors() {
         check(64, |rng: &mut SeededRng| {
-            let mut draw = || -> [i16; 8] {
+            let mut draw = || -> [i16; 16] {
                 std::array::from_fn(|_| (rng.index(1 << 16) as i32 - (1 << 15)) as i16)
             };
             let pairs: Vec<_> = (0..32).map(|_| (draw(), draw())).collect();
@@ -132,23 +182,23 @@ mod tests {
     }
 
     #[test]
-    fn portable_matches_sse2_on_extremes() {
+    fn portable_matches_avx2_on_extremes() {
         let ext = [i16::MIN, i16::MAX, -1, 0, 1];
         // Every extreme against every extreme in every lane pair,
-        // including the one wrapping case of `pmaddwd` itself:
+        // including the one wrapping case of `vpmaddwd` itself:
         // MIN·MIN + MIN·MIN = 2^31.
         for &x in &ext {
             for &y in &ext {
                 for &z in &ext {
-                    let a = [x, y, z, x, y, z, x, y];
-                    let b = [x, x, y, y, z, z, x, z];
+                    let a = [x, y, z, x, y, z, x, y, z, z, y, x, x, z, y, x];
+                    let b = [x, x, y, y, z, z, x, z, y, x, z, z, x, y, y, z];
                     assert_same(&[(a, b), (b, a), (a, a), (b, b)]);
                 }
             }
         }
         // Accumulator wrap: 2^31 added repeatedly walks the lanes
         // through i32::MIN and back.
-        assert_same(&[([i16::MIN; 8], [i16::MIN; 8]); 5]);
-        assert_same(&[([i16::MAX; 8], [i16::MAX; 8]); 9]);
+        assert_same(&[([i16::MIN; 16], [i16::MIN; 16]); 5]);
+        assert_same(&[([i16::MAX; 16], [i16::MAX; 16]); 9]);
     }
 }

@@ -64,8 +64,9 @@
 //! ```
 
 // `deny` rather than `forbid`: one module opts back in — `lanes`, for
-// the SSE2 multiply-add step of the integer tile kernel, which CI's
-// Miri job runs; everything else in the crate stays safe code.
+// the AVX2 multiply-add step of the integer tile kernel and the one
+// AVX2 entry to the batch executor, which CI's Miri job runs;
+// everything else in the crate stays safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -47,6 +47,40 @@ pub(crate) struct QuantOp {
     pub(crate) bias_q: Vec<i32>,
     /// How the accumulator leaves the op.
     pub(crate) finish: QuantFinish,
+    /// Per output, when `nin % 16` is not zero and `nin >= 16`: the
+    /// row's last sixteen weights with those a whole 16-lane step
+    /// already covers zeroed — the tile's last step (else empty).
+    pub(crate) tails: Vec<[i16; 16]>,
+}
+
+impl QuantOp {
+    /// An op over the `nout × nin` `weights`, with the tails they imply.
+    pub(crate) fn new(
+        nin: usize,
+        nout: usize,
+        weights: Vec<i16>,
+        xq: Vec<i16>,
+        bias_q: Vec<i32>,
+        finish: QuantFinish,
+    ) -> QuantOp {
+        let counted = 16 - nin % 16;
+        let tail =
+            |row: &[i16]| std::array::from_fn(|l| if l >= counted { row[nin - 16 + l] } else { 0 });
+        let tails = if nin >= 16 && counted < 16 {
+            weights.chunks_exact(nin).map(tail).collect()
+        } else {
+            Vec::new()
+        };
+        QuantOp {
+            nin,
+            nout,
+            weights,
+            xq,
+            bias_q,
+            finish,
+            tails,
+        }
+    }
 }
 
 /// Integer finish: one requantize/dequantize at the op boundary.
@@ -175,14 +209,7 @@ pub(crate) fn materialize(model: &mut CompiledModel, plan: &QuantPlan) {
                 finish_runs(pool_f, act, enc, next_xq, scale, (lo_q, shift, len))
             }
         };
-        kernels[oi] = Kernel::Madd(QuantOp {
-            nin: *inputs,
-            nout: *outputs,
-            weights,
-            xq,
-            bias_q,
-            finish,
-        });
+        kernels[oi] = Kernel::Madd(QuantOp::new(*inputs, *outputs, weights, xq, bias_q, finish));
     }
 }
 
