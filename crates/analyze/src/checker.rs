@@ -25,7 +25,7 @@
 
 use crate::diag::{DiagCode, Diagnostic, Report};
 use crate::interval::{f32_sum_slack, Interval};
-use crate::program::{Act, Geom, Op, Program, Span, TableRef};
+use crate::program::{Act, Geom, Neuron, Op, Program, Span, TableRef};
 use rapidnn_accel::DatapathModel;
 use rapidnn_core::nearest::{load_keys, nearest_range};
 
@@ -766,6 +766,158 @@ impl<'p> Checker<'p> {
         }
     }
 
+    /// A dense or conv op, walked as the [`Neuron`] both are: window,
+    /// widths and spans; per product table the codes of the channels
+    /// that read it and its row hulls; every channel's pre-activation
+    /// hull; then the activation and re-encode. Returns the flow the op
+    /// leaves and its width.
+    fn neuron(
+        &mut self,
+        i: usize,
+        n: &Neuron<'_>,
+        label: &str,
+        flow: Flow,
+        width: usize,
+    ) -> Result<(Flow, usize), Halt> {
+        let Flow::Codes { domain, reach, .. } = flow else {
+            return Err(self.error(
+                DiagCode::DomainMismatch,
+                Some(i),
+                format!("{label}: op consumes encoded codes but the flow is decoded floats"),
+            ));
+        };
+        let g = &n.window;
+        self.check_geom(i, g, label)?;
+        if g.in_volume() != width {
+            return Err(self.error(
+                DiagCode::ShapeMismatch,
+                Some(i),
+                format!(
+                    "{label}: expects {} inputs, flow width is {width}",
+                    g.in_volume()
+                ),
+            ));
+        }
+        if n.channels == 0 || n.tables.len() * n.group != n.channels {
+            return Err(self.error(
+                DiagCode::ShapeMismatch,
+                Some(i),
+                format!(
+                    "{label}: {} tables for {} output channels",
+                    n.tables.len(),
+                    n.channels
+                ),
+            ));
+        }
+        if n.zero_code as usize >= domain {
+            return Err(self.error(
+                DiagCode::IndexOutOfBounds,
+                Some(i),
+                format!(
+                    "{label}: zero-padding code {} out of range for domain {domain}",
+                    n.zero_code
+                ),
+            ));
+        }
+        let patch_len = g.patch_len();
+        let Some(expected) = n.channels.checked_mul(patch_len) else {
+            return Err(self.error(
+                DiagCode::SpanOutOfBounds,
+                Some(i),
+                format!("{label}: weight matrix size overflows"),
+            ));
+        };
+        if n.weight_codes.len != expected {
+            return Err(self.error(
+                DiagCode::ShapeMismatch,
+                Some(i),
+                format!(
+                    "{label}: weight-code span holds {} codes, expected {expected}",
+                    n.weight_codes.len
+                ),
+            ));
+        }
+        let wcodes = self.codes_span(Some(i), n.weight_codes, &format!("{label}: weight codes"))?;
+        // Padded windows read the zero column of every row.
+        let extra_col = (g.pad > 0).then_some(n.zero_code as usize);
+        let bias = self.check_bias(i, n.bias, n.channels, label)?;
+        let (mut pre, mut worst) = (None::<Interval>, 0.0f64);
+        let (mut unused_rows, mut total_rows) = (0usize, 0usize);
+        let readers = wcodes.chunks(n.group * patch_len);
+        for (t, (table, codes)) in n.tables.iter().zip(readers).enumerate() {
+            let table_label = format!("{label} table {t}");
+            self.check_table(i, table, domain, &table_label)?;
+            let mut used = vec![false; table.weight_count];
+            for &c in codes {
+                if c as usize >= table.weight_count {
+                    return Err(self.error(
+                        DiagCode::IndexOutOfBounds,
+                        Some(i),
+                        format!(
+                            "{table_label}: weight code {c} out of range for {}-row table",
+                            table.weight_count
+                        ),
+                    ));
+                }
+                used[c as usize] = true;
+            }
+            unused_rows += used.iter().filter(|u| !**u).count();
+            total_rows += table.weight_count;
+            let rows =
+                self.row_intervals(i, table, &used, domain, reach, extra_col, &table_label)?;
+            self.facts.ops[i].used_rows.push(used);
+            let channels = codes.chunks(patch_len).zip(&bias[t * n.group..]);
+            for (patch, &b) in channels {
+                let mut acc = Interval::point(f64::from(b));
+                let mut mag = f64::from(b).abs();
+                for &w in patch {
+                    // Used rows always carry an interval: reach is
+                    // non-empty. A padded window reads the zero column,
+                    // which is in every row's hull when pad > 0.
+                    let r = rows[w as usize].unwrap_or(Interval::zero());
+                    acc = acc + r;
+                    mag += r.magnitude();
+                }
+                worst = worst.max(mag);
+                pre = Some(pre.map_or(acc, |p| p.hull(acc)));
+            }
+        }
+        if unused_rows > 0 {
+            self.report.push_liveness(
+                Diagnostic::new(
+                    DiagCode::DeadTableRows,
+                    Some(i),
+                    format!(
+                        "{label}: {unused_rows} of {total_rows} product-table rows are referenced by no weight code",
+                    ),
+                ),
+                unused_rows,
+            );
+        }
+        let pre = pre.unwrap_or(Interval::zero());
+        self.check_datapath(i, patch_len, worst, label);
+        let Some(width) = n.channels.checked_mul(g.out_pixels()) else {
+            return Err(self.error(
+                DiagCode::SpanOutOfBounds,
+                Some(i),
+                format!("{label}: output volume overflows"),
+            ));
+        };
+        if width == 0 {
+            return Err(self.error(
+                DiagCode::ShapeMismatch,
+                Some(i),
+                format!("{label}: produces zero outputs"),
+            ));
+        }
+        // The kernel evaluates bias + `patch_len` products as one
+        // left-to-right f32 sum per output; `worst` bounds the
+        // magnitude sum of every output's terms.
+        let slack = f32_sum_slack(patch_len + 1, worst);
+        let flow = self.finish_neuron(i, Some(n.act), n.encoder, pre, slack, label)?;
+        Ok((flow, width))
+    }
+
     // ------------------------------------------------------------------
     // The walk
     // ------------------------------------------------------------------
@@ -792,256 +944,14 @@ impl<'p> Checker<'p> {
 
         for (i, op) in self.ops.iter().enumerate() {
             match op {
-                Op::Dense {
-                    inputs,
-                    outputs,
-                    weight_codes,
-                    bias,
-                    table,
-                    act,
-                    encoder,
-                } => {
-                    let Flow::Codes { domain, reach, .. } = flow else {
-                        return Err(self.error(
-                            DiagCode::DomainMismatch,
-                            Some(i),
-                            "dense: op consumes encoded codes but the flow is decoded floats"
-                                .to_string(),
-                        ));
+                Op::Dense { .. } | Op::Conv { .. } => {
+                    let n = op.neuron().expect("dense and conv ops are neurons");
+                    let label = if matches!(op, Op::Dense { .. }) {
+                        "dense"
+                    } else {
+                        "conv"
                     };
-                    if *inputs != width {
-                        return Err(self.error(
-                            DiagCode::ShapeMismatch,
-                            Some(i),
-                            format!("dense: expects {inputs} inputs, flow width is {width}"),
-                        ));
-                    }
-                    if *outputs == 0 {
-                        return Err(self.error(
-                            DiagCode::ShapeMismatch,
-                            Some(i),
-                            "dense: zero outputs".to_string(),
-                        ));
-                    }
-                    self.check_table(i, table, domain, "dense")?;
-                    let Some(expected) = inputs.checked_mul(*outputs) else {
-                        return Err(self.error(
-                            DiagCode::SpanOutOfBounds,
-                            Some(i),
-                            "dense: weight matrix size overflows".to_string(),
-                        ));
-                    };
-                    if weight_codes.len != expected {
-                        return Err(self.error(
-                            DiagCode::ShapeMismatch,
-                            Some(i),
-                            format!(
-                                "dense: weight-code span holds {} codes, expected {expected}",
-                                weight_codes.len
-                            ),
-                        ));
-                    }
-                    let wcodes = self.codes_span(Some(i), *weight_codes, "dense: weight codes")?;
-                    let mut used = vec![false; table.weight_count];
-                    for &c in wcodes {
-                        if c as usize >= table.weight_count {
-                            return Err(self.error(
-                                DiagCode::IndexOutOfBounds,
-                                Some(i),
-                                format!(
-                                    "dense: weight code {c} out of range for {}-row table",
-                                    table.weight_count
-                                ),
-                            ));
-                        }
-                        used[c as usize] = true;
-                    }
-                    let unused = used.iter().filter(|u| !**u).count();
-                    if unused > 0 {
-                        self.report.push_liveness(
-                            Diagnostic::new(
-                                DiagCode::DeadTableRows,
-                                Some(i),
-                                format!(
-                                    "dense: {unused} of {} product-table rows are referenced by no weight code",
-                                    table.weight_count
-                                ),
-                            ),
-                            unused,
-                        );
-                    }
-                    self.facts.ops[i].used_rows = vec![used.clone()];
-                    let bias = self.check_bias(i, *bias, *outputs, "dense")?;
-                    let rows = self.row_intervals(i, table, &used, domain, reach, None, "dense")?;
-                    let mut pre: Option<Interval> = None;
-                    let mut worst = 0.0f64;
-                    for (o, &b) in bias.iter().enumerate() {
-                        let mut acc = Interval::point(f64::from(b));
-                        let mut mag = f64::from(b).abs();
-                        for &w in &wcodes[o * inputs..(o + 1) * inputs] {
-                            // Used rows always carry an interval: reach
-                            // is non-empty.
-                            let r = rows[w as usize].unwrap_or(Interval::zero());
-                            acc = acc + r;
-                            mag += r.magnitude();
-                        }
-                        worst = worst.max(mag);
-                        pre = Some(pre.map_or(acc, |p| p.hull(acc)));
-                    }
-                    let pre = pre.unwrap_or(Interval::zero());
-                    self.check_datapath(i, *inputs, worst, "dense");
-                    // The kernel evaluates bias + `inputs` products as
-                    // one left-to-right f32 sum; `worst` bounds the
-                    // magnitude sum of every neuron's terms.
-                    let slack = f32_sum_slack(*inputs + 1, worst);
-                    flow = self.finish_neuron(i, Some(act), *encoder, pre, slack, "dense")?;
-                    width = *outputs;
-                }
-                Op::Conv {
-                    geom,
-                    out_channels,
-                    weight_codes,
-                    bias,
-                    tables,
-                    zero_code,
-                    act,
-                    encoder,
-                } => {
-                    let Flow::Codes { domain, reach, .. } = flow else {
-                        return Err(self.error(
-                            DiagCode::DomainMismatch,
-                            Some(i),
-                            "conv: op consumes encoded codes but the flow is decoded floats"
-                                .to_string(),
-                        ));
-                    };
-                    self.check_geom(i, geom, "conv")?;
-                    if geom.in_volume() != width {
-                        return Err(self.error(
-                            DiagCode::ShapeMismatch,
-                            Some(i),
-                            format!(
-                                "conv: expects {} inputs, flow width is {width}",
-                                geom.in_volume()
-                            ),
-                        ));
-                    }
-                    if *out_channels == 0 || tables.len() != *out_channels {
-                        return Err(self.error(
-                            DiagCode::ShapeMismatch,
-                            Some(i),
-                            format!(
-                                "conv: {} tables for {out_channels} output channels",
-                                tables.len()
-                            ),
-                        ));
-                    }
-                    if *zero_code as usize >= domain {
-                        return Err(self.error(
-                            DiagCode::IndexOutOfBounds,
-                            Some(i),
-                            format!(
-                                "conv: zero-padding code {zero_code} out of range for domain {domain}"
-                            ),
-                        ));
-                    }
-                    let patch_len = geom.patch_len();
-                    let Some(expected) = out_channels.checked_mul(patch_len) else {
-                        return Err(self.error(
-                            DiagCode::SpanOutOfBounds,
-                            Some(i),
-                            "conv: weight matrix size overflows".to_string(),
-                        ));
-                    };
-                    if weight_codes.len != expected {
-                        return Err(self.error(
-                            DiagCode::ShapeMismatch,
-                            Some(i),
-                            format!(
-                                "conv: weight-code span holds {} codes, expected {expected}",
-                                weight_codes.len
-                            ),
-                        ));
-                    }
-                    let wcodes = self.codes_span(Some(i), *weight_codes, "conv: weight codes")?;
-                    // Padded windows read the zero column of every row.
-                    let extra_col = (geom.pad > 0).then_some(*zero_code as usize);
-                    let bias = self.check_bias(i, *bias, *out_channels, "conv")?;
-                    let mut pre: Option<Interval> = None;
-                    let mut worst = 0.0f64;
-                    let mut unused_rows = 0usize;
-                    let mut total_rows = 0usize;
-                    for (oc, table) in tables.iter().enumerate() {
-                        let label = format!("conv channel {oc}");
-                        self.check_table(i, table, domain, &label)?;
-                        let patch = &wcodes[oc * patch_len..(oc + 1) * patch_len];
-                        let mut used = vec![false; table.weight_count];
-                        for &c in patch {
-                            if c as usize >= table.weight_count {
-                                return Err(self.error(
-                                    DiagCode::IndexOutOfBounds,
-                                    Some(i),
-                                    format!(
-                                        "{label}: weight code {c} out of range for {}-row table",
-                                        table.weight_count
-                                    ),
-                                ));
-                            }
-                            used[c as usize] = true;
-                        }
-                        unused_rows += used.iter().filter(|u| !**u).count();
-                        total_rows += table.weight_count;
-                        let rows =
-                            self.row_intervals(i, table, &used, domain, reach, extra_col, &label)?;
-                        self.facts.ops[i].used_rows.push(used);
-                        let mut acc = Interval::point(f64::from(bias[oc]));
-                        let mut mag = f64::from(bias[oc]).abs();
-                        for &w in patch {
-                            let r = rows[w as usize].unwrap_or(Interval::zero());
-                            acc = acc + r;
-                            mag += r.magnitude();
-                        }
-                        // Padded windows can also *drop* taps entirely
-                        // only via the zero column, which is already in
-                        // the hull; the all-zero-tap window stays inside
-                        // `acc` because each tap hull contains the zero
-                        // column's value when pad > 0.
-                        worst = worst.max(mag);
-                        pre = Some(pre.map_or(acc, |p| p.hull(acc)));
-                    }
-                    if unused_rows > 0 {
-                        self.report.push_liveness(
-                            Diagnostic::new(
-                                DiagCode::DeadTableRows,
-                                Some(i),
-                                format!(
-                                    "conv: {unused_rows} of {total_rows} product-table rows (across {out_channels} channels) are referenced by no weight code",
-                                ),
-                            ),
-                            unused_rows,
-                        );
-                    }
-                    let pre = pre.unwrap_or(Interval::zero());
-                    self.check_datapath(i, patch_len, worst, "conv");
-                    let Some(w) = out_channels.checked_mul(geom.out_pixels()) else {
-                        return Err(self.error(
-                            DiagCode::SpanOutOfBounds,
-                            Some(i),
-                            "conv: output volume overflows".to_string(),
-                        ));
-                    };
-                    if w == 0 {
-                        return Err(self.error(
-                            DiagCode::ShapeMismatch,
-                            Some(i),
-                            "conv: produces zero outputs".to_string(),
-                        ));
-                    }
-                    width = w;
-                    // One f32 sum of bias + `patch_len` products per
-                    // output pixel.
-                    let slack = f32_sum_slack(patch_len + 1, worst);
-                    flow = self.finish_neuron(i, Some(act), *encoder, pre, slack, "conv")?;
+                    (flow, width) = self.neuron(i, &n, label, flow, width)?;
                 }
                 Op::MaxPool(geom) => {
                     width = self.check_pool_geom(i, geom, width, "maxpool")?;

@@ -4,7 +4,7 @@
 //! a simulation's `stages[i]` is op `i`'s hardware cost; [`op_costs`]
 //! prices the same shapes in software work units.
 
-use crate::program::{Act, Op, Program, Span, TableRef};
+use crate::program::{Act, Op, Program, Span};
 use rapidnn_accel::OpShape;
 
 /// Weight of one nearest-code encode relative to one table lookup in
@@ -40,31 +40,21 @@ pub fn op_shapes(program: &Program<'_>) -> Vec<OpShape> {
     let ops = program.ops.iter().zip(flow.windows(2));
     ops.map(|(op, at)| {
         let (width, outputs) = (at[0].width, at[1].width);
-        let neuron = |edges, tables: &[TableRef], act: &Act, encoder| OpShape::Neuron {
-            neurons: outputs,
-            edges,
-            weight_rows: tables.iter().map(|t| t.weight_count).max().unwrap_or(1),
-            input_rows: rows(at[0].book),
-            activation_rows: match act {
-                Act::Lookup { inputs, .. } => inputs.len,
-                Act::Identity | Act::Relu => 0,
-            },
-            encoder_rows: rows(encoder),
-        };
         match op {
-            Op::Dense {
-                table,
-                act,
-                encoder,
-                ..
-            } => neuron(width, std::slice::from_ref(table), act, *encoder),
-            Op::Conv {
-                geom,
-                tables,
-                act,
-                encoder,
-                ..
-            } => neuron(geom.patch_len(), tables, act, *encoder),
+            Op::Dense { .. } | Op::Conv { .. } => {
+                let n = op.neuron().expect("dense and conv ops are neurons");
+                OpShape::Neuron {
+                    neurons: outputs,
+                    edges: n.window.patch_len(),
+                    weight_rows: n.weight_rows().max(1),
+                    input_rows: rows(at[0].book),
+                    activation_rows: match n.act {
+                        Act::Lookup { inputs, .. } => inputs.len,
+                        Act::Identity | Act::Relu => 0,
+                    },
+                    encoder_rows: rows(n.encoder),
+                }
+            }
             Op::MaxPool(g) => OpShape::MaxPool {
                 outputs,
                 window: g.kernel_h * g.kernel_w,

@@ -74,7 +74,7 @@ pub use optimize::{
     inject_dead_rows, optimize, validate_certificate, Certificate, OpRemap, Optimized, Pass,
     PassRecord,
 };
-pub use program::{Act, Boundary, Geom, Op, Program, Span, TableRef};
+pub use program::{Act, Boundary, Geom, Neuron, Op, Program, Span, TableRef};
 pub use quant::{
     factor_table, quantize_plan, quantize_plan_with, FallbackReason, FinishPlan, LicensedOp,
     OpQuant, QuantPlan,

@@ -194,6 +194,105 @@ pub enum Op {
     },
 }
 
+/// A dense or conv op as the paper maps both: RNA neurons over a
+/// receptive field ([`Op::neuron`]). Channel `o` at output position `p`
+/// is `bias[o] + Σ_k table(o)[w[o][k]][x_p[k]]` over the window's taps,
+/// a padding tap reading `zero_code`; outputs lie channel-major.
+#[derive(Debug, Clone, Copy)]
+pub struct Neuron<'o> {
+    /// The receptive field; a dense op's is 1×1 over its inputs as channels.
+    pub window: Geom,
+    /// Output channels: a conv's, or a dense op's outputs.
+    pub channels: usize,
+    /// The product tables, each read by [`group`](Self::group)
+    /// consecutive output channels: a dense op's one table serves
+    /// every output, a conv has one per channel (and nothing else).
+    pub tables: &'o [TableRef],
+    /// Output channels per table.
+    pub group: usize,
+    /// `channels × patch_len` weight codes in the code pool.
+    pub weight_codes: Span,
+    /// Per-channel bias in the float pool.
+    pub bias: Span,
+    /// Input code a padding tap reads (0 for a dense op: it has no padding).
+    pub zero_code: u16,
+    /// Activation step.
+    pub act: &'o Act,
+    /// Re-encoder codebook; `None` for the output stage.
+    pub encoder: Option<Span>,
+}
+
+impl Neuron<'_> {
+    /// The product table output channel `o` reads.
+    pub fn table(&self, o: usize) -> &TableRef {
+        &self.tables[if self.tables.len() == 1 { 0 } else { o }]
+    }
+
+    /// The largest weight book among the tables: the rows its codes address.
+    pub fn weight_rows(&self) -> usize {
+        self.tables.iter().fold(0, |m, t| m.max(t.weight_count))
+    }
+}
+
+impl Op {
+    /// The op as a [`Neuron`]: every dense and conv op is one, every
+    /// pool and residual step is not.
+    pub fn neuron(&self) -> Option<Neuron<'_>> {
+        match self {
+            Op::Dense {
+                inputs,
+                outputs,
+                weight_codes,
+                bias,
+                table,
+                act,
+                encoder,
+            } => Some(Neuron {
+                window: Geom {
+                    in_channels: *inputs,
+                    in_height: 1,
+                    in_width: 1,
+                    kernel_h: 1,
+                    kernel_w: 1,
+                    stride: 1,
+                    pad: 0,
+                    out_height: 1,
+                    out_width: 1,
+                },
+                channels: *outputs,
+                tables: std::slice::from_ref(table),
+                group: *outputs,
+                weight_codes: *weight_codes,
+                bias: *bias,
+                zero_code: 0,
+                act,
+                encoder: *encoder,
+            }),
+            Op::Conv {
+                geom,
+                out_channels,
+                weight_codes,
+                bias,
+                tables,
+                zero_code,
+                act,
+                encoder,
+            } => Some(Neuron {
+                window: *geom,
+                channels: *out_channels,
+                tables,
+                group: 1,
+                weight_codes: *weight_codes,
+                bias: *bias,
+                zero_code: *zero_code,
+                act,
+                encoder: *encoder,
+            }),
+            _ => None,
+        }
+    }
+}
+
 /// A flattened inference program over borrowed (or owned) pools — the
 /// analyzer's input.
 #[derive(Debug, Clone, PartialEq)]
@@ -247,15 +346,10 @@ impl Program<'_> {
         flow.push(at);
         for op in &self.ops {
             match op {
-                Op::Dense {
-                    outputs, encoder, ..
-                } => (at.width, at.book) = (*outputs, *encoder),
-                Op::Conv {
-                    geom,
-                    out_channels,
-                    encoder,
-                    ..
-                } => (at.width, at.book) = (out_channels * geom.out_pixels(), *encoder),
+                Op::Dense { .. } | Op::Conv { .. } => {
+                    let n = op.neuron().expect("dense and conv ops are neurons");
+                    (at.width, at.book) = (n.channels * n.window.out_pixels(), n.encoder);
+                }
                 Op::MaxPool(g) => at.width = g.in_channels * g.out_pixels(),
                 Op::AvgPool { geom, codebook } => {
                     at.width = geom.in_channels * geom.out_pixels();

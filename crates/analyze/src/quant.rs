@@ -643,7 +643,7 @@ fn slice_lip(keys: &[f32], vals: &[f32]) -> f64 {
     lip
 }
 
-/// Factors a dense product table back into per-weight-code multipliers.
+/// Factors a product table back into per-weight-code multipliers.
 /// `ProductTable` stores the single-rounded product `w * x` of every
 /// (weight, input) representative pair, so with the input codebook in
 /// hand each row is `fl(w · book[x])` for one recoverable `w`
@@ -655,11 +655,12 @@ fn slice_lip(keys: &[f32], vals: &[f32]) -> f64 {
 ///
 /// # Panics
 ///
-/// The precondition is the one [`quantize_plan_with`] states: `table`,
-/// `book` and `wcodes` are a dense op of an analyzer-clean program and
-/// the codebook its input is encoded through ([`Program::flow`]), so
-/// the table lies in `floats`, each code names one of its rows and the
-/// book is finite and no wider than a row. Anything else may panic.
+/// `table` is one product table of a neuron op ([`Op::neuron`]) of an
+/// analyzer-clean program, `wcodes` the weight codes of the output
+/// channels that read it, and `book` the codebook the op's input is
+/// encoded through ([`Program::flow`]), so the table lies in `floats`,
+/// each code names one of its rows and the book is finite and no wider
+/// than a row. Anything else may panic.
 pub fn factor_table(
     floats: &[f32],
     table: &TableRef,

@@ -1,4 +1,4 @@
-use rapidnn_nn::{LayerKind, Network};
+use rapidnn_nn::{Layer, LayerKind, Network};
 
 /// Broad workload class; baselines utilise their datapaths differently on
 /// small dense models versus large convolutional ones.
@@ -50,31 +50,9 @@ impl Workload {
 }
 
 /// Counts the MAC operations of a trainable network and classifies it.
+/// A residual block counts the layers of its branch.
 pub fn workload_of(name: impl Into<String>, network: &Network) -> Workload {
-    let mut macs = 0u64;
-    let mut has_conv = false;
-    // Residual branches are opaque in `kinds`; count them via a recursive
-    // estimate below when present.
-    for kind in network.kinds() {
-        match kind {
-            LayerKind::Dense { inputs, outputs } => macs += (inputs * outputs) as u64,
-            LayerKind::Conv2d {
-                geometry,
-                out_channels,
-            } => {
-                has_conv = true;
-                macs += (out_channels * geometry.out_pixels() * geometry.patch_len()) as u64;
-            }
-            LayerKind::Residual => {
-                // Conservative estimate: a residual block at width `f`
-                // contributes at least one dense-equivalent pass; actual
-                // counts come from the reinterpreted model in the
-                // simulator, so precision here only affects baselines.
-                has_conv = true;
-            }
-            _ => {}
-        }
-    }
+    let (macs, has_conv) = layer_macs(network.layers());
     Workload::new(
         name,
         macs,
@@ -84,6 +62,31 @@ pub fn workload_of(name: impl Into<String>, network: &Network) -> Workload {
             WorkloadKind::DenseMlp
         },
     )
+}
+
+/// MACs of a layer stack, walking residual branches, and whether it
+/// holds a convolution or a residual block.
+fn layer_macs(layers: &[Box<dyn Layer>]) -> (u64, bool) {
+    let mut macs = 0u64;
+    let mut has_conv = false;
+    for layer in layers {
+        match layer.kind() {
+            LayerKind::Dense { inputs, outputs } => macs += (inputs * outputs) as u64,
+            LayerKind::Conv2d {
+                geometry,
+                out_channels,
+            } => {
+                has_conv = true;
+                macs += (out_channels * geometry.out_pixels() * geometry.patch_len()) as u64;
+            }
+            LayerKind::Residual => {
+                has_conv = true;
+                macs += layer.branch().map_or(0, |branch| layer_macs(branch).0);
+            }
+            _ => {}
+        }
+    }
+    (macs, has_conv)
 }
 
 /// Shape of one weighted layer of a real topology: how many hardware
@@ -181,7 +184,7 @@ pub fn imagenet_workloads() -> Vec<Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rapidnn_nn::topology;
+    use rapidnn_nn::{topology, Dense, Residual};
     use rapidnn_tensor::SeededRng;
 
     #[test]
@@ -192,6 +195,17 @@ mod tests {
         assert_eq!(w.mac_ops(), (784 * 512 + 512 * 512 + 512 * 10) as u64);
         assert_eq!(w.kind(), WorkloadKind::DenseMlp);
         assert_eq!(w.ops(), 2 * w.mac_ops());
+    }
+
+    #[test]
+    fn residual_branch_macs_are_counted() {
+        let mut rng = SeededRng::new(0);
+        let mut net = Network::new(6);
+        net.push(Dense::new(6, 5, &mut rng));
+        net.push(Residual::new(vec![Box::new(Dense::new(5, 5, &mut rng))]));
+        let w = workload_of("residual", &net);
+        assert_eq!(w.mac_ops(), 6 * 5 + 5 * 5);
+        assert_eq!(w.kind(), WorkloadKind::Conv);
     }
 
     #[test]

@@ -129,21 +129,7 @@ impl ActivationTable {
         if self.exact_comparator {
             return self.activation.apply(y);
         }
-        let idx = match self.inputs.binary_search_by(|p| p.total_cmp(&y)) {
-            Ok(i) => i,
-            Err(ins) => {
-                if ins == 0 {
-                    0
-                } else if ins >= self.inputs.len() {
-                    self.inputs.len() - 1
-                } else if (y - self.inputs[ins - 1]).abs() <= (self.inputs[ins] - y).abs() {
-                    ins - 1
-                } else {
-                    ins
-                }
-            }
-        };
-        self.outputs[idx]
+        self.outputs[crate::nearest::nearest(&self.inputs, y)]
     }
 
     /// Worst-case absolute approximation error sampled over the domain.

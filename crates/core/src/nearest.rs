@@ -26,6 +26,27 @@ pub fn load_keys(keys: &mut Vec<i32>, book: &[f32]) {
     keys.extend(book.iter().map(|&v| total_key(v)));
 }
 
+/// The rule every search here reproduces, in its readable form: binary
+/// search over the total order of a `total_cmp`-sorted `book`, then the
+/// nearer neighbour, ties to the smaller representative; returns the
+/// index (0 for an empty book). What the branch-free searches are tested
+/// against, and what an activation lookup or a one-off encode calls.
+pub fn nearest(book: &[f32], value: f32) -> usize {
+    match book.binary_search_by(|probe| probe.total_cmp(&value)) {
+        Ok(i) => i,
+        Err(0) => 0,
+        Err(i) if i >= book.len() => book.len() - 1,
+        Err(i) => {
+            let (lo, hi) = (i - 1, i);
+            if (value - book[lo]).abs() <= (book[hi] - value).abs() {
+                lo
+            } else {
+                hi
+            }
+        }
+    }
+}
+
 /// Nearest-representative search over a `total_cmp`-sorted codebook
 /// with precomputed `keys`, as a `u16` code. Counting keys below the
 /// probe gives the insertion point, the exact-match test keeps
@@ -281,33 +302,33 @@ pub fn nearest_range(book: &[f32], keys: &[i32], lo: f32, hi: f32) -> (usize, us
 mod tests {
     use super::*;
 
-    /// Reference semantics: binary search over the total order, then
-    /// neighbour tie-break toward the smaller representative.
-    fn reference(book: &[f32], value: f32) -> usize {
-        match book.binary_search_by(|probe| probe.total_cmp(&value)) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) if i >= book.len() => book.len() - 1,
-            Err(i) => {
-                let (lo, hi) = (i - 1, i);
-                if (value - book[lo]).abs() <= (book[hi] - value).abs() {
-                    lo
-                } else {
-                    hi
-                }
-            }
-        }
+    #[test]
+    fn nearest_matches_codebook_semantics() {
+        let values = [-1.25f32, -0.5, 0.2, 0.45];
+        assert_eq!(nearest(&values, 1.2), 3);
+        assert_eq!(nearest(&values, -9.0), 0);
+        assert_eq!(nearest(&values, 0.2), 2);
+        assert_eq!(nearest(&values, -0.9), 0);
+        assert_eq!(nearest(&values, -0.6), 1);
+        // Ties resolve low.
+        assert_eq!(nearest(&[0.0, 2.0], 1.0), 0);
     }
 
+    /// The branch-free search agrees with the reference binary search
+    /// on every probe, including exact hits, ties, boundary clamps,
+    /// signed zeros, infinities and NaN.
     #[test]
     fn matches_binary_search_reference() {
         let books: &[&[f32]] = &[
             &[0.0],
+            &[-1.0, 1.0],
             &[-1.25, -0.5, 0.2, 0.45],
+            &[-2.0, -0.5, 0.0, 0.25, 3.0],
             &[-0.0, 0.0, 1.0],
             &[f32::MIN, -1.0, 0.0, 1.0, f32::MAX],
+            &[f32::NEG_INFINITY, -1.0, 0.0, f32::INFINITY],
         ];
-        let probes = [
+        let mut probes = vec![
             f32::NEG_INFINITY,
             f32::MIN,
             -2.0,
@@ -326,13 +347,14 @@ mod tests {
             f32::INFINITY,
             f32::NAN,
         ];
+        probes.extend((-40..=40).map(|i| i as f32 * 0.11));
         let mut keys = Vec::new();
         for book in books {
             load_keys(&mut keys, book);
             for &p in &probes {
                 assert_eq!(
                     nearest_index(book, &keys, p),
-                    reference(book, p),
+                    nearest(book, p),
                     "book={book:?} probe={p}"
                 );
             }

@@ -105,6 +105,12 @@ pub trait Layer: std::fmt::Debug + Send {
     /// Output feature width given an input feature width.
     fn output_features(&self, input_features: usize) -> usize;
 
+    /// For composite layers (residual blocks), the inner layer stack;
+    /// `None` for plain layers.
+    fn branch(&self) -> Option<&[Box<dyn Layer>]> {
+        None
+    }
+
     /// For composite layers (residual blocks), mutable access to the inner
     /// layer stack; `None` for plain layers. The RAPIDNN composer uses this
     /// to recurse into branches when clustering weights.

@@ -23,11 +23,6 @@ impl Residual {
     pub fn branch_len(&self) -> usize {
         self.branch.len()
     }
-
-    /// Immutable access to the branch layers.
-    pub fn branch(&self) -> &[Box<dyn Layer>] {
-        &self.branch
-    }
 }
 
 impl Layer for Residual {
@@ -68,6 +63,10 @@ impl Layer for Residual {
 
     fn output_features(&self, input_features: usize) -> usize {
         input_features
+    }
+
+    fn branch(&self) -> Option<&[Box<dyn Layer>]> {
+        Some(&self.branch)
     }
 
     fn branch_mut(&mut self) -> Option<&mut Vec<Box<dyn Layer>>> {

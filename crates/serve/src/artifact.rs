@@ -42,7 +42,7 @@ use crate::wire;
 use rapidnn_analyze::{Act, Boundary, Op, OpQuant, Program, QuantPlan};
 #[cfg(test)]
 use rapidnn_analyze::{Geom, Span, TableRef};
-use rapidnn_core::nearest::{load_keys, tabulate_thresholds};
+use rapidnn_core::nearest::{load_keys, nearest, tabulate_thresholds};
 use rapidnn_core::ReinterpretedNetwork;
 use std::borrow::Cow;
 use std::path::Path;
@@ -167,24 +167,35 @@ impl CompiledModel {
     }
 
     /// Mnist-tiny's topology (784 → 32 → 32 → 10), untrained, composed
-    /// from `seed` with 8 clusters a side, through the construction gate.
+    /// from `seed` ([`composed_for_tests`](Self::composed_for_tests)),
+    /// through the construction gate.
     #[cfg(test)]
     pub(crate) fn mnist_tiny_for_tests(seed: u64) -> CompiledModel {
         let mut rng = rapidnn_tensor::SeededRng::new(seed);
-        let mut net = rapidnn_nn::topology::Benchmark::Mnist
+        let net = rapidnn_nn::topology::Benchmark::Mnist
             .build_reduced(16, &mut rng)
             .unwrap();
-        let data = rapidnn_data::SyntheticSpec::new(784, 10, 2.0)
-            .generate(40, &mut rng)
+        CompiledModel::from_program(&Self::composed_for_tests(net, 10, &mut rng)).unwrap()
+    }
+
+    /// `net` composed over 40 synthetic rows of `classes` classes with 8
+    /// clusters a side, lowered to the program IR.
+    #[cfg(test)]
+    pub(crate) fn composed_for_tests(
+        mut net: rapidnn_nn::Network,
+        classes: usize,
+        rng: &mut rapidnn_tensor::SeededRng,
+    ) -> Program<'static> {
+        let data = rapidnn_data::SyntheticSpec::new(net.input_features(), classes, 2.0)
+            .generate(40, rng)
             .unwrap();
         let opts = rapidnn_core::ReinterpretOptions {
             weight_clusters: 8,
             input_clusters: 8,
             ..Default::default()
         };
-        let network =
-            ReinterpretedNetwork::build(&mut net, data.inputs(), &opts, &mut rng).unwrap();
-        CompiledModel::from_reinterpreted(&network).unwrap()
+        let network = ReinterpretedNetwork::build(&mut net, data.inputs(), &opts, rng).unwrap();
+        Program::from_reinterpreted(&network)
     }
 
     /// Hand-built `layers`-deep dense chain (4 features wide throughout)
@@ -596,32 +607,6 @@ fn gate(program: &Program<'_>) -> Result<()> {
     Ok(())
 }
 
-/// Nearest-representative search over sorted `values`, replicating
-/// `Codebook::encode` and `ActivationTable::lookup` exactly (ties
-/// resolve to the smaller value); returns the index.
-///
-/// The hot paths use the branch-free equivalent in `kernels`; this
-/// binary-search form is the readable reference the unit tests check
-/// both against, and the integer-finish materializer (`crate::quant`)
-/// bakes finish codes through it so integer finishes encode exactly
-/// like the scalar path would.
-#[inline]
-pub(crate) fn nearest(values: &[f32], value: f32) -> usize {
-    match values.binary_search_by(|probe| probe.total_cmp(&value)) {
-        Ok(i) => i,
-        Err(0) => 0,
-        Err(insertion) if insertion >= values.len() => values.len() - 1,
-        Err(hi) => {
-            let lo = hi - 1;
-            if (value - values[lo]).abs() <= (values[hi] - value).abs() {
-                lo
-            } else {
-                hi
-            }
-        }
-    }
-}
-
 /// The activation step of a neuron op on one pre-activation value,
 /// mirroring `ActivationTable::lookup` exactly.
 #[inline]
@@ -662,17 +647,5 @@ mod tests {
                 assert_eq!(model.flow[oi].domain.name(), *want, "{name} op {oi}");
             }
         }
-    }
-
-    #[test]
-    fn nearest_matches_codebook_semantics() {
-        let values = [-1.25f32, -0.5, 0.2, 0.45];
-        assert_eq!(nearest(&values, 1.2), 3);
-        assert_eq!(nearest(&values, -9.0), 0);
-        assert_eq!(nearest(&values, 0.2), 2);
-        assert_eq!(nearest(&values, -0.9), 0);
-        assert_eq!(nearest(&values, -0.6), 1);
-        // Ties resolve low.
-        assert_eq!(nearest(&[0.0, 2.0], 1.0), 0);
     }
 }

@@ -15,18 +15,22 @@
 //! The flow between ops is one flat row-major buffer, `rows × width`, in
 //! one of three domains: encoded (`u16` codes), quantized (`i16`, the
 //! operand an integer Madd op multiplies — see [`Domain::Quants`]) or
-//! decoded (`f32`). Dense and
-//! Conv process the batch in [`LANES`]-row blocks: the accumulators of a
-//! block live in a fixed-size local array (registers, not memory) and
-//! the weight/tap loop runs innermost, so
+//! decoded (`f32`). A dense op and a conv are one kind of op here, a
+//! neuron over a receptive field ([`Neuron`]): a dense op's window is
+//! 1×1 over its inputs, so its one output position per row is the row.
+//! Every neuron op runs [`dense_block`] over blocks of [`LANES`] output
+//! positions — rows of a dense op, (row, pixel) pairs of a conv — whose
+//! patches lie in one tap-major tile ([`row_blocks`], [`patches`]): the
+//! accumulators of a block live in a fixed-size local array (registers,
+//! not memory) and the tap loop runs innermost, so
 //!
 //! * the per-sample serial `acc += table[w][x]` chain — the latency
 //!   bottleneck of single-sample inference, since every table fits in
 //!   cache and the adds cannot overlap — becomes [`LANES`] independent
-//!   chains the CPU overlaps;
+//!   chains the CPU overlaps, and a one-row conv fills them with pixels;
 //! * one weight-code row and one product table stay hot while the block
-//!   streams through them, and a block's codes (`LANES` consecutive
-//!   rows) stay L1-resident across all output neurons;
+//!   streams through them, and a block's patches stay L1-resident
+//!   across all output channels;
 //! * the gather indexes its table row with the code as it is: a model
 //!   only exists once the analyzer has proven every code in range, and
 //!   the slice bounds check turns an analyzer hole into a panic the
@@ -41,19 +45,19 @@
 //! nothing the model fixes. An op the analyzer licensed
 //! ([`CompiledModel::quantize`]) runs the one integer kernel, the
 //! `i16 × i16 → i32` multiply-accumulate tile ([`madd_tile`]). Every
-//! other dense op runs in `f32`: when its table factors back into
-//! `fl(w · book[x])`, [`lower`] decoded its weight matrix when the
-//! model was assembled and a batch of at least [`LANES`] rows runs as a
-//! packed multiply; else — a table that does not factor (an op refused
-//! as `FallbackReason::NotFactored` serves here), a batch below a
-//! block — as the table gather, reading its weight codes as a slice of
-//! the model's pool. Both are [`dense_block`], at [`LANES`] rows or one.
-//! Every other op runs its table, or is its pool or residual step.
+//! other neuron op runs in `f32`: when each of its tables factors back
+//! into `fl(w · book[x])`, [`lower`] decoded its weight matrix when the
+//! model was assembled and a batch of whole blocks runs as a packed
+//! multiply; else — a table that does not factor (an op refused as
+//! `FallbackReason::NotFactored` serves here), a batch below a block —
+//! as the table gather, reading its weight codes as a slice of the
+//! model's pool. Both are [`dense_block`], at [`LANES`] positions or
+//! one. Every other op is its pool or residual step.
 //!
 //! The executor — input encoder, op loop and every kernel — runs on the
 //! lane body [`lanes::run`] picks for the CPU; on an AVX2 CPU the
-//! encoder and the integer kernels are compiled at that width (see
-//! [`crate::lanes`]), with the same bits.
+//! encoder, the integer kernels and the `f32` neuron blocks are
+//! compiled at that width (see [`crate::lanes`]), with the same bits.
 //!
 //! Where the flow stands between two ops — its width and domain — is
 //! fixed when the model is built ([`FlowState`], one per op boundary,
@@ -79,7 +83,7 @@ use crate::artifact::{apply_act, CompiledModel, InputEncoder};
 use crate::error::{Result, ServeError};
 use crate::lanes::{self, Acc, LaneWork};
 use crate::quant::{level_of, LutOut, QuantFinish, QuantOp};
-use rapidnn_analyze::{factor_table, Act, Boundary, Geom, Op, Program, Span, TableRef};
+use rapidnn_analyze::{factor_table, Act, Boundary, Geom, Neuron, Op, Program, Span, TableRef};
 use std::ops::Range;
 // The branch-free nearest-representative search originated here and now
 // lives in `rapidnn_core::nearest`, shared with the composer's encode
@@ -158,8 +162,8 @@ pub(crate) enum FlowData {
     Floats(Vec<f32>),
 }
 
-/// Rows per register-resident accumulator block in the dense/conv
-/// gather loops. The constant bound lets the compiler unroll the lane
+/// Output positions per register-resident accumulator block of a
+/// neuron op. The constant bound lets the compiler unroll the lane
 /// loop completely and keep the whole block in registers.
 const LANES: usize = 8;
 
@@ -201,11 +205,11 @@ pub struct BatchRunner {
     /// Total-order keys of the activation lookup table currently being
     /// applied (alive at the same time as the encoder's `keys`).
     act_keys: Vec<i32>,
-    /// Interleaved code tile for one [`LANES`]-row block (see
-    /// [`interleave`]).
+    /// Lane-group tile of codes for the table gather: a block of rows
+    /// transposed plus a conv's patch ([`row_blocks`]), or the patches
+    /// of a smaller batch ([`patches`]).
     tile: Vec<u16>,
-    /// Interleaved *decoded* tile for the f32 multiply (see
-    /// [`interleave`]).
+    /// The same tile *decoded*, for the f32 multiply ([`row_blocks`]).
     tile_f: Vec<f32>,
 }
 
@@ -458,23 +462,14 @@ impl BatchRunner {
             // writes that op's operand for each code, not the code.
             let levels = model.madd_levels(oi + 1);
             match op {
-                Op::Dense {
-                    inputs: nin,
-                    outputs,
-                    weight_codes,
-                    bias,
-                    table,
-                    act,
-                    encoder,
-                } => {
-                    let (nin, nout) = (*nin, *outputs);
+                Op::Dense { .. } | Op::Conv { .. } => {
+                    let n = op.neuron().expect("dense and conv ops are neurons");
                     let mul = match &model.kernels[oi] {
                         // Analyzer-licensed ops run the integer path on
                         // tiles materialized once at load time; the
                         // activation + re-encode are baked into the
                         // finish's runs, so the op is one pass.
                         Kernel::Madd(q) => {
-                            debug_assert_eq!((q.nin, q.nout), (nin, nout));
                             quant_dense::<A>(q, flow, padded);
                             flow.advance(next);
                             continue;
@@ -482,72 +477,8 @@ impl BatchRunner {
                         Kernel::Mul(mul) => Some(mul),
                         Kernel::Table => None,
                     };
-                    let codes = &flow.codes;
-                    let floats_next = &mut flow.floats_next;
-                    let wcodes = weight_codes.slice(&program.codes);
-                    let b = bias.slice(pool_f);
-                    refill(floats_next, padded * nout);
-                    let mut r0 = 0usize;
-                    while r0 + LANES <= padded {
-                        let xblock = &codes[r0 * nin..(r0 + LANES) * nin];
-                        let dst = &mut floats_next[r0 * nout..(r0 + LANES) * nout];
-                        match mul {
-                            Some(mul) => {
-                                let book = mul.book.slice(pool_f);
-                                interleave(xblock, nin, tile_f, |x| book[usize::from(x)]);
-                                let tile = tile_f.as_chunks::<LANES>().0;
-                                dense_block(&mul.weights, b, tile, dst, nout, |w| move |x| w * x);
-                            }
-                            None => {
-                                interleave(xblock, nin, tile, |x| x);
-                                let tile = tile.as_chunks::<LANES>().0;
-                                let row = |w| products::<LANES>(pool_f, table, w);
-                                dense_block(wcodes, b, tile, dst, nout, row);
-                            }
-                        }
-                        r0 += LANES;
-                    }
-                    // The rows below a block: each is a one-lane tile.
-                    for r in r0..padded {
-                        let xrow = codes[r * nin..(r + 1) * nin].as_chunks::<1>().0;
-                        let dst = &mut floats_next[r * nout..(r + 1) * nout];
-                        let row = |w| products::<1>(pool_f, table, w);
-                        dense_block(wcodes, b, xrow, dst, nout, row);
-                    }
-                    finish_neuron(pool_f, act, encoder, levels, flow, keys, act_keys);
-                }
-                Op::Conv {
-                    geom: g,
-                    out_channels,
-                    weight_codes,
-                    bias,
-                    tables,
-                    zero_code,
-                    act,
-                    encoder,
-                } => {
-                    let codes = &flow.codes;
-                    let floats_next = &mut flow.floats_next;
-                    let wcodes = weight_codes.slice(&program.codes);
-                    let b = bias.slice(pool_f);
-                    let (oc, z, in_vol) = (*out_channels, *zero_code, g.in_volume());
-                    let nout = oc * g.out_pixels();
-                    refill(floats_next, padded * nout);
-                    let mut r0 = 0usize;
-                    while r0 + LANES <= padded {
-                        let xblock = &codes[r0 * in_vol..(r0 + LANES) * in_vol];
-                        let dst = &mut floats_next[r0 * nout..(r0 + LANES) * nout];
-                        interleave(xblock, in_vol, tile, |x| x);
-                        let tile = tile.as_chunks::<LANES>().0;
-                        conv_block(pool_f, g, oc, wcodes, b, tables, z, tile, dst, nout);
-                        r0 += LANES;
-                    }
-                    for r in r0..padded {
-                        let xrow = codes[r * in_vol..(r + 1) * in_vol].as_chunks::<1>().0;
-                        let dst = &mut floats_next[r * nout..(r + 1) * nout];
-                        conv_block(pool_f, g, oc, wcodes, b, tables, z, xrow, dst, nout);
-                    }
-                    finish_neuron(pool_f, act, encoder, levels, flow, keys, act_keys);
+                    neuron_rows(pool_f, &program.codes, &n, mul, flow, tile, tile_f, padded);
+                    finish_neuron(pool_f, n.act, &n.encoder, levels, flow, keys, act_keys);
                 }
                 Op::MaxPool(g) => {
                     let (same, max) = (|c: u16| c, |a: u16, b: u16| a.max(b));
@@ -697,9 +628,10 @@ struct Plan {
     /// Deepest residual nesting, and the widest flow snapshotted.
     skip_depth: usize,
     max_skip: usize,
-    /// Widest input any op interleaves into a [`LANES`]-row code tile
-    /// (f32 gathers, convolutions), and into a decoded tile (the f32
-    /// multiply kernel).
+    /// Most [`LANES`]-lane groups any op fills in its code tile (table
+    /// gathers, a conv's positions below a block) and in its decoded
+    /// tile (the f32 multiply): a block of rows transposed, plus a
+    /// conv's patch.
     max_tile: usize,
     max_tile_f: usize,
     /// Largest codebook encoded through.
@@ -745,19 +677,24 @@ fn plan(model: &CompiledModel) -> Plan {
         // `at[0]` is what the op reads, `at[1]` what it leaves.
         let (reads, nout) = (at[0].width, at[1].width);
         match op {
-            Op::Dense { encoder, act, .. } | Op::Conv { encoder, act, .. } => {
-                // A block is interleaved for the kernel the op holds; a
-                // licensed op reads its rows from the flow in place and
-                // its weights from tiles materialized at load.
-                let tile = match kernel {
+            Op::Dense { .. } | Op::Conv { .. } => {
+                let n = op.neuron().expect("dense and conv ops are neurons");
+                // Rows transposed for the op's kernel, plus a conv's
+                // patches (as codes below a block of rows); a licensed
+                // op reads its rows in place, its weights from its tiles.
+                let (g, patch_len) = (&n.window, n.window.patch_len());
+                let groups = g.in_volume() + if covers_input(g) { 0 } else { patch_len };
+                match kernel {
                     Kernel::Madd(_) => continue,
-                    Kernel::Mul(_) => &mut p.max_tile_f,
-                    Kernel::Table => &mut p.max_tile,
-                };
-                *tile = (*tile).max(reads);
+                    Kernel::Mul(_) => p.max_tile_f = p.max_tile_f.max(groups),
+                    Kernel::Table => p.max_tile = p.max_tile.max(groups),
+                }
+                if !covers_input(g) {
+                    p.max_tile = p.max_tile.max(patch_len);
+                }
                 p.max_floats = p.max_floats.max(nout);
-                p.max_book = p.max_book.max(span_len(encoder));
-                p.max_act = p.max_act.max(act_len(act));
+                p.max_book = p.max_book.max(span_len(&n.encoder));
+                p.max_act = p.max_act.max(act_len(n.act));
             }
             Op::MaxPool(_) => {}
             Op::AvgPool { codebook, .. } => p.max_book = p.max_book.max(codebook.len),
@@ -768,63 +705,243 @@ fn plan(model: &CompiledModel) -> Plan {
     p
 }
 
-/// One block of `L` rows of a dense op, read from the interleaved
-/// `tile` ([`interleave`]: one `L`-lane group per input feature). For
-/// each output, `L` accumulators start at its bias and add `row(w)(x)`,
-/// the product of weight `w` and a lane's input `x`, over its weights in
-/// ascending order — the order per-sample inference adds in. They live
-/// in a local array while the weight loop runs innermost, so the
+/// One neuron op's raw accumulators over the padded batch, into the
+/// flow's `floats_next`: every output position — a row of a dense op, a
+/// (row, pixel) pair of a conv — is one lane of [`dense_block`]. A batch
+/// of whole [`LANES`]-row blocks runs [`LANES`] rows at one pixel
+/// ([`row_blocks`]) on the kernel the op holds. A smaller one takes its
+/// positions pixel-major, so a one-row conv fills its blocks with
+/// pixels, gathered lane by lane for the table gather ([`patches`]);
+/// the positions below a block gather their table rows straight from
+/// the pool ([`lone`]), and a dense op's patch is its row as it lies.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn neuron_rows(
+    pool_f: &[f32],
+    pool_c: &[u16],
+    n: &Neuron<'_>,
+    mul: Option<&DenseMul>,
+    flow: &mut Flow,
+    tile: &mut Vec<u16>,
+    tile_f: &mut Vec<f32>,
+    padded: usize,
+) {
+    let (codes, dst) = (&flow.codes, &mut flow.floats_next);
+    let (g, b, z) = (&n.window, n.bias.slice(pool_f), n.zero_code);
+    let wcodes = n.weight_codes.slice(pool_c);
+    let (pixels, patch_len, in_vol) = (g.out_pixels(), g.patch_len(), g.in_volume());
+    let nout = n.channels * pixels;
+    refill(dst, padded * nout);
+    let gather = |o| move |w| products::<LANES>(pool_f, n.table(o), w);
+    let multiply = |_| |w: f32| move |x: f32| w * x;
+    if padded >= LANES {
+        let codes = &codes[..padded * in_vol];
+        match mul {
+            Some(mul) => {
+                let book = mul.book.slice(pool_f);
+                let decode = |x: u16| book[usize::from(x)];
+                row_blocks(g, codes, z, tile_f, decode, &mul.weights, b, dst, multiply);
+            }
+            None => row_blocks(g, codes, z, tile, |x| x, wcodes, b, dst, gather),
+        }
+        return;
+    }
+    let positions = padded * pixels;
+    let blocks = positions - positions % LANES;
+    let at = |q: usize| (q % padded) * nout + q / padded;
+    let whole = covers_input(g);
+    if !whole {
+        refill(tile, patch_len * LANES);
+    }
+    for q in (0..blocks).step_by(LANES) {
+        patches::<LANES>(g, codes, z, padded, q, tile);
+        let (xs, lanes) = (
+            tile.as_chunks::<LANES>().0,
+            std::array::from_fn(|l| at(q + l)),
+        );
+        dense_block(wcodes, b, xs, dst, lanes, pixels, gather);
+    }
+    for q in blocks..positions {
+        let xs = if whole {
+            &codes[q * in_vol..(q + 1) * in_vol]
+        } else {
+            patches::<1>(g, codes, z, padded, q, tile);
+            &tile[..patch_len]
+        };
+        lone(pool_f, n, wcodes, xs, dst, at(q));
+    }
+}
+
+/// [`dense_block`] at one lane, for a position below a block: its
+/// table rows are gathered straight from the pool ([`products`]). Kept
+/// out of the executor's frame: inlined there, the one-lane loop
+/// reloaded its pointers from the stack on every tap (a one-row
+/// 784 → 512 op on a 2-core AVX2 Xeon: 420 µs against 340).
+#[inline(never)]
+fn lone(pool_f: &[f32], n: &Neuron<'_>, wcodes: &[u16], xs: &[u16], dst: &mut [f32], at: usize) {
+    let (b, stride) = (n.bias.slice(pool_f), n.window.out_pixels());
+    let xs = xs.as_chunks().0;
+    if let [t] = n.tables {
+        let row = |_| move |w| products::<1>(pool_f, t, w);
+        return dense_block(wcodes, b, xs, dst, [at], stride, row);
+    }
+    let row = |o| move |w| products::<1>(pool_f, n.table(o), w);
+    dense_block(wcodes, b, xs, dst, [at], stride, row);
+}
+
+/// Whether the window is the whole input, so its one patch is the row.
+fn covers_input(g: &Geom) -> bool {
+    (g.kernel_h, g.kernel_w, g.pad) == (g.in_height, g.in_width, 0)
+}
+
+/// The blocks of a batch of whole [`LANES`]-row groups, [`LANES`] rows
+/// at one pixel: per group, its rows transposed through `map` into the
+/// head of `tile`, one lane group per input — which is the patch of a
+/// window that covers the input — then per pixel each tap's lane group
+/// copied into the patch in the tail, a tap in the padding reading
+/// `zero`, and [`dense_block`] run over each patch.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn row_blocks<T: Copy + Default, W: Copy, R: Fn(W) -> F, F: Fn(T) -> f32>(
+    g: &Geom,
+    codes: &[u16],
+    zero: u16,
+    tile: &mut Vec<T>,
+    map: impl Fn(u16) -> T,
+    weights: &[W],
+    bias: &[f32],
+    dst: &mut [f32],
+    row: impl Fn(usize) -> R + Copy,
+) {
+    let (in_vol, pixels, whole) = (g.in_volume(), g.out_pixels(), covers_input(g));
+    let nout = bias.len() * pixels;
+    let groups = in_vol + if whole { 0 } else { g.patch_len() };
+    refill(tile, groups * LANES);
+    let (rows, patch) = tile.as_chunks_mut::<LANES>().0.split_at_mut(in_vol);
+    let pad = [map(zero); LANES];
+    for (gi, group) in codes.chunks_exact(LANES * in_vol).enumerate() {
+        for (l, xrow) in group.chunks_exact(in_vol).enumerate() {
+            for (lanes, &x) in rows.iter_mut().zip(xrow) {
+                lanes[l] = map(x);
+            }
+        }
+        let at = |p| std::array::from_fn(|l| (gi * LANES + l) * nout + p);
+        if whole {
+            dense_block(weights, bias, rows, dst, at(0), pixels, row);
+            continue;
+        }
+        for p in 0..pixels {
+            taps(g, p, |k, i| patch[k] = i.map_or(pad, |i| rows[i]));
+            dense_block(weights, bias, patch, dst, at(p), pixels, row);
+        }
+    }
+}
+
+/// Gathers the patches of the `L` positions from `q` on of a batch of
+/// `rows` rows, taken pixel-major (position `q` is row `q % rows` at
+/// pixel `q / rows`), into `tile`, tap-major: `tile[k * L + l]` is tap
+/// `k` of lane `l`, where a tap in the padding reads `zero`.
+#[inline(always)]
+fn patches<const L: usize>(
+    g: &Geom,
+    codes: &[u16],
+    zero: u16,
+    rows: usize,
+    q: usize,
+    tile: &mut [u16],
+) {
+    let in_vol = g.in_volume();
+    for l in 0..L {
+        let (p, r) = ((q + l) / rows, (q + l) % rows);
+        let xrow = &codes[r * in_vol..(r + 1) * in_vol];
+        taps(g, p, |k, at| tile[k * L + l] = at.map_or(zero, |i| xrow[i]));
+    }
+}
+
+/// Visits the taps of the window at output pixel `p` in patch order
+/// (input channel, kernel row, kernel column): `visit(k, at)` with the
+/// tap's index in the patch and its offset in the input volume, `None`
+/// when it falls in the padding.
+#[inline(always)]
+fn taps(g: &Geom, p: usize, mut visit: impl FnMut(usize, Option<usize>)) {
+    let (oy, ox) = (p / g.out_width, p % g.out_width);
+    let (h, w) = (g.in_height, g.in_width);
+    let mut k = 0usize;
+    for ic in 0..g.in_channels {
+        for kh in 0..g.kernel_h {
+            // Above or left of the input wraps past its extent.
+            let iy = (oy * g.stride + kh).wrapping_sub(g.pad);
+            for kw in 0..g.kernel_w {
+                let ix = (ox * g.stride + kw).wrapping_sub(g.pad);
+                visit(k, (iy < h && ix < w).then(|| (ic * h + iy) * w + ix));
+                k += 1;
+            }
+        }
+    }
+}
+
+/// One block of `L` output positions of a neuron op, read from a
+/// tap-major `tile` ([`patches`]: one `L`-lane group per tap). For each
+/// output channel `o`, `L` accumulators start at its bias and add
+/// `row(o)(w)(x)`, the product of weight `w` and a lane's input `x`,
+/// over its weights in ascending order — the order per-sample inference
+/// adds in — and lane `l`'s sum lands at `dst[at[l] + o * stride]`. They
+/// live in a local array while the weight loop runs innermost, so the
 /// block's add chains are independent and one weight's row serves every
 /// lane; [`OBLOCK`] outputs share each pass over the tile, an odd last
-/// output takes it alone. `row` is the table gather, or for a table
-/// that factors the multiply by the decoded weight ([`DenseMul`]): a
-/// pure mul-add stream the compiler turns into packed arithmetic. At
-/// `L = 1` the same code is the serial row path.
-fn dense_block<const L: usize, W: Copy, X: Copy, F: Fn(X) -> f32>(
+/// output takes it alone. `row(o)` is channel `o`'s table gather, or
+/// for tables that factor the multiply by the decoded weight
+/// ([`DenseMul`]): a pure mul-add stream the compiler turns into packed
+/// arithmetic. At `L = 1` the same code is the serial path.
+#[inline(always)]
+fn dense_block<const L: usize, W: Copy, X: Copy, R: Fn(W) -> F, F: Fn(X) -> f32>(
     weights: &[W],
     bias: &[f32],
     tile: &[[X; L]],
     dst: &mut [f32],
-    nout: usize,
-    row: impl Fn(W) -> F,
+    at: [usize; L],
+    stride: usize,
+    row: impl Fn(usize) -> R,
 ) {
-    let nin = tile.len();
+    let (nin, nout) = (tile.len(), bias.len());
     let mut o = 0usize;
     while o + OBLOCK <= nout {
+        let (ra, rb) = (row(o), row(o + 1));
         let w0 = &weights[o * nin..(o + 1) * nin];
         let w1 = &weights[(o + 1) * nin..(o + 2) * nin];
         let mut acc0 = [bias[o]; L];
         let mut acc1 = [bias[o + 1]; L];
         for ((xs, &wa), &wb) in tile.iter().zip(w0).zip(w1) {
-            let (ra, rb) = (row(wa), row(wb));
+            let (fa, fb) = (ra(wa), rb(wb));
             for l in 0..L {
-                acc0[l] += ra(xs[l]);
-                acc1[l] += rb(xs[l]);
+                acc0[l] += fa(xs[l]);
+                acc1[l] += fb(xs[l]);
             }
         }
         for l in 0..L {
-            dst[l * nout + o] = acc0[l];
-            dst[l * nout + o + 1] = acc1[l];
+            dst[at[l] + o * stride] = acc0[l];
+            dst[at[l] + (o + 1) * stride] = acc1[l];
         }
         o += OBLOCK;
     }
     while o < nout {
+        let r = row(o);
         let mut acc = [bias[o]; L];
         for (xs, &w) in tile.iter().zip(&weights[o * nin..(o + 1) * nin]) {
-            let r = row(w);
+            let f = r(w);
             for (a, &x) in acc.iter_mut().zip(xs) {
-                *a += r(x);
+                *a += f(x);
             }
         }
         for (l, &a) in acc.iter().enumerate() {
-            dst[l * nout + o] = a;
+            dst[at[l] + o * stride] = a;
         }
         o += 1;
     }
 }
 
-/// Weight code `w`'s products by input code, for a block of `L` rows.
-/// A block's lanes share one bounds-checked table row; a lone row
+/// Weight code `w`'s products by input code, for a block of `L` lanes.
+/// A block's lanes share one bounds-checked table row; a lone position
 /// indexes the pool directly, as [`TableRef::fetch`] does (each
 /// measured the faster there).
 #[inline(always)]
@@ -837,34 +954,15 @@ fn products<'a, const L: usize>(pool: &'a [f32], t: &TableRef, w: u16) -> impl F
     move |x| row[base + usize::from(x)]
 }
 
-/// Transposes a row-major `LANES`-row block of codes into the
-/// interleaved tile layout `tile[i * LANES + l] = map(block[l * width + i])`,
-/// putting all lanes of one feature side by side. `map` decodes for the
-/// `f32` multiply: the block was encoded through the book it reads, so
-/// the analyzer's code-domain proof covers the index.
-fn interleave<T: Copy + Default>(
-    xblock: &[u16],
-    width: usize,
-    tile: &mut Vec<T>,
-    map: impl Fn(u16) -> T,
-) {
-    refill(tile, width * LANES);
-    for (l, xrow) in xblock.chunks_exact(width).enumerate() {
-        for (i, &x) in xrow.iter().enumerate() {
-            tile[i * LANES + l] = map(x);
-        }
-    }
-}
-
-/// A dense op lowered to the `f32` multiply kernel: its table is
-/// `fl(w · book[x])` ([`factor_table`] verified every product a weight
-/// code can select, bitwise), so `weights[j] * book[x]` is the entry
-/// the gather would have loaded.
+/// A neuron op lowered to the `f32` multiply kernel: each of its tables
+/// is `fl(w · book[x])` ([`factor_table`] verified every product a
+/// weight code can select, bitwise), so `weights[j] * book[x]` is the
+/// entry the gather would have loaded.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DenseMul {
     /// Codebook the op's input codes decode through.
     pub(crate) book: Span,
-    /// The decoded `outputs × inputs` weight matrix [`dense_block`]
+    /// The decoded `channels × patch_len` weight matrix [`dense_block`]
     /// streams through: each weight code's recovered factor.
     pub(crate) weights: Vec<f32>,
 }
@@ -875,7 +973,7 @@ pub(crate) enum Kernel {
     /// The op as the program states it: the table gather for a dense or
     /// conv op, the step itself for a pool or a residual op.
     Table,
-    /// A dense op whose table factors: the `f32` multiply.
+    /// A neuron op whose every table factors: the `f32` multiply.
     Mul(DenseMul),
     /// An analyzer-licensed dense op: the `i16` multiply-accumulate,
     /// materialized by [`CompiledModel::quantize`].
@@ -883,27 +981,25 @@ pub(crate) enum Kernel {
 }
 
 /// Lowers every op of a gated program to its `f32` kernel: the
-/// multiply for a dense op whose table factors over the codebook its
-/// input is encoded through ([`Program::flow`]), the table for every
-/// other op.
+/// multiply for a neuron op whose every table factors over the codebook
+/// its input is encoded through ([`Program::flow`]), the table for
+/// every other op.
 pub(crate) fn lower(program: &Program<'_>) -> Vec<Kernel> {
-    let lower = |(op, at): (&Op, &Boundary)| match (op, at.book) {
-        (
-            Op::Dense {
-                weight_codes,
-                table,
-                ..
-            },
-            Some(book),
-        ) => {
-            let wcodes = weight_codes.slice(&program.codes);
-            let factors = factor_table(&program.floats, table, book.slice(&program.floats), wcodes);
-            factors.map_or(Kernel::Table, |factors| {
-                let weights = wcodes.iter().map(|&w| factors[usize::from(w)]).collect();
-                Kernel::Mul(DenseMul { book, weights })
-            })
+    let (pool, codes) = (&program.floats[..], &program.codes[..]);
+    let lower = |(op, at): (&Op, &Boundary)| {
+        let (Some(n), Some(book)) = (op.neuron(), at.book) else {
+            return Kernel::Table;
+        };
+        let wcodes = n.weight_codes.slice(codes);
+        let mut weights = Vec::with_capacity(wcodes.len());
+        let readers = wcodes.chunks(n.group * n.window.patch_len());
+        for (table, wcodes) in n.tables.iter().zip(readers) {
+            let Some(factors) = factor_table(pool, table, book.slice(pool), wcodes) else {
+                return Kernel::Table;
+            };
+            weights.extend(wcodes.iter().map(|&w| factors[usize::from(w)]));
         }
-        _ => Kernel::Table,
+        Kernel::Mul(DenseMul { book, weights })
     };
     program.ops.iter().zip(&program.flow()).map(lower).collect()
 }
@@ -1095,62 +1191,6 @@ fn madd_outputs<A: Acc, const R: usize, const O: usize, T: Copy>(
     }
 }
 
-/// Convolution over one block of `L` rows, mirroring [`dense_block`]:
-/// per output channel and pixel, the tap loop runs innermost over `L`
-/// accumulators reading each tap's lane group from the interleaved
-/// tile; a padding tap adds the same product to every lane. At `L = 1`
-/// the same code is the serial row path.
-#[allow(clippy::too_many_arguments)]
-fn conv_block<const L: usize>(
-    pool_f: &[f32],
-    g: &Geom,
-    out_channels: usize,
-    wcodes: &[u16],
-    bias: &[f32],
-    tables: &[TableRef],
-    zero_code: u16,
-    tile: &[[u16; L]],
-    dst: &mut [f32],
-    nout: usize,
-) {
-    let (patch_len, pixels) = (g.patch_len(), g.out_pixels());
-    let (c, h, w) = (g.in_channels, g.in_height, g.in_width);
-    for oc in 0..out_channels {
-        let wrow = &wcodes[oc * patch_len..(oc + 1) * patch_len];
-        for oy in 0..g.out_height {
-            for ox in 0..g.out_width {
-                let mut acc = [bias[oc]; L];
-                let mut k = 0usize;
-                for ic in 0..c {
-                    for kh in 0..g.kernel_h {
-                        let iy = (oy * g.stride + kh) as isize - g.pad as isize;
-                        for kw in 0..g.kernel_w {
-                            let ix = (ox * g.stride + kw) as isize - g.pad as isize;
-                            let trow = products::<L>(pool_f, &tables[oc], wrow[k]);
-                            k += 1;
-                            if iy >= 0 && ix >= 0 && (iy as usize) < h && (ix as usize) < w {
-                                let xs = &tile[ic * h * w + iy as usize * w + ix as usize];
-                                for (a, &x) in acc.iter_mut().zip(xs) {
-                                    *a += trow(x);
-                                }
-                            } else {
-                                let pad_v = trow(zero_code);
-                                for a in acc.iter_mut() {
-                                    *a += pad_v;
-                                }
-                            }
-                        }
-                    }
-                }
-                let pixel = oc * pixels + oy * g.out_width + ox;
-                for (l, &a) in acc.iter().enumerate() {
-                    dst[l * nout + pixel] = a;
-                }
-            }
-        }
-    }
-}
-
 /// Applies the activation to the raw accumulators in `floats_next` and
 /// leaves them in the scratch buffer of the next flow domain, mirroring
 /// the per-sample finish-neuron step: activate every value, then encode
@@ -1232,6 +1272,7 @@ fn emit_encoded(
 /// kernel column): every element goes through `load`, the accumulator
 /// starts at the window's first element, `combine` folds the rest in
 /// visit order and `finish` maps the result to what is stored.
+#[inline(always)]
 fn pool_into<S: Copy, A, T>(
     g: &Geom,
     src: &[S],
@@ -1267,6 +1308,7 @@ fn pool_into<S: Copy, A, T>(
 
 /// [`pool_into`] over every row of the padded batch, into `dst` resized
 /// to fit.
+#[inline(always)]
 fn pool_rows<S: Copy, A, T: Copy + Default>(
     g: &Geom,
     src: &[S],
@@ -1297,7 +1339,6 @@ fn refill<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::nearest;
     use rapidnn_prop::{check, usize_in, SeededRng};
 
     /// [`quant_dense`] over its own copy of the operand rows, on the
@@ -1411,85 +1452,77 @@ mod tests {
         });
     }
 
-    /// One op, one kernel, read off its table: in a mixed plan the
+    /// A composed CNN (3×4×4 → conv 4 channels at stride 2 → conv 3
+    /// channels → dense 2) whose convs leave four pixels each, so a
+    /// one-row batch is all positions below a block; channel 1 of the
+    /// second conv has one product nudged off `fl(w · x)`.
+    fn nudged_cnn_for_tests() -> CompiledModel {
+        use rapidnn_nn::{Activation, ActivationLayer, Conv2d, Dense, Network};
+        use rapidnn_tensor::Padding::Same;
+        let mut rng = SeededRng::new(5);
+        let mut net = Network::new(3 * 4 * 4);
+        net.push(Conv2d::new(3, 4, 4, 4, 3, 2, Same, &mut rng).unwrap());
+        net.push(ActivationLayer::new(Activation::Relu));
+        net.push(Conv2d::new(4, 2, 2, 3, 3, 1, Same, &mut rng).unwrap());
+        net.push(ActivationLayer::new(Activation::Relu));
+        net.push(Dense::new(3 * 2 * 2, 2, &mut rng));
+        let mut program = CompiledModel::composed_for_tests(net, 2, &mut rng);
+        let n = program.ops[1].neuron().expect("a conv");
+        let (table, w) = (n.tables[1], n.weight_codes.start + n.window.patch_len());
+        let at = table.offset + usize::from(program.codes[w]) * table.input_count;
+        program.floats.to_mut()[at] += 0.001;
+        CompiledModel::from_program(&program).expect("the nudged CNN analyzes clean")
+    }
+
+    /// One op, one kernel, read off its tables: in a mixed plan the
     /// licensed ops hold integer tiles and no `f32` matrix, the op too
     /// wide for `i16` keeps the multiply its table factors into, and
     /// the op whose table does not factor holds nothing — it gathers.
-    /// Block batches (multiply, block gather, 4-row tiles) equal the
-    /// one-row kernels (row gather, 1-row tiles) bit for bit.
+    /// A conv multiplies when each of its channel tables factors and
+    /// gathers when one does not. Block batches (multiply, block
+    /// gather, 4-row tiles) equal the one-position kernels (gather
+    /// from the pool, 1-row tiles) bit for bit.
     #[test]
     fn each_dense_op_serves_on_the_kernel_its_table_allows() {
         let (refused, gathered) = (1, 3);
-        let model = CompiledModel::deep_mixed_for_tests(5, refused, gathered);
-        for (oi, kernel) in model.kernels.iter().enumerate() {
-            let held = match kernel {
-                Kernel::Madd(_) => "madd",
-                Kernel::Mul(_) => "mul",
-                Kernel::Table => "table",
-            };
-            let expected = if oi == refused {
+        let deep = CompiledModel::deep_mixed_for_tests(5, refused, gathered);
+        let deep_kernels = (0..5).map(|oi| {
+            if oi == refused {
                 "mul"
             } else if oi == gathered {
                 "table"
             } else {
                 "madd"
-            };
-            assert_eq!(held, expected, "op {oi}");
-        }
-        let mut runner = BatchRunner::new();
-        let (mut block, mut row) = (Vec::new(), Vec::new());
-        for rows in [8usize, 64] {
-            let inputs: Vec<f32> = (0..rows * 4).map(|i| (i as f32 * 0.37).sin()).collect();
-            runner.run(&model, &inputs, &mut block).unwrap();
-            for (r, sample) in inputs.chunks(4).enumerate() {
-                runner.run(&model, sample, &mut row).unwrap();
-                let got = &block[r * 4..(r + 1) * 4];
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(got), bits(&row), "row {r} of {rows}");
             }
-        }
-    }
-
-    /// The branch-free search must agree with the reference binary
-    /// search on every probe, including exact hits, ties, boundary
-    /// clamps, signed zeros and NaN.
-    #[test]
-    fn nearest_sorted_matches_reference() {
-        let books: &[&[f32]] = &[
-            &[0.0],
-            &[-1.0, 1.0],
-            &[-2.0, -0.5, 0.0, 0.25, 3.0],
-            &[f32::NEG_INFINITY, -1.0, 0.0, f32::INFINITY],
+        });
+        let cnn = nudged_cnn_for_tests();
+        let models = [
+            (deep, deep_kernels.collect()),
+            (cnn, vec!["mul", "table", "mul"]),
         ];
-        let mut probes: Vec<f32> = vec![
-            f32::NEG_INFINITY,
-            -3.0,
-            -1.0,
-            -0.75,
-            -0.25,
-            -0.0,
-            0.0,
-            0.125,
-            0.25,
-            1.0,
-            2.0,
-            3.0,
-            10.0,
-            f32::INFINITY,
-            f32::NAN,
-        ];
-        for i in -40..=40 {
-            probes.push(i as f32 * 0.11);
-        }
-        for book in books {
-            let mut keys = Vec::new();
-            load_keys(&mut keys, book);
-            for &p in &probes {
-                assert_eq!(
-                    usize::from(nearest_sorted(book, &keys, p)),
-                    nearest(book, p),
-                    "book {book:?} probe {p}"
-                );
+        for (model, expected) in &models {
+            let held: Vec<&str> = model
+                .kernels
+                .iter()
+                .map(|kernel| match kernel {
+                    Kernel::Madd(_) => "madd",
+                    Kernel::Mul(_) => "mul",
+                    Kernel::Table => "table",
+                })
+                .collect();
+            assert_eq!(&held, expected);
+            let mut runner = BatchRunner::new();
+            let (mut block, mut row) = (Vec::new(), Vec::new());
+            let (nin, nout) = (model.input_features(), model.output_features());
+            for rows in [8usize, 64] {
+                let inputs: Vec<f32> = (0..rows * nin).map(|i| (i as f32 * 0.37).sin()).collect();
+                runner.run(model, &inputs, &mut block).unwrap();
+                for (r, sample) in inputs.chunks(nin).enumerate() {
+                    runner.run(model, sample, &mut row).unwrap();
+                    let got = &block[r * nout..(r + 1) * nout];
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(got), bits(&row), "row {r} of {rows}");
+                }
             }
         }
     }

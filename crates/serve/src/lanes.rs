@@ -14,10 +14,11 @@
 //! entered through [`run`], where the crate's one CPU feature check
 //! picks it. On an AVX2 CPU the op loop, the integer kernels and the
 //! input encoder are inlined into one `#[target_feature(enable =
-//! "avx2")]` frame, so the encoder's sweeps and the finish's edge count
-//! run at that width too (the `f32` kernels it calls keep their
-//! baseline code); the frame enables no FMA, so `f32` results keep
-//! their bits. Any other CPU runs the portable body, with the same bits.
+//! "avx2")]` frame, so the encoder's sweeps, the finish's edge count,
+//! the `f32` neuron blocks and the pools run at that width too (the
+//! one-lane kernel for positions below a block keeps its baseline
+//! code); the frame enables no FMA, so `f32` results keep their bits.
+//! Any other CPU runs the portable body, with the same bits.
 //!
 //! The one module in the crate allowed to use `unsafe`; the crate root
 //! is `#![deny(unsafe_code)]`. `Avx2` is named only behind the check.

@@ -26,9 +26,10 @@
 //! code pool; at run time the integer path never touches the pool
 //! again, and the batch arena holds no weight tile for any op.
 
-use crate::artifact::{apply_act, nearest, CompiledModel};
+use crate::artifact::{apply_act, CompiledModel};
 use crate::kernels::{Kernel, EDGE_LANES};
 use rapidnn_analyze::{Act, FinishPlan, Op, OpQuant, QuantPlan};
+use rapidnn_core::nearest::nearest;
 
 /// One dense op lowered to integer tiles.
 #[derive(Debug, Clone, PartialEq)]

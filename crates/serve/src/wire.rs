@@ -214,27 +214,10 @@ pub(crate) fn encoded_len(program: &Program<'_>) -> usize {
 fn plan_sections(ops: &[Op], codes: &[u16]) -> Vec<(usize, usize, u32)> {
     let total = codes.len();
     let mut claims: Vec<(Span, u32)> = Vec::new();
-    for op in ops {
-        let claim = match op {
-            Op::Dense {
-                weight_codes,
-                table,
-                ..
-            } => Some((*weight_codes, bits_for(table.weight_count))),
-            Op::Conv {
-                weight_codes,
-                tables,
-                ..
-            } => {
-                let rows = tables.iter().map(|t| t.weight_count).max().unwrap_or(0);
-                Some((*weight_codes, bits_for(rows)))
-            }
-            _ => None,
-        };
-        if let Some((span, width)) = claim {
-            if span.len > 0 && span.start < total && span.start + span.len <= total {
-                claims.push((span, width));
-            }
+    for n in ops.iter().filter_map(Op::neuron) {
+        let span = n.weight_codes;
+        if span.len > 0 && span.start < total && span.start + span.len <= total {
+            claims.push((span, bits_for(n.weight_rows())));
         }
     }
     claims.sort_by_key(|(s, _)| s.start);

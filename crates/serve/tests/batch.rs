@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::{cnn_model, mlp_model, residual_model};
+use common::{cnn_model, mlp_model, residual_model, strided_cnn_model};
 use rapidnn_core::ReinterpretedNetwork;
 use rapidnn_prop::{check, usize_in, vec_f32};
 use rapidnn_serve::{BatchRunner, CompiledModel, Engine, EngineConfig};
@@ -19,12 +19,13 @@ use rapidnn_tensor::SeededRng;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-fn topologies() -> [ReinterpretedNetwork; 3] {
+fn topologies() -> [ReinterpretedNetwork; 4] {
     let mut rng = SeededRng::new(2024);
     [
         mlp_model(&mut rng),
         cnn_model(&mut rng),
         residual_model(&mut rng),
+        strided_cnn_model(&mut rng),
     ]
 }
 

@@ -1,6 +1,7 @@
 //! Shared model builders for the serve integration tests: one network
 //! per op-program topology the compiler can emit (dense, conv + pools,
-//! residual), reinterpreted over synthetic calibration data.
+//! strided and padded conv, residual), reinterpreted over synthetic
+//! calibration data.
 
 #![allow(dead_code)] // Each test binary uses a subset of the builders.
 
@@ -40,6 +41,20 @@ pub fn cnn_model(rng: &mut SeededRng) -> ReinterpretedNetwork {
     net.push(AvgPool2d::new(2, 4, 4, 2).unwrap());
     net.push(Dense::new(2 * 2 * 2, 4, rng));
     let data = SyntheticSpec::new(128, 4, 2.0).generate(30, rng).unwrap();
+    ReinterpretedNetwork::build(&mut net, data.inputs(), &options(), rng).unwrap()
+}
+
+/// Conv network at stride 2 with one pixel of padding, whose odd
+/// output-pixel counts (25, then 9) leave output positions below a
+/// block at every batch size, over a sigmoid (lookup-table) conv.
+pub fn strided_cnn_model(rng: &mut SeededRng) -> ReinterpretedNetwork {
+    let mut net = Network::new(2 * 9 * 9);
+    net.push(Conv2d::new(2, 9, 9, 3, 3, 2, Padding::Same, rng).unwrap());
+    net.push(ActivationLayer::new(Activation::Relu));
+    net.push(Conv2d::new(3, 5, 5, 2, 3, 2, Padding::Same, rng).unwrap());
+    net.push(ActivationLayer::new(Activation::Sigmoid));
+    net.push(Dense::new(2 * 3 * 3, 3, rng));
+    let data = SyntheticSpec::new(162, 3, 2.0).generate(30, rng).unwrap();
     ReinterpretedNetwork::build(&mut net, data.inputs(), &options(), rng).unwrap()
 }
 

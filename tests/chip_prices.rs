@@ -117,3 +117,45 @@ fn simulator_prices_of_the_composed_corpus_are_pinned() {
         }
     }
 }
+
+/// Conv network whose conv gives channel 0 three distinct weights, so
+/// a three-entry weight book beside the other channels' eight.
+fn short_book_cnn(rng: &mut SeededRng) -> ReinterpretedNetwork {
+    let mut net = Network::new(6 * 6);
+    let mut conv = Conv2d::new(1, 6, 6, 3, 3, 1, Padding::Same, rng).unwrap();
+    let mut weights = conv.weights().clone();
+    for (i, w) in weights.as_mut_slice()[..9].iter_mut().enumerate() {
+        *w = [-0.5, 0.25, 0.75][i % 3];
+    }
+    conv.set_weights(weights).unwrap();
+    net.push(conv);
+    net.push(ActivationLayer::new(Activation::Relu));
+    net.push(Dense::new(3 * 6 * 6, 4, rng));
+    compose(net, 4, 30, rng)
+}
+
+/// A conv's channels may hold weight books of different lengths; the
+/// chip prices the op at its largest, which one short book must not
+/// change.
+#[test]
+fn a_conv_is_priced_at_its_largest_channel_book() {
+    let program = Program::from_reinterpreted(&short_book_cnn(&mut SeededRng::new(1)));
+    let books: Vec<usize> = program.ops[0]
+        .neuron()
+        .expect("a conv")
+        .tables
+        .iter()
+        .map(|t| t.weight_count)
+        .collect();
+    assert_eq!(books, [3, 8, 8]);
+    let report = Simulator::new(AcceleratorConfig::default()).simulate(&op_shapes(&program));
+    let hw = &report.hardware;
+    let got = [hw.latency_ns, hw.energy_pj, hw.pipeline_interval_ns].map(f64::to_bits);
+    let pinned = [
+        0x4083_7800_0000_0000,
+        0x40fe_faa8_6a7e_f9d9,
+        0x4076_4000_0000_0000,
+    ];
+    assert_eq!(got, pinned, "{hw:?}");
+    assert_eq!(hw.mac_ops, 1404);
+}
