@@ -12,8 +12,8 @@
 //!
 //! The walk proves the structural invariants the serving runtime's
 //! kernels index by (span bounds, code domains, geometry, width
-//! chaining — each an `error`; the runtime has no validator of its
-//! own), and layers value-level findings on top: non-finite reachable entries
+//! chaining, sorted codebooks and LUT inputs — each an `error`; the
+//! runtime has no validator of its own), and layers value-level findings on top: non-finite reachable entries
 //! (`error`), hardware bit-width exceedances against
 //! [`DatapathModel`] (`warning`), and liveness — dead codebook
 //! entries, unused product-table rows, dead columns and LUT rows
@@ -143,15 +143,20 @@ fn ulp_next(v: f32) -> f32 {
     }
 }
 
-/// A checked codebook: bounds-valid, non-empty, addressable, finite.
+/// Sorted by `total_cmp`, as every nearest search over `axis` needs: the
+/// serving runtime tabulates each one over its search boundaries, and
+/// the nearest map is monotone in the probe only on a sorted axis.
+fn sorted(axis: &[f32]) -> bool {
+    axis.is_sorted_by(|a, b| a.total_cmp(b).is_le())
+}
+
+/// A checked codebook: bounds-valid, non-empty, addressable, finite,
+/// sorted.
 struct Book {
     span: Span,
-    /// Sorted by `total_cmp`? When false the nearest map is not
-    /// monotone and reachability falls back to the full range.
-    sorted: bool,
     /// Hull of every entry.
     interval: Interval,
-    /// Total-order keys for [`nearest_range`] (empty when unsorted).
+    /// Total-order keys for [`nearest_range`].
     keys: Vec<i32>,
 }
 
@@ -244,9 +249,7 @@ impl<'p> Checker<'p> {
     }
 
     /// Checks a codebook span: in bounds, non-empty, addressable by a
-    /// `u16` code, every entry finite. Unsortedness is a warning (the
-    /// runtime stays in bounds, but reachability degrades to the full
-    /// range).
+    /// `u16` code, every entry finite, sorted by `total_cmp` ([`sorted`]).
     fn codebook(&mut self, op: Option<usize>, s: Span, what: &str) -> Result<Book, Halt> {
         let values = self.floats_span(op, s, what)?;
         if values.is_empty() {
@@ -274,22 +277,17 @@ impl<'p> Checker<'p> {
                 ),
             ));
         };
-        let sorted = values
-            .windows(2)
-            .all(|w| w[0].total_cmp(&w[1]) != std::cmp::Ordering::Greater);
-        let mut keys = Vec::new();
-        if sorted {
-            load_keys(&mut keys, values);
-        } else {
-            self.warn(
+        if !sorted(values) {
+            return Err(self.error(
                 DiagCode::UnsortedCodebook,
                 op,
-                format!("{what}: codebook is not sorted; treating every entry as reachable"),
-            );
+                format!("{what}: codebook is not sorted"),
+            ));
         }
+        let mut keys = Vec::new();
+        load_keys(&mut keys, values);
         Ok(Book {
             span: s,
-            sorted,
             interval,
             keys,
         })
@@ -521,9 +519,6 @@ impl<'p> Checker<'p> {
     /// code of every concrete probe. Entries outside it are dead on
     /// every execution — safe to delete, not just to note.
     fn reach_of(&self, book: &Book, interval: Interval, slack: f64) -> (usize, usize) {
-        if !book.sorted {
-            return (0, book.len() - 1);
-        }
         let values = &self.floats[book.span.start..book.span.start + book.span.len];
         let w = interval.widened_by(slack);
         nearest_range(values, &book.keys, f32_down(w.lo), f32_up(w.hi))
@@ -607,25 +602,20 @@ impl<'p> Checker<'p> {
                         ),
                     ));
                 }
-                let sorted = xs
-                    .windows(2)
-                    .all(|w| w[0].total_cmp(&w[1]) != std::cmp::Ordering::Greater);
-                let (lo, hi) = if sorted {
-                    let mut keys = Vec::new();
-                    load_keys(&mut keys, xs);
-                    // Same outward-rounded, slack-widened probe rule as
-                    // `reach_of`: the range contains every concrete
-                    // probe's row.
-                    let w = pre.widened_by(slack);
-                    nearest_range(xs, &keys, f32_down(w.lo), f32_up(w.hi))
-                } else {
-                    self.warn(
+                if !sorted(xs) {
+                    return Err(self.error(
                         DiagCode::UnsortedCodebook,
                         Some(op),
-                        format!("{label}: activation LUT inputs are not sorted; treating every row as reachable"),
-                    );
-                    (0, xs.len() - 1)
-                };
+                        format!("{label}: activation LUT inputs are not sorted"),
+                    ));
+                }
+                let mut keys = Vec::new();
+                load_keys(&mut keys, xs);
+                // Same outward-rounded, slack-widened probe rule as
+                // `reach_of`: the range contains every concrete probe's
+                // row.
+                let w = pre.widened_by(slack);
+                let (lo, hi) = nearest_range(xs, &keys, f32_down(w.lo), f32_up(w.hi));
                 self.facts.ops[op].lut_reach = Some((lo, hi));
                 if hi - lo + 1 < xs.len() {
                     self.report.push_liveness(

@@ -21,7 +21,7 @@ pub enum Severity {
     /// Advisory context (dead table rows, unused columns).
     Note,
     /// Suspicious but not unsound for the software pipeline
-    /// (hardware-width exceedances, unsorted codebooks).
+    /// (hardware-width exceedances).
     Warning,
     /// The artifact is malformed or inference could fault; every
     /// `CompiledModel` constructor refuses the program.
@@ -96,9 +96,10 @@ pub enum DiagCode {
     /// ranges fail to cover a reachable code range or referenced row),
     /// or re-analysis of the optimized program reports errors.
     RewriteUnproven,
-    /// A codebook is not sorted by `total_cmp`; nearest-search
-    /// monotonicity no longer holds (analysis falls back to the full
-    /// range).
+    /// A codebook or activation-LUT input axis is not sorted by
+    /// `total_cmp`: the nearest map over it is not monotone, so it has
+    /// no search boundaries for the runtime to tabulate its encodes and
+    /// finishes over.
     UnsortedCodebook,
     /// A neuron's statically-bounded sum exceeds the fixed-point
     /// accumulator word modeled in `rapidnn-accel`.
@@ -135,7 +136,7 @@ impl DiagCode {
             DiagCode::CertificateInvalid => "RNA0015",
             DiagCode::RewriteMismatch => "RNA0016",
             DiagCode::RewriteUnproven => "RNA0017",
-            DiagCode::UnsortedCodebook => "RNA0101",
+            DiagCode::UnsortedCodebook => "RNA0018",
             DiagCode::AccumulatorOverflow => "RNA0102",
             DiagCode::CounterOverflow => "RNA0103",
             DiagCode::DeadCodebookEntries => "RNA0104",
@@ -162,9 +163,9 @@ impl DiagCode {
             | DiagCode::PackedLayoutInvalid
             | DiagCode::CertificateInvalid
             | DiagCode::RewriteMismatch
-            | DiagCode::RewriteUnproven => Severity::Error,
-            DiagCode::UnsortedCodebook
-            | DiagCode::AccumulatorOverflow
+            | DiagCode::RewriteUnproven
+            | DiagCode::UnsortedCodebook => Severity::Error,
+            DiagCode::AccumulatorOverflow
             | DiagCode::CounterOverflow
             | DiagCode::DeadCodebookEntries => Severity::Warning,
             DiagCode::DeadTableRows | DiagCode::DeadTableColumns | DiagCode::DeadLutRows => {

@@ -216,15 +216,12 @@ mod tests {
     }
 
     #[test]
-    fn unsorted_codebook_warns_without_error() {
+    fn unsorted_codebook_is_an_error() {
         let mut p = tiny();
         p.floats.to_mut()[..4].copy_from_slice(&[2.0, -1.0, 0.5, 0.0]);
         let report = analyze(&p);
-        assert!(!report.has_errors(), "{report}");
-        assert!(
-            report.find(DiagCode::UnsortedCodebook).is_some(),
-            "{report}"
-        );
+        let found = report.find(DiagCode::UnsortedCodebook);
+        assert_eq!(found.map(|d| d.severity), Some(Severity::Error), "{report}");
     }
 
     #[test]

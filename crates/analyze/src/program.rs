@@ -223,9 +223,16 @@ pub struct Neuron<'o> {
 }
 
 impl Neuron<'_> {
+    /// The index in [`tables`](Self::tables) of the product table
+    /// output channel `o` reads: each serves [`group`](Self::group)
+    /// consecutive channels.
+    pub fn table_index(&self, o: usize) -> usize {
+        o / self.group
+    }
+
     /// The product table output channel `o` reads.
     pub fn table(&self, o: usize) -> &TableRef {
-        &self.tables[if self.tables.len() == 1 { 0 } else { o }]
+        &self.tables[self.table_index(o)]
     }
 
     /// The largest weight book among the tables: the rows its codes address.

@@ -65,7 +65,7 @@
 //! against this bound across random topologies.
 
 use crate::interval::Interval;
-use crate::program::{Act, Op, Program, Span, TableRef};
+use crate::program::{Act, Neuron, Op, Program, Span, TableRef};
 use rapidnn_accel::DatapathModel;
 use std::fmt;
 
@@ -75,7 +75,7 @@ const Q_MAX: f64 = 32766.0;
 /// Accumulator budget: worst-case `|acc|` must stay within `2^30`,
 /// leaving a 4× safety margin inside `i32`.
 const ACC_BUDGET: f64 = (1u64 << 30) as f64;
-/// Longest sorted axis [`QuantWalk::book`] accepts, the checker's
+/// Longest LUT axis [`QuantWalk::lut_axis`] accepts, the checker's
 /// codebook cap (RNA0004). A finish's runs are keyed on a lookup row or
 /// an output code, so none holds more runs than this.
 const MAX_AXIS_LEN: usize = 1 << 16;
@@ -106,10 +106,9 @@ pub enum FinishPlan {
 pub enum FallbackReason {
     /// The op kind has no integer lowering (convolutions today).
     UnsupportedOp,
-    /// A codebook or activation-LUT input axis the error bound walks as
-    /// sorted is not sorted by `<=` (the checker only warns, RNA0101),
-    /// or a LUT input axis — which the checker leaves unchecked — is
-    /// non-finite or longer than `2^16`.
+    /// An activation-LUT input axis the error bound walks — sorted, as
+    /// the checker requires of every axis (RNA0018), but otherwise
+    /// unchecked — is non-finite or longer than `2^16`.
     UnsortedBook,
     /// A value the lowering must quantize is NaN or infinite. A
     /// non-finite referenced table row is named before one that does
@@ -130,7 +129,7 @@ impl fmt::Display for FallbackReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let msg = match self {
             FallbackReason::UnsupportedOp => "op kind has no integer lowering",
-            FallbackReason::UnsortedBook => "a codebook or LUT axis is not sorted and finite",
+            FallbackReason::UnsortedBook => "a LUT input axis is non-finite or over 2^16 long",
             FallbackReason::NonFinite => "quantization source values are not finite",
             FallbackReason::NotFactored => "product table does not factor into w · x",
             FallbackReason::ValueRangeTooWide => "operand range exceeds i16 at any fraction",
@@ -247,6 +246,21 @@ pub fn quantize_plan_with(program: &Program<'_>, datapath: DatapathModel) -> Qua
     }
 }
 
+/// What a neuron op's referenced rows bound, over its outputs `o`
+/// ([`QuantWalk::scan_rows`]).
+struct RowScan {
+    /// Hull of every output's accumulator `b_o + Σ_i row w(o, i)`.
+    acc: Interval,
+    /// `max_o (|b_o| + Σ_i mag(row w(o, i)))`.
+    mag_sum: f64,
+    /// The largest magnitude of one referenced row.
+    row_mag: f64,
+    /// `max_o Σ_i lip(row w(o, i))`: an input deviation of `err` moves
+    /// output `o`'s accumulator at most `err` times its sum (triangle
+    /// inequality per neuron).
+    lip_sum: f64,
+}
+
 /// Per-table-row facts, memoized while scanning an op's weight codes.
 #[derive(Clone, Copy)]
 struct RowInfo {
@@ -273,15 +287,15 @@ impl<'p> QuantWalk<'p, '_> {
         s.slice(&self.program.floats)
     }
 
-    /// An axis the error bound walks as sorted: a codebook, or an
-    /// activation LUT's inputs. The checker proves either in bounds
-    /// and non-empty, and a codebook finite and addressable; `None`
-    /// for what it does not prove (see [`FallbackReason::UnsortedBook`]).
-    fn book(&self, s: Span) -> Option<&'p [f32]> {
+    /// An activation LUT's inputs, which the error bound walks as a
+    /// sorted axis of finite values. The checker proves them in bounds,
+    /// non-empty and sorted (as it proves a codebook, finite and
+    /// addressable too); `None` when they are not finite or longer than
+    /// a codebook may be (see [`FallbackReason::UnsortedBook`]).
+    fn lut_axis(&self, s: Span) -> Option<&'p [f32]> {
         let vals = self.floats(s);
-        let sorted = vals.windows(2).all(|w| w[0] <= w[1]);
         let finite = vals.iter().all(|v| v.is_finite());
-        (vals.len() <= MAX_AXIS_LEN && sorted && finite).then_some(vals)
+        (vals.len() <= MAX_AXIS_LEN && finite).then_some(vals)
     }
 
     fn run(&mut self) {
@@ -296,47 +310,25 @@ impl<'p> QuantWalk<'p, '_> {
     /// through — for a table op always one, since the checker refuses
     /// a table op fed decoded floats (RNA0007).
     fn step(&mut self, op: &Op, book: Option<Span>) -> OpQuant {
+        let neuron = || op.neuron().expect("dense and conv ops are neurons");
         let table_input = || book.expect("a clean table op reads codes");
         match op {
-            Op::Dense {
-                inputs,
-                weight_codes,
-                bias,
-                table,
-                act,
-                encoder,
-                ..
-            } => {
-                let book = table_input();
-                self.dense(*inputs, *weight_codes, *bias, table, act, encoder, book)
-            }
-            Op::Conv {
-                geom,
-                tables,
-                act,
-                encoder,
-                ..
-            } => {
-                let book = table_input();
+            Op::Dense { .. } => self.dense(&neuron(), table_input()),
+            Op::Conv { .. } => {
+                let (n, book) = (neuron(), table_input());
                 // Convolutions stay on f32; if upstream deviation
                 // exists it still propagates through the taps.
                 if self.err > 0.0 {
-                    let lip = self.book(book).map_or(f64::INFINITY, |bk| {
-                        tables
-                            .iter()
-                            .map(|t| self.table_lip_all(t, bk))
-                            .fold(0.0, f64::max)
-                    });
-                    let acc_dev = geom.patch_len() as f64 * lip * self.err;
-                    self.err = self.finish_error(acc_dev, act, encoder);
+                    let rows = self.scan_rows(&n, self.floats(book));
+                    let acc_dev = rows.map_or(f64::INFINITY, |r| r.lip_sum * self.err);
+                    self.err = self.finish_error(acc_dev, n.act, &n.encoder);
                 }
                 OpQuant::Fallback(FallbackReason::UnsupportedOp)
             }
             Op::MaxPool(_) => OpQuant::NotApplicable,
             Op::AvgPool { codebook, .. } => {
                 if self.err > 0.0 {
-                    let r = self.book(*codebook).map_or(f64::INFINITY, half_gap);
-                    self.err += 2.0 * r;
+                    self.err += 2.0 * half_gap(self.floats(*codebook));
                 }
                 OpQuant::NotApplicable
             }
@@ -349,8 +341,7 @@ impl<'p> QuantWalk<'p, '_> {
                 self.err += skip;
                 if self.err > 0.0 {
                     if let Some(enc) = encoder {
-                        let r = self.book(*enc).map_or(f64::INFINITY, half_gap);
-                        self.err += 2.0 * r;
+                        self.err += 2.0 * half_gap(self.floats(*enc));
                     }
                 }
                 OpQuant::NotApplicable
@@ -360,40 +351,28 @@ impl<'p> QuantWalk<'p, '_> {
 
     /// Dense licensing. On any failure the op falls back and upstream
     /// deviation propagates as well as the data allows (infinity when
-    /// an axis it must walk is not sorted and finite).
-    #[allow(clippy::too_many_arguments)]
-    fn dense(
-        &mut self,
-        inputs: usize,
-        weight_codes: Span,
-        bias: Span,
-        table: &TableRef,
-        act: &Act,
-        encoder: &Option<Span>,
-        book_span: Span,
-    ) -> OpQuant {
+    /// a LUT axis it must walk is not finite).
+    fn dense(&mut self, n: &Neuron<'_>, book_span: Span) -> OpQuant {
+        let (inputs, table, act, encoder) = (n.window.patch_len(), &n.tables[0], n.act, &n.encoder);
         let fallback = |w: &mut Self, reason: FallbackReason| {
             if w.err > 0.0 {
                 // Bound the f32 fallback's own deviation when the data
                 // allows; else give up.
-                let acc_dev = w
-                    .book(book_span)
-                    .and_then(|bk| w.fallback_acc_dev(inputs, weight_codes, table, bk))
-                    .unwrap_or(f64::INFINITY);
+                let acc_dev = w.fallback_acc_dev(n, w.floats(book_span));
+                let acc_dev = acc_dev.unwrap_or(f64::INFINITY);
                 w.err = w.finish_error(acc_dev, act, encoder);
             }
             OpQuant::Fallback(reason)
         };
 
-        // --- What the checker does not refuse: unsorted axes, and
-        // finish data it proves finite only where reachable.
-        let Some(book) = self.book(book_span) else {
-            return fallback(self, FallbackReason::UnsortedBook);
-        };
+        // --- What the checker does not refuse: non-finite or oversized
+        // LUT inputs, and finish data it proves finite only where
+        // reachable.
+        let book = self.floats(book_span);
         let act_data = match act {
             Act::Identity | Act::Relu => None,
             Act::Lookup { inputs, outputs } => {
-                let Some(xs) = self.book(*inputs) else {
+                let Some(xs) = self.lut_axis(*inputs) else {
                     return fallback(self, FallbackReason::UnsortedBook);
                 };
                 let ys = self.floats(*outputs);
@@ -403,43 +382,16 @@ impl<'p> QuantWalk<'p, '_> {
                 Some((xs, ys))
             }
         };
-        let enc_book = match encoder.map(|e| self.book(e)) {
-            Some(None) => return fallback(self, FallbackReason::UnsortedBook),
-            book => book.flatten(),
-        };
+        let enc_book = encoder.map(|e| self.floats(e));
 
-        // --- Row scan: hull, magnitude and Lipschitz constant of every
-        // referenced row, then the factors. A non-finite row is named
+        // --- Row scan, then the factors. A non-finite row is named
         // before any factoring: `factor_table` answers `None` for it too.
-        let pool_f: &[f32] = &self.program.floats;
-        let wcodes = weight_codes.slice(&self.program.codes);
-        let bias_v = self.floats(bias);
-        let mut rows: Vec<Option<RowInfo>> = vec![None; table.weight_count];
-        let mut acc = Interval::zero();
-        let mut mag_bound = 0.0f64;
-        let count = inputs as f64;
-        let mut lip_max = 0.0f64;
-        let mut first = true;
-        for (o, wrow) in wcodes.chunks_exact(inputs).enumerate() {
-            let mut hull_o = Interval::point(f64::from(bias_v[o]));
-            let mut mag_o = f64::from(bias_v[o]).abs();
-            for &c in wrow {
-                let c = c as usize;
-                if rows[c].is_none() {
-                    rows[c] = self.row_info(table, c, book);
-                }
-                let Some(info) = rows[c] else {
-                    return fallback(self, FallbackReason::NonFinite);
-                };
-                hull_o = hull_o + info.hull;
-                mag_o += info.mag;
-                lip_max = lip_max.max(info.lip);
-            }
-            acc = if first { hull_o } else { acc.hull(hull_o) };
-            first = false;
-            mag_bound = mag_bound.max(mag_o);
-        }
-        let Some(wvals) = factor_table(pool_f, table, book, wcodes) else {
+        let Some(rows) = self.scan_rows(n, book) else {
+            return fallback(self, FallbackReason::NonFinite);
+        };
+        let (acc, mag_bound, count) = (rows.acc, rows.mag_sum, inputs as f64);
+        let wcodes = n.weight_codes.slice(&self.program.codes);
+        let Some(wvals) = factor_table(&self.program.floats, table, book, wcodes) else {
             return fallback(self, FallbackReason::NotFactored);
         };
 
@@ -474,7 +426,7 @@ impl<'p> QuantWalk<'p, '_> {
             * (wmax * exp2_neg(x_frac + 1) + xmax * exp2_neg(w_frac + 1) + exp2_neg(acc_frac + 2))
             + exp2_neg(acc_frac + 1)
             + (count + 3.0) * mag_bound * exp2_neg(23);
-        let acc_error = eps_acc + flip_term(count, lip_max, self.err);
+        let acc_error = eps_acc + flip_term(rows.lip_sum, self.err);
 
         // --- Finish: direct dequantization when nothing follows the
         // accumulator but an exact activation, else a bucket grid
@@ -541,42 +493,52 @@ impl<'p> QuantWalk<'p, '_> {
         })
     }
 
-    /// Max Lipschitz constant of a table over *all* rows (used for
-    /// conv propagation, where per-row code tracking is not worth it).
-    fn table_lip_all(&self, table: &TableRef, book: &[f32]) -> f64 {
-        let pool_f: &[f32] = &self.program.floats;
-        (0..table.weight_count)
-            .map(|w| slice_lip(book, &table.row(pool_f, w)[..book.len()]))
-            .fold(0.0, f64::max)
+    /// One pass over a neuron op's referenced rows along `book`, each
+    /// row's facts found once per table ([`Self::row_info`]); `None`
+    /// when a referenced row is not finite.
+    fn scan_rows(&self, n: &Neuron<'_>, book: &[f32]) -> Option<RowScan> {
+        let wcodes = n.weight_codes.slice(&self.program.codes);
+        let bias = self.floats(n.bias);
+        let tables = n.tables.iter();
+        let mut seen: Vec<Vec<_>> = tables.map(|t| vec![None; t.weight_count]).collect();
+        let (mut acc, mut mag_sum, mut row_mag, mut lip_sum) = (None, 0.0f64, 0.0f64, 0.0f64);
+        for (o, wrow) in wcodes.chunks_exact(n.window.patch_len()).enumerate() {
+            let (t, b) = (n.table_index(o), f64::from(bias[o]));
+            let (mut hull_o, mut mag_o, mut lip_o) = (Interval::point(b), b.abs(), 0.0);
+            for &c in wrow {
+                let c = usize::from(c);
+                let info = match seen[t][c] {
+                    Some(info) => info,
+                    None => *seen[t][c].insert(self.row_info(&n.tables[t], c, book)?),
+                };
+                hull_o = hull_o + info.hull;
+                mag_o += info.mag;
+                lip_o += info.lip;
+                row_mag = row_mag.max(info.mag);
+            }
+            acc = Some(acc.map_or(hull_o, |a: Interval| a.hull(hull_o)));
+            (mag_sum, lip_sum) = (mag_sum.max(mag_o), lip_sum.max(lip_o));
+        }
+        Some(RowScan {
+            acc: acc?,
+            mag_sum,
+            row_mag,
+            lip_sum,
+        })
     }
 
     /// Accumulator deviation of an *unlicensed* dense op fed deviated
-    /// inputs: upstream error through the table's Lipschitz constant;
-    /// `None` when a referenced row is not finite.
-    fn fallback_acc_dev(
-        &self,
-        inputs: usize,
-        weight_codes: Span,
-        table: &TableRef,
-        book: &[f32],
-    ) -> Option<f64> {
-        let pool_f: &[f32] = &self.program.floats;
-        let mut lip = 0.0f64;
-        let mut mag = 0.0f64;
-        let mut seen = vec![false; table.weight_count];
-        for &c in weight_codes.slice(&self.program.codes) {
-            let c = c as usize;
-            if !seen[c] {
-                seen[c] = true;
-                let row = &table.row(pool_f, c)[..book.len()];
-                lip = lip.max(slice_lip(book, row));
-                mag = mag.max(Interval::of_slice(row)?.magnitude());
-            }
-        }
-        let count = inputs as f64;
+    /// inputs: upstream error through the per-neuron sum of its rows'
+    /// Lipschitz constants ([`RowScan::lip_sum`]); `None` when a
+    /// referenced row is not finite.
+    fn fallback_acc_dev(&self, n: &Neuron<'_>, book: &[f32]) -> Option<f64> {
+        let rows = self.scan_rows(n, book)?;
+        let count = n.window.patch_len() as f64;
         // The flip term plus the f32 re-accumulation's own rounding on
         // the shifted values.
-        Some(flip_term(count, lip, self.err) + (count + 1.0) * count * mag * exp2_neg(23))
+        Some(
+            flip_term(rows.lip_sum, self.err) + (count + 1.0) * count * rows.row_mag * exp2_neg(23),
+        )
     }
 
     /// Propagates an accumulator deviation through activation and
@@ -585,23 +547,23 @@ impl<'p> QuantWalk<'p, '_> {
     fn finish_error(&self, acc_dev: f64, act: &Act, encoder: &Option<Span>) -> f64 {
         let act_err = match act {
             Act::Identity | Act::Relu => acc_dev,
-            Act::Lookup { inputs, outputs } => match self.book(*inputs) {
+            Act::Lookup { inputs, outputs } => match self.lut_axis(*inputs) {
                 Some(xs) => slice_lip(xs, self.floats(*outputs)) * (acc_dev + 2.0 * half_gap(xs)),
                 None => f64::INFINITY,
             },
         };
-        let r = encoder.map_or(0.0, |e| self.book(e).map_or(f64::INFINITY, half_gap));
+        let r = encoder.map_or(0.0, |e| half_gap(self.floats(e)));
         act_err + 2.0 * r
     }
 }
 
-/// `count · lip · err` with the `∞ · 0` corner pinned to zero: no
-/// upstream deviation means nothing to amplify.
-fn flip_term(count: f64, lip: f64, err: f64) -> f64 {
+/// `lip · err` with the `∞ · 0` corner pinned to zero: no upstream
+/// deviation means nothing to amplify.
+fn flip_term(lip: f64, err: f64) -> f64 {
     if err == 0.0 {
         0.0
     } else {
-        count * lip * err
+        lip * err
     }
 }
 

@@ -6,9 +6,9 @@
 //! whose natural order matches [`f32::total_cmp`] turns the nearest
 //! search into a count of integer compares with no data-dependent
 //! branches — the dominant cost of encoding random data through a
-//! small book. The result is bit-for-bit identical to a
-//! `binary_search_by(total_cmp)` plus neighbour tie-break (ties resolve
-//! to the smaller representative).
+//! small book. The result is bit-for-bit identical to [`nearest`], a
+//! `total_cmp` insertion point plus neighbour tie-break (ties resolve to
+//! the smaller representative, equal entries to the first).
 
 /// Total-order key of an `f32`: an integer whose natural ordering is
 /// exactly [`f32::total_cmp`] (flip the payload bits of negative
@@ -26,17 +26,21 @@ pub fn load_keys(keys: &mut Vec<i32>, book: &[f32]) {
     keys.extend(book.iter().map(|&v| total_key(v)));
 }
 
-/// The rule every search here reproduces, in its readable form: binary
-/// search over the total order of a `total_cmp`-sorted `book`, then the
-/// nearer neighbour, ties to the smaller representative; returns the
-/// index (0 for an empty book). What the branch-free searches are tested
-/// against, and what an activation lookup or a one-off encode calls.
+/// The rule every search here reproduces, in its readable form: the
+/// insertion point in the total order of a `total_cmp`-sorted `book`
+/// (the first entry not below `value`); an exact match there is the
+/// answer — the first of equal entries —, else the nearer neighbour,
+/// ties to the smaller representative; returns the index (0 for an
+/// empty book). What the branch-free searches are tested against, and
+/// what an activation lookup or a one-off encode calls.
 pub fn nearest(book: &[f32], value: f32) -> usize {
-    match book.binary_search_by(|probe| probe.total_cmp(&value)) {
-        Ok(i) => i,
-        Err(0) => 0,
-        Err(i) if i >= book.len() => book.len() - 1,
-        Err(i) => {
+    use std::cmp::Ordering::{Equal, Less};
+    let i = book.partition_point(|probe| probe.total_cmp(&value) == Less);
+    match i {
+        0 => 0,
+        i if i >= book.len() => book.len() - 1,
+        i if book[i].total_cmp(&value) == Equal => i,
+        i => {
             let (lo, hi) = (i - 1, i);
             if (value - book[lo]).abs() <= (book[hi] - value).abs() {
                 lo
@@ -232,53 +236,67 @@ pub fn nearest_thresholded_levels(thr: &[i32], levels: &[i16], values: &[f32], o
 }
 
 /// The boundaries [`nearest_thresholded_block`] counts against, for a
-/// `total_cmp`-sorted `book` with its `keys`: `book.len() - 1` keys in
-/// ascending order. `None` for an empty book and for one past the
-/// tabulation cap (256 entries), whose boundaries would cost more to
-/// find than any caller has shown they save.
+/// `total_cmp`-sorted `book` with its `keys` ([`build_thresholds`]).
+/// `None` for an empty book and for one past the tabulation cap (256
+/// entries), which the block encoders' stack arrays are sized for.
 pub fn tabulate_thresholds(book: &[f32], keys: &[i32]) -> Option<Vec<i32>> {
-    if !(1..=THRESH_BOOK).contains(&book.len()) {
-        return None;
-    }
-    let mut thr = vec![0i32; book.len() - 1];
-    build_thresholds(book, keys, &mut thr);
-    Some(thr)
+    (1..=THRESH_BOOK)
+        .contains(&book.len())
+        .then(|| build_thresholds(book, keys))
 }
 
 /// Tabulates the exact code boundaries of the nearest map in key
-/// space: `thr[i]` is the largest total-order key whose nearest index
-/// is `<= i`, so `nearest(v) == count of thr entries < total_key(v)`.
+/// space, at any book size: `book.len() - 1` keys, `thr[i]` the largest
+/// total-order key whose nearest index is `<= i`, so
+/// `nearest(v) == count of thr entries < total_key(v)`.
 ///
-/// Each boundary is found by binary search over the whole key domain
-/// with the *scalar search itself* as the oracle, so the tabulation
-/// reproduces its semantics — tie-breaks, `-0.0`/`0.0` exact-match
-/// behaviour, boundary clamps — bit for bit by construction. The
-/// search is sound because the map is monotone in the key: the f32
-/// tie-break `(v - lo) <= (hi - v)` flips at most once as `v` rises,
-/// and the only equal-value subtlety (a book holding both zeros) sits
-/// on adjacent keys, which a key-space threshold separates exactly.
-fn build_thresholds(book: &[f32], keys: &[i32], thr: &mut [i32]) {
-    for (i, t) in thr.iter_mut().enumerate() {
+/// Boundary `i` lies between entries `i` and `i + 1`, where the search
+/// decides between those two alone: a probe at or below entry `i`'s
+/// key answers at most `i`, one above entry `i + 1`'s at least `i + 1`,
+/// and one between them takes the nearer of the pair or, on entry
+/// `i + 1`'s key, that entry. So each boundary is found with the
+/// *scalar search itself* as the oracle, run over the pair — which
+/// reproduces its semantics (tie-breaks, `-0.0`/`0.0` exact-match
+/// behaviour, repeated entries, boundary clamps) bit for bit by
+/// construction. From the pair's midpoint key it gallops to a key on
+/// the far side, then bisects. The search is sound because the map is
+/// monotone in the key: the f32 tie-break `(v - lo) <= (hi - v)` flips
+/// at most once as `v` rises, and the only equal-value subtlety (a
+/// book holding both zeros) sits on adjacent keys, which a key-space
+/// boundary separates exactly. An unsorted book has no such boundaries
+/// (its nearest map is not monotone); the analyzer refuses one.
+pub fn build_thresholds(book: &[f32], keys: &[i32]) -> Vec<i32> {
+    let at_most_first = |pair: &[f32], pk: &[i32], k: i64| {
         // `total_key` is an involution, so it also maps keys back to
-        // value bits. oracle(i32::MIN) is the negative-NaN probe
-        // (index 0, always <= i); oracle(i32::MAX) is positive NaN
-        // (the last index, never <= i here) — the search stays framed.
-        let oracle = |k: i64| {
-            let k = k as i32;
-            let bits = total_key(f32::from_bits(k as u32)) as u32;
-            nearest_index(book, keys, f32::from_bits(bits))
-        };
-        let (mut lo, mut hi) = (i64::from(i32::MIN), i64::from(i32::MAX));
-        while lo < hi {
-            let mid = (lo + hi + 1) >> 1;
-            if oracle(mid) <= i {
-                lo = mid;
-            } else {
-                hi = mid - 1;
+        // value bits.
+        let v = f32::from_bits(total_key(f32::from_bits(k as i32 as u32)) as u32);
+        nearest_index(pair, pk, v) == 0
+    };
+    let (min, max) = (i64::from(i32::MIN), i64::from(i32::MAX));
+    let boundary = |(pair, pk): (&[f32], &[i32])| {
+        let low = |k: i64| at_most_first(pair, pk, k);
+        let mid = ((f64::from(pair[0]) + f64::from(pair[1])) / 2.0) as f32;
+        let start = i64::from(total_key(mid));
+        // `lo` answers the first entry (or is one below the key
+        // domain), `hi` the second (or one above it).
+        let (mut lo, mut hi) = (start, start);
+        let mut step = 1;
+        if low(start) {
+            while hi <= max && low(hi) {
+                (lo, hi, step) = (hi, (hi + step).min(max + 1), step * 2);
+            }
+        } else {
+            while lo >= min && !low(lo) {
+                (hi, lo, step) = (lo, (lo - step).max(min - 1), step * 2);
             }
         }
-        *t = lo as i32;
-    }
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            *if low(mid) { &mut lo } else { &mut hi } = mid;
+        }
+        lo.max(min) as i32
+    };
+    book.windows(2).zip(keys.windows(2)).map(boundary).collect()
 }
 
 /// Inclusive index range of codebook entries reachable from any probe
@@ -316,7 +334,9 @@ mod tests {
 
     /// The branch-free search agrees with the reference binary search
     /// on every probe, including exact hits, ties, boundary clamps,
-    /// signed zeros, infinities and NaN.
+    /// signed zeros, infinities and NaN — and on books with repeated
+    /// entries (which the analyzer passes as sorted), where both answer
+    /// the first of the equal entries.
     #[test]
     fn matches_binary_search_reference() {
         let books: &[&[f32]] = &[
@@ -327,7 +347,15 @@ mod tests {
             &[-0.0, 0.0, 1.0],
             &[f32::MIN, -1.0, 0.0, 1.0, f32::MAX],
             &[f32::NEG_INFINITY, -1.0, 0.0, f32::INFINITY],
+            &[0.0, 1.0, 1.0, 1.0, 2.0],
+            &[1.0, 1.0],
+            &[-0.0, 0.0, 0.0, 1.0],
+            &[-0.0, -0.0, 0.0, 0.0],
+            &[-2.0, -2.0, 0.5, 3.0, 3.0],
         ];
+        assert_eq!(nearest(&[0.0, 1.0, 1.0, 1.0, 2.0], 1.0), 1);
+        assert_eq!(nearest(&[1.0, 1.0], 1.0), 0);
+        assert_eq!(nearest(&[-0.0, 0.0, 0.0, 1.0], 0.0), 1);
         let mut probes = vec![
             f32::NEG_INFINITY,
             f32::MIN,
@@ -358,6 +386,64 @@ mod tests {
                     "book={book:?} probe={p}"
                 );
             }
+        }
+    }
+
+    /// The boundaries found from each pair's midpoint equal those a
+    /// bisection over the whole key domain finds with the search over
+    /// the whole book as its oracle, on random sorted books of 1–64
+    /// entries holding repeats, both zeros, infinities, `f32::MAX` and
+    /// subnormals.
+    #[test]
+    fn thresholds_match_a_whole_domain_bisection() {
+        use rapidnn_prop::{usize_in, SeededRng};
+        let whole = |book: &[f32], keys: &[i32], i: usize| {
+            let oracle = |k: i64| {
+                let v = f32::from_bits(total_key(f32::from_bits(k as i32 as u32)) as u32);
+                nearest_index(book, keys, v)
+            };
+            let (mut lo, mut hi) = (i64::from(i32::MIN), i64::from(i32::MAX));
+            while lo < hi {
+                let mid = (lo + hi + 1) >> 1;
+                if oracle(mid) <= i {
+                    lo = mid;
+                } else {
+                    hi = mid - 1;
+                }
+            }
+            lo as i32
+        };
+        let special = [
+            -0.0,
+            0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::MIN_POSITIVE,
+        ];
+        let mut rng = SeededRng::new(0x7e5);
+        let mut keys = Vec::new();
+        for round in 0..600 {
+            let size = 1 + round % 64;
+            let mut book: Vec<f32> = (0..size)
+                .map(|_| match usize_in(&mut rng, 0, 6) {
+                    0 => special[usize_in(&mut rng, 0, special.len())],
+                    1 => rng.uniform(-1.0e-30, 1.0e-30),
+                    _ => rng.uniform(-3.0, 3.0),
+                })
+                .collect();
+            for _ in 0..size / 6 {
+                let (from, to) = (usize_in(&mut rng, 0, size), usize_in(&mut rng, 0, size));
+                book[to] = book[from];
+            }
+            book.sort_by(f32::total_cmp);
+            load_keys(&mut keys, &book);
+            let thr = build_thresholds(&book, &keys);
+            let want: Vec<i32> = (0..size - 1).map(|i| whole(&book, &keys, i)).collect();
+            assert_eq!(thr, want, "book {book:?}");
         }
     }
 

@@ -5,7 +5,8 @@
 //! codebooks, product tables, LUTs and weight codes, plus the linear op
 //! program the kernels execute as it is — and what is derived from it
 //! once, after the gate: the input encoder's search tables, one kernel
-//! per op and the flow state at every op boundary. The flat layout is
+//! per op, each lookup or re-encode tabulated as its runs and the flow
+//! state at every op boundary. The flat layout is
 //! cache-friendly for serving and trivially serializable; the binary
 //! format lives in the crate's `wire` module and ends there: bytes
 //! decode to a [`Program`], the same IR every other constructor starts
@@ -37,6 +38,7 @@
 //! interpreter.
 
 use crate::error::{Result, ServeError};
+use crate::finish::{self, Finish};
 use crate::kernels::{lower, BatchRunner, Domain, FlowState, Kernel};
 use crate::wire;
 use rapidnn_analyze::{Act, Boundary, Op, OpQuant, Program, QuantPlan};
@@ -65,6 +67,10 @@ pub struct CompiledModel {
     /// from what its table allows, and overwritten by
     /// [`CompiledModel::quantize`] for every op the plan licenses.
     pub(crate) kernels: Vec<Kernel>,
+    /// Each op's activation lookup and re-encode as one step function
+    /// ([`Finish`]), `None` for an op with neither; moved onto the
+    /// accumulator grid of each op [`CompiledModel::quantize`] licenses.
+    pub(crate) finishes: Vec<Option<Finish>>,
     /// The plan [`CompiledModel::quantize`] materialized.
     pub(crate) quant_plan: Option<QuantPlan>,
     /// Where the flow stands at each of the `ops.len() + 1` op
@@ -102,18 +108,20 @@ impl InputEncoder {
 
 impl CompiledModel {
     /// The one place a model is put together, over a program the gate
-    /// passed: the input encoder tabulated and every op lowered to the
-    /// kernel its table allows ([`lower`]), f32 only.
+    /// passed: the input encoder and every finish tabulated and every op
+    /// lowered to the kernel its table allows ([`lower`]), f32 only.
     fn assemble(program: Program<'static>) -> CompiledModel {
         let kernels = lower(&program);
         Self::with_kernels(program, kernels)
     }
 
-    /// `program` over `kernels`, with its input encoder and flow.
+    /// `program` over `kernels`, with its input encoder, finishes and
+    /// flow.
     fn with_kernels(program: Program<'static>, kernels: Vec<Kernel>) -> CompiledModel {
         let mut model = CompiledModel {
             input_enc: InputEncoder::new(&program),
             kernels,
+            finishes: finish::tabulate(&program),
             quant_plan: None,
             flow: Vec::new(),
             program,

@@ -36,8 +36,10 @@
 //!   the slice bounds check turns an analyzer hole into a panic the
 //!   engine's workers contain (`ServeError::WorkerPanic`), never UB.
 //!
-//! Pools, residual joins and encode steps are element-wise or
-//! window-local and run as plain batched loops.
+//! Pools and residual joins run as plain batched loops. Every
+//! activation lookup and re-encode is the op's tabulated [`Finish`],
+//! built with the model: a count of run edges per value ([`run_of`]),
+//! written in the domain the next op reads.
 //!
 //! # One kernel per op, chosen once
 //!
@@ -74,24 +76,20 @@
 //!
 //! Results are bit-for-bit identical to per-sample inference (and
 //! therefore to `ReinterpretedNetwork::infer_sample`): samples are
-//! independent, and for each sample every accumulation, activation
-//! lookup and nearest-representative search happens in exactly the
-//! order the per-sample path uses. Batching only reorders work *across*
-//! samples.
+//! independent, every accumulation happens in the per-sample order and
+//! every finish tabulates the scalar lookup and search exactly.
+//! Batching only reorders work *across* samples.
 
 use crate::artifact::{apply_act, CompiledModel, InputEncoder};
 use crate::error::{Result, ServeError};
+use crate::finish::{run_of, Finish, LutOut};
 use crate::lanes::{self, Acc, LaneWork};
-use crate::quant::{level_of, LutOut, QuantFinish, QuantOp};
+use crate::quant::{level_of, QuantOp};
 use rapidnn_analyze::{factor_table, Act, Boundary, Geom, Neuron, Op, Program, Span, TableRef};
-use std::ops::Range;
-// The branch-free nearest-representative search originated here and now
-// lives in `rapidnn_core::nearest`, shared with the composer's encode
-// paths so both sides pay the same cost per encode.
 use rapidnn_core::nearest::{
-    load_keys, nearest_index, nearest_sorted, nearest_sorted_block, nearest_thresholded_block,
-    nearest_thresholded_levels,
+    nearest_sorted_block, nearest_thresholded_block, nearest_thresholded_levels, total_key,
 };
+use std::ops::Range;
 
 /// Domain of the data currently flowing between ops.
 ///
@@ -198,13 +196,6 @@ pub struct BatchRunner {
     /// Arena of residual-skip snapshots, indexed by nesting depth.
     /// Entries are reused across batches; only `0..depth` are live.
     skips: Vec<Vec<f32>>,
-    /// Total-order keys of the codebook currently being encoded
-    /// through, recomputed per encode step (see
-    /// [`rapidnn_core::nearest::total_key`]).
-    keys: Vec<i32>,
-    /// Total-order keys of the activation lookup table currently being
-    /// applied (alive at the same time as the encoder's `keys`).
-    act_keys: Vec<i32>,
     /// Lane-group tile of codes for the table gather: a block of rows
     /// transposed plus a conv's patch ([`row_blocks`]), or the patches
     /// of a smaller batch ([`patches`]).
@@ -258,8 +249,6 @@ impl BatchRunner {
     /// for batches of `max_rows` samples.
     pub fn reserve(&mut self, model: &CompiledModel, max_rows: usize) {
         let plan = plan(model);
-        self.keys.reserve(plan.max_book);
-        self.act_keys.reserve(plan.max_act);
         self.tile.reserve(plan.max_tile.saturating_mul(LANES));
         self.tile_f.reserve(plan.max_tile_f.saturating_mul(LANES));
         let rows = |width: usize| max_rows.saturating_mul(width);
@@ -296,8 +285,6 @@ impl BatchRunner {
                 .iter()
                 .map(|s| s.capacity() * size_of::<f32>())
                 .sum::<usize>()
-            + self.keys.capacity() * size_of::<i32>()
-            + self.act_keys.capacity() * size_of::<i32>()
             + self.tile.capacity() * size_of::<u16>()
             + self.tile_f.capacity() * size_of::<f32>()
     }
@@ -444,8 +431,6 @@ impl BatchRunner {
         let BatchRunner {
             flow,
             skips,
-            keys,
-            act_keys,
             tile,
             tile_f,
         } = self;
@@ -458,19 +443,21 @@ impl BatchRunner {
         for oi in range {
             let op = &program.ops[oi];
             let (at, next) = (model.flow[oi], model.flow[oi + 1].domain);
-            // An op that hands encoded values to an integer Madd op
-            // writes that op's operand for each code, not the code.
+            // A max pool or a region's entry that hands codes to an
+            // integer Madd op writes that op's operand for each code.
             let levels = model.madd_levels(oi + 1);
+            let finish = model.finishes[oi].as_ref();
             match op {
                 Op::Dense { .. } | Op::Conv { .. } => {
                     let n = op.neuron().expect("dense and conv ops are neurons");
+                    let relu = matches!(n.act, Act::Relu);
                     let mul = match &model.kernels[oi] {
                         // Analyzer-licensed ops run the integer path on
                         // tiles materialized once at load time; the
-                        // activation + re-encode are baked into the
-                        // finish's runs, so the op is one pass.
+                        // activation + re-encode are the finish's runs
+                        // on the accumulator, so the op is one pass.
                         Kernel::Madd(q) => {
-                            quant_dense::<A>(q, flow, padded);
+                            quant_dense::<A>(q, finish, relu, flow, padded);
                             flow.advance(next);
                             continue;
                         }
@@ -478,7 +465,12 @@ impl BatchRunner {
                         Kernel::Table => None,
                     };
                     neuron_rows(pool_f, &program.codes, &n, mul, flow, tile, tile_f, padded);
-                    finish_neuron(pool_f, n.act, &n.encoder, levels, flow, keys, act_keys);
+                    match finish {
+                        Some(f) => refinish(f, relu, flow),
+                        // Identity or ReLU with nothing after it.
+                        None => (flow.floats_next.iter_mut())
+                            .for_each(|y| *y = apply_act(n.act, pool_f, *y)),
+                    }
                 }
                 Op::MaxPool(g) => {
                     let (same, max) = (|c: u16| c, |a: u16, b: u16| a.max(b));
@@ -501,30 +493,17 @@ impl BatchRunner {
                 }
                 Op::AvgPool { geom: g, codebook } => {
                     let window = (g.kernel_h * g.kernel_w) as f32;
-                    let sum = |a: f32, b: f32| a + b;
-                    if at.domain == Domain::Floats {
-                        let (src, dst) = (&flow.floats, &mut flow.floats_next);
-                        pool_rows(g, src, dst, padded, |v| v, sum, |s| s / window);
-                    } else {
-                        // Fused decode + average + re-encode: codebook
-                        // values are gathered straight out of the window
-                        // (the sum order of decoding the sample first).
-                        let book = codebook.slice(pool_f);
-                        load_keys(keys, book);
-                        let encode = |s: f32| nearest_sorted(book, keys, s / window);
-                        let decode = |c: u16| book[c as usize];
-                        let src = &flow.codes;
-                        match levels {
-                            None => {
-                                let dst = &mut flow.codes_next;
-                                pool_rows(g, src, dst, padded, decode, sum, encode);
-                            }
-                            Some(xq) => {
-                                let dst = &mut flow.quants_next;
-                                pool_rows(g, src, dst, padded, decode, sum, |s| {
-                                    level_of(xq, encode(s))
-                                });
-                            }
+                    let (sum, mean) = (|a: f32, b: f32| a + b, |s: f32| s / window);
+                    let dst = &mut flow.floats_next;
+                    match finish {
+                        None => pool_rows(g, &flow.floats, dst, padded, |v| v, sum, mean),
+                        // Decoded straight out of the window (the sum order
+                        // of decoding the sample first), then re-encoded.
+                        Some(f) => {
+                            let book = codebook.slice(pool_f);
+                            let decode = |c: u16| book[c as usize];
+                            pool_rows(g, &flow.codes, dst, padded, decode, sum, mean);
+                            refinish(f, false, flow);
                         }
                     }
                 }
@@ -546,30 +525,14 @@ impl BatchRunner {
                     }
                     continue;
                 }
-                Op::ResidualEnd { encoder } => {
+                Op::ResidualEnd { .. } => {
                     skip_depth -= 1;
                     let skip = &skips[skip_depth];
                     let n = padded * at.width;
                     let joined = &flow.floats;
-                    match encoder {
-                        Some(enc) => {
-                            let book = enc.slice(pool_f);
-                            load_keys(keys, book);
-                            emit_encoded(
-                                levels,
-                                &mut flow.codes_next,
-                                &mut flow.quants_next,
-                                n,
-                                |i| nearest_sorted(book, keys, joined[i] + skip[i]),
-                            );
-                        }
-                        None => {
-                            let dst = &mut flow.floats_next;
-                            refill(dst, n);
-                            for i in 0..n {
-                                dst[i] = joined[i] + skip[i];
-                            }
-                        }
+                    match finish {
+                        Some(f) => flow.finish(f, n, |joined, i| joined[i] + skip[i]),
+                        None => fill(&mut flow.floats_next, n, |i| joined[i] + skip[i]),
                     }
                 }
             }
@@ -634,10 +597,6 @@ struct Plan {
     /// conv's patch.
     max_tile: usize,
     max_tile_f: usize,
-    /// Largest codebook encoded through.
-    max_book: usize,
-    /// Largest activation lookup table applied.
-    max_act: usize,
 }
 
 /// Collects the scratch arena's high-water marks from the model's flow
@@ -649,19 +608,11 @@ struct Plan {
 /// buffers plus one block tile and does not grow with the code pool.
 /// Quantized models reserve less still: an analyzer-licensed dense op
 /// writes its finish straight into the next op's flow buffer, so it
-/// contributes no tile, activation-key, encode-book or accumulator
-/// capacity — nothing at all, reading its rows from the flow in place.
+/// contributes no tile or accumulator capacity — nothing at all,
+/// reading its rows from the flow in place. A finish's runs live in
+/// the model.
 fn plan(model: &CompiledModel) -> Plan {
     let mut p = Plan::default();
-    fn span_len(enc: &Option<Span>) -> usize {
-        enc.as_ref().map_or(0, |e| e.len)
-    }
-    fn act_len(act: &Act) -> usize {
-        match act {
-            Act::Lookup { inputs, .. } => inputs.len,
-            _ => 0,
-        }
-    }
     let program = &model.program;
     for at in &model.flow {
         let max = match at.domain {
@@ -693,13 +644,11 @@ fn plan(model: &CompiledModel) -> Plan {
                     p.max_tile = p.max_tile.max(patch_len);
                 }
                 p.max_floats = p.max_floats.max(nout);
-                p.max_book = p.max_book.max(span_len(&n.encoder));
-                p.max_act = p.max_act.max(act_len(n.act));
             }
-            Op::MaxPool(_) => {}
-            Op::AvgPool { codebook, .. } => p.max_book = p.max_book.max(codebook.len),
+            // The averages of a pool over codes, before its re-encode.
+            Op::AvgPool { .. } => p.max_floats = p.max_floats.max(nout),
             Op::ResidualBegin { .. } => p.max_skip = p.max_skip.max(reads),
-            Op::ResidualEnd { encoder } => p.max_book = p.max_book.max(span_len(encoder)),
+            Op::MaxPool(_) | Op::ResidualEnd { .. } => {}
         }
     }
     p
@@ -1005,36 +954,31 @@ pub(crate) fn lower(program: &Program<'_>) -> Vec<Kernel> {
 }
 
 /// Runs one analyzer-licensed dense op over the padded batch: runs
-/// [`madd_rows`] with the finish the plan baked — dequantize,
-/// dequantize + ReLU, or the output of the accumulator's run
-/// ([`run_of`]), already what the next op reads — into the scratch
+/// [`madd_rows`] with its finish — the output of the accumulator's run
+/// in its tabulated `finish` ([`run_of`]), already what the next op
+/// reads, else dequantize (+ ReLU when `relu`) — into the scratch
 /// buffer of that domain.
 #[inline(always)]
-fn quant_dense<A: Acc>(q: &QuantOp, flow: &mut Flow, padded: usize) {
-    let quants = &flow.quants;
-    match &q.finish {
-        QuantFinish::Dequant { inv } => {
-            let (dst, inv) = (&mut flow.floats_next, *inv);
-            madd_rows::<A, _>(q, quants, dst, padded, move |a| a as f32 * inv);
-        }
-        QuantFinish::DequantRelu { inv } => {
-            let (dst, inv) = (&mut flow.floats_next, *inv);
-            madd_rows::<A, _>(q, quants, dst, padded, move |a| (a as f32 * inv).max(0.0));
-        }
-        QuantFinish::Runs { edges, out } => {
-            let run = |a| run_of(edges, a);
-            match out {
-                LutOut::Codes(o) => {
-                    madd_rows::<A, _>(q, quants, &mut flow.codes_next, padded, |a| o[run(a)]);
-                }
-                LutOut::Quants(o) => {
-                    madd_rows::<A, _>(q, quants, &mut flow.quants_next, padded, |a| o[run(a)]);
-                }
-                LutOut::Floats(o) => {
-                    madd_rows::<A, _>(q, quants, &mut flow.floats_next, padded, |a| o[run(a)]);
-                }
-            }
-        }
+fn quant_dense<A: Acc>(
+    q: &QuantOp,
+    finish: Option<&Finish>,
+    relu: bool,
+    flow: &mut Flow,
+    padded: usize,
+) {
+    let (xs, inv) = (&flow.quants, q.inv);
+    let Some(Finish { edges, out }) = finish else {
+        let dst = &mut flow.floats_next;
+        return match relu {
+            true => madd_rows::<A, _>(q, xs, dst, padded, move |a| (a as f32 * inv).max(0.0)),
+            false => madd_rows::<A, _>(q, xs, dst, padded, move |a| a as f32 * inv),
+        };
+    };
+    let run = |a| run_of(edges, a);
+    match out {
+        LutOut::Codes(o) => madd_rows::<A, _>(q, xs, &mut flow.codes_next, padded, |a| o[run(a)]),
+        LutOut::Quants(o) => madd_rows::<A, _>(q, xs, &mut flow.quants_next, padded, |a| o[run(a)]),
+        LutOut::Floats(o) => madd_rows::<A, _>(q, xs, &mut flow.floats_next, padded, |a| o[run(a)]),
     }
 }
 
@@ -1073,29 +1017,6 @@ fn madd_rows<A: Acc, T: Copy + Default>(
         let dst = &mut dst[r * nout..(r + 1) * nout];
         madd_tile::<A, 1, _>(q, xs, dst, finish);
     }
-}
-
-/// Edges a finish compares an accumulator against in one step.
-pub(crate) const EDGE_LANES: usize = 8;
-
-/// The run of a finish `acc` lies in: how many run `edges` are at or
-/// below it, counted a whole lane group at a time without a branch, as
-/// `rapidnn_core::nearest` counts keys below a probe. Total over `i32`:
-/// below the first edge is the first run, past the last the last.
-#[inline]
-pub(crate) fn run_of(edges: &[[i32; EDGE_LANES]], acc: i32) -> usize {
-    let mut below = [0u32; EDGE_LANES];
-    for group in edges {
-        for (b, &e) in below.iter_mut().zip(group) {
-            *b += u32::from(e <= acc);
-        }
-        // Keeps the group as the vector: without a barrier, inside the
-        // AVX2 frame the loop vectorizer takes eight groups as its lanes
-        // and transposes them (64-edge finishes: 37 µs for a 64-row
-        // 16 → 24 op against 12 µs with it).
-        std::hint::black_box(());
-    }
-    below.iter().sum::<u32>() as usize
 }
 
 /// Integer Madd over a register-blocked tile of `R` operand rows (`xs`,
@@ -1191,80 +1112,35 @@ fn madd_outputs<A: Acc, const R: usize, const O: usize, T: Copy>(
     }
 }
 
-/// Applies the activation to the raw accumulators in `floats_next` and
-/// leaves them in the scratch buffer of the next flow domain, mirroring
-/// the per-sample finish-neuron step: activate every value, then encode
-/// through the stage encoder if one is present ([`emit_encoded`]).
-///
-/// A `Lookup` activation is a nearest-input search over a sorted LUT —
-/// the same shape as an encode step — so its total-order keys are
-/// cached once per op and every value goes through the branch-free
-/// [`nearest_index`] instead of [`apply_act`]'s binary search. The
-/// LUT's inputs are strictly increasing (built sorted and deduplicated),
-/// so both searches pick the same index bit-for-bit.
-fn finish_neuron(
-    pool_f: &[f32],
-    act: &Act,
-    encoder: &Option<Span>,
-    levels: Option<&[i16]>,
-    flow: &mut Flow,
-    keys: &mut Vec<i32>,
-    act_keys: &mut Vec<i32>,
-) {
-    let lut = match act {
-        Act::Lookup { inputs, outputs } => {
-            let xs = inputs.slice(pool_f);
-            load_keys(act_keys, xs);
-            Some((xs, outputs.slice(pool_f)))
-        }
-        _ => None,
-    };
-    let act_keys: &[i32] = act_keys;
-    let apply = |y: f32| match lut {
-        Some((xs, ys)) => ys[nearest_index(xs, act_keys, y)],
-        None => apply_act(act, pool_f, y),
-    };
-    match encoder {
-        Some(enc) => {
-            let book = enc.slice(pool_f);
-            load_keys(keys, book);
-            let raw = &flow.floats_next;
-            emit_encoded(
-                levels,
-                &mut flow.codes_next,
-                &mut flow.quants_next,
-                raw.len(),
-                |i| nearest_sorted(book, keys, apply(raw[i])),
-            );
-        }
-        None => {
-            for y in flow.floats_next.iter_mut() {
-                *y = apply(*y);
-            }
+/// Makes the values an op staged in `floats_next` — raw accumulators,
+/// a pool's averages — the flow's `floats` (dead: the op read codes),
+/// then finishes each, after the ReLU when `relu` (as [`apply_act`]).
+#[inline(always)]
+fn refinish(f: &Finish, relu: bool, flow: &mut Flow) {
+    std::mem::swap(&mut flow.floats, &mut flow.floats_next);
+    let n = flow.floats.len();
+    flow.finish(f, n, |v, i| if relu { v[i].max(0.0) } else { v[i] });
+}
+
+impl Flow {
+    /// Writes the finish `f` of each of the `n` values `value(floats,
+    /// i)` — its run found by its total-order key — into the scratch
+    /// buffer of the finish's domain.
+    #[inline(always)]
+    fn finish(&mut self, f: &Finish, n: usize, value: impl Fn(&[f32], usize) -> f32) {
+        let run = |i| run_of(&f.edges, total_key(value(&self.floats, i)));
+        match &f.out {
+            LutOut::Codes(o) => fill(&mut self.codes_next, n, |i| o[run(i)]),
+            LutOut::Quants(o) => fill(&mut self.quants_next, n, |i| o[run(i)]),
+            LutOut::Floats(o) => fill(&mut self.floats_next, n, |i| o[run(i)]),
         }
     }
 }
 
-/// Fills the scratch buffer the next op reads with `n` freshly encoded
-/// values: the codes themselves, or — handed the `levels` of an integer
-/// Madd op — that op's operand for each code.
-fn emit_encoded(
-    levels: Option<&[i16]>,
-    codes_next: &mut Vec<u16>,
-    quants_next: &mut Vec<i16>,
-    n: usize,
-    code_at: impl Fn(usize) -> u16,
-) {
-    match levels {
-        None => {
-            codes_next.clear();
-            codes_next.extend((0..n).map(code_at));
-        }
-        Some(xq) => {
-            quants_next.clear();
-            quants_next.extend((0..n).map(|i| level_of(xq, code_at(i))));
-        }
-    }
+/// Resets `buf` to `f(i)` for `i` in `0..n`, reusing its capacity.
+fn fill<T>(buf: &mut Vec<T>, n: usize, f: impl Fn(usize) -> T) {
+    buf.clear();
+    buf.extend((0..n).map(f));
 }
 
 /// Windowed reduction of one sample in the same iteration order as the
@@ -1339,19 +1215,21 @@ fn refill<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::finish::EDGE_LANES;
     use rapidnn_prop::{check, usize_in, SeededRng};
 
-    /// [`quant_dense`] over its own copy of the operand rows, on the
-    /// lane body [`lanes::each_body`] hands it.
-    struct Dense<'a>(&'a QuantOp, &'a [i16], usize);
+    /// [`quant_dense`] with its finish and ReLU flag over its own copy
+    /// of the operand rows, on the lane body [`lanes::each_body`] hands
+    /// it.
+    struct Dense<'a>(&'a QuantOp, Option<&'a Finish>, bool, &'a [i16], usize);
 
     impl LaneWork for Dense<'_> {
         type Out = Flow;
 
         fn run<A: Acc>(self) -> Flow {
             let mut flow = Flow::default();
-            flow.quants.extend_from_slice(self.1);
-            quant_dense::<A>(self.0, &mut flow, self.2);
+            flow.quants.extend_from_slice(self.3);
+            quant_dense::<A>(self.0, self.1, self.2, &mut flow, self.4);
             flow
         }
     }
@@ -1387,29 +1265,30 @@ mod tests {
                     for rows in 1..=19usize {
                         let inv = 1.0 / 4096.0;
                         kind = (kind + 1) % KINDS;
-                        let runs = |out| QuantFinish::Runs {
+                        let runs = |out| Finish {
                             edges: edges.clone(),
                             out,
                         };
                         let finish = match kind {
-                            0 => QuantFinish::Dequant { inv },
-                            1 => QuantFinish::DequantRelu { inv },
-                            2 => runs(LutOut::Codes(
+                            0 | 1 => None,
+                            2 => Some(runs(LutOut::Codes(
                                 (0..RUNS).map(|i| (i * 7 % BOOK) as u16).collect(),
-                            )),
-                            3 => runs(LutOut::Quants(
+                            ))),
+                            3 => Some(runs(LutOut::Quants(
                                 (0..RUNS).map(|i| (i * 523 % 4001) as i16 - 2000).collect(),
-                            )),
-                            _ => runs(LutOut::Floats(
+                            ))),
+                            _ => Some(runs(LutOut::Floats(
                                 (0..RUNS).map(|i| i as f32 * 0.37 - 9.0).collect(),
-                            )),
+                            ))),
                         };
                         let (w, b) = (weights.clone(), bias_q.clone());
-                        let q = QuantOp::new(nin, nout, w, xq.clone(), b, finish);
+                        let q = QuantOp::new(nin, nout, w, xq.clone(), b, inv);
                         let input: Vec<u16> =
                             (0..rows * nin).map(|_| rng.index(BOOK) as u16).collect();
                         let quants: Vec<i16> = input.iter().map(|&c| level_of(&xq, c)).collect();
-                        let flows = lanes::each_body(|| Dense(&q, &quants, rows));
+                        let relu = kind == 1;
+                        let flows =
+                            lanes::each_body(|| Dense(&q, finish.as_ref(), relu, &quants, rows));
                         for r in 0..rows {
                             for o in 0..nout {
                                 let w = &weights[o * nin..(o + 1) * nin];
@@ -1428,12 +1307,10 @@ mod tests {
                                         let got = flow.floats_next[at];
                                         assert_eq!(got.to_bits(), want.to_bits(), "{ctx}");
                                     };
-                                    match &q.finish {
-                                        QuantFinish::Dequant { inv } => float(acc as f32 * inv),
-                                        QuantFinish::DequantRelu { inv } => {
-                                            float((acc as f32 * inv).max(0.0));
-                                        }
-                                        QuantFinish::Runs { out, .. } => match out {
+                                    match &finish {
+                                        None if relu => float((acc as f32 * inv).max(0.0)),
+                                        None => float(acc as f32 * inv),
+                                        Some(Finish { out, .. }) => match out {
                                             LutOut::Codes(t) => {
                                                 assert_eq!(flow.codes_next[at], t[run], "{ctx}");
                                             }

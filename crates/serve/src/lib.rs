@@ -73,12 +73,16 @@
 pub mod artifact;
 pub mod engine;
 mod error;
+mod finish;
 pub mod kernels;
 mod lanes;
 pub mod lint;
 pub mod metrics;
 pub mod pipeline;
 mod quant;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_models;
 mod wire;
 
 pub use artifact::{CompiledModel, FORMAT_VERSION, MAGIC};

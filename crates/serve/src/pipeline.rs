@@ -161,13 +161,9 @@ pub(crate) fn plan_stages(model: &CompiledModel, stages: usize) -> Option<StageP
 mod tests {
     use super::*;
     use crate::kernels::{pad_rows, BatchRunner, Domain, FlowData};
+    use crate::test_models as common;
     use rapidnn_analyze::Op;
-    use rapidnn_core::{ReinterpretOptions, ReinterpretedNetwork};
-    use rapidnn_data::SyntheticSpec;
-    use rapidnn_nn::{
-        Activation, ActivationLayer, AvgPool2d, Conv2d, Dense, MaxPool2d, Network, Residual,
-    };
-    use rapidnn_tensor::{Padding, SeededRng};
+    use rapidnn_tensor::SeededRng;
 
     /// Executes `model` as the staged pipeline described by `bounds`
     /// (op-index boundaries including both ends), one fresh runner per
@@ -229,20 +225,6 @@ mod tests {
         }
     }
 
-    /// `net` reinterpreted over synthetic calibration data and compiled.
-    fn compile(mut net: Network, classes: usize, rng: &mut SeededRng) -> CompiledModel {
-        let data = SyntheticSpec::new(net.input_features(), classes, 2.0)
-            .generate(40, rng)
-            .unwrap();
-        let opts = ReinterpretOptions {
-            weight_clusters: 8,
-            input_clusters: 8,
-            ..ReinterpretOptions::default()
-        };
-        let network = ReinterpretedNetwork::build(&mut net, data.inputs(), &opts, rng).unwrap();
-        CompiledModel::from_reinterpreted(&network).unwrap()
-    }
-
     /// The determinism contract, exhaustively: every legal 2-stage and
     /// 3-stage split of a deep model reproduces the uncut run bit for
     /// bit, and every stage hands off the buffer its boundary's flow
@@ -275,16 +257,8 @@ mod tests {
     /// run bit for bit.
     #[test]
     fn residual_regions_are_never_cut() {
-        let mut rng = SeededRng::new(23);
-        let mut net = Network::new(6);
-        net.push(Dense::new(6, 5, &mut rng));
-        net.push(ActivationLayer::new(Activation::Relu));
-        net.push(Residual::new(vec![
-            Box::new(Dense::new(5, 5, &mut rng)),
-            Box::new(ActivationLayer::new(Activation::Relu)),
-        ]));
-        net.push(Dense::new(5, 2, &mut rng));
-        let model = compile(net, 2, &mut rng);
+        let net = common::residual_model(&mut SeededRng::new(23));
+        let model = CompiledModel::from_reinterpreted(&net).unwrap();
 
         let ops = &model.program.ops;
         let begin = ops
@@ -303,24 +277,16 @@ mod tests {
         assert_splits_reproduce_run(&model, 4, false);
     }
 
-    /// The walk holds on conv and both pool kinds: a CNN shaped like
-    /// the integration tests' (conv → max pool → conv → avg pool →
-    /// dense), f32 and quantized, enters every legal cut in the state
-    /// the walk names and reproduces the uncut run bit for bit — the
-    /// quantized dense head reading `i16` operands its avg pool wrote.
+    /// The walk holds on conv and both pool kinds: the serve tests' CNN
+    /// (conv → max pool → conv → avg pool → dense), f32 and quantized,
+    /// enters every legal cut in the state the walk names and
+    /// reproduces the uncut run bit for bit — the quantized dense head
+    /// reading `i16` operands its avg pool wrote.
     #[test]
     fn cnn_splits_reproduce_run_bit_for_bit() {
         use Domain::{Codes, Floats, Quants};
-        let mut rng = SeededRng::new(29);
-        let mut net = Network::new(2 * 8 * 8);
-        net.push(Conv2d::new(2, 8, 8, 3, 3, 1, Padding::Same, &mut rng).unwrap());
-        net.push(ActivationLayer::new(Activation::Relu));
-        net.push(MaxPool2d::new(3, 8, 8, 2).unwrap());
-        net.push(Conv2d::new(3, 4, 4, 2, 3, 1, Padding::Same, &mut rng).unwrap());
-        net.push(ActivationLayer::new(Activation::Relu));
-        net.push(AvgPool2d::new(2, 4, 4, 2).unwrap());
-        net.push(Dense::new(2 * 2 * 2, 4, &mut rng));
-        let model = compile(net, 4, &mut rng);
+        let net = common::cnn_model(&mut SeededRng::new(29));
+        let model = CompiledModel::from_reinterpreted(&net).unwrap();
         let mut quantized = model.clone();
         quantized.quantize().expect("quantize is infallible");
         // The convolutions fall back, the dense head licenses.

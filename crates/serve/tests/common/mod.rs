@@ -1,7 +1,7 @@
 //! Shared model builders for the serve integration tests: one network
 //! per op-program topology the compiler can emit (dense, conv + pools,
-//! strided and padded conv, residual), reinterpreted over synthetic
-//! calibration data.
+//! strided and padded conv, residual, a deep lookup chain),
+//! reinterpreted over synthetic calibration data.
 
 #![allow(dead_code)] // Each test binary uses a subset of the builders.
 
@@ -69,6 +69,18 @@ pub fn residual_model(rng: &mut SeededRng) -> ReinterpretedNetwork {
     ]));
     net.push(Dense::new(5, 2, rng));
     let data = SyntheticSpec::new(6, 2, 2.0).generate(40, rng).unwrap();
+    ReinterpretedNetwork::build(&mut net, data.inputs(), &options(), rng).unwrap()
+}
+
+/// Untrained deep MLP: eight sigmoid (lookup-table) layers 24 wide.
+pub fn deep_mlp_model(rng: &mut SeededRng) -> ReinterpretedNetwork {
+    let mut net = Network::new(16);
+    for width in [16, 24, 24, 24, 24, 24, 24, 24] {
+        net.push(Dense::new(width, 24, rng));
+        net.push(ActivationLayer::new(Activation::Sigmoid));
+    }
+    net.push(Dense::new(24, 4, rng));
+    let data = SyntheticSpec::new(16, 4, 2.0).generate(64, rng).unwrap();
     ReinterpretedNetwork::build(&mut net, data.inputs(), &options(), rng).unwrap()
 }
 

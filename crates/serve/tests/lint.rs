@@ -14,7 +14,7 @@ mod common;
 
 use common::repair_checksum;
 
-use rapidnn_analyze::{Act, Op, Program, Span, TableRef};
+use rapidnn_analyze::{Act, DiagCode, Op, Program, Severity, Span, TableRef};
 use rapidnn_prop::{any_u64, check, usize_in, SeededRng};
 use rapidnn_serve::{lint_bytes, ArtifactError, CompiledModel, ServeError};
 use std::borrow::Cow;
@@ -252,6 +252,25 @@ fn five_code_artifact() -> Vec<u8> {
     CompiledModel::from_program(&program)
         .expect("compile")
         .to_bytes()
+}
+
+/// An unsorted codebook has no search boundaries for the runtime to
+/// tabulate its encode over: lint and load both refuse it (RNA0018).
+#[test]
+fn an_unsorted_codebook_is_refused_at_load() {
+    let mut bytes = five_code_artifact();
+    let book: Vec<u8> = [-1.0f32, -0.25, 0.5, 1.0]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let at = bytes.windows(16).position(|w| w == book).expect("the book");
+    // The middle entries swap places: [-1, 0.5, -0.25, 1].
+    bytes[at + 4..at + 12].rotate_left(4);
+    repair_checksum(&mut bytes);
+    let report = lint_bytes(&bytes);
+    let found = report.find(DiagCode::UnsortedCodebook).map(|d| d.severity);
+    assert_eq!(found, Some(Severity::Error), "{report}");
+    assert_flagged_or_harmless(&bytes);
 }
 
 /// `clean` with its packed region and directory rewritten: `codes`

@@ -241,9 +241,8 @@ fn built_and_reloaded_models_agree_on_the_integer_path() {
 /// Neither kernel path's arena holds a weight tile. The f32 path used
 /// to reserve, per worker, a `u16` code tile, the recovered factors and
 /// a decoded `f32` matrix for its largest dense op; the model holds the
-/// decoded matrix now, so the f32 arena is flow buffers, encode keys
-/// and one block tile, whatever the size of the code pool — built or
-/// reloaded.
+/// decoded matrix now, so the f32 arena is flow buffers and one block
+/// tile, whatever the size of the code pool — built or reloaded.
 #[test]
 fn neither_arena_holds_a_weight_tile() {
     let build = |hidden: &[usize]| {
@@ -261,12 +260,13 @@ fn neither_arena_holds_a_weight_tile() {
     assert_eq!(arena(&deep), arena(&shallow));
     assert_eq!(arena(&deep), arena(&reloaded));
     // The flow is `u16` codes 32 wide between ops, and each op stages
-    // 32 `f32` accumulators per row before it re-encodes them through
-    // an 8-entry book (8 keys); every table factors, so the one block
-    // tile is eight decoded rows of 32. No term has a weight in it.
+    // 32 `f32` accumulators per row before its finish re-encodes them
+    // (the finish's runs live in the model); every table factors, so
+    // the one block tile is eight decoded rows of 32. No term has a
+    // weight in it.
     assert_eq!(
         arena(&deep),
-        2 * (64 * 32 * 2) + 2 * (64 * 32 * 4) + 8 * 4 + 8 * 32 * 4
+        2 * (64 * 32 * 2) + 2 * (64 * 32 * 4) + 8 * 32 * 4
     );
 
     // The integer path needs less still: see
