@@ -415,10 +415,10 @@ impl Registry {
         let blocks = self.config.warmup_samples.div_ceil(batch);
         let mut tickets = Vec::with_capacity(blocks);
         for block in 0..blocks {
-            let input = (block * batch * features..(block + 1) * batch * features)
+            let input: Vec<f32> = (block * batch * features..(block + 1) * batch * features)
                 .map(|k| ((k / features * 31 + k % features * 7) % 17) as f32 / 16.0 - 0.5)
                 .collect();
-            tickets.push(engine.submit_batch(input)?);
+            tickets.push(engine.submit_batch(&input)?);
         }
         for ticket in tickets {
             ticket.wait()?;
@@ -469,7 +469,7 @@ impl Registry {
         // observes a strictly newer slot and swaps are serialized.
         for _attempt in 0..8 {
             let serving = read_slot(&entry.slot);
-            match serving.engine.try_submit(input.clone()) {
+            match serving.engine.try_submit(&input) {
                 Ok(ticket) => {
                     return match ticket.wait() {
                         Ok(output) => Ok((output, serving.generation)),
@@ -477,7 +477,6 @@ impl Registry {
                     };
                 }
                 Err(ServeError::QueueFull) => {
-                    serving.engine.metrics().record_shed();
                     return Err(GatewayError::Shed {
                         retry_after: self.config.retry_after,
                     });

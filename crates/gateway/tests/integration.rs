@@ -333,6 +333,48 @@ fn admission_overflow_is_shed_as_429_with_retry_after() {
     gateway.shutdown();
 }
 
+/// A refusal at a full engine queue is counted once, as `rejected`:
+/// `shed` counts only the in-flight budget's refusals before the queue,
+/// so one 429 shows up in exactly one `/stats` counter.
+#[test]
+fn queue_full_refusal_counts_as_rejected_not_shed() {
+    const CALLERS: usize = 6;
+    let registry = Registry::new(RegistryConfig {
+        engine: EngineConfig {
+            workers: 1,
+            queue_capacity: 1,
+            max_batch_size: 1,
+            ..EngineConfig::default()
+        },
+        // The budget admits every caller, so only the queue refuses.
+        max_inflight: CALLERS,
+        warmup_samples: 0,
+        ..RegistryConfig::default()
+    });
+    registry.register("m", compiled_model(81)).unwrap();
+    let input = vec![0.25f32; FEATURES];
+    let mut refused = 0;
+    for _round in 0..500 {
+        refused += std::thread::scope(|s| {
+            let callers: Vec<_> = (0..CALLERS)
+                .map(|_| s.spawn(|| registry.infer("m", input.clone())))
+                .collect();
+            callers
+                .into_iter()
+                .filter_map(|caller| caller.join().unwrap().err())
+                .inspect(|err| assert_eq!(err.status(), 429, "{err}"))
+                .count()
+        });
+        if refused > 0 {
+            break;
+        }
+    }
+    assert!(refused > 0, "no caller ever found the queue full");
+    let server = registry.stats("m").unwrap().server;
+    assert_eq!((server.shed, server.rejected), (0, refused as u64));
+    registry.shutdown();
+}
+
 #[test]
 fn registration_lifecycle_over_http() {
     let gateway = Gateway::bind(test_config()).unwrap();

@@ -5,15 +5,20 @@
 //! [`BatchRunner`] call outside the lock, hand the result to the outlet.
 //! The inlet is the bounded request queue — gather up to
 //! [`EngineConfig::max_batch_size`] rows, waiting at most
-//! [`EngineConfig::max_wait`] for stragglers, flatten, encode — or the
-//! link from the stage before; the outlet is the link to the stage
-//! after, or the reply step that answers each request through its own
-//! channel. Unsharded, the engine is the one-stage pipeline over the
-//! whole program, replicated [`EngineConfig::workers`] times over the
-//! shared queue; sharded ([`EngineConfig::stages`]), it is one thread
-//! per op range, chained by bounded FIFO links. A stage's runner and
-//! scratch arena persist across batches, so steady-state serving
-//! performs no per-sample heap allocation in the op loop.
+//! [`EngineConfig::max_wait`] for stragglers — or the link from the
+//! stage before; the outlet is the link to the stage after, or the
+//! reply step that answers each request through its own channel.
+//! Unsharded, the engine is the one-stage pipeline over the whole
+//! program, replicated [`EngineConfig::workers`] times over the shared
+//! queue; sharded ([`EngineConfig::stages`]), it is one thread per op
+//! range, chained by bounded FIFO links.
+//!
+//! Encoding happens at admission: each submit call encodes its rows on
+//! the calling thread, padded as the kernels run them, before it takes
+//! the queue lock, so a stage runs only the op program — as the chip's
+//! input encoder is its own block ahead of the compute tiles. A stage's
+//! runner and scratch arena persist across batches, so the op loop
+//! performs no per-sample heap allocation.
 //!
 //! The straggler wait is bounded both ways: a stage stops waiting the
 //! moment its batch fills or shutdown begins, and the deadline is
@@ -31,7 +36,7 @@
 
 use crate::artifact::CompiledModel;
 use crate::error::{Result, ServeError};
-use crate::kernels::{pad_rows, BatchRunner, FlowData};
+use crate::kernels::{pad_rows, BatchRunner, FlowData, FlowState};
 use crate::metrics::{Metrics, ServerStats};
 use crate::pipeline::{self, PipelineStats, StagePlan, StageStats};
 use rapidnn_pool::spsc;
@@ -107,11 +112,12 @@ impl ReplySlice {
     }
 }
 
-/// One queued request: `rows` feature rows flattened into `input`
-/// (`rows == 1` for plain [`Engine::submit`]; [`Engine::submit_batch`]
-/// carries a whole pre-batched block in one job).
+/// One queued request: `rows` feature rows (`rows == 1` for plain
+/// [`Engine::submit`]; [`Engine::submit_batch`] carries a whole
+/// pre-batched block in one job), encoded at admission into the first
+/// op's domain and padded with zero rows to [`pad_rows`]`(rows)`.
 struct Job {
-    input: Vec<f32>,
+    input: FlowData,
     rows: usize,
     reply: mpsc::Sender<Result<ReplySlice>>,
     enqueued: Instant,
@@ -273,8 +279,8 @@ impl Engine {
     /// [`ServeError::InvalidInput`] for a width mismatch (checked before
     /// enqueueing), [`ServeError::QueueFull`] when the bounded queue is at
     /// capacity, [`ServeError::ShuttingDown`] after shutdown began.
-    pub fn try_submit(&self, input: Vec<f32>) -> Result<Ticket> {
-        self.admit(input, false, false)
+    pub fn try_submit(&self, input: impl AsRef<[f32]>) -> Result<Ticket> {
+        self.admit(input.as_ref(), false, false)
     }
 
     /// Submits a request, blocking while the queue is full.
@@ -283,24 +289,24 @@ impl Engine {
     ///
     /// [`ServeError::InvalidInput`] for a width mismatch,
     /// [`ServeError::ShuttingDown`] after shutdown began.
-    pub fn submit(&self, input: Vec<f32>) -> Result<Ticket> {
-        self.admit(input, false, true)
+    pub fn submit(&self, input: impl AsRef<[f32]>) -> Result<Ticket> {
+        self.admit(input.as_ref(), false, true)
     }
 
     /// Submits a pre-batched request — `rows × input_features` values
     /// flattened row-major — without blocking. The whole block runs as
     /// one unit and the ticket resolves to `rows × output_features`
-    /// values. Because the block is already flat, a stage serving it
-    /// alone skips the gather copy entirely and runs the kernel
-    /// straight off the request buffer.
+    /// values. The block is encoded at admission as one padded buffer,
+    /// so a stage serving it alone skips the gather copy and runs the
+    /// op program straight off that buffer.
     ///
     /// # Errors
     ///
     /// [`ServeError::InvalidInput`] when `input` is empty or not a whole
     /// number of feature rows; [`ServeError::QueueFull`] /
     /// [`ServeError::ShuttingDown`] as for [`try_submit`](Self::try_submit).
-    pub fn try_submit_batch(&self, input: Vec<f32>) -> Result<Ticket> {
-        self.admit(input, true, false)
+    pub fn try_submit_batch(&self, input: impl AsRef<[f32]>) -> Result<Ticket> {
+        self.admit(input.as_ref(), true, false)
     }
 
     /// Blocking variant of [`try_submit_batch`](Self::try_submit_batch):
@@ -311,15 +317,16 @@ impl Engine {
     ///
     /// [`ServeError::InvalidInput`] for a shape mismatch,
     /// [`ServeError::ShuttingDown`] after shutdown began.
-    pub fn submit_batch(&self, input: Vec<f32>) -> Result<Ticket> {
-        self.admit(input, true, true)
+    pub fn submit_batch(&self, input: impl AsRef<[f32]>) -> Result<Ticket> {
+        self.admit(input.as_ref(), true, true)
     }
 
     /// The one admission path behind the four submit calls: `batch`
     /// says whether `input` may hold any whole number of rows or must
     /// be exactly one, `wait` whether a full queue blocks the caller or
-    /// bounces it with [`ServeError::QueueFull`].
-    fn admit(&self, input: Vec<f32>, batch: bool, wait: bool) -> Result<Ticket> {
+    /// bounces it with [`ServeError::QueueFull`]. The rows are encoded
+    /// before the lock, and after `enqueued`, so latency covers the encode.
+    fn admit(&self, input: &[f32], batch: bool, wait: bool) -> Result<Ticket> {
         let (len, features) = (input.len(), self.model.input_features());
         let rows = if batch { len / features.max(1) } else { 1 };
         if rows == 0 || len != rows * features {
@@ -329,13 +336,26 @@ impl Engine {
                 format!("request has {len} features, model expects {features}")
             }));
         }
+        let enqueued = Instant::now();
+        let mut runner = BatchRunner::new();
+        runner.encode_batch(&self.model, input, pad_rows(rows));
+        let input = runner.take_flow(self.model.flow[0].domain);
         let mut state = lock_state(&self.shared);
         loop {
             if state.shutting_down {
                 return Err(ServeError::ShuttingDown);
             }
             if state.jobs.len() < self.queue_capacity {
-                return Ok(self.enqueue(&mut state, input, rows));
+                let (reply, rx) = mpsc::channel();
+                state.jobs.push_back(Job {
+                    input,
+                    rows,
+                    reply,
+                    enqueued,
+                });
+                self.metrics.record_submit(state.jobs.len());
+                self.shared.work_ready.notify_one();
+                return Ok(Ticket { reply: rx });
             }
             if !wait {
                 self.metrics.record_rejected();
@@ -347,19 +367,6 @@ impl Engine {
                 .wait(state)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
-    }
-
-    fn enqueue(&self, state: &mut QueueState, input: Vec<f32>, rows: usize) -> Ticket {
-        let (tx, rx) = mpsc::channel();
-        state.jobs.push_back(Job {
-            input,
-            rows,
-            reply: tx,
-            enqueued: Instant::now(),
-        });
-        self.metrics.record_submit(state.jobs.len());
-        self.shared.work_ready.notify_one();
-        Ticket { reply: rx }
     }
 
     /// Current metrics snapshot.
@@ -570,17 +577,18 @@ fn gather_batch(
     true
 }
 
-/// The batch's flat inputs: a lone pre-batched job is already flat, so
-/// serve the kernel straight off its buffer and skip the gather copy.
-fn flatten<'a>(batch: &'a [Job], flat: &'a mut Vec<f32>) -> &'a [f32] {
+/// The flow buffer the queue inlet runs a gathered batch of `rows` on:
+/// a lone job's encoded rows, handed over as they are — admission
+/// padded them — or several jobs' rows copied in order into the arena
+/// buffer of the first op's domain, pad rows zero.
+fn admitted(runner: &mut BatchRunner, at: FlowState, batch: &mut [Job], rows: usize) -> FlowData {
     if let [only] = batch {
-        return &only.input;
+        return std::mem::replace(&mut only.input, FlowData::Codes(Vec::new()));
     }
-    flat.clear();
-    for job in batch {
-        flat.extend_from_slice(&job.input);
-    }
-    flat
+    let mut data = runner.take_flow(at.domain);
+    let parts = batch.iter().map(|job| (&job.input, job.rows * at.width));
+    data.gather(parts, pad_rows(rows) * at.width);
+    data
 }
 
 /// Answers every job in `batch` out of one shared output allocation;
@@ -623,8 +631,8 @@ struct Micro {
 
 /// Where a stage's micro-batches come from.
 enum Inlet {
-    /// The request queue: the stage gathers a dynamic batch, holding a
-    /// partial one at most this long, then flattens and encodes it.
+    /// The request queue: the stage gathers a dynamic batch of jobs
+    /// encoded at admission, holding a partial one at most this long.
     Queue(Arc<Shared>, Duration),
     /// The link from the stage before, whose buffers arrive in the
     /// model's flow state at this stage's first op. The link closes once
@@ -649,26 +657,25 @@ fn stage_loop(
     outlet: Option<spsc::Sender<Micro>>,
 ) {
     // Per-stage scratch, reused across batches: the batch kernel's
-    // arena, plus (queue inlet only) the flat input staging. Nothing
-    // here allocates per sample once the high-water batch size has
-    // been seen.
+    // arena, which also takes in a gathered batch's encoded rows.
+    // Nothing here allocates per sample once the high-water batch size
+    // has been seen.
     let mut runner = BatchRunner::for_model(model, max_batch);
-    let mut flat: Vec<f32> = Vec::new();
     let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
     loop {
-        let (rows, handed) = match &inlet {
+        let (rows, data) = match &inlet {
             Inlet::Queue(shared, max_wait) => {
                 if !gather_batch(shared, metrics, &mut batch, max_batch, *max_wait) {
                     return;
                 }
                 let rows: usize = batch.iter().map(|job| job.rows).sum();
                 metrics.record_batch(rows);
-                (rows, None)
+                (rows, admitted(&mut runner, model.flow[0], &mut batch, rows))
             }
             Inlet::Link(rx) => {
                 let Some(micro) = rx.recv() else { return };
                 batch = micro.jobs;
-                (micro.rows, Some(micro.data))
+                (micro.rows, micro.data)
             }
         };
         let padded = pad_rows(rows);
@@ -677,10 +684,6 @@ fn stage_loop(
         // and queued tickets would wait forever. The runner resets its
         // scratch on every call, so reuse after a panic is safe.
         let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let data = handed.unwrap_or_else(|| {
-                runner.encode_batch(model, flatten(&batch, &mut flat), padded);
-                runner.take_flow(model.flow[range.start].domain)
-            });
             runner.run_segment(model, range.clone(), data, padded);
         }));
         let exit = model.flow[range.end];

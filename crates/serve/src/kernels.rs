@@ -144,12 +144,13 @@ pub(crate) struct FlowState {
     pub(crate) width: usize,
 }
 
-/// Owned batch buffer handed between pipeline stages. Buffers are
-/// swapped in and out of the runner's arena, so a handoff moves one
-/// allocation downstream instead of copying `rows × width` values; in
-/// steady state each stage keeps recycling the buffers that arrive from
-/// upstream and only stage 0 allocates (one codes buffer per
-/// micro-batch).
+/// Owned batch buffer handed between pipeline stages, and from an
+/// engine's admission to its first stage. Buffers are swapped in and
+/// out of the runner's arena, so a handoff moves one allocation
+/// downstream instead of copying `rows × width` values; in steady state
+/// each stage keeps recycling the buffers that arrive from upstream, and
+/// only admission (one encoded buffer per request) and a stage that
+/// forwards its flow (one buffer per micro-batch) allocate.
 #[derive(Debug)]
 pub(crate) enum FlowData {
     /// Encoded flow (`padded × width` codes, row-major).
@@ -158,6 +159,33 @@ pub(crate) enum FlowData {
     Quants(Vec<i16>),
     /// Decoded flow (`padded × width` floats, row-major).
     Floats(Vec<f32>),
+}
+
+impl FlowData {
+    /// Refills this buffer with the first `n` values of each `(job, n)`
+    /// in turn, all in this buffer's domain, then zeros it out to `len`:
+    /// several encoded jobs gathered into one batch, pad rows zero.
+    pub(crate) fn gather<'a>(&mut self, jobs: impl Iterator<Item = (&'a Self, usize)>, len: usize) {
+        use FlowData::{Codes, Floats, Quants};
+        match self {
+            Codes(v) => v.clear(),
+            Quants(v) => v.clear(),
+            Floats(v) => v.clear(),
+        }
+        for (job, n) in jobs {
+            match (&mut *self, job) {
+                (Codes(v), Codes(p)) => v.extend_from_slice(&p[..n]),
+                (Quants(v), Quants(p)) => v.extend_from_slice(&p[..n]),
+                (Floats(v), Floats(p)) => v.extend_from_slice(&p[..n]),
+                _ => unreachable!("a batch's jobs share the first op's domain"),
+            }
+        }
+        match self {
+            Codes(v) => v.resize(len, 0),
+            Quants(v) => v.resize(len, 0),
+            Floats(v) => v.resize(len, 0.0),
+        }
+    }
 }
 
 /// Output positions per register-resident accumulator block of a

@@ -217,7 +217,8 @@ pub struct ServerStats {
     /// Requests bounced with [`crate::ServeError::QueueFull`].
     pub rejected: u64,
     /// Requests shed by admission control before reaching the queue
-    /// (recorded via [`Metrics::record_shed`], e.g. a gateway's 429s).
+    /// (recorded via [`Metrics::record_shed`], e.g. a gateway's 429s past
+    /// its in-flight budget; a 429 at a full queue counts as `rejected`).
     pub shed: u64,
     /// Batches executed by the workers.
     pub batches: u64,

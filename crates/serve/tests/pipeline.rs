@@ -70,7 +70,7 @@ fn sharded_engine_matches_per_sample_inference_bit_for_bit() {
                     EngineConfig {
                         workers,
                         stages,
-                        max_batch_size: 4,
+                        max_batch_size: 16,
                         max_wait: Duration::from_micros(200),
                         ..EngineConfig::default()
                     },
@@ -87,16 +87,24 @@ fn sharded_engine_matches_per_sample_inference_bit_for_bit() {
                     );
                 }
                 // A mix of single submissions and pre-batched blocks,
-                // redeemed in order against the per-sample oracle.
+                // redeemed in order against the per-sample oracle. The
+                // fixed tail crosses a lane group (8 rows) through the
+                // queue: 3 + 7 rows gathered into one batch with pad
+                // rows, a lone 10-row block (a 7 on each side leaves no
+                // room beside it) run straight off its admission-padded
+                // buffer, then 7 rows and three singles.
+                let sizes: Vec<usize> = (0..6)
+                    .map(|_| usize_in(rng, 1, 4))
+                    .chain([3, 7, 10, 7, 1, 1, 1])
+                    .collect();
                 let mut expected: Vec<(Vec<f32>, usize)> = Vec::new();
                 let mut tickets: Vec<Ticket> = Vec::new();
-                for _ in 0..6 {
-                    let rows = usize_in(rng, 1, 4);
+                for &rows in &sizes {
                     let flat = vec_f32(rng, rows * features, -2.0, 2.0);
                     let ticket = if rows == 1 {
-                        engine.submit(flat.clone()).unwrap()
+                        engine.submit(&flat).unwrap()
                     } else {
-                        engine.submit_batch(flat.clone()).unwrap()
+                        engine.submit_batch(&flat).unwrap()
                     };
                     expected.push((flat, rows));
                     tickets.push(ticket);
@@ -119,7 +127,7 @@ fn sharded_engine_matches_per_sample_inference_bit_for_bit() {
                 }
                 let stats = engine.shutdown();
                 assert_eq!(stats.failed, 0, "{label} stages={stages}");
-                assert_eq!(stats.completed, 6);
+                assert_eq!(stats.completed, sizes.len() as u64);
             }
         }
     });
