@@ -38,14 +38,14 @@ pub const MAX_EXTENT: u64 = 1 << 31;
 /// longer book would make nearest-encode silently wrap indices.
 const MAX_CODEBOOK_LEN: usize = 1 << 16;
 
+/// The one hardware datapath: the checker judges bit widths against
+/// the paper's Table 1 widths, and the quantization walk requantizes on
+/// its Q8.8 grid.
+pub(crate) const DATAPATH: DatapathModel = DatapathModel::paper();
+
 /// Analyzes `program` against the paper's Table 1 datapath widths.
 pub fn analyze(program: &Program<'_>) -> Report {
-    analyze_with(program, DatapathModel::paper())
-}
-
-/// Analyzes `program` against an explicit hardware datapath model.
-pub fn analyze_with(program: &Program<'_>, datapath: DatapathModel) -> Report {
-    analyze_collect(program, datapath).0
+    analyze_collect(program).0
 }
 
 /// Per-op liveness facts recorded during the walk — the data behind
@@ -74,7 +74,7 @@ pub(crate) struct Facts {
 
 /// Analysis entry point that also returns the liveness facts the
 /// optimizer builds its rewrites from.
-pub(crate) fn analyze_collect(program: &Program<'_>, datapath: DatapathModel) -> (Report, Facts) {
+pub(crate) fn analyze_collect(program: &Program<'_>) -> (Report, Facts) {
     let mut checker = Checker {
         input_features: program.input_features,
         output_features: program.output_features,
@@ -82,7 +82,6 @@ pub(crate) fn analyze_collect(program: &Program<'_>, datapath: DatapathModel) ->
         ops: &program.ops,
         floats: &program.floats,
         codes: &program.codes,
-        datapath,
         report: Report::new(),
         facts: Facts {
             ops: vec![OpFacts::default(); program.ops.len()],
@@ -193,7 +192,6 @@ struct Checker<'p> {
     ops: &'p [Op],
     floats: &'p [f32],
     codes: &'p [u16],
-    datapath: DatapathModel,
     report: Report,
     facts: Facts,
 }
@@ -698,25 +696,25 @@ impl<'p> Checker<'p> {
     /// occurrence counters, worst-case |partial sum| vs the fixed-point
     /// accumulator word.
     fn check_datapath(&mut self, op: usize, edges: usize, worst_mag: f64, label: &str) {
-        if edges as u64 > self.datapath.max_count() {
+        if edges as u64 > DATAPATH.max_count() {
             self.warn(
                 DiagCode::CounterOverflow,
                 Some(op),
                 format!(
                     "{label}: fan-in {edges} exceeds the {}-bit occurrence counters (max count {})",
-                    self.datapath.counter_bits,
-                    self.datapath.max_count()
+                    DATAPATH.counter_bits,
+                    DATAPATH.max_count()
                 ),
             );
         }
-        let cap = self.datapath.max_accumulator_magnitude();
+        let cap = DATAPATH.max_accumulator_magnitude();
         if worst_mag > cap {
             self.warn(
                 DiagCode::AccumulatorOverflow,
                 Some(op),
                 format!(
                     "{label}: worst-case |partial sum| {worst_mag:.3} exceeds the {}-bit fixed-point accumulator range \u{b1}{cap:.3}",
-                    self.datapath.accumulator_bits
+                    DATAPATH.accumulator_bits
                 ),
             );
         }
@@ -1175,7 +1173,7 @@ mod tests {
     #[test]
     fn reach_contains_every_concrete_f32_sum() {
         let p = adversarial();
-        let (report, facts) = analyze_collect(&p, DatapathModel::paper());
+        let (report, facts) = analyze_collect(&p);
         assert!(!report.has_errors(), "{report}");
         let (llo, lhi) = facts.ops[0].lut_reach.expect("lut analyzed");
         let (elo, ehi) = facts.ops[0].encoder_reach.expect("encoder analyzed");

@@ -75,6 +75,9 @@ pub fn op_shapes(program: &Program<'_>) -> Vec<OpShape> {
 
 /// Every op's per-sample software cost in program order: [`op_shapes`]
 /// priced in work units.
+///
+/// Only the frozen benchmark harness (`bench/`) calls it now; ROADMAP
+/// item 1(a) moves the harness to [`op_shapes`] or drops the metric.
 pub fn op_costs(program: &Program<'_>) -> Vec<OpCost> {
     let per = |n: usize, rows: usize| if rows > 0 { n } else { 0 };
     let cost = |shape: &OpShape| {

@@ -66,7 +66,7 @@ mod optimize;
 mod program;
 mod quant;
 
-pub use checker::{analyze, analyze_with, MAX_EXTENT};
+pub use checker::{analyze, MAX_EXTENT};
 pub use cost::{op_costs, op_shapes, OpCost};
 pub use diag::{DiagCode, Diagnostic, LivenessCounts, Report, Severity};
 pub use interval::{f32_sum_slack, Interval};
@@ -76,8 +76,7 @@ pub use optimize::{
 };
 pub use program::{Act, Boundary, Geom, Neuron, Op, Program, Span, TableRef};
 pub use quant::{
-    factor_table, quantize_plan, quantize_plan_with, FallbackReason, FinishPlan, LicensedOp,
-    OpQuant, QuantPlan,
+    factor_table, quantize_plan, FallbackReason, FinishPlan, LicensedOp, OpQuant, QuantPlan,
 };
 
 #[cfg(test)]

@@ -49,7 +49,6 @@
 use crate::checker::analyze_collect;
 use crate::diag::{DiagCode, Diagnostic, Report};
 use crate::program::{Act, Op, Program, Span, TableRef};
-use rapidnn_accel::DatapathModel;
 use std::borrow::Cow;
 
 /// One rewrite pass of the optimizer.
@@ -167,7 +166,7 @@ type Keep = (usize, usize);
 /// The analysis report, boxed, when the input program has errors — an
 /// invalid program licenses nothing.
 pub fn optimize(program: &Program<'_>) -> Result<Optimized, Box<Report>> {
-    let (report, facts) = analyze_collect(program, DatapathModel::paper());
+    let (report, facts) = analyze_collect(program);
     if report.has_errors() {
         return Err(Box::new(report));
     }
@@ -578,7 +577,7 @@ impl Validator {
         // every deletion; the output analysis proves the rewritten
         // program well-formed and bounds-safe (which also makes the
         // structural span indexing below panic-free).
-        let (in_report, facts) = analyze_collect(input, DatapathModel::paper());
+        let (in_report, facts) = analyze_collect(input);
         if in_report.has_errors() {
             return self.fail(
                 DiagCode::RewriteUnproven,

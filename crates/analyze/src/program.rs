@@ -18,8 +18,8 @@
 //! boundary, how wide a row is, which codebook the values are encoded
 //! through, and how deep in residual regions it sits. The checker
 //! proves those rules on its own abstract interpretation; everything
-//! downstream of it — the quantization plan, the cost model, the
-//! serving kernels and the stage planner — reads them from the walk.
+//! downstream of it — the quantization plan, the cost model and the
+//! serving kernels — reads them from the walk.
 
 use rapidnn_core::{ActivationTable, ReinterpretedNetwork, Stage, StageKind};
 use rapidnn_nn::Activation;

@@ -45,8 +45,8 @@
 //! only licenses a format when `mag · 2^acc_frac` plus worst-case
 //! per-term rounding stays within `2^30` — a quarter of the `i32`
 //! range. The accumulator fraction never drops below the accelerator
-//! datapath's fraction bits ([`rapidnn_accel::DatapathModel`], Q8.8 by
-//! default), so the served integer path requantizes at op boundaries
+//! datapath's fraction bits ([`rapidnn_accel::DatapathModel::paper`],
+//! Q8.8), so the served integer path requantizes at op boundaries
 //! exactly where the simulated hardware does.
 //!
 //! # The error-bound contract
@@ -64,9 +64,9 @@
 //! property suite (`tests/quantized.rs`) holds measured deviations
 //! against this bound across random topologies.
 
+use crate::checker::DATAPATH;
 use crate::interval::Interval;
 use crate::program::{Act, Neuron, Op, Program, Span, TableRef};
-use rapidnn_accel::DatapathModel;
 use std::fmt;
 
 /// Largest quantized operand magnitude we round to: one below
@@ -213,16 +213,9 @@ impl QuantPlan {
 }
 
 /// Derives a [`QuantPlan`] against the paper's datapath
-/// ([`DatapathModel::paper`], Q8.8), for an analyzer-clean program
-/// (see [`quantize_plan_with`]).
-pub fn quantize_plan(program: &Program<'_>) -> QuantPlan {
-    quantize_plan_with(program, DatapathModel::paper())
-}
-
-/// Derives a [`QuantPlan`] against an explicit datapath model: the
-/// accumulator fraction of every licensed op is at least
-/// `datapath.fraction_bits`, so requantization happens on (at least)
-/// the simulated hardware's grid.
+/// ([`rapidnn_accel::DatapathModel::paper`], Q8.8): the accumulator fraction of every
+/// licensed op is at least its fraction bits, so requantization happens
+/// on (at least) the simulated hardware's grid.
 ///
 /// # Panics
 ///
@@ -231,10 +224,10 @@ pub fn quantize_plan(program: &Program<'_>) -> QuantPlan {
 /// construction: the walk indexes every span, table and weight code the
 /// checker proved in bounds without checking again, and may panic on a
 /// program the checker refuses.
-pub fn quantize_plan_with(program: &Program<'_>, datapath: DatapathModel) -> QuantPlan {
+pub fn quantize_plan(program: &Program<'_>) -> QuantPlan {
     let mut walk = QuantWalk {
         program,
-        lut_frac: datapath.fraction_bits.min(24),
+        lut_frac: DATAPATH.fraction_bits.min(24),
         err: 0.0,
         skip_errs: Vec::new(),
         ops: Vec::with_capacity(program.ops.len()),

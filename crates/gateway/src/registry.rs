@@ -20,7 +20,7 @@
 //!   rolls back: the old engine never stops serving.
 //!
 //! The swap sequence never drops accepted work. What a model serves —
-//! engine, generation, configuration, optimizer outcome — is one `Arc`
+//! engine, generation, optimizer outcome — is one `Arc`
 //! swapped at cutover, so a request resolves it in one read and its
 //! answer names the generation that computed it. In-flight requests
 //! hold that `Arc`; the displaced engine is told at once to stop holding
@@ -30,7 +30,7 @@
 
 use crate::error::GatewayError;
 use rapidnn_analyze::Pass;
-use rapidnn_serve::{CompiledModel, Engine, EngineConfig, PipelineStats, ServeError, ServerStats};
+use rapidnn_serve::{CompiledModel, Engine, EngineConfig, ServeError, ServerStats};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, TryLockError};
@@ -87,10 +87,6 @@ struct Serving {
     /// Swaps completed before this engine took over; `0` is the
     /// artifact the model was registered with.
     generation: u64,
-    /// Configuration the engine was built with: the registry default,
-    /// possibly with a per-model stage override from `PUT`'s
-    /// `x-stages`. Sticky across swaps until overridden again.
-    config: EngineConfig,
     /// What the certified optimizer did to this generation's artifact
     /// (`PUT`'s `x-optimize` opt-in); `None` when it serves as uploaded.
     optimized: Option<OptimizeStats>,
@@ -148,11 +144,6 @@ pub struct ModelStats {
     pub output_features: usize,
     /// Requests currently in flight (admission gauge).
     pub inflight: u64,
-    /// Pipeline stages the current engine runs (`1` = unsharded).
-    pub stages: usize,
-    /// Per-stage op ranges, cost estimates, and queue occupancy when
-    /// the engine serves a sharded pipeline; `None` unsharded.
-    pub pipeline: Option<PipelineStats>,
     /// Kernel path the current generation serves on: `"f32"` (no
     /// integer lowering), `"int16"` (every table op licensed) or
     /// `"mixed"`.
@@ -178,10 +169,6 @@ pub struct SwapReport {
     pub generation: u64,
     /// Warm-up rows run through the new engine before cutover.
     pub warmed: usize,
-    /// Pipeline stages the now-serving engine actually runs (`1` =
-    /// unsharded; may be less than requested when the model has fewer
-    /// legal cut points).
-    pub stages: usize,
     /// `true` when the displaced engine finished all in-flight work and
     /// joined inside the drain deadline (`true` vacuously on create).
     /// `false` means it was detached mid-drain and finishes in the
@@ -238,11 +225,9 @@ impl Registry {
     /// [`GatewayError::InvalidName`] or [`GatewayError::AlreadyExists`].
     pub fn register(&self, name: &str, model: CompiledModel) -> Result<(), GatewayError> {
         validate_name(name)?;
-        let config = self.config.engine.clone();
         let first = Serving {
-            engine: Engine::start(model, config.clone()),
+            engine: Engine::start(model, self.config.engine.clone()),
             generation: 0,
-            config,
             optimized: None,
         };
         let entry = ModelEntry::new(name, first);
@@ -268,11 +253,8 @@ impl Registry {
     /// analyzer-licensed integer kernels before warmup, so the swap
     /// only completes if the quantized model actually serves.
     ///
-    /// `stages` is the HTTP layer's `x-stages` opt-in: `Some(n)` builds
-    /// the new engine as an `n`-stage sharded pipeline (clamped to the
-    /// model's legal cut points; `0`/`1` turn sharding off) and the
-    /// setting sticks for later swaps of the same model; `None` keeps
-    /// the model's current configuration.
+    /// `_stages` is ignored: it remains because the frozen benchmark
+    /// harness (`bench/`) passes it; ROADMAP item 1(a) removes it.
     ///
     /// With `optimize` set (the HTTP layer's `x-optimize` opt-in), the
     /// verified model is run through the certified optimizer
@@ -296,7 +278,7 @@ impl Registry {
         name: &str,
         bytes: &[u8],
         quantize: bool,
-        stages: Option<usize>,
+        _stages: Option<usize>,
         optimize: bool,
     ) -> Result<SwapReport, GatewayError> {
         validate_name(name)?;
@@ -337,8 +319,8 @@ impl Registry {
             }
             Some(Err(TryLockError::Poisoned(p))) => Some(p.into_inner()),
         };
-        let (generation, mut config) = match &existing {
-            None => (0, self.config.engine.clone()),
+        let generation = match &existing {
+            None => 0,
             Some(entry) => {
                 // The replacement must honour the model's wire contract.
                 // `current` drops with this arm: the drain below waits
@@ -354,26 +336,22 @@ impl Registry {
                         got,
                     });
                 }
-                (current.generation + 1, current.config.clone())
+                current.generation + 1
             }
         };
         // Build and warm the candidate before touching traffic; any
-        // failure here is a rollback by construction — including a
-        // requested stage-count change, which must not stick either.
-        config.stages = stages.unwrap_or(config.stages);
-        let engine = Engine::start(model, config.clone());
-        let warmed = match self.warm(&engine, config.max_batch_size) {
+        // failure here is a rollback by construction.
+        let engine = Engine::start(model, self.config.engine.clone());
+        let warmed = match self.warm(&engine) {
             Ok(rows) => rows,
             Err(e) => {
                 engine.drain(Duration::from_secs(1));
                 return Err(GatewayError::WarmupFailed(e.to_string()));
             }
         };
-        let served_stages = engine.stage_count();
         let next = Serving {
             engine,
             generation,
-            config,
             optimized,
         };
         let (old_stats, drained) = match &existing {
@@ -396,7 +374,6 @@ impl Registry {
             created: existing.is_none(),
             generation,
             warmed,
-            stages: served_stages,
             drained,
             optimized,
             old_stats,
@@ -410,8 +387,9 @@ impl Registry {
     /// runs has served before cutover. Every block is submitted before
     /// any is redeemed; blocking `submit_batch` waits out a queue shorter
     /// than the wave rather than answer `QueueFull`. Returns the rows run.
-    fn warm(&self, engine: &Engine, max_batch_size: usize) -> Result<usize, ServeError> {
-        let (features, batch) = (engine.model().input_features(), max_batch_size.max(1));
+    fn warm(&self, engine: &Engine) -> Result<usize, ServeError> {
+        let features = engine.model().input_features();
+        let batch = self.config.engine.max_batch_size.max(1);
         let blocks = self.config.warmup_samples.div_ceil(batch);
         let mut tickets = Vec::with_capacity(blocks);
         for block in 0..blocks {
@@ -506,8 +484,6 @@ impl Registry {
             input_features: model.input_features(),
             output_features: model.output_features(),
             inflight: entry.inflight.load(Ordering::Acquire),
-            stages: engine.stage_count(),
-            pipeline: engine.pipeline_stats(),
             kernel_path: model.kernel_path(),
             optimized: serving.optimized,
             licensed_ops: model.licensed_ops(),

@@ -305,23 +305,11 @@ fn put_model(registry: &Registry, name: &str, request: &Request) -> Result<Respo
     // `x-kernels: int16` opts the upload into analyzer-licensed integer
     // lowering; absence means the plain f32 path.
     let quantize = opt_in(request, "x-kernels", &["int16"])?;
-    // `x-stages: N` serves this model as an N-stage sharded pipeline
-    // (0/1 = unsharded); the setting is per-model and sticks across
-    // later swaps. Garbage is a client error, not a silent default.
-    let stages = request.header("x-stages").map(|raw| {
-        raw.trim().parse::<usize>().map_err(|_| {
-            Response::text(
-                400,
-                format!("x-stages must be a non-negative integer, got {raw:?}\n"),
-            )
-        })
-    });
-    let stages = stages.transpose()?;
     // `x-optimize: 1`/`true` runs the upload through the certified
     // optimizer (translation-validated dead-data elimination) before it
     // serves; absence means the artifact serves as uploaded.
     let optimize = opt_in(request, "x-optimize", &["1", "true"])?;
-    let outcome = registry.put_artifact(name, &request.body, quantize, stages, optimize);
+    let outcome = registry.put_artifact(name, &request.body, quantize, None, optimize);
     Ok(match outcome {
         Ok(report) => swap_response(name, &report),
         Err(e) => error_response(&e),
@@ -334,7 +322,6 @@ fn swap_response(name: &str, report: &SwapReport) -> Response {
         j.key("created").value(report.created);
         j.key("generation").value(report.generation);
         j.key("warmed").value(report.warmed);
-        j.key("stages").value(report.stages);
         j.key("drained").value(report.drained);
         optimize_json(j.key("optimized"), report.optimized.as_ref());
     });
@@ -447,21 +434,6 @@ impl ModelStats {
             j.key("kernel_path").string(self.kernel_path);
             j.key("licensed_ops").value(self.licensed_ops);
             optimize_json(j.key("optimized"), self.optimized.as_ref());
-            j.key("stages").value(self.stages);
-            match &self.pipeline {
-                None => j.key("pipeline").null(),
-                Some(pipeline) => j.key("pipeline").array(|j| {
-                    for stage in &pipeline.stages {
-                        j.object(|j| {
-                            j.key("ops_start").value(stage.ops.start);
-                            j.key("ops_end").value(stage.ops.end);
-                            j.key("cost_units").value(stage.cost_units);
-                            j.key("queue_depth").value(stage.queue_depth);
-                            j.key("queue_capacity").value(stage.queue_capacity);
-                        });
-                    }
-                }),
-            }
             j.key("server").object(|j| {
                 j.key("submitted").value(s.submitted);
                 j.key("completed").value(s.completed);

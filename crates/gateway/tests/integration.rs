@@ -618,31 +618,30 @@ fn wave_registry(
 
 /// Warm-up is whole `max_batch_size` blocks, and a full batch runs the
 /// moment it is gathered, so a `PUT` sits out no batcher hold: under a
-/// 10 s hold each one returns in well under a second, unsharded and
-/// sharded, on create and on swap.
+/// 10 s hold each one returns in well under a second, on create and on
+/// swap.
 #[test]
 fn put_sits_out_no_batcher_hold() {
     const HOLD: Duration = Duration::from_secs(10);
     // Eight warm-up rows round up to one block of sixteen.
     let registry = wave_registry(64, 16, HOLD, 8);
-    for (name, stages) in [("plain", None), ("sharded", Some(2))] {
-        // Create, then swap.
-        for generation in 0..2 {
-            let bytes = compiled_model(61 + generation).to_bytes();
-            let started = Instant::now();
-            let report = registry
-                .put_artifact(name, &bytes, false, stages, false)
-                .unwrap();
-            let took = started.elapsed();
-            assert_eq!((report.generation, report.warmed), (generation, 16));
-            assert!(
-                took < Duration::from_secs(1),
-                "{name} PUT {generation} took {took:?}"
-            );
-            // The wave is all this engine has served: one job, one batch.
-            let server = registry.stats(name).unwrap().server;
-            assert_eq!((server.completed, server.batches), (1, 1));
-        }
+    let name = "plain";
+    // Create, then swap.
+    for generation in 0..2 {
+        let bytes = compiled_model(61 + generation).to_bytes();
+        let started = Instant::now();
+        let report = registry
+            .put_artifact(name, &bytes, false, None, false)
+            .unwrap();
+        let took = started.elapsed();
+        assert_eq!((report.generation, report.warmed), (generation, 16));
+        assert!(
+            took < Duration::from_secs(1),
+            "{name} PUT {generation} took {took:?}"
+        );
+        // The wave is all this engine has served: one job, one batch.
+        let server = registry.stats(name).unwrap().server;
+        assert_eq!((server.completed, server.batches), (1, 1));
     }
     registry.shutdown();
 }
@@ -793,15 +792,15 @@ fn json_bodies_are_byte_identical_to_the_templates_they_replaced() {
 
     assert_eq!(
         put("b", &[], &plain),
-        (201, "{\"name\":\"b\",\"created\":true,\"generation\":0,\"warmed\":8,\"stages\":1,\"drained\":true,\"optimized\":null}".into())
+        (201, "{\"name\":\"b\",\"created\":true,\"generation\":0,\"warmed\":8,\"drained\":true,\"optimized\":null}".into())
     );
     assert_eq!(
-        put("a.opt", &[("x-optimize", "1"), ("x-stages", "2")], &padded),
-        (201, format!("{{\"name\":\"a.opt\",\"created\":true,\"generation\":0,\"warmed\":8,\"stages\":2,\"drained\":true,\"optimized\":{{\"bytes_before\":{},\"bytes_after\":{},\"dead_entries_removed\":0,\"rows_removed\":18,\"columns_removed\":0,\"lut_rows_removed\":0}}}}", padded.len(), plain.len()))
+        put("a.opt", &[("x-optimize", "1")], &padded),
+        (201, format!("{{\"name\":\"a.opt\",\"created\":true,\"generation\":0,\"warmed\":8,\"drained\":true,\"optimized\":{{\"bytes_before\":{},\"bytes_after\":{},\"dead_entries_removed\":0,\"rows_removed\":18,\"columns_removed\":0,\"lut_rows_removed\":0}}}}", padded.len(), plain.len()))
     );
     assert_eq!(
         put("b", &[], &padded),
-        (200, "{\"name\":\"b\",\"created\":false,\"generation\":1,\"warmed\":8,\"stages\":1,\"drained\":true,\"optimized\":null}".into())
+        (200, "{\"name\":\"b\",\"created\":false,\"generation\":1,\"warmed\":8,\"drained\":true,\"optimized\":null}".into())
     );
     let listing = request(addr, "GET", "/models", None, &[]).unwrap();
     assert_eq!(
@@ -883,11 +882,6 @@ fn unknown_upload_header_values_are_refused_in_the_same_words() {
             "unknown x-kernels value \"int8\"; try \"int16\"\n",
         ),
         (
-            "x-stages",
-            "two",
-            "x-stages must be a non-negative integer, got \"two\"\n",
-        ),
-        (
             "x-optimize",
             "yes",
             "unknown x-optimize value \"yes\"; try \"1\"\n",
@@ -902,16 +896,10 @@ fn unknown_upload_header_values_are_refused_in_the_same_words() {
     gateway.shutdown();
 }
 
-/// A `ModelStats` with every field distinct; `rich` adds what a
-/// sharded, optimized int16 generation reports on top.
+/// A `ModelStats` with every field distinct; `rich` adds what an
+/// optimized int16 generation reports on top.
 fn sample_stats(rich: bool) -> ModelStats {
-    use rapidnn_serve::{PipelineStats, ServerStats, StageStats};
-    let stage = |ops, cost_units, queue_depth, queue_capacity| StageStats {
-        ops,
-        cost_units,
-        queue_depth,
-        queue_capacity,
-    };
+    use rapidnn_serve::ServerStats;
     let mut batch_size_buckets = [0; rapidnn_serve::BATCH_BUCKETS];
     batch_size_buckets[..4].copy_from_slice(&[5, 0, 7, 1]);
     ModelStats {
@@ -920,10 +908,6 @@ fn sample_stats(rich: bool) -> ModelStats {
         input_features: 784,
         output_features: 10,
         inflight: 2,
-        stages: if rich { 2 } else { 1 },
-        pipeline: rich.then(|| PipelineStats {
-            stages: vec![stage(0..2, 25_120, 4, 1024), stage(2..3, 330, 1, 2)],
-        }),
         kernel_path: if rich { "int16" } else { "f32" },
         optimized: rich.then_some(OptimizeStats {
             bytes_before: 11_512,
@@ -970,10 +954,7 @@ fn stats_body_is_byte_identical_to_the_template_it_replaced() {
         \"output_features\":10,\"inflight\":2,";
     assert_eq!(
         sample_stats(false).to_json(),
-        format!(
-            "{head}\"kernel_path\":\"f32\",\"licensed_ops\":0,\"optimized\":null,\
-             \"stages\":1,\"pipeline\":null,{server}"
-        )
+        format!("{head}\"kernel_path\":\"f32\",\"licensed_ops\":0,\"optimized\":null,{server}")
     );
     assert_eq!(
         sample_stats(true).to_json(),
@@ -981,10 +962,7 @@ fn stats_body_is_byte_identical_to_the_template_it_replaced() {
             "{head}\"kernel_path\":\"int16\",\"licensed_ops\":3,\
              \"optimized\":{{\"bytes_before\":11512,\"bytes_after\":9800,\
              \"dead_entries_removed\":6,\"rows_removed\":18,\"columns_removed\":2,\
-             \"lut_rows_removed\":0}},\"stages\":2,\"pipeline\":[{{\"ops_start\":0,\
-             \"ops_end\":2,\"cost_units\":25120,\"queue_depth\":4,\"queue_capacity\":1024}},\
-             {{\"ops_start\":2,\"ops_end\":3,\"cost_units\":330,\"queue_depth\":1,\
-             \"queue_capacity\":2}}],{server}"
+             \"lut_rows_removed\":0}},{server}"
         )
     );
 }

@@ -176,7 +176,7 @@ mod tests {
     }
 
     #[test]
-    fn stage_count_grows_logarithmically() {
+    fn csa_stages_grow_logarithmically() {
         let tree = AdderTree::new(16);
         let stages_for = |n: usize| tree.add_all(&vec![1u64; n]).csa_stages;
         // 3 -> 1 stage; doubling operand count adds O(1) stages.

@@ -324,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn stage_count_follows_width() {
+    fn search_stages_follow_width() {
         let cam = NdcamArray::from_values(&[1], 8).unwrap();
         assert_eq!(cam.stages(), 1);
         let cam = NdcamArray::from_values(&[1], 32).unwrap();

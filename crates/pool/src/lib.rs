@@ -27,7 +27,6 @@
 
 #![warn(missing_docs)]
 
-pub mod spsc;
 pub mod workers;
 
 pub use workers::WorkerGroup;

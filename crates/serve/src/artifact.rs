@@ -207,7 +207,7 @@ impl CompiledModel {
     }
 
     /// Hand-built `layers`-deep dense chain (4 features wide throughout)
-    /// for exercising the pipeline shard planner without composing a
+    /// for exercising the kernels and the engine without composing a
     /// network: every interior layer re-encodes through the shared
     /// 4-entry codebook, the last decodes. All layers alias the same
     /// table/bias/weight spans, so the program stays a few dozen floats.
@@ -300,8 +300,8 @@ impl CompiledModel {
     /// [`deep_program_for_tests`](Self::deep_program_for_tests) with a
     /// deliberately inconsistent pool op appended: the healthy dense
     /// prefix executes fine, then the tail op panics out of bounds —
-    /// for proving that a panic, in a worker or in a *late* pipeline
-    /// stage, fails only the affected requests while serving goes on.
+    /// for proving that a panic in a worker fails only the affected
+    /// requests while serving goes on.
     #[cfg(test)]
     pub(crate) fn deep_broken_tail_for_tests(layers: usize) -> CompiledModel {
         let mut program = Self::deep_program_for_tests(layers);

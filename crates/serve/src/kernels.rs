@@ -89,7 +89,6 @@ use rapidnn_analyze::{factor_table, Act, Boundary, Geom, Neuron, Op, Program, Sp
 use rapidnn_core::nearest::{
     nearest_sorted_block, nearest_thresholded_block, nearest_thresholded_levels, total_key,
 };
-use std::ops::Range;
 
 /// Domain of the data currently flowing between ops.
 ///
@@ -134,8 +133,7 @@ impl Domain {
 
 /// Where the flow stands between two ops: which domain it is in and how
 /// wide a row is. A model holds one per op boundary, derived once when
-/// it is built; a pipeline stage resumes from the one at its first op,
-/// bit-identically to an uncut run.
+/// it is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FlowState {
     /// Current flow domain.
@@ -144,13 +142,11 @@ pub(crate) struct FlowState {
     pub(crate) width: usize,
 }
 
-/// Owned batch buffer handed between pipeline stages, and from an
-/// engine's admission to its first stage. Buffers are swapped in and
-/// out of the runner's arena, so a handoff moves one allocation
-/// downstream instead of copying `rows × width` values; in steady state
-/// each stage keeps recycling the buffers that arrive from upstream, and
-/// only admission (one encoded buffer per request) and a stage that
-/// forwards its flow (one buffer per micro-batch) allocate.
+/// Owned batch buffer handed from an engine's admission to a worker:
+/// the request's rows, encoded into the first op's domain. It is
+/// swapped into the worker's arena, so a lone request moves one
+/// allocation instead of copying `rows × width` values; only admission
+/// allocates (one encoded buffer per request).
 #[derive(Debug)]
 pub(crate) enum FlowData {
     /// Encoded flow (`padded × width` codes, row-major).
@@ -352,7 +348,7 @@ impl BatchRunner {
             return Ok(0);
         }
         let padded = pad_rows(rows);
-        lanes::run(Exec(self, model, Some(inputs), 0..model.op_count(), padded));
+        lanes::run(Exec(self, model, Some(inputs), true, padded));
         let exit = model.flow[model.op_count()];
         out.extend_from_slice(&self.flow.floats[..rows * exit.width]);
         Ok(rows)
@@ -366,7 +362,7 @@ impl BatchRunner {
     /// non-empty codebook and a zero operand for every Madd — and their
     /// results are computed but never copied out.
     pub(crate) fn encode_batch(&mut self, model: &CompiledModel, inputs: &[f32], padded: usize) {
-        lanes::run(Exec(self, model, Some(inputs), 0..0, padded));
+        lanes::run(Exec(self, model, Some(inputs), false, padded));
     }
 
     /// [`encode_batch`](Self::encode_batch) inside the executor's frame.
@@ -401,10 +397,10 @@ impl BatchRunner {
         }
     }
 
-    /// Takes the current flow out of the arena as an owned buffer for a
-    /// cross-stage handoff (the arena keeps its other scratch; the next
-    /// [`run_segment`](Self::run_segment) swaps an incoming buffer back
-    /// in).
+    /// Takes the current flow out of the arena as an owned buffer — what
+    /// admission hands a worker after [`encode_batch`](Self::encode_batch)
+    /// (the arena keeps its other scratch; [`run_admitted`](Self::run_admitted)
+    /// swaps a buffer back in).
     pub(crate) fn take_flow(&mut self, domain: Domain) -> FlowData {
         match domain {
             Domain::Codes => FlowData::Codes(std::mem::take(&mut self.flow.codes)),
@@ -413,30 +409,18 @@ impl BatchRunner {
         }
     }
 
-    /// Runs the contiguous op range of one pipeline stage: installs the
-    /// handed-off `data` as the current flow of its domain — the
-    /// model's flow state at `range.start` — and executes `range`. The
-    /// result stays in the arena: a stage that forwards it takes it out
-    /// ([`take_flow`](Self::take_flow)), the last one copies its rows
-    /// out of [`floats`](Self::floats) and keeps the buffer.
-    ///
-    /// The planner never cuts a residual region, so the concatenation
-    /// of all stages' `run_segment` calls performs exactly the op
-    /// sequence (and arithmetic order) of an uncut [`run`](Self::run),
-    /// and outputs are bit-identical.
-    pub(crate) fn run_segment(
-        &mut self,
-        model: &CompiledModel,
-        range: Range<usize>,
-        data: FlowData,
-        padded: usize,
-    ) {
+    /// Runs the op program over admitted rows: installs `data` as the
+    /// current flow of its domain — the model's flow state at op 0 —
+    /// and executes every op. The result stays in the arena; the caller
+    /// copies its rows out of [`floats`](Self::floats). Bit-identical to
+    /// [`run`](Self::run) on the rows `data` encodes.
+    pub(crate) fn run_admitted(&mut self, model: &CompiledModel, data: FlowData, padded: usize) {
         match data {
             FlowData::Codes(v) => self.flow.codes = v,
             FlowData::Quants(v) => self.flow.quants = v,
             FlowData::Floats(v) => self.flow.floats = v,
         }
-        lanes::run(Exec(self, model, None, range, padded));
+        lanes::run(Exec(self, model, None, true, padded));
     }
 
     /// The current decoded flow (`padded × width`, row-major).
@@ -444,18 +428,14 @@ impl BatchRunner {
         &self.flow.floats
     }
 
-    /// Executes the ops in `range` (global op indices) over the current
-    /// arena flow. This is the op loop shared by the whole-model
-    /// [`run`](Self::run) (`0..ops.len()`) and the pipeline stages (one
-    /// contiguous sub-range each).
+    /// Executes the op program over the current arena flow: the op loop
+    /// shared by [`run`](Self::run) and [`run_admitted`](Self::run_admitted).
     ///
     /// Op `oi` reads the model's `flow[oi]` and writes the scratch
     /// buffer of the domain `flow[oi + 1]` names, which the loop then
-    /// makes the current flow. Kernels and flow states are looked up by
-    /// *global* op index, so a stage executes exactly what the
-    /// unsharded run would.
+    /// makes the current flow.
     #[inline(always)]
-    fn exec_ops<A: Acc>(&mut self, model: &CompiledModel, range: Range<usize>, padded: usize) {
+    fn exec_ops<A: Acc>(&mut self, model: &CompiledModel, padded: usize) {
         let BatchRunner {
             flow,
             skips,
@@ -464,12 +444,10 @@ impl BatchRunner {
         } = self;
         let program = &model.program;
         let pool_f: &[f32] = &program.floats;
-        // Residual nesting is stage-local: the planner only cuts at
-        // depth 0, so every range starts and ends outside all regions.
+        // The program starts and ends outside every residual region.
         let mut skip_depth = 0usize;
 
-        for oi in range {
-            let op = &program.ops[oi];
+        for (oi, op) in program.ops.iter().enumerate() {
             let (at, next) = (model.flow[oi], model.flow[oi + 1].domain);
             // A max pool or a region's entry that hands codes to an
             // integer Madd op writes that op's operand for each code.
@@ -571,12 +549,13 @@ impl BatchRunner {
 
 /// The batch executor's one entry, run by [`lanes::run`] on the lane
 /// body this CPU executes: encodes the inputs, when given, into the
-/// runner's flow, then runs the op range over it, for `padded` rows.
+/// runner's flow, then, when asked, runs the op program over it, for
+/// `padded` rows.
 struct Exec<'a>(
     &'a mut BatchRunner,
     &'a CompiledModel,
     Option<&'a [f32]>,
-    Range<usize>,
+    bool,
     usize,
 );
 
@@ -589,7 +568,9 @@ impl LaneWork for Exec<'_> {
         if let Some(inputs) = inputs {
             runner.encode(model, inputs, padded);
         }
-        runner.exec_ops::<A>(model, ops, padded);
+        if ops {
+            runner.exec_ops::<A>(model, padded);
+        }
     }
 }
 

@@ -16,22 +16,16 @@
 //!   over a reusable scratch arena: each op runs once per batch across
 //!   all rows, with zero per-sample heap allocations in the steady
 //!   state and outputs bit-for-bit identical to per-sample `infer`.
-//! * [`engine`] — [`Engine`] serves a compiled model from one loop of
-//!   stage threads over a bounded queue, with dynamic batching, explicit
+//! * [`engine`] — [`Engine`] serves a compiled model from worker
+//!   threads over a bounded queue, with dynamic batching, explicit
 //!   backpressure ([`ServeError::QueueFull`]) and draining shutdown.
-//!   Each stage owns a persistent [`BatchRunner`] and executes its
-//!   micro-batch in one kernel call.
+//!   Each worker owns a persistent [`BatchRunner`] and executes its
+//!   batch in one kernel call.
 //! * [`lint`] — [`lint_bytes`] runs the `rapidnn-analyze` static
 //!   verifier over raw artifact bytes and returns its diagnostic
 //!   report; every [`CompiledModel`] constructor makes a clean report
 //!   a requirement, which is why the kernels carry no per-gather index
 //!   clamps.
-//! * [`pipeline`] — stage planning for sharded serving:
-//!   [`EngineConfig::stages`] splits the op program into balanced
-//!   contiguous ranges (cost-weighted by the analyzer's per-op
-//!   estimates), each run by its own worker and scratch arena with
-//!   bounded channels between them — same bit-identical outputs,
-//!   pipelined throughput on deep models.
 //! * [`metrics`] — [`Metrics`]/[`ServerStats`]: throughput and
 //!   queue-depth counters plus a log-scale latency histogram.
 //!
@@ -78,7 +72,6 @@ pub mod kernels;
 mod lanes;
 pub mod lint;
 pub mod metrics;
-pub mod pipeline;
 mod quant;
 #[cfg(test)]
 #[path = "../tests/common/mod.rs"]
@@ -91,4 +84,3 @@ pub use error::{ArtifactError, Result, ServeError};
 pub use kernels::BatchRunner;
 pub use lint::{decode_failure_report, lint_bytes};
 pub use metrics::{Metrics, ServerStats, BATCH_BUCKETS, LATENCY_OVERFLOW_NS};
-pub use pipeline::{PipelineStats, StageStats};

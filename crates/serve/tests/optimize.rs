@@ -75,39 +75,35 @@ fn optimized_models_infer_bit_identically() {
     });
 }
 
-/// Optimized models still serve through every execution shape: the
-/// classic worker pool and sharded pipelines answer with the *source*
-/// model's per-sample bits.
+/// Optimized models still serve through the engine: its workers answer
+/// with the *source* model's per-sample bits.
 #[test]
-fn optimized_models_shard_bit_identically() {
+fn optimized_models_serve_bit_identically() {
     let pairs = optimized_pairs();
     check(3, |rng| {
         for (name, base, opt) in &pairs {
             let features = opt.input_features();
-            for stages in [0usize, 2, 3] {
-                let engine = Engine::start(
-                    opt.clone(),
-                    EngineConfig {
-                        workers: 2,
-                        stages,
-                        max_batch_size: 4,
-                        max_wait: Duration::from_micros(200),
-                        ..EngineConfig::default()
-                    },
-                );
-                let flat = vec_f32(rng, 3 * features, -2.0, 2.0);
-                let got = engine.submit_batch(flat.clone()).unwrap().wait().unwrap();
-                let mut oracle = Vec::new();
-                for r in 0..3 {
-                    oracle.extend(base.infer(&flat[r * features..(r + 1) * features]).unwrap());
-                }
-                assert_eq!(
-                    bits(&got),
-                    bits(&oracle),
-                    "{name} stages={stages}: sharded optimized outputs diverged"
-                );
-                engine.shutdown();
+            let engine = Engine::start(
+                opt.clone(),
+                EngineConfig {
+                    workers: 2,
+                    max_batch_size: 4,
+                    max_wait: Duration::from_micros(200),
+                    ..EngineConfig::default()
+                },
+            );
+            let flat = vec_f32(rng, 3 * features, -2.0, 2.0);
+            let got = engine.submit_batch(flat.clone()).unwrap().wait().unwrap();
+            let mut oracle = Vec::new();
+            for r in 0..3 {
+                oracle.extend(base.infer(&flat[r * features..(r + 1) * features]).unwrap());
             }
+            assert_eq!(
+                bits(&got),
+                bits(&oracle),
+                "{name}: optimized outputs diverged"
+            );
+            engine.shutdown();
         }
     });
 }

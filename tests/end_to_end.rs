@@ -210,3 +210,111 @@ fn composed_models_carry_no_dead_data() {
         }
     }
 }
+
+/// FNV-1a 64, the artifact format's own checksum.
+fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The bits of `BatchRunner::run` over 1, 7, 8 and 64 seeded rows in
+/// U(-3, 3), hashed in that order: the serial path, a partial block,
+/// one block and a full batch.
+fn output_bits_hash(model: &CompiledModel) -> u64 {
+    let mut rng = SeededRng::new(17);
+    let mut runner = rapidnn::serve::BatchRunner::new();
+    let mut bytes = Vec::new();
+    for rows in [1, 7, 8, 64] {
+        let inputs: Vec<f32> = (0..rows * model.input_features())
+            .map(|_| rng.uniform(-3.0, 3.0))
+            .collect();
+        let mut out = Vec::new();
+        runner.run(model, &inputs, &mut out).unwrap();
+        bytes.extend(out.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+    }
+    fnv1a64(bytes)
+}
+
+/// Asserts `to_bytes()` of `build(seed)` is `len` bytes hashing to the
+/// pinned value, for each `(seed, hash)` pin.
+fn assert_artifacts_pinned(
+    name: &str,
+    build: impl Fn(u64) -> CompiledModel,
+    len: usize,
+    pins: &[(u64, u64)],
+) {
+    for &(seed, hash) in pins {
+        let bytes = build(seed).to_bytes();
+        assert_eq!(bytes.len(), len, "{name}, seed {seed}");
+        assert_eq!(fnv1a64(bytes), hash, "{name}, seed {seed}");
+    }
+}
+
+/// mnist-tiny: the tiny test pipeline's compiled model.
+fn mnist_tiny(seed: u64) -> CompiledModel {
+    Pipeline::new(tiny_config())
+        .run(&mut SeededRng::new(seed))
+        .unwrap()
+        .compile()
+        .unwrap()
+}
+
+/// Same bits: a training, composer or serving change that is meant to
+/// leave every model as it was must reproduce these. The artifact
+/// hashes pin `to_bytes()` of mnist-tiny and deep-mlp at fifteen seeds;
+/// the output hashes pin what seed 42's models serve, f32 and after
+/// `quantize()`. Training calls libm (`exp`), so a platform whose libm
+/// rounds differently may build other models; `deep_model_bytes_are_pinned`
+/// (in `rapidnn-serve`) is the platform-independent check.
+#[test]
+fn composed_models_and_their_outputs_are_pinned() {
+    assert_artifacts_pinned(
+        "mnist-tiny",
+        mnist_tiny,
+        11_544,
+        &[
+            (42, 0xafa5_aced_c92e_0356),
+            (43, 0x8f65_46f9_761f_25e2),
+            (1, 0x0c0f_01be_4ba0_a4dc),
+            (2, 0x75aa_2b30_6695_f04f),
+            (3, 0xe12c_2433_e857_781b),
+            (5, 0x482c_3efa_b336_58b6),
+            (7, 0x5615_625d_eb05_984d),
+            (11, 0x1369_d2c7_8de4_160f),
+            (17, 0xd0e9_b208_2e83_d1f7),
+            (99, 0x443f_e260_72e7_7978),
+        ],
+    );
+    assert_artifacts_pinned(
+        "deep-mlp",
+        deep_mlp,
+        10_628,
+        &[
+            (42, 0x6462_4413_bf03_b9f7),
+            (43, 0x4e84_546f_8009_4b7f),
+            (1, 0xd72a_251e_aa69_f82e),
+            (2, 0x7790_ea2c_c278_36b8),
+            (3, 0x5f85_6555_2034_0a11),
+        ],
+    );
+    let outputs = [
+        (
+            "mnist-tiny",
+            mnist_tiny(42),
+            0x7d91_60f2_297b_b96d,
+            0x7353_6854_1b04_5057,
+        ),
+        (
+            "deep-mlp",
+            deep_mlp(42),
+            0x48b0_fed4_ca19_6939,
+            0xf87c_d39d_8a56_c01f,
+        ),
+    ];
+    for (name, mut model, f32_hash, int16_hash) in outputs {
+        assert_eq!(output_bits_hash(&model), f32_hash, "{name}, f32");
+        model.quantize().unwrap();
+        assert_eq!(output_bits_hash(&model), int16_hash, "{name}, int16");
+    }
+}
