@@ -45,36 +45,6 @@ pub(crate) const DATAPATH: DatapathModel = DatapathModel::paper();
 
 /// Analyzes `program` against the paper's Table 1 datapath widths.
 pub fn analyze(program: &Program<'_>) -> Report {
-    analyze_collect(program).0
-}
-
-/// Per-op liveness facts recorded during the walk — the data behind
-/// the liveness diagnostics, in machine-usable form. The optimizer
-/// (`crate::optimize`) consumes these to license its rewrites; they
-/// are only meaningful when the accompanying report has no errors
-/// (the walk stops at the first error).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct OpFacts {
-    /// Per product table of the op (dense: one, conv: one per output
-    /// channel): `used[w]` iff some weight code references row `w`.
-    pub used_rows: Vec<Vec<bool>>,
-    /// Inclusive reachable row range of the op's activation LUT.
-    pub lut_reach: Option<(usize, usize)>,
-    /// Inclusive reachable entry range of the codebook this op encodes
-    /// its outputs through (dense/conv/residual-join encoder, or the
-    /// avgpool book's re-encode).
-    pub encoder_reach: Option<(usize, usize)>,
-}
-
-/// Facts for every op of one analysis run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct Facts {
-    pub ops: Vec<OpFacts>,
-}
-
-/// Analysis entry point that also returns the liveness facts the
-/// optimizer builds its rewrites from.
-pub(crate) fn analyze_collect(program: &Program<'_>) -> (Report, Facts) {
     let mut checker = Checker {
         input_features: program.input_features,
         output_features: program.output_features,
@@ -83,14 +53,11 @@ pub(crate) fn analyze_collect(program: &Program<'_>) -> (Report, Facts) {
         floats: &program.floats,
         codes: &program.codes,
         report: Report::new(),
-        facts: Facts {
-            ops: vec![OpFacts::default(); program.ops.len()],
-        },
     };
     // The Err case carries no data: the fatal diagnostic is already in
     // the report when the walk unwinds.
     let _ = checker.run();
-    (checker.report, checker.facts)
+    checker.report
 }
 
 /// Largest `f32` not above `x`: `as f32` rounds to nearest, which may
@@ -193,7 +160,6 @@ struct Checker<'p> {
     floats: &'p [f32],
     codes: &'p [u16],
     report: Report,
-    facts: Facts,
 }
 
 /// Fatal-error sentinel: the diagnostic is already reported.
@@ -533,9 +499,6 @@ impl<'p> Checker<'p> {
         what: &str,
     ) -> Flow {
         let reach = self.reach_of(book, interval, slack);
-        if let Some(i) = op {
-            self.facts.ops[i].encoder_reach = Some(reach);
-        }
         let live = reach.1 - reach.0 + 1;
         if live < book.len() {
             self.report.push_liveness(
@@ -614,14 +577,13 @@ impl<'p> Checker<'p> {
                 // row.
                 let w = pre.widened_by(slack);
                 let (lo, hi) = nearest_range(xs, &keys, f32_down(w.lo), f32_up(w.hi));
-                self.facts.ops[op].lut_reach = Some((lo, hi));
                 if hi - lo + 1 < xs.len() {
                     self.report.push_liveness(
                         Diagnostic::new(
                             DiagCode::DeadLutRows,
                             Some(op),
                             format!(
-                                "{label}: {} of {} activation LUT rows lie outside the reachable pre-activation range [{:.4}, {:.4}]",
+                                "{label}: {} of {} activation LUT rows lie outside the reachable pre-activation range [{:.4}, {:.4}] (reachable rows {lo}..={hi})",
                                 xs.len() - (hi - lo + 1),
                                 xs.len(),
                                 pre.lo,
@@ -853,7 +815,6 @@ impl<'p> Checker<'p> {
             total_rows += table.weight_count;
             let rows =
                 self.row_intervals(i, table, &used, domain, reach, extra_col, &table_label)?;
-            self.facts.ops[i].used_rows.push(used);
             let channels = codes.chunks(patch_len).zip(&bias[t * n.group..]);
             for (patch, &b) in channels {
                 let mut acc = Interval::point(f64::from(b));
@@ -1163,20 +1124,42 @@ mod tests {
         }
     }
 
+    /// The reach `(lo, hi)` op 0's liveness note of `code` states as
+    /// `reachable <what> lo..=hi`; with no note nothing is dead, so the
+    /// reach is all `len` entries.
+    fn noted_reach(report: &Report, code: DiagCode, what: &str, len: usize) -> (usize, usize) {
+        let Some(d) = report
+            .diagnostics()
+            .iter()
+            .find(|d| d.code == code && d.op == Some(0))
+        else {
+            return (0, len - 1);
+        };
+        // Both notes end `(reachable <what> lo..=hi)`.
+        let tail = d.message.split(what).nth(1).expect("note states its reach");
+        let (lo, hi) = tail
+            .trim()
+            .trim_end_matches(')')
+            .split_once("..=")
+            .expect("lo..=hi");
+        (lo.parse().expect("lo"), hi.parse().expect("hi"))
+    }
+
     /// The exactness pin behind deletion-grade liveness: enumerate
     /// every concrete input (all 6^3 virtual-code combinations), run
     /// the kernel's exact f32 arithmetic, and check that every
-    /// concrete LUT row and encoder code lands inside the analyzer's
-    /// reachable ranges — so entries *outside* those ranges are dead on
-    /// every execution, even under 1e7-scale catastrophic cancellation
-    /// where f32 rounding error dwarfs the true sums.
+    /// concrete LUT row and encoder code lands inside the reachable
+    /// ranges the analyzer's notes state — so entries *outside* those
+    /// ranges are dead on every execution, even under 1e7-scale
+    /// catastrophic cancellation where f32 rounding error dwarfs the
+    /// true sums.
     #[test]
     fn reach_contains_every_concrete_f32_sum() {
         let p = adversarial();
-        let (report, facts) = analyze_collect(&p);
+        let report = analyze(&p);
         assert!(!report.has_errors(), "{report}");
-        let (llo, lhi) = facts.ops[0].lut_reach.expect("lut analyzed");
-        let (elo, ehi) = facts.ops[0].encoder_reach.expect("encoder analyzed");
+        let (llo, lhi) = noted_reach(&report, DiagCode::DeadLutRows, "reachable rows", 7);
+        let (elo, ehi) = noted_reach(&report, DiagCode::DeadCodebookEntries, "reachable codes", 8);
 
         let floats = &p.floats;
         // Pool layout: book 0..6, table 6..30, bias 30..32, then the

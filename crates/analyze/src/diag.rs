@@ -81,21 +81,6 @@ pub enum DiagCode {
     /// renders under this code). The decoder owns that judgement; the
     /// checker never sees a layout and never emits this code.
     PackedLayoutInvalid,
-    /// An optimizer certificate is structurally malformed: op/remap
-    /// counts disagree, a row map is not an order-preserving injection
-    /// onto a prefix of the new row indices, or a kept range is out of
-    /// bounds for the table it describes.
-    CertificateInvalid,
-    /// An optimized program is not the certificate's image of its
-    /// input: a kept table/codebook/LUT entry changed bits, a weight
-    /// code was not remapped as stated, or op shapes diverge from the
-    /// declared compaction.
-    RewriteMismatch,
-    /// The translation validator could not re-prove a rewrite: the
-    /// certificate deletes data the input analysis shows live (kept
-    /// ranges fail to cover a reachable code range or referenced row),
-    /// or re-analysis of the optimized program reports errors.
-    RewriteUnproven,
     /// A codebook or activation-LUT input axis is not sorted by
     /// `total_cmp`: the nearest map over it is not monotone, so it has
     /// no search boundaries for the runtime to tabulate its encodes and
@@ -133,9 +118,6 @@ impl DiagCode {
             DiagCode::ResidualImbalance => "RNA0010",
             DiagCode::NonFinite => "RNA0011",
             DiagCode::PackedLayoutInvalid => "RNA0012",
-            DiagCode::CertificateInvalid => "RNA0015",
-            DiagCode::RewriteMismatch => "RNA0016",
-            DiagCode::RewriteUnproven => "RNA0017",
             DiagCode::UnsortedCodebook => "RNA0018",
             DiagCode::AccumulatorOverflow => "RNA0102",
             DiagCode::CounterOverflow => "RNA0103",
@@ -161,9 +143,6 @@ impl DiagCode {
             | DiagCode::ResidualImbalance
             | DiagCode::NonFinite
             | DiagCode::PackedLayoutInvalid
-            | DiagCode::CertificateInvalid
-            | DiagCode::RewriteMismatch
-            | DiagCode::RewriteUnproven
             | DiagCode::UnsortedCodebook => Severity::Error,
             DiagCode::AccumulatorOverflow
             | DiagCode::CounterOverflow
@@ -228,8 +207,8 @@ impl fmt::Display for Diagnostic {
 
 /// Machine-readable liveness totals accumulated alongside the prose
 /// liveness diagnostics (RNA0104, RNA0201–0203), so consumers — the
-/// optimizer deciding whether any pass can fire, gateway stats JSON,
-/// tests — read numbers instead of parsing diagnostic strings.
+/// dead-data tests over composed models among them — read numbers
+/// instead of parsing diagnostic strings.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LivenessCounts {
     /// Encoder codebook entries no reachable value can select (RNA0104).

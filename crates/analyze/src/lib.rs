@@ -62,7 +62,7 @@ mod checker;
 mod cost;
 mod diag;
 mod interval;
-mod optimize;
+mod pad;
 mod program;
 mod quant;
 
@@ -70,10 +70,7 @@ pub use checker::{analyze, MAX_EXTENT};
 pub use cost::{op_costs, op_shapes, OpCost};
 pub use diag::{DiagCode, Diagnostic, LivenessCounts, Report, Severity};
 pub use interval::{f32_sum_slack, Interval};
-pub use optimize::{
-    inject_dead_rows, optimize, validate_certificate, Certificate, OpRemap, Optimized, Pass,
-    PassRecord,
-};
+pub use pad::inject_dead_rows;
 pub use program::{Act, Boundary, Geom, Neuron, Op, Program, Span, TableRef};
 pub use quant::{
     factor_table, quantize_plan, FallbackReason, FinishPlan, LicensedOp, OpQuant, QuantPlan,

@@ -513,7 +513,7 @@ fn geom_of(g: &rapidnn_tensor::Conv2dGeometry) -> Geom {
 mod tests {
     use super::*;
 
-    /// The pool accessors the checker, the optimizer, the quant planner
+    /// The pool accessors the checker, the quant planner
     /// and the serving kernels all index through agree with manual
     /// indexing on a 2×3 table sitting at an offset in its pool.
     #[test]

@@ -1,5 +1,5 @@
 //! The gateway's one JSON writer: objects, arrays, escaped strings,
-//! integers, booleans, shortest-round-trip floats, `null`. Output is
+//! integers, booleans, shortest-round-trip floats. Output is
 //! compact and commas are the writer's business, so a response body is
 //! described once, in the order it is sent.
 
@@ -73,11 +73,6 @@ impl Json {
         // Writing into a `String` cannot fail.
         let _ = write!(self.out, "{v}");
     }
-
-    /// `null`.
-    pub(crate) fn null(&mut self) {
-        self.value("null");
-    }
 }
 
 #[cfg(test)]
@@ -105,14 +100,14 @@ mod tests {
             j.key("list").array(|j| {
                 j.value(true);
                 j.value(0.1 + 0.2);
-                j.object(|j| j.key("k").null());
+                j.object(|j| j.key("k").value(2u64));
                 j.array(|j| j.string("s"));
             });
             j.key("z").object(|_| {});
         });
         assert_eq!(
             text,
-            r#"{"a":1,"e\"":[],"list":[true,0.30000000000000004,{"k":null},["s"]],"z":{}}"#
+            r#"{"a":1,"e\"":[],"list":[true,0.30000000000000004,{"k":2},["s"]],"z":{}}"#
         );
     }
 }

@@ -45,5 +45,5 @@ pub mod server;
 
 pub use error::GatewayError;
 pub use http::{HttpReader, Limits, ParseError, ReadOutcome, Request, Response};
-pub use registry::{ModelStats, OptimizeStats, Registry, RegistryConfig, SwapReport};
+pub use registry::{ModelStats, Registry, RegistryConfig, SwapReport};
 pub use server::{Gateway, GatewayConfig};

@@ -20,16 +20,15 @@
 //!   rolls back: the old engine never stops serving.
 //!
 //! The swap sequence never drops accepted work. What a model serves —
-//! engine, generation, optimizer outcome — is one `Arc`
-//! swapped at cutover, so a request resolves it in one read and its
-//! answer names the generation that computed it. In-flight requests
-//! hold that `Arc`; the displaced engine is told at once to stop holding
-//! partial batches, the swap waits for those references to drop before
-//! draining, and a request that races the cutover and hits
-//! `ShuttingDown` retries against the fresh slot.
+//! its engine and generation — is one `Arc` swapped at cutover, so a
+//! request resolves it in one read and its answer names the generation
+//! that computed it. In-flight requests hold that `Arc`; the displaced
+//! engine is told at once to stop holding partial batches, the swap
+//! waits for those references to drop before draining, and a request
+//! that races the cutover and hits `ShuttingDown` retries against the
+//! fresh slot.
 
 use crate::error::GatewayError;
-use rapidnn_analyze::Pass;
 use rapidnn_serve::{CompiledModel, Engine, EngineConfig, ServeError, ServerStats};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,9 +86,6 @@ struct Serving {
     /// Swaps completed before this engine took over; `0` is the
     /// artifact the model was registered with.
     generation: u64,
-    /// What the certified optimizer did to this generation's artifact
-    /// (`PUT`'s `x-optimize` opt-in); `None` when it serves as uploaded.
-    optimized: Option<OptimizeStats>,
 }
 
 impl ModelEntry {
@@ -101,24 +97,6 @@ impl ModelEntry {
             swapping: Mutex::new(()),
         })
     }
-}
-
-/// What [`CompiledModel::optimize`] removed from an uploaded artifact,
-/// surfaced in swap responses and per-model stats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OptimizeStats {
-    /// Serialized size of the uploaded artifact.
-    pub bytes_before: usize,
-    /// Serialized size of the optimized artifact actually served.
-    pub bytes_after: usize,
-    /// Dead codebook entries eliminated.
-    pub dead_entries_removed: usize,
-    /// Unreferenced product-table rows compacted away.
-    pub rows_removed: usize,
-    /// Dead product-table columns / decode-book entries dropped.
-    pub columns_removed: usize,
-    /// Dead activation-LUT rows pruned.
-    pub lut_rows_removed: usize,
 }
 
 /// Decrements the per-model in-flight gauge on every exit path.
@@ -148,9 +126,6 @@ pub struct ModelStats {
     /// integer lowering), `"int16"` (every table op licensed) or
     /// `"mixed"`.
     pub kernel_path: &'static str,
-    /// Certified-optimizer outcome for this generation's artifact, when
-    /// the upload opted in via `x-optimize`.
-    pub optimized: Option<OptimizeStats>,
     /// Table ops the analyzer licensed for integer execution (0 on the
     /// f32 path).
     pub licensed_ops: usize,
@@ -174,8 +149,6 @@ pub struct SwapReport {
     /// `false` means it was detached mid-drain and finishes in the
     /// background — accepted requests are still answered.
     pub drained: bool,
-    /// Certified-optimizer outcome, when the upload opted in.
-    pub optimized: Option<OptimizeStats>,
     /// Final stats of the displaced engine, when it drained in time.
     pub old_stats: Option<ServerStats>,
 }
@@ -228,7 +201,6 @@ impl Registry {
         let first = Serving {
             engine: Engine::start(model, self.config.engine.clone()),
             generation: 0,
-            optimized: None,
         };
         let entry = ModelEntry::new(name, first);
         let mut models = write(&self.models);
@@ -253,17 +225,9 @@ impl Registry {
     /// analyzer-licensed integer kernels before warmup, so the swap
     /// only completes if the quantized model actually serves.
     ///
-    /// `_stages` is ignored: it remains because the frozen benchmark
-    /// harness (`bench/`) passes it; ROADMAP item 1(a) removes it.
-    ///
-    /// With `optimize` set (the HTTP layer's `x-optimize` opt-in), the
-    /// verified model is run through the certified optimizer
-    /// ([`CompiledModel::optimize`]) before any quantization: dead
-    /// codebook entries, table rows/columns and LUT rows are removed
-    /// under a translation-validated certificate, and the before/after
-    /// byte sizes plus per-pass removal counts are reported in the
-    /// [`SwapReport`] and the model's stats. A rewrite whose certificate
-    /// fails validation is a rejection, not a silent fallback.
+    /// `_stages` and `_optimize` are ignored: they remain because the
+    /// frozen benchmark harness (`bench/`) passes them; ROADMAP item
+    /// 1(a) removes them.
     ///
     /// # Errors
     ///
@@ -279,32 +243,13 @@ impl Registry {
         bytes: &[u8],
         quantize: bool,
         _stages: Option<usize>,
-        optimize: bool,
+        _optimize: bool,
     ) -> Result<SwapReport, GatewayError> {
         validate_name(name)?;
         // Verification first — both paths need it, and a rejected
         // artifact must not disturb anything.
         let mut model =
             CompiledModel::from_bytes(bytes).map_err(GatewayError::from_artifact_failure)?;
-        // Optimize before quantize: the integer lowering plan is built
-        // for (and licensed against) the compacted tables it will serve.
-        let optimized = if optimize {
-            let (opt, cert) = model
-                .optimize()
-                .map_err(|e| GatewayError::from_serve(name, e))?;
-            let stats = OptimizeStats {
-                bytes_before: bytes.len(),
-                bytes_after: opt.encoded_len(),
-                dead_entries_removed: cert.removed(Pass::DeadEntryElimination),
-                rows_removed: cert.removed(Pass::RowCompaction),
-                columns_removed: cert.removed(Pass::ColumnCompaction),
-                lut_rows_removed: cert.removed(Pass::LutPruning),
-            };
-            model = opt;
-            Some(stats)
-        } else {
-            None
-        };
         if quantize {
             model
                 .quantize()
@@ -349,11 +294,7 @@ impl Registry {
                 return Err(GatewayError::WarmupFailed(e.to_string()));
             }
         };
-        let next = Serving {
-            engine,
-            generation,
-            optimized,
-        };
+        let next = Serving { engine, generation };
         let (old_stats, drained) = match &existing {
             None => {
                 let mut models = write(&self.models);
@@ -375,7 +316,6 @@ impl Registry {
             generation,
             warmed,
             drained,
-            optimized,
             old_stats,
         })
     }
@@ -485,7 +425,6 @@ impl Registry {
             output_features: model.output_features(),
             inflight: entry.inflight.load(Ordering::Acquire),
             kernel_path: model.kernel_path(),
-            optimized: serving.optimized,
             licensed_ops: model.licensed_ops(),
             server: engine.stats(),
         })

@@ -33,7 +33,7 @@
 use crate::error::GatewayError;
 use crate::http::{HttpReader, Limits, ReadOutcome, Request, Response};
 use crate::json::Json;
-use crate::registry::{ModelStats, OptimizeStats, Registry, RegistryConfig, SwapReport};
+use crate::registry::{ModelStats, Registry, RegistryConfig, SwapReport};
 use rapidnn_pool::WorkerGroup;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -305,11 +305,7 @@ fn put_model(registry: &Registry, name: &str, request: &Request) -> Result<Respo
     // `x-kernels: int16` opts the upload into analyzer-licensed integer
     // lowering; absence means the plain f32 path.
     let quantize = opt_in(request, "x-kernels", &["int16"])?;
-    // `x-optimize: 1`/`true` runs the upload through the certified
-    // optimizer (translation-validated dead-data elimination) before it
-    // serves; absence means the artifact serves as uploaded.
-    let optimize = opt_in(request, "x-optimize", &["1", "true"])?;
-    let outcome = registry.put_artifact(name, &request.body, quantize, None, optimize);
+    let outcome = registry.put_artifact(name, &request.body, quantize, None, false);
     Ok(match outcome {
         Ok(report) => swap_response(name, &report),
         Err(e) => error_response(&e),
@@ -323,23 +319,8 @@ fn swap_response(name: &str, report: &SwapReport) -> Response {
         j.key("generation").value(report.generation);
         j.key("warmed").value(report.warmed);
         j.key("drained").value(report.drained);
-        optimize_json(j.key("optimized"), report.optimized.as_ref());
     });
     Response::json(if report.created { 201 } else { 200 }, body)
-}
-
-/// Writes the certified-optimizer outcome (`null` when the upload did
-/// not opt in).
-fn optimize_json(json: &mut Json, stats: Option<&OptimizeStats>) {
-    let Some(o) = stats else { return json.null() };
-    json.object(|j| {
-        j.key("bytes_before").value(o.bytes_before);
-        j.key("bytes_after").value(o.bytes_after);
-        j.key("dead_entries_removed").value(o.dead_entries_removed);
-        j.key("rows_removed").value(o.rows_removed);
-        j.key("columns_removed").value(o.columns_removed);
-        j.key("lut_rows_removed").value(o.lut_rows_removed);
-    });
 }
 
 fn delete_model(registry: &Registry, name: &str) -> Response {
@@ -433,7 +414,6 @@ impl ModelStats {
             j.key("inflight").value(self.inflight);
             j.key("kernel_path").string(self.kernel_path);
             j.key("licensed_ops").value(self.licensed_ops);
-            optimize_json(j.key("optimized"), self.optimized.as_ref());
             j.key("server").object(|j| {
                 j.key("submitted").value(s.submitted);
                 j.key("completed").value(s.completed);

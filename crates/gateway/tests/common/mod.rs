@@ -39,8 +39,8 @@ fn reinterpreted(seed: u64) -> ReinterpretedNetwork {
 }
 
 /// `compiled_model(seed)` padded with `extra` provably dead product-
-/// table rows per dense table: semantically identical, strictly larger
-/// on the wire, and exactly what the certified optimizer must win back.
+/// table rows per dense table: semantically identical and strictly
+/// larger on the wire, so it must serve `compiled_model(seed)`'s bits.
 pub fn dead_padded_model(seed: u64, extra: usize) -> CompiledModel {
     let net = reinterpreted(seed);
     let program = rapidnn_analyze::Program::from_reinterpreted(&net);

@@ -8,9 +8,7 @@ use common::{
     analyzer_rejected_bytes, compiled_model, dead_padded_model, le_bytes, le_floats, read_response,
     request, request_with_headers, wider_model, write_request, FEATURES,
 };
-use rapidnn_gateway::{
-    Gateway, GatewayConfig, ModelStats, OptimizeStats, Registry, RegistryConfig,
-};
+use rapidnn_gateway::{Gateway, GatewayConfig, ModelStats, Registry, RegistryConfig};
 use rapidnn_prop::vec_f32;
 use rapidnn_serve::EngineConfig;
 use rapidnn_tensor::SeededRng;
@@ -511,87 +509,50 @@ fn int16_opt_in_is_visible_in_stats_and_serves_bit_exactly() {
     gateway.shutdown();
 }
 
-/// The `x-optimize` upload opt-in runs the certified optimizer before
-/// serving: a dead-padded artifact provably shrinks (before/after bytes
-/// in the swap response and stats), served outputs stay bit-identical
-/// to the unpadded source, an unknown header value is a 400, and a plain
-/// swap clears the optimizer stats.
+/// `x-optimize` is an inert header: the optimizer is retired, so an
+/// upload that carries it serves as uploaded. A dead-padded artifact
+/// sent with `x-optimize: 1` registers (201) and answers with the
+/// unpadded source's bits, and a value the optimizer never knew
+/// (`yes`) is ignored like any other unknown header.
 #[test]
-fn optimize_opt_in_shrinks_and_reports_sizes() {
+fn x_optimize_is_an_inert_header() {
     let base = compiled_model(44);
-    // 9 dead rows per dense table widen the packed v2 code width; the
-    // optimizer must win back strictly more bytes than it leaves.
-    let padded = dead_padded_model(44, 9);
-    let upload = padded.to_bytes();
+    let upload = dead_padded_model(44, 9).to_bytes();
     assert!(upload.len() > base.to_bytes().len());
 
     let gateway = Gateway::bind(test_config()).unwrap();
     let addr = gateway.local_addr();
-
-    let created =
-        request_with_headers(addr, "PUT", "/models/opt", &[("x-optimize", "1")], &upload).unwrap();
-    assert_eq!(created.status, 201, "{}", created.body_text());
-    let body = created.body_text();
-    assert!(
-        body.contains(&format!("\"bytes_before\":{}", upload.len())),
-        "{body}"
-    );
-    assert!(body.contains("\"rows_removed\":18"), "{body}");
-
-    // Stats carry the same before/after sizes, and `bytes_after` is a
-    // real shrink.
-    let stats = request(addr, "GET", "/models/opt/stats", None, &[]).unwrap();
-    let text = stats.body_text();
-    let after: usize = text
-        .split("\"bytes_after\":")
-        .nth(1)
-        .and_then(|t| t.split(&[',', '}'][..]).next())
-        .and_then(|t| t.parse().ok())
-        .unwrap_or_else(|| panic!("stats missing bytes_after: {text}"));
-    assert!(
-        after < upload.len(),
-        "{after} vs {} in {text}",
-        upload.len()
-    );
-    assert!(
-        text.contains(&format!("\"bytes_before\":{}", upload.len())),
-        "{text}"
-    );
-
-    // The optimized generation answers with the unpadded source's bits.
     let mut rng = SeededRng::new(9);
-    for _ in 0..8 {
-        let input = vec_f32(&mut rng, FEATURES, -2.0, 2.0);
-        let response = request(
+    for (value, status, generation) in [("1", 201, 0), ("yes", 200, 1)] {
+        let put = request_with_headers(
             addr,
-            "POST",
-            "/models/opt/infer",
-            Some("application/octet-stream"),
-            &le_bytes(&input),
+            "PUT",
+            "/models/opt",
+            &[("x-optimize", value)],
+            &upload,
         )
         .unwrap();
-        assert_eq!(response.status, 200, "{}", response.body_text());
-        assert_eq!(le_floats(&response.body), base.infer(&input).unwrap());
+        assert_eq!(put.status, status, "{value}: {}", put.body_text());
+        assert!(
+            put.body_text()
+                .contains(&format!("\"generation\":{generation}")),
+            "{}",
+            put.body_text()
+        );
+        for _ in 0..4 {
+            let input = vec_f32(&mut rng, FEATURES, -2.0, 2.0);
+            let response = request(
+                addr,
+                "POST",
+                "/models/opt/infer",
+                Some("application/octet-stream"),
+                &le_bytes(&input),
+            )
+            .unwrap();
+            assert_eq!(response.status, 200, "{}", response.body_text());
+            assert_eq!(le_floats(&response.body), base.infer(&input).unwrap());
+        }
     }
-
-    // Unknown opt-in value: client error, generation untouched.
-    let bogus = request_with_headers(
-        addr,
-        "PUT",
-        "/models/opt",
-        &[("x-optimize", "yes")],
-        &upload,
-    )
-    .unwrap();
-    assert_eq!(bogus.status, 400, "{}", bogus.body_text());
-
-    // A plain swap serves the artifact as uploaded: stats go back to
-    // `"optimized":null`.
-    let swapped = request(addr, "PUT", "/models/opt", None, &upload).unwrap();
-    assert_eq!(swapped.status, 200, "{}", swapped.body_text());
-    let stats = request(addr, "GET", "/models/opt/stats", None, &[]).unwrap();
-    assert!(stats.body_text().contains("\"optimized\":null"));
-    assert!(stats.body_text().contains("\"generation\":1"));
 
     gateway.shutdown();
 }
@@ -774,8 +735,8 @@ fn generation_header_names_the_artifact_that_answered() {
     gateway.shutdown();
 }
 
-/// The JSON bodies of `GET /models`, `PUT` (201 and 200, with and
-/// without the optimizer) and `DELETE`, byte for byte as the
+/// The JSON bodies of `GET /models`, `PUT` (201 and 200) and
+/// `DELETE`, byte for byte as the
 /// hand-written `format!` templates produced them before the gateway's
 /// JSON writer replaced those (captured from that code).
 #[test]
@@ -792,15 +753,27 @@ fn json_bodies_are_byte_identical_to_the_templates_they_replaced() {
 
     assert_eq!(
         put("b", &[], &plain),
-        (201, "{\"name\":\"b\",\"created\":true,\"generation\":0,\"warmed\":8,\"drained\":true,\"optimized\":null}".into())
+        (
+            201,
+            "{\"name\":\"b\",\"created\":true,\"generation\":0,\"warmed\":8,\"drained\":true}"
+                .into()
+        )
     );
     assert_eq!(
-        put("a.opt", &[("x-optimize", "1")], &padded),
-        (201, format!("{{\"name\":\"a.opt\",\"created\":true,\"generation\":0,\"warmed\":8,\"drained\":true,\"optimized\":{{\"bytes_before\":{},\"bytes_after\":{},\"dead_entries_removed\":0,\"rows_removed\":18,\"columns_removed\":0,\"lut_rows_removed\":0}}}}", padded.len(), plain.len()))
+        put("a.opt", &[], &padded),
+        (
+            201,
+            "{\"name\":\"a.opt\",\"created\":true,\"generation\":0,\"warmed\":8,\"drained\":true}"
+                .into()
+        )
     );
     assert_eq!(
         put("b", &[], &padded),
-        (200, "{\"name\":\"b\",\"created\":false,\"generation\":1,\"warmed\":8,\"drained\":true,\"optimized\":null}".into())
+        (
+            200,
+            "{\"name\":\"b\",\"created\":false,\"generation\":1,\"warmed\":8,\"drained\":true}"
+                .into()
+        )
     );
     let listing = request(addr, "GET", "/models", None, &[]).unwrap();
     assert_eq!(
@@ -868,36 +841,29 @@ fn listing_while_deleting_invents_no_model_and_no_generation() {
     deleter.join().unwrap();
 }
 
-/// The upload headers refuse a value they do not know in the words they
+/// The upload header refuses a value it does not know in the words it
 /// always used, and a refused upload registers nothing.
 #[test]
 fn unknown_upload_header_values_are_refused_in_the_same_words() {
     let gateway = Gateway::bind(test_config()).unwrap();
     let addr = gateway.local_addr();
     let bytes = compiled_model(72).to_bytes();
-    for (header, value, words) in [
+    let refused =
+        request_with_headers(addr, "PUT", "/models/m", &[("x-kernels", "int8")], &bytes).unwrap();
+    assert_eq!(
+        (refused.status, refused.body_text()),
         (
-            "x-kernels",
-            "int8",
-            "unknown x-kernels value \"int8\"; try \"int16\"\n",
-        ),
-        (
-            "x-optimize",
-            "yes",
-            "unknown x-optimize value \"yes\"; try \"1\"\n",
-        ),
-    ] {
-        let refused =
-            request_with_headers(addr, "PUT", "/models/m", &[(header, value)], &bytes).unwrap();
-        assert_eq!((refused.status, refused.body_text()), (400, words.into()));
-    }
+            400,
+            "unknown x-kernels value \"int8\"; try \"int16\"\n".into()
+        )
+    );
     let listing = request(addr, "GET", "/models", None, &[]).unwrap();
     assert_eq!(listing.body_text(), "{\"models\":[]}");
     gateway.shutdown();
 }
 
-/// A `ModelStats` with every field distinct; `rich` adds what an
-/// optimized int16 generation reports on top.
+/// A `ModelStats` with every field distinct; `rich` adds what an int16
+/// generation reports on top.
 fn sample_stats(rich: bool) -> ModelStats {
     use rapidnn_serve::ServerStats;
     let mut batch_size_buckets = [0; rapidnn_serve::BATCH_BUCKETS];
@@ -909,14 +875,6 @@ fn sample_stats(rich: bool) -> ModelStats {
         output_features: 10,
         inflight: 2,
         kernel_path: if rich { "int16" } else { "f32" },
-        optimized: rich.then_some(OptimizeStats {
-            bytes_before: 11_512,
-            bytes_after: 9_800,
-            dead_entries_removed: 6,
-            rows_removed: 18,
-            columns_removed: 2,
-            lut_rows_removed: 0,
-        }),
         licensed_ops: if rich { 3 } else { 0 },
         server: ServerStats {
             submitted: 41,
@@ -954,15 +912,10 @@ fn stats_body_is_byte_identical_to_the_template_it_replaced() {
         \"output_features\":10,\"inflight\":2,";
     assert_eq!(
         sample_stats(false).to_json(),
-        format!("{head}\"kernel_path\":\"f32\",\"licensed_ops\":0,\"optimized\":null,{server}")
+        format!("{head}\"kernel_path\":\"f32\",\"licensed_ops\":0,{server}")
     );
     assert_eq!(
         sample_stats(true).to_json(),
-        format!(
-            "{head}\"kernel_path\":\"int16\",\"licensed_ops\":3,\
-             \"optimized\":{{\"bytes_before\":11512,\"bytes_after\":9800,\
-             \"dead_entries_removed\":6,\"rows_removed\":18,\"columns_removed\":2,\
-             \"lut_rows_removed\":0}},{server}"
-        )
+        format!("{head}\"kernel_path\":\"int16\",\"licensed_ops\":3,{server}")
     );
 }

@@ -18,8 +18,7 @@
 //! [`from_reinterpreted`](CompiledModel::from_reinterpreted),
 //! [`from_program`](CompiledModel::from_program),
 //! [`from_bytes`](CompiledModel::from_bytes) /
-//! [`load`](CompiledModel::load) and
-//! [`optimize`](CompiledModel::optimize) — runs the static analyzer over
+//! [`load`](CompiledModel::load) — runs the static analyzer over
 //! a [`rapidnn_analyze::Program`] before it derives anything, returning
 //! either a model or [`ServeError::Rejected`] with the full report. The
 //! analyzer proves every span, weight code, code domain and geometry in
@@ -394,13 +393,6 @@ impl CompiledModel {
         wire::encode(&self.program)
     }
 
-    /// `self.to_bytes().len()` without serializing: the v2 layout fixes
-    /// every offset before a code is packed, so this only reads the
-    /// code pool, in place, for each section's width.
-    pub fn encoded_len(&self) -> usize {
-        wire::encoded_len(&self.program)
-    }
-
     /// Decodes an artifact into a [`Program`], runs the static analyzer
     /// over it, then assembles the model — the only way bytes become a
     /// model, and nothing is derived from a program before it passes.
@@ -455,8 +447,7 @@ impl CompiledModel {
 
     /// Builds a model from the analyzer's program IR after the analyzer
     /// has passed it, over its own copy of the pools. Writing the model
-    /// back out packs v2 code sections at the width the (possibly
-    /// compacted) tables now imply.
+    /// back out packs v2 code sections at the width its tables imply.
     ///
     /// # Errors
     ///
@@ -474,39 +465,15 @@ impl CompiledModel {
         }))
     }
 
-    /// Runs the certified optimizer ([`rapidnn_analyze::optimize`])
-    /// over the compiled program and translation-validates the result
-    /// before returning it: the rewrite's certificate is re-proven by
-    /// [`rapidnn_analyze::validate_certificate`] against both programs,
-    /// so a rewrite that cannot be re-proven is never handed back. The
-    /// validator's pass over the output program is the returned model's
-    /// construction gate. It carries no quantization state — callers
-    /// opt back in with [`Self::quantize`], exactly as after a load.
-    ///
-    /// Inference is bit-identical to the source model on both the f32
-    /// and the int16 path; what changes is the footprint: dead
-    /// codebook entries, unreferenced product-table rows, dead columns
-    /// and LUT rows are gone, and [`Self::to_bytes`] re-packs v2 code
-    /// sections at the narrower width the compacted tables imply.
+    /// A clone of `self`: the optimizer is retired. Remains because the
+    /// frozen benchmark harness (`bench/`) calls it; ROADMAP item 1(a)
+    /// removes it.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Rejected`] carrying the diagnostic report when the
-    /// certificate does not validate (RNA0015/RNA0016/RNA0017).
-    pub fn optimize(&self) -> Result<(CompiledModel, rapidnn_analyze::Certificate)> {
-        let input = &self.program;
-        let optimized = rapidnn_analyze::optimize(input).map_err(ServeError::Rejected)?;
-        let check = rapidnn_analyze::validate_certificate(
-            input,
-            &optimized.program,
-            &optimized.certificate,
-        );
-        if check.has_errors() {
-            return Err(ServeError::Rejected(Box::new(check)));
-        }
-        // The validator just ran the analyzer over the optimized program
-        // with no errors; gating it again would only repeat that pass.
-        Ok((Self::assemble(optimized.program), optimized.certificate))
+    /// None; the `Result` is the harness's signature.
+    pub fn optimize(&self) -> Result<(CompiledModel, ())> {
+        Ok((self.clone(), ()))
     }
 
     /// Runs the static analyzer over the compiled program and returns

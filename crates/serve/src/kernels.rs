@@ -153,8 +153,6 @@ pub(crate) enum FlowData {
     Codes(Vec<u16>),
     /// Quantized flow (`padded × width` Madd operands, row-major).
     Quants(Vec<i16>),
-    /// Decoded flow (`padded × width` floats, row-major).
-    Floats(Vec<f32>),
 }
 
 impl FlowData {
@@ -162,24 +160,21 @@ impl FlowData {
     /// in turn, all in this buffer's domain, then zeros it out to `len`:
     /// several encoded jobs gathered into one batch, pad rows zero.
     pub(crate) fn gather<'a>(&mut self, jobs: impl Iterator<Item = (&'a Self, usize)>, len: usize) {
-        use FlowData::{Codes, Floats, Quants};
+        use FlowData::{Codes, Quants};
         match self {
             Codes(v) => v.clear(),
             Quants(v) => v.clear(),
-            Floats(v) => v.clear(),
         }
         for (job, n) in jobs {
             match (&mut *self, job) {
                 (Codes(v), Codes(p)) => v.extend_from_slice(&p[..n]),
                 (Quants(v), Quants(p)) => v.extend_from_slice(&p[..n]),
-                (Floats(v), Floats(p)) => v.extend_from_slice(&p[..n]),
                 _ => unreachable!("a batch's jobs share the first op's domain"),
             }
         }
         match self {
             Codes(v) => v.resize(len, 0),
             Quants(v) => v.resize(len, 0),
-            Floats(v) => v.resize(len, 0.0),
         }
     }
 }
@@ -400,12 +395,14 @@ impl BatchRunner {
     /// Takes the current flow out of the arena as an owned buffer — what
     /// admission hands a worker after [`encode_batch`](Self::encode_batch)
     /// (the arena keeps its other scratch; [`run_admitted`](Self::run_admitted)
-    /// swaps a buffer back in).
+    /// swaps a buffer back in). `domain` is the first op's: the program
+    /// starts at the virtual encoder, so it is `Quants` when that op
+    /// runs the integer Madd kernel and `Codes` otherwise.
     pub(crate) fn take_flow(&mut self, domain: Domain) -> FlowData {
-        match domain {
-            Domain::Codes => FlowData::Codes(std::mem::take(&mut self.flow.codes)),
-            Domain::Quants => FlowData::Quants(std::mem::take(&mut self.flow.quants)),
-            Domain::Floats => FlowData::Floats(std::mem::take(&mut self.flow.floats)),
+        if domain == Domain::Quants {
+            FlowData::Quants(std::mem::take(&mut self.flow.quants))
+        } else {
+            FlowData::Codes(std::mem::take(&mut self.flow.codes))
         }
     }
 
@@ -418,7 +415,6 @@ impl BatchRunner {
         match data {
             FlowData::Codes(v) => self.flow.codes = v,
             FlowData::Quants(v) => self.flow.quants = v,
-            FlowData::Floats(v) => self.flow.floats = v,
         }
         lanes::run(Exec(self, model, None, true, padded));
     }

@@ -170,7 +170,6 @@ pub(crate) fn encode(program: &Program<'_>) -> Vec<u8> {
         byte_off += stream.len();
     }
     debug_assert_eq!(payload.len(), payload_len);
-    debug_assert_eq!(OUTER_HEADER_LEN + payload_len + 8, encoded_len(program));
 
     frame(payload)
 }
@@ -184,20 +183,6 @@ fn ops_bytes(program: &Program<'_>) -> Vec<u8> {
         write_op(&mut out, op);
     }
     out
-}
-
-/// Byte length of [`encode`]'s output, from the layout alone: the code
-/// pool is read in place for each section's width; no code is packed,
-/// no float copied, nothing hashed.
-pub(crate) fn encoded_len(program: &Program<'_>) -> usize {
-    let sections = plan_sections(&program.ops, &program.codes);
-    let packed = |&(_, len, width): &(usize, usize, u32)| packed_byte_len(len, width);
-    OUTER_HEADER_LEN
-        + (V2_HEADER_LEN + ops_bytes(program).len()).next_multiple_of(8)
-        + program.floats.len() * 4
-        + sections.iter().map(packed).sum::<usize>()
-        + sections.len() * V2_DIR_ENTRY_LEN
-        + 8
 }
 
 /// Plans the v2 code sections as `(start, len, width_bits)` triples

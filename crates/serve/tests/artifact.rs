@@ -7,7 +7,8 @@
 
 mod common;
 
-use common::{cnn_model, mlp_model, residual_model};
+use common::{cnn_model, mlp_model, repair_checksum, residual_model};
+use rapidnn_analyze::{inject_dead_rows, DiagCode, Op, Program};
 use rapidnn_core::ReinterpretedNetwork;
 use rapidnn_prop::{check, usize_in, vec_f32};
 use rapidnn_serve::{ArtifactError, CompiledModel, ServeError, FORMAT_VERSION, MAGIC};
@@ -79,9 +80,6 @@ fn round_trip_preserves_every_topology() {
         let restored = CompiledModel::from_bytes(&bytes).unwrap();
         assert_eq!(restored, compiled);
         assert_bit_identical(&model, &restored, &mut rng);
-        // The size is known without serializing.
-        assert_eq!(compiled.encoded_len(), bytes.len());
-        assert_eq!(restored.encoded_len(), bytes.len());
     }
 }
 
@@ -173,6 +171,80 @@ fn bad_magic_and_future_version_are_typed() {
             Err(ServeError::Artifact(ArtifactError::UnsupportedVersion { found, supported }))
                 if found == version && supported == FORMAT_VERSION
         ));
+    }
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A model padded with product-table rows no weight code references
+/// (9 per table: 17 rows widen the v2 code width from 3 to 5 bits) is
+/// a strictly larger artifact that reloads, quantizes and infers bit
+/// for bit like its unpadded source on both kernel paths.
+#[test]
+fn dead_padded_model_serves_its_source_bits() {
+    let mut rng = SeededRng::new(515);
+    let net = mlp_model(&mut rng);
+    let padded = inject_dead_rows(&Program::from_reinterpreted(&net), 9);
+    let model = CompiledModel::from_program(&padded).unwrap();
+    let base = CompiledModel::from_reinterpreted(&net).unwrap();
+    let bytes = model.to_bytes();
+    assert!(bytes.len() > base.to_bytes().len());
+
+    // The integer kernels are a separate path, so the int16 side gets
+    // the quantized source as its oracle.
+    let reloaded = CompiledModel::from_bytes(&bytes).unwrap();
+    let mut reloaded_q = reloaded.clone();
+    reloaded_q.quantize().unwrap();
+    let mut base_q = base.clone();
+    base_q.quantize().unwrap();
+    for _ in 0..16 {
+        let sample = vec_f32(&mut rng, base.input_features(), -2.0, 2.0);
+        let expected = bits(&base.infer(&sample).unwrap());
+        assert_eq!(expected, bits(&model.infer(&sample).unwrap()));
+        assert_eq!(expected, bits(&reloaded.infer(&sample).unwrap()));
+        assert_eq!(
+            bits(&base_q.infer(&sample).unwrap()),
+            bits(&reloaded_q.infer(&sample).unwrap()),
+            "int16 path diverged on the padded model"
+        );
+    }
+}
+
+/// The construction gate: a program the analyzer rejects never becomes
+/// a model, whichever constructor it arrives through.
+#[test]
+fn invalid_model_is_rejected_by_every_constructor() {
+    let mut rng = SeededRng::new(99);
+    let net = mlp_model(&mut rng);
+    let mut program = Program::from_reinterpreted(&net);
+    // Poison a reachable product-table entry: structure stays valid,
+    // analysis fails.
+    let offset = match &program.ops[0] {
+        Op::Dense { table, .. } => table.offset,
+        _ => unreachable!("mlp starts with a dense op"),
+    };
+    let mut bytes = CompiledModel::from_program(&program).unwrap().to_bytes();
+    program.floats.to_mut()[offset] = f32::NAN;
+
+    // The same poison in the serialized float section (its payload
+    // offset is the header's seventh u64; the payload starts at 16).
+    let float_off = u64::from_le_bytes(bytes[16 + 48..16 + 56].try_into().unwrap()) as usize;
+    let at = 16 + float_off + offset * 4;
+    bytes[at..at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+    repair_checksum(&mut bytes);
+
+    for refused in [
+        CompiledModel::from_program(&program),
+        CompiledModel::from_bytes(&bytes),
+    ] {
+        match refused {
+            Err(ServeError::Rejected(report)) => {
+                assert!(report.find(DiagCode::NonFinite).is_some(), "{report}");
+            }
+            other => panic!("expected a typed rejection, got {other:?}"),
+        }
     }
 }
 

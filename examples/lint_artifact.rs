@@ -17,13 +17,6 @@
 //!   Exit codes are stable for CI gating: `0` every table op licensed,
 //!   `1` the artifact cannot be loaded or analyzed, `2` a mix of
 //!   licensed and fallback ops, `3` nothing licensed.
-//! * `cargo run --release --example lint_artifact -- optimize in.rnna out.rnna`
-//!   — run the certified optimizer: analyzer-licensed dead-data
-//!   elimination with the rewrite translation-validated before
-//!   anything is written. Exit codes are stable for CI gating: `0`
-//!   certified success (the optimized artifact was written, shrunken
-//!   or not), `1` the input cannot be loaded or fails analysis, `2`
-//!   the rewrite certificate failed validation (nothing is written).
 //! * `cargo run --release --example lint_artifact` (or `-- --demo`) —
 //!   self-contained demo: compiles a clean artifact from a tiny
 //!   pipeline, lints it, then corrupts a header field (repairing the
@@ -42,13 +35,10 @@ fn main() -> ExitCode {
         None | Some("--demo") => demo(),
         Some("--help" | "-h") => {
             eprintln!(
-                "usage: lint_artifact [model.rnna | quant model.rnna | export model.rnna \
-                 | optimize in.rnna out.rnna | --demo]"
+                "usage: lint_artifact [model.rnna | quant model.rnna | export model.rnna | --demo]"
             );
             eprintln!("  quant exit codes: 0 all table ops licensed, 1 load/analyze");
             eprintln!("  error, 2 mixed licensed/fallback, 3 nothing licensed");
-            eprintln!("  optimize exit codes: 0 certified and written, 1 load/analyze");
-            eprintln!("  error, 2 certificate failed validation");
             ExitCode::SUCCESS
         }
         Some("quant") => match std::env::args().nth(2) {
@@ -62,13 +52,6 @@ fn main() -> ExitCode {
             Some(path) => export_file(&path),
             None => {
                 eprintln!("usage: lint_artifact export model.rnna");
-                ExitCode::FAILURE
-            }
-        },
-        Some("optimize") => match (std::env::args().nth(2), std::env::args().nth(3)) {
-            (Some(input), Some(output)) => optimize_file(&input, &output),
-            _ => {
-                eprintln!("usage: lint_artifact optimize in.rnna out.rnna");
                 ExitCode::FAILURE
             }
         },
@@ -119,10 +102,10 @@ fn export_file(path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Reads and loads one artifact file for the `quant` and `optimize`
-/// verbs, printing why when it cannot: an I/O or decode error, or the
-/// analyzer's report for a file it rejects.
-fn load_file(path: &str) -> Option<(Vec<u8>, CompiledModel)> {
+/// Reads and loads one artifact file for the `quant` verb, printing
+/// why when it cannot: an I/O or decode error, or the analyzer's report
+/// for a file it rejects.
+fn load_file(path: &str) -> Option<CompiledModel> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) => {
@@ -131,7 +114,7 @@ fn load_file(path: &str) -> Option<(Vec<u8>, CompiledModel)> {
         }
     };
     match CompiledModel::from_bytes(&bytes) {
-        Ok(model) => Some((bytes, model)),
+        Ok(model) => Some(model),
         Err(e) => {
             if let ServeError::Rejected(report) = &e {
                 eprintln!("{report}");
@@ -146,7 +129,7 @@ fn load_file(path: &str) -> Option<(Vec<u8>, CompiledModel)> {
 /// code is stable for CI gating: `0` every table op licensed, `1`
 /// load/analyze error, `2` mixed, `3` nothing licensed.
 fn quant_file(path: &str) -> ExitCode {
-    let Some((_, model)) = load_file(path) else {
+    let Some(model) = load_file(path) else {
         return ExitCode::FAILURE;
     };
     let plan = model.quant_plan_preview();
@@ -172,50 +155,6 @@ fn quant_file(path: &str) -> ExitCode {
         (0, _) => ExitCode::from(3),
         (_, _) => ExitCode::from(2),
     }
-}
-
-/// Runs the certified optimizer over one artifact file. Exit codes:
-/// `0` certified success (output written), `1` load/analyze error,
-/// `2` the rewrite certificate failed validation.
-fn optimize_file(input: &str, output: &str) -> ExitCode {
-    use rapidnn::analyze::Pass;
-
-    let Some((bytes, model)) = load_file(input) else {
-        return ExitCode::FAILURE;
-    };
-    let (optimized, cert) = match model.optimize() {
-        Ok(pair) => pair,
-        // The loaded model already passed analysis, so a report here is
-        // the certificate validator's.
-        Err(ServeError::Rejected(report)) => {
-            eprintln!("{report}");
-            eprintln!("error: rewrite certificate failed validation, nothing written");
-            return ExitCode::from(2);
-        }
-        Err(e) => {
-            eprintln!("error: optimize failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let out_bytes = optimized.to_bytes();
-    if let Err(e) = std::fs::write(output, &out_bytes) {
-        eprintln!("error: cannot write {output}: {e}");
-        return ExitCode::FAILURE;
-    }
-    for pass in [
-        Pass::DeadEntryElimination,
-        Pass::RowCompaction,
-        Pass::ColumnCompaction,
-        Pass::LutPruning,
-    ] {
-        println!("{}: {} removed", pass.as_str(), cert.removed(pass));
-    }
-    println!(
-        "certified: {input} ({} bytes) -> {output} ({} bytes)",
-        bytes.len(),
-        out_bytes.len()
-    );
-    ExitCode::SUCCESS
 }
 
 /// Compiles a clean artifact, lints it, then breaks it and lints again.
