@@ -63,10 +63,8 @@ impl TableRef {
     }
 
     /// The table row of weight code `w`: all `u` precomputed products
-    /// of that weight against the input codebook. The serving kernels
-    /// hoist this lookup out of their row loops, so the inner loop is a
-    /// pure `acc[r] += row[x[r]]` gather. Panics out of bounds, like
-    /// [`Span::slice`].
+    /// of that weight against the input codebook. Panics out of bounds,
+    /// like [`Span::slice`].
     #[inline]
     pub fn row<'a>(&self, floats: &'a [f32], w: usize) -> &'a [f32] {
         let start = self.offset + w * self.input_count;

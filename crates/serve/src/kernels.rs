@@ -18,23 +18,20 @@
 //! decoded (`f32`). A dense op and a conv are one kind of op here, a
 //! neuron over a receptive field ([`Neuron`]): a dense op's window is
 //! 1×1 over its inputs, so its one output position per row is the row.
-//! Every neuron op runs [`dense_block`] over blocks of [`LANES`] output
-//! positions — rows of a dense op, (row, pixel) pairs of a conv — whose
-//! patches lie in one tap-major tile ([`row_blocks`], [`patches`]): the
-//! accumulators of a block live in a fixed-size local array (registers,
-//! not memory) and the tap loop runs innermost, so
-//!
-//! * the per-sample serial `acc += table[w][x]` chain — the latency
-//!   bottleneck of single-sample inference, since every table fits in
-//!   cache and the adds cannot overlap — becomes [`LANES`] independent
-//!   chains the CPU overlaps, and a one-row conv fills them with pixels;
-//! * one weight-code row and one product table stay hot while the block
-//!   streams through them, and a block's patches stay L1-resident
-//!   across all output channels;
-//! * the gather indexes its table row with the code as it is: a model
-//!   only exists once the analyzer has proven every code in range, and
-//!   the slice bounds check turns an analyzer hole into a panic the
-//!   engine's workers contain (`ServeError::WorkerPanic`), never UB.
+//! A neuron op that multiplies runs [`dense_block`] over blocks of
+//! [`LANES`] output positions — rows of a dense op, (row, pixel) pairs
+//! of a conv — whose decoded patches lie in one tap-major tile
+//! ([`row_blocks`], [`patches`]), then one lane per position left over.
+//! A block's accumulators live in a local array (registers) and the tap
+//! loop runs innermost, so the serial `acc += w * x` chain of
+//! single-sample inference becomes [`LANES`] independent chains the CPU
+//! overlaps (a one-row conv fills them with pixels), and one weight row
+//! serves the whole block while its patches stay L1-resident. An op
+//! whose tables do not factor gathers one position at a time
+//! ([`lone`]), indexing its table with the code as it is: the analyzer
+//! proved every code in range, and the slice bounds check turns a hole
+//! in that proof into a panic the engine's workers contain
+//! (`ServeError::WorkerPanic`), never UB.
 //!
 //! Pools and residual joins run as plain batched loops. Every
 //! activation lookup and re-encode is the op's tabulated [`Finish`],
@@ -47,14 +44,13 @@
 //! nothing the model fixes. An op the analyzer licensed
 //! ([`CompiledModel::quantize`]) runs the one integer kernel, the
 //! `i16 × i16 → i32` multiply-accumulate tile ([`madd_tile`]). Every
-//! other neuron op runs in `f32`: when each of its tables factors back
-//! into `fl(w · book[x])`, [`lower`] decoded its weight matrix when the
-//! model was assembled and a batch of whole blocks runs as a packed
-//! multiply; else — a table that does not factor (an op refused as
-//! `FallbackReason::NotFactored` serves here), a batch below a block —
-//! as the table gather, reading its weight codes as a slice of the
-//! model's pool. Both are [`dense_block`], at [`LANES`] positions or
-//! one. Every other op is its pool or residual step.
+//! other neuron op runs in `f32`, on one kernel at every batch size:
+//! the multiply when each of its tables factors back into
+//! `fl(w · book[x])`, as every table the composer builds does ([`lower`]
+//! decodes its weight matrix when the model is assembled), else the
+//! table gather over its weight codes in the model's pool (an op
+//! refused as `FallbackReason::NotFactored` serves here). Every other
+//! op is its pool or residual step.
 //!
 //! The executor — input encoder, op loop and every kernel — runs on the
 //! lane body [`lanes::run`] picks for the CPU; on an AVX2 CPU the
@@ -85,10 +81,11 @@ use crate::error::{Result, ServeError};
 use crate::finish::{run_of, Finish, LutOut};
 use crate::lanes::{self, Acc, LaneWork};
 use crate::quant::{level_of, QuantOp};
-use rapidnn_analyze::{factor_table, Act, Boundary, Geom, Neuron, Op, Program, Span, TableRef};
+use rapidnn_analyze::{factor_table, Act, Boundary, Geom, Neuron, Op, Program, Span};
 use rapidnn_core::nearest::{
     nearest_sorted_block, nearest_thresholded_block, nearest_thresholded_levels, total_key,
 };
+use std::ops::Mul;
 
 /// Domain of the data currently flowing between ops.
 ///
@@ -215,11 +212,11 @@ pub struct BatchRunner {
     /// Arena of residual-skip snapshots, indexed by nesting depth.
     /// Entries are reused across batches; only `0..depth` are live.
     skips: Vec<Vec<f32>>,
-    /// Lane-group tile of codes for the table gather: a block of rows
-    /// transposed plus a conv's patch ([`row_blocks`]), or the patches
-    /// of a smaller batch ([`patches`]).
+    /// One patch of codes, for the table gather ([`lone`]).
     tile: Vec<u16>,
-    /// The same tile *decoded*, for the f32 multiply ([`row_blocks`]).
+    /// Decoded lane-group tile for the f32 multiply: a block of rows
+    /// transposed plus a conv's patch ([`row_blocks`]), or a smaller
+    /// batch's patches ([`patches`]).
     tile_f: Vec<f32>,
 }
 
@@ -268,7 +265,7 @@ impl BatchRunner {
     /// for batches of `max_rows` samples.
     pub fn reserve(&mut self, model: &CompiledModel, max_rows: usize) {
         let plan = plan(model);
-        self.tile.reserve(plan.max_tile.saturating_mul(LANES));
+        self.tile.reserve(plan.max_tile);
         self.tile_f.reserve(plan.max_tile_f.saturating_mul(LANES));
         let rows = |width: usize| max_rows.saturating_mul(width);
         self.flow.codes.reserve(rows(plan.max_codes));
@@ -572,9 +569,9 @@ impl LaneWork for Exec<'_> {
 
 /// Rows the kernels actually execute for a `rows`-sample batch: padded
 /// to a whole number of [`LANES`]-row blocks so the final partial block
-/// runs through the block kernels instead of the serial row path. Pad
+/// runs through the block kernels instead of the one-lane path. Pad
 /// rows carry code 0 and are computed but never copied out. Small
-/// batches stay unpadded: below a block the serial path is cheaper.
+/// batches stay unpadded: below a block the one-lane path is cheaper.
 pub(crate) fn pad_rows(rows: usize) -> usize {
     if rows >= LANES {
         rows.next_multiple_of(LANES)
@@ -596,11 +593,11 @@ struct Plan {
     /// Deepest residual nesting, and the widest flow snapshotted.
     skip_depth: usize,
     max_skip: usize,
-    /// Most [`LANES`]-lane groups any op fills in its code tile (table
-    /// gathers, a conv's positions below a block) and in its decoded
-    /// tile (the f32 multiply): a block of rows transposed, plus a
-    /// conv's patch.
+    /// Longest patch of codes a table gather copies out ([`lone`]).
     max_tile: usize,
+    /// Most [`LANES`]-lane groups the f32 multiply's decoded tile holds:
+    /// a block of rows transposed plus a conv's patch, which also covers
+    /// the patches a smaller batch takes.
     max_tile_f: usize,
 }
 
@@ -610,7 +607,8 @@ struct Plan {
 ///
 /// No op reserves anything for its weights — codes, decoded matrix
 /// and integer tiles all live in the model — so the arena is flow
-/// buffers plus one block tile and does not grow with the code pool.
+/// buffers plus one block tile and one patch, and does not grow with
+/// the code pool.
 /// Quantized models reserve less still: an analyzer-licensed dense op
 /// writes its finish straight into the next op's flow buffer, so it
 /// contributes no tile or accumulator capacity — nothing at all,
@@ -635,18 +633,15 @@ fn plan(model: &CompiledModel) -> Plan {
         match op {
             Op::Dense { .. } | Op::Conv { .. } => {
                 let n = op.neuron().expect("dense and conv ops are neurons");
-                // Rows transposed for the op's kernel, plus a conv's
-                // patches (as codes below a block of rows); a licensed
-                // op reads its rows in place, its weights from its tiles.
+                // The multiply's rows decoded and transposed, plus a
+                // conv's patch; the gather's one patch; a licensed op
+                // reads its rows in place, its weights from its tiles.
                 let (g, patch_len) = (&n.window, n.window.patch_len());
                 let groups = g.in_volume() + if covers_input(g) { 0 } else { patch_len };
                 match kernel {
                     Kernel::Madd(_) => continue,
                     Kernel::Mul(_) => p.max_tile_f = p.max_tile_f.max(groups),
-                    Kernel::Table => p.max_tile = p.max_tile.max(groups),
-                }
-                if !covers_input(g) {
-                    p.max_tile = p.max_tile.max(patch_len);
+                    Kernel::Table => p.max_tile = p.max_tile.max(patch_len),
                 }
                 p.max_floats = p.max_floats.max(nout);
             }
@@ -660,14 +655,13 @@ fn plan(model: &CompiledModel) -> Plan {
 }
 
 /// One neuron op's raw accumulators over the padded batch, into the
-/// flow's `floats_next`: every output position — a row of a dense op, a
-/// (row, pixel) pair of a conv — is one lane of [`dense_block`]. A batch
-/// of whole [`LANES`]-row blocks runs [`LANES`] rows at one pixel
-/// ([`row_blocks`]) on the kernel the op holds. A smaller one takes its
-/// positions pixel-major, so a one-row conv fills its blocks with
-/// pixels, gathered lane by lane for the table gather ([`patches`]);
-/// the positions below a block gather their table rows straight from
-/// the pool ([`lone`]), and a dense op's patch is its row as it lies.
+/// flow's `floats_next`, on the kernel the op holds. The multiply makes
+/// every output position — a row of a dense op, a (row, pixel) pair of
+/// a conv — one lane of [`dense_block`]: [`LANES`] rows at one pixel in
+/// a batch of whole blocks ([`row_blocks`]), else positions pixel-major
+/// (a one-row conv fills its blocks with pixels, [`patches`]) and one
+/// lane per position left over. An op whose tables do not factor
+/// gathers one position's patch at a time ([`lone`]).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn neuron_rows(
@@ -682,65 +676,57 @@ fn neuron_rows(
 ) {
     let (codes, dst) = (&flow.codes, &mut flow.floats_next);
     let (g, b, z) = (&n.window, n.bias.slice(pool_f), n.zero_code);
-    let wcodes = n.weight_codes.slice(pool_c);
     let (pixels, patch_len, in_vol) = (g.out_pixels(), g.patch_len(), g.in_volume());
     let nout = n.channels * pixels;
     refill(dst, padded * nout);
-    let gather = |o| move |w| products::<LANES>(pool_f, n.table(o), w);
-    let multiply = |_| |w: f32| move |x: f32| w * x;
-    if padded >= LANES {
-        let codes = &codes[..padded * in_vol];
-        match mul {
-            Some(mul) => {
-                let book = mul.book.slice(pool_f);
-                let decode = |x: u16| book[usize::from(x)];
-                row_blocks(g, codes, z, tile_f, decode, &mul.weights, b, dst, multiply);
-            }
-            None => row_blocks(g, codes, z, tile, |x| x, wcodes, b, dst, gather),
+    let positions = padded * pixels;
+    let at = |q: usize| (q % padded) * nout + q / padded;
+    if let Some(mul) = mul {
+        let book = mul.book.slice(pool_f);
+        let decode = |x: u16| book[usize::from(x)];
+        let ws = &mul.weights[..];
+        if padded >= LANES {
+            row_blocks(g, &codes[..padded * in_vol], z, tile_f, decode, ws, b, dst);
+            return;
+        }
+        let blocks = positions - positions % LANES;
+        refill(tile_f, patch_len * if blocks > 0 { LANES } else { 1 });
+        for q in (0..blocks).step_by(LANES) {
+            patches::<LANES, _>(g, codes, z, padded, q, tile_f, decode);
+            let (xs, lanes) = (
+                tile_f.as_chunks::<LANES>().0,
+                std::array::from_fn(|l| at(q + l)),
+            );
+            dense_block(ws, b, xs, dst, lanes, pixels, |_| f32::mul);
+        }
+        for q in blocks..positions {
+            let xs = &mut tile_f[..patch_len];
+            patches::<1, _>(g, codes, z, padded, q, xs, decode);
+            dense_block(ws, b, xs.as_chunks().0, dst, [at(q)], pixels, |_| f32::mul);
         }
         return;
     }
-    let positions = padded * pixels;
-    let blocks = positions - positions % LANES;
-    let at = |q: usize| (q % padded) * nout + q / padded;
-    let whole = covers_input(g);
-    if !whole {
-        refill(tile, patch_len * LANES);
-    }
-    for q in (0..blocks).step_by(LANES) {
-        patches::<LANES>(g, codes, z, padded, q, tile);
-        let (xs, lanes) = (
-            tile.as_chunks::<LANES>().0,
-            std::array::from_fn(|l| at(q + l)),
-        );
-        dense_block(wcodes, b, xs, dst, lanes, pixels, gather);
-    }
-    for q in blocks..positions {
-        let xs = if whole {
-            &codes[q * in_vol..(q + 1) * in_vol]
-        } else {
-            patches::<1>(g, codes, z, padded, q, tile);
-            &tile[..patch_len]
-        };
-        lone(pool_f, n, wcodes, xs, dst, at(q));
+    let wcodes = n.weight_codes.slice(pool_c);
+    refill(tile, patch_len);
+    for q in 0..positions {
+        patches::<1, _>(g, codes, z, padded, q, tile, |x| x);
+        lone(pool_f, n, wcodes, tile, dst, at(q));
     }
 }
 
-/// [`dense_block`] at one lane, for a position below a block: its
-/// table rows are gathered straight from the pool ([`products`]). Kept
-/// out of the executor's frame: inlined there, the one-lane loop
-/// reloaded its pointers from the stack on every tap (a one-row
-/// 784 → 512 op on a 2-core AVX2 Xeon: 420 µs against 340).
+/// [`dense_block`] at one lane over a position's patch of input codes,
+/// each product fetched from the op's table in the pool. Kept out of
+/// the executor's frame: inlined there, the one-lane loop reloaded its
+/// pointers from the stack on every tap (a one-row 784 → 512 op on a
+/// 2-core AVX2 Xeon: 420 µs against 340).
 #[inline(never)]
 fn lone(pool_f: &[f32], n: &Neuron<'_>, wcodes: &[u16], xs: &[u16], dst: &mut [f32], at: usize) {
     let (b, stride) = (n.bias.slice(pool_f), n.window.out_pixels());
-    let xs = xs.as_chunks().0;
-    if let [t] = n.tables {
-        let row = |_| move |w| products::<1>(pool_f, t, w);
-        return dense_block(wcodes, b, xs, dst, [at], stride, row);
-    }
-    let row = |o| move |w| products::<1>(pool_f, n.table(o), w);
-    dense_block(wcodes, b, xs, dst, [at], stride, row);
+    let gather = |o| {
+        let t = n.table(o);
+        move |w: u16, x: u16| t.fetch(pool_f, usize::from(w), usize::from(x))
+    };
+    dense_block(wcodes, b, xs.as_chunks().0, dst, [at], stride, gather);
 }
 
 /// Whether the window is the whole input, so its one patch is the row.
@@ -748,67 +734,69 @@ fn covers_input(g: &Geom) -> bool {
     (g.kernel_h, g.kernel_w, g.pad) == (g.in_height, g.in_width, 0)
 }
 
-/// The blocks of a batch of whole [`LANES`]-row groups, [`LANES`] rows
-/// at one pixel: per group, its rows transposed through `map` into the
-/// head of `tile`, one lane group per input — which is the patch of a
-/// window that covers the input — then per pixel each tap's lane group
-/// copied into the patch in the tail, a tap in the padding reading
-/// `zero`, and [`dense_block`] run over each patch.
+/// The multiply over a batch of whole [`LANES`]-row groups, [`LANES`]
+/// rows at one pixel: per group, its rows decoded and transposed into
+/// the head of `tile`, one lane group per input — which is the patch of
+/// a window that covers the input — then per pixel each tap's lane
+/// group copied into the patch in the tail, a tap in the padding
+/// reading `zero`, and [`dense_block`] run over each patch.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn row_blocks<T: Copy + Default, W: Copy, R: Fn(W) -> F, F: Fn(T) -> f32>(
+fn row_blocks(
     g: &Geom,
     codes: &[u16],
     zero: u16,
-    tile: &mut Vec<T>,
-    map: impl Fn(u16) -> T,
-    weights: &[W],
+    tile: &mut Vec<f32>,
+    decode: impl Fn(u16) -> f32,
+    weights: &[f32],
     bias: &[f32],
     dst: &mut [f32],
-    row: impl Fn(usize) -> R + Copy,
 ) {
     let (in_vol, pixels, whole) = (g.in_volume(), g.out_pixels(), covers_input(g));
     let nout = bias.len() * pixels;
     let groups = in_vol + if whole { 0 } else { g.patch_len() };
     refill(tile, groups * LANES);
     let (rows, patch) = tile.as_chunks_mut::<LANES>().0.split_at_mut(in_vol);
-    let pad = [map(zero); LANES];
+    let pad = [decode(zero); LANES];
     for (gi, group) in codes.chunks_exact(LANES * in_vol).enumerate() {
         for (l, xrow) in group.chunks_exact(in_vol).enumerate() {
             for (lanes, &x) in rows.iter_mut().zip(xrow) {
-                lanes[l] = map(x);
+                lanes[l] = decode(x);
             }
         }
         let at = |p| std::array::from_fn(|l| (gi * LANES + l) * nout + p);
         if whole {
-            dense_block(weights, bias, rows, dst, at(0), pixels, row);
+            dense_block(weights, bias, rows, dst, at(0), pixels, |_| f32::mul);
             continue;
         }
         for p in 0..pixels {
             taps(g, p, |k, i| patch[k] = i.map_or(pad, |i| rows[i]));
-            dense_block(weights, bias, patch, dst, at(p), pixels, row);
+            dense_block(weights, bias, patch, dst, at(p), pixels, |_| f32::mul);
         }
     }
 }
 
 /// Gathers the patches of the `L` positions from `q` on of a batch of
 /// `rows` rows, taken pixel-major (position `q` is row `q % rows` at
-/// pixel `q / rows`), into `tile`, tap-major: `tile[k * L + l]` is tap
-/// `k` of lane `l`, where a tap in the padding reads `zero`.
+/// pixel `q / rows`), into `tile` through `map`, tap-major:
+/// `tile[k * L + l]` is tap `k` of lane `l`, where a tap in the padding
+/// reads `zero`.
 #[inline(always)]
-fn patches<const L: usize>(
+fn patches<const L: usize, T>(
     g: &Geom,
     codes: &[u16],
     zero: u16,
     rows: usize,
     q: usize,
-    tile: &mut [u16],
+    tile: &mut [T],
+    map: impl Fn(u16) -> T,
 ) {
     let in_vol = g.in_volume();
     for l in 0..L {
         let (p, r) = ((q + l) / rows, (q + l) % rows);
         let xrow = &codes[r * in_vol..(r + 1) * in_vol];
-        taps(g, p, |k, at| tile[k * L + l] = at.map_or(zero, |i| xrow[i]));
+        let tap = |at: Option<usize>| map(at.map_or(zero, |i| xrow[i]));
+        taps(g, p, |k, at| tile[k * L + l] = tap(at));
     }
 }
 
@@ -837,25 +825,24 @@ fn taps(g: &Geom, p: usize, mut visit: impl FnMut(usize, Option<usize>)) {
 /// One block of `L` output positions of a neuron op, read from a
 /// tap-major `tile` ([`patches`]: one `L`-lane group per tap). For each
 /// output channel `o`, `L` accumulators start at its bias and add
-/// `row(o)(w)(x)`, the product of weight `w` and a lane's input `x`,
+/// `row(o)(w, x)`, the product of weight `w` and a lane's input `x`,
 /// over its weights in ascending order — the order per-sample inference
 /// adds in — and lane `l`'s sum lands at `dst[at[l] + o * stride]`. They
 /// live in a local array while the weight loop runs innermost, so the
-/// block's add chains are independent and one weight's row serves every
+/// block's add chains are independent and one weight serves every
 /// lane; [`OBLOCK`] outputs share each pass over the tile, an odd last
-/// output takes it alone. `row(o)` is channel `o`'s table gather, or
-/// for tables that factor the multiply by the decoded weight
-/// ([`DenseMul`]): a pure mul-add stream the compiler turns into packed
-/// arithmetic. At `L = 1` the same code is the serial path.
+/// output takes it alone. `row(o)` is the multiply by a decoded weight
+/// ([`DenseMul`]) — a pure mul-add stream the compiler turns into packed
+/// arithmetic — or, at one lane, channel `o`'s table gather ([`lone`]).
 #[inline(always)]
-fn dense_block<const L: usize, W: Copy, X: Copy, R: Fn(W) -> F, F: Fn(X) -> f32>(
+fn dense_block<const L: usize, W: Copy, X: Copy, F: Fn(W, X) -> f32>(
     weights: &[W],
     bias: &[f32],
     tile: &[[X; L]],
     dst: &mut [f32],
     at: [usize; L],
     stride: usize,
-    row: impl Fn(usize) -> R,
+    row: impl Fn(usize) -> F,
 ) {
     let (nin, nout) = (tile.len(), bias.len());
     let mut o = 0usize;
@@ -866,10 +853,9 @@ fn dense_block<const L: usize, W: Copy, X: Copy, R: Fn(W) -> F, F: Fn(X) -> f32>
         let mut acc0 = [bias[o]; L];
         let mut acc1 = [bias[o + 1]; L];
         for ((xs, &wa), &wb) in tile.iter().zip(w0).zip(w1) {
-            let (fa, fb) = (ra(wa), rb(wb));
             for l in 0..L {
-                acc0[l] += fa(xs[l]);
-                acc1[l] += fb(xs[l]);
+                acc0[l] += ra(wa, xs[l]);
+                acc1[l] += rb(wb, xs[l]);
             }
         }
         for l in 0..L {
@@ -882,9 +868,8 @@ fn dense_block<const L: usize, W: Copy, X: Copy, R: Fn(W) -> F, F: Fn(X) -> f32>
         let r = row(o);
         let mut acc = [bias[o]; L];
         for (xs, &w) in tile.iter().zip(&weights[o * nin..(o + 1) * nin]) {
-            let f = r(w);
             for (a, &x) in acc.iter_mut().zip(xs) {
-                *a += f(x);
+                *a += r(w, x);
             }
         }
         for (l, &a) in acc.iter().enumerate() {
@@ -892,20 +877,6 @@ fn dense_block<const L: usize, W: Copy, X: Copy, R: Fn(W) -> F, F: Fn(X) -> f32>
         }
         o += 1;
     }
-}
-
-/// Weight code `w`'s products by input code, for a block of `L` lanes.
-/// A block's lanes share one bounds-checked table row; a lone position
-/// indexes the pool directly, as [`TableRef::fetch`] does (each
-/// measured the faster there).
-#[inline(always)]
-fn products<'a, const L: usize>(pool: &'a [f32], t: &TableRef, w: u16) -> impl Fn(u16) -> f32 + 'a {
-    let start = t.offset + usize::from(w) * t.input_count;
-    let (row, base) = match L {
-        1 => (pool, start),
-        _ => (&pool[start..start + t.input_count], 0),
-    };
-    move |x| row[base + usize::from(x)]
 }
 
 /// A neuron op lowered to the `f32` multiply kernel: each of its tables
@@ -1334,11 +1305,8 @@ mod tests {
         });
     }
 
-    /// A composed CNN (3×4×4 → conv 4 channels at stride 2 → conv 3
-    /// channels → dense 2) whose convs leave four pixels each, so a
-    /// one-row batch is all positions below a block; channel 1 of the
-    /// second conv has one product nudged off `fl(w · x)`.
-    fn nudged_cnn_for_tests() -> CompiledModel {
+    /// The composed CNN [`nudged_cnn_for_tests`] nudges, as composed.
+    fn small_cnn_for_tests() -> Program<'static> {
         use rapidnn_nn::{Activation, ActivationLayer, Conv2d, Dense, Network};
         use rapidnn_tensor::Padding::Same;
         let mut rng = SeededRng::new(5);
@@ -1348,7 +1316,15 @@ mod tests {
         net.push(Conv2d::new(4, 2, 2, 3, 3, 1, Same, &mut rng).unwrap());
         net.push(ActivationLayer::new(Activation::Relu));
         net.push(Dense::new(3 * 2 * 2, 2, &mut rng));
-        let mut program = CompiledModel::composed_for_tests(net, 2, &mut rng);
+        CompiledModel::composed_for_tests(net, 2, &mut rng)
+    }
+
+    /// A composed CNN (3×4×4 → conv 4 channels at stride 2 → conv 3
+    /// channels → dense 2) whose convs leave four pixels each, so a
+    /// one-row batch is all positions below a block; channel 1 of the
+    /// second conv has one product nudged off `fl(w · x)`.
+    fn nudged_cnn_for_tests() -> CompiledModel {
+        let mut program = small_cnn_for_tests();
         let n = program.ops[1].neuron().expect("a conv");
         let (table, w) = (n.tables[1], n.weight_codes.start + n.window.patch_len());
         let at = table.offset + usize::from(program.codes[w]) * table.input_count;
@@ -1361,9 +1337,10 @@ mod tests {
     /// wide for `i16` keeps the multiply its table factors into, and
     /// the op whose table does not factor holds nothing — it gathers.
     /// A conv multiplies when each of its channel tables factors and
-    /// gathers when one does not. Block batches (multiply, block
-    /// gather, 4-row tiles) equal the one-position kernels (gather
-    /// from the pool, 1-row tiles) bit for bit.
+    /// gathers when one does not. Every batch equals its rows run singly,
+    /// bit for bit: at four pixels a conv, 1 CNN row is one-lane
+    /// positions only, 2 rows one pixel block, 3 and 7 rows blocks and a
+    /// remainder, 8 or more rows blocks of rows (and 4-row int16 tiles).
     #[test]
     fn each_dense_op_serves_on_the_kernel_its_table_allows() {
         let (refused, gathered) = (1, 3);
@@ -1396,7 +1373,7 @@ mod tests {
             let mut runner = BatchRunner::new();
             let (mut block, mut row) = (Vec::new(), Vec::new());
             let (nin, nout) = (model.input_features(), model.output_features());
-            for rows in [8usize, 64] {
+            for rows in [1usize, 2, 3, 7, 8, 9, 64] {
                 let inputs: Vec<f32> = (0..rows * nin).map(|i| (i as f32 * 0.37).sin()).collect();
                 runner.run(model, &inputs, &mut block).unwrap();
                 for (r, sample) in inputs.chunks(nin).enumerate() {
@@ -1406,6 +1383,28 @@ mod tests {
                     assert_eq!(bits(got), bits(&row), "row {r} of {rows}");
                 }
             }
+        }
+    }
+
+    /// The composer builds every product table as a weight centroid
+    /// times an input centroid, so every dense and conv op of a composed
+    /// model factors and multiplies: only a hand-nudged table gathers.
+    #[test]
+    fn no_composed_neuron_op_gathers() {
+        use rapidnn_nn::{Activation::Sigmoid, ActivationLayer, Dense, Network};
+        let (mut rng, mut net) = (SeededRng::new(9), Network::new(16));
+        for (nin, nout) in [(16, 24), (24, 24), (24, 4)] {
+            net.push(Dense::new(nin, nout, &mut rng));
+            net.push(ActivationLayer::new(Sigmoid));
+        }
+        let mlp = CompiledModel::composed_for_tests(net, 4, &mut rng);
+        let programs = [mlp, small_cnn_for_tests()];
+        let composed = programs.map(|p| CompiledModel::from_program(&p).unwrap());
+        let tiny = [1, 2, 3, 42, 43].map(CompiledModel::mnist_tiny_for_tests);
+        for (mi, model) in tiny.into_iter().chain(composed).enumerate() {
+            let mut ops = model.program.ops.iter().zip(&model.kernels);
+            let gathers = ops.any(|(op, k)| op.neuron().is_some() && matches!(k, Kernel::Table));
+            assert!(!gathers, "composed model {mi} gathers");
         }
     }
 }

@@ -15,9 +15,9 @@
 //! picks it. On an AVX2 CPU the op loop, the integer kernels and the
 //! input encoder are inlined into one `#[target_feature(enable =
 //! "avx2")]` frame, so the encoder's sweeps, the finish's edge count,
-//! the `f32` neuron blocks and the pools run at that width too (the
-//! one-lane kernel for positions below a block keeps its baseline
-//! code); the frame enables no FMA, so `f32` results keep their bits.
+//! the `f32` multiply and the pools run at that width too (the table
+//! gather, one position at a time, keeps its baseline code); the frame
+//! enables no FMA, so `f32` results keep their bits.
 //! Any other CPU runs the portable body, with the same bits.
 //!
 //! The one module in the crate allowed to use `unsafe`; the crate root
