@@ -381,10 +381,10 @@ impl Registry {
             });
         }
         // A submission can race a hot-swap cutover: it reads the old
-        // slot, the swap replaces it, the old engine begins draining and
-        // answers `ShuttingDown`. Re-reading the slot and retrying makes
-        // the swap invisible to clients. Bounded, because each retry
-        // observes a strictly newer slot and swaps are serialized.
+        // slot, the swap replaces it, and the old engine answers
+        // `ShuttingDown`. The swap wrote the fresh slot before that, so
+        // re-reading it at once hides the swap from clients. A removed or
+        // shut-down model has no fresh slot: all 8 attempts end there.
         for _attempt in 0..8 {
             let serving = read_slot(&entry.slot);
             match serving.engine.try_submit(&input) {
@@ -399,10 +399,7 @@ impl Registry {
                         retry_after: self.config.retry_after,
                     });
                 }
-                Err(ServeError::ShuttingDown) => {
-                    // Swap cutover in progress; grab the fresh slot.
-                    std::thread::sleep(Duration::from_micros(50));
-                }
+                Err(ServeError::ShuttingDown) => {}
                 Err(e) => return Err(GatewayError::from_serve(name, e)),
             }
         }

@@ -192,7 +192,9 @@ fn straggler_wait_exits_early_when_batch_fills() {
 fn partial_batch_flushes_at_deadline() {
     // A lone request in a wide batch window must be answered once
     // max_wait elapses — the worker may not hold it waiting for
-    // stragglers that never come.
+    // stragglers that never come — and not before: the hold counts from
+    // the admission stamp, which is taken after `submitted`, so the
+    // answer can arrive no sooner than `max_wait` after it.
     let mut rng = SeededRng::new(12);
     let model = CompiledModel::from_reinterpreted(&mlp_model(&mut rng)).unwrap();
     let features = model.input_features();
@@ -205,13 +207,18 @@ fn partial_batch_flushes_at_deadline() {
             ..EngineConfig::default()
         },
     );
-    let ticket = engine
-        .submit(vec_f32(&mut rng, features, -1.0, 1.0))
-        .unwrap();
+    let row = vec_f32(&mut rng, features, -1.0, 1.0);
+    let submitted = Instant::now();
+    let ticket = engine.submit(row).unwrap();
     assert!(matches!(
         ticket.wait_timeout(Duration::from_secs(30)),
         Some(Ok(_))
     ));
+    let answered = submitted.elapsed();
+    assert!(
+        answered >= Duration::from_millis(50),
+        "answered after {answered:?}"
+    );
     engine.shutdown();
 }
 
