@@ -16,7 +16,7 @@
 //! runtime has no validator of its own), and layers value-level findings on top: non-finite reachable entries
 //! (`error`), hardware bit-width exceedances against
 //! [`DatapathModel`] (`warning`), and liveness — dead codebook
-//! entries, unused product-table rows, dead columns and LUT rows
+//! entries, weight-book entries no code references and LUT rows
 //! (`warning`/`note`). Ops form a straight line, so every op is
 //! reachable by construction; liveness findings are about dead *data*.
 //!
@@ -25,7 +25,7 @@
 
 use crate::diag::{DiagCode, Diagnostic, Report};
 use crate::interval::{f32_sum_slack, Interval};
-use crate::program::{Act, Geom, Neuron, Op, Program, Span, TableRef};
+use crate::program::{Act, Geom, Neuron, Op, Program, Span};
 use rapidnn_accel::DatapathModel;
 use rapidnn_core::nearest::{load_keys, nearest_range};
 
@@ -135,11 +135,12 @@ impl Book {
 /// Abstract state of the value vector between ops.
 #[derive(Clone, Copy)]
 enum Flow {
-    /// Encoded: codes in `reach` (inclusive) over a `domain`-entry
-    /// book, decoding into `interval`. Decoded representatives are
-    /// exact stored `f32`s, so encoded flows carry no rounding slack.
+    /// Encoded: codes in `reach` (inclusive) through `book`, a
+    /// checked codebook whose length is the code domain, decoding into
+    /// `interval`. Decoded representatives are exact stored `f32`s, so
+    /// encoded flows carry no rounding slack.
     Codes {
-        domain: usize,
+        book: Span,
         reach: (usize, usize),
         interval: Interval,
     },
@@ -384,62 +385,20 @@ impl<'p> Checker<'p> {
         }
     }
 
-    /// A product table: non-empty, in bounds, and wide enough for every
-    /// upstream code; columns past the upstream domain are noted dead.
-    fn check_table(
-        &mut self,
-        op: usize,
-        t: &TableRef,
-        domain: usize,
-        label: &str,
-    ) -> Result<(), Halt> {
-        if t.weight_count == 0 || t.input_count == 0 {
+    /// A weight book: in bounds and non-empty. Its entries need be
+    /// neither sorted nor finite: the kernels index it by weight code,
+    /// and only the products of referenced entries are judged
+    /// ([`Self::row_intervals`]).
+    fn weight_book(&mut self, op: usize, s: Span, label: &str) -> Result<&'p [f32], Halt> {
+        let book = self.floats_span(Some(op), s, &format!("{label}: weight book"))?;
+        if book.is_empty() {
             return Err(self.error(
                 DiagCode::EmptyTable,
                 Some(op),
-                format!("{label}: empty product table"),
+                format!("{label}: empty weight book"),
             ));
         }
-        let Some(len) = t.weight_count.checked_mul(t.input_count) else {
-            return Err(self.error(
-                DiagCode::SpanOutOfBounds,
-                Some(op),
-                format!("{label}: product table size overflows"),
-            ));
-        };
-        self.floats_span(
-            Some(op),
-            Span {
-                start: t.offset,
-                len,
-            },
-            &format!("{label}: product table"),
-        )?;
-        if t.input_count < domain {
-            return Err(self.error(
-                DiagCode::IndexOutOfBounds,
-                Some(op),
-                format!(
-                    "{label}: product table addresses {} input codes, upstream domain is {domain}",
-                    t.input_count
-                ),
-            ));
-        }
-        if t.input_count > domain {
-            self.report.push_liveness(
-                Diagnostic::new(
-                    DiagCode::DeadTableColumns,
-                    Some(op),
-                    format!(
-                        "{label}: {} of {} product-table columns lie beyond the {domain}-entry input codebook",
-                        t.input_count - domain,
-                        t.input_count
-                    ),
-                ),
-                t.input_count - domain,
-            );
-        }
-        Ok(())
+        Ok(book)
     }
 
     /// Bias span: in bounds, expected length, finite.
@@ -519,7 +478,7 @@ impl<'p> Checker<'p> {
         let values = &self.floats[book.span.start + reach.0..=book.span.start + reach.1];
         let interval = Interval::of_slice(values).unwrap_or(book.interval);
         Flow::Codes {
-            domain: book.len(),
+            book: book.span,
             reach,
             interval,
         }
@@ -605,51 +564,49 @@ impl<'p> Checker<'p> {
         }
     }
 
-    /// Per-weight-row value hulls of `table` over the live input
+    /// Per-weight-code value hulls of the products `fl(w · x)` of the
+    /// entries of `weights` with the input book `xs` over the live
     /// columns (`reach`, plus the zero-padding column when `extra_col`
-    /// is set), erroring on any non-finite live entry. Rows not marked
-    /// `used` are skipped — they are dead data.
+    /// is set), erroring on a product that is not finite in any column.
+    /// Entries not marked `used` are skipped — they are dead data.
+    ///
+    /// `xs` is a checked codebook, sorted and finite, and `fl(w · x)`
+    /// is monotone in `x` for a fixed `w`, so a hull is spanned by its
+    /// range's two end columns and a product overflows, if anywhere, at
+    /// an end of the book.
     #[allow(clippy::too_many_arguments)]
     fn row_intervals(
         &mut self,
         op: usize,
-        table: &TableRef,
+        weights: &[f32],
         used: &[bool],
-        domain: usize,
+        xs: &[f32],
         reach: (usize, usize),
         extra_col: Option<usize>,
         label: &str,
     ) -> Result<Vec<Option<Interval>>, Halt> {
-        let mut rows: Vec<Option<Interval>> = vec![None; table.weight_count];
-        let mut bad: Option<(usize, usize, f32)> = None;
-        for (w, row_iv) in rows.iter_mut().enumerate() {
-            if !used[w] {
+        let mut rows: Vec<Option<Interval>> = vec![None; weights.len()];
+        for (wc, (&w, row_iv)) in weights.iter().zip(&mut rows).enumerate() {
+            if !used[wc] {
                 continue;
             }
-            // Bounds established by `check_table`.
-            let row = table.row(self.floats, w);
-            let mut iv: Option<Interval> = None;
-            for (c, &v) in row.iter().enumerate().take(domain) {
-                if !v.is_finite() {
-                    bad = Some((w, c, v));
-                    break;
-                }
-                if (c >= reach.0 && c <= reach.1) || extra_col == Some(c) {
-                    let p = Interval::point(f64::from(v));
-                    iv = Some(iv.map_or(p, |acc| acc.hull(p)));
-                }
+            let product = |c: usize| w * xs[c];
+            if let Some(c) = [0, xs.len() - 1]
+                .into_iter()
+                .find(|&c| !product(c).is_finite())
+            {
+                return Err(self.error(
+                    DiagCode::NonFinite,
+                    Some(op),
+                    format!(
+                        "{label}: product of weight {wc} and input code {c} is {}",
+                        product(c)
+                    ),
+                ));
             }
-            if bad.is_some() {
-                break;
-            }
-            *row_iv = iv;
-        }
-        if let Some((w, c, v)) = bad {
-            return Err(self.error(
-                DiagCode::NonFinite,
-                Some(op),
-                format!("{label}: product-table entry [w={w}][x={c}] is {v}"),
-            ));
+            let point = |c: usize| Interval::point(f64::from(product(c)));
+            let hull = point(reach.0).hull(point(reach.1));
+            *row_iv = Some(extra_col.map_or(hull, |z| hull.hull(point(z))));
         }
         Ok(rows)
     }
@@ -717,10 +674,11 @@ impl<'p> Checker<'p> {
     }
 
     /// A dense or conv op, walked as the [`Neuron`] both are: window,
-    /// widths and spans; per product table the codes of the channels
-    /// that read it and its row hulls; every channel's pre-activation
-    /// hull; then the activation and re-encode. Returns the flow the op
-    /// leaves and its width.
+    /// widths and spans; per weight book the codes of the channels that
+    /// read it and the hulls of its entries' products with the input
+    /// book (the rows of the paper's product table); every channel's
+    /// pre-activation hull; then the activation and re-encode. Returns
+    /// the flow the op leaves and its width.
     fn neuron(
         &mut self,
         i: usize,
@@ -729,7 +687,12 @@ impl<'p> Checker<'p> {
         flow: Flow,
         width: usize,
     ) -> Result<(Flow, usize), Halt> {
-        let Flow::Codes { domain, reach, .. } = flow else {
+        let Flow::Codes {
+            book: in_book,
+            reach,
+            ..
+        } = flow
+        else {
             return Err(self.error(
                 DiagCode::DomainMismatch,
                 Some(i),
@@ -748,17 +711,18 @@ impl<'p> Checker<'p> {
                 ),
             ));
         }
-        if n.channels == 0 || n.tables.len() * n.group != n.channels {
+        let books = n.weight_books.len();
+        if n.channels == 0 || (books != 1 && books != n.channels) {
             return Err(self.error(
                 DiagCode::ShapeMismatch,
                 Some(i),
                 format!(
-                    "{label}: {} tables for {} output channels",
-                    n.tables.len(),
+                    "{label}: {books} weight books for {} output channels",
                     n.channels
                 ),
             ));
         }
+        let domain = in_book.len;
         if n.zero_code as usize >= domain {
             return Err(self.error(
                 DiagCode::IndexOutOfBounds,
@@ -793,36 +757,36 @@ impl<'p> Checker<'p> {
         let bias = self.check_bias(i, n.bias, n.channels, label)?;
         let (mut pre, mut worst) = (None::<Interval>, 0.0f64);
         let (mut unused_rows, mut total_rows) = (0usize, 0usize);
-        let readers = wcodes.chunks(n.group * patch_len);
-        for (t, (table, codes)) in n.tables.iter().zip(readers).enumerate() {
-            let table_label = format!("{label} table {t}");
-            self.check_table(i, table, domain, &table_label)?;
-            let mut used = vec![false; table.weight_count];
+        // A checked codebook: every flow's book is one.
+        let xs = in_book.slice(self.floats);
+        let readers = n.readers(wcodes).zip(bias.chunks(n.channels / books));
+        for (t, ((span, codes), bias)) in readers.enumerate() {
+            let book_label = format!("{label} weight book {t}");
+            let weights = self.weight_book(i, span, &book_label)?;
+            let mut used = vec![false; weights.len()];
             for &c in codes {
-                if c as usize >= table.weight_count {
+                if c as usize >= weights.len() {
                     return Err(self.error(
                         DiagCode::IndexOutOfBounds,
                         Some(i),
                         format!(
-                            "{table_label}: weight code {c} out of range for {}-row table",
-                            table.weight_count
+                            "{book_label}: weight code {c} out of range for {}-entry book",
+                            weights.len()
                         ),
                     ));
                 }
                 used[c as usize] = true;
             }
             unused_rows += used.iter().filter(|u| !**u).count();
-            total_rows += table.weight_count;
-            let rows =
-                self.row_intervals(i, table, &used, domain, reach, extra_col, &table_label)?;
-            let channels = codes.chunks(patch_len).zip(&bias[t * n.group..]);
-            for (patch, &b) in channels {
+            total_rows += weights.len();
+            let rows = self.row_intervals(i, weights, &used, xs, reach, extra_col, &book_label)?;
+            for (patch, &b) in codes.chunks(patch_len).zip(bias) {
                 let mut acc = Interval::point(f64::from(b));
                 let mut mag = f64::from(b).abs();
                 for &w in patch {
-                    // Used rows always carry an interval: reach is
+                    // Used entries always carry an interval: reach is
                     // non-empty. A padded window reads the zero column,
-                    // which is in every row's hull when pad > 0.
+                    // which is in every entry's hull when pad > 0.
                     let r = rows[w as usize].unwrap_or(Interval::zero());
                     acc = acc + r;
                     mag += r.magnitude();
@@ -837,7 +801,7 @@ impl<'p> Checker<'p> {
                     DiagCode::DeadTableRows,
                     Some(i),
                     format!(
-                        "{label}: {unused_rows} of {total_rows} product-table rows are referenced by no weight code",
+                        "{label}: {unused_rows} of {total_rows} weight-book entries are referenced by no weight code",
                     ),
                 ),
                 unused_rows,
@@ -883,7 +847,7 @@ impl<'p> Checker<'p> {
         // Every input feature is an arbitrary float, so (for a sorted
         // book) every centroid is reachable — each is nearest to itself.
         let mut flow = Flow::Codes {
-            domain: venc.len(),
+            book: venc.span,
             reach: (0, venc.len() - 1),
             interval: venc.interval,
         };
@@ -914,8 +878,11 @@ impl<'p> Checker<'p> {
                     let window = geom.kernel_h * geom.kernel_w;
                     match flow {
                         Flow::Codes {
-                            domain, interval, ..
+                            book: in_book,
+                            interval,
+                            ..
                         } => {
+                            let domain = in_book.len;
                             if book.len() < domain {
                                 return Err(self.error(
                                     DiagCode::IndexOutOfBounds,
@@ -946,7 +913,12 @@ impl<'p> Checker<'p> {
                     }
                 }
                 Op::ResidualBegin { skip_codebook } => {
-                    let Flow::Codes { domain, reach, .. } = flow else {
+                    let Flow::Codes {
+                        book: in_book,
+                        reach,
+                        ..
+                    } = flow
+                    else {
                         return Err(self.error(
                             DiagCode::DomainMismatch,
                             Some(i),
@@ -955,6 +927,7 @@ impl<'p> Checker<'p> {
                         ));
                     };
                     let book = self.codebook(Some(i), *skip_codebook, "residual skip")?;
+                    let domain = in_book.len;
                     if book.len() < domain {
                         return Err(self.error(
                             DiagCode::IndexOutOfBounds,
@@ -1045,15 +1018,9 @@ mod tests {
     /// re-encoder whose outer entries are unreachable.
     fn adversarial() -> Program<'static> {
         let mut floats = vec![-2.5, -1.0, -0.25, 0.5, 1.5, 3.0]; // virtual book (6)
-        let table = floats.len();
-        #[rustfmt::skip]
-        floats.extend_from_slice(&[
-            // 4 weight rows x 6 input columns.
-            1.0e7, -1.0e7, 3.25, -7.5, 0.125, 2.0e6,
-            -9.999e6, 1.0e7, -3.25, 7.75, 0.5, -2.0e6,
-            11.0, -2.0, 0.75, -0.125, 4.5, -6.0,
-            -3.5, 8.0, -0.25, 2.25, -1.75, 0.5,
-        ]);
+        let book = floats.len();
+        // 4 weights against the virtual book: products up to 1.2e7.
+        floats.extend_from_slice(&[4.0e6, -3.999_6e6, 11.0, -3.5]);
         let bias = floats.len();
         floats.extend_from_slice(&[0.5, -0.25]);
         let lut_x = floats.len();
@@ -1063,13 +1030,8 @@ mod tests {
         let enc = floats.len();
         // LUT outputs span [-1.5, 2.0]: the -4.0 and 5.0 entries are dead.
         floats.extend_from_slice(&[-4.0, -2.0, -1.0, 0.0, 0.5, 1.0, 2.5, 5.0]);
-        let table2 = floats.len();
-        #[rustfmt::skip]
-        floats.extend_from_slice(&[
-            // 2 rows x 8 columns for the head layer.
-            0.5, -0.5, 1.0, -1.0, 0.25, -0.25, 2.0, -2.0,
-            -1.5, 1.5, 0.75, -0.75, 3.0, -3.0, 0.125, -0.125,
-        ]);
+        let book2 = floats.len();
+        floats.extend_from_slice(&[0.5, -1.5]); // the head layer's 2 weights
         let bias2 = floats.len();
         floats.push(0.0625);
         Program {
@@ -1085,10 +1047,9 @@ mod tests {
                         start: bias,
                         len: 2,
                     },
-                    table: TableRef {
-                        offset: table,
-                        weight_count: 4,
-                        input_count: 6,
+                    weight_book: Span {
+                        start: book,
+                        len: 4,
                     },
                     act: Act::Lookup {
                         inputs: Span {
@@ -1110,10 +1071,9 @@ mod tests {
                         start: bias2,
                         len: 1,
                     },
-                    table: TableRef {
-                        offset: table2,
-                        weight_count: 2,
-                        input_count: 8,
+                    weight_book: Span {
+                        start: book2,
+                        len: 2,
                     },
                     act: Act::Identity,
                     encoder: None,
@@ -1162,19 +1122,19 @@ mod tests {
         let (elo, ehi) = noted_reach(&report, DiagCode::DeadCodebookEntries, "reachable codes", 8);
 
         let floats = &p.floats;
-        // Pool layout: book 0..6, table 6..30, bias 30..32, then the
-        // LUT pair and the encoder book.
-        let lut_x = &floats[32..39];
-        let lut_y = &floats[39..46];
-        let enc = &floats[46..54];
+        // Pool layout: book 0..6, weight book 6..10, bias 10..12, then
+        // the LUT pair and the encoder book.
+        let lut_x = &floats[12..19];
+        let lut_y = &floats[19..26];
+        let enc = &floats[26..34];
         let mut lut_keys = Vec::new();
         load_keys(&mut lut_keys, lut_x);
         let mut enc_keys = Vec::new();
         load_keys(&mut enc_keys, enc);
 
-        let table = |w: usize, x: usize| floats[6 + w * 6 + x];
+        let product = |w: usize, x: usize| floats[6 + w] * floats[x];
         let wcodes: [usize; 6] = [0, 1, 2, 3, 1, 0];
-        let bias = [floats[30], floats[31]];
+        let bias = [floats[10], floats[11]];
         let mut seen_codes = [false; 8];
         for a in 0..6 {
             for b in 0..6 {
@@ -1184,7 +1144,7 @@ mod tests {
                         // then one product per input.
                         let mut acc: f32 = bias[o];
                         for (j, &x) in [a, b, c].iter().enumerate() {
-                            acc += table(wcodes[o * 3 + j], x);
+                            acc += product(wcodes[o * 3 + j], x);
                         }
                         let row = nearest_index(lut_x, &lut_keys, acc);
                         assert!(

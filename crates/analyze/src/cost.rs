@@ -46,7 +46,8 @@ pub fn op_shapes(program: &Program<'_>) -> Vec<OpShape> {
                 OpShape::Neuron {
                     neurons: outputs,
                     edges: n.window.patch_len(),
-                    weight_rows: n.weight_rows().max(1),
+                    // The largest weight book: a conv's channels may differ.
+                    weight_rows: n.weight_books.iter().fold(1, |m, b| m.max(b.len)),
                     input_rows: rows(at[0].book),
                     activation_rows: match n.act {
                         Act::Lookup { inputs, .. } => inputs.len,
@@ -113,7 +114,7 @@ pub fn op_costs(program: &Program<'_>) -> Vec<OpCost> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{Geom, Span, TableRef};
+    use crate::program::{Geom, Span};
     use std::borrow::Cow;
 
     fn dense(nin: usize, nout: usize, encoded: bool) -> Op {
@@ -122,11 +123,7 @@ mod tests {
             outputs: nout,
             weight_codes: Span { start: 0, len: 0 },
             bias: Span { start: 0, len: 0 },
-            table: TableRef {
-                offset: 0,
-                weight_count: 1,
-                input_count: 1,
-            },
+            weight_book: Span { start: 0, len: 1 },
             act: Act::Relu,
             encoder: encoded.then_some(Span { start: 0, len: 2 }),
         }

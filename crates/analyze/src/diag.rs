@@ -18,7 +18,7 @@ use std::fmt;
 /// notes are advisory (hardware-model exceedances, dead entries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
-    /// Advisory context (dead table rows, unused columns).
+    /// Advisory context (dead weight-book entries, LUT rows).
     Note,
     /// Suspicious but not unsound for the software pipeline
     /// (hardware-width exceedances).
@@ -51,13 +51,13 @@ pub enum DiagCode {
     /// A span points outside its backing pool, or a length product
     /// overflows `usize`.
     SpanOutOfBounds,
-    /// A codebook or lookup table is empty.
+    /// A codebook, weight book or activation lookup table is empty.
     EmptyTable,
     /// A codebook holds more values than a 16-bit encoded index can
     /// address (the paper sizes indices at 2–7 bits; the format caps
     /// them at 16).
     OversizedCodebook,
-    /// An encoded index can select a row/column outside its table.
+    /// An encoded index can select an entry outside its book or table.
     IndexOutOfBounds,
     /// Consecutive ops disagree on the width of the value vector.
     ShapeMismatch,
@@ -73,8 +73,9 @@ pub enum DiagCode {
     /// Residual begin/end markers are unbalanced or their widths
     /// disagree.
     ResidualImbalance,
-    /// A reachable centroid, product, bias, or LUT entry is NaN or
-    /// infinite and would propagate to outputs.
+    /// A reachable centroid, product `w · x` of a referenced weight,
+    /// bias, or LUT entry is NaN or infinite and would propagate to
+    /// outputs.
     NonFinite,
     /// The serving crate's artifact decoder refused the bytes' code
     /// layout (its `ArtifactError::PackedLayout`, which `lint_bytes`
@@ -94,10 +95,9 @@ pub enum DiagCode {
     CounterOverflow,
     /// Encoder codebook entries no reachable value can select.
     DeadCodebookEntries,
-    /// Product-table rows no weight code references.
+    /// Weight-book entries — the rows of the paper's product table —
+    /// no weight code references.
     DeadTableRows,
-    /// Product-table columns beyond the input codebook's length.
-    DeadTableColumns,
     /// Activation-LUT rows outside the reachable accumulator range.
     DeadLutRows,
 }
@@ -123,7 +123,6 @@ impl DiagCode {
             DiagCode::CounterOverflow => "RNA0103",
             DiagCode::DeadCodebookEntries => "RNA0104",
             DiagCode::DeadTableRows => "RNA0201",
-            DiagCode::DeadTableColumns => "RNA0202",
             DiagCode::DeadLutRows => "RNA0203",
         }
     }
@@ -147,9 +146,7 @@ impl DiagCode {
             DiagCode::AccumulatorOverflow
             | DiagCode::CounterOverflow
             | DiagCode::DeadCodebookEntries => Severity::Warning,
-            DiagCode::DeadTableRows | DiagCode::DeadTableColumns | DiagCode::DeadLutRows => {
-                Severity::Note
-            }
+            DiagCode::DeadTableRows | DiagCode::DeadLutRows => Severity::Note,
         }
     }
 }
@@ -206,28 +203,23 @@ impl fmt::Display for Diagnostic {
 }
 
 /// Machine-readable liveness totals accumulated alongside the prose
-/// liveness diagnostics (RNA0104, RNA0201–0203), so consumers — the
+/// liveness diagnostics (RNA0104, RNA0201, RNA0203), so consumers — the
 /// dead-data tests over composed models among them — read numbers
 /// instead of parsing diagnostic strings.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LivenessCounts {
     /// Encoder codebook entries no reachable value can select (RNA0104).
     pub dead_codebook_entries: usize,
-    /// Product-table rows referenced by no weight code (RNA0201).
+    /// Weight-book entries referenced by no weight code (RNA0201).
     pub dead_table_rows: usize,
-    /// Product-table columns beyond the input codebook (RNA0202).
-    pub dead_table_columns: usize,
     /// Activation-LUT rows outside the reachable range (RNA0203).
     pub dead_lut_rows: usize,
 }
 
 impl LivenessCounts {
-    /// Total dead elements across all four liveness classes.
+    /// Total dead elements across all three liveness classes.
     pub fn total(&self) -> usize {
-        self.dead_codebook_entries
-            + self.dead_table_rows
-            + self.dead_table_columns
-            + self.dead_lut_rows
+        self.dead_codebook_entries + self.dead_table_rows + self.dead_lut_rows
     }
 }
 
@@ -254,12 +246,11 @@ impl Report {
 
     /// Appends a liveness diagnostic and adds `count` dead elements to
     /// the machine-readable total for its class. `code` must be one of
-    /// the four liveness codes.
+    /// the three liveness codes.
     pub fn push_liveness(&mut self, diag: Diagnostic, count: usize) {
         match diag.code {
             DiagCode::DeadCodebookEntries => self.liveness.dead_codebook_entries += count,
             DiagCode::DeadTableRows => self.liveness.dead_table_rows += count,
-            DiagCode::DeadTableColumns => self.liveness.dead_table_columns += count,
             DiagCode::DeadLutRows => self.liveness.dead_lut_rows += count,
             other => debug_assert!(false, "{other:?} is not a liveness code"),
         }
@@ -366,7 +357,6 @@ mod tests {
         let counts = report.liveness();
         assert_eq!(counts.dead_table_rows, 5);
         assert_eq!(counts.dead_codebook_entries, 1);
-        assert_eq!(counts.dead_table_columns, 0);
         assert_eq!(counts.dead_lut_rows, 0);
         assert_eq!(counts.total(), 6);
         // The prose diagnostics ride along unchanged.

@@ -1,9 +1,9 @@
 //! The interval abstract domain.
 //!
 //! Every value flowing through a compiled RAPIDNN program is drawn
-//! from a finite set — codebook centroids, product-table entries, LUT
-//! outputs — so a closed interval `[lo, hi]` is an exact-enough
-//! abstraction: the hull of a finite set, widened by a *proven* `f32`
+//! from a finite set — codebook centroids, products of a weight-book
+//! entry and an input-book entry, LUT outputs — so a closed interval
+//! `[lo, hi]` is an exact-enough abstraction: the hull of a finite set, widened by a *proven* `f32`
 //! rounding slack ([`f32_sum_slack`]) exactly where accumulation order
 //! could nudge a concrete sum past the real hull. Bounds are kept in
 //! `f64` so interval arithmetic itself never loses to rounding.

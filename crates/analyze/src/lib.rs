@@ -1,7 +1,8 @@
 //! Static verifier for compiled RAPIDNN models.
 //!
-//! RAPIDNN inference is a *finite* computation: every multiply is a
-//! bounded product-table lookup, every activation a nearest-distance
+//! RAPIDNN inference is a *finite* computation: every multiply is the
+//! product of two codebook entries (the paper's product-table lookup),
+//! every activation a nearest-distance
 //! search over a finite LUT, every accumulation a counter of statically
 //! known width. That finiteness makes correctness of a compiled model
 //! statically decidable, and this crate decides it: an abstract
@@ -12,17 +13,17 @@
 //! Per op the checker proves:
 //!
 //! * **index soundness** — every encoded index stays in bounds for its
-//!   table: span bounds, weight codes vs table rows, code domains vs
-//!   table columns, codebooks within the 16-bit index range, pool
+//!   book: span bounds, weight codes vs weight books, code domains vs
+//!   the books that decode them, codebooks within the 16-bit index range, pool
 //!   geometry with the padded-pool sentinel (`error`s);
 //! * **bit-width feasibility** — fan-in vs the occurrence counters and
 //!   worst-case partial-sum magnitude vs the fixed-point accumulator
 //!   word of the modeled accelerator datapath
 //!   ([`rapidnn_accel::DatapathModel`], `warning`s);
-//! * **finiteness** — no reachable centroid, product, bias, or LUT
-//!   entry is NaN/Inf, so neither can propagate to outputs (`error`s);
-//! * **liveness** — dead codebook entries, unreferenced product-table
-//!   rows, dead columns and LUT rows (`warning`s/`note`s). The op list
+//! * **finiteness** — no reachable centroid, product `w · x`, bias, or
+//!   LUT entry is NaN/Inf, so neither can propagate to outputs (`error`s);
+//! * **liveness** — dead codebook entries, unreferenced weight-book
+//!   entries and LUT rows (`warning`s/`note`s). The op list
 //!   is a straight line, so op-level reachability is trivial; liveness
 //!   findings are about dead *data*.
 //!
@@ -71,10 +72,8 @@ pub use cost::{op_costs, op_shapes, OpCost};
 pub use diag::{DiagCode, Diagnostic, LivenessCounts, Report, Severity};
 pub use interval::{f32_sum_slack, Interval};
 pub use pad::inject_dead_rows;
-pub use program::{Act, Boundary, Geom, Neuron, Op, Program, Span, TableRef};
-pub use quant::{
-    factor_table, quantize_plan, FallbackReason, FinishPlan, LicensedOp, OpQuant, QuantPlan,
-};
+pub use program::{Act, Boundary, Geom, Neuron, Op, Program, Span};
+pub use quant::{quantize_plan, FallbackReason, FinishPlan, LicensedOp, OpQuant, QuantPlan};
 
 #[cfg(test)]
 mod tests {
@@ -83,15 +82,11 @@ mod tests {
 
     /// Hand-built single-dense-layer program:
     /// 2 inputs -> encode through a 4-entry book -> dense(2 -> 1,
-    /// 2x4 product table, relu) -> floats out.
+    /// 2-entry weight book, relu) -> floats out.
     fn tiny() -> Program<'static> {
         let mut floats = vec![-1.0, 0.0, 0.5, 2.0]; // virtual encoder book
-        let table_offset = floats.len();
-        // 2 weight rows x 4 input columns.
-        floats.extend_from_slice(&[
-            -0.5, 0.0, 0.25, 1.0, // w0 * book
-            1.0, 0.0, -0.5, -2.0, // w1 * book
-        ]);
+        let book_offset = floats.len();
+        floats.extend_from_slice(&[0.5, -1.0]); // weight book
         let bias_offset = floats.len();
         floats.push(0.125);
         Program {
@@ -106,10 +101,9 @@ mod tests {
                     start: bias_offset,
                     len: 1,
                 },
-                table: TableRef {
-                    offset: table_offset,
-                    weight_count: 2,
-                    input_count: 4,
+                weight_book: Span {
+                    start: book_offset,
+                    len: 2,
                 },
                 act: Act::Relu,
                 encoder: None,
@@ -139,9 +133,9 @@ mod tests {
     }
 
     #[test]
-    fn nan_in_reachable_table_entry_is_an_error() {
+    fn nan_in_a_referenced_weight_is_an_error() {
         let mut p = tiny();
-        p.floats.to_mut()[5] = f32::NAN; // w0 column 1, reachable
+        p.floats.to_mut()[4] = f32::NAN; // w0: every product is NaN
         let report = analyze(&p);
         let d = report.find(DiagCode::NonFinite).expect("flagged");
         assert_eq!(d.severity, Severity::Error);
@@ -232,8 +226,9 @@ mod tests {
     #[test]
     fn accumulator_warning_on_huge_magnitudes() {
         let mut p = tiny();
-        // Blow up the product table far past the Q8.8 range.
-        for v in &mut p.floats.to_mut()[4..12] {
+        // Blow up the weights, and so every product, far past the Q8.8
+        // range.
+        for v in &mut p.floats.to_mut()[4..6] {
             *v *= 1.0e4;
         }
         let report = analyze(&p);

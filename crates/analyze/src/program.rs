@@ -43,35 +43,6 @@ impl Span {
     }
 }
 
-/// A flattened `w x u` product table inside the float pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TableRef {
-    /// First element index of row 0 in the float pool.
-    pub offset: usize,
-    /// Number of weight rows (`w`).
-    pub weight_count: usize,
-    /// Number of input columns (`u`).
-    pub input_count: usize,
-}
-
-impl TableRef {
-    /// The product of weight code `w` and input code `x`. Panics out of
-    /// bounds, like [`Span::slice`].
-    #[inline]
-    pub fn fetch(&self, floats: &[f32], w: usize, x: usize) -> f32 {
-        floats[self.offset + w * self.input_count + x]
-    }
-
-    /// The table row of weight code `w`: all `u` precomputed products
-    /// of that weight against the input codebook. Panics out of bounds,
-    /// like [`Span::slice`].
-    #[inline]
-    pub fn row<'a>(&self, floats: &'a [f32], w: usize) -> &'a [f32] {
-        let start = self.offset + w * self.input_count;
-        &floats[start..start + self.input_count]
-    }
-}
-
 /// Activation step of a neuron op.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Act {
@@ -145,8 +116,8 @@ pub enum Op {
         weight_codes: Span,
         /// Per-output bias in the float pool.
         bias: Span,
-        /// Shared product table.
-        table: TableRef,
+        /// The weight codebook every output's codes index.
+        weight_book: Span,
         /// Activation step.
         act: Act,
         /// Re-encoder codebook; `None` for the output stage.
@@ -162,8 +133,8 @@ pub enum Op {
         weight_codes: Span,
         /// Per-channel bias.
         bias: Span,
-        /// One product table per output channel.
-        tables: Vec<TableRef>,
+        /// One weight codebook per output channel.
+        weight_books: Vec<Span>,
         /// Input code standing in for zero padding.
         zero_code: u16,
         /// Activation step.
@@ -194,20 +165,20 @@ pub enum Op {
 
 /// A dense or conv op as the paper maps both: RNA neurons over a
 /// receptive field ([`Op::neuron`]). Channel `o` at output position `p`
-/// is `bias[o] + Σ_k table(o)[w[o][k]][x_p[k]]` over the window's taps,
-/// a padding tap reading `zero_code`; outputs lie channel-major.
+/// is `bias[o] + Σ_k fl(book[w[o][k]] · x_p[k])` over the window's taps,
+/// where `book` is the weight book channel `o` reads, `x_p[k]` the
+/// decoded input its tap's code selects (a padding tap reads
+/// `zero_code`), and each product is the entry the paper's `w × u`
+/// table would hold; outputs lie channel-major.
 #[derive(Debug, Clone, Copy)]
 pub struct Neuron<'o> {
     /// The receptive field; a dense op's is 1×1 over its inputs as channels.
     pub window: Geom,
     /// Output channels: a conv's, or a dense op's outputs.
     pub channels: usize,
-    /// The product tables, each read by [`group`](Self::group)
-    /// consecutive output channels: a dense op's one table serves
-    /// every output, a conv has one per channel (and nothing else).
-    pub tables: &'o [TableRef],
-    /// Output channels per table.
-    pub group: usize,
+    /// The weight codebooks: one that every output channel reads (a
+    /// dense op's), or one per channel (a conv's).
+    pub weight_books: &'o [Span],
     /// `channels × patch_len` weight codes in the code pool.
     pub weight_codes: Span,
     /// Per-channel bias in the float pool.
@@ -220,22 +191,22 @@ pub struct Neuron<'o> {
     pub encoder: Option<Span>,
 }
 
-impl Neuron<'_> {
-    /// The index in [`tables`](Self::tables) of the product table
-    /// output channel `o` reads: each serves [`group`](Self::group)
-    /// consecutive channels.
-    pub fn table_index(&self, o: usize) -> usize {
-        o / self.group
-    }
-
-    /// The product table output channel `o` reads.
-    pub fn table(&self, o: usize) -> &TableRef {
-        &self.tables[self.table_index(o)]
-    }
-
-    /// The largest weight book among the tables: the rows its codes address.
-    pub fn weight_rows(&self) -> usize {
-        self.tables.iter().fold(0, |m, t| m.max(t.weight_count))
+impl<'o> Neuron<'o> {
+    /// Each weight book with the weight codes that index it, `codes`
+    /// (the op's span of the code pool) split evenly over the books:
+    /// with one book that is every code, with one per channel that
+    /// channel's patch — the two forms the checker accepts. Panics when
+    /// the op has no book.
+    pub fn readers<'c>(
+        &self,
+        codes: &'c [u16],
+    ) -> std::iter::Zip<std::iter::Copied<std::slice::Iter<'o, Span>>, std::slice::Chunks<'c, u16>>
+    {
+        let per_book = codes.len() / self.weight_books.len();
+        self.weight_books
+            .iter()
+            .copied()
+            .zip(codes.chunks(per_book.max(1)))
     }
 }
 
@@ -249,7 +220,7 @@ impl Op {
                 outputs,
                 weight_codes,
                 bias,
-                table,
+                weight_book,
                 act,
                 encoder,
             } => Some(Neuron {
@@ -265,8 +236,7 @@ impl Op {
                     out_width: 1,
                 },
                 channels: *outputs,
-                tables: std::slice::from_ref(table),
-                group: *outputs,
+                weight_books: std::slice::from_ref(weight_book),
                 weight_codes: *weight_codes,
                 bias: *bias,
                 zero_code: 0,
@@ -278,15 +248,14 @@ impl Op {
                 out_channels,
                 weight_codes,
                 bias,
-                tables,
+                weight_books,
                 zero_code,
                 act,
                 encoder,
             } => Some(Neuron {
                 window: *geom,
                 channels: *out_channels,
-                tables,
-                group: 1,
+                weight_books,
                 weight_codes: *weight_codes,
                 bias: *bias,
                 zero_code: *zero_code,
@@ -310,7 +279,7 @@ pub struct Program<'a> {
     pub virtual_encoder: Span,
     /// The linear op program.
     pub ops: Vec<Op>,
-    /// All f32 data: codebooks, product tables, LUTs, biases.
+    /// All f32 data: codebooks (weight books among them), LUTs, biases.
     pub floats: Cow<'a, [f32]>,
     /// All encoded weights.
     pub codes: Cow<'a, [u16]>,
@@ -332,7 +301,7 @@ pub struct Boundary {
 impl Program<'_> {
     /// The program's dataflow, one [`Boundary`] per op boundary:
     /// `flow[i]` is what op `i` reads and `flow[ops.len()]` what the
-    /// program returns. A table op re-encodes through its encoder or
+    /// program returns. A neuron op re-encodes through its encoder or
     /// decodes; a max pool keeps its input's book; an average pool
     /// re-encodes encoded values through its own book and leaves
     /// decoded ones decoded; a residual region passes its entry flow to
@@ -422,14 +391,12 @@ impl Builder {
                 let encoder = s
                     .encoder()
                     .map(|e| push(&mut self.floats, e.target().values()));
-                let mut tables: Vec<TableRef> = s
-                    .product_tables()
+                // The weight books the composer built its product tables
+                // from; the input book is the boundary's (`Program::flow`).
+                let mut weight_books: Vec<Span> = s
+                    .weight_codebooks()
                     .iter()
-                    .map(|t| TableRef {
-                        offset: push(&mut self.floats, t.products()).start,
-                        weight_count: t.weight_count(),
-                        input_count: t.input_count(),
-                    })
+                    .map(|book| push(&mut self.floats, book.values()))
                     .collect();
                 self.ops.push(match *s.kind() {
                     StageKind::Dense { inputs, outputs } => Op::Dense {
@@ -437,7 +404,7 @@ impl Builder {
                         outputs,
                         weight_codes,
                         bias,
-                        table: tables.swap_remove(0),
+                        weight_book: weight_books.swap_remove(0),
                         act,
                         encoder,
                     },
@@ -449,7 +416,7 @@ impl Builder {
                         out_channels,
                         weight_codes,
                         bias,
-                        tables,
+                        weight_books,
                         zero_code: s.zero_code(),
                         act,
                         encoder,
@@ -511,23 +478,10 @@ fn geom_of(g: &rapidnn_tensor::Conv2dGeometry) -> Geom {
 mod tests {
     use super::*;
 
-    /// The pool accessors the checker, the quant planner
-    /// and the serving kernels all index through agree with manual
-    /// indexing on a 2×3 table sitting at an offset in its pool.
+    /// A span reads its elements of either pool.
     #[test]
-    fn accessors_agree_with_manual_indexing() {
+    fn span_slices_its_pool() {
         let floats = [9.0f32, 10.0, 11.0, 12.0, 20.0, 21.0, 22.0, 9.0];
-        let table = TableRef {
-            offset: 1,
-            weight_count: 2,
-            input_count: 3,
-        };
-        for w in 0..2 {
-            assert_eq!(table.row(&floats, w), &floats[1 + 3 * w..4 + 3 * w]);
-            for x in 0..3 {
-                assert_eq!(table.fetch(&floats, w, x), floats[1 + 3 * w + x]);
-            }
-        }
         let span = Span { start: 4, len: 3 };
         assert_eq!(span.slice(&floats), &[20.0, 21.0, 22.0]);
         assert_eq!(span.slice(&[0u16, 1, 2, 3, 4, 5, 6]), &[4, 5, 6]);

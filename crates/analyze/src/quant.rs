@@ -3,7 +3,7 @@
 //! The checker ([`crate::analyze`]) proves *hardware feasibility* —
 //! would the paper's Q8.8 datapath overflow? This module answers the
 //! adjacent *software* question: which ops of a program may the serving
-//! kernels lower from `f32` table gathers to `i16`-operand / `i32`-
+//! kernels lower from `f32` multiplies to `i16`-operand / `i32`-
 //! accumulator arithmetic without changing answers beyond a provable
 //! bound? The result is a [`QuantPlan`]: one [`OpQuant`] per op, either
 //! a [`LicensedOp`] carrying the chosen fixed-point formats, the proven
@@ -14,18 +14,14 @@
 //!
 //! # How a dense op gets licensed
 //!
-//! A dense op reads codes, gathers `table[w][x]`, accumulates, applies
-//! bias + activation, and (except at the output) re-encodes. There is
-//! one integer lowering, a multiply-accumulate: when every referenced
-//! table row factors back into `fl(w · book[x])` (the only form the
-//! composer writes, the paper's neuron-to-memory products; recovered
-//! and verified bitwise by [`factor_table`], the one routine the f32
-//! kernels' multiply fast path uses too), weights and book values are
-//! quantized separately to `i16` at `2^w_frac` / `2^x_frac` and the
-//! kernel runs a pure `i16×i16 → i32` multiply-accumulate stream. A
-//! table that does not factor — possible only in a hand-built artifact
-//! — falls back ([`FallbackReason::NotFactored`]) and serves on the
-//! bit-exact f32 gather.
+//! A dense op reads codes, takes for each weight code `w` and input code
+//! `x` the product `fl(book_w[w] · book[x])` of the two codebooks' values
+//! — the entry the paper's `w × u` product table holds — accumulates,
+//! applies bias + activation, and (except at the output) re-encodes.
+//! There is one integer lowering, a multiply-accumulate: weights and
+//! book values are quantized separately to `i16` at `2^w_frac` /
+//! `2^x_frac` and the kernel runs a pure `i16×i16 → i32`
+//! multiply-accumulate stream.
 //!
 //! # Precondition: an analyzer-clean program
 //!
@@ -33,14 +29,14 @@
 //! serving model is by construction. The codebook each op reads comes
 //! from the program's dataflow walk ([`Program::flow`]), whose rules the
 //! checker proves. The plan trusts what the checker refuses
-//! as an `error` — spans, table bounds, shapes, weight codes, finite
-//! codebooks, biases and referenced table rows — and checks only what
+//! as an `error` — spans, shapes, weight codes, finite codebooks, biases
+//! and the products of referenced weights — and checks only what
 //! the checker warns about or proves for reachable entries alone:
 //! sorted axes, and the finiteness of LUT inputs and of every finish
 //! output.
 //!
 //! Headroom is proven, not hoped for: with `mag = max_o (|bias_o| +
-//! Σ_i max_x |table[w(o,i)][x]|)` bounding every partial sum over the
+//! Σ_i max_x |fl(w(o,i) · x)|)` bounding every partial sum over the
 //! *full* code domain (so late code flips cannot escape it), the plan
 //! only licenses a format when `mag · 2^acc_frac` plus worst-case
 //! per-term rounding stays within `2^30` — a quarter of the `i32`
@@ -55,8 +51,8 @@
 //! output|` element-wise, for every input. It composes per op as a
 //! linear recursion `err_out = A · err_in + B`: quantization noise `B`
 //! from rounding operands to `i16` and finishing on a bucket grid,
-//! and propagation `A · err_in` through table reads (tables are
-//! Lipschitz along their sorted input codebook), activation lookups and
+//! and propagation `A · err_in` through the products (`fl(w · x)` is
+//! Lipschitz in `x` along the sorted input codebook), activation lookups and
 //! re-encoders. Nearest-encode through a sorted book is *almost*
 //! contractive — `|enc(a) − enc(b)| ≤ |a − b| + 2·R` where `R` is the
 //! book's largest adjacent half-gap — which keeps the recursion sound
@@ -66,7 +62,7 @@
 
 use crate::checker::DATAPATH;
 use crate::interval::Interval;
-use crate::program::{Act, Neuron, Op, Program, Span, TableRef};
+use crate::program::{Act, Neuron, Op, Program, Span};
 use std::fmt;
 
 /// Largest quantized operand magnitude we round to: one below
@@ -110,15 +106,12 @@ pub enum FallbackReason {
     /// the checker requires of every axis (RNA0018), but otherwise
     /// unchecked — is non-finite or longer than `2^16`.
     UnsortedBook,
-    /// A value the lowering must quantize is NaN or infinite. A
-    /// non-finite referenced table row is named before one that does
-    /// not factor.
+    /// A value the lowering must quantize is NaN or infinite: a
+    /// referenced weight's product with an input value, or an
+    /// activation output.
     NonFinite,
-    /// A referenced table row is not `fl(w · book[x])` for any `w`, so
-    /// there are no separate weight and input operands to multiply.
-    NotFactored,
-    /// Weights, codebook or table entries too large for `i16` even at
-    /// zero fraction bits.
+    /// Weights or codebook entries too large for `i16` even at zero
+    /// fraction bits.
     ValueRangeTooWide,
     /// The proven accumulator range cannot fit the integer budget at
     /// the datapath's minimum fraction.
@@ -131,7 +124,6 @@ impl fmt::Display for FallbackReason {
             FallbackReason::UnsupportedOp => "op kind has no integer lowering",
             FallbackReason::UnsortedBook => "a LUT input axis is non-finite or over 2^16 long",
             FallbackReason::NonFinite => "quantization source values are not finite",
-            FallbackReason::NotFactored => "product table does not factor into w · x",
             FallbackReason::ValueRangeTooWide => "operand range exceeds i16 at any fraction",
             FallbackReason::AccumulatorRangeTooWide => "accumulator range exceeds the i32 budget",
         };
@@ -139,19 +131,19 @@ impl fmt::Display for FallbackReason {
     }
 }
 
-/// A fully licensed integer lowering of one dense op: a factored
+/// A fully licensed integer lowering of one dense op: a
 /// multiply-accumulate whose products land on the `2^(w_frac + x_frac)`
 /// accumulator grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LicensedOp {
-    /// Fraction bits of the quantized weight factors.
+    /// Fraction bits of the quantized weights.
     pub w_frac: u32,
     /// Fraction bits of the quantized input codebook.
     pub x_frac: u32,
     /// Fraction bits of the `i32` accumulator grid (`w_frac + x_frac`).
     pub acc_frac: u32,
-    /// Recovered per-weight-code factors (zero for a table row no
-    /// weight code references).
+    /// The weight book's value per weight code (zero for an entry no
+    /// weight code references, so it widens no format).
     pub wvals: Vec<f32>,
     /// Proven accumulator hull over the full input code domain.
     pub acc: Interval,
@@ -168,7 +160,7 @@ pub struct LicensedOp {
 /// The licensing verdict for one program op.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OpQuant {
-    /// The op carries no tables to quantize (pooling, residual
+    /// The op carries no weights to quantize (pooling, residual
     /// bookkeeping); it runs unchanged on either path.
     NotApplicable,
     /// Licensed for the integer path.
@@ -203,7 +195,7 @@ impl QuantPlan {
         self.ops.iter().filter(|o| o.is_licensed()).count()
     }
 
-    /// Number of table-bearing ops that fell back to f32.
+    /// Number of neuron ops that fell back to f32.
     pub fn fallbacks(&self) -> usize {
         self.ops
             .iter()
@@ -221,7 +213,7 @@ impl QuantPlan {
 ///
 /// The precondition is an analyzer-clean `program`
 /// (`!analyze(program).has_errors()`), which every serving model is by
-/// construction: the walk indexes every span, table and weight code the
+/// construction: the walk indexes every span and weight code the
 /// checker proved in bounds without checking again, and may panic on a
 /// program the checker refuses.
 pub fn quantize_plan(program: &Program<'_>) -> QuantPlan {
@@ -239,8 +231,9 @@ pub fn quantize_plan(program: &Program<'_>) -> QuantPlan {
     }
 }
 
-/// What a neuron op's referenced rows bound, over its outputs `o`
-/// ([`QuantWalk::scan_rows`]).
+/// What a neuron op's referenced weights bound, over its outputs `o`
+/// ([`QuantWalk::scan_rows`]); the row of weight `w` is its products
+/// `fl(w · x)` with the input book, a row of the paper's product table.
 struct RowScan {
     /// Hull of every output's accumulator `b_o + Σ_i row w(o, i)`.
     acc: Interval,
@@ -254,15 +247,15 @@ struct RowScan {
     lip_sum: f64,
 }
 
-/// Per-table-row facts, memoized while scanning an op's weight codes.
+/// Per-weight row facts, memoized while scanning an op's weight codes.
 #[derive(Clone, Copy)]
 struct RowInfo {
     /// Hull of the row over the input-book columns.
     hull: Interval,
-    /// Max |entry| over the input-book columns.
+    /// Max |product| over the input-book columns.
     mag: f64,
-    /// Max |Δentry| / Δbook over adjacent book columns (∞ when two
-    /// book entries collide at different table values).
+    /// Max |Δproduct| / Δbook over adjacent book columns (∞ when two
+    /// book entries collide at different products).
     lip: f64,
 }
 
@@ -300,15 +293,15 @@ impl<'p> QuantWalk<'p, '_> {
     }
 
     /// One op's verdict; `book` is the codebook its input is encoded
-    /// through — for a table op always one, since the checker refuses
-    /// a table op fed decoded floats (RNA0007).
+    /// through — for a neuron op always one, since the checker refuses
+    /// a neuron op fed decoded floats (RNA0007).
     fn step(&mut self, op: &Op, book: Option<Span>) -> OpQuant {
         let neuron = || op.neuron().expect("dense and conv ops are neurons");
-        let table_input = || book.expect("a clean table op reads codes");
+        let input_book = || book.expect("a clean neuron op reads codes");
         match op {
-            Op::Dense { .. } => self.dense(&neuron(), table_input()),
+            Op::Dense { .. } => self.dense(&neuron(), input_book()),
             Op::Conv { .. } => {
-                let (n, book) = (neuron(), table_input());
+                let (n, book) = (neuron(), input_book());
                 // Convolutions stay on f32; if upstream deviation
                 // exists it still propagates through the taps.
                 if self.err > 0.0 {
@@ -346,7 +339,7 @@ impl<'p> QuantWalk<'p, '_> {
     /// deviation propagates as well as the data allows (infinity when
     /// a LUT axis it must walk is not finite).
     fn dense(&mut self, n: &Neuron<'_>, book_span: Span) -> OpQuant {
-        let (inputs, table, act, encoder) = (n.window.patch_len(), &n.tables[0], n.act, &n.encoder);
+        let (inputs, act, encoder) = (n.window.patch_len(), n.act, &n.encoder);
         let fallback = |w: &mut Self, reason: FallbackReason| {
             if w.err > 0.0 {
                 // Bound the f32 fallback's own deviation when the data
@@ -377,20 +370,21 @@ impl<'p> QuantWalk<'p, '_> {
         };
         let enc_book = encoder.map(|e| self.floats(e));
 
-        // --- Row scan, then the factors. A non-finite row is named
-        // before any factoring: `factor_table` answers `None` for it too.
+        // --- Row scan, then the weights the codes reference.
         let Some(rows) = self.scan_rows(n, book) else {
             return fallback(self, FallbackReason::NonFinite);
         };
         let (acc, mag_bound, count) = (rows.acc, rows.mag_sum, inputs as f64);
-        let wcodes = n.weight_codes.slice(&self.program.codes);
-        let Some(wvals) = factor_table(&self.program.floats, table, book, wcodes) else {
-            return fallback(self, FallbackReason::NotFactored);
-        };
+        // A dense op has one weight book.
+        let weights = self.floats(n.weight_books[0]);
+        let mut wvals = vec![0.0f32; weights.len()];
+        for &c in n.weight_codes.slice(&self.program.codes) {
+            wvals[usize::from(c)] = weights[usize::from(c)];
+        }
 
         // --- Choose a fraction split with proven headroom.
         let lut_frac = self.lut_frac;
-        // A row no weight code references keeps its zero factor.
+        // An entry no weight code references keeps its zero level.
         let wmax = wvals
             .iter()
             .map(|v| f64::from(*v).abs())
@@ -472,45 +466,33 @@ impl<'p> QuantWalk<'p, '_> {
         }))
     }
 
-    /// Hull / magnitude / Lipschitz facts of one table row over the
-    /// input-book columns; `None` when an entry is not finite.
-    fn row_info(&self, table: &TableRef, row: usize, book: &[f32]) -> Option<RowInfo> {
-        let pool_f: &[f32] = &self.program.floats;
-        let row = &table.row(pool_f, row)[..book.len()];
-        let hull = Interval::of_slice(row)?;
-        let mag = hull.magnitude();
-        Some(RowInfo {
-            hull,
-            mag,
-            lip: slice_lip(book, row),
-        })
-    }
-
-    /// One pass over a neuron op's referenced rows along `book`, each
-    /// row's facts found once per table ([`Self::row_info`]); `None`
-    /// when a referenced row is not finite.
+    /// One pass over a neuron op's referenced weights along `book`,
+    /// each weight's row facts found once per weight book
+    /// ([`row_info`]); `None` when a referenced row is not finite.
     fn scan_rows(&self, n: &Neuron<'_>, book: &[f32]) -> Option<RowScan> {
         let wcodes = n.weight_codes.slice(&self.program.codes);
-        let bias = self.floats(n.bias);
-        let tables = n.tables.iter();
-        let mut seen: Vec<Vec<_>> = tables.map(|t| vec![None; t.weight_count]).collect();
+        let mut bias = self.floats(n.bias).iter();
         let (mut acc, mut mag_sum, mut row_mag, mut lip_sum) = (None, 0.0f64, 0.0f64, 0.0f64);
-        for (o, wrow) in wcodes.chunks_exact(n.window.patch_len()).enumerate() {
-            let (t, b) = (n.table_index(o), f64::from(bias[o]));
-            let (mut hull_o, mut mag_o, mut lip_o) = (Interval::point(b), b.abs(), 0.0);
-            for &c in wrow {
-                let c = usize::from(c);
-                let info = match seen[t][c] {
-                    Some(info) => info,
-                    None => *seen[t][c].insert(self.row_info(&n.tables[t], c, book)?),
-                };
-                hull_o = hull_o + info.hull;
-                mag_o += info.mag;
-                lip_o += info.lip;
-                row_mag = row_mag.max(info.mag);
+        for (span, codes) in n.readers(wcodes) {
+            let weights = self.floats(span);
+            let mut seen = vec![None; weights.len()];
+            for (wrow, &b) in codes.chunks_exact(n.window.patch_len()).zip(&mut bias) {
+                let b = f64::from(b);
+                let (mut hull_o, mut mag_o, mut lip_o) = (Interval::point(b), b.abs(), 0.0);
+                for &c in wrow {
+                    let c = usize::from(c);
+                    let info = match seen[c] {
+                        Some(info) => info,
+                        None => *seen[c].insert(row_info(weights[c], book)?),
+                    };
+                    hull_o = hull_o + info.hull;
+                    mag_o += info.mag;
+                    lip_o += info.lip;
+                    row_mag = row_mag.max(info.mag);
+                }
+                acc = Some(acc.map_or(hull_o, |a: Interval| a.hull(hull_o)));
+                (mag_sum, lip_sum) = (mag_sum.max(mag_o), lip_sum.max(lip_o));
             }
-            acc = Some(acc.map_or(hull_o, |a: Interval| a.hull(hull_o)));
-            (mag_sum, lip_sum) = (mag_sum.max(mag_o), lip_sum.max(lip_o));
         }
         Some(RowScan {
             acc: acc?,
@@ -582,7 +564,7 @@ fn half_gap(book: &[f32]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Max adjacent `|Δvalue| / Δkey` of a table row, or of a lookup's
+/// Max adjacent `|Δvalue| / Δkey` of a weight's row, or of a lookup's
 /// outputs, along its sorted key axis; `∞` when two equal keys map to
 /// different values. Telescoping over the sorted keys makes this a
 /// global Lipschitz constant.
@@ -598,65 +580,16 @@ fn slice_lip(keys: &[f32], vals: &[f32]) -> f64 {
     lip
 }
 
-/// Factors a product table back into per-weight-code multipliers.
-/// `ProductTable` stores the single-rounded product `w * x` of every
-/// (weight, input) representative pair, so with the input codebook in
-/// hand each row is `fl(w · book[x])` for one recoverable `w`
-/// (`factor_row`). On success `out[c] * book[x]` reproduces, bit for
-/// bit, every entry a code of `wcodes` can select — the licence to run
-/// the op as a multiply instead of a table gather; a row no code
-/// references keeps `0.0`. `None` when a referenced row is non-finite
-/// or not of this form (hand-built artifacts only).
-///
-/// # Panics
-///
-/// `table` is one product table of a neuron op ([`Op::neuron`]) of an
-/// analyzer-clean program, `wcodes` the weight codes of the output
-/// channels that read it, and `book` the codebook the op's input is
-/// encoded through ([`Program::flow`]), so the table lies in `floats`,
-/// each code names one of its rows and the book is finite and no wider
-/// than a row. Anything else may panic.
-pub fn factor_table(
-    floats: &[f32],
-    table: &TableRef,
-    book: &[f32],
-    wcodes: &[u16],
-) -> Option<Vec<f32>> {
-    let mut factors = vec![0.0f32; table.weight_count];
-    let mut seen = vec![false; table.weight_count];
-    for &c in wcodes {
-        let c = usize::from(c);
-        if !std::mem::replace(&mut seen[c], true) {
-            let row = &table.row(floats, c)[..book.len()];
-            if row.iter().any(|v| !v.is_finite()) {
-                return None;
-            }
-            factors[c] = factor_row(row, book)?;
-        }
-    }
-    Some(factors)
-}
-
-/// Recovers the factor `w` of one product-table row, verified bitwise
-/// over every book column: on success `fl(w · book[x])` reproduces
-/// each entry.
-fn factor_row(row: &[f32], book: &[f32]) -> Option<f32> {
-    'candidate: for (x0, &b0) in book.iter().enumerate() {
-        if b0 == 0.0 || !b0.is_finite() {
-            continue;
-        }
-        let cand = row[x0] / b0;
-        if !cand.is_finite() {
-            continue;
-        }
-        for (&bx, &rx) in book.iter().zip(row) {
-            if (cand * bx).to_bits() != rx.to_bits() {
-                continue 'candidate;
-            }
-        }
-        return Some(cand);
-    }
-    None
+/// Hull / magnitude / Lipschitz facts of weight `w`'s row: its products
+/// `fl(w · x)` over the input book; `None` when one is not finite.
+fn row_info(w: f32, book: &[f32]) -> Option<RowInfo> {
+    let row: Vec<f32> = book.iter().map(|&x| w * x).collect();
+    let hull = Interval::of_slice(&row)?;
+    Some(RowInfo {
+        hull,
+        mag: hull.magnitude(),
+        lip: slice_lip(book, &row),
+    })
 }
 
 #[cfg(test)]
@@ -664,18 +597,22 @@ mod tests {
     use super::*;
     use std::borrow::Cow;
 
-    /// Single factored dense layer: 2 inputs through a 4-entry book,
-    /// one output, relu, no encoder (mirrors the checker's `tiny`).
+    /// The input book the test programs encode through.
+    const BOOK: [f32; 4] = [-1.0, 0.0, 0.5, 2.0];
+
+    /// Single dense layer: 2 inputs through [`BOOK`], one output over
+    /// `weights`, relu, no encoder (mirrors the checker's `tiny`).
     fn tiny(weights: &[f32]) -> Program<'static> {
-        let book = [-1.0f32, 0.0, 0.5, 2.0];
-        let mut floats = book.to_vec();
-        let table_offset = floats.len();
-        for &w in weights {
-            for &b in &book {
-                floats.push(w * b);
-            }
-        }
-        let bias_offset = floats.len();
+        let mut floats = BOOK.to_vec();
+        let weight_book = Span {
+            start: floats.len(),
+            len: weights.len(),
+        };
+        floats.extend_from_slice(weights);
+        let bias = Span {
+            start: floats.len(),
+            len: 1,
+        };
         floats.push(0.125);
         Program {
             input_features: 2,
@@ -685,15 +622,8 @@ mod tests {
                 inputs: 2,
                 outputs: 1,
                 weight_codes: Span { start: 0, len: 2 },
-                bias: Span {
-                    start: bias_offset,
-                    len: 1,
-                },
-                table: TableRef {
-                    offset: table_offset,
-                    weight_count: weights.len(),
-                    input_count: 4,
-                },
+                bias,
+                weight_book,
                 act: Act::Relu,
                 encoder: None,
             }],
@@ -725,29 +655,6 @@ mod tests {
     }
 
     #[test]
-    fn unfactorable_table_falls_back_as_not_factored() {
-        // Corrupt one product so the row no longer factors.
-        let mut program = tiny(&[-0.5, 1.0]);
-        program.floats.to_mut()[4] += 0.001; // row 0, column 0
-        let plan = quantize_plan(&program);
-        assert_eq!(plan.ops[0], OpQuant::Fallback(FallbackReason::NotFactored));
-        assert_eq!(plan.output_error, 0.0);
-
-        // Downstream of a licensed op the f32 fallback still carries a
-        // finite bound (`fallback_acc_dev`) to the output.
-        let mut program = stacked();
-        let Op::Dense { table, .. } = &program.ops[1] else {
-            unreachable!("stacked is all dense");
-        };
-        let first_product = table.offset;
-        program.floats.to_mut()[first_product] += 0.001;
-        let plan = quantize_plan(&program);
-        assert!(plan.ops[0].is_licensed(), "{:?}", plan.ops[0]);
-        assert_eq!(plan.ops[1], OpQuant::Fallback(FallbackReason::NotFactored));
-        assert!(plan.output_error.is_finite() && plan.output_error > 0.0);
-    }
-
-    #[test]
     fn huge_values_fall_back() {
         let plan = quantize_plan(&tiny(&[1.0e9, 1.0]));
         assert_eq!(plan.licensed(), 0);
@@ -756,27 +663,28 @@ mod tests {
             OpQuant::Fallback(FallbackReason::ValueRangeTooWide)
         );
         assert_eq!(plan.output_error, 0.0);
-    }
 
-    /// `factor_table` answers `None` for a non-finite row and for one
-    /// that does not factor alike, so the plan names the non-finite row
-    /// first, whichever the weight codes reach first. (The checker
-    /// refuses a non-finite referenced row, RNA0011; the order is the
-    /// plan's own.)
-    #[test]
-    fn non_finite_row_is_named_before_an_unfactored_one() {
-        let mut program = tiny(&[-0.5, 1.0]);
-        program.floats.to_mut()[4] += 0.001; // row 0 no longer factors
-        program.floats.to_mut()[9] = f32::NAN; // row 1, reached second
+        // Downstream of a licensed op the f32 fallback still carries a
+        // finite bound (`fallback_acc_dev`) to the output.
+        let mut program = stacked();
+        let Op::Dense { weight_book, .. } = &program.ops[1] else {
+            unreachable!("stacked is all dense");
+        };
+        let first_weight = weight_book.start;
+        program.floats.to_mut()[first_weight] = 1.0e9;
         let plan = quantize_plan(&program);
-        assert_eq!(plan.ops[0], OpQuant::Fallback(FallbackReason::NonFinite));
+        assert!(plan.ops[0].is_licensed(), "{:?}", plan.ops[0]);
+        assert_eq!(
+            plan.ops[1],
+            OpQuant::Fallback(FallbackReason::ValueRangeTooWide)
+        );
+        assert!(plan.output_error.is_finite() && plan.output_error > 0.0);
     }
 
     #[test]
     fn broken_spans_never_panic() {
         // The plan trusts the checker, which refuses a span past its
-        // pool before any plan is asked for — and before serving
-        // factors a table (`tests/factor_table.rs`).
+        // pool before any plan is asked for.
         let mut program = tiny(&[-0.5, 1.0]);
         if let Op::Dense { weight_codes, .. } = &mut program.ops[0] {
             weight_codes.len = usize::MAX;
@@ -811,25 +719,16 @@ mod tests {
         assert!(op.error >= 2.0 * 0.75, "error {}", op.error);
     }
 
-    /// Two stacked factored dense layers, 2 → 2 → 1, the first
-    /// re-encoding through the input book.
+    /// Two stacked dense layers, 2 → 2 → 1, the first re-encoding
+    /// through the input book.
     fn stacked() -> Program<'static> {
-        let book = [-1.0f32, 0.0, 0.5, 2.0];
-        let mut floats = book.to_vec();
-        let t1 = floats.len();
-        for &w in &[-0.5f32, 1.0] {
-            for &b in &book {
-                floats.push(w * b);
-            }
-        }
+        let mut floats = BOOK.to_vec();
+        let w1 = floats.len();
+        floats.extend_from_slice(&[-0.5, 1.0]);
         let b1 = floats.len();
         floats.extend_from_slice(&[0.0, 0.0]);
-        let t2 = floats.len();
-        for &w in &[0.25f32, 0.75] {
-            for &b in &book {
-                floats.push(w * b);
-            }
-        }
+        let w2 = floats.len();
+        floats.extend_from_slice(&[0.25, 0.75]);
         let b2 = floats.len();
         floats.push(0.0);
         Program {
@@ -842,11 +741,7 @@ mod tests {
                     outputs: 2,
                     weight_codes: Span { start: 0, len: 4 },
                     bias: Span { start: b1, len: 2 },
-                    table: TableRef {
-                        offset: t1,
-                        weight_count: 2,
-                        input_count: 4,
-                    },
+                    weight_book: Span { start: w1, len: 2 },
                     act: Act::Relu,
                     encoder: Some(Span { start: 0, len: 4 }),
                 },
@@ -855,11 +750,7 @@ mod tests {
                     outputs: 1,
                     weight_codes: Span { start: 4, len: 2 },
                     bias: Span { start: b2, len: 1 },
-                    table: TableRef {
-                        offset: t2,
-                        weight_count: 2,
-                        input_count: 4,
-                    },
+                    weight_book: Span { start: w2, len: 2 },
                     act: Act::Identity,
                     encoder: None,
                 },
@@ -887,17 +778,20 @@ mod tests {
     }
 
     /// A convolution stays on f32 but carries the upstream deviation
-    /// through its taps: fan-in times the table's Lipschitz constant
-    /// along the book (here `2 · book`, so 2).
+    /// through its taps: fan-in times its products' Lipschitz constant
+    /// along the book (here one weight of 2, so 2).
     #[test]
     fn conv_downstream_of_license_propagates_through_its_taps() {
         use crate::program::Geom;
         let mut program = tiny(&[-0.5, 1.0]);
+        let Op::Dense { bias, .. } = program.ops[0] else {
+            unreachable!("tiny is one dense op");
+        };
         if let Op::Dense { encoder, .. } = &mut program.ops[0] {
             *encoder = Some(Span { start: 0, len: 4 });
         }
-        let offset = program.floats.len();
-        program.floats.to_mut().extend([-2.0, 0.0, 1.0, 4.0]);
+        let start = program.floats.len();
+        program.floats.to_mut().push(2.0);
         program.ops.push(Op::Conv {
             geom: Geom {
                 in_channels: 1,
@@ -912,12 +806,8 @@ mod tests {
             },
             out_channels: 1,
             weight_codes: Span { start: 0, len: 1 },
-            bias: Span { start: 12, len: 1 },
-            tables: vec![TableRef {
-                offset,
-                weight_count: 1,
-                input_count: 4,
-            }],
+            bias,
+            weight_books: vec![Span { start, len: 1 }],
             zero_code: 0,
             act: Act::Identity,
             encoder: None,

@@ -38,9 +38,9 @@ fn reinterpreted(seed: u64) -> ReinterpretedNetwork {
     ReinterpretedNetwork::build(&mut net, data.inputs(), &options, &mut rng).unwrap()
 }
 
-/// `compiled_model(seed)` padded with `extra` provably dead product-
-/// table rows per dense table: semantically identical and strictly
-/// larger on the wire, so it must serve `compiled_model(seed)`'s bits.
+/// `compiled_model(seed)` padded with `extra` provably dead entries per
+/// weight book: semantically identical and strictly larger on the wire,
+/// so it must serve `compiled_model(seed)`'s bits.
 pub fn dead_padded_model(seed: u64, extra: usize) -> CompiledModel {
     let net = reinterpreted(seed);
     let program = rapidnn_analyze::Program::from_reinterpreted(&net);

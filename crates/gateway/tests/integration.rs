@@ -246,10 +246,10 @@ fn rejected_artifacts_leave_the_old_model_serving() {
     );
 
     // An artifact stamped with a format version this build does not
-    // read — the retired v1 or one from the future: a *distinct* 422
-    // telling the operator about the skew, not the generic
+    // read — the retired v1 and v2 or one from the future: a *distinct*
+    // 422 telling the operator about the skew, not the generic
     // corrupt-bytes lint report.
-    for version in [1, rapidnn_serve::FORMAT_VERSION + 1] {
+    for version in [1, 2, rapidnn_serve::FORMAT_VERSION + 1] {
         let mut skewed = model.to_bytes();
         skewed[4..8].copy_from_slice(&version.to_le_bytes());
         let versioned = request(addr, "PUT", "/models/m", None, &skewed).unwrap();

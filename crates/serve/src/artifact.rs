@@ -2,7 +2,7 @@
 //!
 //! [`CompiledModel`] is a gated [`Program`] — the analyzer's IR: two
 //! contiguous pools (`floats`, `codes`) holding a [`ReinterpretedNetwork`]'s
-//! codebooks, product tables, LUTs and weight codes, plus the linear op
+//! codebooks (its weight books among them), LUTs and weight codes, plus the linear op
 //! program the kernels execute as it is — and what is derived from it
 //! once, after the gate: the input encoder's search tables, one kernel
 //! per op, each lookup or re-encode tabulated as its runs and the flow
@@ -24,7 +24,7 @@
 //! analyzer proves every span, weight code, code domain and geometry in
 //! bounds, so what [`CompiledModel::assemble`] derives needs no guard,
 //! [`CompiledModel::infer`] never panics on a model that exists, and the
-//! kernels index with plain bounds-checked slices — no per-gather clamp.
+//! kernels index with plain bounds-checked slices — no per-lookup clamp.
 //! Corrupt bytes surface earlier, as typed
 //! [`ArtifactError`](crate::ArtifactError)s.
 //!
@@ -42,7 +42,7 @@ use crate::kernels::{lower, BatchRunner, Domain, FlowState, Kernel};
 use crate::wire;
 use rapidnn_analyze::{Act, Boundary, Op, OpQuant, Program, QuantPlan};
 #[cfg(test)]
-use rapidnn_analyze::{Geom, Span, TableRef};
+use rapidnn_analyze::{Geom, Span};
 use rapidnn_core::nearest::{load_keys, nearest, tabulate_thresholds};
 use rapidnn_core::ReinterpretedNetwork;
 use std::borrow::Cow;
@@ -55,15 +55,15 @@ pub use crate::wire::{FORMAT_VERSION, MAGIC};
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledModel {
     /// The program the construction gate passed, as built or decoded:
-    /// all f32 data (codebooks, product tables, LUTs, biases), every
+    /// all f32 data (codebooks, weight books, LUTs, biases), every
     /// weight code as one `u16` (the wire's bit packing ends in
     /// `wire::decode`), and the ops.
     pub(crate) program: Program<'static>,
     /// The virtual input codebook's search tables, built once by
     /// [`CompiledModel::assemble`] so no batch pays for them.
     pub(crate) input_enc: InputEncoder,
-    /// The kernel each op runs on: chosen by [`CompiledModel::assemble`]
-    /// from what its table allows, and overwritten by
+    /// The kernel each op runs on: lowered by [`CompiledModel::assemble`]
+    /// from the op's kind, and overwritten by
     /// [`CompiledModel::quantize`] for every op the plan licenses.
     pub(crate) kernels: Vec<Kernel>,
     /// Each op's activation lookup and re-encode as one step function
@@ -108,7 +108,7 @@ impl InputEncoder {
 impl CompiledModel {
     /// The one place a model is put together, over a program the gate
     /// passed: the input encoder and every finish tabulated and every op
-    /// lowered to the kernel its table allows ([`lower`]), f32 only.
+    /// lowered to its `f32` kernel ([`lower`]).
     fn assemble(program: Program<'static>) -> CompiledModel {
         let kernels = lower(&program);
         Self::with_kernels(program, kernels)
@@ -164,13 +164,12 @@ impl CompiledModel {
         self.program.input_features
     }
 
-    /// A model over `program` that no gate has seen, deriving no kernel
-    /// — every op runs its table — so a deliberately inconsistent
-    /// program panics at inference, inside the engine's containment.
+    /// A model over `program` that no gate has seen, so a deliberately
+    /// inconsistent program panics at inference, inside the engine's
+    /// containment (or, with a weight code past its book, here).
     #[cfg(test)]
     pub(crate) fn ungated_for_tests(program: Program<'static>) -> CompiledModel {
-        let kernels = vec![Kernel::Table; program.ops.len()];
-        Self::with_kernels(program, kernels)
+        Self::assemble(program)
     }
 
     /// Mnist-tiny's topology (784 → 32 → 32 → 10), untrained, composed
@@ -209,29 +208,21 @@ impl CompiledModel {
     /// for exercising the kernels and the engine without composing a
     /// network: every interior layer re-encodes through the shared
     /// 4-entry codebook, the last decodes. All layers alias the same
-    /// table/bias/weight spans, so the program stays a few dozen floats.
+    /// weight-book/bias/weight spans, so the program stays a dozen floats.
     #[cfg(test)]
     pub(crate) fn deep_program_for_tests(layers: usize) -> Program<'static> {
         let book = Span { start: 0, len: 4 };
-        let table = TableRef {
-            offset: 4,
-            weight_count: 2,
-            input_count: 4,
-        };
-        let bias = Span { start: 12, len: 4 };
+        let weight_book = Span { start: 4, len: 2 };
+        let bias = Span { start: 6, len: 4 };
         let weight_codes = Span { start: 0, len: 16 };
-        let mut floats = vec![-1.0f32, -0.25, 0.5, 1.0];
-        for &w in &[0.5f32, -1.0] {
-            floats.extend([-1.0f32, -0.25, 0.5, 1.0].iter().map(|x| w * x));
-        }
-        floats.extend([0.01, 0.02, 0.03, 0.04]);
+        let floats = vec![-1.0f32, -0.25, 0.5, 1.0, 0.5, -1.0, 0.01, 0.02, 0.03, 0.04];
         let ops = (0..layers.max(1))
             .map(|l| Op::Dense {
                 inputs: 4,
                 outputs: 4,
                 weight_codes,
                 bias,
-                table,
+                weight_book,
                 act: Act::Relu,
                 encoder: (l + 1 < layers.max(1)).then_some(book),
             })
@@ -255,43 +246,33 @@ impl CompiledModel {
     }
 
     /// [`deep_for_tests`](Self::deep_for_tests) quantized into a mixed
-    /// plan: op `refused` multiplies through a table too wide for `i16`,
-    /// op `gathered` through one that does not factor, and both stay on
-    /// the f32 path reading codes; every other op licenses as an
-    /// integer multiply-accumulate reading `i16` operands.
+    /// plan: op `refused` multiplies through a weight book too wide for
+    /// `i16` and stays on the f32 path reading codes; every other op
+    /// licenses as an integer multiply-accumulate reading `i16`
+    /// operands.
     #[cfg(test)]
-    pub(crate) fn deep_mixed_for_tests(
-        layers: usize,
-        refused: usize,
-        gathered: usize,
-    ) -> CompiledModel {
+    pub(crate) fn deep_mixed_for_tests(layers: usize, refused: usize) -> CompiledModel {
         let mut program = Self::deep_program_for_tests(layers);
         let floats = program.floats.to_mut();
-        let mut add_table = |weights: [f32; 2], nudge: f32| {
-            let offset = floats.len();
-            for w in weights {
-                floats.extend([-1.0f32, -0.25, 0.5, 1.0].iter().map(|x| w * x));
-            }
-            floats[offset] += nudge;
-            offset
+        let wide = Span {
+            start: floats.len(),
+            len: 2,
         };
-        let (wide, unfactored) = (
-            add_table([1.0e6, -1.0e6], 0.0),
-            add_table([0.5, -1.0], 0.001),
-        );
-        for (oi, offset) in [(refused, wide), (gathered, unfactored)] {
-            let Op::Dense { table, .. } = &mut program.ops[oi] else {
-                unreachable!("the deep chain is all dense");
-            };
-            table.offset = offset;
-        }
+        floats.extend([1.0e6f32, -1.0e6]);
+        let Op::Dense { weight_book, .. } = &mut program.ops[refused] else {
+            unreachable!("the deep chain is all dense");
+        };
+        *weight_book = wide;
         let mut model =
             CompiledModel::from_program(&program).expect("the mixed chain analyzes clean");
         model.quantize().expect("quantize is infallible");
         for oi in 0..layers {
-            let licensed = oi != refused && oi != gathered;
             let plan = model.quant_plan();
-            assert_eq!(model.quant_op(oi).is_some(), licensed, "op {oi}: {plan:?}");
+            assert_eq!(
+                model.quant_op(oi).is_some(),
+                oi != refused,
+                "op {oi}: {plan:?}"
+            );
         }
         model
     }
@@ -383,7 +364,7 @@ impl CompiledModel {
     // Serialization
     // ------------------------------------------------------------------
 
-    /// Serializes the model in the current (v2) format (the crate's
+    /// Serializes the model in the current (v3) format (the crate's
     /// `wire` module): `RNNA` magic, format version, payload length,
     /// payload, FNV-1a 64 checksum — all little-endian. The payload
     /// carries the float pool as raw LE `f32` bytes at an 8-aligned
@@ -447,7 +428,7 @@ impl CompiledModel {
 
     /// Builds a model from the analyzer's program IR after the analyzer
     /// has passed it, over its own copy of the pools. Writing the model
-    /// back out packs v2 code sections at the width its tables imply.
+    /// back out packs code sections at the width its weight books imply.
     ///
     /// # Errors
     ///
@@ -538,7 +519,7 @@ impl CompiledModel {
     }
 
     /// Which kernels serve this model: `"f32"` (no quantization, or
-    /// nothing licensed), `"int16"` (every table op licensed), or
+    /// nothing licensed), `"int16"` (every neuron op licensed), or
     /// `"mixed"`.
     pub fn kernel_path(&self) -> &'static str {
         match &self.quant_plan {
@@ -607,7 +588,7 @@ mod tests {
         let mnist = CompiledModel::mnist_tiny_for_tests(5);
         let reload = |m: &CompiledModel| CompiledModel::from_bytes(&m.to_bytes()).unwrap();
         // Bytes carry no quantization: the mixed chain reloads as f32.
-        let mixed = reload(&CompiledModel::deep_mixed_for_tests(5, 1, 3));
+        let mixed = reload(&CompiledModel::deep_mixed_for_tests(5, 1));
         for (name, mut model) in [("mnist-tiny", mnist), ("deep-mixed", mixed)] {
             let mut reloaded = reload(&model);
             assert_eq!(reloaded, model, "{name}");

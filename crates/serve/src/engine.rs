@@ -601,6 +601,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::artifact::CompiledModel;
+    use crate::kernels::Kernel;
 
     /// A panicking `infer` must fail only that request: the worker stays
     /// alive, later requests are still answered, and shutdown drains.
@@ -627,14 +628,13 @@ mod tests {
     /// either worker — are answered bit for bit.
     #[test]
     fn replica_panic_fails_only_its_own_batch() {
-        let mut program = CompiledModel::deep_program_for_tests(1);
-        let rapidnn_analyze::Op::Dense { table, .. } = &mut program.ops[0] else {
-            unreachable!("the deep chain is all dense");
+        let mut model = CompiledModel::ungated_for_tests(CompiledModel::deep_program_for_tests(1));
+        let Kernel::Mul(mul) = &mut model.kernels[0] else {
+            unreachable!("the deep chain's one op multiplies in f32");
         };
-        // Weight code 1 × input code 3 now reads one past the pool: a
-        // row with a feature near 1.0 panics, the others serve.
-        table.offset = 9;
-        let model = CompiledModel::ungated_for_tests(program);
+        // Its input now decodes through a 3-entry book: a row with a
+        // feature near 1.0 (code 3) panics, the others serve.
+        mul.book.len = 3;
         let (good, bad) = (vec![-1.0, -0.25, 0.5, -1.0], vec![-1.0, -0.25, 0.5, 1.0]);
         let expected = model.infer(&good).unwrap();
         let engine = Engine::start(

@@ -322,11 +322,7 @@ mod tests {
     fn repeated_entries() -> CompiledModel {
         let mut program = CompiledModel::deep_program_for_tests(3);
         let floats = program.floats.to_mut();
-        let book = [-1.0f32, 0.5, 0.5, 1.0];
-        floats.splice(
-            ..12,
-            [book, book.map(|b| 0.5 * b), book.map(|b| -b)].concat(),
-        );
+        floats[..4].copy_from_slice(&[-1.0, 0.5, 0.5, 1.0]);
         let (span, at) = (|start| Span { start, len: 5 }, floats.len());
         floats.extend([-1.0, 0.0, 0.0, 1.0, 2.0, 0.5, 0.9, 0.9, -0.9, 0.5]);
         let (inputs, outputs) = (span(at), span(at + 5));

@@ -18,20 +18,18 @@
 //! decoded (`f32`). A dense op and a conv are one kind of op here, a
 //! neuron over a receptive field ([`Neuron`]): a dense op's window is
 //! 1×1 over its inputs, so its one output position per row is the row.
-//! A neuron op that multiplies runs [`dense_block`] over blocks of
-//! [`LANES`] output positions — rows of a dense op, (row, pixel) pairs
-//! of a conv — whose decoded patches lie in one tap-major tile
-//! ([`row_blocks`], [`patches`]), then one lane per position left over.
-//! A block's accumulators live in a local array (registers) and the tap
-//! loop runs innermost, so the serial `acc += w * x` chain of
-//! single-sample inference becomes [`LANES`] independent chains the CPU
-//! overlaps (a one-row conv fills them with pixels), and one weight row
-//! serves the whole block while its patches stay L1-resident. An op
-//! whose tables do not factor gathers one position at a time
-//! ([`lone`]), indexing its table with the code as it is: the analyzer
-//! proved every code in range, and the slice bounds check turns a hole
-//! in that proof into a panic the engine's workers contain
-//! (`ServeError::WorkerPanic`), never UB.
+//! An `f32` neuron op runs [`dense_block`] over blocks of [`LANES`]
+//! output positions — rows of a dense op, (row, pixel) pairs of a conv —
+//! whose decoded patches lie in one tap-major tile ([`row_blocks`],
+//! [`patches`]), then one lane per position left over. A block's
+//! accumulators live in a local array (registers) and the tap loop runs
+//! innermost, so the serial `acc += w * x` chain of single-sample
+//! inference becomes [`LANES`] independent chains the CPU overlaps (a
+//! one-row conv fills them with pixels), and one weight row serves the
+//! whole block while its patches stay L1-resident. Codes index their
+//! books as they are: the analyzer proved every code in range, and the
+//! slice bounds check turns a hole in that proof into a panic the
+//! engine's workers contain (`ServeError::WorkerPanic`), never UB.
 //!
 //! Pools and residual joins run as plain batched loops. Every
 //! activation lookup and re-encode is the op's tabulated [`Finish`],
@@ -44,13 +42,12 @@
 //! nothing the model fixes. An op the analyzer licensed
 //! ([`CompiledModel::quantize`]) runs the one integer kernel, the
 //! `i16 × i16 → i32` multiply-accumulate tile ([`madd_tile`]). Every
-//! other neuron op runs in `f32`, on one kernel at every batch size:
-//! the multiply when each of its tables factors back into
-//! `fl(w · book[x])`, as every table the composer builds does ([`lower`]
-//! decodes its weight matrix when the model is assembled), else the
-//! table gather over its weight codes in the model's pool (an op
-//! refused as `FallbackReason::NotFactored` serves here). Every other
-//! op is its pool or residual step.
+//! other neuron op runs in `f32`, on one kernel at every batch size: the
+//! multiply `fl(w · book[x])` of its weight book's values and its input
+//! book's — the entry the paper's `w × u` product table holds, as
+//! `rapidnn_core::ProductTable` builds it — over the weight matrix
+//! [`lower`] decodes when the model is assembled. Every other op is its
+//! pool or residual step.
 //!
 //! The executor — input encoder, op loop and every kernel — runs on the
 //! lane body [`lanes::run`] picks for the CPU; on an AVX2 CPU the
@@ -81,11 +78,10 @@ use crate::error::{Result, ServeError};
 use crate::finish::{run_of, Finish, LutOut};
 use crate::lanes::{self, Acc, LaneWork};
 use crate::quant::{level_of, QuantOp};
-use rapidnn_analyze::{factor_table, Act, Boundary, Geom, Neuron, Op, Program, Span};
+use rapidnn_analyze::{Act, Boundary, Geom, Neuron, Op, Program, Span};
 use rapidnn_core::nearest::{
     nearest_sorted_block, nearest_thresholded_block, nearest_thresholded_levels, total_key,
 };
-use std::ops::Mul;
 
 /// Domain of the data currently flowing between ops.
 ///
@@ -212,8 +208,6 @@ pub struct BatchRunner {
     /// Arena of residual-skip snapshots, indexed by nesting depth.
     /// Entries are reused across batches; only `0..depth` are live.
     skips: Vec<Vec<f32>>,
-    /// One patch of codes, for the table gather ([`lone`]).
-    tile: Vec<u16>,
     /// Decoded lane-group tile for the f32 multiply: a block of rows
     /// transposed plus a conv's patch ([`row_blocks`]), or a smaller
     /// batch's patches ([`patches`]).
@@ -265,8 +259,7 @@ impl BatchRunner {
     /// for batches of `max_rows` samples.
     pub fn reserve(&mut self, model: &CompiledModel, max_rows: usize) {
         let plan = plan(model);
-        self.tile.reserve(plan.max_tile);
-        self.tile_f.reserve(plan.max_tile_f.saturating_mul(LANES));
+        self.tile_f.reserve(plan.max_groups.saturating_mul(LANES));
         let rows = |width: usize| max_rows.saturating_mul(width);
         self.flow.codes.reserve(rows(plan.max_codes));
         self.flow.codes_next.reserve(rows(plan.max_codes));
@@ -301,7 +294,6 @@ impl BatchRunner {
                 .iter()
                 .map(|s| s.capacity() * size_of::<f32>())
                 .sum::<usize>()
-            + self.tile.capacity() * size_of::<u16>()
             + self.tile_f.capacity() * size_of::<f32>()
     }
 
@@ -432,7 +424,6 @@ impl BatchRunner {
         let BatchRunner {
             flow,
             skips,
-            tile,
             tile_f,
         } = self;
         let program = &model.program;
@@ -460,10 +451,10 @@ impl BatchRunner {
                             flow.advance(next);
                             continue;
                         }
-                        Kernel::Mul(mul) => Some(mul),
-                        Kernel::Table => None,
+                        Kernel::Mul(mul) => mul,
+                        Kernel::Step => unreachable!("a neuron op reading codes multiplies"),
                     };
-                    neuron_rows(pool_f, &program.codes, &n, mul, flow, tile, tile_f, padded);
+                    neuron_rows(pool_f, &n, mul, flow, tile_f, padded);
                     match finish {
                         Some(f) => refinish(f, relu, flow),
                         // Identity or ReLU with nothing after it.
@@ -593,12 +584,10 @@ struct Plan {
     /// Deepest residual nesting, and the widest flow snapshotted.
     skip_depth: usize,
     max_skip: usize,
-    /// Longest patch of codes a table gather copies out ([`lone`]).
-    max_tile: usize,
     /// Most [`LANES`]-lane groups the f32 multiply's decoded tile holds:
     /// a block of rows transposed plus a conv's patch, which also covers
     /// the patches a smaller batch takes.
-    max_tile_f: usize,
+    max_groups: usize,
 }
 
 /// Collects the scratch arena's high-water marks from the model's flow
@@ -607,8 +596,7 @@ struct Plan {
 ///
 /// No op reserves anything for its weights — codes, decoded matrix
 /// and integer tiles all live in the model — so the arena is flow
-/// buffers plus one block tile and one patch, and does not grow with
-/// the code pool.
+/// buffers plus one block tile, and does not grow with the code pool.
 /// Quantized models reserve less still: an analyzer-licensed dense op
 /// writes its finish straight into the next op's flow buffer, so it
 /// contributes no tile or accumulator capacity — nothing at all,
@@ -634,15 +622,14 @@ fn plan(model: &CompiledModel) -> Plan {
             Op::Dense { .. } | Op::Conv { .. } => {
                 let n = op.neuron().expect("dense and conv ops are neurons");
                 // The multiply's rows decoded and transposed, plus a
-                // conv's patch; the gather's one patch; a licensed op
-                // reads its rows in place, its weights from its tiles.
-                let (g, patch_len) = (&n.window, n.window.patch_len());
-                let groups = g.in_volume() + if covers_input(g) { 0 } else { patch_len };
-                match kernel {
-                    Kernel::Madd(_) => continue,
-                    Kernel::Mul(_) => p.max_tile_f = p.max_tile_f.max(groups),
-                    Kernel::Table => p.max_tile = p.max_tile.max(patch_len),
+                // conv's patch; a licensed op reads its rows in place,
+                // its weights from its tiles.
+                if let Kernel::Madd(_) = kernel {
+                    continue;
                 }
+                let g = &n.window;
+                let groups = g.in_volume() + if covers_input(g) { 0 } else { g.patch_len() };
+                p.max_groups = p.max_groups.max(groups);
                 p.max_floats = p.max_floats.max(nout);
             }
             // The averages of a pool over codes, before its re-encode.
@@ -654,23 +641,19 @@ fn plan(model: &CompiledModel) -> Plan {
     p
 }
 
-/// One neuron op's raw accumulators over the padded batch, into the
-/// flow's `floats_next`, on the kernel the op holds. The multiply makes
-/// every output position — a row of a dense op, a (row, pixel) pair of
-/// a conv — one lane of [`dense_block`]: [`LANES`] rows at one pixel in
-/// a batch of whole blocks ([`row_blocks`]), else positions pixel-major
-/// (a one-row conv fills its blocks with pixels, [`patches`]) and one
-/// lane per position left over. An op whose tables do not factor
-/// gathers one position's patch at a time ([`lone`]).
-#[allow(clippy::too_many_arguments)]
+/// One `f32` neuron op's raw accumulators over the padded batch, into
+/// the flow's `floats_next`. The multiply makes every output position —
+/// a row of a dense op, a (row, pixel) pair of a conv — one lane of
+/// [`dense_block`]: [`LANES`] rows at one pixel in a batch of whole
+/// blocks ([`row_blocks`]), else positions pixel-major (a one-row conv
+/// fills its blocks with pixels, [`patches`]) and one lane per position
+/// left over.
 #[inline(always)]
 fn neuron_rows(
     pool_f: &[f32],
-    pool_c: &[u16],
     n: &Neuron<'_>,
-    mul: Option<&DenseMul>,
+    mul: &DenseMul,
     flow: &mut Flow,
-    tile: &mut Vec<u16>,
     tile_f: &mut Vec<f32>,
     padded: usize,
 ) {
@@ -681,52 +664,28 @@ fn neuron_rows(
     refill(dst, padded * nout);
     let positions = padded * pixels;
     let at = |q: usize| (q % padded) * nout + q / padded;
-    if let Some(mul) = mul {
-        let book = mul.book.slice(pool_f);
-        let decode = |x: u16| book[usize::from(x)];
-        let ws = &mul.weights[..];
-        if padded >= LANES {
-            row_blocks(g, &codes[..padded * in_vol], z, tile_f, decode, ws, b, dst);
-            return;
-        }
-        let blocks = positions - positions % LANES;
-        refill(tile_f, patch_len * if blocks > 0 { LANES } else { 1 });
-        for q in (0..blocks).step_by(LANES) {
-            patches::<LANES, _>(g, codes, z, padded, q, tile_f, decode);
-            let (xs, lanes) = (
-                tile_f.as_chunks::<LANES>().0,
-                std::array::from_fn(|l| at(q + l)),
-            );
-            dense_block(ws, b, xs, dst, lanes, pixels, |_| f32::mul);
-        }
-        for q in blocks..positions {
-            let xs = &mut tile_f[..patch_len];
-            patches::<1, _>(g, codes, z, padded, q, xs, decode);
-            dense_block(ws, b, xs.as_chunks().0, dst, [at(q)], pixels, |_| f32::mul);
-        }
+    let book = mul.book.slice(pool_f);
+    let decode = |x: u16| book[usize::from(x)];
+    let ws = &mul.weights[..];
+    if padded >= LANES {
+        row_blocks(g, &codes[..padded * in_vol], z, tile_f, decode, ws, b, dst);
         return;
     }
-    let wcodes = n.weight_codes.slice(pool_c);
-    refill(tile, patch_len);
-    for q in 0..positions {
-        patches::<1, _>(g, codes, z, padded, q, tile, |x| x);
-        lone(pool_f, n, wcodes, tile, dst, at(q));
+    let blocks = positions - positions % LANES;
+    refill(tile_f, patch_len * if blocks > 0 { LANES } else { 1 });
+    for q in (0..blocks).step_by(LANES) {
+        patches::<LANES, _>(g, codes, z, padded, q, tile_f, decode);
+        let (xs, lanes) = (
+            tile_f.as_chunks::<LANES>().0,
+            std::array::from_fn(|l| at(q + l)),
+        );
+        dense_block(ws, b, xs, dst, lanes, pixels);
     }
-}
-
-/// [`dense_block`] at one lane over a position's patch of input codes,
-/// each product fetched from the op's table in the pool. Kept out of
-/// the executor's frame: inlined there, the one-lane loop reloaded its
-/// pointers from the stack on every tap (a one-row 784 → 512 op on a
-/// 2-core AVX2 Xeon: 420 µs against 340).
-#[inline(never)]
-fn lone(pool_f: &[f32], n: &Neuron<'_>, wcodes: &[u16], xs: &[u16], dst: &mut [f32], at: usize) {
-    let (b, stride) = (n.bias.slice(pool_f), n.window.out_pixels());
-    let gather = |o| {
-        let t = n.table(o);
-        move |w: u16, x: u16| t.fetch(pool_f, usize::from(w), usize::from(x))
-    };
-    dense_block(wcodes, b, xs.as_chunks().0, dst, [at], stride, gather);
+    for q in blocks..positions {
+        let xs = &mut tile_f[..patch_len];
+        patches::<1, _>(g, codes, z, padded, q, xs, decode);
+        dense_block(ws, b, xs.as_chunks().0, dst, [at(q)], pixels);
+    }
 }
 
 /// Whether the window is the whole input, so its one patch is the row.
@@ -766,12 +725,12 @@ fn row_blocks(
         }
         let at = |p| std::array::from_fn(|l| (gi * LANES + l) * nout + p);
         if whole {
-            dense_block(weights, bias, rows, dst, at(0), pixels, |_| f32::mul);
+            dense_block(weights, bias, rows, dst, at(0), pixels);
             continue;
         }
         for p in 0..pixels {
             taps(g, p, |k, i| patch[k] = i.map_or(pad, |i| rows[i]));
-            dense_block(weights, bias, patch, dst, at(p), pixels, |_| f32::mul);
+            dense_block(weights, bias, patch, dst, at(p), pixels);
         }
     }
 }
@@ -823,39 +782,36 @@ fn taps(g: &Geom, p: usize, mut visit: impl FnMut(usize, Option<usize>)) {
 }
 
 /// One block of `L` output positions of a neuron op, read from a
-/// tap-major `tile` ([`patches`]: one `L`-lane group per tap). For each
-/// output channel `o`, `L` accumulators start at its bias and add
-/// `row(o)(w, x)`, the product of weight `w` and a lane's input `x`,
-/// over its weights in ascending order — the order per-sample inference
-/// adds in — and lane `l`'s sum lands at `dst[at[l] + o * stride]`. They
-/// live in a local array while the weight loop runs innermost, so the
-/// block's add chains are independent and one weight serves every
-/// lane; [`OBLOCK`] outputs share each pass over the tile, an odd last
-/// output takes it alone. `row(o)` is the multiply by a decoded weight
-/// ([`DenseMul`]) — a pure mul-add stream the compiler turns into packed
-/// arithmetic — or, at one lane, channel `o`'s table gather ([`lone`]).
+/// tap-major `tile` of decoded inputs ([`patches`]: one `L`-lane group
+/// per tap). For each output channel `o`, `L` accumulators start at its
+/// bias and add `w * x`, its weight times a lane's input, over its
+/// weights in ascending order — the order per-sample inference adds in —
+/// and lane `l`'s sum lands at `dst[at[l] + o * stride]`. They live in a
+/// local array while the weight loop runs innermost, so the block's add
+/// chains are independent and one weight serves every lane — a pure
+/// mul-add stream the compiler turns into packed arithmetic; [`OBLOCK`]
+/// outputs share each pass over the tile, an odd last output takes it
+/// alone.
 #[inline(always)]
-fn dense_block<const L: usize, W: Copy, X: Copy, F: Fn(W, X) -> f32>(
-    weights: &[W],
+fn dense_block<const L: usize>(
+    weights: &[f32],
     bias: &[f32],
-    tile: &[[X; L]],
+    tile: &[[f32; L]],
     dst: &mut [f32],
     at: [usize; L],
     stride: usize,
-    row: impl Fn(usize) -> F,
 ) {
     let (nin, nout) = (tile.len(), bias.len());
     let mut o = 0usize;
     while o + OBLOCK <= nout {
-        let (ra, rb) = (row(o), row(o + 1));
         let w0 = &weights[o * nin..(o + 1) * nin];
         let w1 = &weights[(o + 1) * nin..(o + 2) * nin];
         let mut acc0 = [bias[o]; L];
         let mut acc1 = [bias[o + 1]; L];
         for ((xs, &wa), &wb) in tile.iter().zip(w0).zip(w1) {
             for l in 0..L {
-                acc0[l] += ra(wa, xs[l]);
-                acc1[l] += rb(wb, xs[l]);
+                acc0[l] += wa * xs[l];
+                acc1[l] += wb * xs[l];
             }
         }
         for l in 0..L {
@@ -865,11 +821,10 @@ fn dense_block<const L: usize, W: Copy, X: Copy, F: Fn(W, X) -> f32>(
         o += OBLOCK;
     }
     while o < nout {
-        let r = row(o);
         let mut acc = [bias[o]; L];
         for (xs, &w) in tile.iter().zip(&weights[o * nin..(o + 1) * nin]) {
             for (a, &x) in acc.iter_mut().zip(xs) {
-                *a += r(w, x);
+                *a += w * x;
             }
         }
         for (l, &a) in acc.iter().enumerate() {
@@ -879,50 +834,45 @@ fn dense_block<const L: usize, W: Copy, X: Copy, F: Fn(W, X) -> f32>(
     }
 }
 
-/// A neuron op lowered to the `f32` multiply kernel: each of its tables
-/// is `fl(w · book[x])` ([`factor_table`] verified every product a
-/// weight code can select, bitwise), so `weights[j] * book[x]` is the
-/// entry the gather would have loaded.
+/// A neuron op lowered to the `f32` multiply kernel: `weights[j] *
+/// book[x]` is `fl(w · x)`, the product the paper's table holds for
+/// weight code `j`'s value and input code `x`'s.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DenseMul {
     /// Codebook the op's input codes decode through.
     pub(crate) book: Span,
     /// The decoded `channels × patch_len` weight matrix [`dense_block`]
-    /// streams through: each weight code's recovered factor.
+    /// streams through: each weight code's value in its channel's book.
     pub(crate) weights: Vec<f32>,
 }
 
 /// The kernel one op runs on.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Kernel {
-    /// The op as the program states it: the table gather for a dense or
-    /// conv op, the step itself for a pool or a residual op.
-    Table,
-    /// A neuron op whose every table factors: the `f32` multiply.
+    /// A pool or residual op: the step itself.
+    Step,
+    /// An `f32` neuron op: the multiply.
     Mul(DenseMul),
     /// An analyzer-licensed dense op: the `i16` multiply-accumulate,
     /// materialized by [`CompiledModel::quantize`].
     Madd(QuantOp),
 }
 
-/// Lowers every op of a gated program to its `f32` kernel: the
-/// multiply for a neuron op whose every table factors over the codebook
-/// its input is encoded through ([`Program::flow`]), the table for
-/// every other op.
+/// Lowers every op of a gated program to its `f32` kernel: the multiply
+/// for a neuron op, over its weight books decoded and the codebook its
+/// input is encoded through ([`Program::flow`]), the step for every
+/// other op.
 pub(crate) fn lower(program: &Program<'_>) -> Vec<Kernel> {
     let (pool, codes) = (&program.floats[..], &program.codes[..]);
     let lower = |(op, at): (&Op, &Boundary)| {
         let (Some(n), Some(book)) = (op.neuron(), at.book) else {
-            return Kernel::Table;
+            return Kernel::Step;
         };
         let wcodes = n.weight_codes.slice(codes);
         let mut weights = Vec::with_capacity(wcodes.len());
-        let readers = wcodes.chunks(n.group * n.window.patch_len());
-        for (table, wcodes) in n.tables.iter().zip(readers) {
-            let Some(factors) = factor_table(pool, table, book.slice(pool), wcodes) else {
-                return Kernel::Table;
-            };
-            weights.extend(wcodes.iter().map(|&w| factors[usize::from(w)]));
+        for (wbook, wcodes) in n.readers(wcodes) {
+            let wbook = wbook.slice(pool);
+            weights.extend(wcodes.iter().map(|&w| wbook[usize::from(w)]));
         }
         Kernel::Mul(DenseMul { book, weights })
     };
@@ -1305,7 +1255,9 @@ mod tests {
         });
     }
 
-    /// The composed CNN [`nudged_cnn_for_tests`] nudges, as composed.
+    /// A composed CNN (3×4×4 → conv 4 channels at stride 2 → conv 3
+    /// channels → dense 2) whose convs leave four pixels each, so a
+    /// one-row batch is all positions below a block.
     fn small_cnn_for_tests() -> Program<'static> {
         use rapidnn_nn::{Activation, ActivationLayer, Conv2d, Dense, Network};
         use rapidnn_tensor::Padding::Same;
@@ -1319,45 +1271,22 @@ mod tests {
         CompiledModel::composed_for_tests(net, 2, &mut rng)
     }
 
-    /// A composed CNN (3×4×4 → conv 4 channels at stride 2 → conv 3
-    /// channels → dense 2) whose convs leave four pixels each, so a
-    /// one-row batch is all positions below a block; channel 1 of the
-    /// second conv has one product nudged off `fl(w · x)`.
-    fn nudged_cnn_for_tests() -> CompiledModel {
-        let mut program = small_cnn_for_tests();
-        let n = program.ops[1].neuron().expect("a conv");
-        let (table, w) = (n.tables[1], n.weight_codes.start + n.window.patch_len());
-        let at = table.offset + usize::from(program.codes[w]) * table.input_count;
-        program.floats.to_mut()[at] += 0.001;
-        CompiledModel::from_program(&program).expect("the nudged CNN analyzes clean")
-    }
-
-    /// One op, one kernel, read off its tables: in a mixed plan the
-    /// licensed ops hold integer tiles and no `f32` matrix, the op too
-    /// wide for `i16` keeps the multiply its table factors into, and
-    /// the op whose table does not factor holds nothing — it gathers.
-    /// A conv multiplies when each of its channel tables factors and
-    /// gathers when one does not. Every batch equals its rows run singly,
-    /// bit for bit: at four pixels a conv, 1 CNN row is one-lane
-    /// positions only, 2 rows one pixel block, 3 and 7 rows blocks and a
-    /// remainder, 8 or more rows blocks of rows (and 4-row int16 tiles).
+    /// One op, one kernel: in a mixed plan the licensed ops hold integer
+    /// tiles and no `f32` matrix, and the op too wide for `i16` keeps
+    /// the multiply; a CNN's convs and dense op multiply. Every batch
+    /// equals its rows run singly, bit for bit: at four pixels a conv,
+    /// 1 CNN row is one-lane positions only, 2 rows one pixel block, 3
+    /// and 7 rows blocks and a remainder, 8 or more rows blocks of rows
+    /// (and 4-row int16 tiles).
     #[test]
     fn each_dense_op_serves_on_the_kernel_its_table_allows() {
-        let (refused, gathered) = (1, 3);
-        let deep = CompiledModel::deep_mixed_for_tests(5, refused, gathered);
-        let deep_kernels = (0..5).map(|oi| {
-            if oi == refused {
-                "mul"
-            } else if oi == gathered {
-                "table"
-            } else {
-                "madd"
-            }
-        });
-        let cnn = nudged_cnn_for_tests();
+        let refused = 1;
+        let deep = CompiledModel::deep_mixed_for_tests(5, refused);
+        let deep_kernels = (0..5).map(|oi| if oi == refused { "mul" } else { "madd" });
+        let cnn = CompiledModel::from_program(&small_cnn_for_tests()).unwrap();
         let models = [
             (deep, deep_kernels.collect()),
-            (cnn, vec!["mul", "table", "mul"]),
+            (cnn, vec!["mul", "mul", "mul"]),
         ];
         for (model, expected) in &models {
             let held: Vec<&str> = model
@@ -1366,7 +1295,7 @@ mod tests {
                 .map(|kernel| match kernel {
                     Kernel::Madd(_) => "madd",
                     Kernel::Mul(_) => "mul",
-                    Kernel::Table => "table",
+                    Kernel::Step => "step",
                 })
                 .collect();
             assert_eq!(&held, expected);
@@ -1383,28 +1312,6 @@ mod tests {
                     assert_eq!(bits(got), bits(&row), "row {r} of {rows}");
                 }
             }
-        }
-    }
-
-    /// The composer builds every product table as a weight centroid
-    /// times an input centroid, so every dense and conv op of a composed
-    /// model factors and multiplies: only a hand-nudged table gathers.
-    #[test]
-    fn no_composed_neuron_op_gathers() {
-        use rapidnn_nn::{Activation::Sigmoid, ActivationLayer, Dense, Network};
-        let (mut rng, mut net) = (SeededRng::new(9), Network::new(16));
-        for (nin, nout) in [(16, 24), (24, 24), (24, 4)] {
-            net.push(Dense::new(nin, nout, &mut rng));
-            net.push(ActivationLayer::new(Sigmoid));
-        }
-        let mlp = CompiledModel::composed_for_tests(net, 4, &mut rng);
-        let programs = [mlp, small_cnn_for_tests()];
-        let composed = programs.map(|p| CompiledModel::from_program(&p).unwrap());
-        let tiny = [1, 2, 3, 42, 43].map(CompiledModel::mnist_tiny_for_tests);
-        for (mi, model) in tiny.into_iter().chain(composed).enumerate() {
-            let mut ops = model.program.ops.iter().zip(&model.kernels);
-            let gathers = ops.any(|(op, k)| op.neuron().is_some() && matches!(k, Kernel::Table));
-            assert!(!gathers, "composed model {mi} gathers");
         }
     }
 }

@@ -15,8 +15,7 @@
 //! picks it. On an AVX2 CPU the op loop, the integer kernels and the
 //! input encoder are inlined into one `#[target_feature(enable =
 //! "avx2")]` frame, so the encoder's sweeps, the finish's edge count,
-//! the `f32` multiply and the pools run at that width too (the table
-//! gather, one position at a time, keeps its baseline code); the frame
+//! the `f32` multiply and the pools run at that width too; the frame
 //! enables no FMA, so `f32` results keep their bits.
 //! Any other CPU runs the portable body, with the same bits.
 //!

@@ -24,7 +24,7 @@
 //! * [`lint`] — [`lint_bytes`] runs the `rapidnn-analyze` static
 //!   verifier over raw artifact bytes and returns its diagnostic
 //!   report; every [`CompiledModel`] constructor makes a clean report
-//!   a requirement, which is why the kernels carry no per-gather index
+//!   a requirement, which is why the kernels carry no per-lookup index
 //!   clamps.
 //! * [`metrics`] — [`Metrics`]/[`ServerStats`]: throughput and
 //!   queue-depth counters plus a log-scale latency histogram.

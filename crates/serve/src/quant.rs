@@ -10,9 +10,9 @@
 //! buckets, each finished at its center through the *exact* scalar f32
 //! finish, so the integer path's only deviations from f32 are the
 //! rounding terms the plan's error bound already accounts for. An op the
-//! plan refuses (a table that does not factor is
-//! `FallbackReason::NotFactored`) keeps its kernel and serves on the
-//! bit-exact f32 path.
+//! plan refuses (a weight book too wide for `i16` is
+//! `FallbackReason::ValueRangeTooWide`) keeps its kernel and serves on
+//! the bit-exact f32 path.
 //!
 //! A licensed op multiplies `xq[code]`, never the code, so whatever
 //! produces its input writes that operand directly
@@ -97,7 +97,7 @@ impl CompiledModel {
     pub(crate) fn quant_op(&self, oi: usize) -> Option<&QuantOp> {
         match self.kernels.get(oi)? {
             Kernel::Madd(q) => Some(q),
-            Kernel::Mul(_) | Kernel::Table => None,
+            Kernel::Mul(_) | Kernel::Step => None,
         }
     }
 
@@ -117,8 +117,8 @@ impl CompiledModel {
 /// afresh first, so quantizing again changes nothing.
 ///
 /// Every constructed model has passed the analyzer, so spans are in
-/// bounds, each weight code names a row of its table, which `wvals`
-/// holds one factor per row of, and a licensed op reads codes through
+/// bounds, each weight code names an entry of its weight book, which
+/// `wvals` holds one value per entry of, and a licensed op reads codes through
 /// the book its boundary of the walk names. Its activation inputs and
 /// re-encode book are sorted (the checker refuses an unsorted axis) and
 /// finite (else `FallbackReason::UnsortedBook`), so its finish is a step

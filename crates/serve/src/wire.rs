@@ -3,13 +3,19 @@
 //! The outer framing is `RNNA` magic, `u32` version, `u64` payload
 //! length, payload, FNV-1a 64 checksum of the payload — a hand-rolled,
 //! versioned, checksummed little-endian encoding with no dependencies
-//! beyond `std`. The payload (format v2, see `DESIGN.md` §12)
+//! beyond `std`. The payload (format v3, see `DESIGN.md` §12)
 //! front-loads a fixed header of nine `u64`s (widths, pool lengths,
 //! op/section counts, and the byte offsets of the float section, packed
 //! region, and tail directory), then the ops, zero padding to the next
 //! 8-byte boundary, the raw LE `f32` float section, per-op code
-//! sections bit-packed at `ceil(log2(codebook_len))` bits each, and
+//! sections bit-packed at `ceil(log2(weight_book_len))` bits each, and
 //! finally a tail directory locating every section.
+//!
+//! The float section carries the paper's two codebooks per neuron op,
+//! not their product: each op names its weight books (one for a dense
+//! op, one per output channel for a conv), and the input book is the
+//! one its input is encoded through ([`Program::flow`]), so no `w × u`
+//! product table is stored.
 //!
 //! The packing is a property of the bytes only: [`decode`] unpacks
 //! every section once into the program's one code pool and copies the
@@ -27,31 +33,33 @@
 //! [`CompiledModel::from_bytes`]: crate::CompiledModel::from_bytes
 
 use crate::error::ArtifactError;
-use rapidnn_analyze::{Act, Geom, Op, Program, Span, TableRef, MAX_EXTENT};
+use rapidnn_analyze::{Act, Geom, Op, Program, Span, MAX_EXTENT};
 use std::borrow::Cow;
 
 /// File magic: `RNNA` ("RapidNN Artifact").
 pub const MAGIC: [u8; 4] = *b"RNNA";
-/// The artifact format version (bit-packed code sections with a tail
-/// directory and an aligned raw float section) — the only one read or
-/// written.
-pub const FORMAT_VERSION: u32 = 2;
+/// The artifact format version (weight books instead of product tables,
+/// bit-packed code sections with a tail directory and an aligned raw
+/// float section) — the only one read or written.
+pub const FORMAT_VERSION: u32 = 3;
 /// Byte length of the outer framing before the payload (magic, version,
 /// payload length), so the payload starts 8-aligned in the file.
 const OUTER_HEADER_LEN: usize = 16;
-/// Byte length of the fixed v2 payload header (nine `u64` fields).
-const V2_HEADER_LEN: usize = 72;
-/// Byte length of one v2 tail-directory entry (four `u64` fields).
-const V2_DIR_ENTRY_LEN: usize = 32;
+/// Byte length of the fixed payload header (nine `u64` fields).
+const HEADER_LEN: usize = 72;
+/// Byte length of one tail-directory entry (four `u64` fields).
+const DIR_ENTRY_LEN: usize = 32;
+/// Byte length of one span on the wire (two `u64` fields).
+const SPAN_LEN: usize = 16;
 
-/// Number of bits v2 packs each code of a section with `rows`
-/// addressable codebook entries into: enough to represent `rows - 1`,
+/// Number of bits each code of a section with `rows` addressable
+/// codebook entries is packed into: enough to represent `rows - 1`,
 /// minimum 1, maximum 16 — the analyzer caps codebooks at `2^16`
 /// values (RNA0004).
 fn bits_for(rows: usize) -> u32 {
     let top = rows.max(2) - 1;
     // Codes are u16, so 16 bits always suffice even for a (degenerate)
-    // table claiming more than 2^16 rows.
+    // book claiming more than 2^16 entries.
     (usize::BITS - top.leading_zeros()).min(16)
 }
 
@@ -82,7 +90,7 @@ fn read_bits(stream: &[u8], bit: usize, mask: u32) -> u16 {
     ((acc >> shift) & mask) as u16
 }
 
-/// LSB-first bit packer for one v2 code section.
+/// LSB-first bit packer for one code section.
 #[derive(Default)]
 struct BitWriter {
     out: Vec<u8>,
@@ -111,7 +119,7 @@ impl BitWriter {
     }
 }
 
-/// Serializes a program in the current (v2) format: `RNNA` magic,
+/// Serializes a program in the current (v3) format: `RNNA` magic,
 /// format version, payload length, payload, FNV-1a 64 checksum —
 /// all little-endian. The payload carries the float pool as raw LE
 /// `f32` bytes at an 8-aligned offset and the code pool as per-op
@@ -123,7 +131,7 @@ pub(crate) fn encode(program: &Program<'_>) -> Vec<u8> {
     // Ops first (variable length), so the header can record where
     // the aligned float section starts.
     let ops_bytes = ops_bytes(program);
-    let ops_end = V2_HEADER_LEN + ops_bytes.len();
+    let ops_end = HEADER_LEN + ops_bytes.len();
     let float_byte_off = ops_end.next_multiple_of(8);
     let packed_byte_off = float_byte_off + floats.len() * 4;
 
@@ -138,7 +146,7 @@ pub(crate) fn encode(program: &Program<'_>) -> Vec<u8> {
     let packed_len: usize = streams.iter().map(Vec::len).sum();
     let dir_byte_off = packed_byte_off + packed_len;
 
-    let payload_len = dir_byte_off + sections.len() * V2_DIR_ENTRY_LEN;
+    let payload_len = dir_byte_off + sections.len() * DIR_ENTRY_LEN;
     let mut payload = Vec::with_capacity(payload_len);
     for v in [
         program.input_features as u64,
@@ -185,24 +193,26 @@ fn ops_bytes(program: &Program<'_>) -> Vec<u8> {
     out
 }
 
-/// Plans the v2 code sections as `(start, len, width_bits)` triples
+/// Plans the code sections as `(start, len, width_bits)` triples
 /// tiling `0..codes.len()` in ascending order.
 ///
 /// Sections come from the ops' weight-code spans (the flattener
 /// lays codes out in op order, so for compiler-built models they
 /// tile the pool exactly); each op section is packed at
-/// `ceil(log2(table rows))` bits. Code ranges no op claims — which
-/// only hand-built or malformed models have — become filler
-/// sections, and every width is widened if needed to hold the
-/// largest value actually present, so serialization round-trips the
-/// pool bit-for-bit even for the broken programs unit tests write.
+/// `ceil(log2(book len))` bits over the op's largest weight book. Code
+/// ranges no op claims — which only hand-built or malformed models
+/// have — become filler sections, and every width is widened if needed
+/// to hold the largest value actually present, so serialization
+/// round-trips the pool bit-for-bit even for the broken programs unit
+/// tests write.
 fn plan_sections(ops: &[Op], codes: &[u16]) -> Vec<(usize, usize, u32)> {
     let total = codes.len();
     let mut claims: Vec<(Span, u32)> = Vec::new();
     for n in ops.iter().filter_map(Op::neuron) {
         let span = n.weight_codes;
         if span.len > 0 && span.start < total && span.start + span.len <= total {
-            claims.push((span, bits_for(n.weight_rows())));
+            let rows = n.weight_books.iter().fold(0, |m, b| m.max(b.len));
+            claims.push((span, bits_for(rows)));
         }
     }
     claims.sort_by_key(|(s, _)| s.start);
@@ -312,9 +322,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Program<'static>, ArtifactError> {
             "packed region at byte {packed_byte_off}, float section ends at {float_end}"
         )));
     }
-    let dir_len = nsections
-        .checked_mul(V2_DIR_ENTRY_LEN)
-        .ok_or_else(too_large)?;
+    let dir_len = nsections.checked_mul(DIR_ENTRY_LEN).ok_or_else(too_large)?;
     if packed_byte_off > dir_byte_off || dir_byte_off.checked_add(dir_len) != Some(payload_len) {
         return Err(invalid(format!(
             "directory of {nsections} sections at byte {dir_byte_off} does not \
@@ -386,8 +394,8 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Program<'static>, ArtifactError> {
             "packed streams end at byte {byte_cursor}, directory starts at {dir_byte_off}"
         )));
     }
-    // Each op's weight codes are one section at the width its table
-    // implies, filler between: exactly what `encode` writes.
+    // Each op's weight codes are one section at the width its books
+    // imply, filler between: exactly what `encode` writes.
     let expected = plan_sections(&ops, &codes);
     if sections != expected {
         let i = sections
@@ -471,12 +479,6 @@ fn write_opt_span(out: &mut Vec<u8>, s: &Option<Span>) {
     }
 }
 
-fn write_table(out: &mut Vec<u8>, t: &TableRef) {
-    write_u64(out, t.offset as u64);
-    write_u64(out, t.weight_count as u64);
-    write_u64(out, t.input_count as u64);
-}
-
 fn write_act(out: &mut Vec<u8>, act: &Act) {
     match act {
         Act::Identity => out.push(0),
@@ -512,7 +514,7 @@ fn write_op(out: &mut Vec<u8>, op: &Op) {
             outputs,
             weight_codes,
             bias,
-            table,
+            weight_book,
             act,
             encoder,
         } => {
@@ -521,7 +523,7 @@ fn write_op(out: &mut Vec<u8>, op: &Op) {
             write_u64(out, *outputs as u64);
             write_span(out, *weight_codes);
             write_span(out, *bias);
-            write_table(out, table);
+            write_span(out, *weight_book);
             write_act(out, act);
             write_opt_span(out, encoder);
         }
@@ -530,7 +532,7 @@ fn write_op(out: &mut Vec<u8>, op: &Op) {
             out_channels,
             weight_codes,
             bias,
-            tables,
+            weight_books,
             zero_code,
             act,
             encoder,
@@ -540,9 +542,9 @@ fn write_op(out: &mut Vec<u8>, op: &Op) {
             write_u64(out, *out_channels as u64);
             write_span(out, *weight_codes);
             write_span(out, *bias);
-            write_u64(out, tables.len() as u64);
-            for t in tables {
-                write_table(out, t);
+            write_u64(out, weight_books.len() as u64);
+            for book in weight_books {
+                write_span(out, *book);
             }
             out.extend_from_slice(&zero_code.to_le_bytes());
             write_act(out, act);
@@ -655,14 +657,6 @@ fn read_opt_span(r: &mut Reader<'_>) -> Result<Option<Span>, ArtifactError> {
     }
 }
 
-fn read_table(r: &mut Reader<'_>) -> Result<TableRef, ArtifactError> {
-    Ok(TableRef {
-        offset: r.usize()?,
-        weight_count: r.extent()?,
-        input_count: r.extent()?,
-    })
-}
-
 fn read_act(r: &mut Reader<'_>) -> Result<Act, ArtifactError> {
     match r.u8()? {
         0 => Ok(Act::Identity),
@@ -696,7 +690,7 @@ fn read_op(r: &mut Reader<'_>) -> Result<Op, ArtifactError> {
             outputs: r.extent()?,
             weight_codes: read_span(r)?,
             bias: read_span(r)?,
-            table: read_table(r)?,
+            weight_book: read_span(r)?,
             act: read_act(r)?,
             encoder: read_opt_span(r)?,
         }),
@@ -705,19 +699,19 @@ fn read_op(r: &mut Reader<'_>) -> Result<Op, ArtifactError> {
             let out_channels = r.extent()?;
             let weight_codes = read_span(r)?;
             let bias = read_span(r)?;
-            let ntables = r.extent()?;
-            // Each table costs 24 bytes on the wire.
-            r.ensure(ntables.checked_mul(24).ok_or_else(too_large)?)?;
-            let mut tables = Vec::with_capacity(ntables);
-            for _ in 0..ntables {
-                tables.push(read_table(r)?);
+            let nbooks = r.extent()?;
+            // Each book costs one span on the wire.
+            r.ensure(nbooks.checked_mul(SPAN_LEN).ok_or_else(too_large)?)?;
+            let mut weight_books = Vec::with_capacity(nbooks);
+            for _ in 0..nbooks {
+                weight_books.push(read_span(r)?);
             }
             Ok(Op::Conv {
                 geom,
                 out_channels,
                 weight_codes,
                 bias,
-                tables,
+                weight_books,
                 zero_code: r.u16()?,
                 act: read_act(r)?,
                 encoder: read_opt_span(r)?,
@@ -751,14 +745,13 @@ mod tests {
     }
 
     /// The wire bytes of a model hand-built from literals (no k-means,
-    /// no libm, so platform-independent), pinned to the checksum they
-    /// had before `CompiledModel` held the analyzer's `Op`s and before
-    /// this module existed: neither change may show on the wire.
+    /// no libm, so platform-independent), pinned: a change that is meant
+    /// to leave the format as it is may not show on the wire.
     #[test]
     fn deep_model_bytes_are_pinned() {
         let bytes = crate::CompiledModel::deep_for_tests(3).to_bytes();
-        assert_eq!(bytes.len(), 474);
-        assert_eq!(fnv1a64(&bytes), 0xa2f3_9ebd_de1d_cb34);
+        assert_eq!(bytes.len(), 426);
+        assert_eq!(fnv1a64(&bytes), 0xa5aa_56e4_c9c5_f5e7);
     }
 
     #[test]
@@ -837,12 +830,12 @@ mod tests {
         }
     }
 
-    /// The v2 writer's alignment contract: the float section offset is
+    /// The writer's alignment contract: the float section offset is
     /// always a multiple of 8 in the payload, and the payload itself
     /// starts 8 bytes into the outer header — so the float bytes are
     /// 8-aligned in the file.
     #[test]
-    fn v2_float_section_is_aligned() {
+    fn float_section_is_aligned() {
         let bytes = encode(&crate::CompiledModel::deep_program_for_tests(1));
         let float_off = u64::from_le_bytes(
             bytes[OUTER_HEADER_LEN + 48..OUTER_HEADER_LEN + 56]

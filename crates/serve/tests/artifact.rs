@@ -159,8 +159,9 @@ fn bad_magic_and_future_version_are_typed() {
         CompiledModel::from_bytes(b"LAYRxxxxxxxxxxxxxxxxxxxx"),
         Err(ServeError::Artifact(ArtifactError::BadMagic))
     ));
-    // The retired v1 is as unreadable as a version from the future.
-    for version in [1, FORMAT_VERSION + 1] {
+    // The retired v1 and v2 are as unreadable as a version from the
+    // future.
+    for version in [1, 2, FORMAT_VERSION + 1] {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
         bytes.extend_from_slice(&version.to_le_bytes());
@@ -219,10 +220,10 @@ fn invalid_model_is_rejected_by_every_constructor() {
     let mut rng = SeededRng::new(99);
     let net = mlp_model(&mut rng);
     let mut program = Program::from_reinterpreted(&net);
-    // Poison a reachable product-table entry: structure stays valid,
-    // analysis fails.
+    // Poison a referenced weight-book entry, so its products are NaN:
+    // structure stays valid, analysis fails.
     let offset = match &program.ops[0] {
-        Op::Dense { table, .. } => table.offset,
+        Op::Dense { weight_book, .. } => weight_book.start,
         _ => unreachable!("mlp starts with a dense op"),
     };
     let mut bytes = CompiledModel::from_program(&program).unwrap().to_bytes();

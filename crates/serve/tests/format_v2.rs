@@ -1,11 +1,14 @@
-//! Format v2 compatibility gate.
+//! Artifact format gate for the bit-packed format (`FORMAT_VERSION`,
+//! v3: packed weight codes, and each neuron op's weight books in the
+//! float section; the file is named for v2, which introduced the
+//! packing).
 //!
-//! The bit-packed v2 artifact must be an *encoding* change only: a
-//! model round-tripped through v2 bytes or not serialized at all must
-//! produce bit-for-bit identical inference results. On top of the
-//! equivalence gate, v2 must actually compress — at least 2x smaller
-//! than the wide in-memory pools on a code-dominated model — and
-//! re-serializing a decoded v2 model must reproduce the bytes exactly.
+//! The bit-packed artifact must be an *encoding* change only: a model
+//! round-tripped through its bytes or not serialized at all must produce
+//! bit-for-bit identical inference results. On top of the equivalence
+//! gate, the artifact must actually compress — at least 2x smaller than
+//! the wide in-memory pools on a code-dominated model — and
+//! re-serializing a decoded model must reproduce the bytes exactly.
 
 mod common;
 

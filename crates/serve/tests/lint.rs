@@ -14,7 +14,7 @@ mod common;
 
 use common::repair_checksum;
 
-use rapidnn_analyze::{Act, DiagCode, Op, Program, Severity, Span, TableRef};
+use rapidnn_analyze::{Act, DiagCode, Op, Program, Severity, Span};
 use rapidnn_prop::{any_u64, check, usize_in, SeededRng};
 use rapidnn_serve::{lint_bytes, ArtifactError, CompiledModel, ServeError};
 use std::borrow::Cow;
@@ -113,11 +113,10 @@ fn corrupted_artifacts_are_flagged_or_harmless() {
 }
 
 /// No composed model carries dead data. Every weight centroid owns the
-/// weights it was fitted to, product tables span exactly the input
-/// book, and the analyzer's hull over every code combination has so far
-/// always covered the float calibration range each codebook and LUT was
-/// fitted to — an observation, not a theorem, which this test keeps
-/// checked.
+/// weights it was fitted to, and the analyzer's hull over every code
+/// combination has so far always covered the float calibration range
+/// each codebook and LUT was fitted to — an observation, not a theorem,
+/// which this test keeps checked.
 #[test]
 fn composed_models_carry_no_dead_data() {
     for seed in [1, 2, 3, 42, 43] {
@@ -160,12 +159,7 @@ fn an_output_width_lie_is_refused_at_load() {
 /// allocation, and go through the corpus check like any other mutant.
 #[test]
 fn decode_cannot_be_made_to_allocate_by_a_lie() {
-    let book = [-1.0f32, -0.25, 0.5, 1.0];
-    let mut floats = book.to_vec();
-    for w in [0.5f32, -1.0] {
-        floats.extend(book.iter().map(|x| w * x));
-    }
-    floats.push(0.125);
+    let floats = vec![-1.0f32, -0.25, 0.5, 1.0, 0.5, -1.0, 0.125];
     let program = Program {
         input_features: 16,
         output_features: 1,
@@ -174,12 +168,8 @@ fn decode_cannot_be_made_to_allocate_by_a_lie() {
             inputs: 16,
             outputs: 1,
             weight_codes: Span { start: 0, len: 16 },
-            bias: Span { start: 12, len: 1 },
-            table: TableRef {
-                offset: 4,
-                weight_count: 2,
-                input_count: 4,
-            },
+            bias: Span { start: 6, len: 1 },
+            weight_book: Span { start: 4, len: 2 },
             act: Act::Identity,
             encoder: None,
         }],
@@ -215,16 +205,12 @@ fn decode_cannot_be_made_to_allocate_by_a_lie() {
 }
 
 /// Codes of [`five_code_artifact`]'s one dense op: 5 codes into a
-/// 2-row table, one 1-bit section of 5 bits, so its byte has 3 pad bits.
+/// 2-entry weight book, one 1-bit section of 5 bits, so its byte has 3
+/// pad bits.
 const FIVE_CODES: [u16; 5] = [0, 1, 1, 0, 1];
 
 fn five_code_artifact() -> Vec<u8> {
-    let book = [-1.0f32, -0.25, 0.5, 1.0];
-    let mut floats = book.to_vec();
-    for w in [0.5f32, -1.0] {
-        floats.extend(book.iter().map(|x| w * x));
-    }
-    floats.push(0.125);
+    let floats = vec![-1.0f32, -0.25, 0.5, 1.0, 0.5, -1.0, 0.125];
     let program = Program {
         input_features: 5,
         output_features: 1,
@@ -233,12 +219,8 @@ fn five_code_artifact() -> Vec<u8> {
             inputs: 5,
             outputs: 1,
             weight_codes: Span { start: 0, len: 5 },
-            bias: Span { start: 12, len: 1 },
-            table: TableRef {
-                offset: 4,
-                weight_count: 2,
-                input_count: 4,
-            },
+            bias: Span { start: 6, len: 1 },
+            weight_book: Span { start: 4, len: 2 },
             act: Act::Identity,
             encoder: None,
         }],
@@ -331,7 +313,7 @@ fn repack_reproduces_the_encoder() {
 }
 
 #[test]
-fn a_section_wider_than_its_table_is_refused() {
+fn a_section_wider_than_its_book_is_refused() {
     // Two rows need one bit; two bits still hold every code.
     let clean = five_code_artifact();
     assert_layout_refused(&repack(&clean, &FIVE_CODES, &[(5, 2)], false));

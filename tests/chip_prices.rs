@@ -143,9 +143,9 @@ fn a_conv_is_priced_at_its_largest_channel_book() {
     let books: Vec<usize> = program.ops[0]
         .neuron()
         .expect("a conv")
-        .tables
+        .weight_books
         .iter()
-        .map(|t| t.weight_count)
+        .map(|b| b.len)
         .collect();
     assert_eq!(books, [3, 8, 8]);
     let report = Simulator::new(AcceleratorConfig::default()).simulate(&op_shapes(&program));

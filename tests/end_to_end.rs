@@ -3,7 +3,9 @@
 
 use rapidnn::accel::{AcceleratorConfig, Simulator};
 use rapidnn::analyze::{op_shapes, Program};
-use rapidnn::composer::{Composer, ComposerConfig, ReinterpretOptions, ReinterpretedNetwork};
+use rapidnn::composer::{
+    Composer, ComposerConfig, NeuronStage, ReinterpretOptions, ReinterpretedNetwork, Stage,
+};
 use rapidnn::data::{benchmark_dataset, SyntheticSpec};
 use rapidnn::nn::topology::Benchmark;
 use rapidnn::nn::{Activation, ActivationLayer, Dense, Network, Trainer, TrainerConfig};
@@ -163,6 +165,11 @@ fn rna_sharing_preserves_functionality_end_to_end() {
 
 /// The 16 -> 8x24 -> 4 sigmoid MLP the benchmark calls deep-mlp.
 fn deep_mlp(seed: u64) -> CompiledModel {
+    CompiledModel::from_reinterpreted(&deep_mlp_network(seed)).unwrap()
+}
+
+/// [`deep_mlp`] as the composer builds it.
+fn deep_mlp_network(seed: u64) -> ReinterpretedNetwork {
     let mut rng = SeededRng::new(seed);
     let mut net = Network::new(16);
     let mut width = 16;
@@ -180,17 +187,15 @@ fn deep_mlp(seed: u64) -> CompiledModel {
         input_clusters: 8,
         ..ReinterpretOptions::default()
     };
-    let net = ReinterpretedNetwork::build(&mut net, data.inputs(), &options, &mut rng).unwrap();
-    CompiledModel::from_reinterpreted(&net).unwrap()
+    ReinterpretedNetwork::build(&mut net, data.inputs(), &options, &mut rng).unwrap()
 }
 
 /// No composed model carries dead data: the analyzer's liveness notes
 /// read zero on mnist-tiny and deep-mlp. Every weight centroid owns the
-/// weights it was fitted to, product tables span exactly the input
-/// book, and the analyzer's hull over every code combination has so far
-/// always covered the float calibration range each codebook and LUT was
-/// fitted to — an observation, not a theorem, which this test keeps
-/// checked.
+/// weights it was fitted to, and the analyzer's hull over every code
+/// combination has so far always covered the float calibration range
+/// each codebook and LUT was fitted to — an observation, not a theorem,
+/// which this test keeps checked.
 #[test]
 fn composed_models_carry_no_dead_data() {
     for seed in [1, 2, 3, 42, 43] {
@@ -272,30 +277,30 @@ fn composed_models_and_their_outputs_are_pinned() {
     assert_artifacts_pinned(
         "mnist-tiny",
         mnist_tiny,
-        11_544,
+        10_848,
         &[
-            (42, 0xafa5_aced_c92e_0356),
-            (43, 0x8f65_46f9_761f_25e2),
-            (1, 0x0c0f_01be_4ba0_a4dc),
-            (2, 0x75aa_2b30_6695_f04f),
-            (3, 0xe12c_2433_e857_781b),
-            (5, 0x482c_3efa_b336_58b6),
-            (7, 0x5615_625d_eb05_984d),
-            (11, 0x1369_d2c7_8de4_160f),
-            (17, 0xd0e9_b208_2e83_d1f7),
-            (99, 0x443f_e260_72e7_7978),
+            (42, 0x916a_d14d_f62b_4790),
+            (43, 0xc28b_6b59_3b60_7fe0),
+            (1, 0x19b9_fcc1_a618_fd69),
+            (2, 0xeb0b_0749_52e1_35f4),
+            (3, 0x88c2_f1e9_495a_4684),
+            (5, 0x2bfa_8ec4_89bd_9d2f),
+            (7, 0x8b02_03fa_32f5_c808),
+            (11, 0xdb87_0942_e995_d39e),
+            (17, 0xe290_5085_f149_a2e8),
+            (99, 0x17f9_a3ff_1bbb_14ed),
         ],
     );
     assert_artifacts_pinned(
         "deep-mlp",
         deep_mlp,
-        10_628,
+        8_540,
         &[
-            (42, 0x6462_4413_bf03_b9f7),
-            (43, 0x4e84_546f_8009_4b7f),
-            (1, 0xd72a_251e_aa69_f82e),
-            (2, 0x7790_ea2c_c278_36b8),
-            (3, 0x5f85_6555_2034_0a11),
+            (42, 0x99a9_30d1_c284_2be1),
+            (43, 0xfaf0_0748_9271_99ea),
+            (1, 0x3669_0864_cef3_8469),
+            (2, 0xfc7c_83c8_8f2f_a163),
+            (3, 0x8f59_9c92_f621_3ff4),
         ],
     );
     let outputs = [
@@ -317,4 +322,76 @@ fn composed_models_and_their_outputs_are_pinned() {
         model.quantize().unwrap();
         assert_eq!(output_bits_hash(&model), int16_hash, "{name}, int16");
     }
+}
+
+/// The neuron stages of `stages`, residual branches inline, in the
+/// order `Program::from_reinterpreted` lowers them.
+fn neuron_stages<'s>(stages: &'s [Stage], out: &mut Vec<&'s NeuronStage>) {
+    for stage in stages {
+        match stage {
+            Stage::Neuron(n) => out.push(n),
+            Stage::Residual { branch, .. } => neuron_stages(branch, out),
+            Stage::MaxPool(_) | Stage::AvgPool { .. } => {}
+        }
+    }
+}
+
+/// The artifact stores each neuron op's weight books, not the `w × u`
+/// product tables the composer builds from them: expanding every book
+/// against the codebook its op's input is encoded through
+/// (`Program::flow`) reproduces `ProductTable::products()` bit for bit,
+/// on every pinned seed of mnist-tiny and deep-mlp and on a composed
+/// CNN, so the program holds everything the tables did.
+#[test]
+fn weight_books_expand_to_the_composers_product_tables() {
+    let cnn = {
+        let mut rng = SeededRng::new(42);
+        let data = benchmark_dataset(Benchmark::Cifar10, 40, &mut rng).unwrap();
+        let mut net = Benchmark::Cifar10.build_reduced(16, &mut rng).unwrap();
+        let options = ReinterpretOptions {
+            weight_clusters: 8,
+            input_clusters: 8,
+            ..ReinterpretOptions::default()
+        };
+        ReinterpretedNetwork::build(&mut net, data.inputs(), &options, &mut rng).unwrap()
+    };
+    let tiny = [42, 43, 1, 2, 3, 5, 7, 11, 17, 99].map(|seed| {
+        let report = Pipeline::new(tiny_config())
+            .run(&mut SeededRng::new(seed))
+            .unwrap();
+        (format!("mnist-tiny {seed}"), report.compose.reinterpreted)
+    });
+    let deep = [42, 43, 1, 2, 3].map(|seed| (format!("deep-mlp {seed}"), deep_mlp_network(seed)));
+    let networks = tiny
+        .into_iter()
+        .chain(deep)
+        .chain([("cifar-10 r16".into(), cnn)]);
+    let mut convs = 0;
+    for (name, network) in networks {
+        let program = Program::from_reinterpreted(&network);
+        let mut stages = Vec::new();
+        neuron_stages(network.stages(), &mut stages);
+        let ops = program.ops.iter().zip(program.flow());
+        let neurons: Vec<_> = ops
+            .filter_map(|(op, at)| Some((op.neuron()?, at)))
+            .collect();
+        assert_eq!(neurons.len(), stages.len(), "{name}");
+        for (oi, ((n, at), stage)) in neurons.iter().zip(stages).enumerate() {
+            convs += usize::from(n.weight_books.len() > 1);
+            let xs = at
+                .book
+                .expect("a neuron op reads codes")
+                .slice(&program.floats);
+            let tables = stage.product_tables();
+            assert_eq!(n.weight_books.len(), tables.len(), "{name}, op {oi}");
+            for (book, table) in n.weight_books.iter().zip(tables) {
+                let expanded: Vec<u32> = (book.slice(&program.floats).iter())
+                    .flat_map(|&w| xs.iter().map(move |&x| (w * x).to_bits()))
+                    .collect();
+                let products: Vec<u32> = table.products().iter().map(|p| p.to_bits()).collect();
+                assert_eq!(expanded, products, "{name}, op {oi}");
+            }
+        }
+    }
+    assert!(convs > 0, "the CNN has a conv with one book per channel");
 }

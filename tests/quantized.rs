@@ -22,10 +22,10 @@
 //!   by whatever produces it, and that changes no bit: a hand-built
 //!   chain equals the two-step reference (`codes → xq[code]`, then the
 //!   dot product) written out below, on a fully licensed plan and on a
-//!   mixed one whose f32 and integer Gather ops are still handed codes.
+//!   mixed one whose f32 op is still handed codes.
 
 use rapidnn::analyze::{
-    Act, FallbackReason, FinishPlan, Geom, Op, OpQuant, Program, QuantPlan, Span, TableRef,
+    Act, FallbackReason, FinishPlan, Geom, Op, OpQuant, Program, QuantPlan, Span,
 };
 use rapidnn::composer::{ReinterpretOptions, ReinterpretedNetwork};
 use rapidnn::data::SyntheticSpec;
@@ -261,7 +261,7 @@ fn neither_arena_holds_a_weight_tile() {
     assert_eq!(arena(&deep), arena(&reloaded));
     // The flow is `u16` codes 32 wide between ops, and each op stages
     // 32 `f32` accumulators per row before its finish re-encodes them
-    // (the finish's runs live in the model); every table factors, so
+    // (the finish's runs live in the model); every op multiplies, so
     // the one block tile is eight decoded rows of 32. No term has a
     // weight in it.
     assert_eq!(
@@ -369,10 +369,8 @@ enum Step {
 #[derive(Clone, Copy)]
 struct Link {
     outputs: usize,
-    /// Weight representatives the product table is built from.
+    /// The op's weight book.
     weights: [f32; 4],
-    /// Added to one product so the table no longer factors.
-    nudge: f32,
     /// Identity activation and no re-encode: the output op, or the
     /// branch of a residual region.
     decodes: bool,
@@ -425,15 +423,11 @@ fn chain(rng: &mut SeededRng, features: usize, steps: &[Step]) -> Program<'stati
                 continue;
             }
         };
-        let table = TableRef {
-            offset: floats.len(),
-            weight_count: link.weights.len(),
-            input_count: CHAIN_BOOK.len(),
+        let weight_book = Span {
+            start: floats.len(),
+            len: link.weights.len(),
         };
-        for w in link.weights {
-            floats.extend(CHAIN_BOOK.iter().map(|x| w * x));
-        }
-        floats[table.offset + 1] += link.nudge;
+        floats.extend(link.weights);
         let bias = Span {
             start: floats.len(),
             len: link.outputs,
@@ -449,7 +443,7 @@ fn chain(rng: &mut SeededRng, features: usize, steps: &[Step]) -> Program<'stati
             outputs: link.outputs,
             weight_codes,
             bias,
-            table,
+            weight_book,
             act: if link.decodes {
                 Act::Identity
             } else {
@@ -474,7 +468,7 @@ fn chain(rng: &mut SeededRng, features: usize, steps: &[Step]) -> Program<'stati
 /// through its quantized codebook (`codes → xq[code]`), then takes the
 /// dot product — in `i64`, against weights, biases and finish tables
 /// re-derived here from the plan's formats. Refused ops run the f32
-/// table gather.
+/// product of weight and input values.
 fn chain_reference(program: &Program<'_>, plan: &QuantPlan, row: &[f32]) -> Vec<f32> {
     let floats = &program.floats;
     let slice = |s: Span| &floats[s.start..s.start + s.len];
@@ -496,16 +490,24 @@ fn chain_reference(program: &Program<'_>, plan: &QuantPlan, row: &[f32]) -> Vec<
     let (mut decoded, mut skip) = (Vec::new(), Vec::new());
     let flow = program.flow();
     for ((op, verdict), at) in program.ops.iter().zip(&plan.ops).zip(&flow) {
-        let (inputs, outputs, weight_codes, bias, table, act, encoder) = match op {
+        let (inputs, outputs, weight_codes, bias, weight_book, act, encoder) = match op {
             Op::Dense {
                 inputs,
                 outputs,
                 weight_codes,
                 bias,
-                table,
+                weight_book,
                 act,
                 encoder,
-            } => (inputs, outputs, weight_codes, bias, table, act, encoder),
+            } => (
+                inputs,
+                outputs,
+                weight_codes,
+                bias,
+                weight_book,
+                act,
+                encoder,
+            ),
             Op::MaxPool(_) => continue,
             Op::AvgPool { codebook, .. } => {
                 let pooled: Vec<f32> = codes
@@ -531,13 +533,12 @@ fn chain_reference(program: &Program<'_>, plan: &QuantPlan, row: &[f32]) -> Vec<
         };
         let wcodes = &program.codes[weight_codes.start..weight_codes.start + weight_codes.len];
         let wrow = |o: usize| &wcodes[o * inputs..(o + 1) * inputs];
-        let entry = |w: u16, x: u16| {
-            floats[table.offset + usize::from(w) * table.input_count + usize::from(x)]
-        };
+        let book = at.book.expect("a dense op reads codes");
+        let entry =
+            |w: u16, x: u16| slice(*weight_book)[usize::from(w)] * slice(book)[usize::from(x)];
         let finished: Vec<f32> = match verdict {
             OpQuant::Licensed(lic) => {
                 let bias_q = |o: usize| q32(slice(*bias)[o], lic.acc_frac);
-                let book = at.book.expect("a licensed op reads codes");
                 let xq: Vec<i64> = slice(book).iter().map(|&b| q16(b, lic.x_frac)).collect();
                 let xs: Vec<i64> = codes.iter().map(|&c| xq[usize::from(c)]).collect();
                 let accs: Vec<i64> = (0..*outputs)
@@ -583,10 +584,9 @@ fn chain_reference(program: &Program<'_>, plan: &QuantPlan, row: &[f32]) -> Vec<
 /// producer, and no bit changes: hand-built chains equal the two-step
 /// reference at every batch size and stay inside the plan's bound. The
 /// first chain licenses throughout (input encoder and composed finish
-/// LUTs) and never leaves the quantized domain; in the second two ops
-/// in the middle are refused — one too wide for `i16`, one whose table
-/// does not factor — both still handed codes, and an f32 re-encode
-/// feeds a licensed op; in the third the producers are a max pool, an
+/// LUTs) and never leaves the quantized domain; in the second an op in
+/// the middle is refused as too wide for `i16`, still handed codes, and
+/// its f32 re-encode feeds a licensed op; in the third the producers are a max pool, an
 /// average pool, a residual entry and a residual join.
 #[test]
 fn quantized_flow_matches_the_two_step_reference() {
@@ -595,7 +595,6 @@ fn quantized_flow_matches_the_two_step_reference() {
     let link = |outputs| Link {
         outputs,
         weights: plain,
-        nudge: 0.0,
         decodes: false,
     };
     let out = |outputs| Link {
@@ -609,11 +608,7 @@ fn quantized_flow_matches_the_two_step_reference() {
         weights: plain.map(|w| w * 1.0e6),
         ..link(16)
     };
-    let unfactored = Link {
-        nudge: 0.001,
-        ..link(9)
-    };
-    let mixed = [link(11), wide, unfactored, link(12), out(3)].map(Dense);
+    let mixed = [link(11), wide, link(9), link(12), out(3)].map(Dense);
     let passed_through = [
         Dense(link(11)),
         MaxPool,
@@ -627,7 +622,7 @@ fn quantized_flow_matches_the_two_step_reference() {
     ];
     let cases: [(&[Step], &[&str]); 3] = [
         (&licensed, &["i16", "i16", "i16", "i16"]),
-        (&mixed, &["i16", "codes", "codes", "i16", "i16"]),
+        (&mixed, &["i16", "codes", "i16", "i16", "i16"]),
         (
             &passed_through,
             &[
@@ -651,12 +646,11 @@ fn quantized_flow_matches_the_two_step_reference() {
             );
         }
         if case == 1 {
-            assert_eq!(plan.fallbacks(), 2, "{:?}", plan.ops);
+            assert_eq!(plan.fallbacks(), 1, "{:?}", plan.ops);
             assert_eq!(
                 plan.ops[1],
                 OpQuant::Fallback(FallbackReason::ValueRangeTooWide)
             );
-            assert_eq!(plan.ops[2], OpQuant::Fallback(FallbackReason::NotFactored));
             assert_eq!(model.kernel_path(), "mixed");
         }
 
