@@ -388,7 +388,7 @@ impl<'p> Checker<'p> {
     /// A weight book: in bounds and non-empty. Its entries need be
     /// neither sorted nor finite: the kernels index it by weight code,
     /// and only the products of referenced entries are judged
-    /// ([`Self::row_intervals`]).
+    /// ([`Self::neuron`]).
     fn weight_book(&mut self, op: usize, s: Span, label: &str) -> Result<&'p [f32], Halt> {
         let book = self.floats_span(Some(op), s, &format!("{label}: weight book"))?;
         if book.is_empty() {
@@ -564,53 +564,6 @@ impl<'p> Checker<'p> {
         }
     }
 
-    /// Per-weight-code value hulls of the products `fl(w · x)` of the
-    /// entries of `weights` with the input book `xs` over the live
-    /// columns (`reach`, plus the zero-padding column when `extra_col`
-    /// is set), erroring on a product that is not finite in any column.
-    /// Entries not marked `used` are skipped — they are dead data.
-    ///
-    /// `xs` is a checked codebook, sorted and finite, and `fl(w · x)`
-    /// is monotone in `x` for a fixed `w`, so a hull is spanned by its
-    /// range's two end columns and a product overflows, if anywhere, at
-    /// an end of the book.
-    #[allow(clippy::too_many_arguments)]
-    fn row_intervals(
-        &mut self,
-        op: usize,
-        weights: &[f32],
-        used: &[bool],
-        xs: &[f32],
-        reach: (usize, usize),
-        extra_col: Option<usize>,
-        label: &str,
-    ) -> Result<Vec<Option<Interval>>, Halt> {
-        let mut rows: Vec<Option<Interval>> = vec![None; weights.len()];
-        for (wc, (&w, row_iv)) in weights.iter().zip(&mut rows).enumerate() {
-            if !used[wc] {
-                continue;
-            }
-            let product = |c: usize| w * xs[c];
-            if let Some(c) = [0, xs.len() - 1]
-                .into_iter()
-                .find(|&c| !product(c).is_finite())
-            {
-                return Err(self.error(
-                    DiagCode::NonFinite,
-                    Some(op),
-                    format!(
-                        "{label}: product of weight {wc} and input code {c} is {}",
-                        product(c)
-                    ),
-                ));
-            }
-            let point = |c: usize| Interval::point(f64::from(product(c)));
-            let hull = point(reach.0).hull(point(reach.1));
-            *row_iv = Some(extra_col.map_or(hull, |z| hull.hull(point(z))));
-        }
-        Ok(rows)
-    }
-
     /// Hardware bit-width findings for one neuron op: fan-in vs the
     /// occurrence counters, worst-case |partial sum| vs the fixed-point
     /// accumulator word.
@@ -759,11 +712,19 @@ impl<'p> Checker<'p> {
         let (mut unused_rows, mut total_rows) = (0usize, 0usize);
         // A checked codebook: every flow's book is one.
         let xs = in_book.slice(self.floats);
+        // Indexed by code and grown to the largest book once per op:
+        // books may alias one span, so the work per book follows the
+        // distinct codes that read it, not the book's length.
+        let (mut seen, mut rows, mut distinct) = (Vec::new(), Vec::new(), Vec::new());
         let readers = n.readers(wcodes).zip(bias.chunks(n.channels / books));
         for (t, ((span, codes), bias)) in readers.enumerate() {
             let book_label = format!("{label} weight book {t}");
             let weights = self.weight_book(i, span, &book_label)?;
-            let mut used = vec![false; weights.len()];
+            if seen.len() < weights.len() {
+                seen.resize(weights.len(), false);
+                rows.resize(weights.len(), Interval::zero());
+            }
+            distinct.clear();
             for &c in codes {
                 if c as usize >= weights.len() {
                     return Err(self.error(
@@ -775,19 +736,49 @@ impl<'p> Checker<'p> {
                         ),
                     ));
                 }
-                used[c as usize] = true;
+                if !std::mem::replace(&mut seen[c as usize], true) {
+                    distinct.push(c);
+                }
             }
-            unused_rows += used.iter().filter(|u| !**u).count();
+            unused_rows += weights.len() - distinct.len();
             total_rows += weights.len();
-            let rows = self.row_intervals(i, weights, &used, xs, reach, extra_col, &book_label)?;
+            // Each read entry's hull of its products `fl(w · x)` over the
+            // live columns (`reach`, plus the zero-padding column when
+            // the window is padded), in code order, so the lowest entry
+            // with a non-finite product is the one named. `xs` is sorted
+            // and finite and `fl(w · x)` is monotone in `x` for a fixed
+            // `w`, so a hull is spanned by its range's two end columns
+            // and a product overflows, if anywhere, at an end of the book.
+            distinct.sort_unstable();
+            for &wc in &distinct {
+                seen[wc as usize] = false;
+                let w = weights[wc as usize];
+                let product = |c: usize| w * xs[c];
+                if let Some(c) = [0, xs.len() - 1]
+                    .into_iter()
+                    .find(|&c| !product(c).is_finite())
+                {
+                    return Err(self.error(
+                        DiagCode::NonFinite,
+                        Some(i),
+                        format!(
+                            "{book_label}: product of weight {wc} and input code {c} is {}",
+                            product(c)
+                        ),
+                    ));
+                }
+                let point = |c: usize| Interval::point(f64::from(product(c)));
+                let hull = point(reach.0).hull(point(reach.1));
+                rows[wc as usize] = extra_col.map_or(hull, |z| hull.hull(point(z)));
+            }
             for (patch, &b) in codes.chunks(patch_len).zip(bias) {
                 let mut acc = Interval::point(f64::from(b));
                 let mut mag = f64::from(b).abs();
                 for &w in patch {
-                    // Used entries always carry an interval: reach is
-                    // non-empty. A padded window reads the zero column,
-                    // which is in every entry's hull when pad > 0.
-                    let r = rows[w as usize].unwrap_or(Interval::zero());
+                    // Every code read has its hull: reach is non-empty.
+                    // A padded window reads the zero column, which is in
+                    // every entry's hull when pad > 0.
+                    let r = rows[w as usize];
                     acc = acc + r;
                     mag += r.magnitude();
                 }

@@ -77,10 +77,12 @@ pub enum DiagCode {
     /// bias, or LUT entry is NaN or infinite and would propagate to
     /// outputs.
     NonFinite,
-    /// The serving crate's artifact decoder refused the bytes' code
-    /// layout (its `ArtifactError::PackedLayout`, which `lint_bytes`
-    /// renders under this code). The decoder owns that judgement; the
-    /// checker never sees a layout and never emits this code.
+    /// The serving crate's artifact decoder refused the bytes' layout:
+    /// non-zero alignment padding or pad bits, or bytes after the last
+    /// code section (its `ArtifactError::PackedLayout`, which
+    /// `lint_bytes` renders under this code). The decoder owns that
+    /// judgement; the checker never sees a layout and never emits this
+    /// code.
     PackedLayoutInvalid,
     /// A codebook or activation-LUT input axis is not sorted by
     /// `total_cmp`: the nearest map over it is not monotone, so it has

@@ -86,7 +86,7 @@ impl PipelineReport {
     /// Flattens the composed model into a deployable serving artifact
     /// (see [`rapidnn_serve::CompiledModel`]).
     ///
-    /// `CompiledModel::to_bytes` serializes in format v2 — weight codes
+    /// `CompiledModel::to_bytes` serializes in format v4 — weight codes
     /// bit-packed at their cluster width on the wire, unpacked once at
     /// load.
     ///

@@ -364,12 +364,12 @@ impl CompiledModel {
     // Serialization
     // ------------------------------------------------------------------
 
-    /// Serializes the model in the current (v3) format (the crate's
+    /// Serializes the model in the current (v4) format (the crate's
     /// `wire` module): `RNNA` magic, format version, payload length,
     /// payload, FNV-1a 64 checksum — all little-endian. The payload
     /// carries the float pool as raw LE `f32` bytes at an 8-aligned
-    /// offset and the code pool as per-op bit-packed sections located
-    /// by a tail directory.
+    /// offset and the code pool as per-op bit-packed sections, in the
+    /// layout the ops imply.
     pub fn to_bytes(&self) -> Vec<u8> {
         wire::encode(&self.program)
     }

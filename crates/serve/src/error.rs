@@ -36,11 +36,10 @@ pub enum ArtifactError {
     /// The bytes are inconsistent below the level the analyzer sees
     /// (bad tags, size overflow, trailing bytes).
     Malformed(String),
-    /// A format v2 packed-code layout is inconsistent: section directory
-    /// offsets out of bounds or out of order, sections not tiling the
-    /// code pool, a bit width outside `1..=16`, non-zero alignment or
-    /// trailing pad bits, or a directory other than the one the encoder
-    /// writes for the decoded ops and codes. Kept distinct from
+    /// The payload is not the one byte string the encoder writes for
+    /// the program it decodes to: non-zero alignment padding before the
+    /// float section, non-zero pad bits ending a code section, or bytes
+    /// after the last code section. Kept distinct from
     /// [`ArtifactError::Malformed`] so `lint_bytes` can render it under
     /// its own diagnostic code (RNA0012).
     PackedLayout(String),

@@ -31,7 +31,7 @@ pub fn lint_bytes(bytes: &[u8]) -> Report {
 }
 
 /// The one-diagnostic report a byte-level decode failure renders as:
-/// a refused code-section layout ([`ArtifactError::PackedLayout`]) gets
+/// a refused payload layout ([`ArtifactError::PackedLayout`]) gets
 /// its own `RNA0012` code; every other failure folds into `RNA0001`. Shared by
 /// [`lint_bytes`] and by callers that already hold the
 /// [`ArtifactError`] of a refused load.

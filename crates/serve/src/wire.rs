@@ -3,13 +3,13 @@
 //! The outer framing is `RNNA` magic, `u32` version, `u64` payload
 //! length, payload, FNV-1a 64 checksum of the payload — a hand-rolled,
 //! versioned, checksummed little-endian encoding with no dependencies
-//! beyond `std`. The payload (format v3, see `DESIGN.md` §12)
-//! front-loads a fixed header of nine `u64`s (widths, pool lengths,
-//! op/section counts, and the byte offsets of the float section, packed
-//! region, and tail directory), then the ops, zero padding to the next
-//! 8-byte boundary, the raw LE `f32` float section, per-op code
-//! sections bit-packed at `ceil(log2(weight_book_len))` bits each, and
-//! finally a tail directory locating every section.
+//! beyond `std`. The payload (format v4, see `DESIGN.md` §12) is a
+//! header of five `u64`s (input and output widths, float count, code
+//! count, op count), the virtual encoder's span and the ops, zero
+//! padding to the next 8-byte boundary, the raw LE `f32` float section,
+//! and then the code sections, each bit-packed at
+//! `ceil(log2(weight_book_len))` bits. Nothing locates a section: the
+//! ops and the code count imply the layout ([`plan_sections`]).
 //!
 //! The float section carries the paper's two codebooks per neuron op,
 //! not their product: each op names its weight books (one for a dense
@@ -23,10 +23,10 @@
 //! exactly like the one it was written from and nothing downstream
 //! knows how it was built.
 //!
-//! [`decode`] judges the bytes, all of them: the framing, and the
-//! section layout, which must be the one [`encode`] writes for the
-//! decoded ops and codes. It does not judge the program — it hands back
-//! the analyzer's IR, a [`Program`] no analyzer has seen, which
+//! [`decode`] judges the bytes, all of them: the framing, zero padding
+//! and pad bits, and no byte after the last section, so one program has
+//! one byte string. It does not judge the program — it hands back the
+//! analyzer's IR, a [`Program`] no analyzer has seen, which
 //! [`CompiledModel::from_bytes`] gates before it derives anything and
 //! `lint_bytes` analyzes as it is.
 //!
@@ -38,19 +38,17 @@ use std::borrow::Cow;
 
 /// File magic: `RNNA` ("RapidNN Artifact").
 pub const MAGIC: [u8; 4] = *b"RNNA";
-/// The artifact format version (weight books instead of product tables,
-/// bit-packed code sections with a tail directory and an aligned raw
-/// float section) — the only one read or written.
-pub const FORMAT_VERSION: u32 = 3;
+/// The artifact format version (weight books, an aligned raw float
+/// section, and code sections bit-packed in the layout the ops imply) —
+/// the only one read or written.
+pub const FORMAT_VERSION: u32 = 4;
 /// Byte length of the outer framing before the payload (magic, version,
 /// payload length), so the payload starts 8-aligned in the file.
 const OUTER_HEADER_LEN: usize = 16;
-/// Byte length of the fixed payload header (nine `u64` fields).
-const HEADER_LEN: usize = 72;
-/// Byte length of one tail-directory entry (four `u64` fields).
-const DIR_ENTRY_LEN: usize = 32;
 /// Byte length of one span on the wire (two `u64` fields).
 const SPAN_LEN: usize = 16;
+/// Width of a code range no op claims: any `u16` fits.
+const FILLER_BITS: u32 = 16;
 
 /// Number of bits each code of a section with `rows` addressable
 /// codebook entries is packed into: enough to represent `rows - 1`,
@@ -63,20 +61,14 @@ fn bits_for(rows: usize) -> u32 {
     (usize::BITS - top.leading_zeros()).min(16)
 }
 
-/// Smallest width that can represent every code in `values` (minimum 1).
-fn bits_needed(values: &[u16]) -> u32 {
-    bits_for(values.iter().copied().max().unwrap_or(0) as usize + 1)
-}
-
 /// Bytes needed to pack `len` codes at `width` bits each.
 fn packed_byte_len(len: usize, width: u32) -> usize {
     (len * width as usize).div_ceil(8)
 }
 
 /// Reads the `mask`-wide value at bit offset `bit` of an LSB-first
-/// stream. Out-of-stream bytes read as zero, so a read that would run
-/// past the final byte (possible only while probing, never for codes a
-/// validated section owns) stays in bounds.
+/// stream. Out-of-stream bytes read as zero, so the last codes of a
+/// section read in bounds.
 #[inline]
 fn read_bits(stream: &[u8], bit: usize, mask: u32) -> u16 {
     let byte = bit / 8;
@@ -119,122 +111,90 @@ impl BitWriter {
     }
 }
 
-/// Serializes a program in the current (v3) format: `RNNA` magic,
+/// Serializes a program in the current (v4) format: `RNNA` magic,
 /// format version, payload length, payload, FNV-1a 64 checksum —
 /// all little-endian. The payload carries the float pool as raw LE
-/// `f32` bytes at an 8-aligned offset and the code pool as per-op
-/// bit-packed sections located by a tail directory.
+/// `f32` bytes at an 8-aligned offset and the code pool as the
+/// bit-packed sections [`plan_sections`] lays out.
 pub(crate) fn encode(program: &Program<'_>) -> Vec<u8> {
     let (floats, codes) = (&program.floats, &program.codes);
-    let sections = plan_sections(&program.ops, codes);
-
-    // Ops first (variable length), so the header can record where
-    // the aligned float section starts.
-    let ops_bytes = ops_bytes(program);
-    let ops_end = HEADER_LEN + ops_bytes.len();
-    let float_byte_off = ops_end.next_multiple_of(8);
-    let packed_byte_off = float_byte_off + floats.len() * 4;
-
-    let mut streams: Vec<Vec<u8>> = Vec::with_capacity(sections.len());
-    for &(start, len, width) in &sections {
-        let mut w = BitWriter::default();
-        for &c in &codes[start..start + len] {
-            w.put(c, width);
-        }
-        streams.push(w.finish());
-    }
-    let packed_len: usize = streams.iter().map(Vec::len).sum();
-    let dir_byte_off = packed_byte_off + packed_len;
-
-    let payload_len = dir_byte_off + sections.len() * DIR_ENTRY_LEN;
-    let mut payload = Vec::with_capacity(payload_len);
+    let mut out = MAGIC.to_vec();
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    write_u64(&mut out, 0); // the payload length, known at the end
     for v in [
-        program.input_features as u64,
-        program.output_features as u64,
-        floats.len() as u64,
-        codes.len() as u64,
-        program.ops.len() as u64,
-        sections.len() as u64,
-        float_byte_off as u64,
-        packed_byte_off as u64,
-        dir_byte_off as u64,
+        program.input_features,
+        program.output_features,
+        floats.len(),
+        codes.len(),
+        program.ops.len(),
     ] {
-        write_u64(&mut payload, v);
+        write_u64(&mut out, v as u64);
     }
-    payload.extend_from_slice(&ops_bytes);
-    payload.resize(float_byte_off, 0); // alignment padding, must be zero
-    for f in floats.iter() {
-        payload.extend_from_slice(&f.to_le_bytes());
-    }
-    for stream in &streams {
-        payload.extend_from_slice(stream);
-    }
-    let mut byte_off = packed_byte_off;
-    for (&(start, len, width), stream) in sections.iter().zip(&streams) {
-        write_u64(&mut payload, start as u64);
-        write_u64(&mut payload, len as u64);
-        write_u64(&mut payload, byte_off as u64);
-        write_u64(&mut payload, u64::from(width));
-        byte_off += stream.len();
-    }
-    debug_assert_eq!(payload.len(), payload_len);
-
-    frame(payload)
-}
-
-/// The payload's variable-length head: the virtual encoder's span, then
-/// every op.
-fn ops_bytes(program: &Program<'_>) -> Vec<u8> {
-    let mut out = Vec::new();
     write_span(&mut out, program.virtual_encoder);
     for op in &program.ops {
         write_op(&mut out, op);
     }
+    // The payload starts 8-aligned, so this aligns the float section in
+    // both. The padding must be zero.
+    out.resize(out.len().next_multiple_of(8), 0);
+    for f in floats.iter() {
+        out.extend_from_slice(&f.to_le_bytes());
+    }
+    for (start, len, width) in plan_sections(&program.ops, codes.len()) {
+        let mut w = BitWriter::default();
+        for &c in &codes[start..start + len] {
+            // The gate proved every weight code below its book's length.
+            debug_assert!(u32::from(c) >> width == 0, "code {c} over {width} bits");
+            w.put(c, width);
+        }
+        out.extend(w.finish());
+    }
+    let payload_len = (out.len() - OUTER_HEADER_LEN) as u64;
+    out[8..OUTER_HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+    let checksum = fnv1a64(&out[OUTER_HEADER_LEN..]);
+    write_u64(&mut out, checksum);
     out
 }
 
 /// Plans the code sections as `(start, len, width_bits)` triples
-/// tiling `0..codes.len()` in ascending order.
+/// tiling `0..total` in ascending order, from the ops alone.
 ///
-/// Sections come from the ops' weight-code spans (the flattener
-/// lays codes out in op order, so for compiler-built models they
-/// tile the pool exactly); each op section is packed at
-/// `ceil(log2(book len))` bits over the op's largest weight book. Code
-/// ranges no op claims — which only hand-built or malformed models
-/// have — become filler sections, and every width is widened if needed
-/// to hold the largest value actually present, so serialization
-/// round-trips the pool bit-for-bit even for the broken programs unit
-/// tests write.
-fn plan_sections(ops: &[Op], codes: &[u16]) -> Vec<(usize, usize, u32)> {
-    let total = codes.len();
-    let mut claims: Vec<(Span, u32)> = Vec::new();
-    for n in ops.iter().filter_map(Op::neuron) {
-        let span = n.weight_codes;
-        if span.len > 0 && span.start < total && span.start + span.len <= total {
+/// Each neuron op's weight-code span is one section, packed at
+/// `ceil(log2(book len))` bits over the op's largest weight book (the
+/// flattener lays codes out in op order, so for compiler-built models
+/// these tile the pool exactly). A span that is empty, leaves the pool
+/// or starts inside an earlier one claims nothing, and code ranges no
+/// op claims — only hand-built programs have them — pack at
+/// [`FILLER_BITS`].
+fn plan_sections(ops: &[Op], total: usize) -> Vec<(usize, usize, u32)> {
+    let mut claims: Vec<(Span, u32)> = ops
+        .iter()
+        .filter_map(Op::neuron)
+        .filter(|n| {
+            let s = n.weight_codes;
+            s.len > 0 && s.start < total && s.len <= total - s.start
+        })
+        .map(|n| {
             let rows = n.weight_books.iter().fold(0, |m, b| m.max(b.len));
-            claims.push((span, bits_for(rows)));
-        }
-    }
+            (n.weight_codes, bits_for(rows))
+        })
+        .collect();
     claims.sort_by_key(|(s, _)| s.start);
 
     let mut sections = Vec::new();
-    let mut push = |start: usize, len: usize, width: u32| {
-        let width = width.max(bits_needed(&codes[start..start + len]));
-        sections.push((start, len, width));
-    };
     let mut cursor = 0usize;
     for (span, width) in claims {
         if span.start < cursor {
             continue; // overlap: the earlier section already covers it
         }
         if span.start > cursor {
-            push(cursor, span.start - cursor, 1);
+            sections.push((cursor, span.start - cursor, FILLER_BITS));
         }
-        push(span.start, span.len, width);
+        sections.push((span.start, span.len, width));
         cursor = span.start + span.len;
     }
     if cursor < total {
-        push(cursor, total - cursor, 1);
+        sections.push((cursor, total - cursor, FILLER_BITS));
     }
     sections
 }
@@ -244,13 +204,12 @@ fn plan_sections(ops: &[Op], codes: &[u16]) -> Vec<(usize, usize, u32)> {
 /// anything, and `lint_bytes` analyzes it. The program keeps no trace
 /// of the packing.
 ///
-/// Once the checksum holds, the fixed header and ops are parsed and the
-/// section directory's framing invariants checked; each section is
-/// unpacked only after its stream is known to lie inside the packed
-/// region, so no allocation is sized by a count the bytes do not back.
-/// A section with non-zero trailing pad bits, or a directory other than
-/// the one [`encode`] writes for the decoded ops and codes, is an
-/// [`ArtifactError::PackedLayout`]: one byte string per model.
+/// Once the checksum holds, one pass reads the header and ops, then the
+/// float section and each planned code section in order; every read is
+/// checked against the bytes that remain before anything is sized by
+/// it. Non-zero alignment padding or pad bits, or a byte after the last
+/// section, is an [`ArtifactError::PackedLayout`]: one byte string per
+/// model.
 pub(crate) fn decode(bytes: &[u8]) -> Result<Program<'static>, ArtifactError> {
     let mut r = Reader::new(bytes);
     let magic = r.take(4)?;
@@ -281,140 +240,50 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Program<'static>, ArtifactError> {
         });
     }
 
-    let invalid = |msg: String| ArtifactError::PackedLayout(msg);
-
     let mut p = Reader::new(payload);
     let input_features = p.extent()?;
     let output_features = p.extent()?;
     let nfloats = p.extent()?;
     let ncodes = p.extent()?;
     let nops = p.extent()?;
-    let nsections = p.extent()?;
-    let float_byte_off = p.usize()?;
-    let packed_byte_off = p.usize()?;
-    let dir_byte_off = p.usize()?;
-
     let virtual_encoder = read_span(&mut p)?;
-    // Each op costs at least its 1-byte tag, and all ops must end
-    // before the float section.
+    // Each op costs at least its 1-byte tag.
     p.ensure(nops)?;
     let mut ops = Vec::with_capacity(nops);
     for _ in 0..nops {
         ops.push(read_op(&mut p)?);
     }
-    let ops_end = p.pos();
-
-    // Framing invariants: the four regions (ops + padding, floats,
-    // packed streams, directory) must chain exactly through the
-    // recorded offsets and fill the payload.
-    if float_byte_off != ops_end.next_multiple_of(8) {
-        return Err(invalid(format!(
-            "float section at byte {float_byte_off}, ops end (8-aligned) at {}",
-            ops_end.next_multiple_of(8)
-        )));
+    let pad = p.take(p.pos().next_multiple_of(8) - p.pos())?;
+    if pad.iter().any(|&b| b != 0) {
+        return Err(ArtifactError::PackedLayout(
+            "non-zero alignment padding after ops".into(),
+        ));
     }
-    let float_end = nfloats
-        .checked_mul(4)
-        .and_then(|n| float_byte_off.checked_add(n))
-        .ok_or_else(too_large)?;
-    if packed_byte_off != float_end {
-        return Err(invalid(format!(
-            "packed region at byte {packed_byte_off}, float section ends at {float_end}"
-        )));
-    }
-    let dir_len = nsections.checked_mul(DIR_ENTRY_LEN).ok_or_else(too_large)?;
-    if packed_byte_off > dir_byte_off || dir_byte_off.checked_add(dir_len) != Some(payload_len) {
-        return Err(invalid(format!(
-            "directory of {nsections} sections at byte {dir_byte_off} does not \
-             end the {payload_len}-byte payload"
-        )));
-    }
-    if payload[ops_end..float_byte_off].iter().any(|&b| b != 0) {
-        return Err(invalid("non-zero alignment padding after ops".into()));
-    }
-
-    // The tail directory: sections must tile 0..ncodes in order,
-    // with byte streams chaining exactly through the packed region.
-    let mut d = Reader::new(&payload[dir_byte_off..]);
-    let mut sections = Vec::with_capacity(nsections);
-    // A code costs at least one bit of the packed region.
-    let packed_bits = (dir_byte_off - packed_byte_off).saturating_mul(8);
-    let mut codes = Vec::with_capacity(ncodes.min(packed_bits));
-    let mut code_cursor = 0usize;
-    let mut byte_cursor = packed_byte_off;
-    for i in 0..nsections {
-        let start = d.usize()?;
-        let len = d.extent()?;
-        let byte_off = d.usize()?;
-        let width_bits = u32::try_from(d.u64()?).map_err(|_| too_large())?;
-        if len == 0 {
-            return Err(invalid(format!("section {i} is empty")));
-        }
-        if !(1..=16).contains(&width_bits) {
-            return Err(invalid(format!(
-                "section {i} packs {width_bits} bits per code, expected 1..=16"
-            )));
-        }
-        if start != code_cursor {
-            return Err(invalid(format!(
-                "section {i} starts at code {start}, tiling cursor is {code_cursor}"
-            )));
-        }
-        if byte_off != byte_cursor {
-            return Err(invalid(format!(
-                "section {i} stream at byte {byte_off}, chain cursor is {byte_cursor}"
-            )));
-        }
-        let byte_len = packed_byte_len(len, width_bits);
-        code_cursor = start.checked_add(len).ok_or_else(too_large)?;
-        byte_cursor = byte_cursor.checked_add(byte_len).ok_or_else(too_large)?;
-        if byte_cursor > dir_byte_off {
-            return Err(invalid(format!(
-                "section {i} stream overruns the directory at byte {dir_byte_off}"
-            )));
-        }
-        let stream = &payload[byte_off..byte_cursor];
-        let tail_bits = (len * width_bits as usize) % 8;
-        if tail_bits != 0 && stream[byte_len - 1] >> tail_bits != 0 {
-            return Err(invalid(format!(
-                "section {i} has non-zero trailing pad bits"
-            )));
-        }
-        sections.push((start, len, width_bits));
-        let mask = (1u32 << width_bits) - 1;
-        codes.extend((0..len).map(|i| read_bits(stream, i * width_bits as usize, mask)));
-    }
-    if code_cursor != ncodes {
-        return Err(invalid(format!(
-            "sections cover {code_cursor} codes, header says {ncodes}"
-        )));
-    }
-    if byte_cursor != dir_byte_off {
-        return Err(invalid(format!(
-            "packed streams end at byte {byte_cursor}, directory starts at {dir_byte_off}"
-        )));
-    }
-    // Each op's weight codes are one section at the width its books
-    // imply, filler between: exactly what `encode` writes.
-    let expected = plan_sections(&ops, &codes);
-    if sections != expected {
-        let i = sections
-            .iter()
-            .zip(&expected)
-            .take_while(|(a, b)| a == b)
-            .count();
-        return Err(invalid(format!(
-            "section {i} is {:?} as (code_start, code_len, width_bits); \
-             these ops and codes encode it as {:?}",
-            sections.get(i),
-            expected.get(i)
-        )));
-    }
-
-    let floats: Vec<f32> = payload[float_byte_off..packed_byte_off]
+    let floats: Vec<f32> = p
+        .take(nfloats * 4)?
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte lane")))
         .collect();
+
+    // A code costs at least one bit of what remains.
+    let mut codes = Vec::with_capacity(ncodes.min(p.remaining().saturating_mul(8)));
+    for (start, len, width) in plan_sections(&ops, ncodes) {
+        let stream = p.take(packed_byte_len(len, width))?;
+        let tail_bits = (len * width as usize) % 8;
+        if tail_bits != 0 && stream[stream.len() - 1] >> tail_bits != 0 {
+            return Err(ArtifactError::PackedLayout(format!(
+                "the section of codes {start}.. has non-zero pad bits"
+            )));
+        }
+        let mask = (1u32 << width) - 1;
+        codes.extend((0..len).map(|i| read_bits(stream, i * width as usize, mask)));
+    }
+    if p.remaining() != 0 {
+        return Err(ArtifactError::PackedLayout(format!(
+            "{} bytes after the last code section",
+            p.remaining()
+        )));
+    }
 
     Ok(Program {
         input_features,
@@ -432,18 +301,6 @@ fn malformed(msg: impl Into<String>) -> ArtifactError {
 
 fn too_large() -> ArtifactError {
     ArtifactError::Malformed("size overflow".into())
-}
-
-/// Wraps a payload in the outer framing: magic, version, payload
-/// length, payload, FNV-1a 64 checksum.
-fn frame(payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(OUTER_HEADER_LEN + payload.len() + 8);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    write_u64(&mut out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-    write_u64(&mut out, fnv1a64(&payload));
-    out
 }
 
 /// FNV-1a 64-bit hash — cheap, dependency-free corruption detection.
@@ -750,8 +607,8 @@ mod tests {
     #[test]
     fn deep_model_bytes_are_pinned() {
         let bytes = crate::CompiledModel::deep_for_tests(3).to_bytes();
-        assert_eq!(bytes.len(), 426);
-        assert_eq!(fnv1a64(&bytes), 0xa5aa_56e4_c9c5_f5e7);
+        assert_eq!(bytes.len(), 362);
+        assert_eq!(fnv1a64(&bytes), 0xcaa6_a07d_9d6b_238d);
     }
 
     #[test]
@@ -830,18 +687,23 @@ mod tests {
         }
     }
 
-    /// The writer's alignment contract: the float section offset is
-    /// always a multiple of 8 in the payload, and the payload itself
-    /// starts 8 bytes into the outer header — so the float bytes are
-    /// 8-aligned in the file.
+    /// The writer's alignment contract: the float section starts at a
+    /// multiple of 8 in the payload, and the payload itself starts 8
+    /// bytes into the outer header — so the float bytes are 8-aligned
+    /// in the file.
     #[test]
     fn float_section_is_aligned() {
-        let bytes = encode(&crate::CompiledModel::deep_program_for_tests(1));
-        let float_off = u64::from_le_bytes(
-            bytes[OUTER_HEADER_LEN + 48..OUTER_HEADER_LEN + 56]
-                .try_into()
-                .expect("8 bytes"),
-        );
+        let program = crate::CompiledModel::deep_program_for_tests(1);
+        let bytes = encode(&program);
+        let section: Vec<u8> = program
+            .floats
+            .iter()
+            .flat_map(|f| f.to_le_bytes())
+            .collect();
+        let float_off = bytes
+            .windows(section.len())
+            .position(|w| w == section)
+            .expect("the float section");
         assert_eq!(float_off % 8, 0);
         assert_eq!(OUTER_HEADER_LEN % 8, 0);
     }

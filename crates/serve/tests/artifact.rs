@@ -159,9 +159,9 @@ fn bad_magic_and_future_version_are_typed() {
         CompiledModel::from_bytes(b"LAYRxxxxxxxxxxxxxxxxxxxx"),
         Err(ServeError::Artifact(ArtifactError::BadMagic))
     ));
-    // The retired v1 and v2 are as unreadable as a version from the
-    // future.
-    for version in [1, 2, FORMAT_VERSION + 1] {
+    // The retired v1, v2 and v3 are as unreadable as a version from
+    // the future.
+    for version in [1, 2, 3, FORMAT_VERSION + 1] {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
         bytes.extend_from_slice(&version.to_le_bytes());
@@ -227,12 +227,20 @@ fn invalid_model_is_rejected_by_every_constructor() {
         _ => unreachable!("mlp starts with a dense op"),
     };
     let mut bytes = CompiledModel::from_program(&program).unwrap().to_bytes();
+    let section: Vec<u8> = program
+        .floats
+        .iter()
+        .flat_map(|f| f.to_le_bytes())
+        .collect();
     program.floats.to_mut()[offset] = f32::NAN;
 
-    // The same poison in the serialized float section (its payload
-    // offset is the header's seventh u64; the payload starts at 16).
-    let float_off = u64::from_le_bytes(bytes[16 + 48..16 + 56].try_into().unwrap()) as usize;
-    let at = 16 + float_off + offset * 4;
+    // The same poison in the serialized float section, the pool's raw
+    // LE bytes.
+    let float_off = bytes
+        .windows(section.len())
+        .position(|w| w == section)
+        .expect("the float section");
+    let at = float_off + offset * 4;
     bytes[at..at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
     repair_checksum(&mut bytes);
 

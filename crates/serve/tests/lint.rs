@@ -5,8 +5,9 @@
 //! the loader refuses it, or it loads and infers without panicking. The
 //! property test below throws hundreds of random single-field
 //! corruptions at serialized artifacts of every op-program topology and
-//! checks there is no third outcome; the layout tests hold the decoder
-//! to refusing every section layout the encoder would not write. The
+//! checks there is no third outcome, and that every mutant which loads
+//! is the one byte string its model encodes to; the layout tests hold
+//! the decoder to refusing padding, pad bits and trailing bytes. The
 //! analyzer's liveness notes read nothing dead on what the composer
 //! emits.
 
@@ -60,6 +61,11 @@ fn assert_flagged_or_harmless(bytes: &[u8]) {
         loaded.as_ref().err()
     );
     let Ok(model) = loaded else { return };
+    // One program, one byte string: what loads is what it encodes to.
+    assert!(
+        model.to_bytes() == bytes,
+        "a loaded mutant re-encodes differently"
+    );
 
     // Accepted mutants must infer without panicking: no third outcome.
     let sample = vec![0.25f32; model.input_features()];
@@ -152,11 +158,11 @@ fn an_output_width_lie_is_refused_at_load() {
     }
 }
 
-/// Decode unpacks code sections into memory, so the counts it reads
-/// must be backed by bytes before they size anything: a few hundred
-/// bytes claiming 2^31 codes — in the header, or in a 1-bit section
-/// whose stream holds sixteen — are a typed framing error, not an
-/// allocation, and go through the corpus check like any other mutant.
+/// Decode unpacks the float and code sections into memory, so the
+/// counts it reads must be backed by bytes before they size anything:
+/// a few hundred bytes claiming 2^31 floats or 2^31 codes are a typed
+/// truncation, not an allocation, and go through the corpus check like
+/// any other mutant.
 #[test]
 fn decode_cannot_be_made_to_allocate_by_a_lie() {
     let floats = vec![-1.0f32, -0.25, 0.5, 1.0, 0.5, -1.0, 0.125];
@@ -183,20 +189,17 @@ fn decode_cannot_be_made_to_allocate_by_a_lie() {
     assert!(CompiledModel::from_bytes(&clean).is_ok());
 
     let huge = (1u64 << 31).to_le_bytes();
-    // The header's code count is the fourth payload u64; the one
-    // section's length is the second u64 of the 32-byte directory
-    // entry that ends the payload.
-    let header_count = 16 + 3 * 8;
-    let section_len = clean.len() - 8 - 32 + 8;
-    for at in [header_count, section_len] {
+    // The header's float and code counts are the third and fourth
+    // payload u64s.
+    for (at, count) in [(16 + 2 * 8, 7u64), (16 + 3 * 8, 16)] {
         let mut bytes = clean.clone();
-        assert_eq!(bytes[at..at + 8], 16u64.to_le_bytes(), "field at {at}");
+        assert_eq!(bytes[at..at + 8], count.to_le_bytes(), "field at {at}");
         bytes[at..at + 8].copy_from_slice(&huge);
         repair_checksum(&mut bytes);
         assert!(
             matches!(
                 CompiledModel::from_bytes(&bytes),
-                Err(ServeError::Artifact(ArtifactError::PackedLayout(_)))
+                Err(ServeError::Artifact(ArtifactError::Truncated { .. }))
             ),
             "lie at byte {at}"
         );
@@ -204,11 +207,8 @@ fn decode_cannot_be_made_to_allocate_by_a_lie() {
     }
 }
 
-/// Codes of [`five_code_artifact`]'s one dense op: 5 codes into a
-/// 2-entry weight book, one 1-bit section of 5 bits, so its byte has 3
-/// pad bits.
-const FIVE_CODES: [u16; 5] = [0, 1, 1, 0, 1];
-
+/// One dense op of 5 codes into a 2-entry weight book: one 1-bit
+/// section of 5 bits, so its byte has 3 pad bits.
 fn five_code_artifact() -> Vec<u8> {
     let floats = vec![-1.0f32, -0.25, 0.5, 1.0, 0.5, -1.0, 0.125];
     let program = Program {
@@ -225,7 +225,7 @@ fn five_code_artifact() -> Vec<u8> {
             encoder: None,
         }],
         floats: Cow::Owned(floats),
-        codes: Cow::Owned(FIVE_CODES.to_vec()),
+        codes: Cow::Owned(vec![0, 1, 1, 0, 1]),
     };
     CompiledModel::from_program(&program)
         .expect("compile")
@@ -251,46 +251,6 @@ fn an_unsorted_codebook_is_refused_at_load() {
     assert_flagged_or_harmless(&bytes);
 }
 
-/// `clean` with its packed region and directory rewritten: `codes`
-/// split into `sections` of `(code_len, width_bits)`, each packed
-/// LSB-first, with bit 7 of each stream's last byte set when `dirty`.
-/// Framing stays consistent (offsets, lengths, checksum), so only the
-/// layout itself is on trial.
-fn repack(clean: &[u8], codes: &[u16], sections: &[(usize, u32)], dirty: bool) -> Vec<u8> {
-    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("u64"));
-    let payload = &clean[16..clean.len() - 8];
-    let packed_off = u64_at(payload, 56) as usize;
-    let (mut streams, mut dir, mut start) = (Vec::new(), Vec::new(), 0);
-    for &(len, width) in sections {
-        let width = width as usize;
-        let mut stream = vec![0u8; (len * width).div_ceil(8)];
-        for (i, &code) in codes[start..start + len].iter().enumerate() {
-            for b in (0..width).filter(|b| code >> b & 1 == 1) {
-                stream[(i * width + b) / 8] |= 1 << ((i * width + b) % 8);
-            }
-        }
-        if dirty {
-            *stream.last_mut().expect("non-empty") |= 0x80;
-        }
-        for v in [start, len, packed_off + streams.len(), width] {
-            dir.extend_from_slice(&(v as u64).to_le_bytes());
-        }
-        streams.extend(stream);
-        start += len;
-    }
-    let mut body = payload[..packed_off].to_vec();
-    body[40..48].copy_from_slice(&(sections.len() as u64).to_le_bytes());
-    body[64..72].copy_from_slice(&((packed_off + streams.len()) as u64).to_le_bytes());
-    body.extend(streams);
-    body.extend(dir);
-    let mut bytes = clean[..8].to_vec();
-    bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    bytes.extend(body);
-    bytes.extend_from_slice(&[0; 8]);
-    repair_checksum(&mut bytes);
-    bytes
-}
-
 /// A layout refusal belongs to the decoder: a typed `PackedLayout`
 /// error from the loader, errors from the linter, and no third outcome.
 fn assert_layout_refused(bytes: &[u8]) {
@@ -307,26 +267,40 @@ fn assert_layout_refused(bytes: &[u8]) {
 }
 
 #[test]
-fn repack_reproduces_the_encoder() {
-    let clean = five_code_artifact();
-    assert_eq!(repack(&clean, &FIVE_CODES, &[(5, 1)], false), clean);
-}
-
-#[test]
-fn a_section_wider_than_its_book_is_refused() {
-    // Two rows need one bit; two bits still hold every code.
-    let clean = five_code_artifact();
-    assert_layout_refused(&repack(&clean, &FIVE_CODES, &[(5, 2)], false));
-}
-
-#[test]
-fn a_weight_code_span_split_across_sections_is_refused() {
-    let clean = five_code_artifact();
-    assert_layout_refused(&repack(&clean, &FIVE_CODES, &[(2, 1), (3, 1)], false));
-}
-
-#[test]
 fn non_zero_trailing_pad_bits_are_refused() {
-    let clean = five_code_artifact();
-    assert_layout_refused(&repack(&clean, &FIVE_CODES, &[(5, 1)], true));
+    // The one section is the payload's last byte; its top 3 bits pad.
+    let mut bytes = five_code_artifact();
+    let last = bytes.len() - 9;
+    bytes[last] |= 0x80;
+    repair_checksum(&mut bytes);
+    assert_layout_refused(&bytes);
+}
+
+#[test]
+fn non_zero_alignment_padding_is_refused() {
+    let mut bytes = five_code_artifact();
+    let floats: Vec<u8> = [-1.0f32, -0.25, 0.5, 1.0, 0.5, -1.0, 0.125]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let at = bytes
+        .windows(28)
+        .position(|w| w == floats)
+        .expect("the floats");
+    // The ops end 3 bytes short of the 8-aligned float section.
+    assert_eq!(bytes[at - 1], 0);
+    bytes[at - 1] = 1;
+    repair_checksum(&mut bytes);
+    assert_layout_refused(&bytes);
+}
+
+#[test]
+fn a_byte_after_the_last_section_is_refused() {
+    let mut bytes = five_code_artifact();
+    let end = bytes.len() - 8;
+    bytes.insert(end, 0);
+    let payload_len = (end - 16 + 1) as u64;
+    bytes[8..16].copy_from_slice(&payload_len.to_le_bytes());
+    repair_checksum(&mut bytes);
+    assert_layout_refused(&bytes);
 }

@@ -277,30 +277,30 @@ fn composed_models_and_their_outputs_are_pinned() {
     assert_artifacts_pinned(
         "mnist-tiny",
         mnist_tiny,
-        10_848,
+        10_720,
         &[
-            (42, 0x916a_d14d_f62b_4790),
-            (43, 0xc28b_6b59_3b60_7fe0),
-            (1, 0x19b9_fcc1_a618_fd69),
-            (2, 0xeb0b_0749_52e1_35f4),
-            (3, 0x88c2_f1e9_495a_4684),
-            (5, 0x2bfa_8ec4_89bd_9d2f),
-            (7, 0x8b02_03fa_32f5_c808),
-            (11, 0xdb87_0942_e995_d39e),
-            (17, 0xe290_5085_f149_a2e8),
-            (99, 0x17f9_a3ff_1bbb_14ed),
+            (42, 0xc5cf_1bb4_59e7_3417),
+            (43, 0xc9dc_6472_356d_e10c),
+            (1, 0xcc52_d8fa_765e_630d),
+            (2, 0x57cc_bb1e_8d39_ac30),
+            (3, 0xa066_17a9_c282_7afd),
+            (5, 0x2e99_d942_773e_95bb),
+            (7, 0xe2b0_cc14_f25b_51e9),
+            (11, 0x904f_673c_5432_4394),
+            (17, 0x94ce_bde6_cd3c_b8c8),
+            (99, 0xb28a_b8a9_713d_19ca),
         ],
     );
     assert_artifacts_pinned(
         "deep-mlp",
         deep_mlp,
-        8_540,
+        8_220,
         &[
-            (42, 0x99a9_30d1_c284_2be1),
-            (43, 0xfaf0_0748_9271_99ea),
-            (1, 0x3669_0864_cef3_8469),
-            (2, 0xfc7c_83c8_8f2f_a163),
-            (3, 0x8f59_9c92_f621_3ff4),
+            (42, 0xfe35_b3c9_64c7_8fe9),
+            (43, 0x6f89_bc66_5d13_3bbd),
+            (1, 0xd754_6c56_2fa9_ee7f),
+            (2, 0x5643_1a8c_8dfd_03c7),
+            (3, 0x3a7d_5fbd_4c9b_eb9f),
         ],
     );
     let outputs = [
