@@ -99,12 +99,12 @@ fn resolve(book: &[f32], keys: &[i32], ins: usize, kv: i32, value: f32) -> usize
 /// Probes per register-resident chunk of the block encoders: a chunk's
 /// keys and running sums stay in vector registers across every bound,
 /// so a sweep touches memory once per probe. Thirty-two is four `ymm`
-/// registers of keys and four of sums in the serving executor's AVX2
-/// frame, which inlines these encoders. `mnist-tiny`'s int16 input
+/// registers of keys and four of sums in the serving encoder's AVX2
+/// function, which inlines these encoders. `mnist-tiny`'s int16 input
 /// encode (64 × 784 probes against 7 bounds, best of 2000 on a Xeon
-/// with AVX-512): 26–28 µs at 32 and 33–36 µs at 16 inside that frame,
-/// 39–42 and 45–49 µs compiled for baseline x86_64. Eight falls back to
-/// scalar code.
+/// with AVX-512): 26–28 µs at 32 and 33–36 µs at 16 inside the
+/// executor's former single AVX2 frame, 39–42 and 45–49 µs compiled for
+/// baseline x86_64. Eight falls back to scalar code.
 const CHUNK: usize = 32;
 
 /// Largest codebook [`tabulate_thresholds`] applies to (bounds the

@@ -30,7 +30,7 @@ pub(crate) fn run_of(edges: &[[i32; EDGE_LANES]], probe: i32) -> usize {
         for (b, &e) in below.iter_mut().zip(group) {
             *b += u32::from(e <= probe);
         }
-        // Keeps the group as the vector: without a barrier, inside the
+        // Keeps the group as the vector: without a barrier, inside an
         // AVX2 frame the loop vectorizer takes eight groups as its lanes
         // and transposes them (64-edge finishes: 37 µs for a 64-row
         // 16 → 24 op against 12 µs with it).

@@ -49,10 +49,10 @@
 //! [`lower`] decodes when the model is assembled. Every other op is its
 //! pool or residual step.
 //!
-//! The executor — input encoder, op loop and every kernel — runs on the
-//! lane body [`lanes::run`] picks for the CPU; on an AVX2 CPU the
-//! encoder, the integer kernels and the `f32` neuron blocks are
-//! compiled at that width (see [`crate::lanes`]), with the same bits.
+//! The op loop runs outside every CPU feature frame: the input encoder
+//! and each op enter the lane body [`Detect`] picks as their kind's work
+//! ([`Encode`], [`Multiply`], [`Madd`], [`Step`]), on an AVX2 CPU one
+//! AVX2 function each (see [`crate::lanes`]), with the same bits.
 //!
 //! Where the flow stands between two ops — its width and domain — is
 //! fixed when the model is built ([`FlowState`], one per op boundary,
@@ -76,9 +76,9 @@
 use crate::artifact::{apply_act, CompiledModel, InputEncoder};
 use crate::error::{Result, ServeError};
 use crate::finish::{run_of, Finish, LutOut};
-use crate::lanes::{self, Acc, LaneWork};
+use crate::lanes::{Acc, Body, Detect, LaneWork};
 use crate::quant::{level_of, QuantOp};
-use rapidnn_analyze::{Act, Boundary, Geom, Neuron, Op, Program, Span};
+use rapidnn_analyze::{Act, Boundary, Geom, Op, Program, Span};
 use rapidnn_core::nearest::{
     nearest_sorted_block, nearest_thresholded_block, nearest_thresholded_levels, total_key,
 };
@@ -332,53 +332,20 @@ impl BatchRunner {
             return Ok(0);
         }
         let padded = pad_rows(rows);
-        lanes::run(Exec(self, model, Some(inputs), true, padded));
+        self.encode_batch(model, inputs, padded);
+        self.exec_ops::<Detect>(model, padded);
         let exit = model.flow[model.op_count()];
         out.extend_from_slice(&self.flow.floats[..rows * exit.width]);
         Ok(rows)
     }
 
-    /// Encodes a `padded`-row batch through the model's virtual input
-    /// codebook into the arena buffer the first op reads — `quants` when
-    /// it is an integer Madd op, whose level of each code the encoder
-    /// then writes directly, `codes` otherwise. `inputs` may hold fewer than
-    /// `padded` rows; pad rows keep zeros — code 0 is valid for every
-    /// non-empty codebook and a zero operand for every Madd — and their
-    /// results are computed but never copied out.
+    /// Encodes a `padded`-row batch into the arena buffer the first op
+    /// reads ([`Encode`]). `inputs` may hold fewer than `padded` rows;
+    /// pad rows keep zeros — code 0 is valid for every non-empty
+    /// codebook and a zero operand for every Madd — and their results
+    /// are computed but never copied out.
     pub(crate) fn encode_batch(&mut self, model: &CompiledModel, inputs: &[f32], padded: usize) {
-        lanes::run(Exec(self, model, Some(inputs), false, padded));
-    }
-
-    /// [`encode_batch`](Self::encode_batch) inside the executor's frame.
-    #[inline(always)]
-    fn encode(&mut self, model: &CompiledModel, inputs: &[f32], padded: usize) {
-        let program = &model.program;
-        let features = program.input_features;
-        let book = || program.virtual_encoder.slice(&program.floats);
-        match model.madd_levels(0) {
-            None => {
-                let codes = &mut self.flow.codes;
-                refill(codes, padded * features);
-                match &model.input_enc {
-                    InputEncoder::Thresholds(thr) => nearest_thresholded_block(thr, inputs, codes),
-                    InputEncoder::Keys(keys) => {
-                        nearest_sorted_block(book(), keys, inputs, codes, |i| i as u16);
-                    }
-                }
-            }
-            Some(xq) => {
-                let quants = &mut self.flow.quants;
-                refill(quants, padded * features);
-                match &model.input_enc {
-                    InputEncoder::Thresholds(thr) => {
-                        nearest_thresholded_levels(thr, xq, inputs, quants);
-                    }
-                    InputEncoder::Keys(keys) => {
-                        nearest_sorted_block(book(), keys, inputs, quants, |i| xq[i]);
-                    }
-                }
-            }
-        }
+        Detect::run(Encode(model, inputs, &mut self.flow, padded));
     }
 
     /// Takes the current flow out of the arena as an owned buffer — what
@@ -405,7 +372,7 @@ impl BatchRunner {
             FlowData::Codes(v) => self.flow.codes = v,
             FlowData::Quants(v) => self.flow.quants = v,
         }
-        lanes::run(Exec(self, model, None, true, padded));
+        self.exec_ops::<Detect>(model, padded);
     }
 
     /// The current decoded flow (`padded × width`, row-major).
@@ -418,142 +385,78 @@ impl BatchRunner {
     ///
     /// Op `oi` reads the model's `flow[oi]` and writes the scratch
     /// buffer of the domain `flow[oi + 1]` names, which the loop then
-    /// makes the current flow.
-    #[inline(always)]
-    fn exec_ops<A: Acc>(&mut self, model: &CompiledModel, padded: usize) {
-        let BatchRunner {
-            flow,
-            skips,
-            tile_f,
-        } = self;
-        let program = &model.program;
-        let pool_f: &[f32] = &program.floats;
+    /// makes the current flow. Each op enters the lane body `B` reaches
+    /// as its kind's work; only a residual region's entry runs here.
+    fn exec_ops<B: Body>(&mut self, model: &CompiledModel, padded: usize) {
         // The program starts and ends outside every residual region.
         let mut skip_depth = 0usize;
 
-        for (oi, op) in program.ops.iter().enumerate() {
-            let (at, next) = (model.flow[oi], model.flow[oi + 1].domain);
-            // A max pool or a region's entry that hands codes to an
-            // integer Madd op writes that op's operand for each code.
-            let levels = model.madd_levels(oi + 1);
-            let finish = model.finishes[oi].as_ref();
-            match op {
-                Op::Dense { .. } | Op::Conv { .. } => {
-                    let n = op.neuron().expect("dense and conv ops are neurons");
-                    let relu = matches!(n.act, Act::Relu);
-                    let mul = match &model.kernels[oi] {
-                        // Analyzer-licensed ops run the integer path on
-                        // tiles materialized once at load time; the
-                        // activation + re-encode are the finish's runs
-                        // on the accumulator, so the op is one pass.
-                        Kernel::Madd(q) => {
-                            quant_dense::<A>(q, finish, relu, flow, padded);
-                            flow.advance(next);
-                            continue;
-                        }
-                        Kernel::Mul(mul) => mul,
-                        Kernel::Step => unreachable!("a neuron op reading codes multiplies"),
-                    };
-                    neuron_rows(pool_f, &n, mul, flow, tile_f, padded);
-                    match finish {
-                        Some(f) => refinish(f, relu, flow),
-                        // Identity or ReLU with nothing after it.
-                        None => (flow.floats_next.iter_mut())
-                            .for_each(|y| *y = apply_act(n.act, pool_f, *y)),
-                    }
+        for (oi, op) in model.program.ops.iter().enumerate() {
+            match (&model.kernels[oi], op) {
+                // Analyzer-licensed ops run the integer path on tiles
+                // materialized once at load time.
+                (Kernel::Madd(q), _) => {
+                    let relu = op.neuron().is_some_and(|n| matches!(n.act, Act::Relu));
+                    let finish = model.finishes[oi].as_ref();
+                    B::run(Madd(q, finish, relu, &mut self.flow, padded));
                 }
-                Op::MaxPool(g) => {
-                    let (same, max) = (|c: u16| c, |a: u16, b: u16| a.max(b));
-                    // A pool reads codes whenever it reads encoded values:
-                    // only an integer Madd op reads `Quants`.
-                    match (at.domain, levels) {
-                        (Domain::Floats, _) => {
-                            let (src, dst) = (&flow.floats, &mut flow.floats_next);
-                            pool_rows(g, src, dst, padded, |v| v, f32::max, |v| v);
-                        }
-                        (_, None) => {
-                            let (src, dst) = (&flow.codes, &mut flow.codes_next);
-                            pool_rows(g, src, dst, padded, same, max, same);
-                        }
-                        (_, Some(xq)) => {
-                            let (src, dst) = (&flow.codes, &mut flow.quants_next);
-                            pool_rows(g, src, dst, padded, same, max, |c| level_of(xq, c));
-                        }
+                (Kernel::Mul(_), _) => B::run(Multiply(model, oi, self, padded)),
+                (Kernel::Step, Op::ResidualBegin { skip_codebook }) => {
+                    let book = skip_codebook.slice(&model.program.floats);
+                    if self.skips.len() == skip_depth {
+                        self.skips.push(Vec::new());
                     }
-                }
-                Op::AvgPool { geom: g, codebook } => {
-                    let window = (g.kernel_h * g.kernel_w) as f32;
-                    let (sum, mean) = (|a: f32, b: f32| a + b, |s: f32| s / window);
-                    let dst = &mut flow.floats_next;
-                    match finish {
-                        None => pool_rows(g, &flow.floats, dst, padded, |v| v, sum, mean),
-                        // Decoded straight out of the window (the sum order
-                        // of decoding the sample first), then re-encoded.
-                        Some(f) => {
-                            let book = codebook.slice(pool_f);
-                            let decode = |c: u16| book[c as usize];
-                            pool_rows(g, &flow.codes, dst, padded, decode, sum, mean);
-                            refinish(f, false, flow);
-                        }
-                    }
-                }
-                Op::ResidualBegin { skip_codebook } => {
-                    let book = skip_codebook.slice(pool_f);
-                    if skips.len() == skip_depth {
-                        skips.push(Vec::new());
-                    }
-                    let buf = &mut skips[skip_depth];
-                    buf.clear();
-                    let src = &flow.codes[..padded * at.width];
-                    buf.extend(src.iter().map(|&c| book[c as usize]));
+                    let src = &self.flow.codes[..padded * model.flow[oi].width];
+                    let buf = &mut self.skips[skip_depth];
+                    fill(buf, src.len(), |i| book[src[i] as usize]);
                     skip_depth += 1;
                     // The codes pass through to the region's first op;
                     // an integer Madd op there reads them as operands.
-                    if let Some(xq) = levels {
-                        flow.quants.clear();
-                        flow.quants.extend(src.iter().map(|&c| level_of(xq, c)));
+                    if let Some(xq) = model.madd_levels(oi + 1) {
+                        fill(&mut self.flow.quants, src.len(), |i| level_of(xq, src[i]));
                     }
                     continue;
                 }
-                Op::ResidualEnd { .. } => {
+                (Kernel::Step, Op::ResidualEnd { .. }) => {
                     skip_depth -= 1;
-                    let skip = &skips[skip_depth];
-                    let n = padded * at.width;
-                    let joined = &flow.floats;
-                    match finish {
-                        Some(f) => flow.finish(f, n, |joined, i| joined[i] + skip[i]),
-                        None => fill(&mut flow.floats_next, n, |i| joined[i] + skip[i]),
-                    }
+                    let skip = &self.skips[skip_depth];
+                    B::run(Step(model, oi, skip, &mut self.flow, padded));
                 }
+                (Kernel::Step, _) => B::run(Step(model, oi, &[], &mut self.flow, padded)),
             }
-            flow.advance(next);
+            self.flow.advance(model.flow[oi + 1].domain);
         }
     }
 }
 
-/// The batch executor's one entry, run by [`lanes::run`] on the lane
-/// body this CPU executes: encodes the inputs, when given, into the
-/// runner's flow, then, when asked, runs the op program over it, for
-/// `padded` rows.
-struct Exec<'a>(
-    &'a mut BatchRunner,
-    &'a CompiledModel,
-    Option<&'a [f32]>,
-    bool,
-    usize,
-);
+/// `Encode(model, inputs, flow, padded)`, the input encoder: each value
+/// of a `padded`-row batch through the model's virtual input codebook
+/// into the buffer the first op reads — `quants` when it is an integer
+/// Madd op, whose level of each code it then writes, `codes` otherwise.
+struct Encode<'a>(&'a CompiledModel, &'a [f32], &'a mut Flow, usize);
 
-impl LaneWork for Exec<'_> {
+impl LaneWork for Encode<'_> {
     type Out = ();
 
     #[inline(always)]
     fn run<A: Acc>(self) {
-        let Exec(runner, model, inputs, ops, padded) = self;
-        if let Some(inputs) = inputs {
-            runner.encode(model, inputs, padded);
-        }
-        if ops {
-            runner.exec_ops::<A>(model, padded);
+        let Encode(model, inputs, flow, padded) = self;
+        let (program, codes, quants) = (&model.program, &mut flow.codes, &mut flow.quants);
+        let n = padded * program.input_features;
+        let book = || program.virtual_encoder.slice(&program.floats);
+        match (model.madd_levels(0), &model.input_enc) {
+            (None, InputEncoder::Thresholds(thr)) => {
+                nearest_thresholded_block(thr, inputs, refill(codes, n));
+            }
+            (None, InputEncoder::Keys(keys)) => {
+                nearest_sorted_block(book(), keys, inputs, refill(codes, n), |i| i as u16);
+            }
+            (Some(xq), InputEncoder::Thresholds(thr)) => {
+                nearest_thresholded_levels(thr, xq, inputs, refill(quants, n));
+            }
+            (Some(xq), InputEncoder::Keys(keys)) => {
+                nearest_sorted_block(book(), keys, inputs, refill(quants, n), |i| xq[i]);
+            }
         }
     }
 }
@@ -641,50 +544,57 @@ fn plan(model: &CompiledModel) -> Plan {
     p
 }
 
-/// One `f32` neuron op's raw accumulators over the padded batch, into
-/// the flow's `floats_next`. The multiply makes every output position —
-/// a row of a dense op, a (row, pixel) pair of a conv — one lane of
-/// [`dense_block`]: [`LANES`] rows at one pixel in a batch of whole
-/// blocks ([`row_blocks`]), else positions pixel-major (a one-row conv
-/// fills its blocks with pixels, [`patches`]) and one lane per position
-/// left over.
-#[inline(always)]
-fn neuron_rows(
-    pool_f: &[f32],
-    n: &Neuron<'_>,
-    mul: &DenseMul,
-    flow: &mut Flow,
-    tile_f: &mut Vec<f32>,
-    padded: usize,
-) {
-    let (codes, dst) = (&flow.codes, &mut flow.floats_next);
-    let (g, b, z) = (&n.window, n.bias.slice(pool_f), n.zero_code);
-    let (pixels, patch_len, in_vol) = (g.out_pixels(), g.patch_len(), g.in_volume());
-    let nout = n.channels * pixels;
-    refill(dst, padded * nout);
-    let positions = padded * pixels;
-    let at = |q: usize| (q % padded) * nout + q / padded;
-    let book = mul.book.slice(pool_f);
-    let decode = |x: u16| book[usize::from(x)];
-    let ws = &mul.weights[..];
-    if padded >= LANES {
-        row_blocks(g, &codes[..padded * in_vol], z, tile_f, decode, ws, b, dst);
-        return;
-    }
-    let blocks = positions - positions % LANES;
-    refill(tile_f, patch_len * if blocks > 0 { LANES } else { 1 });
-    for q in (0..blocks).step_by(LANES) {
-        patches::<LANES, _>(g, codes, z, padded, q, tile_f, decode);
-        let (xs, lanes) = (
-            tile_f.as_chunks::<LANES>().0,
-            std::array::from_fn(|l| at(q + l)),
-        );
-        dense_block(ws, b, xs, dst, lanes, pixels);
-    }
-    for q in blocks..positions {
-        let xs = &mut tile_f[..patch_len];
-        patches::<1, _>(g, codes, z, padded, q, xs, decode);
-        dense_block(ws, b, xs.as_chunks().0, dst, [at(q)], pixels);
+/// `Multiply(model, oi, runner, padded)`, the `f32` neuron op `oi`: its
+/// raw accumulators into the flow's `floats_next`, then its finish. The
+/// multiply makes every output position — a row of a dense op, a (row,
+/// pixel) pair of a conv — one lane of [`dense_block`]: [`LANES`] rows
+/// at one pixel in a batch of whole blocks ([`row_blocks`]), else
+/// positions pixel-major (a one-row conv fills its blocks with pixels,
+/// [`patches`]) and one lane per position left over.
+struct Multiply<'a>(&'a CompiledModel, usize, &'a mut BatchRunner, usize);
+
+impl LaneWork for Multiply<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<A: Acc>(self) {
+        let Multiply(model, oi, runner, padded) = self;
+        let (flow, tile) = (&mut runner.flow, &mut runner.tile_f);
+        let (pool_f, op) = (&model.program.floats[..], &model.program.ops[oi]);
+        let (Some(n), Kernel::Mul(mul)) = (op.neuron(), &model.kernels[oi]) else {
+            unreachable!("the op multiplies")
+        };
+        let (codes, dst) = (&flow.codes, &mut flow.floats_next);
+        let (g, b, z) = (&n.window, n.bias.slice(pool_f), n.zero_code);
+        let (pixels, patch_len, in_vol) = (g.out_pixels(), g.patch_len(), g.in_volume());
+        let nout = n.channels * pixels;
+        refill(dst, padded * nout);
+        let positions = padded * pixels;
+        let at = |q: usize| (q % padded) * nout + q / padded;
+        let book = mul.book.slice(pool_f);
+        let decode = |x: u16| book[usize::from(x)];
+        let ws = &mul.weights[..];
+        if padded >= LANES {
+            row_blocks(g, &codes[..padded * in_vol], z, tile, decode, ws, b, dst);
+        } else {
+            let blocks = positions - positions % LANES;
+            refill(tile, patch_len * if blocks > 0 { LANES } else { 1 });
+            for q in (0..blocks).step_by(LANES) {
+                patches::<LANES, _>(g, codes, z, padded, q, tile, decode);
+                let lanes = std::array::from_fn(|l| at(q + l));
+                dense_block(ws, b, tile.as_chunks::<LANES>().0, dst, lanes, pixels);
+            }
+            for q in blocks..positions {
+                let xs = &mut tile[..patch_len];
+                patches::<1, _>(g, codes, z, padded, q, xs, decode);
+                dense_block(ws, b, xs.as_chunks().0, dst, [at(q)], pixels);
+            }
+        }
+        match &model.finishes[oi] {
+            Some(f) => refinish(f, matches!(n.act, Act::Relu), flow),
+            // Identity or ReLU with nothing after it.
+            None => (flow.floats_next.iter_mut()).for_each(|y| *y = apply_act(n.act, pool_f, *y)),
+        }
     }
 }
 
@@ -879,32 +789,33 @@ pub(crate) fn lower(program: &Program<'_>) -> Vec<Kernel> {
     program.ops.iter().zip(&program.flow()).map(lower).collect()
 }
 
-/// Runs one analyzer-licensed dense op over the padded batch: runs
+/// `Madd(q, finish, relu, flow, padded)`, an analyzer-licensed dense op:
 /// [`madd_rows`] with its finish — the output of the accumulator's run
 /// in its tabulated `finish` ([`run_of`]), already what the next op
-/// reads, else dequantize (+ ReLU when `relu`) — into the scratch
-/// buffer of that domain.
-#[inline(always)]
-fn quant_dense<A: Acc>(
-    q: &QuantOp,
-    finish: Option<&Finish>,
-    relu: bool,
-    flow: &mut Flow,
-    padded: usize,
-) {
-    let (xs, inv) = (&flow.quants, q.inv);
-    let Some(Finish { edges, out }) = finish else {
-        let dst = &mut flow.floats_next;
-        return match relu {
-            true => madd_rows::<A, _>(q, xs, dst, padded, move |a| (a as f32 * inv).max(0.0)),
-            false => madd_rows::<A, _>(q, xs, dst, padded, move |a| a as f32 * inv),
+/// reads, else dequantize (+ ReLU when `relu`) — into the scratch buffer
+/// of that domain, so the op is one pass.
+struct Madd<'a>(&'a QuantOp, Option<&'a Finish>, bool, &'a mut Flow, usize);
+
+impl LaneWork for Madd<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<A: Acc>(self) {
+        let Madd(q, finish, relu, flow, padded) = self;
+        let (xs, inv, dst) = (&flow.quants, q.inv, &mut flow.floats_next);
+        let (codes, quants) = (&mut flow.codes_next, &mut flow.quants_next);
+        let Some(Finish { edges, out }) = finish else {
+            return match relu {
+                true => madd_rows::<A, _>(q, xs, dst, padded, move |a| (a as f32 * inv).max(0.0)),
+                false => madd_rows::<A, _>(q, xs, dst, padded, move |a| a as f32 * inv),
+            };
         };
-    };
-    let run = |a| run_of(edges, a);
-    match out {
-        LutOut::Codes(o) => madd_rows::<A, _>(q, xs, &mut flow.codes_next, padded, |a| o[run(a)]),
-        LutOut::Quants(o) => madd_rows::<A, _>(q, xs, &mut flow.quants_next, padded, |a| o[run(a)]),
-        LutOut::Floats(o) => madd_rows::<A, _>(q, xs, &mut flow.floats_next, padded, |a| o[run(a)]),
+        let run = |a| run_of(edges, a);
+        match out {
+            LutOut::Codes(o) => madd_rows::<A, _>(q, xs, codes, padded, |a| o[run(a)]),
+            LutOut::Quants(o) => madd_rows::<A, _>(q, xs, quants, padded, |a| o[run(a)]),
+            LutOut::Floats(o) => madd_rows::<A, _>(q, xs, dst, padded, |a| o[run(a)]),
+        }
     }
 }
 
@@ -1039,27 +950,19 @@ fn madd_outputs<A: Acc, const R: usize, const O: usize, T: Copy>(
 }
 
 /// Makes the values an op staged in `floats_next` — raw accumulators,
-/// a pool's averages — the flow's `floats` (dead: the op read codes),
-/// then finishes each, after the ReLU when `relu` (as [`apply_act`]).
+/// a pool's averages, a residual join — the flow's `floats` (what the op
+/// read is dead), then writes the finish `f` of each, after the ReLU
+/// when `relu` (as [`apply_act`]) — its run found by its total-order
+/// key — into the scratch buffer of the finish's domain.
 #[inline(always)]
 fn refinish(f: &Finish, relu: bool, flow: &mut Flow) {
     std::mem::swap(&mut flow.floats, &mut flow.floats_next);
-    let n = flow.floats.len();
-    flow.finish(f, n, |v, i| if relu { v[i].max(0.0) } else { v[i] });
-}
-
-impl Flow {
-    /// Writes the finish `f` of each of the `n` values `value(floats,
-    /// i)` — its run found by its total-order key — into the scratch
-    /// buffer of the finish's domain.
-    #[inline(always)]
-    fn finish(&mut self, f: &Finish, n: usize, value: impl Fn(&[f32], usize) -> f32) {
-        let run = |i| run_of(&f.edges, total_key(value(&self.floats, i)));
-        match &f.out {
-            LutOut::Codes(o) => fill(&mut self.codes_next, n, |i| o[run(i)]),
-            LutOut::Quants(o) => fill(&mut self.quants_next, n, |i| o[run(i)]),
-            LutOut::Floats(o) => fill(&mut self.floats_next, n, |i| o[run(i)]),
-        }
+    let (v, n) = (&flow.floats, flow.floats.len());
+    let run = |i: usize| run_of(&f.edges, total_key(if relu { v[i].max(0.0) } else { v[i] }));
+    match &f.out {
+        LutOut::Codes(o) => fill(&mut flow.codes_next, n, |i| o[run(i)]),
+        LutOut::Quants(o) => fill(&mut flow.quants_next, n, |i| o[run(i)]),
+        LutOut::Floats(o) => fill(&mut flow.floats_next, n, |i| o[run(i)]),
     }
 }
 
@@ -1067,6 +970,69 @@ impl Flow {
 fn fill<T>(buf: &mut Vec<T>, n: usize, f: impl Fn(usize) -> T) {
     buf.clear();
     buf.extend((0..n).map(f));
+}
+
+/// `Step(model, oi, skip, flow, padded)`, the step op `oi`: a max or
+/// average pool, or the join that ends a residual region, adding `skip`.
+struct Step<'a>(&'a CompiledModel, usize, &'a [f32], &'a mut Flow, usize);
+
+impl LaneWork for Step<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<A: Acc>(self) {
+        let Step(model, oi, skip, flow, padded) = self;
+        let (at, finish) = (model.flow[oi], model.finishes[oi].as_ref());
+        match &model.program.ops[oi] {
+            Op::MaxPool(g) => {
+                let (same, max) = (|c: u16| c, |a: u16, b: u16| a.max(b));
+                // A pool reads codes whenever it reads encoded values:
+                // only an integer Madd op reads `Quants`. One that hands
+                // codes to an integer Madd op writes that op's operand
+                // for each code.
+                match (at.domain, model.madd_levels(oi + 1)) {
+                    (Domain::Floats, _) => {
+                        let (src, dst) = (&flow.floats, &mut flow.floats_next);
+                        pool_rows(g, src, dst, padded, |v| v, f32::max, |v| v);
+                    }
+                    (_, None) => {
+                        let (src, dst) = (&flow.codes, &mut flow.codes_next);
+                        pool_rows(g, src, dst, padded, same, max, same);
+                    }
+                    (_, Some(xq)) => {
+                        let (src, dst) = (&flow.codes, &mut flow.quants_next);
+                        pool_rows(g, src, dst, padded, same, max, |c| level_of(xq, c));
+                    }
+                }
+            }
+            Op::AvgPool { geom: g, codebook } => {
+                let window = (g.kernel_h * g.kernel_w) as f32;
+                let (sum, mean) = (|a: f32, b: f32| a + b, |s: f32| s / window);
+                let dst = &mut flow.floats_next;
+                match finish {
+                    None => pool_rows(g, &flow.floats, dst, padded, |v| v, sum, mean),
+                    // Decoded straight out of the window (the sum order
+                    // of decoding the sample first), then re-encoded.
+                    Some(f) => {
+                        let book = codebook.slice(&model.program.floats);
+                        let decode = |c: u16| book[c as usize];
+                        pool_rows(g, &flow.codes, dst, padded, decode, sum, mean);
+                        refinish(f, false, flow);
+                    }
+                }
+            }
+            Op::ResidualEnd { .. } => {
+                let joined = &flow.floats;
+                fill(&mut flow.floats_next, padded * at.width, |i| {
+                    joined[i] + skip[i]
+                });
+                if let Some(f) = finish {
+                    refinish(f, false, flow);
+                }
+            }
+            _ => unreachable!("a neuron op reading codes multiplies"),
+        }
+    }
 }
 
 /// Windowed reduction of one sample in the same iteration order as the
@@ -1133,32 +1099,18 @@ fn pool_rows<S: Copy, A, T: Copy + Default>(
 
 /// Resets `buf` to `len` default-filled elements, reusing its capacity:
 /// no allocation happens once capacity has reached the high-water mark.
-fn refill<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
+fn refill<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
     buf.clear();
     buf.resize(len, T::default());
+    buf
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::finish::EDGE_LANES;
+    use crate::lanes::Portable;
     use rapidnn_prop::{check, usize_in, SeededRng};
-
-    /// [`quant_dense`] with its finish and ReLU flag over its own copy
-    /// of the operand rows, on the lane body [`lanes::each_body`] hands
-    /// it.
-    struct Dense<'a>(&'a QuantOp, Option<&'a Finish>, bool, &'a [i16], usize);
-
-    impl LaneWork for Dense<'_> {
-        type Out = Flow;
-
-        fn run<A: Acc>(self) -> Flow {
-            let mut flow = Flow::default();
-            flow.quants.extend_from_slice(self.3);
-            quant_dense::<A>(self.0, self.1, self.2, &mut flow, self.4);
-            flow
-        }
-    }
 
     /// The integer Madd op — tiles, single rows, 16-lane step, scalar
     /// tails, odd last output, every finish — reading operand rows in
@@ -1166,8 +1118,8 @@ mod tests {
     /// then a plain `i64` dot product put through the same finish (a
     /// run found by a linear scan of its edges), at every row count
     /// around the tile and block sizes, every `nin % 16` class around
-    /// the step and every `nout` remainder, on each lane body the CPU
-    /// executes.
+    /// the step and every `nout` remainder, on the portable lane body
+    /// and the one the CPU feature check picks.
     #[test]
     fn madd_tile_matches_i64_reference_dot() {
         const BOOK: usize = 8;
@@ -1212,9 +1164,12 @@ mod tests {
                         let input: Vec<u16> =
                             (0..rows * nin).map(|_| rng.index(BOOK) as u16).collect();
                         let quants: Vec<i16> = input.iter().map(|&c| level_of(&xq, c)).collect();
-                        let relu = kind == 1;
-                        let flows =
-                            lanes::each_body(|| Dense(&q, finish.as_ref(), relu, &quants, rows));
+                        let (relu, finish) = (kind == 1, finish.as_ref());
+                        let mut flows: [Flow; 2] = Default::default();
+                        let [plain, fast] = &mut flows;
+                        (plain.quants, fast.quants) = (quants.clone(), quants);
+                        Portable::run(Madd(&q, finish, relu, plain, rows));
+                        Detect::run(Madd(&q, finish, relu, fast, rows));
                         for r in 0..rows {
                             for o in 0..nout {
                                 let w = &weights[o * nin..(o + 1) * nin];
@@ -1233,7 +1188,7 @@ mod tests {
                                         let got = flow.floats_next[at];
                                         assert_eq!(got.to_bits(), want.to_bits(), "{ctx}");
                                     };
-                                    match &finish {
+                                    match finish {
                                         None if relu => float((acc as f32 * inv).max(0.0)),
                                         None => float(acc as f32 * inv),
                                         Some(Finish { out, .. }) => match out {
@@ -1253,6 +1208,44 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// Whole batches on the portable lane body equal the body serving
+    /// picks, bit for bit — on an AVX2 CPU the only run the portable
+    /// encoder, `f32` multiply, pools and residual join get — for every
+    /// op-program topology, `f32` and quantized, at 1, 3, 8, 9 and 64 rows.
+    #[test]
+    fn portable_body_serves_the_detected_bodys_bits() {
+        use crate::test_models::*;
+        let mut rng = SeededRng::new(3);
+        let builders = [
+            mlp_model,
+            cnn_model,
+            strided_cnn_model,
+            residual_model,
+            deep_mlp_model,
+        ];
+        let mut models = vec![CompiledModel::deep_mixed_for_tests(5, 1)];
+        for build in builders {
+            let mut model = CompiledModel::from_reinterpreted(&build(&mut rng)).unwrap();
+            models.push(model.clone());
+            model.quantize().unwrap();
+            models.push(model);
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (mi, model) in models.iter().enumerate() {
+            let nin = model.input_features();
+            for rows in [1usize, 3, 8, 9, 64] {
+                let inputs: Vec<f32> = (0..rows * nin).map(|i| (i as f32 * 0.37).sin()).collect();
+                let (mut runner, mut served) = (BatchRunner::new(), Vec::new());
+                runner.run(model, &inputs, &mut served).unwrap();
+                let padded = pad_rows(rows);
+                Portable::run(Encode(model, &inputs, &mut runner.flow, padded));
+                runner.exec_ops::<Portable>(model, padded);
+                let portable = &runner.floats()[..served.len()];
+                assert_eq!(bits(portable), bits(&served), "model {mi}, {rows} rows");
+            }
+        }
     }
 
     /// A composed CNN (3×4×4 → conv 4 channels at stride 2 → conv 3

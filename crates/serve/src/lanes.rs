@@ -1,5 +1,5 @@
 //! The 16-lane `i16 × i16 → i32` multiply-accumulate step of the integer
-//! Madd tile kernel, and the batch executor's one entry.
+//! Madd tile kernel, and the executor's entry into a lane body.
 //!
 //! An [`Acc`] is eight `i32` lanes: [`Acc::madd`] adds the pairwise
 //! products `a[2j]·b[2j] + a[2j+1]·b[2j+1]` into lane `j`, [`Acc::sum`]
@@ -10,13 +10,13 @@
 //!
 //! Two bodies: `Avx2` (`vpmaddwd`/`vpaddd`) on `x86_64`, and `Portable`,
 //! compiled everywhere and tested lane for lane against the AVX2 one.
-//! The executor takes the body as a type parameter ([`LaneWork`]) and is
-//! entered through [`run`], where the crate's one CPU feature check
-//! picks it. On an AVX2 CPU the op loop, the integer kernels and the
-//! input encoder are inlined into one `#[target_feature(enable =
-//! "avx2")]` frame, so the encoder's sweeps, the finish's edge count,
-//! the `f32` multiply and the pools run at that width too; the frame
-//! enables no FMA, so `f32` results keep their bits.
+//! Each op kind's kernel is a [`LaneWork`], generic over the body and
+//! entered through [`Detect`], the crate's one CPU feature check, which
+//! picks it: the executor enters once per encode and once per op. On an
+//! AVX2 CPU each work type is one `#[target_feature(enable = "avx2")]`
+//! function of its own — the encoder, the `f32` multiply, the Madd tile,
+//! the step ops — so an edit to one kernel leaves the others' code as it
+//! is; the frames enable no FMA, so `f32` results keep their bits.
 //! Any other CPU runs the portable body, with the same bits.
 //!
 //! The one module in the crate allowed to use `unsafe`; the crate root
@@ -31,34 +31,39 @@ pub(crate) trait Acc: Copy {
     fn sum(self) -> i32;
 }
 
-/// Work generic over the lane body [`run`] picks. Its `run` and every
-/// kernel that takes the body are `#[inline(always)]`, so that they
-/// compile inside the AVX2 frame rather than being called from it.
+/// One op kind's kernel, generic over the lane body [`Detect`] picks. Its
+/// `run` and the kernels it calls are `#[inline(always)]`, so that they
+/// compile inside the work's own AVX2 function, not called from it.
 pub(crate) trait LaneWork {
     type Out;
     fn run<A: Acc>(self) -> Self::Out;
 }
 
-/// Runs `work` on the fastest lane body this CPU executes.
-pub(crate) fn run<W: LaneWork>(work: W) -> W::Out {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_detected() {
-        // SAFETY: the CPU executes AVX2.
-        return unsafe { avx2::enter(work) };
-    }
-    work.run::<Portable>()
+/// How the executor reaches a lane body: [`Detect`] when it serves;
+/// tests also run ops and whole batches on [`Portable`].
+pub(crate) trait Body {
+    fn run<W: LaneWork>(work: W) -> W::Out;
 }
 
-/// `work()` run on every lane body this CPU executes, portable first.
-#[cfg(test)]
-pub(crate) fn each_body<W: LaneWork>(work: impl Fn() -> W) -> Vec<W::Out> {
-    let portable = work().run::<Portable>();
-    #[cfg(target_arch = "x86_64")]
-    if avx2_detected() {
-        // SAFETY: the CPU executes AVX2.
-        return vec![portable, unsafe { avx2::enter(work()) }];
+/// The fastest lane body this CPU executes: the crate's one feature check.
+pub(crate) struct Detect;
+
+impl Body for Detect {
+    fn run<W: LaneWork>(work: W) -> W::Out {
+        #[cfg(target_arch = "x86_64")]
+        if avx2_detected() {
+            // SAFETY: the CPU executes AVX2.
+            return unsafe { avx2::enter(work) };
+        }
+        work.run::<Portable>()
     }
-    vec![portable]
+}
+
+#[cfg(test)]
+impl Body for Portable {
+    fn run<W: LaneWork>(work: W) -> W::Out {
+        work.run::<Portable>()
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -67,7 +72,7 @@ fn avx2_detected() -> bool {
 }
 
 #[derive(Clone, Copy)]
-struct Portable([i32; 8]);
+pub(crate) struct Portable([i32; 8]);
 
 impl Acc for Portable {
     #[inline(always)]
@@ -105,7 +110,8 @@ mod avx2 {
     #[derive(Clone, Copy)]
     pub(super) struct Avx2(pub(super) __m256i);
 
-    /// Runs `work` on the AVX2 body, compiling what it inlines for AVX2.
+    /// Runs `work` on the AVX2 body: one AVX2 function per work type,
+    /// compiling what it inlines for AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) fn enter<W: LaneWork>(work: W) -> W::Out {
         work.run::<Avx2>()
